@@ -20,6 +20,19 @@ cargo test -q
 echo "==> cargo test --release (middleware stress: packing plug/unplug races)"
 cargo test --release -q -p weavepar-middleware -p weavepar-apps --test stress_middleware
 
+# Fork/join on the pool: joins that help instead of block. A lost wake-up or
+# a deadlock is a matter of interleaving, so the stress runs three times
+# back-to-back in --release (each test fails under its watchdog, never hangs).
+for round in 1 2 3; do
+    echo "==> fork/join stress, round $round (--release)"
+    cargo test --release -q -p weavepar-apps --test stress_executor fork_join
+done
+
+# The benchmark is a package of its own (not a workspace member): its tests
+# are what catches a break of the frozen API list in perfbench/README.md.
+echo "==> benchmark package tests (perfbench/)"
+CARGO_TARGET_DIR=.bench_build cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> chaos matrix, pinned seed (--release)"
 cargo test --release -q -p weavepar-apps --test chaos_middleware
 

@@ -16,7 +16,7 @@ use weavepar_apps::heat::{solve_heartbeat, solve_sequential};
 use weavepar_apps::heat2d::{solve2d_heartbeat, solve2d_sequential};
 use weavepar_apps::mandel::{render_dynamic, render_farmed, render_sequential};
 use weavepar_apps::sieve::{build_sieve, run_sieve, sequential_sieve, SieveConfig};
-use weavepar_apps::sort::sort_divide_conquer;
+use weavepar_apps::sort::{dc_pool_size, sort_divide_conquer};
 
 struct Options {
     flags: HashMap<String, String>,
@@ -45,8 +45,18 @@ impl Options {
         Options { flags, switches }
     }
 
+    /// The value of `--name`, or `default` when the flag is absent. A value
+    /// that does not parse is an error (usage text, exit code 2), never a
+    /// silent fall-back to the default.
     fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.flags.get(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+        match self.flags.get(name) {
+            None => default,
+            Some(raw) => raw.parse().unwrap_or_else(|_| {
+                eprintln!("invalid value `{raw}` for --{name}");
+                usage();
+                std::process::exit(2)
+            }),
+        }
     }
 
     fn has(&self, name: &str) -> bool {
@@ -219,6 +229,9 @@ fn main() -> ExitCode {
                         "sort n={n} threshold={threshold} concurrent={concurrent}: {elapsed:?} ({})",
                         if ok { "validated" } else { "MISMATCH" }
                     );
+                    if concurrent {
+                        println!("executor: work-stealing pool, {} workers", dc_pool_size());
+                    }
                     if ok {
                         ExitCode::SUCCESS
                     } else {

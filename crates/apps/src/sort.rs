@@ -87,8 +87,16 @@ pub fn sort_dc_config(threshold: usize) -> DivideConquerConfig {
     }
 }
 
+/// Workers of the pool the concurrent recursion runs on: one per available
+/// CPU. The tree may be far deeper than that — a join on a pool worker runs
+/// queued sub-problems instead of blocking.
+pub fn dc_pool_size() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
 /// Sort with the divide-and-conquer aspect (optionally with the concurrency
-/// module, giving a parallel recursion tree).
+/// module, giving a parallel recursion tree on a work-stealing pool of
+/// [`dc_pool_size`] workers).
 pub fn sort_divide_conquer(
     xs: Vec<u64>,
     threshold: usize,
@@ -98,7 +106,7 @@ pub fn sort_divide_conquer(
     stack.weaver().register_class::<Sorter>();
     stack.plug(Concern::Partition, sort_dc_config(threshold).aspect("Partition.dc"));
     let executor = if concurrent {
-        let executor = Executor::thread_per_call();
+        let executor = Executor::pool(dc_pool_size(), "sort-dc");
         stack.plug_all(
             Concern::Concurrency,
             future_concurrency_aspect(
@@ -189,8 +197,10 @@ mod proptests {
                                    threshold in 1usize..64) {
             let mut expect = xs.clone();
             expect.sort_unstable();
-            let got = sort_divide_conquer(xs, threshold, false).unwrap();
-            prop_assert_eq!(got, expect);
+            for concurrent in [false, true] {
+                let got = sort_divide_conquer(xs.clone(), threshold, concurrent).unwrap();
+                prop_assert_eq!(&got, &expect, "concurrent = {}", concurrent);
+            }
         }
 
         #[test]

@@ -114,15 +114,27 @@ pub fn oneway_aspect(
 /// aware — under an active scope the detached chain is buffered and the
 /// whole pack is submitted in one batch; callers must flush the scope before
 /// blocking on a returned future.
+///
+/// A call that panics fails its own future with an application error (the
+/// joiner is not left waiting for a value nobody will write).
 pub fn future_aspect(name: impl Into<String>, pointcut: Pointcut, executor: Executor) -> Aspect {
+    /// Fails the future if the call unwinds before fulfilling it.
+    struct Setter(FutureAny);
+    impl Drop for Setter {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.fulfill(Err(WeaveError::app("asynchronous invocation panicked")));
+            }
+        }
+    }
     Aspect::named(name)
         .precedence(precedence::ASYNC_INVOCATION)
         .around(pointcut, move |inv: &mut Invocation| {
             let detached = inv.detach()?;
             let future = FutureAny::new();
-            let setter = future.clone();
+            let setter = Setter(future.clone());
             executor.spawn(move || {
-                setter.fulfill(detached.run());
+                setter.0.fulfill(detached.run());
             });
             Ok(weavepar_weave::ret!(future))
         })

@@ -18,6 +18,11 @@
 //! (the skeletons flush between submitting their packs and resolving the
 //! returned futures); the RAII flush-on-drop exists so an error path cannot
 //! strand buffered work, not as the primary API.
+//!
+//! A scope belongs to the frame that opened it, not to the thread: a task a
+//! pool worker *helps* while one of its frames waits on a join (see
+//! [`pool`](crate::pool), "Joins") runs with the enclosing scopes hidden
+//! (`set_aside`), so its spawns are submitted at once, as on a fresh worker.
 
 use std::cell::{Cell, RefCell};
 
@@ -61,6 +66,23 @@ pub(crate) fn defer(executor: &Executor, job: Job) -> Option<Job> {
     }
     DEFERRED.with(|buf| buf.borrow_mut().push((executor.clone(), job)));
     None
+}
+
+/// Restores the scope depth [`set_aside`] cleared.
+pub(crate) struct SetAside(usize);
+
+/// Hide the enclosing scopes from a task a joining pool worker is about to
+/// help: its spawns are submitted at once, as on a fresh worker — it may well
+/// block on them before the waiting frame's scope flushes. The buffers stay
+/// put: scopes own them by offset, and nothing is added at depth 0.
+pub(crate) fn set_aside() -> SetAside {
+    SetAside(DEPTH.with(|d| d.replace(0)))
+}
+
+impl Drop for SetAside {
+    fn drop(&mut self) {
+        DEPTH.with(|d| d.set(self.0));
+    }
 }
 
 /// RAII marker making [`Executor::spawn`] on this thread buffer jobs until

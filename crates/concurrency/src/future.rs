@@ -22,10 +22,28 @@ use parking_lot::{Condvar, Mutex};
 
 use weavepar_weave::{AnyValue, WeaveError, WeaveResult};
 
+use crate::pool::{Joiner, StealCore};
+
 enum State<T> {
-    Pending,
+    /// Not fulfilled yet; the pool (if any) whose worker is helping while it
+    /// waits for this future, to be woken at fulfilment.
+    Pending(Option<Arc<StealCore>>),
     Ready(T),
     Taken,
+}
+
+impl<T> State<T> {
+    /// Move the value out if the future is settled; `None` while pending.
+    fn take_settled(&mut self) -> Option<WeaveResult<T>> {
+        match std::mem::replace(self, State::Taken) {
+            State::Ready(v) => Some(Ok(v)),
+            State::Taken => Some(Err(WeaveError::app("future already taken"))),
+            pending @ State::Pending(_) => {
+                *self = pending;
+                None
+            }
+        }
+    }
 }
 
 struct Shared<T> {
@@ -57,7 +75,10 @@ impl<T> FutureValue<T> {
     /// A pending future.
     pub fn new() -> Self {
         FutureValue {
-            shared: Arc::new(Shared { state: Mutex::new(State::Pending), cv: Condvar::new() }),
+            shared: Arc::new(Shared {
+                state: Mutex::new(State::Pending(None)),
+                cv: Condvar::new(),
+            }),
         }
     }
 
@@ -65,14 +86,17 @@ impl<T> FutureValue<T> {
     /// already fulfilled — write-once semantics.
     pub fn fulfill(&self, value: T) -> bool {
         let mut state = self.shared.state.lock();
-        match *state {
-            State::Pending => {
-                *state = State::Ready(value);
-                self.shared.cv.notify_all();
-                true
-            }
-            _ => false,
+        let State::Pending(helper) = &mut *state else { return false };
+        let helper = helper.take();
+        *state = State::Ready(value);
+        // Notify with the lock released, or every woken taker would block
+        // at once on the mutex it was just told about.
+        drop(state);
+        self.shared.cv.notify_all();
+        if let Some(pool) = helper {
+            pool.wake_all();
         }
+        true
     }
 
     /// True when a value is available (and not yet taken).
@@ -80,52 +104,66 @@ impl<T> FutureValue<T> {
         matches!(*self.shared.state.lock(), State::Ready(_))
     }
 
-    /// Block until the value is available, then move it out. A second take
+    /// Wait until the value is available, then move it out. A second take
     /// fails with an application error.
+    ///
+    /// On a worker of a work-stealing pool that holds no object monitor the
+    /// wait *helps*: the worker runs queued tasks until the value is there
+    /// (see [`pool`](crate::pool), "Joins"). Everywhere else it blocks.
     pub fn take(&self) -> WeaveResult<T> {
         let mut state = self.shared.state.lock();
         loop {
-            match std::mem::replace(&mut *state, State::Taken) {
-                State::Ready(v) => return Ok(v),
-                State::Taken => return Err(WeaveError::app("future already taken")),
-                State::Pending => {
-                    *state = State::Pending;
-                    self.shared.cv.wait(&mut state);
+            if let Some(settled) = state.take_settled() {
+                return settled;
+            }
+            match Joiner::current() {
+                Some(joiner) if Self::enlist(&mut state, &joiner) => {
+                    drop(state);
+                    joiner.help_until(|| !self.is_pending());
+                    state = self.shared.state.lock();
                 }
+                _ => self.shared.cv.wait(&mut state),
             }
         }
     }
 
+    /// Name the joiner's pool as the one to wake at fulfilment. `false` when
+    /// a worker of *another* pool is already helping on this future (one
+    /// slot: the later joiner blocks instead).
+    fn enlist(state: &mut State<T>, joiner: &Joiner) -> bool {
+        match state {
+            State::Pending(helper) => {
+                let pool = helper.get_or_insert_with(|| joiner.pool().clone());
+                Arc::ptr_eq(pool, joiner.pool())
+            }
+            _ => false,
+        }
+    }
+
+    fn is_pending(&self) -> bool {
+        matches!(*self.shared.state.lock(), State::Pending(_))
+    }
+
     /// Like [`FutureValue::take`] but gives up after `timeout` with a typed
-    /// [`WeaveError::Timeout`] (retryable under a call policy).
+    /// [`WeaveError::Timeout`] (retryable under a call policy). Always a
+    /// plain wait, also on a pool worker: a helped task could overrun the
+    /// deadline.
     pub fn take_timeout(&self, timeout: Duration) -> WeaveResult<T> {
         let deadline = Instant::now() + timeout;
         let mut state = self.shared.state.lock();
         loop {
-            match std::mem::replace(&mut *state, State::Taken) {
-                State::Ready(v) => return Ok(v),
-                State::Taken => return Err(WeaveError::app("future already taken")),
-                State::Pending => {
-                    *state = State::Pending;
-                    if self.shared.cv.wait_until(&mut state, deadline).timed_out() {
-                        return Err(WeaveError::Timeout { waited_ms: timeout.as_millis() as u64 });
-                    }
-                }
+            if let Some(settled) = state.take_settled() {
+                return settled;
+            }
+            if self.shared.cv.wait_until(&mut state, deadline).timed_out() {
+                return Err(WeaveError::Timeout { waited_ms: timeout.as_millis() as u64 });
             }
         }
     }
 
     /// Non-blocking take: `None` while pending.
     pub fn try_take(&self) -> WeaveResult<Option<T>> {
-        let mut state = self.shared.state.lock();
-        match std::mem::replace(&mut *state, State::Taken) {
-            State::Ready(v) => Ok(Some(v)),
-            State::Taken => Err(WeaveError::app("future already taken")),
-            State::Pending => {
-                *state = State::Pending;
-                Ok(None)
-            }
-        }
+        self.shared.state.lock().take_settled().transpose()
     }
 }
 
@@ -133,7 +171,7 @@ impl<T> std::fmt::Debug for FutureValue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.shared.state.lock();
         let s = match *state {
-            State::Pending => "pending",
+            State::Pending(_) => "pending",
             State::Ready(_) => "ready",
             State::Taken => "taken",
         };
@@ -173,12 +211,14 @@ impl FutureAny {
         self.inner.is_ready()
     }
 
-    /// Block until fulfilled, then move the result out.
+    /// Wait until fulfilled, then move the result out. On a pool worker the
+    /// wait helps instead of blocking — see [`FutureValue::take`].
     pub fn take(&self) -> WeaveResult<AnyValue> {
         self.inner.take()?
     }
 
-    /// Blocking take with timeout.
+    /// Blocking take with timeout (never helps — see
+    /// [`FutureValue::take_timeout`]).
     pub fn take_timeout(&self, timeout: Duration) -> WeaveResult<AnyValue> {
         self.inner.take_timeout(timeout)?
     }
@@ -187,6 +227,8 @@ impl FutureAny {
 /// Deadline-aware [`resolve_any`]: unwraps chained futures, but gives up
 /// with a typed [`WeaveError::Timeout`] once `deadline` has elapsed in
 /// total across the chain. `None` waits forever (plain `resolve_any`).
+/// With a deadline the wait never helps on a pool worker: a helped task
+/// could overrun it.
 pub fn resolve_any_deadline(
     mut ret: AnyValue,
     deadline: Option<Duration>,
@@ -238,8 +280,9 @@ impl<T: Send + 'static> FutureOrNow<T> {
     }
 }
 
-/// Resolve a join-point return value to its final concrete value, blocking
-/// through any number of chained futures.
+/// Resolve a join-point return value to its final concrete value, waiting
+/// through any number of chained futures (helping on a pool worker, like
+/// [`FutureAny::take`]).
 ///
 /// Pipeline forwarding returns the *downstream* call's result, which — when
 /// the concurrency aspect is plugged — is itself a future; resolving a pack

@@ -25,11 +25,33 @@
 //! the skeleton layer (farm, divide-and-conquer) uses it to submit
 //! pack-granular batches instead of per-task sends.
 //!
+//! # Joins
+//!
+//! A task that blocks on a future **from a worker of this scheduler** does
+//! not give its thread up (`Joiner`): it runs queued tasks — its own deque
+//! first, so a divide level runs its youngest child inline (the work-first
+//! join), then the injector, then a steal — and sleeps only when nothing is
+//! runnable, on the same condition variable as an idle worker, woken by the
+//! future's fulfilment or by new work. That is what lets a nested fork/join
+//! deeper than the pool is wide complete on it. Three rules:
+//!
+//! * a helped task starts from a clean thread-local weaving context, as on a
+//!   fresh worker; the waiting frame's context is set aside and put back;
+//! * a thread that holds an object monitor does not help (monitors are
+//!   re-entrant: the helped task could enter the critical section) — it
+//!   blocks;
+//! * joins with a deadline do not help (a helped task could overrun it).
+//!
+//! Helping is deadlock-free for joins on a task's own descendants (fork/join)
+//! and on independent work; a task that joins a future owed by a frame
+//! *beneath it on the same stack* would wait forever, as in every help-first
+//! scheduler.
+//!
 //! The previous single-shared-queue backend is kept as
 //! [`Scheduler::SingleQueue`] so the `executor_throughput` bench can ablate
 //! stealing against the old design (see EXPERIMENTS.md).
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -54,9 +76,13 @@ struct Task {
 }
 
 impl Task {
+    /// Run the job. A panic ends the job, not the thread under it: the pool
+    /// would silently lose capacity (a 1-worker pool would deadlock every
+    /// later caller), and a joining frame would be torn down by a task it
+    /// only helped.
     fn run(self) {
         let _token = self.token; // released when the job ends, even on panic
-        (self.job)();
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(self.job));
     }
 }
 
@@ -70,13 +96,9 @@ pub enum Scheduler {
     SingleQueue,
 }
 
-/// Process-unique pool ids, so the thread-local worker context can tell
-/// *which* pool's worker the current thread is.
-static NEXT_POOL_ID: AtomicUsize = AtomicUsize::new(1);
-
 thread_local! {
-    /// `(pool id, worker index)` of the pool worker running on this thread.
-    static WORKER_CTX: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
+    /// The stealing pool whose worker runs on this thread, and its index.
+    static WORKER: RefCell<Option<(Arc<StealCore>, usize)>> = const { RefCell::new(None) };
 }
 
 /// Always-on scheduler event counters, cheap relaxed atomics held in `Arc`s
@@ -90,11 +112,14 @@ struct PoolStats {
     parks: Arc<AtomicU64>,
     /// Times a submitter issued a wakeup (notify) toward parked workers.
     wakeups: Arc<AtomicU64>,
+    /// Tasks a joining worker ran inline while its future was pending.
+    helped: Arc<AtomicU64>,
+    /// Times a joining worker found nothing runnable and slept.
+    join_parks: Arc<AtomicU64>,
 }
 
 /// Shared state of the work-stealing backend.
-struct StealCore {
-    id: usize,
+pub(crate) struct StealCore {
     /// FIFO entry queue for tasks submitted from outside the pool.
     injector: Injector<Task>,
     /// One LIFO deque per worker. Indexed by worker; a worker pushes nested
@@ -124,8 +149,9 @@ impl StealCore {
         }
     }
 
-    /// Wake every parked worker (batch submission, shutdown).
-    fn wake_all(&self) {
+    /// Wake every parked worker (batch submission, a fulfilled future some
+    /// worker joins on, shutdown).
+    pub(crate) fn wake_all(&self) {
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
             let _guard = self.park_lock.lock();
@@ -164,39 +190,87 @@ impl StealCore {
         None
     }
 
+    /// The index of the current thread among this pool's workers.
+    fn worker_index(self: &Arc<Self>) -> Option<usize> {
+        WORKER.with(|w| match &*w.borrow() {
+            Some((core, idx)) if Arc::ptr_eq(core, self) => Some(*idx),
+            _ => None,
+        })
+    }
+
+    /// Sleep until notified, unless there is work to run or `awake()` holds.
+    ///
+    /// The sleeper count is incremented under the park lock and *before* the
+    /// conditions are re-checked; a waker changes the state first (pushes a
+    /// task, fulfils a future, sets `shutdown`) and reads the count second.
+    /// Whichever critical section runs first, either the waker observes the
+    /// sleeper and notifies, or the re-check observes the change — a missed
+    /// wakeup requires both to lose, which the lock ordering forbids. The
+    /// timeout is a pure backstop: a (theoretically impossible) missed
+    /// wakeup would cost 10 ms of latency, never a hang.
+    fn park_unless(&self, awake: impl Fn() -> bool, parks: &AtomicU64) {
+        let mut guard = self.park_lock.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        if !(self.has_work() || awake()) {
+            parks.fetch_add(1, Ordering::Relaxed);
+            self.unpark.wait_for(&mut guard, Duration::from_millis(10));
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
     fn worker_loop(self: &Arc<Self>, idx: usize) {
-        WORKER_CTX.with(|ctx| ctx.set(Some((self.id, idx))));
+        WORKER.with(|w| *w.borrow_mut() = Some((self.clone(), idx)));
+        let shutdown = || self.shutdown.load(Ordering::SeqCst);
         loop {
             if let Some(task) = self.find_task(idx) {
-                // A panicking job must not kill the worker: the pool would
-                // silently lose capacity (and a 1-worker pool would deadlock
-                // every later caller).
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run()));
-                continue;
+                task.run();
+            } else if shutdown() {
+                return; // queues drained and the pool is going away
+            } else {
+                self.park_unless(shutdown, &self.stats.parks);
             }
-            // Park. The sleeper count is incremented under the park lock and
-            // *before* the queues are re-checked; a submitter pushes first
-            // and reads the count second. Whichever critical section runs
-            // first, either the submitter observes the sleeper and notifies,
-            // or this worker's re-check observes the pushed task — a missed
-            // wakeup requires both to lose, which the lock ordering forbids.
-            let mut guard = self.park_lock.lock();
-            self.sleepers.fetch_add(1, Ordering::SeqCst);
-            if self.has_work() {
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                continue;
+        }
+    }
+}
+
+/// A stealing-pool worker about to wait on a join: it helps instead of
+/// blocking (see the module docs).
+pub(crate) struct Joiner {
+    core: Arc<StealCore>,
+    idx: usize,
+}
+
+impl Joiner {
+    /// `Some` on a worker of a work-stealing pool that holds no object
+    /// monitor; everyone else joins by blocking.
+    pub(crate) fn current() -> Option<Joiner> {
+        if weavepar_weave::object::monitors_held() > 0 {
+            return None;
+        }
+        WORKER.with(|w| w.borrow().clone()).map(|(core, idx)| Joiner { core, idx })
+    }
+
+    /// The pool to wake (`wake_all`) when the awaited state changes.
+    pub(crate) fn pool(&self) -> &Arc<StealCore> {
+        &self.core
+    }
+
+    /// Run queued tasks until `ready()`; sleep, as an idle worker does, only
+    /// while nothing is runnable. Whoever makes `ready()` true must call
+    /// [`StealCore::wake_all`] on [`Joiner::pool`] afterwards.
+    pub(crate) fn help_until(&self, ready: impl Fn() -> bool) {
+        while !ready() {
+            match self.core.find_task(self.idx) {
+                Some(task) => {
+                    self.core.stats.helped.fetch_add(1, Ordering::Relaxed);
+                    // The task sees a fresh worker's thread-local state; the
+                    // waiting frame gets its own back afterwards.
+                    let _context = weavepar_weave::context::set_aside();
+                    let _scope = crate::batch::set_aside();
+                    task.run();
+                }
+                None => self.core.park_unless(&ready, &self.core.stats.join_parks),
             }
-            if self.shutdown.load(Ordering::SeqCst) {
-                // Queues drained and the pool is going away.
-                self.sleepers.fetch_sub(1, Ordering::SeqCst);
-                return;
-            }
-            // The timeout is a pure backstop: a (theoretically impossible,
-            // see above) missed wakeup would cost 10 ms of latency, never a
-            // hang.
-            self.stats.parks.fetch_add(1, Ordering::Relaxed);
-            self.unpark.wait_for(&mut guard, Duration::from_millis(10));
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
@@ -250,10 +324,7 @@ impl ThreadPool {
                         .name(format!("{name}-{i}"))
                         .spawn(move || {
                             while let Ok(task) = rx.recv() {
-                                let _ =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        task.run()
-                                    }));
+                                task.run();
                             }
                         })
                         .expect("spawning pool worker");
@@ -265,7 +336,6 @@ impl ThreadPool {
                 let locals: Vec<Worker<Task>> = (0..size).map(|_| Worker::new_lifo()).collect();
                 let stealers = locals.iter().map(|w| w.stealer()).collect();
                 let core = Arc::new(StealCore {
-                    id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
                     injector: Injector::new(),
                     locals,
                     stealers,
@@ -349,14 +419,14 @@ impl ThreadPool {
                 }
             }
             Backend::Stealing(core) => {
-                match WORKER_CTX.with(|ctx| ctx.get()) {
-                    Some((id, idx)) if id == core.id => {
+                match core.worker_index() {
+                    Some(idx) => {
                         for task in tasks {
                             core.locals[idx].push(task);
                         }
                         core.wake_all();
                     }
-                    _ => {
+                    None => {
                         let grain = self.grain.load(Ordering::Relaxed) as usize;
                         if grain == 0 {
                             core.injector.push_batch(tasks);
@@ -393,9 +463,9 @@ impl ThreadPool {
                     .expect("pool workers alive until drop");
             }
             Backend::Stealing(core) => {
-                match WORKER_CTX.with(|ctx| ctx.get()) {
-                    Some((id, idx)) if id == core.id => core.locals[idx].push(task),
-                    _ => core.injector.push(task),
+                match core.worker_index() {
+                    Some(idx) => core.locals[idx].push(task),
+                    None => core.injector.push(task),
                 }
                 core.wake_one();
             }
@@ -420,14 +490,23 @@ impl ThreadPool {
     }
 
     /// Bind this pool's always-on scheduler counters into `registry` under
-    /// `{prefix}.steals` / `{prefix}.parks` / `{prefix}.wakeups`, plus the
-    /// live queue depth as the gauge `{prefix}.in_flight`. The scheduler
-    /// keeps incrementing its own relaxed atomics; installation only names
-    /// the cells, so an uninstalled pool pays nothing extra.
+    /// `{prefix}.steals` / `{prefix}.parks` / `{prefix}.wakeups`, the join
+    /// counters `{prefix}.helped` (tasks a join ran inline) /
+    /// `{prefix}.join_parks` (joins that found nothing runnable and slept),
+    /// plus the live queue depth as the gauge `{prefix}.in_flight`. The
+    /// scheduler keeps incrementing its own relaxed atomics; installation
+    /// only names the cells, so an uninstalled pool pays nothing extra.
     pub fn install_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
-        registry.bind_counter(&format!("{prefix}.steals"), self.stats.steals.clone());
-        registry.bind_counter(&format!("{prefix}.parks"), self.stats.parks.clone());
-        registry.bind_counter(&format!("{prefix}.wakeups"), self.stats.wakeups.clone());
+        let PoolStats { steals, parks, wakeups, helped, join_parks } = &self.stats;
+        for (name, cell) in [
+            ("steals", steals),
+            ("parks", parks),
+            ("wakeups", wakeups),
+            ("helped", helped),
+            ("join_parks", join_parks),
+        ] {
+            registry.bind_counter(&format!("{prefix}.{name}"), cell.clone());
+        }
         registry.bind_gauge_usize(&format!("{prefix}.in_flight"), self.tracker.in_flight_cell());
     }
 }
@@ -466,6 +545,7 @@ impl std::fmt::Debug for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FutureValue;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
@@ -618,25 +698,229 @@ mod tests {
         );
     }
 
-    #[test]
-    fn installed_metrics_expose_scheduler_events() {
-        let pool = ThreadPool::new(4, "metered");
+    /// Spin (yielding) until `cond` holds; a watchdog turns a hang into a
+    /// failure. Waits for an observable state, never for an amount of time.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !cond() {
+            assert!(start.elapsed() < Duration::from_secs(60), "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Run `f` on its own thread and fail, instead of hanging the suite, if
+    /// it does not finish.
+    fn watchdog<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(60)).unwrap_or_else(|_| panic!("{what}: hung"))
+    }
+
+    fn metered(size: usize, scheduler: Scheduler) -> (Arc<ThreadPool>, MetricsRegistry) {
+        let pool = ThreadPool::with_scheduler(size, "metered", scheduler);
         let reg = MetricsRegistry::new();
         pool.install_metrics(&reg, "pool");
-        // Replay the stealing scenario: one externally submitted job fans out
-        // nested spawns, so idle peers must steal (and park/wake around it).
+        (pool, reg)
+    }
+
+    #[test]
+    fn installed_metrics_expose_scheduler_events() {
+        let (pool, reg) = metered(4, Scheduler::WorkStealing);
+        let count = |name: &str| reg.snapshot().counter(name).unwrap();
+        // With nothing to do, workers park; a submission made while one is
+        // parked issues a wakeup.
+        wait_until("an idle worker to park", || count("pool.parks") >= 1);
+        wait_until("a submission to wake a sleeper", || {
+            pool.spawn(|| {});
+            count("pool.wakeups") >= 1
+        });
+        // The fan-out job pushes nested jobs onto its own deque and then
+        // holds its worker until one of them has run — which only a thief
+        // can make happen.
+        let (ran_tx, ran_rx) = std::sync::mpsc::channel();
         let p2 = pool.clone();
         pool.spawn(move || {
-            for _ in 0..16 {
-                p2.spawn(|| std::thread::sleep(Duration::from_millis(5)));
+            for _ in 0..4 {
+                let ran = ran_tx.clone();
+                p2.spawn(move || ran.send(()).expect("fan-out job is listening"));
             }
+            ran_rx.recv().expect("a nested job ran");
+            // Later nested jobs may find the receiver gone; not our concern.
+            drop(ran_rx);
         });
         pool.wait_idle();
-        let snap = reg.snapshot();
-        assert!(snap.counter("pool.steals").unwrap() >= 1, "peers must steal: {snap:?}");
-        assert!(snap.counter("pool.parks").unwrap() >= 1, "idle workers park");
-        assert!(snap.counter("pool.wakeups").unwrap() >= 1, "submitters wake sleepers");
-        assert_eq!(snap.gauge("pool.in_flight"), Some(0), "idle pool has empty queue");
+        assert!(count("pool.steals") >= 1, "a peer stole: {:?}", reg.snapshot());
+        assert_eq!(reg.snapshot().gauge("pool.in_flight"), Some(0), "idle pool has empty queue");
+    }
+
+    /// Sum `lo..hi` by binary fork/join on `pool`: both halves are spawned,
+    /// then joined from the spawning worker.
+    fn fork_join_sum(pool: &Arc<ThreadPool>, lo: u64, hi: u64) -> u64 {
+        if hi - lo == 1 {
+            return lo;
+        }
+        let mid = lo + (hi - lo) / 2;
+        let halves = [(lo, mid), (mid, hi)].map(|(lo, hi)| {
+            let future = FutureValue::new();
+            let (setter, pool2) = (future.clone(), pool.clone());
+            pool.spawn(move || {
+                setter.fulfill(fork_join_sum(&pool2, lo, hi));
+            });
+            future
+        });
+        halves.iter().map(|f| f.take().unwrap()).sum()
+    }
+
+    #[test]
+    fn nested_joins_deeper_than_the_pool_help_instead_of_deadlocking() {
+        for size in [1, 2, 4] {
+            let (helped, leaves) = watchdog("fork/join", move || {
+                let (pool, reg) = metered(size, Scheduler::WorkStealing);
+                let root = FutureValue::new();
+                let (setter, p2) = (root.clone(), pool.clone());
+                // Depth 12: 4096 leaves, 8190 tasks below the root.
+                pool.spawn(move || {
+                    setter.fulfill(fork_join_sum(&p2, 0, 1 << 12));
+                });
+                let total = root.take().unwrap();
+                pool.wait_idle();
+                assert_eq!(pool.in_flight(), 0);
+                (reg.snapshot().counter("pool.helped").unwrap(), total)
+            });
+            assert_eq!(leaves, (0..1u64 << 12).sum::<u64>(), "{size} workers");
+            assert!(helped >= 1, "joins on a worker run queued tasks ({size} workers)");
+            if size == 1 {
+                assert_eq!(helped, 8190, "one worker: every task below the root runs inline");
+            }
+        }
+    }
+
+    #[test]
+    fn joins_off_the_pool_or_on_a_single_queue_block() {
+        // From a non-worker thread: the plain blocking path.
+        let (pool, reg) = metered(2, Scheduler::WorkStealing);
+        let futures: Vec<FutureValue<u64>> = (0..64).map(|_| FutureValue::new()).collect();
+        for (i, f) in futures.iter().enumerate() {
+            let setter = f.clone();
+            pool.spawn(move || {
+                setter.fulfill(i as u64);
+            });
+        }
+        assert_eq!(futures.iter().map(|f| f.take().unwrap()).sum::<u64>(), 63 * 64 / 2);
+        pool.wait_idle();
+        assert_eq!(reg.snapshot().counter("pool.helped"), Some(0));
+        assert_eq!(reg.snapshot().counter("pool.join_parks"), Some(0));
+
+        // On a single-queue worker: one nested join, the second worker runs
+        // the child.
+        let total = watchdog("single-queue join", || {
+            let (pool, reg) = metered(2, Scheduler::SingleQueue);
+            let root = FutureValue::new();
+            let (setter, p2) = (root.clone(), pool.clone());
+            pool.spawn(move || {
+                setter.fulfill(fork_join_sum(&p2, 0, 2) + 40);
+            });
+            let total = root.take().unwrap();
+            pool.wait_idle();
+            assert_eq!(reg.snapshot().counter("pool.helped"), Some(0));
+            assert_eq!(pool.in_flight(), 0);
+            total
+        });
+        assert_eq!(total, 41);
+    }
+
+    struct Guarded;
+
+    weavepar_weave::weaveable! {
+        class Guarded as GuardedProxy {
+            fn new() -> Self { Guarded }
+            fn touch(&mut self) {}
+        }
+    }
+
+    #[test]
+    fn a_thread_holding_a_monitor_does_not_help() {
+        assert!(Joiner::current().is_none(), "not a pool worker");
+        let pool = ThreadPool::new(1, "monitor");
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.spawn(move || {
+            let space = weavepar_weave::ObjectSpace::new();
+            let id = space.insert(Guarded);
+            let free = Joiner::current().is_some();
+            let held = {
+                let _monitor = space.monitor(id).unwrap();
+                Joiner::current().is_some()
+            };
+            tx.send((free, held, Joiner::current().is_some())).unwrap();
+        });
+        assert_eq!(rx.recv().unwrap(), (true, false, true));
+    }
+
+    #[test]
+    fn a_panicking_helped_task_spares_the_joining_frame_and_the_worker() {
+        let alive = watchdog("panicking helped task", || {
+            let (pool, reg) = metered(1, Scheduler::WorkStealing);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let p2 = pool.clone();
+            pool.spawn(move || {
+                let child = FutureValue::new();
+                let setter = child.clone();
+                p2.spawn(move || {
+                    setter.fulfill(7u64);
+                });
+                p2.spawn(|| panic!("helped task blew up")); // youngest: helped first
+                tx.send(child.take().unwrap()).unwrap();
+            });
+            assert_eq!(rx.recv().unwrap(), 7, "the joining frame outlived the panic");
+            pool.wait_idle();
+            assert_eq!(reg.snapshot().counter("pool.helped"), Some(2));
+            // The worker is still serving.
+            let after = FutureValue::new();
+            let setter = after.clone();
+            pool.spawn(move || {
+                setter.fulfill(true);
+            });
+            let alive = after.take().unwrap();
+            pool.wait_idle();
+            assert_eq!(pool.in_flight(), 0);
+            alive
+        });
+        assert!(alive);
+    }
+
+    #[test]
+    fn a_helped_task_does_not_inherit_the_waiting_frames_batch_scope() {
+        use crate::{BatchScope, Executor};
+        watchdog("helped task under a batch scope", || {
+            let executor = Executor::pool(1, "scoped");
+            let Executor::Pool(pool) = executor.clone() else { unreachable!() };
+            let (e2, e3) = (executor.clone(), executor.clone());
+            let (tx, rx) = std::sync::mpsc::channel();
+            executor.spawn(move || {
+                // The waiting frame: joins inside its own open scope.
+                let child = FutureValue::new();
+                let setter = child.clone();
+                e2.spawn(move || {
+                    // Helped. Spawns and joins a grandchild: were the spawn
+                    // deferred into the waiting frame's scope, this join
+                    // would never return.
+                    let grandchild = FutureValue::new();
+                    let g = grandchild.clone();
+                    let deferred = crate::scope_active();
+                    e3.spawn(move || {
+                        g.fulfill(1u64);
+                    });
+                    setter.fulfill((deferred, grandchild.take().unwrap()));
+                });
+                let scope = BatchScope::enter();
+                let seen = child.take().unwrap();
+                tx.send((seen, crate::scope_active())).unwrap();
+                scope.flush();
+            });
+            assert_eq!(rx.recv().unwrap(), ((false, 1), true), "scope hidden, then restored");
+            pool.wait_idle();
+            assert_eq!(pool.in_flight(), 0);
+        });
     }
 
     #[test]

@@ -92,75 +92,66 @@ impl std::fmt::Debug for Protocol {
 /// hint is scoped by an RAII guard, so nested skeletons (a farm splitting
 /// inside a divide-and-conquer) never see each other's values.
 pub mod hints {
-    use std::cell::Cell;
+    use weavepar_weave::context::{hint, replace_hint};
 
-    thread_local! {
-        static PACKS: Cell<u32> = const { Cell::new(0) };
-        static CUTOFF: Cell<u32> = const { Cell::new(0) };
-        static FUSION: Cell<u32> = const { Cell::new(0) };
-    }
+    // Slots in the weaving context's hint cells. The cells live in
+    // `weavepar_weave::context` so that a pool worker helping during a join
+    // sets them aside with the rest of the waiting frame's context.
+    const PACKS: usize = 0;
+    const CUTOFF: usize = 1;
+    const FUSION: usize = 2;
 
     /// RAII restore of one hint cell.
     pub struct HintGuard {
-        cell: &'static std::thread::LocalKey<Cell<u32>>,
+        slot: usize,
         prev: u32,
     }
 
     impl Drop for HintGuard {
         fn drop(&mut self) {
-            let prev = self.prev;
-            self.cell.with(|c| c.set(prev));
+            replace_hint(self.slot, self.prev);
         }
     }
 
-    fn set(cell: &'static std::thread::LocalKey<Cell<u32>>, value: u32) -> HintGuard {
-        let prev = cell.with(|c| c.replace(value));
-        HintGuard { cell, prev }
+    fn set(slot: usize, value: u32) -> HintGuard {
+        HintGuard { slot, prev: replace_hint(slot, value) }
+    }
+
+    fn or(slot: usize, default: usize) -> usize {
+        match hint(slot) {
+            0 => default,
+            v => v as usize,
+        }
     }
 
     /// Publish a pack-count hint for the duration of the guard (0 = unset).
     pub fn set_packs(value: u32) -> HintGuard {
-        set(&PACKS, value)
+        set(PACKS, value)
     }
 
     /// Publish a sequential-cutoff hint for the duration of the guard.
     pub fn set_cutoff(value: u32) -> HintGuard {
-        set(&CUTOFF, value)
+        set(CUTOFF, value)
     }
 
     /// Publish a pipeline stage-fusion hint for the duration of the guard.
     pub fn set_fusion(value: u32) -> HintGuard {
-        set(&FUSION, value)
+        set(FUSION, value)
     }
 
     /// The tuned pack count, or `default` when no tuner published one.
     pub fn packs_or(default: usize) -> usize {
-        let v = PACKS.with(|c| c.get());
-        if v == 0 {
-            default
-        } else {
-            v as usize
-        }
+        or(PACKS, default)
     }
 
     /// The tuned sequential cutoff, or `default` when none is published.
     pub fn cutoff_or(default: usize) -> usize {
-        let v = CUTOFF.with(|c| c.get());
-        if v == 0 {
-            default
-        } else {
-            v as usize
-        }
+        or(CUTOFF, default)
     }
 
     /// The tuned stage-fusion factor, or `default` when none is published.
     pub fn fusion_or(default: usize) -> usize {
-        let v = FUSION.with(|c| c.get());
-        if v == 0 {
-            default
-        } else {
-            v as usize
-        }
+        or(FUSION, default)
     }
 }
 

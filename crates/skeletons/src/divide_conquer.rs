@@ -12,6 +12,14 @@
 //! calls, like the pipeline's forwarding), so the recursion tree unfolds
 //! through the weaver — and the concurrency/distribution aspects apply at
 //! every level.
+//!
+//! With the concurrency module plugged, every divide level joins its
+//! sub-results on whatever thread the level runs on. Any executor works: on
+//! thread-per-call each level blocks a thread of its own; on the
+//! work-stealing pool the join *helps* — the worker runs queued sub-problems
+//! (its own youngest child first) until its results are in — so the tree may
+//! be far deeper than the pool is wide (see `weavepar_concurrency::pool`,
+//! "Joins").
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -131,9 +139,10 @@ impl DivideConquerBuilder {
                         sub_calls.add(subproblems.len() as u64);
                     }
                     let mut pending = Vec::with_capacity(subproblems.len());
-                    // One batch submission per divide level. Scopes nest per level
-                    // (recursive sub-calls running on pool workers open their own),
-                    // and each level flushes before blocking on its sub-results.
+                    // One batch submission per divide level. Each level flushes
+                    // before joining its sub-results; a sub-call that a pool
+                    // worker runs inline during that join opens a scope of its
+                    // own and never sees this one.
                     let scope = BatchScope::enter();
                     for sub in subproblems {
                         // Object creation at a *call* join point: a fresh

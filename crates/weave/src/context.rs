@@ -7,7 +7,7 @@
 //! `within(..)`; we reproduce it with a thread-local provenance stack that the
 //! runtime pushes around base-method execution and around advice execution.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 use crate::aspect::AspectId;
 use crate::signature::{MethodPattern, Signature};
@@ -26,6 +26,63 @@ thread_local! {
     // The join points currently executing on this thread, outermost first —
     // the dynamic extent AspectJ's `cflow` quantifies over.
     static CFLOW: RefCell<Vec<Signature>> = const { RefCell::new(Vec::new()) };
+    // Grain hints a tuned skeleton aspect publishes around an application
+    // closure (`weavepar_skeletons::hints` names the slots; 0 = unset). They
+    // live here so that `set_aside` lifts them with the rest of the context.
+    static HINTS: Cell<[u32; HINT_SLOTS]> = const { Cell::new([0; HINT_SLOTS]) };
+}
+
+/// Number of grain-hint slots (see [`replace_hint`]).
+pub const HINT_SLOTS: usize = 3;
+
+/// The grain hint published in `slot` on this thread (0 = none).
+pub fn hint(slot: usize) -> u32 {
+    HINTS.with(|h| h.get()[slot])
+}
+
+/// Publish `value` in hint `slot`, returning the previous value (the caller
+/// restores it: hints are scoped like the provenance frames).
+pub fn replace_hint(slot: usize, value: u32) -> u32 {
+    HINTS.with(|h| {
+        let mut hints = h.get();
+        let prev = std::mem::replace(&mut hints[slot], value);
+        h.set(hints);
+        prev
+    })
+}
+
+/// The thread's whole weaving context, lifted off the thread until dropped.
+///
+/// A pool worker that *helps* while it waits on a join (see
+/// `weavepar_concurrency::pool`) runs an unrelated task on top of the waiting
+/// frame. That task must see what it would see on a fresh worker — empty
+/// provenance and control-flow stacks, no current trace task, no hints — and
+/// the waiting frame must find its own context intact afterwards.
+pub struct SetAside {
+    stack: Vec<Provenance>,
+    cflow: Vec<Signature>,
+    hints: [u32; HINT_SLOTS],
+    trace: crate::trace::SetAside,
+}
+
+/// Lift the current thread's weaving context off the thread; dropping the
+/// returned value puts it back (discarding whatever was left in between).
+pub fn set_aside() -> SetAside {
+    SetAside {
+        stack: STACK.with(|s| std::mem::take(&mut *s.borrow_mut())),
+        cflow: CFLOW.with(|s| std::mem::take(&mut *s.borrow_mut())),
+        hints: HINTS.with(|h| h.replace([0; HINT_SLOTS])),
+        trace: crate::trace::set_aside(),
+    }
+}
+
+impl Drop for SetAside {
+    fn drop(&mut self) {
+        STACK.with(|s| *s.borrow_mut() = std::mem::take(&mut self.stack));
+        CFLOW.with(|s| *s.borrow_mut() = std::mem::take(&mut self.cflow));
+        HINTS.with(|h| h.set(self.hints));
+        crate::trace::restore(std::mem::take(&mut self.trace));
+    }
 }
 
 /// RAII guard for one frame of the control-flow stack.
@@ -191,6 +248,29 @@ mod tests {
         let other = std::thread::spawn(current).join().unwrap();
         assert_eq!(other, Provenance::Core);
         assert_eq!(current(), Provenance::Aspect(AspectId::from_raw(9)));
+    }
+
+    #[test]
+    fn set_aside_hides_and_restores_the_whole_context() {
+        let sig = Signature::new("C", "m");
+        let _p = push(Provenance::Aspect(AspectId::from_raw(4)));
+        let _c = push_cflow(sig);
+        let _t = crate::trace::push_task(Some(crate::trace::TaskId::from_raw(7)));
+        replace_hint(1, 33);
+        {
+            let _clean = set_aside();
+            assert_eq!((current(), depth()), (Provenance::Core, 0));
+            assert!(cflow_snapshot().is_empty());
+            assert_eq!(crate::trace::current_task(), None);
+            assert_eq!(hint(1), 0);
+            // Whatever the helped task leaves behind is discarded.
+            std::mem::forget(push_cflow(Signature::new("Other", "leak")));
+            replace_hint(1, 99);
+        }
+        assert_eq!(current(), Provenance::Aspect(AspectId::from_raw(4)));
+        assert_eq!(cflow_snapshot(), vec![sig]);
+        assert_eq!(crate::trace::current_task(), Some(crate::trace::TaskId::from_raw(7)));
+        assert_eq!(replace_hint(1, 0), 33);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! re-entrantly for the actual `&mut` access.
 
 use std::any::Any;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,12 +48,44 @@ impl std::fmt::Display for ObjId {
 
 pub(crate) type Instance = Arc<ReentrantMutex<RefCell<Box<dyn Any + Send>>>>;
 
+thread_local! {
+    /// Object monitors this thread holds, re-entrant acquisitions included.
+    static MONITORS_HELD: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Number of object monitors the current thread holds (a [`MonitorGuard`], or
+/// a method body executing under its object's monitor).
+///
+/// Monitors are re-entrant, so a thread holding one must not start unrelated
+/// work that may call the same object: it would walk into its own critical
+/// section. A pool worker's join reads this before helping.
+pub fn monitors_held() -> usize {
+    MONITORS_HELD.with(|m| m.get())
+}
+
+/// Counts one held monitor in [`monitors_held`] for its lifetime.
+struct Held;
+
+impl Held {
+    fn new() -> Held {
+        MONITORS_HELD.with(|m| m.set(m.get() + 1));
+        Held
+    }
+}
+
+impl Drop for Held {
+    fn drop(&mut self) {
+        MONITORS_HELD.with(|m| m.set(m.get() - 1));
+    }
+}
+
 /// Guard holding an object's monitor (the paper's `synchronized(target)`).
 ///
 /// Re-entrant: the thread holding it can still dispatch methods on the same
 /// object through the weaver.
 pub struct MonitorGuard {
     _guard: parking_lot::ArcReentrantMutexGuard<RefCell<Box<dyn Any + Send>>>,
+    _held: Held,
 }
 
 struct Entry {
@@ -148,6 +180,7 @@ impl ObjectSpace {
         args: Args,
     ) -> WeaveResult<AnyValue> {
         let guard = instance.lock();
+        let _held = Held::new();
         let mut borrowed = guard.try_borrow_mut().map_err(|_| {
             WeaveError::app(format!("re-entrant mutable dispatch on {id} ({})", info.class))
         })?;
@@ -168,7 +201,7 @@ impl ObjectSpace {
     /// further dispatches to the same object from the same thread.
     pub fn monitor(&self, id: ObjId) -> WeaveResult<MonitorGuard> {
         let (_, instance) = self.lookup(id)?;
-        Ok(MonitorGuard { _guard: ReentrantMutex::lock_arc(&instance) })
+        Ok(MonitorGuard { _guard: ReentrantMutex::lock_arc(&instance), _held: Held::new() })
     }
 
     /// Invoke `method` on the object, holding its monitor for the duration of
@@ -186,6 +219,7 @@ impl ObjectSpace {
     ) -> WeaveResult<R> {
         let (_, instance) = self.lookup(id)?;
         let guard = instance.lock();
+        let _held = Held::new();
         let mut borrowed = guard
             .try_borrow_mut()
             .map_err(|_| WeaveError::app(format!("re-entrant mutable access to {id}")))?;
@@ -422,6 +456,21 @@ mod tests {
         space.invoke(id, "set", args![3u64]).unwrap();
         let got = space.invoke(id, "get", args![]).unwrap();
         assert_eq!(crate::value::downcast_ret::<u64>(got).unwrap(), 3);
+    }
+
+    #[test]
+    fn monitors_held_counts_guards_and_executing_bodies() {
+        let space = ObjectSpace::new();
+        let id = space.insert(Cell { v: 0 });
+        assert_eq!(monitors_held(), 0);
+        {
+            let _m1 = space.monitor(id).unwrap();
+            let _m2 = space.monitor(id).unwrap();
+            assert_eq!(monitors_held(), 2);
+            assert_eq!(std::thread::spawn(monitors_held).join().unwrap(), 0, "per thread");
+        }
+        assert_eq!(space.with_object::<Cell, _>(id, |_| monitors_held()).unwrap(), 1);
+        assert_eq!(monitors_held(), 0);
     }
 
     #[test]

@@ -283,6 +283,26 @@ thread_local! {
     static DATA_DEP: std::cell::Cell<Option<(u64, TaskId)>> = const { std::cell::Cell::new(None) };
 }
 
+/// This thread's trace context (current-task frames and data-dependency
+/// marker), lifted off the thread by [`context::set_aside`](crate::context::set_aside).
+#[derive(Default)]
+pub(crate) struct SetAside {
+    tasks: Vec<Option<TaskId>>,
+    data_dep: Option<(u64, TaskId)>,
+}
+
+pub(crate) fn set_aside() -> SetAside {
+    SetAside {
+        tasks: CURRENT_TASK.with(|s| std::mem::take(&mut *s.borrow_mut())),
+        data_dep: DATA_DEP.with(|c| c.take()),
+    }
+}
+
+pub(crate) fn restore(saved: SetAside) {
+    CURRENT_TASK.with(|s| *s.borrow_mut() = saved.tasks);
+    DATA_DEP.with(|c| c.set(saved.data_dep));
+}
+
 /// The raw (recorder id, task) data-dependency marker of this thread.
 pub fn data_dep_raw() -> Option<(u64, TaskId)> {
     DATA_DEP.with(|c| c.get())

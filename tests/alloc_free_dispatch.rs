@@ -7,28 +7,37 @@
 //! (first calls populate dispatch tables and advice-chain caches), then
 //! counts allocations across a burst of steady-state calls.
 //!
-//! The tests share one process-global allocator counter, so they serialise
-//! on a mutex: a concurrently running test would otherwise attribute its
-//! allocations to the measuring window.
+//! The counter is per thread: the harness runs the tests of this binary on
+//! parallel threads, and a sibling test's set-up must not land in another
+//! test's measuring window. (Every measured call is synchronous, so all of
+//! its allocations would be made by the measuring thread.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use weavepar::prelude::*;
 use weavepar::weaveable;
 
-/// Counts allocations while `COUNTING` is set; delegates to [`System`].
+/// Counts the calling thread's allocations while its `COUNTING` flag is
+/// set; delegates to [`System`].
 struct CountingAlloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and without destructors: reading them allocates
+    // nothing and stays valid during thread teardown.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    if COUNTING.with(|c| c.get()) {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -37,9 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,17 +54,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Serialises the measuring window across tests in this binary.
-static WINDOW: Mutex<()> = Mutex::new(());
-
-/// Count allocations performed by `f` (exclusive window).
+/// Count allocations performed by `f` on the calling thread.
 fn count_allocs<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let _guard = WINDOW.lock().unwrap_or_else(|e| e.into_inner());
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    ALLOCS.with(|a| a.set(0));
+    COUNTING.with(|c| c.set(true));
     let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), out)
+    COUNTING.with(|c| c.set(false));
+    (ALLOCS.with(|a| a.get()), out)
 }
 
 struct Alu;
