@@ -28,6 +28,14 @@ for round in 1 2 3; do
     cargo test --release -q -p weavepar-apps --test stress_executor fork_join
 done
 
+# Replied calls served on the caller's thread: who holds a node's serve token
+# is a matter of interleaving too (kill, panics and queued requests racing
+# inline callers), so that group gets the same three rounds.
+for round in 1 2 3; do
+    echo "==> served_inline stress, round $round (--release)"
+    cargo test --release -q -p weavepar-apps --test stress_middleware served_inline
+done
+
 # The benchmark is a package of its own (not a workspace member): its tests
 # are what catches a break of the frozen API list in perfbench/README.md.
 echo "==> benchmark package tests (perfbench/)"

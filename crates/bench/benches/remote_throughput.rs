@@ -16,14 +16,21 @@
 //!   * `interned_pooled` — cached id + `BufPool` frames (isolates buffer
 //!     pooling); this is `unpacked` in the gain column;
 //!   * `packed` — cached id + pooled frames + `call_batch` packs of 64 calls
-//!     per `Request::CallPack` (isolates wire packing). The acceptance bar
-//!     is packed ≥ 2× the unpacked (`interned_pooled`) path at 8 threads.
-//! * `sync` — replied calls, comparing the reply rendezvous backends:
-//!   * `channel` — a fresh `bounded(1)` channel per call (the seed path);
-//!   * `slot` — the pooled park/unpark reply slab plus pooled frames on both
-//!     the argument and reply directions. Replied round trips are dominated
-//!     by the client/server context switch, so the spread here is small by
-//!     construction (see EXPERIMENTS.md).
+//!     per `Request::CallPack` (isolates wire packing). PR 3's bar was
+//!     packed ≥ 2× the unpacked (`interned_pooled`) path at 8 threads; the
+//!     node mailbox no longer pays a wake-up for a node thread that is
+//!     already awake, which made the *unpacked* path ≈ 1.8× cheaper, so the
+//!     ratio now reads ≈ 1.6× (EXPERIMENTS.md).
+//! * `sync` — replied calls, with and without the hand-off to the node
+//!   thread:
+//!   * `channel` — always queued, a fresh `bounded(1)` channel per call (the
+//!     seed path): two thread switches per call;
+//!   * `slot` — the production `call_id` with pooled frames in both
+//!     directions: served on the caller's own thread whenever the node is
+//!     idle, queued behind a pooled park/unpark reply slot otherwise. At one
+//!     client thread every call is served inline; with more, callers that
+//!     find the serve token taken queue (see EXPERIMENTS.md, "Remote-call
+//!     fast path").
 //!
 //! Hand-rolled harness (same contract as `executor_throughput`): writes a
 //! machine-readable `BENCH_remote.json` at the workspace root with the
@@ -31,8 +38,9 @@
 //! `WEAVEPAR_BENCH_QUICK=1` it runs a tiny smoke iteration and skips the
 //! JSON (used by ci.sh).
 //!
-//! The container is single-core: client and server threads share the CPU,
-//! so numbers measure per-call path cost, not parallel speedup.
+//! The container has one or two cores (`nproc` is written into the JSON):
+//! client and server threads share them, so numbers measure per-call path
+//! cost, not parallel speedup.
 
 use std::time::Instant;
 
@@ -310,7 +318,10 @@ fn main() {
         );
     }
 
-    println!("\n== sync reply rendezvous (median calls/sec, {} rounds) ==", knobs.rounds);
+    println!(
+        "\n== sync: queued + channel vs call_id (median calls/sec, {} rounds) ==",
+        knobs.rounds
+    );
     println!("{:>8} {:>14} {:>14} {:>8}", "threads", "channel", "slot", "gain");
     for threads in THREAD_COUNTS {
         let mut row = Vec::new();
@@ -330,7 +341,8 @@ fn main() {
         return;
     }
     let json = format!(
-        "{{\n  \"bench\": \"remote_throughput\",\n  \"unit\": \"calls_per_sec\",\n  \"rounds\": {},\n  \"packed_vs_unpacked_oneway_8_threads\": {packed_gain_8t:.2},\n  \"cells\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"remote_throughput\",\n  \"unit\": \"calls_per_sec\",\n  \"nproc\": {},\n  \"rounds\": {},\n  \"packed_vs_unpacked_oneway_8_threads\": {packed_gain_8t:.2},\n  \"cells\": [\n{}\n  ]\n}}\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         knobs.rounds,
         json_cells.join(",\n")
     );

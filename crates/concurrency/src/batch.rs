@@ -69,13 +69,17 @@ pub(crate) fn defer(executor: &Executor, job: Job) -> Option<Job> {
 }
 
 /// Restores the scope depth [`set_aside`] cleared.
-pub(crate) struct SetAside(usize);
+#[doc(hidden)]
+pub struct SetAside(usize);
 
 /// Hide the enclosing scopes from a task a joining pool worker is about to
 /// help: its spawns are submitted at once, as on a fresh worker — it may well
 /// block on them before the waiting frame's scope flushes. The buffers stay
-/// put: scopes own them by offset, and nothing is added at depth 0.
-pub(crate) fn set_aside() -> SetAside {
+/// put: scopes own them by offset, and nothing is added at depth 0. The
+/// middleware does the same around a remote call it serves on the caller's
+/// thread.
+#[doc(hidden)]
+pub fn set_aside() -> SetAside {
     SetAside(DEPTH.with(|d| d.replace(0)))
 }
 

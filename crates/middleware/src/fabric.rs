@@ -7,15 +7,17 @@
 //!
 //! The per-call fast path is allocation-free in the steady state:
 //! [`InProcFabric::call_id`] takes an interned [`MethodId`] (an array index
-//! into the registry, not a string lookup), draws its reply rendezvous from
-//! a slab of reusable park/unpark slots instead of a fresh `bounded(1)`
-//! channel, and encode/decode frames cycle through a shared [`BufPool`].
+//! into the registry, not a string lookup), and encode/decode frames cycle
+//! through a shared [`BufPool`]. A replied call to an idle node is served on
+//! the caller's own thread ([`NodeRuntime::call_inline`]; the rules are in
+//! [`node`](crate::node)); one that has to queue draws its reply rendezvous
+//! from a slab of reusable park/unpark slots.
 //! [`InProcFabric::call_batch`] packs many oneway calls to one node into a
 //! single [`Request::CallPack`] frame — one submit, one wakeup.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::bounded;
@@ -74,6 +76,8 @@ impl ReplyBackend {
 struct FabricStats {
     /// Replied calls issued (RMI semantics).
     calls: Arc<AtomicU64>,
+    /// Replied calls served on the caller's thread (no queue, no rendezvous).
+    served_inline: Arc<AtomicU64>,
     /// Oneway calls issued individually (MPP semantics, unpacked).
     oneway: Arc<AtomicU64>,
     /// Pack frames shipped (`call_batch` / `submit_pack`).
@@ -84,7 +88,7 @@ struct FabricStats {
     retries: Arc<AtomicU64>,
     /// Reply waits that expired against a policy deadline.
     timeouts: Arc<AtomicU64>,
-    /// Replied calls currently parked on a reply rendezvous (live gauge).
+    /// Replied calls issued and not yet answered (live gauge).
     in_flight: Arc<AtomicU64>,
 }
 
@@ -150,14 +154,15 @@ impl InProcFabric {
     }
 
     /// Bind the fabric's live event cells into `registry` under `prefix`:
-    /// `{prefix}.calls` / `.oneway` / `.packs` / `.packed_calls` /
-    /// `.retries` / `.timeouts` counters, an `{prefix}.in_flight` gauge for
-    /// replied calls parked on their rendezvous, and an
+    /// `{prefix}.calls` / `.served_inline` / `.oneway` / `.packs` /
+    /// `.packed_calls` / `.retries` / `.timeouts` counters, an
+    /// `{prefix}.in_flight` gauge for replied calls not yet answered, and an
     /// `{prefix}.reply_slots_pooled` gauge for reply-slot pool occupancy.
     /// The registry reads the same cells the call paths were already
     /// bumping, so installing metrics adds nothing to the per-call cost.
     pub fn install_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
         registry.bind_counter(&format!("{prefix}.calls"), self.stats.calls.clone());
+        registry.bind_counter(&format!("{prefix}.served_inline"), self.stats.served_inline.clone());
         registry.bind_counter(&format!("{prefix}.oneway"), self.stats.oneway.clone());
         registry.bind_counter(&format!("{prefix}.packs"), self.stats.packs.clone());
         registry.bind_counter(&format!("{prefix}.packed_calls"), self.stats.packed_calls.clone());
@@ -256,18 +261,22 @@ impl InProcFabric {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Route one request to `node`, applying the installed fault schedule.
-    /// With no plan installed this is exactly `submit`.
-    fn route(&self, node: usize, class: RequestClass, request: Request) -> WeaveResult<()> {
-        let target = self.node(node)?;
-        if self.faulty.load(Ordering::Relaxed) {
-            if let Some(plan) = self.faults.read().clone() {
-                if let Some(action) = plan.decide(class, node) {
-                    return self.inject(node, action, request);
-                }
-            }
+    /// The installed fault schedule's decision for one delivery attempt.
+    /// With no plan installed this is one relaxed load.
+    fn decide(&self, class: RequestClass, node: usize) -> Option<FaultAction> {
+        if !self.faulty.load(Ordering::Relaxed) {
+            return None;
         }
-        target.submit(request)
+        self.faults.read().clone()?.decide(class, node)
+    }
+
+    /// Route one request to `node`'s queue, applying the installed fault
+    /// schedule. With no plan installed this is exactly `submit`.
+    fn route(&self, node: usize, class: RequestClass, request: Request) -> WeaveResult<()> {
+        match self.decide(class, node) {
+            Some(action) => self.inject(node, action, request),
+            None => self.node(node)?.submit(request),
+        }
     }
 
     /// Apply one injected fault to a request.
@@ -282,14 +291,14 @@ impl InProcFabric {
                 if target.is_down() {
                     return Err(WeaveError::NodeDown { node });
                 }
-                // Deliver late from a helper thread holding a clone of the
-                // live queue sender. If the node dies in the interim the
-                // serve loop's down-check fails the request — same as a
+                // Deliver late from a helper thread holding the node's
+                // mailbox. If the node dies in the interim the request is
+                // refused or failed by the server's down-check — same as a
                 // packet arriving at a dead host.
-                let sender = target.sender();
+                let mailbox = target.mailbox();
                 std::thread::spawn(move || {
                     std::thread::sleep(by);
-                    let _ = sender.send(request);
+                    let _ = mailbox.push(request);
                 });
                 Ok(())
             }
@@ -429,8 +438,9 @@ impl InProcFabric {
     }
 
     /// Invoke an interned method on a remote object. With `want_reply`,
-    /// blocks on a pooled reply slot for the marshalled return value (RMI
-    /// semantics); without, returns immediately (MPP oneway send).
+    /// returns the marshalled return value (RMI semantics): served on this
+    /// thread if the node is idle, else queued and awaited on a pooled reply
+    /// slot. Without, returns immediately (MPP oneway send).
     pub fn call_id(
         &self,
         reference: RemoteRef,
@@ -463,21 +473,7 @@ impl InProcFabric {
                 })??;
                 return Ok(Some(bytes));
             }
-            let (ticket, reply) = self.replies.checkout();
-            self.route(
-                reference.node,
-                RequestClass::Call,
-                Request::Call {
-                    obj: reference.obj,
-                    method,
-                    args,
-                    reply: Some(ReplySink::Slot(reply)),
-                    seq,
-                },
-            )?;
-            let result = ticket.wait();
-            self.replies.finish(ticket);
-            Ok(Some(result?))
+            self.replied_attempt(reference, method, args, seq, None).map(Some)
         } else {
             self.stats.oneway.fetch_add(1, Ordering::Relaxed);
             self.route(
@@ -521,7 +517,9 @@ impl InProcFabric {
         let mut rng = policy.seed ^ seq.wrapping_mul(0x9e3779b97f4a7c15);
         let mut attempt = 0u32;
         loop {
-            match self.try_call_once(reference, method, args.clone(), seq, policy) {
+            let once =
+                self.replied_attempt(reference, method, args.clone(), Some(seq), policy.deadline);
+            match once {
                 Ok(bytes) => return Ok(Some(bytes)),
                 Err(err) => {
                     if !policy.should_retry(&err, attempt) {
@@ -538,35 +536,43 @@ impl InProcFabric {
         }
     }
 
-    /// One attempt of a replied call under a policy: checkout a reply slot,
-    /// route the request, park with the policy's deadline.
-    fn try_call_once(
+    /// One delivery attempt of a replied call. The fault plan decides
+    /// first, once. An unfaulted call without a deadline is served on this
+    /// thread if the node is idle; everything else checks out a reply slot,
+    /// queues the request and parks, up to `deadline`.
+    fn replied_attempt(
         &self,
         reference: RemoteRef,
         method: MethodId,
-        args: Bytes,
-        seq: u64,
-        policy: &CallPolicy,
+        mut args: Bytes,
+        seq: Option<u64>,
+        deadline: Option<Duration>,
     ) -> WeaveResult<Bytes> {
+        let RemoteRef { node, obj, .. } = reference;
+        let target = self.node(node)?;
+        let fault = self.decide(RequestClass::Call, node);
+        if fault.is_none() && deadline.is_none() {
+            match target.call_inline(obj, method, args, seq) {
+                Ok(result) => {
+                    self.stats.served_inline.fetch_add(1, Ordering::Relaxed);
+                    return result;
+                }
+                Err(back) => args = back,
+            }
+        }
         let (ticket, reply) = self.replies.checkout();
-        let routed = self.route(
-            reference.node,
-            RequestClass::Call,
-            Request::Call {
-                obj: reference.obj,
-                method,
-                args,
-                reply: Some(ReplySink::Slot(reply)),
-                seq: Some(seq),
-            },
-        );
+        let request = Request::Call { obj, method, args, reply: Some(ReplySink::Slot(reply)), seq };
+        let routed = match fault {
+            Some(action) => self.inject(node, action, request),
+            None => target.submit(request),
+        };
         if let Err(err) = routed {
             // The reply sink died with the request; its drop-guard filled
             // the slot, so finishing the ticket garbage-collects it.
             self.replies.finish(ticket);
             return Err(err);
         }
-        let result = match policy.deadline {
+        let result = match deadline {
             Some(after) => {
                 ticket.wait_deadline(Some(Instant::now() + after), after.as_millis() as u64)
             }
@@ -754,6 +760,7 @@ impl std::fmt::Debug for InProcFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::tests::{latch, watchdog, Probe};
     use std::sync::atomic::{AtomicBool, Ordering};
     use weavepar_weave::args;
 
@@ -792,10 +799,37 @@ mod tests {
         m.register::<(String,), String>("Echo", "shout");
         m.register::<(), ()>("Staller", "new");
         m.register::<(), u64>("Staller", "stall");
+        m.register::<(), ()>("Probe", "new");
+        m.register::<(u64,), u64>("Probe", "hold");
         let f = InProcFabric::new(3, m);
         f.register_class::<Echo>();
         f.register_class::<Staller>();
+        f.register_class::<Probe>();
         f
+    }
+
+    /// An `Echo` on node 0, its `shout` id, and a registry reading the
+    /// fabric's counters. Returns once the node is idle again: a call has
+    /// been served inline, so from here a lone caller always finds the token.
+    fn idle_echo(f: &Arc<InProcFabric>) -> (RemoteRef, MethodId, MetricsRegistry) {
+        let registry = MetricsRegistry::new();
+        f.install_metrics(&registry, "fabric");
+        let ctor = f.marshal().encode_args("Echo", "new", &args!["n".to_string()]).unwrap();
+        let r = f.construct_on(0, "Echo", ctor).unwrap();
+        let shout = f.marshal().method_id("Echo", "shout").unwrap();
+        while registry.snapshot().counter("fabric.served_inline") == Some(0) {
+            f.call_id(r, shout, shout_args(f, "warm"), true).unwrap();
+        }
+        (r, shout, registry)
+    }
+
+    fn shout_args(f: &InProcFabric, msg: &str) -> Bytes {
+        f.marshal().encode_args("Echo", "shout", &args![msg.to_string()]).unwrap()
+    }
+
+    fn counters(registry: &MetricsRegistry) -> (u64, u64) {
+        let snap = registry.snapshot();
+        (snap.counter("fabric.calls").unwrap(), snap.counter("fabric.served_inline").unwrap())
     }
 
     #[test]
@@ -1068,6 +1102,78 @@ mod tests {
         assert_eq!(snap.gauge("fabric.in_flight"), Some(0), "nothing parked when idle");
         // The finished replied calls returned their slots to the pool.
         assert_eq!(snap.gauge("fabric.reply_slots_pooled"), Some(f.replies.pooled() as u64));
+    }
+
+    #[test]
+    fn a_lone_callers_replied_calls_are_all_served_inline() {
+        watchdog("lone caller", || {
+            let f = fabric();
+            let (r, shout, registry) = idle_echo(&f);
+            let (calls, inline) = counters(&registry);
+            for i in 0..1000 {
+                let reply = f.call_id(r, shout, shout_args(&f, "x"), true).unwrap().unwrap();
+                f.buffers().recycle(reply);
+                // Deadline-less policy calls take the same path.
+                if i % 10 == 0 {
+                    let policy = CallPolicy::unbounded().retries(2);
+                    let args = shout_args(&f, "y");
+                    assert!(f
+                        .call_id_with_policy(r, shout, args, true, &policy)
+                        .unwrap()
+                        .is_some());
+                }
+            }
+            let (calls_now, inline_now) = counters(&registry);
+            assert_eq!(calls_now - calls, 1100);
+            assert_eq!(inline_now - inline, 1100, "served_inline == calls for a lone caller");
+            assert_eq!(registry.snapshot().gauge("fabric.in_flight"), Some(0));
+        });
+    }
+
+    #[test]
+    fn a_call_with_a_deadline_is_never_served_inline() {
+        watchdog("deadline queues", || {
+            let f = fabric();
+            let (r, shout, registry) = idle_echo(&f);
+            let (_, inline) = counters(&registry);
+            let patient = CallPolicy::with_deadline(Duration::from_secs(30));
+            let args = shout_args(&f, "x");
+            assert!(f.call_id_with_policy(r, shout, args, true, &patient).unwrap().is_some());
+            assert_eq!(counters(&registry).1, inline, "a deadline keeps the call on the queue");
+
+            // And the deadline works: a served call that blocks times out.
+            let ctor = f.marshal().encode_args("Probe", "new", &args![]).unwrap();
+            let probe = f.construct_on(0, "Probe", ctor).unwrap();
+            let hold = f.marshal().method_id("Probe", "hold").unwrap();
+            let held = latch();
+            let args = f.marshal().encode_args("Probe", "hold", &args![held.key]).unwrap();
+            let hasty = CallPolicy::with_deadline(Duration::from_millis(20));
+            let err = f.call_id_with_policy(probe, hold, args, true, &hasty).unwrap_err();
+            assert!(matches!(err, WeaveError::Timeout { waited_ms: 20 }), "{err}");
+            held.release.send(()).unwrap();
+            assert_eq!(registry.snapshot().counter("fabric.timeouts"), Some(1));
+        });
+    }
+
+    #[test]
+    fn a_fault_decision_is_taken_before_the_inline_path() {
+        use crate::faults::{FaultAction, FaultPlan, FaultRule, RequestClass};
+
+        watchdog("faults first", || {
+            let f = fabric();
+            let (r, shout, registry) = idle_echo(&f);
+            let (_, inline) = counters(&registry);
+            // The node is idle, so without the plan this call would be served
+            // inline. The plan crashes the node instead, and the call with it.
+            f.install_faults(Arc::new(
+                FaultPlan::seeded(5)
+                    .rule(FaultRule::on(RequestClass::Call, FaultAction::CrashNode).times(1)),
+            ));
+            let err = f.call_id(r, shout, shout_args(&f, "x"), true).unwrap_err();
+            assert!(matches!(err, WeaveError::NodeDown { node: 0 }), "{err}");
+            assert_eq!(f.faults().unwrap().stats().snapshot().crashed, 1);
+            assert_eq!(counters(&registry).1, inline);
+        });
     }
 
     #[test]

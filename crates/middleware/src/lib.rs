@@ -14,10 +14,11 @@
 //! * [`pool`] — the [`BufPool`] frame recycler and the [`pool::ReplyPool`]
 //!   park/unpark reply slab behind the zero-allocation call path;
 //! * [`nameserver`] — the RMI registry analogue (`PS1`, `PS2`, ... names);
-//! * [`node`] — a [`NodeRuntime`]: one simulated cluster node = one thread
-//!   with its own [`Weaver`](weavepar_weave::Weaver) and object space,
-//!   serving construct/call requests from a channel (the MPP receive loop of
-//!   Figure 15);
+//! * [`node`] — a [`NodeRuntime`]: one simulated cluster node = a mailbox,
+//!   a serve token and one thread, with its own
+//!   [`Weaver`](weavepar_weave::Weaver) and object space, serving
+//!   construct/call requests (the MPP receive loop of Figure 15); a replied
+//!   call to an idle node is served on the caller's thread;
 //! * [`fabric`] — an [`InProcFabric`] wiring N nodes together in-process;
 //! * [`aspects`] — the pluggable distribution aspects, built through
 //!   [`RmiConfig`](aspects::RmiConfig) (name-server lookup + synchronous
@@ -31,8 +32,9 @@
 //! * [`migration`] — the paper's Figure 2 `migrate` method, introduced by
 //!   static crosscutting and actually moving object state between nodes.
 //!
-//! Everything runs for real: calls are marshalled to bytes, cross a channel,
-//! and execute on the remote node's object space. Only the *performance*
+//! Everything runs for real: calls are marshalled to bytes, cross the node's
+//! mailbox (or, node idle, are served where they stand), and execute on the
+//! remote node's object space. Only the *performance*
 //! of the 2005 cluster is left to `weavepar-cluster`'s simulator.
 
 pub mod aspects;
@@ -43,6 +45,7 @@ pub mod nameserver;
 pub mod node;
 pub mod policy;
 pub mod pool;
+mod server;
 pub mod wire;
 
 pub use bytes::{Bytes, BytesMut};

@@ -1,9 +1,39 @@
-//! A simulated cluster node: one thread, one weaver, one request loop.
+//! A simulated cluster node: a mailbox and a serve token.
 //!
 //! This is the paper's Figure 15 server side — `PrimeFilter.main` with a
 //! receive loop that takes messages off the wire and dispatches them to the
 //! local object — generalised to serve constructions and arbitrary method
 //! calls for any registered class.
+//!
+//! The mailbox is one mutex over the request queue and the node's
+//! `Server` (`server.rs`: weaver, codecs, dedup window, everything serving
+//! needs), plus a condvar. The `Server` is the **serve token**: whoever takes it out of
+//! the mailbox serves until it puts it back. The `node-N` thread takes it
+//! with the request it pops and drains the queue; a caller of a replied call
+//! that finds the node idle takes it instead ([`NodeRuntime::call_inline`])
+//! and runs `Server::replied_call`, the function the node thread runs, on
+//! its own thread: no hand-off, no reply rendezvous (Bershad et al.,
+//! "Lightweight Remote Procedure Call"). The rules:
+//!
+//! * **Per-sender FIFO.** The token is only taken inline while the queue is
+//!   empty, and the node thread pops only while it holds the token, so a
+//!   caller's earlier oneway calls and packs run before its replied call.
+//! * **Faults first.** The fabric takes a fault plan's decision once per
+//!   attempt, before delivery; only an unfaulted delivery is served inline,
+//!   and its dedup key travels with it (both paths share one window).
+//! * **Deadlines queue.** A thread cannot time out of its own stack, so a
+//!   call with a deadline is never served inline. Neither are oneway calls,
+//!   packs and construct / snapshot / restore.
+//! * **Clean context.** An inline call runs with the caller's weaving
+//!   context and batch scopes set aside. Object monitors belong to threads
+//!   and stay, and the token counts as one more (`object::monitors_held`):
+//!   served on a pool worker, a join inside the call blocks rather than
+//!   helps — a helped task calling this node would queue behind a token only
+//!   the stack beneath it can return.
+//! * **Kill** fails everything queued promptly; a call already executing,
+//!   on either thread, completes.
+//! * **Panics are contained.** A served method that panics fails its own
+//!   call with a typed error and marks the node down; the token goes back.
 //!
 //! Requests carry interned [`MethodId`]/[`ClassId`] handles, not strings:
 //! resolving the codec on the serving side is an array index, and the method
@@ -13,22 +43,23 @@
 //! queue wakeup with no intermediate allocation (the pack's argument views
 //! are zero-copy slices of the frame).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::Sender;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use weavepar_weave::{ObjId, WeaveError, WeaveResult, Weaveable, Weaver};
 
 use crate::pool::{BufPool, SlotReply};
-use crate::wire::{ClassId, MarshalRegistry, MethodId, PackReader};
+use crate::server::{DedupWindow, Server};
+use crate::wire::{ClassId, MarshalRegistry, MethodId};
 
 /// Where a replied call's answer goes: a plain channel (convenience, tests)
-/// or a pooled reply slot (the fabric's fast path).
+/// or a pooled reply slot (the fabric's queued path).
 pub enum ReplySink {
     /// One-shot channel, as used by direct node tests.
     Channel(Sender<WeaveResult<Bytes>>),
@@ -40,9 +71,7 @@ impl ReplySink {
     /// Deliver the reply.
     pub fn send(self, result: WeaveResult<Bytes>) {
         match self {
-            ReplySink::Channel(tx) => {
-                let _ = tx.send(result);
-            }
+            ReplySink::Channel(tx) => drop(tx.send(result)),
             ReplySink::Slot(slot) => slot.send(result),
         }
     }
@@ -109,16 +138,108 @@ pub enum Request {
 impl Request {
     /// Fail the request's reply path with `err`; oneway requests are
     /// silently dropped (they have nowhere to report to).
-    fn fail(self, err: impl Fn() -> WeaveError) {
+    pub(crate) fn fail(self, err: impl Fn() -> WeaveError) {
         match self {
             Request::Construct { reply, .. } | Request::Restore { reply, .. } => {
-                let _ = reply.send(Err(err()));
+                drop(reply.send(Err(err())))
             }
-            Request::Snapshot { reply, .. } => {
-                let _ = reply.send(Err(err()));
-            }
+            Request::Snapshot { reply, .. } => drop(reply.send(Err(err()))),
             Request::Call { reply: Some(reply), .. } => reply.send(Err(err())),
             Request::Call { reply: None, .. } | Request::CallPack { .. } => {}
+        }
+    }
+}
+
+/// What the mailbox's mutex guards.
+struct State {
+    queue: VecDeque<Request>,
+    /// The serve token; `None` while someone is serving.
+    server: Option<Box<Server>>,
+    /// Killed or dropped: nothing more is accepted, and the node thread
+    /// exits once the queue is drained.
+    closed: bool,
+    /// The node thread sleeps on `ready`. Whoever wakes it clears the flag,
+    /// so a burst of submits pays for one wake-up.
+    parked: bool,
+}
+
+/// A node's request queue and serve token (see the module docs).
+pub(crate) struct Mailbox {
+    state: Mutex<State>,
+    ready: Condvar,
+}
+
+impl Mailbox {
+    /// Enqueue `request`, or hand it back when the mailbox is closed. While
+    /// an inline caller holds the token the node thread could not act on
+    /// it; that caller's [`Serving`] does the waking.
+    pub(crate) fn push(&self, request: Request) -> Result<(), Request> {
+        let mut state = self.state.lock();
+        if state.closed {
+            return Err(request);
+        }
+        state.queue.push_back(request);
+        if state.server.is_some() {
+            self.wake(state);
+        }
+        Ok(())
+    }
+
+    /// Accept nothing more; the node thread drains the queue and exits.
+    fn close(&self) {
+        let mut state = self.state.lock();
+        state.closed = true;
+        self.wake(state);
+    }
+
+    /// Release the lock, then wake the node thread if it sleeps.
+    fn wake(&self, mut state: MutexGuard<'_, State>) {
+        let parked = std::mem::take(&mut state.parked);
+        drop(state);
+        if parked {
+            self.ready.notify_one();
+        }
+    }
+
+    /// The `node-N` thread: whenever the token is in the mailbox and
+    /// requests are queued, take both and serve until the queue is empty.
+    fn serve(&self) {
+        let mut state = self.state.lock();
+        loop {
+            if state.server.is_some() && !state.queue.is_empty() {
+                let mut server = state.server.take().expect("checked above");
+                // Popping only with the token in hand keeps per-sender FIFO
+                // against callers that serve themselves.
+                while let Some(request) = state.queue.pop_front() {
+                    drop(state);
+                    server.handle(request);
+                    state = self.state.lock();
+                }
+                state.server = Some(server);
+            } else if state.closed && state.queue.is_empty() {
+                return;
+            } else {
+                state.parked = true;
+                self.ready.wait(&mut state);
+            }
+        }
+    }
+}
+
+/// The serve token in an inline caller's hands. Dropping it, on return or
+/// on unwind, puts it back and wakes the node thread for whatever queued up
+/// behind the call.
+struct Serving<'a> {
+    mailbox: &'a Mailbox,
+    server: Option<Box<Server>>,
+}
+
+impl Drop for Serving<'_> {
+    fn drop(&mut self) {
+        let mut state = self.mailbox.state.lock();
+        state.server = self.server.take();
+        if !state.queue.is_empty() || state.closed {
+            self.mailbox.wake(state);
         }
     }
 }
@@ -127,10 +248,8 @@ impl Request {
 pub struct NodeRuntime {
     id: usize,
     weaver: Weaver,
-    /// The request queue's sender, behind a mutex so [`NodeRuntime::kill`]
-    /// can swap it for a closed channel without racing concurrent submits.
-    tx: Mutex<Sender<Request>>,
-    handle: Mutex<Option<JoinHandle<()>>>,
+    mailbox: Arc<Mailbox>,
+    handle: Option<JoinHandle<()>>,
     down: Arc<AtomicBool>,
     woven: Arc<AtomicBool>,
 }
@@ -145,47 +264,48 @@ impl NodeRuntime {
     /// given pool (the fabric shares one pool across nodes and clients).
     pub fn spawn_with_pool(id: usize, marshal: MarshalRegistry, pool: Arc<BufPool>) -> Self {
         let weaver = Weaver::new();
-        let (tx, rx) = unbounded::<Request>();
-        let server_weaver = weaver.clone();
         let woven = Arc::new(AtomicBool::new(false));
         let down = Arc::new(AtomicBool::new(false));
-        let server_woven = woven.clone();
-        let server_down = down.clone();
+        let server = Box::new(Server {
+            id,
+            weaver: weaver.clone(),
+            marshal,
+            woven: woven.clone(),
+            down: down.clone(),
+            pool,
+            dedup: DedupWindow::new(4096),
+        });
+        let mailbox = Arc::new(Mailbox {
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                server: Some(server),
+                closed: false,
+                parked: false,
+            }),
+            ready: Condvar::new(),
+        });
+        let served = mailbox.clone();
         let handle = std::thread::Builder::new()
             .name(format!("node-{id}"))
-            .spawn(move || serve(id, server_weaver, marshal, rx, server_woven, server_down, pool))
+            .spawn(move || served.serve())
             .expect("spawning node thread");
-        NodeRuntime {
-            id,
-            weaver,
-            tx: Mutex::new(tx),
-            handle: Mutex::new(Some(handle)),
-            down,
-            woven,
-        }
+        NodeRuntime { id, weaver, mailbox, handle: Some(handle), down, woven }
     }
 
     /// Failure injection: mark the node as crashed. Every later submission
     /// fails with a [`WeaveError::NodeDown`], and requests already queued are
-    /// failed promptly by the serve loop instead of executing — callers
-    /// blocked on a reply see the error as soon as the loop reaches their
-    /// request, rather than hanging until the node is dropped (the
+    /// failed promptly instead of executing — callers blocked on a reply see
+    /// the error as soon as the server reaches their request (the
     /// `RemoteException` the paper's Figure 14 wraps in try/catch).
     ///
-    /// The kill linearises on the `down` flag *before* the channel swap: a
-    /// concurrent [`NodeRuntime::submit`] either observed `down == false`
-    /// and still holds the live sender (its request is drained-and-failed by
-    /// the serve loop, which re-checks the flag per request), or observes
-    /// `down == true` and is rejected up front. Either way no request is
-    /// executed after the kill, and none is silently stranded in a channel
-    /// nobody serves.
+    /// The kill linearises on the `down` flag, set *before* the mailbox is
+    /// closed under its lock: a concurrent [`NodeRuntime::submit`] either
+    /// got its request in first (the server re-checks the flag per request
+    /// and fails it) or finds the mailbox closed. Either way no request
+    /// starts executing after the kill, and none is stranded.
     pub fn kill(&self) {
         self.down.store(true, Ordering::SeqCst);
-        // Swap the queue for a closed channel: the serve loop exits once the
-        // original senders (including any in-flight clones) are gone, after
-        // draining and failing whatever was queued.
-        let (closed_tx, _) = unbounded();
-        *self.tx.lock() = closed_tx;
+        self.mailbox.close();
     }
 
     /// Is the node marked as crashed?
@@ -223,25 +343,46 @@ impl NodeRuntime {
         if self.is_down() {
             return Err(WeaveError::NodeDown { node: self.id });
         }
-        self.tx.lock().send(request).map_err(|_| WeaveError::NodeDown { node: self.id })
+        self.mailbox.push(request).map_err(|_| WeaveError::NodeDown { node: self.id })
     }
 
-    /// A clone of the live queue sender, for delivery-injection threads that
-    /// need to enqueue after a delay without borrowing the runtime. If the
-    /// node is killed in the meantime the clone feeds the old (drained)
-    /// channel or a closed one — either way the request is failed or
-    /// dropped, never executed.
-    pub(crate) fn sender(&self) -> Sender<Request> {
-        self.tx.lock().clone()
+    /// Serve one replied call on the calling thread if the node is idle
+    /// (up, nothing queued, token in the mailbox); `Err` hands the arguments
+    /// back for [`NodeRuntime::submit`]. The call sees none of the caller's
+    /// weaving context or batch scopes, exactly as on the node thread.
+    pub fn call_inline(
+        &self,
+        obj: ObjId,
+        method: MethodId,
+        args: Bytes,
+        seq: Option<u64>,
+    ) -> Result<WeaveResult<Bytes>, Bytes> {
+        let mut state = self.mailbox.state.lock();
+        if self.is_down() || state.closed || !state.queue.is_empty() || state.server.is_none() {
+            return Err(args);
+        }
+        let mut serving = Serving { mailbox: &self.mailbox, server: state.server.take() };
+        drop(state);
+        let _context = weavepar_weave::context::set_aside();
+        let _scope = weavepar_concurrency::batch::set_aside();
+        let _token = weavepar_weave::object::Held::new();
+        let server = serving.server.as_mut().expect("held until drop");
+        Ok(server.replied_call(obj, method, args, seq))
+    }
+
+    /// The mailbox itself, for delivery-injection threads that enqueue late
+    /// and cannot borrow the runtime: by then a killed node's mailbox is
+    /// closed, or its server fails the request — it never executes.
+    pub(crate) fn mailbox(&self) -> Arc<Mailbox> {
+        self.mailbox.clone()
     }
 }
 
 impl Drop for NodeRuntime {
     fn drop(&mut self) {
-        // Closing the channel ends the serve loop after the queue drains.
-        let (closed_tx, _) = unbounded();
-        *self.tx.lock() = closed_tx;
-        if let Some(handle) = self.handle.lock().take() {
+        // Not a kill: what is still queued executes before the thread exits.
+        self.mailbox.close();
+        if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
     }
@@ -256,182 +397,11 @@ impl std::fmt::Debug for NodeRuntime {
     }
 }
 
-/// Execute one already-decoded call: dispatch by the registry's boundary
-/// name, woven or unwoven.
-fn execute(
-    weaver: &Weaver,
-    marshal: &MarshalRegistry,
-    woven: bool,
-    obj: ObjId,
-    method: MethodId,
-    args: &Bytes,
-) -> WeaveResult<(MethodId, weavepar_weave::AnyValue)> {
-    let entry = marshal.method_entry(method)?;
-    let mut view = args.clone();
-    let decoded = marshal.decode_args_id(method, &mut view)?;
-    let ret = if woven {
-        weaver.invoke_call_dyn(obj, &entry.method_name, decoded)?
-    } else {
-        weaver.invoke_unwoven(obj, &entry.method_name, decoded)?
-    };
-    Ok((method, ret))
-}
-
-/// Per-node at-most-once window: remembers recently seen call `seq` keys and
-/// the reply outcome they produced, so a retried (or fault-injected
-/// duplicate) delivery is answered from cache instead of executed twice.
-///
-/// `Some(result)` caches a replied call's encoded outcome; `None` marks a
-/// oneway already executed (nothing to resend — the duplicate is dropped).
-/// The window is bounded: the oldest entries are evicted FIFO, which is safe
-/// because retries happen within a call's deadline, far inside the window.
-struct DedupWindow {
-    seen: HashMap<u64, Option<WeaveResult<Bytes>>>,
-    order: VecDeque<u64>,
-    cap: usize,
-}
-
-impl DedupWindow {
-    fn new(cap: usize) -> Self {
-        DedupWindow { seen: HashMap::new(), order: VecDeque::new(), cap }
-    }
-
-    /// Look up a previously executed call. `Some(cached)` means duplicate.
-    fn check(&self, seq: u64) -> Option<&Option<WeaveResult<Bytes>>> {
-        self.seen.get(&seq)
-    }
-
-    /// Record an executed call's outcome under its dedup key.
-    fn record(&mut self, seq: u64, outcome: Option<WeaveResult<Bytes>>) {
-        if self.seen.len() >= self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
-            }
-        }
-        if self.seen.insert(seq, outcome).is_none() {
-            self.order.push_back(seq);
-        }
-    }
-}
-
-/// The receive loop: decode, dispatch unwoven (the weaving happened on the
-/// client), encode the reply into a pooled frame.
-fn serve(
-    id: usize,
-    weaver: Weaver,
-    marshal: MarshalRegistry,
-    rx: Receiver<Request>,
-    woven: Arc<AtomicBool>,
-    down: Arc<AtomicBool>,
-    pool: Arc<BufPool>,
-) {
-    let mut dedup = DedupWindow::new(4096);
-    while let Ok(request) = rx.recv() {
-        // Crashed node: fail everything still queued instead of executing
-        // it, so callers blocked on replies are released promptly.
-        if down.load(Ordering::SeqCst) {
-            request.fail(|| WeaveError::NodeDown { node: id });
-            continue;
-        }
-        match request {
-            Request::Construct { ctor, args, reply } => {
-                let result = (|| {
-                    let entry = marshal.method_entry(ctor)?;
-                    let class = entry.class_name.clone();
-                    let mut view = args.clone();
-                    let decoded = marshal.decode_args_id(ctor, &mut view)?;
-                    weaver.construct_dyn_unwoven(&class, decoded)
-                })();
-                pool.recycle(args);
-                let _ = reply.send(result);
-            }
-            Request::Snapshot { obj, remove, reply } => {
-                let result = (|| {
-                    let class = weaver.space().class_of(obj)?;
-                    let state = marshal.snapshot_state(&weaver, class, obj)?;
-                    if remove {
-                        weaver.space().remove(obj);
-                    }
-                    Ok(state)
-                })();
-                let _ = reply.send(result);
-            }
-            Request::Restore { class, state, reply } => {
-                let result = marshal
-                    .class_name(class)
-                    .and_then(|name| marshal.restore_state(&weaver, &name, &state));
-                let _ = reply.send(result);
-            }
-            Request::Call { obj, method, args, reply, seq } => {
-                // At-most-once: a seq already in the window was executed by
-                // an earlier delivery — answer from cache (replied) or drop
-                // (oneway) without touching the object again.
-                if let Some(seq) = seq {
-                    if let Some(cached) = dedup.check(seq) {
-                        pool.recycle(args);
-                        if let Some(reply) = reply {
-                            match cached {
-                                Some(outcome) => reply.send(outcome.clone()),
-                                // A oneway executed under this seq; a replied
-                                // duplicate asking for its result is a
-                                // protocol mismatch — fail it loudly.
-                                None => reply.send(Err(WeaveError::remote(
-                                    "duplicate delivery of a oneway call",
-                                ))),
-                            }
-                        }
-                        continue;
-                    }
-                }
-                let woven = woven.load(Ordering::SeqCst);
-                let result = execute(&weaver, &marshal, woven, obj, method, &args);
-                pool.recycle(args);
-                match reply {
-                    Some(reply) => {
-                        let encoded = result.and_then(|(method, ret)| {
-                            let mut buf = pool.take();
-                            marshal.encode_ret_id(method, &ret, &mut buf)?;
-                            Ok(buf.freeze())
-                        });
-                        if let Some(seq) = seq {
-                            dedup.record(seq, Some(encoded.clone()));
-                        }
-                        reply.send(encoded);
-                    }
-                    None => {
-                        // Oneway: failures have nowhere to go; drop them like
-                        // a lost datagram (the paper's MPP send has the same
-                        // property).
-                        let _ = result;
-                        if let Some(seq) = seq {
-                            dedup.record(seq, None);
-                        }
-                    }
-                }
-            }
-            Request::CallPack { frame } => {
-                let woven = woven.load(Ordering::SeqCst);
-                match PackReader::new(frame.clone()) {
-                    Ok(reader) => {
-                        for entry in reader {
-                            // Entries are oneway: malformed frames and failed
-                            // calls alike are dropped datagrams.
-                            let Ok((obj, method, args)) = entry else { break };
-                            let _ = execute(&weaver, &marshal, woven, obj, method, &args);
-                        }
-                    }
-                    Err(_) => { /* truncated header: drop the pack */ }
-                }
-                pool.recycle(frame);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crossbeam::channel::bounded;
+    use crossbeam::channel::{bounded, Receiver};
+    use std::sync::atomic::AtomicU64;
     use weavepar_weave::WeaveResult as WR;
 
     struct Adder {
@@ -464,13 +434,112 @@ mod tests {
         }
     }
 
+    /// Rendezvous for a served `Probe.hold(key)`: the call announces itself
+    /// on `entered`, then blocks until the test sends on `release`.
+    pub(crate) struct Latch {
+        pub(crate) entered: Receiver<()>,
+        pub(crate) release: Sender<()>,
+        pub(crate) key: u64,
+    }
+
+    type LatchEnds = (u64, Sender<()>, Receiver<()>);
+    static LATCHES: Mutex<Vec<LatchEnds>> = Mutex::new(Vec::new());
+
+    pub(crate) fn latch() -> Latch {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        let key = NEXT.fetch_add(1, Ordering::Relaxed);
+        let (entered_tx, entered) = bounded(1);
+        let (release, release_rx) = bounded(1);
+        LATCHES.lock().push((key, entered_tx, release_rx));
+        Latch { entered, release, key }
+    }
+
+    fn hold_latch(key: u64) {
+        let (_, entered, release) = {
+            let mut latches = LATCHES.lock();
+            let at = latches.iter().position(|l| l.0 == key).expect("latch registered");
+            latches.swap_remove(at)
+        };
+        entered.send(()).unwrap();
+        release.recv().unwrap();
+    }
+
+    pub(crate) struct Probe;
+
+    weavepar_weave::weaveable! {
+        class Probe as ProbeProxy {
+            fn new() -> Self { Probe }
+            fn hold(&mut self, key: u64) -> u64 {
+                crate::node::tests::hold_latch(key);
+                key
+            }
+            fn on_node_thread(&mut self) -> u64 {
+                std::thread::current().name().is_some_and(|n| n.starts_with("node-")) as u64
+            }
+            fn explode(&mut self) -> u64 {
+                panic!("boom")
+            }
+        }
+    }
+
     fn marshal() -> MarshalRegistry {
         let m = MarshalRegistry::new();
         m.register::<(u64,), ()>("Adder", "new");
         m.register::<(u64,), u64>("Adder", "add");
         m.register::<(), ()>("Blocker", "new");
         m.register::<(), u64>("Blocker", "block");
+        m.register::<(), ()>("Probe", "new");
+        m.register::<(u64,), u64>("Probe", "hold");
+        m.register::<(), u64>("Probe", "on_node_thread");
+        m.register::<(), u64>("Probe", "explode");
         m
+    }
+
+    /// Run `f` on its own thread and fail, instead of hanging the suite, if
+    /// it does not finish.
+    pub(crate) fn watchdog(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = bounded(1);
+        std::thread::spawn(move || {
+            f();
+            tx.send(())
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{what}: hung"));
+    }
+
+    /// A node with an `Adder(0)` and a `Probe` on it.
+    fn probed_node(m: &MarshalRegistry) -> (NodeRuntime, ObjId, ObjId) {
+        let node = NodeRuntime::spawn(0, m.clone());
+        node.register_class::<Adder>();
+        node.register_class::<Probe>();
+        let adder = construct_adder(&node, m, 0).unwrap();
+        let no_args = m.encode_args("Probe", "new", &weavepar_weave::args![]).unwrap();
+        let probe = construct(&node, m, "Probe", no_args).unwrap();
+        (node, adder, probe)
+    }
+
+    /// A replied call the way the fabric delivers it: inline if the node is
+    /// idle, else queued. Returns the decoded `u64` and whether it was inline.
+    fn replied(
+        node: &NodeRuntime,
+        m: &MarshalRegistry,
+        obj: ObjId,
+        (class, method): (&str, &str),
+        args: weavepar_weave::Args,
+        seq: Option<u64>,
+    ) -> WR<(u64, bool)> {
+        let id = m.method_id(class, method)?;
+        let args = m.encode_args(class, method, &args)?;
+        let (ret, inline) = match node.call_inline(obj, id, args, seq) {
+            Ok(result) => (result?, true),
+            Err(args) => {
+                let (tx, rx) = bounded(1);
+                let reply = Some(ReplySink::Channel(tx));
+                node.submit(Request::Call { obj, method: id, args, reply, seq })?;
+                (rx.recv().expect("reply delivered")?, false)
+            }
+        };
+        Ok((*m.decode_ret(class, method, &ret)?.downcast::<u64>().unwrap(), inline))
     }
 
     fn construct(node: &NodeRuntime, m: &MarshalRegistry, class: &str, args: Bytes) -> WR<ObjId> {
@@ -615,6 +684,9 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, weavepar_weave::WeaveError::NodeDown { node: 0 }));
+        // Nor is anything served inline after the kill.
+        let add = m.method_id("Adder", "add").unwrap();
+        assert!(node.call_inline(obj, add, add_args(&m, 1), None).is_err());
     }
 
     #[test]
@@ -809,6 +881,123 @@ mod tests {
         assert!(w.check(1).is_none(), "oldest entry evicted at capacity");
         assert!(w.check(2).is_some());
         assert!(w.check(3).is_some());
+    }
+
+    #[test]
+    fn an_idle_node_serves_a_replied_call_on_the_callers_thread() {
+        watchdog("inline serve", || {
+            let m = marshal();
+            let (node, adder, probe) = probed_node(&m);
+            let no_args = || weavepar_weave::args![];
+            let where_ = ("Probe", "on_node_thread");
+            // The construct replies came back, but the node thread may still
+            // be putting the token down: retry until a call is taken inline.
+            let mut served = replied(&node, &m, probe, where_, no_args(), None).unwrap();
+            while !served.1 {
+                served = replied(&node, &m, probe, where_, no_args(), None).unwrap();
+            }
+            assert_eq!(served, (0, true), "an inline call runs on the caller's thread");
+            // While the node thread serves (it holds the token inside `hold`)
+            // nothing is taken inline, and what queues runs there, in order.
+            let held = latch();
+            let hold = m.method_id("Probe", "hold").unwrap();
+            let args = m.encode_args("Probe", "hold", &weavepar_weave::args![held.key]).unwrap();
+            node.submit(Request::Call { obj: probe, method: hold, args, reply: None, seq: None })
+                .unwrap();
+            held.entered.recv().unwrap();
+            let add = m.method_id("Adder", "add").unwrap();
+            assert!(node.call_inline(adder, add, add_args(&m, 1), None).is_err());
+            for _ in 0..100 {
+                let args = add_args(&m, 1);
+                node.submit(Request::Call {
+                    obj: adder,
+                    method: add,
+                    args,
+                    reply: None,
+                    seq: None,
+                })
+                .unwrap();
+            }
+            let (tx, rx) = bounded(1);
+            let reply = Some(ReplySink::Channel(tx));
+            node.submit(Request::Call {
+                obj: probe,
+                method: m.method_id("Probe", "on_node_thread").unwrap(),
+                args: m.encode_args("Probe", "on_node_thread", &no_args()).unwrap(),
+                reply,
+                seq: None,
+            })
+            .unwrap();
+            held.release.send(()).unwrap();
+            let ret = rx.recv().unwrap().unwrap();
+            let on_node = m.decode_ret("Probe", "on_node_thread", &ret).unwrap();
+            assert_eq!(*on_node.downcast::<u64>().unwrap(), 1);
+            // Per-sender FIFO: the replied call, inline or not, sees all 100.
+            let total =
+                replied(&node, &m, adder, ("Adder", "add"), weavepar_weave::args![0u64], None);
+            assert_eq!(total.unwrap().0, 100);
+        });
+    }
+
+    #[test]
+    fn dedup_keys_travel_to_the_inline_path() {
+        watchdog("inline dedup", || {
+            let m = marshal();
+            let (node, adder, _) = probed_node(&m);
+            let add = ("Adder", "add");
+            // One seq delivered three times, inline or queued: executed once.
+            for _ in 0..3 {
+                let got = replied(&node, &m, adder, add, weavepar_weave::args![5u64], Some(9));
+                assert_eq!(got.unwrap().0, 5);
+            }
+            let got = replied(&node, &m, adder, add, weavepar_weave::args![0u64], None);
+            assert_eq!(got.unwrap().0, 5);
+        });
+    }
+
+    #[test]
+    fn a_panicking_served_method_fails_only_its_call_and_downs_the_node() {
+        watchdog("panic containment", || {
+            let m = marshal();
+            let explode = m.method_id("Probe", "explode").unwrap();
+            let no_args = || m.encode_args("Probe", "explode", &weavepar_weave::args![]).unwrap();
+            for queued in [false, true] {
+                let (node, adder, probe) = probed_node(&m);
+                let result = if queued {
+                    let (tx, rx) = bounded(1);
+                    let reply = Some(ReplySink::Channel(tx));
+                    node.submit(Request::Call {
+                        obj: probe,
+                        method: explode,
+                        args: no_args(),
+                        reply,
+                        seq: None,
+                    })
+                    .unwrap();
+                    rx.recv().expect("the node thread survives and answers")
+                } else {
+                    let mut args = no_args();
+                    loop {
+                        match node.call_inline(probe, explode, args, None) {
+                            Ok(result) => break result,
+                            Err(back) => args = back,
+                        }
+                    }
+                };
+                let err = result.expect_err("an Err, never an unwind");
+                assert!(
+                    matches!(&err, WeaveError::Remote(msg)
+                        if msg.contains("node 0: served call panicked: boom")),
+                    "queued={queued}: {err}"
+                );
+                assert!(node.is_down());
+                let next =
+                    replied(&node, &m, adder, ("Adder", "add"), weavepar_weave::args![1u64], None);
+                assert!(matches!(next, Err(WeaveError::NodeDown { node: 0 })), "queued={queued}");
+                // The token went back and the thread is alive: drop joins.
+                drop(node);
+            }
+        });
     }
 
     #[test]

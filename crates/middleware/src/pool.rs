@@ -9,12 +9,13 @@
 //!   picked by thread id, so concurrent clients rarely contend on one lock.
 //!
 //! * [`ReplySlot`] — a park/unpark rendezvous replacing the per-call
-//!   `bounded(1)` channel. A caller checks a slot out of the pool, submits
-//!   the request carrying the [`SlotReply`] half, blocks on the condvar, and
-//!   returns the slot for reuse. `SlotReply` is a drop-guard: if the serving
-//!   side drops it without answering (node thread panicked, request dropped
-//!   on the floor), the waiter is woken with a `WeaveError::Remote` instead
-//!   of blocking forever.
+//!   `bounded(1)` channel, for replied calls that have to queue (one served
+//!   on the caller's thread needs none). A caller checks a slot out of the
+//!   pool, submits the request carrying the [`SlotReply`] half, blocks on
+//!   the condvar, and returns the slot for reuse. `SlotReply` is a
+//!   drop-guard: if the serving side drops it without answering (request
+//!   dropped on the floor), the waiter is woken with a `WeaveError::Remote`
+//!   instead of blocking forever.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

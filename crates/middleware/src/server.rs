@@ -1,0 +1,209 @@
+//! What the holder of a node's serve token does: decode a request, dispatch
+//! it on the node's weaver, encode the reply.
+//!
+//! A [`Server`] owns everything serving needs; [`node`](crate::node) keeps
+//! it in the node's mailbox and decides who serves. One function serves a
+//! replied call, [`Server::replied_call`], whether the `node-N` thread or the
+//! caller itself runs it.
+
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+use bytes::Bytes;
+
+use weavepar_weave::{AnyValue, ObjId, WeaveError, WeaveResult, Weaver};
+
+use crate::node::Request;
+use crate::pool::BufPool;
+use crate::wire::{MarshalRegistry, MethodId, PackReader};
+
+/// Per-node at-most-once window: remembers recently seen call `seq` keys and
+/// the reply outcome they produced, so a retried (or fault-injected
+/// duplicate) delivery is answered from cache instead of executed twice.
+///
+/// `Some(result)` caches a replied call's encoded outcome; `None` marks a
+/// oneway already executed (nothing to resend — the duplicate is dropped).
+/// The window is bounded: the oldest entries are evicted FIFO, which is safe
+/// because retries happen within a call's deadline, far inside the window.
+pub(crate) struct DedupWindow {
+    seen: HashMap<u64, Option<WeaveResult<Bytes>>>,
+    order: VecDeque<u64>,
+    cap: usize,
+}
+
+impl DedupWindow {
+    pub(crate) fn new(cap: usize) -> Self {
+        DedupWindow { seen: HashMap::new(), order: VecDeque::new(), cap }
+    }
+
+    /// Look up a previously executed call. `Some(cached)` means duplicate.
+    pub(crate) fn check(&self, seq: u64) -> Option<&Option<WeaveResult<Bytes>>> {
+        self.seen.get(&seq)
+    }
+
+    /// Record an executed call's outcome under its dedup key.
+    pub(crate) fn record(&mut self, seq: u64, outcome: Option<WeaveResult<Bytes>>) {
+        if self.seen.len() >= self.cap {
+            if let Some(old) = self.order.pop_front() {
+                self.seen.remove(&old);
+            }
+        }
+        if self.seen.insert(seq, outcome).is_none() {
+            self.order.push_back(seq);
+        }
+    }
+}
+
+/// Everything serving a request needs — the serve token. Decodes, dispatches
+/// unwoven unless the node is set woven (the weaving happened on the
+/// client), encodes replies into pooled frames.
+pub(crate) struct Server {
+    pub(crate) id: usize,
+    pub(crate) weaver: Weaver,
+    pub(crate) marshal: MarshalRegistry,
+    pub(crate) woven: Arc<AtomicBool>,
+    pub(crate) down: Arc<AtomicBool>,
+    pub(crate) pool: Arc<BufPool>,
+    pub(crate) dedup: DedupWindow,
+}
+
+impl Server {
+    /// Serve one queued request (node thread only).
+    pub(crate) fn handle(&mut self, request: Request) {
+        // Crashed node: fail everything still queued instead of executing
+        // it, so callers blocked on replies are released promptly.
+        if self.down.load(Ordering::SeqCst) {
+            let node = self.id;
+            return request.fail(|| WeaveError::NodeDown { node });
+        }
+        // A panic drops the request's reply sender with it, which fails the
+        // waiting caller (a replied call has its own, typed containment).
+        let _ = self.contained(|server| {
+            server.dispatch(request);
+            Ok(())
+        });
+    }
+
+    /// Run served code. A panic in it fails this call with a typed error
+    /// and marks the node down, instead of unwinding into whoever serves.
+    fn contained<T>(&mut self, call: impl FnOnce(&mut Self) -> WeaveResult<T>) -> WeaveResult<T> {
+        catch_unwind(AssertUnwindSafe(|| call(self))).unwrap_or_else(|panic| {
+            self.down.store(true, Ordering::SeqCst);
+            let what = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("(no message)");
+            Err(WeaveError::remote(format!("node {}: served call panicked: {what}", self.id)))
+        })
+    }
+
+    /// Decode and dispatch one call by the registry's boundary name, woven
+    /// or unwoven.
+    fn execute(&self, obj: ObjId, method: MethodId, args: &Bytes) -> WeaveResult<AnyValue> {
+        let entry = self.marshal.method_entry(method)?;
+        let mut view = args.clone();
+        let decoded = self.marshal.decode_args_id(method, &mut view)?;
+        if self.woven.load(Ordering::SeqCst) {
+            self.weaver.invoke_call_dyn(obj, &entry.method_name, decoded)
+        } else {
+            self.weaver.invoke_unwoven(obj, &entry.method_name, decoded)
+        }
+    }
+
+    /// A replied call, start to finish: dedup window, execute, encode the
+    /// reply. The node thread and an inline caller both serve through here.
+    pub(crate) fn replied_call(
+        &mut self,
+        obj: ObjId,
+        method: MethodId,
+        args: Bytes,
+        seq: Option<u64>,
+    ) -> WeaveResult<Bytes> {
+        // At-most-once: a seq already in the window was executed by an
+        // earlier delivery — answer from cache without touching the object.
+        if let Some(cached) = seq.and_then(|seq| self.dedup.check(seq)) {
+            let cached = cached.clone();
+            self.pool.recycle(args);
+            // `None`: a oneway executed under this seq; a replied duplicate
+            // asking for its result is a protocol mismatch — fail it loudly.
+            return cached
+                .unwrap_or_else(|| Err(WeaveError::remote("duplicate delivery of a oneway call")));
+        }
+        let encoded = self.contained(|server| {
+            let ret = server.execute(obj, method, &args);
+            server.pool.recycle(args);
+            let ret = ret?;
+            let mut buf = server.pool.take();
+            server.marshal.encode_ret_id(method, &ret, &mut buf)?;
+            Ok(buf.freeze())
+        });
+        if let Some(seq) = seq {
+            self.dedup.record(seq, Some(encoded.clone()));
+        }
+        encoded
+    }
+
+    fn dispatch(&mut self, request: Request) {
+        match request {
+            Request::Call { obj, method, args, reply: Some(reply), seq } => {
+                reply.send(self.replied_call(obj, method, args, seq));
+            }
+            Request::Construct { ctor, args, reply } => {
+                let result = (|| {
+                    let entry = self.marshal.method_entry(ctor)?;
+                    let class = entry.class_name.clone();
+                    let mut view = args.clone();
+                    let decoded = self.marshal.decode_args_id(ctor, &mut view)?;
+                    self.weaver.construct_dyn_unwoven(&class, decoded)
+                })();
+                self.pool.recycle(args);
+                let _ = reply.send(result);
+            }
+            Request::Snapshot { obj, remove, reply } => {
+                let result = (|| {
+                    let class = self.weaver.space().class_of(obj)?;
+                    let state = self.marshal.snapshot_state(&self.weaver, class, obj)?;
+                    if remove {
+                        self.weaver.space().remove(obj);
+                    }
+                    Ok(state)
+                })();
+                let _ = reply.send(result);
+            }
+            Request::Restore { class, state, reply } => {
+                let result = self
+                    .marshal
+                    .class_name(class)
+                    .and_then(|name| self.marshal.restore_state(&self.weaver, &name, &state));
+                let _ = reply.send(result);
+            }
+            // Oneway: failures have nowhere to go; drop them like a lost
+            // datagram (the paper's MPP send has the same property). So is
+            // a duplicate delivery.
+            Request::Call { obj, method, args, seq, reply: None } => {
+                if seq.is_none_or(|seq| self.dedup.check(seq).is_none()) {
+                    let _ = self.execute(obj, method, &args);
+                    if let Some(seq) = seq {
+                        self.dedup.record(seq, None);
+                    }
+                }
+                self.pool.recycle(args);
+            }
+            Request::CallPack { frame } => {
+                // Entries are oneway: malformed frames (a truncated header
+                // drops the whole pack) and failed calls alike are dropped
+                // datagrams.
+                if let Ok(reader) = PackReader::new(frame.clone()) {
+                    for entry in reader {
+                        let Ok((obj, method, args)) = entry else { break };
+                        let _ = self.execute(obj, method, &args);
+                    }
+                }
+                self.pool.recycle(frame);
+            }
+        }
+    }
+}

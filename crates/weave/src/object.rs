@@ -63,11 +63,15 @@ pub fn monitors_held() -> usize {
     MONITORS_HELD.with(|m| m.get())
 }
 
-/// Counts one held monitor in [`monitors_held`] for its lifetime.
-struct Held;
+/// Counts one held monitor in [`monitors_held`] for its lifetime. Public for
+/// locks outside this crate that exclude like a monitor (a fabric node's
+/// serve token in the hands of a caller).
+#[doc(hidden)]
+pub struct Held;
 
 impl Held {
-    fn new() -> Held {
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Held {
         MONITORS_HELD.with(|m| m.set(m.get() + 1));
         Held
     }

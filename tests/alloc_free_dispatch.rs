@@ -10,7 +10,8 @@
 //! The counter is per thread: the harness runs the tests of this binary on
 //! parallel threads, and a sibling test's set-up must not land in another
 //! test's measuring window. (Every measured call is synchronous, so all of
-//! its allocations would be made by the measuring thread.)
+//! its allocations would be made by the measuring thread — including the
+//! replied remote call, which an idle node serves on the caller's thread.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -152,6 +153,42 @@ fn metered_dispatch_stays_allocation_free() {
     assert_eq!(allocs, 0, "recording into the metrics registry must not allocate");
     // And the registry really saw the burst (warm-up + measured calls).
     assert_eq!(registry.snapshot().counter("Metrics.calls"), Some(1_016));
+}
+
+#[test]
+fn replied_remote_call_is_allocation_free() {
+    // Marshal, serve inline, unmarshal: argument and reply frames cycle
+    // through the fabric's pool, and freezing a pooled frame reuses its Arc.
+    let marshal = MarshalRegistry::new();
+    marshal.register::<(), ()>("Alu", "new");
+    marshal.register::<(u64,), u64>("Alu", "poke");
+    let fabric = InProcFabric::new(1, marshal);
+    fabric.register_class::<Alu>();
+    let registry = MetricsRegistry::new();
+    fabric.install_metrics(&registry, "fabric");
+    let weaver = Weaver::new();
+    weaver.plug(RmiConfig::new("Alu", Pointcut::call("Alu.*"), fabric.clone()).aspect("Rmi"));
+    let proxy = AluProxy::construct(&weaver).unwrap();
+    let inline = || registry.snapshot().counter("fabric.served_inline").unwrap();
+    // Warm-up: until the node thread has put the serve token down after the
+    // construct (a call is served inline), then fill pools and caches.
+    while inline() == 0 {
+        proxy.poke(0).unwrap();
+    }
+    for i in 0..16 {
+        proxy.poke(i).unwrap();
+    }
+    let before = inline();
+    let (allocs, sum) = count_allocs(|| {
+        let mut sum = 0u64;
+        for i in 0..1_000u64 {
+            sum = sum.wrapping_add(proxy.poke(i).unwrap());
+        }
+        sum
+    });
+    assert_eq!(sum, (1..=1_000u64).sum::<u64>(), "calls really ran");
+    assert_eq!(inline() - before, 1_000, "the whole call ran on the counted thread");
+    assert_eq!(allocs, 0, "a steady-state replied remote call must not allocate");
 }
 
 #[test]

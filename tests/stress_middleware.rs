@@ -8,6 +8,12 @@
 //!   nobody flushes, never shipped twice;
 //! * replied calls outside the packing pointcut behave identically whether
 //!   the aspect is plugged or not.
+//!
+//! The `served_inline` module pins the rules under which an idle node's
+//! replied calls run on the caller's own thread (`middleware::node` module
+//! docs): per-sender FIFO, exact sums under contention, kill and panics,
+//! clean context, nesting, deadlines. None of its tests sleeps; each runs
+//! under a watchdog that fails instead of hanging.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -145,4 +151,422 @@ fn packing_replied_calls_identical_plugged_or_not() {
     // Unplugging ships the backlog; replied path identical to before.
     packer.unplug(&weaver, &plugged).unwrap();
     assert_eq!(c.total().unwrap(), 12);
+}
+
+mod served_inline {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
+    use std::sync::{Arc, Mutex};
+    use std::time::Duration;
+
+    use weavepar::concurrency::{scope_active, BatchScope};
+    use weavepar::distribution::{Bytes, MethodId, RemoteRef};
+    use weavepar::prelude::*;
+    use weavepar::weave::context::{self, in_cflow_of};
+    use weavepar::weave::object::monitors_held;
+    use weavepar::weave::MethodPattern;
+    use weavepar::{args, weaveable};
+
+    /// Run `f` on its own thread and fail, instead of hanging the suite, if
+    /// it does not finish.
+    fn watchdog<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(Duration::from_secs(120)).unwrap_or_else(|_| panic!("{what}: hung"))
+    }
+
+    /// What a served `Ledger.relay` / `Ledger.hold` reaches from inside the
+    /// node, keyed by an argument of the call (constructor arguments are
+    /// marshalled, so a served object cannot capture them).
+    enum Outside {
+        /// `relay` forwards to this object on another node.
+        Forward(Arc<InProcFabric>, RemoteRef),
+        /// `hold` announces itself on the first, then blocks on the second.
+        Latch(SyncSender<()>, Receiver<()>),
+    }
+
+    static OUTSIDE: Mutex<Vec<(u64, Outside)>> = Mutex::new(Vec::new());
+
+    fn register(outside: Outside) -> u64 {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        let key = NEXT.fetch_add(1, Ordering::Relaxed);
+        OUTSIDE.lock().unwrap().push((key, outside));
+        key
+    }
+
+    fn take_outside(key: u64) -> Outside {
+        let mut outside = OUTSIDE.lock().unwrap();
+        let at = outside.iter().position(|(k, _)| *k == key).expect("registered");
+        outside.swap_remove(at).1
+    }
+
+    struct Ledger {
+        total: u64,
+    }
+
+    weaveable! {
+        class Ledger as LedgerProxy {
+            fn new() -> Self { Ledger { total: 0 } }
+            fn add(&mut self, x: u64) -> u64 {
+                self.total += x;
+                self.total
+            }
+            fn note(&mut self, x: u64) {
+                self.total += x;
+            }
+            fn relay(&mut self, key: u64, x: u64) -> u64 {
+                let crate::served_inline::Outside::Forward(fabric, to) =
+                    crate::served_inline::take_outside(key)
+                else {
+                    panic!("relay wants a forward")
+                };
+                self.total += 1;
+                crate::served_inline::add(&fabric, to, x).expect("the far node is up")
+            }
+            fn hold(&mut self, key: u64) -> u64 {
+                let crate::served_inline::Outside::Latch(entered, release) =
+                    crate::served_inline::take_outside(key)
+                else {
+                    panic!("hold wants a latch")
+                };
+                entered.send(()).expect("test is listening");
+                release.recv().expect("test releases");
+                key
+            }
+            fn explode(&mut self) -> u64 {
+                panic!("Ledger.explode blew up")
+            }
+        }
+    }
+
+    fn fabric(nodes: usize) -> (Arc<InProcFabric>, MetricsRegistry) {
+        let m = MarshalRegistry::new();
+        m.register::<(), ()>("Ledger", "new");
+        m.register::<(u64,), u64>("Ledger", "add");
+        m.register::<(u64,), ()>("Ledger", "note");
+        m.register::<(u64, u64), u64>("Ledger", "relay");
+        m.register::<(u64,), u64>("Ledger", "hold");
+        m.register::<(), u64>("Ledger", "explode");
+        let f = InProcFabric::new(nodes, m);
+        f.register_class::<Ledger>();
+        let registry = MetricsRegistry::new();
+        f.install_metrics(&registry, "fabric");
+        (f, registry)
+    }
+
+    fn method(f: &InProcFabric, name: &str) -> MethodId {
+        f.marshal().method_id("Ledger", name).unwrap()
+    }
+
+    fn encode(f: &InProcFabric, name: &str, args: &Args) -> Bytes {
+        let mut buf = f.buffers().take();
+        f.marshal().encode_args_id(method(f, name), args, &mut buf).unwrap();
+        buf.freeze()
+    }
+
+    fn decode(f: &InProcFabric, name: &str, reply: Bytes) -> u64 {
+        let value = f.marshal().decode_ret_id(method(f, name), &mut reply.clone()).unwrap();
+        f.buffers().recycle(reply);
+        *value.downcast::<u64>().unwrap()
+    }
+
+    /// A replied `add` straight through the fabric.
+    fn add(f: &InProcFabric, to: RemoteRef, x: u64) -> WeaveResult<u64> {
+        let reply = f.call_id(to, method(f, "add"), encode(f, "add", &args![x]), true)?;
+        Ok(decode(f, "add", reply.expect("replied")))
+    }
+
+    fn served_inline(registry: &MetricsRegistry) -> u64 {
+        registry.snapshot().counter("fabric.served_inline").unwrap()
+    }
+
+    /// A `Ledger` on `node`. Returns once that node is idle again (a call
+    /// has been served inline), so that a lone caller finds the token from
+    /// here on. The warm-up adds are all `add(0)`.
+    fn ledger_on(f: &InProcFabric, registry: &MetricsRegistry, node: usize) -> RemoteRef {
+        let ledger = f.construct_on(node, "Ledger", encode(f, "new", &args![])).unwrap();
+        let before = served_inline(registry);
+        while served_inline(registry) == before {
+            add(f, ledger, 0).unwrap();
+        }
+        ledger
+    }
+
+    #[test]
+    fn oneways_and_packs_run_before_the_replied_call_that_follows_them() {
+        watchdog("per-sender FIFO", || {
+            let (f, registry) = fabric(1);
+            let ledger = ledger_on(&f, &registry, 0);
+            let note = method(&f, "note");
+            let mut expected = 0;
+            for n in [0u64, 1, 2, 7, 100, 5_000, 3, 0, 1] {
+                for _ in 0..n {
+                    f.call_id(ledger, note, encode(&f, "note", &args![1u64]), false).unwrap();
+                }
+                let calls = (0..n).map(|_| (ledger.obj, note, args![2u64]));
+                assert_eq!(f.call_batch(0, calls).unwrap(), n as usize);
+                expected += 3 * n;
+                assert_eq!(add(&f, ledger, 0).unwrap(), expected, "after {n} oneways + a pack");
+            }
+            assert!(served_inline(&registry) > 0);
+        });
+    }
+
+    #[test]
+    fn eight_threads_of_replied_adds_sum_exactly() {
+        const THREADS: u64 = 8;
+        const CALLS: u64 = 10_000;
+        for nodes in [1usize, 2] {
+            watchdog("contended adds", move || {
+                let (f, registry) = fabric(nodes);
+                let ledgers: Vec<_> = (0..nodes).map(|n| ledger_on(&f, &registry, n)).collect();
+                std::thread::scope(|s| {
+                    for t in 0..THREADS as usize {
+                        let (f, ledger) = (&f, ledgers[t % nodes]);
+                        s.spawn(move || {
+                            let mut last = 0;
+                            for _ in 0..CALLS {
+                                let total = add(f, ledger, 1).unwrap();
+                                assert!(total > last, "totals of one caller only grow");
+                                last = total;
+                            }
+                        });
+                    }
+                });
+                let total: u64 = ledgers.iter().map(|l| add(&f, *l, 0).unwrap()).sum();
+                assert_eq!(total, THREADS * CALLS, "{nodes} node(s): lost or doubled adds");
+                let snap = registry.snapshot();
+                assert!(snap.counter("fabric.served_inline") <= snap.counter("fabric.calls"));
+                assert_eq!(snap.gauge("fabric.in_flight"), Some(0));
+            });
+        }
+    }
+
+    #[test]
+    fn kill_node_racing_inline_calls_fails_or_answers_every_call() {
+        const CALLERS: usize = 4;
+        for round in 0..40u64 {
+            watchdog("kill vs inline", move || {
+                let (f, registry) = fabric(1);
+                let ledger = ledger_on(&f, &registry, 0);
+                let killed = AtomicBool::new(false);
+                let answered = AtomicU64::new(0);
+                let (oks, highest) = std::thread::scope(|s| {
+                    let callers: Vec<_> = (0..CALLERS)
+                        .map(|_| {
+                            s.spawn(|| {
+                                let (mut oks, mut highest) = (0u64, 0u64);
+                                loop {
+                                    let after_kill = killed.load(Ordering::SeqCst);
+                                    match add(&f, ledger, 1) {
+                                        Ok(total) => {
+                                            assert!(
+                                                !after_kill,
+                                                "executed after the kill was seen"
+                                            );
+                                            answered.fetch_add(1, Ordering::SeqCst);
+                                            oks += 1;
+                                            highest = highest.max(total);
+                                        }
+                                        Err(WeaveError::NodeDown { node: 0 }) => {
+                                            return (oks, highest);
+                                        }
+                                        Err(other) => {
+                                            panic!("neither a value nor NodeDown: {other}")
+                                        }
+                                    }
+                                }
+                            })
+                        })
+                        .collect();
+                    // Let the callers get going; vary how far before the kill.
+                    while answered.load(Ordering::SeqCst) < round * 25 {
+                        std::thread::yield_now();
+                    }
+                    f.kill_node(0).unwrap();
+                    killed.store(true, Ordering::SeqCst);
+                    callers
+                        .into_iter()
+                        .map(|c| c.join().unwrap())
+                        .fold((0, 0), |(oks, highest), (o, h)| (oks + o, highest.max(h)))
+                });
+                // Every add that executed was answered: the highest total any
+                // caller saw is the number of answers.
+                assert_eq!(oks, highest, "round {round}: an add executed without an answer");
+                assert!(matches!(add(&f, ledger, 1), Err(WeaveError::NodeDown { node: 0 })));
+            });
+        }
+    }
+
+    /// What a node-side advice sees of the thread it runs on.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        provenance_depth: usize,
+        cflow: Vec<String>,
+        in_scope: bool,
+        cutoff: usize,
+    }
+
+    #[test]
+    fn a_woven_node_sees_none_of_the_callers_context() {
+        watchdog("context isolation", || {
+            let (f, registry) = fabric(1);
+            let ledger = ledger_on(&f, &registry, 0);
+            let node = f.node(0).unwrap();
+            node.set_woven(true);
+            // On the node: a cflow(Front.outer)-guarded advice that must not
+            // fire, and one that reports what the serving thread carries.
+            let leaked = Arc::new(AtomicBool::new(false));
+            let leaked2 = leaked.clone();
+            let within_outer = MethodPattern::parse("Front.outer");
+            let (seen_tx, seen_rx) = channel();
+            let seen_tx = Mutex::new(seen_tx);
+            node.weaver().plug(
+                Aspect::named("Spy")
+                    .around_if(
+                        Pointcut::call("Ledger.add"),
+                        move |_inv: &Invocation| Ok(in_cflow_of(&within_outer)),
+                        move |inv: &mut Invocation| {
+                            leaked2.store(true, Ordering::SeqCst);
+                            inv.proceed()
+                        },
+                    )
+                    .around(Pointcut::call("Ledger.add"), move |inv: &mut Invocation| {
+                        let seen = Seen {
+                            provenance_depth: context::depth(),
+                            cflow: context::cflow_snapshot()
+                                .iter()
+                                .map(|s| s.to_string())
+                                .collect(),
+                            in_scope: scope_active(),
+                            cutoff: hints::cutoff_or(0),
+                        };
+                        let sent = seen_tx.lock().unwrap().send((seen, monitors_held()));
+                        sent.expect("test is listening");
+                        inv.proceed()
+                    })
+                    .build(),
+            );
+
+            // The caller: inside an advice (aspect provenance) on Front.outer
+            // (control flow), under an open batch scope and a grain hint.
+            struct Front;
+            weaveable! {
+                class Front as FrontProxy {
+                    fn new() -> Self { Front }
+                    fn outer(&mut self) -> u64 { 0 }
+                }
+            }
+            let client = Weaver::new();
+            let f2 = f.clone();
+            client.plug(
+                Aspect::named("Caller")
+                    .around(Pointcut::call("Front.outer"), move |_inv: &mut Invocation| {
+                        let _hint = hints::set_cutoff(7);
+                        let scope = BatchScope::enter();
+                        let depth = context::depth();
+                        // Inline (the node is idle), then queued: a deadline
+                        // keeps a call off the inline path.
+                        add(&f2, ledger, 1)?;
+                        let patient = CallPolicy::with_deadline(Duration::from_secs(60));
+                        let args = encode(&f2, "add", &args![1u64]);
+                        let reply = f2
+                            .call_id_with_policy(ledger, method(&f2, "add"), args, true, &patient)?
+                            .expect("replied");
+                        let total = decode(&f2, "add", reply);
+                        // The caller's own context is back in place.
+                        assert!(scope_active() && hints::cutoff_or(0) == 7);
+                        assert!(in_cflow_of(&MethodPattern::parse("Front.outer")));
+                        assert_eq!(context::depth(), depth);
+                        scope.flush();
+                        Ok(weavepar::ret!(total))
+                    })
+                    .build(),
+            );
+            let front = FrontProxy::construct(&client).unwrap();
+            let inline_before = served_inline(&registry);
+            assert_eq!(front.outer().unwrap(), 2);
+            assert_eq!(served_inline(&registry) - inline_before, 1, "one inline, one queued");
+
+            let (inline, inline_monitors) = seen_rx.recv().unwrap();
+            let (queued, queued_monitors) = seen_rx.recv().unwrap();
+            // The serve token counts as a held monitor on the caller's
+            // thread, so a join in there blocks rather than helps.
+            assert_eq!((inline_monitors, queued_monitors), (1, 0));
+            assert_eq!(inline, queued, "served inline as on the node thread");
+            assert_eq!((inline.in_scope, inline.cutoff), (false, 0));
+            assert_eq!(inline.cflow, ["Ledger.add"], "only the served join point");
+            assert!(!leaked.load(Ordering::SeqCst), "the served call saw the caller's cflow");
+        });
+    }
+
+    #[test]
+    fn a_call_served_inline_makes_a_nested_inline_call_to_another_node() {
+        watchdog("nested inline", || {
+            let (f, registry) = fabric(2);
+            let near = ledger_on(&f, &registry, 0);
+            let far = ledger_on(&f, &registry, 1);
+            let before = served_inline(&registry);
+            for i in 1..=100u64 {
+                let key = register(Outside::Forward(f.clone(), far));
+                let args = encode(&f, "relay", &args![key, 1u64]);
+                let reply = f.call_id(near, method(&f, "relay"), args, true).unwrap().unwrap();
+                assert_eq!(decode(&f, "relay", reply), i, "the far ledger's running total");
+            }
+            // A on this thread, then B on this thread from inside A.
+            assert_eq!(served_inline(&registry) - before, 200);
+            assert_eq!(add(&f, near, 0).unwrap(), 100);
+        });
+    }
+
+    #[test]
+    fn a_blocked_call_under_a_deadline_still_times_out() {
+        watchdog("deadline", || {
+            let (f, registry) = fabric(1);
+            let weaver = Weaver::new();
+            weaver.plug(
+                RmiConfig::new("Ledger", Pointcut::call("Ledger.*"), f.clone())
+                    .policy(CallPolicy::with_deadline(Duration::from_millis(20)))
+                    .aspect("Rmi"),
+            );
+            let ledger = LedgerProxy::construct(&weaver).unwrap();
+            let inline_before = served_inline(&registry);
+            let (entered_tx, entered) = sync_channel(1);
+            let (release, release_rx) = sync_channel(1);
+            let key = register(Outside::Latch(entered_tx, release_rx));
+            let err = ledger.hold(key).unwrap_err();
+            assert!(matches!(err, WeaveError::Timeout { waited_ms: 20 }), "{err}");
+            // It was executing on the node thread all along.
+            entered.recv().unwrap();
+            release.send(()).unwrap();
+            assert_eq!(served_inline(&registry), inline_before);
+            assert_eq!(registry.snapshot().counter("fabric.timeouts"), Some(1));
+        });
+    }
+
+    #[test]
+    fn a_panicking_served_method_fails_only_its_own_call() {
+        watchdog("panic containment", || {
+            let (f, registry) = fabric(2);
+            let weaver = Weaver::new();
+            weaver.plug(
+                RmiConfig::new("Ledger", Pointcut::call("Ledger.*"), f.clone())
+                    .placement(Policy::fixed(0))
+                    .aspect("Rmi"),
+            );
+            let ledger = LedgerProxy::construct(&weaver).unwrap();
+            let bystander = ledger_on(&f, &registry, 1);
+            assert_eq!(ledger.add(2).unwrap(), 2);
+            // An Err through the whole woven stack, never an unwind.
+            let err = ledger.explode().unwrap_err();
+            assert!(
+                matches!(&err, WeaveError::Remote(msg)
+                    if msg.contains("node 0: served call panicked: Ledger.explode blew up")),
+                "{err}"
+            );
+            assert!(f.node(0).unwrap().is_down());
+            assert!(matches!(ledger.add(1), Err(WeaveError::NodeDown { node: 0 })));
+            assert_eq!(add(&f, bystander, 5).unwrap(), 5, "the other node is untouched");
+        });
+    }
 }
