@@ -36,6 +36,13 @@ for round in 1 2 3; do
     cargo test --release -q -p weavepar-apps --test stress_middleware served_inline
 done
 
+# Plug/unplug racing dispatch on the one-level chain cache: interleaving
+# again, so three rounds of the dispatch stress as well.
+for round in 1 2 3; do
+    echo "==> dispatch stress, round $round (--release)"
+    cargo test --release -q -p weavepar-apps --test stress_dispatch
+done
+
 # The benchmark is a package of its own (not a workspace member): its tests
 # are what catches a break of the frozen API list in perfbench/README.md.
 echo "==> benchmark package tests (perfbench/)"

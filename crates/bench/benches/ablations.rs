@@ -4,8 +4,8 @@
 //!
 //! * `match_cache` — advice-match caching on vs off (the per-join-point
 //!   matching cost the cache removes);
-//! * `match_cache_sharding` — the generation-stamped snapshot cache under
-//!   concurrent dispatch over many signatures, vs re-matching every call;
+//! * `match_cache_concurrent` — the per-thread chain cache under concurrent
+//!   dispatch over many signatures, vs re-matching every call;
 //! * `executor` — thread-per-call vs pooled execution of a farmed workload
 //!   (the §4.4 thread-pool optimisation);
 //! * `object_cache` — the §4.4 cache-objects aspect on a repeat-heavy
@@ -49,11 +49,11 @@ fn bench_match_cache(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_match_cache_sharding(c: &mut Criterion) {
-    // The generation-stamped snapshot cache (thread-local chains backed by a
-    // sharded per-snapshot map) vs no caching at all, under concurrent
-    // dispatch over several distinct join-point signatures — the workload the
-    // sharding exists for. `no_cache` re-runs pointcut matching on every call.
+fn bench_match_cache_concurrent(c: &mut Criterion) {
+    // The per-thread chain cache (each thread matches a cold key itself, once
+    // per generation) vs no caching at all, under concurrent dispatch over
+    // several distinct join-point signatures. `no_cache` re-runs pointcut
+    // matching on every call.
     struct Hot;
     weavepar::weaveable! {
         class Hot as HotProxy {
@@ -71,9 +71,9 @@ fn bench_match_cache_sharding(c: &mut Criterion) {
     const METHODS: [&str; 8] = ["m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"];
     const OPS: u64 = 2_000;
 
-    let mut group = c.benchmark_group("match_cache_sharding");
+    let mut group = c.benchmark_group("match_cache_concurrent");
     group.sample_size(15);
-    for (name, cached) in [("sharded_cache", true), ("no_cache", false)] {
+    for (name, cached) in [("cached", true), ("no_cache", false)] {
         for threads in [1usize, 4] {
             group.bench_function(format!("{name}_{threads}t"), |b| {
                 let weaver = Weaver::new();
@@ -223,7 +223,7 @@ fn bench_wire_roundtrip(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_match_cache,
-    bench_match_cache_sharding,
+    bench_match_cache_concurrent,
     bench_executor,
     bench_object_cache,
     bench_monitor,

@@ -10,7 +10,9 @@
 //!   0 / 1 / 3 / 8 pass-through aspects.
 //!
 //! Hand-rolled harness (same contract as `autotune_throughput`): writes
-//! `BENCH_weave.json` at the workspace root with median ns/call per cell.
+//! `BENCH_weave.json` at the workspace root with median ns/call per cell and
+//! the host's `nproc` (the `dispatch_contended` rows are per-thread wall time,
+//! which only reads as contention next to the core count).
 //! With `WEAVEPAR_BENCH_QUICK=1` it runs a tiny smoke and skips the JSON
 //! (used by ci.sh).
 
@@ -210,7 +212,8 @@ fn main() {
         return;
     }
     let json = format!(
-        "{{\n  \"bench\": \"weaving_overhead\",\n  \"unit\": \"ns_per_call\",\n  \"rounds\": {},\n  \"woven_over_direct\": {inflation:.3},\n  \"cells\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"weaving_overhead\",\n  \"unit\": \"ns_per_call\",\n  \"nproc\": {},\n  \"rounds\": {},\n  \"woven_over_direct\": {inflation:.3},\n  \"cells\": [\n{}\n  ]\n}}\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         knobs.rounds,
         cells.join(",\n")
     );

@@ -510,7 +510,9 @@ mod tests {
 
     #[test]
     fn weaving_inflation_is_small_and_positive() {
-        let inflation = measure_weaving_inflation(SMALL, 3);
+        // A median of many short runs: sibling tests pre-empt this one, and
+        // two slow samples out of three used to be enough to fail the bound.
+        let inflation = measure_weaving_inflation(SMALL, 25);
         assert!(inflation > 0.5, "nonsensical inflation {inflation}");
         assert!(inflation < 2.0, "weaving should not double execution time: {inflation}");
     }

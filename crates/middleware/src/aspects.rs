@@ -206,11 +206,11 @@ fn distribution_aspect(
                     send(buf.freeze(), false)?;
                     Ok(weavepar_weave::ret!())
                 } else {
-                    let reply = send(buf.freeze(), true)?
+                    let mut reply = send(buf.freeze(), true)?
                         .ok_or_else(|| WeaveError::remote("missing reply"))?;
-                    let mut view = reply.clone();
-                    let ret = fabric.marshal().decode_ret_id(method, &mut view);
-                    drop(view);
+                    // Decoded in place: recycling does not care how far the
+                    // view has advanced, and a second handle costs an `Arc`.
+                    let ret = fabric.marshal().decode_ret_id(method, &mut reply);
                     fabric.buffers().recycle(reply);
                     ret
                 }

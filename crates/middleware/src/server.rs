@@ -101,11 +101,12 @@ impl Server {
     }
 
     /// Decode and dispatch one call by the registry's boundary name, woven
-    /// or unwoven.
-    fn execute(&self, obj: ObjId, method: MethodId, args: &Bytes) -> WeaveResult<AnyValue> {
+    /// or unwoven. Decoding consumes `args` in place (recycling a frame does
+    /// not look at how far its view has advanced), so a served call takes no
+    /// second handle on the frame.
+    fn execute(&self, obj: ObjId, method: MethodId, args: &mut Bytes) -> WeaveResult<AnyValue> {
         let entry = self.marshal.method_entry(method)?;
-        let mut view = args.clone();
-        let decoded = self.marshal.decode_args_id(method, &mut view)?;
+        let decoded = self.marshal.decode_args_id(method, args)?;
         if self.woven.load(Ordering::SeqCst) {
             self.weaver.invoke_call_dyn(obj, &entry.method_name, decoded)
         } else {
@@ -119,7 +120,7 @@ impl Server {
         &mut self,
         obj: ObjId,
         method: MethodId,
-        args: Bytes,
+        mut args: Bytes,
         seq: Option<u64>,
     ) -> WeaveResult<Bytes> {
         // At-most-once: a seq already in the window was executed by an
@@ -133,7 +134,7 @@ impl Server {
                 .unwrap_or_else(|| Err(WeaveError::remote("duplicate delivery of a oneway call")));
         }
         let encoded = self.contained(|server| {
-            let ret = server.execute(obj, method, &args);
+            let ret = server.execute(obj, method, &mut args);
             server.pool.recycle(args);
             let ret = ret?;
             let mut buf = server.pool.take();
@@ -183,9 +184,9 @@ impl Server {
             // Oneway: failures have nowhere to go; drop them like a lost
             // datagram (the paper's MPP send has the same property). So is
             // a duplicate delivery.
-            Request::Call { obj, method, args, seq, reply: None } => {
+            Request::Call { obj, method, mut args, seq, reply: None } => {
                 if seq.is_none_or(|seq| self.dedup.check(seq).is_none()) {
-                    let _ = self.execute(obj, method, &args);
+                    let _ = self.execute(obj, method, &mut args);
                     if let Some(seq) = seq {
                         self.dedup.record(seq, None);
                     }
@@ -198,8 +199,8 @@ impl Server {
                 // datagrams.
                 if let Ok(reader) = PackReader::new(frame.clone()) {
                     for entry in reader {
-                        let Ok((obj, method, args)) = entry else { break };
-                        let _ = self.execute(obj, method, &args);
+                        let Ok((obj, method, mut args)) = entry else { break };
+                        let _ = self.execute(obj, method, &mut args);
                     }
                 }
                 self.pool.recycle(frame);

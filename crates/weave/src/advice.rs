@@ -18,14 +18,14 @@ use crate::value::AnyValue;
 /// original event executes by calling [`Invocation::proceed`].
 pub trait Advice: Send + Sync + 'static {
     /// Execute the advice body.
-    fn around(&self, inv: &mut Invocation) -> WeaveResult<AnyValue>;
+    fn around(&self, inv: &mut Invocation<'_>) -> WeaveResult<AnyValue>;
 }
 
 impl<F> Advice for F
 where
-    F: Fn(&mut Invocation) -> WeaveResult<AnyValue> + Send + Sync + 'static,
+    F: Fn(&mut Invocation<'_>) -> WeaveResult<AnyValue> + Send + Sync + 'static,
 {
-    fn around(&self, inv: &mut Invocation) -> WeaveResult<AnyValue> {
+    fn around(&self, inv: &mut Invocation<'_>) -> WeaveResult<AnyValue> {
         self(inv)
     }
 }

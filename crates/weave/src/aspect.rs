@@ -136,7 +136,7 @@ impl AspectBuilder {
     /// (on `false` the event proceeds untouched).
     pub fn around_if<G, A>(self, pointcut: Pointcut, guard: G, advice: A) -> Self
     where
-        G: Fn(&Invocation) -> WeaveResult<bool> + Send + Sync + 'static,
+        G: Fn(&Invocation<'_>) -> WeaveResult<bool> + Send + Sync + 'static,
         A: Advice,
     {
         self.around(
@@ -154,7 +154,7 @@ impl AspectBuilder {
     /// Add before advice: runs `f`, then proceeds with the original event.
     pub fn before<F>(self, pointcut: Pointcut, f: F) -> Self
     where
-        F: Fn(&mut Invocation) -> WeaveResult<()> + Send + Sync + 'static,
+        F: Fn(&mut Invocation<'_>) -> WeaveResult<()> + Send + Sync + 'static,
     {
         self.around(pointcut, move |inv: &mut Invocation| {
             f(inv)?;
@@ -166,7 +166,7 @@ impl AspectBuilder {
     /// the invocation and the (type-erased) return value.
     pub fn after<F>(self, pointcut: Pointcut, f: F) -> Self
     where
-        F: Fn(&mut Invocation, &AnyValue) -> WeaveResult<()> + Send + Sync + 'static,
+        F: Fn(&mut Invocation<'_>, &AnyValue) -> WeaveResult<()> + Send + Sync + 'static,
     {
         self.around(pointcut, move |inv: &mut Invocation| {
             let ret = inv.proceed()?;

@@ -4,8 +4,8 @@
 //! advice of the Partition aspect applies only to calls made by core
 //! functionality, while the forward advice also applies (recursively) to calls
 //! the aspect itself makes (Figure 7, block 3). AspectJ gets this from
-//! `within(..)`; we reproduce it with a thread-local provenance stack that the
-//! runtime pushes around base-method execution and around advice execution.
+//! `within(..)`; we reproduce it with a thread-local provenance frame that the
+//! runtime replaces around base-method execution and around advice execution.
 
 use std::cell::{Cell, RefCell};
 
@@ -22,7 +22,9 @@ pub enum Provenance {
 }
 
 thread_local! {
-    static STACK: RefCell<Vec<Provenance>> = const { RefCell::new(Vec::new()) };
+    // The innermost provenance frame and how many frames are open. The frames
+    // beneath it live in their guards: each holds the value it replaced.
+    static FRAME: Cell<(Provenance, usize)> = const { Cell::new((Provenance::Core, 0)) };
     // The join points currently executing on this thread, outermost first —
     // the dynamic extent AspectJ's `cflow` quantifies over.
     static CFLOW: RefCell<Vec<Signature>> = const { RefCell::new(Vec::new()) };
@@ -56,10 +58,10 @@ pub fn replace_hint(slot: usize, value: u32) -> u32 {
 /// A pool worker that *helps* while it waits on a join (see
 /// `weavepar_concurrency::pool`) runs an unrelated task on top of the waiting
 /// frame. That task must see what it would see on a fresh worker — empty
-/// provenance and control-flow stacks, no current trace task, no hints — and
-/// the waiting frame must find its own context intact afterwards.
+/// provenance frame and control-flow stack, no current trace task, no hints —
+/// and the waiting frame must find its own context intact afterwards.
 pub struct SetAside {
-    stack: Vec<Provenance>,
+    frame: (Provenance, usize),
     cflow: Vec<Signature>,
     hints: [u32; HINT_SLOTS],
     trace: crate::trace::SetAside,
@@ -69,7 +71,7 @@ pub struct SetAside {
 /// returned value puts it back (discarding whatever was left in between).
 pub fn set_aside() -> SetAside {
     SetAside {
-        stack: STACK.with(|s| std::mem::take(&mut *s.borrow_mut())),
+        frame: FRAME.replace((Provenance::Core, 0)),
         cflow: CFLOW.with(|s| std::mem::take(&mut *s.borrow_mut())),
         hints: HINTS.with(|h| h.replace([0; HINT_SLOTS])),
         trace: crate::trace::set_aside(),
@@ -78,7 +80,7 @@ pub fn set_aside() -> SetAside {
 
 impl Drop for SetAside {
     fn drop(&mut self) {
-        STACK.with(|s| *s.borrow_mut() = std::mem::take(&mut self.stack));
+        FRAME.set(self.frame);
         CFLOW.with(|s| *s.borrow_mut() = std::mem::take(&mut self.cflow));
         HINTS.with(|h| h.set(self.hints));
         crate::trace::restore(std::mem::take(&mut self.trace));
@@ -131,25 +133,23 @@ pub fn install_cflow(stack: &[Signature]) -> Vec<CflowGuard> {
 /// Defaults to [`Provenance::Core`] when nothing has been pushed — top-level
 /// application code *is* core functionality.
 pub fn current() -> Provenance {
-    STACK.with(|s| s.borrow().last().copied().unwrap_or(Provenance::Core))
+    FRAME.get().0
 }
 
-/// Depth of the provenance stack (used in tests and diagnostics).
+/// Number of open provenance frames (used in tests and diagnostics).
 pub fn depth() -> usize {
-    STACK.with(|s| s.borrow().len())
+    FRAME.get().1
 }
 
 /// RAII guard that restores the previous provenance when dropped.
 pub struct ProvenanceGuard {
-    pushed: bool,
+    replaced: Option<(Provenance, usize)>,
 }
 
 impl Drop for ProvenanceGuard {
     fn drop(&mut self) {
-        if self.pushed {
-            STACK.with(|s| {
-                s.borrow_mut().pop();
-            });
+        if let Some(frame) = self.replaced {
+            FRAME.set(frame);
         }
     }
 }
@@ -157,19 +157,17 @@ impl Drop for ProvenanceGuard {
 /// Push a provenance frame for the duration of the returned guard.
 ///
 /// Pushing `Core` while the current provenance is already `Core` (including
-/// onto the empty stack, whose default is `Core`) is elided: `current()`
+/// with no frame open, where the default is `Core`) is elided: `current()`
 /// cannot observe the difference, and base-method dispatch pushes exactly
 /// this frame on every unwoven call.
 pub fn push(p: Provenance) -> ProvenanceGuard {
-    STACK.with(|s| {
-        let mut s = s.borrow_mut();
-        if p == Provenance::Core && s.last().is_none_or(|&top| top == Provenance::Core) {
-            ProvenanceGuard { pushed: false }
-        } else {
-            s.push(p);
-            ProvenanceGuard { pushed: true }
-        }
-    })
+    let (top, depth) = FRAME.get();
+    if p == Provenance::Core && top == Provenance::Core {
+        ProvenanceGuard { replaced: None }
+    } else {
+        FRAME.set((p, depth + 1));
+        ProvenanceGuard { replaced: Some((top, depth)) }
+    }
 }
 
 /// Snapshot of the per-thread weaving context, used by
@@ -271,6 +269,44 @@ mod tests {
         assert_eq!(cflow_snapshot(), vec![sig]);
         assert_eq!(crate::trace::current_task(), Some(crate::trace::TaskId::from_raw(7)));
         assert_eq!(replace_hint(1, 0), 33);
+    }
+
+    #[test]
+    fn set_aside_inside_nested_frames_restores_current_and_depth_exactly() {
+        let (a, b) = (AspectId::from_raw(1), AspectId::from_raw(2));
+        let _advice = push(Provenance::Aspect(a));
+        let _base = push(Provenance::Core);
+        let _nested_advice = push(Provenance::Aspect(b));
+        assert_eq!((current(), depth()), (Provenance::Aspect(b), 3));
+        {
+            let _clean = set_aside();
+            assert_eq!((current(), depth()), (Provenance::Core, 0));
+            // The elided `Core` on `Core` push stays elided on the clean slate.
+            let _elided = push(Provenance::Core);
+            assert_eq!(depth(), 0);
+            let _helped = push(Provenance::Aspect(a));
+            assert_eq!((current(), depth()), (Provenance::Aspect(a), 1));
+            // A frame the helped task leaks is discarded with the rest.
+            std::mem::forget(push(Provenance::Aspect(b)));
+        }
+        assert_eq!((current(), depth()), (Provenance::Aspect(b), 3));
+        drop(_nested_advice);
+        assert_eq!((current(), depth()), (Provenance::Core, 2));
+        drop(_base);
+        assert_eq!((current(), depth()), (Provenance::Aspect(a), 1));
+    }
+
+    #[test]
+    fn a_panic_unwinding_through_three_frames_leaves_depth_zero() {
+        let unwound = std::panic::catch_unwind(|| {
+            let _advice = push(Provenance::Aspect(AspectId::from_raw(1)));
+            let _base = push(Provenance::Core);
+            let _nested = push(Provenance::Aspect(AspectId::from_raw(2)));
+            assert_eq!(depth(), 3);
+            panic!("advice body failed");
+        });
+        assert!(unwound.is_err());
+        assert_eq!((current(), depth()), (Provenance::Core, 0));
     }
 
     #[test]

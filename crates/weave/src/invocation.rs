@@ -13,15 +13,13 @@
 //!   objects ([`Invocation::construct_sibling`]) exactly like the paper's
 //!   Partition aspect creates the pipeline of `PrimeFilter`s.
 
-use std::sync::Arc;
-
-use crate::advice::AdviceEntry;
 use crate::context::{self, CurrentContext, Provenance};
 use crate::dispatch::ClassInfo;
 use crate::error::{WeaveError, WeaveResult};
 use crate::object::ObjId;
 use crate::registry::Weaver;
 use crate::signature::Signature;
+use crate::snapshot::Chain;
 use crate::value::{AnyValue, Args};
 
 /// The two join-point kinds the paper's methodology intercepts.
@@ -43,30 +41,34 @@ pub(crate) enum BaseAction {
 }
 
 /// A join point in flight, walking its advice chain towards the base event.
-pub struct Invocation {
-    weaver: Weaver,
+///
+/// It borrows the weaver and the matched chain from the frame that dispatched
+/// the join point, so walking the chain touches no reference count;
+/// [`Detached`] is the owning form.
+pub struct Invocation<'a> {
+    weaver: &'a Weaver,
     signature: Signature,
     kind: JoinPointKind,
     target: Option<ObjId>,
     caller: Provenance,
     args: Option<Args>,
-    chain: Arc<[Arc<AdviceEntry>]>,
+    chain: &'a Chain,
     index: usize,
     base: BaseAction,
     async_boundary: bool,
     issuer: u64,
 }
 
-impl Invocation {
+impl<'a> Invocation<'a> {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        weaver: Weaver,
+        weaver: &'a Weaver,
         signature: Signature,
         kind: JoinPointKind,
         target: Option<ObjId>,
         caller: Provenance,
         args: Args,
-        chain: Arc<[Arc<AdviceEntry>]>,
+        chain: &'a Chain,
         base: BaseAction,
         async_boundary: bool,
     ) -> Self {
@@ -83,12 +85,6 @@ impl Invocation {
             async_boundary,
             issuer: crate::trace::thread_tag(),
         }
-    }
-
-    /// Drive the chain from the top.
-    pub(crate) fn run(mut self) -> WeaveResult<AnyValue> {
-        let args = self.args.take().expect("fresh invocation always has args");
-        self.proceed_with(args)
     }
 
     /// Static signature of the join point.
@@ -119,7 +115,7 @@ impl Invocation {
     /// The weaver this invocation runs under (for advice that makes further
     /// woven calls, constructs objects or touches inter-type state).
     pub fn weaver(&self) -> &Weaver {
-        &self.weaver
+        self.weaver
     }
 
     /// True when this invocation crossed an asynchronous boundary (it is the
@@ -144,11 +140,19 @@ impl Invocation {
     }
 
     /// Run the rest of the chain (and ultimately the base event) with the
-    /// original arguments. Consumes the arguments: a second plain `proceed`
-    /// fails with [`WeaveError::AlreadyProceeded`].
+    /// original arguments. The arguments stay in place for the next advice and
+    /// are consumed by the base event (or a `detach`): a second plain `proceed`
+    /// then fails with [`WeaveError::AlreadyProceeded`].
     pub fn proceed(&mut self) -> WeaveResult<AnyValue> {
-        let args = self.args.take().ok_or(WeaveError::AlreadyProceeded)?;
-        self.proceed_with(args)
+        if self.index < self.chain.len() {
+            if self.args.is_none() {
+                return Err(WeaveError::AlreadyProceeded);
+            }
+            self.next_advice()
+        } else {
+            let args = self.args.take().ok_or(WeaveError::AlreadyProceeded)?;
+            self.execute_base(args)
+        }
     }
 
     /// Run the rest of the chain with explicit arguments. May be called
@@ -156,20 +160,25 @@ impl Invocation {
     /// the remainder of the chain.
     pub fn proceed_with(&mut self, args: Args) -> WeaveResult<AnyValue> {
         if self.index < self.chain.len() {
-            let entry = self.chain[self.index].clone();
-            let saved = self.index;
-            self.index += 1;
             self.args = Some(args);
-            entry.fired.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let result = {
-                let _prov = context::push(Provenance::Aspect(entry.aspect));
-                entry.advice.around(self)
-            };
-            self.index = saved;
-            result
+            self.next_advice()
         } else {
             self.execute_base(args)
         }
+    }
+
+    /// One hop: run the advice at `index` with `self` advanced past it.
+    fn next_advice(&mut self) -> WeaveResult<AnyValue> {
+        let chain: &'a Chain = self.chain;
+        let entry = &chain[self.index];
+        self.index += 1;
+        entry.fired.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let result = {
+            let _prov = context::push(Provenance::Aspect(entry.aspect));
+            entry.advice.around(self)
+        };
+        self.index -= 1;
+        result
     }
 
     /// Move the remainder of this chain (advice not yet run, plus the base
@@ -184,7 +193,7 @@ impl Invocation {
             target: self.target,
             caller: self.caller,
             args,
-            chain: self.chain.clone(),
+            chain: Chain::clone(self.chain),
             index: self.index,
             base: self.base,
             ctx: CurrentContext::capture(),
@@ -228,7 +237,7 @@ impl Invocation {
     }
 }
 
-impl std::fmt::Debug for Invocation {
+impl std::fmt::Debug for Invocation<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Invocation")
             .field("signature", &self.signature.to_string())
@@ -254,7 +263,7 @@ pub struct Detached {
     target: Option<ObjId>,
     caller: Provenance,
     args: Args,
-    chain: Arc<[Arc<AdviceEntry>]>,
+    chain: Chain,
     index: usize,
     base: BaseAction,
     ctx: CurrentContext,
@@ -267,13 +276,13 @@ impl Detached {
         let _guards = self.ctx.install();
         let _cflow = context::push_cflow(self.signature);
         let mut inv = Invocation {
-            weaver: self.weaver,
+            weaver: &self.weaver,
             signature: self.signature,
             kind: self.kind,
             target: self.target,
             caller: self.caller,
             args: None,
-            chain: self.chain,
+            chain: &self.chain,
             index: self.index,
             base: self.base,
             async_boundary: true,
@@ -304,6 +313,173 @@ impl std::fmt::Debug for Detached {
     }
 }
 
-// Invocation tests live in `registry.rs` (they need a full weaver) and in the
+// The end-to-end invocation tests live in `registry.rs` and in the
 // crate-level integration tests; `Detached` is additionally exercised by
-// `weavepar-concurrency`.
+// `weavepar-concurrency`. The tests here pin the `proceed` contract and what a
+// join point may touch.
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::aspect::Aspect;
+    use crate::pointcut::Pointcut;
+    use crate::registry::tests::Acc;
+    use crate::value::downcast_ret;
+    use crate::{args, ret};
+
+    const ADD: Signature = Signature::new("Acc", "add");
+
+    fn pass_through(name: &str, precedence: i32) -> Aspect {
+        Aspect::named(name)
+            .precedence(precedence)
+            .around(Pointcut::call("Acc.add"), |inv: &mut Invocation| inv.proceed())
+            .build()
+    }
+
+    fn total(weaver: &Weaver, id: ObjId) -> i64 {
+        downcast_ret(weaver.invoke_call(id, "Acc", "total", args![]).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn arguments_stay_in_place_until_the_base_event_takes_them() {
+        let weaver = Weaver::new();
+        let outer = Aspect::named("Outer")
+            .precedence(1)
+            .around(Pointcut::call("Acc.add"), |inv: &mut Invocation| {
+                let v = *inv.arg::<i64>(0)?;
+                inv.args_mut()?.set(0, v + 1)?;
+                let first = inv.proceed()?;
+                // The base event consumed them, two hops further in.
+                assert!(matches!(inv.args(), Err(WeaveError::AlreadyProceeded)));
+                assert!(matches!(inv.proceed(), Err(WeaveError::AlreadyProceeded)));
+                // Explicit arguments replay the rest of the chain, repeatedly.
+                inv.proceed_with(args![100i64])?;
+                inv.proceed_with(args![100i64])?;
+                assert!(matches!(inv.proceed(), Err(WeaveError::AlreadyProceeded)));
+                Ok(first)
+            })
+            .build();
+        let inner = Aspect::named("Inner")
+            .precedence(2)
+            .around(Pointcut::call("Acc.add"), |inv: &mut Invocation| {
+                // The rewrite of the advice before this one is what arrives here.
+                let v = *inv.arg::<i64>(0)?;
+                inv.args_mut()?.set(0, v * 2)?;
+                inv.proceed()
+            })
+            .build();
+        weaver.plug(outer);
+        weaver.plug(inner);
+        weaver.plug(pass_through("Innermost", 3));
+        let id = weaver.construct::<Acc>(args![0i64]).unwrap().id();
+        weaver.invoke_call(id, "Acc", "add", args![4i64]).unwrap();
+        // (4 + 1) * 2, then twice 100 * 2.
+        assert_eq!(total(&weaver, id), 10 + 200 + 200);
+    }
+
+    #[test]
+    fn an_advice_that_replaces_the_event_leaves_the_arguments_with_its_caller() {
+        let weaver = Weaver::new();
+        let swallowed = Arc::new(AtomicUsize::new(0));
+        let seen = swallowed.clone();
+        let outer = Aspect::named("Outer")
+            .precedence(1)
+            .around(Pointcut::call("Acc.add"), |inv: &mut Invocation| {
+                inv.proceed()?;
+                // Nothing further in consumed the arguments, so they are
+                // still here, and a second `proceed` is a second attempt.
+                assert_eq!(*inv.arg::<i64>(0)?, 7);
+                inv.proceed()
+            })
+            .build();
+        let inner = Aspect::named("Replace")
+            .precedence(2)
+            .around(Pointcut::call("Acc.add"), move |_inv: &mut Invocation| {
+                seen.fetch_add(1, Ordering::Relaxed);
+                Ok(ret!())
+            })
+            .build();
+        weaver.plug(outer);
+        weaver.plug(inner);
+        let id = weaver.construct::<Acc>(args![0i64]).unwrap().id();
+        weaver.invoke_call(id, "Acc", "add", args![7i64]).unwrap();
+        assert_eq!(swallowed.load(Ordering::Relaxed), 2);
+        assert_eq!(total(&weaver, id), 0);
+    }
+
+    #[test]
+    fn detach_mid_chain_runs_the_remainder_once_on_another_thread() {
+        let weaver = Weaver::new();
+        let inner_runs = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let runs = inner_runs.clone();
+        let detaching = Aspect::named("Detach")
+            .precedence(2)
+            .around(Pointcut::call("Acc.add"), |inv: &mut Invocation| {
+                let detached = inv.detach()?;
+                assert!(matches!(inv.proceed(), Err(WeaveError::AlreadyProceeded)));
+                assert!(matches!(inv.detach(), Err(WeaveError::AlreadyProceeded)));
+                std::thread::spawn(move || detached.run()).join().expect("remainder panicked")
+            })
+            .build();
+        let inner = Aspect::named("Inner")
+            .precedence(3)
+            .around(Pointcut::call("Acc.add"), move |inv: &mut Invocation| {
+                runs.lock().push((std::thread::current().id(), inv.is_async_boundary()));
+                inv.proceed()
+            })
+            .build();
+        weaver.plug(pass_through("Outer", 1));
+        weaver.plug(detaching);
+        weaver.plug(inner);
+        let id = weaver.construct::<Acc>(args![0i64]).unwrap().id();
+        weaver.invoke_call(id, "Acc", "add", args![5i64]).unwrap();
+        let runs = inner_runs.lock();
+        assert_eq!(runs.len(), 1);
+        assert_ne!(runs[0].0, std::thread::current().id());
+        assert!(runs[0].1);
+        assert_eq!(total(&weaver, id), 5);
+    }
+
+    #[test]
+    fn a_join_point_touches_no_shared_reference_count() {
+        let weaver = Weaver::new();
+        let id = weaver.construct::<Acc>(args![0i64]).unwrap().id();
+        // Inside the base event of an unadvised call: nothing was cloned.
+        let handles = weaver.debug_strong_count();
+        weaver.intertype().add_method(
+            "Acc",
+            "handles",
+            Arc::new(|w: &Weaver, _obj, _args| Ok(ret!(w.debug_strong_count()))),
+        );
+        let inside = weaver.invoke_call(id, "Acc", "handles", args![]).unwrap();
+        assert_eq!(downcast_ret::<usize>(inside).unwrap(), handles);
+
+        // Inside the innermost of three advices: the frame's chain handle is
+        // the only count that moved.
+        let seen = Arc::new(AtomicUsize::new(0));
+        let seen2 = seen.clone();
+        let probe = Aspect::named("Probe")
+            .precedence(3)
+            .around(Pointcut::call("Acc.add"), move |inv: &mut Invocation| {
+                assert_eq!(inv.weaver.debug_strong_count(), handles);
+                seen2.store(Arc::strong_count(inv.chain), Ordering::Relaxed);
+                inv.proceed()
+            })
+            .build();
+        weaver.plug(pass_through("A", 1));
+        weaver.plug(pass_through("B", 2));
+        weaver.plug(probe);
+        weaver.invoke_call(id, "Acc", "add", args![1i64]).unwrap();
+        let cached = weaver.debug_chain(ADD).expect("three advices match");
+        assert_eq!(cached.len(), 3);
+        let outside = Arc::strong_count(&cached) - 1; // without `cached` itself
+        drop(cached);
+        assert_eq!(seen.load(Ordering::Relaxed), outside + 1);
+        seen.store(0, Ordering::Relaxed);
+        weaver.invoke_call(id, "Acc", "add", args![1i64]).unwrap();
+        assert_eq!(seen.load(Ordering::Relaxed), outside + 1);
+        assert_eq!(weaver.debug_strong_count(), handles);
+    }
+}

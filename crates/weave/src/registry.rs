@@ -7,11 +7,13 @@
 //! `invoke_*` entry points — flow through [`Weaver::invoke_call`] /
 //! [`Weaver::construct`], which match the plugged advice and walk the chain.
 //!
-//! Matching results are cached per `(signature, kind, provenance)` in the
-//! published [`snapshot`](crate::snapshot) of the aspect set; every mutation
-//! of that set (plug, unplug, enable, disable, cache toggle) publishes a new
-//! generation-stamped snapshot with a fresh cache, so plugging and unplugging
-//! at run time is always honoured without any clear-the-world invalidation.
+//! Matching results are cached per `(signature, kind, provenance)` by each
+//! dispatching thread, next to its copy of the published
+//! [`snapshot`](crate::snapshot) of the aspect set; every mutation of that set
+//! (plug, unplug, enable, disable, cache toggle) publishes a new
+//! generation-stamped snapshot, which retires those caches, so plugging and
+//! unplugging at run time is always honoured without any clear-the-world
+//! invalidation.
 //! The cache can be disabled for ablation benchmarks
 //! ([`Weaver::set_match_cache`]).
 
@@ -30,9 +32,9 @@ use crate::error::{WeaveError, WeaveResult};
 use crate::intertype::IntertypeStore;
 use crate::invocation::{BaseAction, Invocation, JoinPointKind};
 use crate::metrics::{DispatchStats, MetricsRegistry};
-use crate::object::{Handle, ObjId, ObjectSpace};
+use crate::object::{Handle, Instance, ObjId, ObjectSpace};
 use crate::signature::Signature;
-use crate::snapshot::{AspectCell, Chain, MetricsCell, RecorderCell};
+use crate::snapshot::{AspectCell, MetricsCell, RecorderCell};
 use crate::trace::{self, Recorder};
 use crate::value::{AnyValue, Args};
 
@@ -195,7 +197,7 @@ impl Weaver {
 
     /// The installed recorder, if any.
     pub fn recorder(&self) -> Option<Recorder> {
-        self.inner.recorder.exact()
+        (*self.inner.recorder.exact()).clone()
     }
 
     // ---- metrics -------------------------------------------------------------
@@ -217,7 +219,7 @@ impl Weaver {
 
     /// The installed metrics registry, if any.
     pub fn metrics(&self) -> Option<MetricsRegistry> {
-        self.inner.metrics.get().as_ref().as_ref().map(|s| s.registry.clone())
+        self.inner.metrics.exact().as_ref().as_ref().map(|s| s.registry.clone())
     }
 
     /// Enable/disable the advice match cache (ablation benchmarks).
@@ -268,22 +270,23 @@ impl Weaver {
     fn construct_info(&self, info: ClassInfo, args: Args) -> WeaveResult<ObjId> {
         let signature = Signature::construction(info.class);
         let provenance = context::current();
-        let chain = self.matched_advice(signature, JoinPointKind::Construct, provenance);
-        if chain.is_empty() {
+        let Some(chain) =
+            self.inner.snapshot.matched(signature, JoinPointKind::Construct, provenance)
+        else {
             return self.base_construct(info, args, false, trace::thread_tag());
-        }
+        };
         let ret = Invocation::new(
-            self.clone(),
+            self,
             signature,
             JoinPointKind::Construct,
             None,
             provenance,
             args,
-            chain,
+            &chain,
             BaseAction::Construct(info),
             false,
         )
-        .run()?;
+        .proceed()?;
         crate::value::downcast_ret::<ObjId>(ret)
     }
 
@@ -297,24 +300,23 @@ impl Weaver {
     ) -> WeaveResult<AnyValue> {
         let signature = Signature::new(class, method);
         let provenance = context::current();
-        let chain = self.matched_advice(signature, JoinPointKind::Call, provenance);
-        if chain.is_empty() {
-            let _cflow = context::push_cflow(signature);
-            return self.base_call(signature, target, args, false, trace::thread_tag());
-        }
+        let chain = self.inner.snapshot.matched(signature, JoinPointKind::Call, provenance);
         let _cflow = context::push_cflow(signature);
+        let Some(chain) = chain else {
+            return self.base_call(signature, target, args, false, trace::thread_tag());
+        };
         Invocation::new(
-            self.clone(),
+            self,
             signature,
             JoinPointKind::Call,
             Some(target),
             provenance,
             args,
-            chain,
+            &chain,
             BaseAction::Call,
             false,
         )
-        .run()
+        .proceed()
     }
 
     /// Woven method call with a dynamic method name: the class is resolved
@@ -336,9 +338,9 @@ impl Weaver {
     /// received off the wire, and what aspect internals use to sidestep
     /// their own pointcuts.
     pub fn invoke_unwoven(&self, target: ObjId, method: &str, args: Args) -> WeaveResult<AnyValue> {
-        let info = self.inner.space.class_info(target)?;
-        let method = self.resolve_method_name(&info, method)?;
-        self.base_call(Signature::new(info.class, method), target, args, false, trace::thread_tag())
+        let (info, instance) = self.inner.space.lookup(target)?;
+        let signature = Signature::new(info.class, self.resolve_method_name(&info, method)?);
+        self.base_call_on(signature, target, info, instance, args, false, trace::thread_tag())
     }
 
     fn resolve_method_name(&self, info: &ClassInfo, method: &str) -> WeaveResult<&'static str> {
@@ -364,6 +366,21 @@ impl Weaver {
         // One shard read resolves both the class record and the instance; the
         // monitor is then taken without revisiting the map.
         let (info, instance) = self.inner.space.lookup(target)?;
+        self.base_call_on(signature, target, info, instance, args, async_boundary, issuer)
+    }
+
+    /// [`Weaver::base_call`] on an object the caller has already resolved.
+    #[allow(clippy::too_many_arguments)]
+    fn base_call_on(
+        &self,
+        signature: Signature,
+        target: ObjId,
+        info: ClassInfo,
+        instance: Instance,
+        args: Args,
+        async_boundary: bool,
+        issuer: u64,
+    ) -> WeaveResult<AnyValue> {
         let in_table = info.methods.contains(&signature.method);
         // One relaxed load skips all recorder bookkeeping when none is
         // installed — the steady-state dispatch path.
@@ -478,15 +495,6 @@ impl Weaver {
 
     // ---- advice matching ---------------------------------------------------------
 
-    fn matched_advice(
-        &self,
-        signature: Signature,
-        kind: JoinPointKind,
-        provenance: Provenance,
-    ) -> Chain {
-        self.inner.snapshot.matched(signature, kind, provenance)
-    }
-
     /// Publish the enabled advice set as a new immutable snapshot. Must be
     /// called with the aspect write lock held, which serialises publications.
     fn republish(&self, aspects: &[Slot]) {
@@ -499,6 +507,18 @@ impl Weaver {
     #[cfg(test)]
     pub(crate) fn debug_snapshot(&self) -> Arc<crate::snapshot::AspectsSnapshot> {
         self.inner.snapshot.snapshot()
+    }
+
+    /// This thread's cached chain for a core-made call (tests).
+    #[cfg(test)]
+    pub(crate) fn debug_chain(&self, signature: Signature) -> Option<crate::snapshot::Chain> {
+        self.inner.snapshot.matched(signature, JoinPointKind::Call, Provenance::Core)
+    }
+
+    /// Handles on this weaver's shared state (tests).
+    #[cfg(test)]
+    pub(crate) fn debug_strong_count(&self) -> usize {
+        Arc::strong_count(&self.inner)
     }
 }
 
@@ -859,7 +879,8 @@ pub(crate) mod tests {
         // against the pre-unplug aspect set, the unplug lands (old code:
         // cache cleared), then the dispatch inserts its stale chain into the
         // shared cache — which would serve the unplugged advice forever.
-        // Snapshot-owned caches make that interleaving structurally inert.
+        // Per-thread caches that live and die with the thread's snapshot make
+        // that interleaving structurally inert.
         let weaver = Weaver::new();
         let count = Arc::new(AtomicU64::new(0));
         let count2 = count.clone();
@@ -880,13 +901,88 @@ pub(crate) mod tests {
         // ...and completes its lookup+insert only now, after the unplug.
         let sig = Signature::new("Acc", "add");
         let stale = old_snapshot.matched(sig, JoinPointKind::Call, Provenance::Core);
-        assert_eq!(stale.len(), 1, "the old view legitimately sees the aspect");
+        assert_eq!(stale.map_or(0, |c| c.len()), 1, "the old view legitimately sees the aspect");
 
-        // Fresh calls must dispatch unwoven: the stale insert went into the
-        // retired snapshot's cache, which no new lookup consults.
+        // Fresh calls must dispatch unwoven: a chain matched against the
+        // retired snapshot is memoised nowhere a new lookup consults.
         h.call("add", args![1i64]).unwrap();
         h.call("add", args![1i64]).unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 0, "unplugged advice fired from stale cache");
+    }
+
+    #[test]
+    fn a_plug_is_honoured_on_the_very_next_call_on_every_thread() {
+        // Eight threads with warm chain caches; between two barrier steps the
+        // aspect set changes, and the call right after must see the change.
+        const THREADS: usize = 8;
+        let weaver = Weaver::new();
+        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
+        let count = Arc::new(AtomicU64::new(0));
+        let step = std::sync::Barrier::new(THREADS + 1);
+        let rounds = 20;
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    for _ in 0..rounds {
+                        step.wait(); // the aspect set for this round is published
+                        h.call("add", args![1i64]).unwrap();
+                        step.wait(); // every thread has called once
+                    }
+                });
+            }
+            let mut plugged = None;
+            for round in 0..rounds {
+                match plugged.take() {
+                    Some(token) => assert!(weaver.unplug(&token)),
+                    None => {
+                        let count = count.clone();
+                        let counting = Aspect::named("Counting")
+                            .before(Pointcut::call("Acc.add"), move |_| {
+                                count.fetch_add(1, Ordering::Relaxed);
+                                Ok(())
+                            })
+                            .build();
+                        plugged = Some(weaver.plug(counting));
+                    }
+                }
+                let before = count.load(Ordering::Relaxed);
+                step.wait();
+                step.wait();
+                let fired = count.load(Ordering::Relaxed) - before;
+                let expected = if plugged.is_some() { THREADS as u64 } else { 0 };
+                assert_eq!(fired, expected, "round {round}");
+            }
+        });
+        assert_eq!(total(&weaver, &h), (THREADS * rounds) as i64);
+    }
+
+    #[test]
+    fn a_dropped_weaver_releases_its_aspects() {
+        // What an advice closure captured (an executor, a fabric) must not
+        // outlive the weaver in the thread-local caches of the threads that
+        // dispatched through it.
+        let token = Arc::new(());
+        {
+            let weaver = Weaver::new();
+            weaver.set_recorder(Some(Recorder::measuring()));
+            weaver.install_metrics(&MetricsRegistry::new());
+            let captured = token.clone();
+            let holding = Aspect::named("Holding")
+                .before(Pointcut::call("Acc.add"), move |_| {
+                    let _keep = &captured;
+                    Ok(())
+                })
+                .build();
+            weaver.plug(holding);
+            let h = weaver.construct::<Acc>(args![0i64]).unwrap();
+            h.call("add", args![1i64]).unwrap();
+            assert_eq!(Arc::strong_count(&token), 2);
+        }
+        assert_eq!(Arc::strong_count(&token), 2, "this thread's cache entry is all that is left");
+        let second = Weaver::new();
+        let h = second.construct::<Acc>(args![0i64]).unwrap();
+        h.call("add", args![1i64]).unwrap();
+        assert_eq!(Arc::strong_count(&token), 1);
     }
 
     #[test]

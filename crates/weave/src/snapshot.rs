@@ -1,30 +1,33 @@
 //! Generation-stamped snapshot publication for the dispatch hot path.
 //!
 //! Aspect mutations (plug/unplug/enable/disable) are rare; join points are
-//! constant. This module makes the read side effectively lock-free:
+//! constant. This module makes the read side lock-free and, for a join point
+//! no advice matches, free of shared reference counts:
 //!
 //! * The enabled advice set is published as an immutable [`AspectsSnapshot`]
 //!   behind a monotonically increasing generation counter. Each dispatching
-//!   thread keeps the current snapshot (and a private chain cache) in
-//!   thread-local storage, revalidated with a single atomic load per join
-//!   point — no locks on the hot path once warm.
-//! * Each snapshot **owns** its sharded advice-chain cache. A chain computed
-//!   against snapshot generation G can only ever be inserted into G's cache;
-//!   after a mutation publishes G+1, fresh lookups go to G+1's (empty) cache.
-//!   This makes the unplug/insert race structurally impossible: there is no
-//!   shared cache for a stale computation to poison (previously a chain
-//!   matched against the old aspect set could be inserted *after* the
-//!   unplug's invalidation and then be served forever).
-//! * The trace recorder is published the same way, so the per-call recorder
-//!   check is a TLS read instead of a `RwLock` acquisition.
+//!   thread keeps the current snapshot and its own chain cache in thread-local
+//!   storage, revalidated with a single atomic load per join point.
+//! * That thread-private map is the **only** chain cache. A cold key is
+//!   matched on the spot against the thread's snapshot and memoised next to
+//!   it, under one TLS borrow; the map is dropped with the snapshot when the
+//!   generation moves. A chain matched at generation G can therefore never be
+//!   served at G+1: there is no shared cache for a stale computation to
+//!   poison.
+//! * The trace recorder and the dispatch stats are published the same way
+//!   ([`ServiceCell`]), so the per-call check is a TLS read, not a lock.
+//! * A cell that is dropped clears the `alive` flag it shares with its
+//!   per-thread entries; every thread releases dead entries (and whatever
+//!   their advice closures captured) on its next cold path.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::LocalKey;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::advice::AdviceEntry;
 use crate::context::Provenance;
@@ -34,29 +37,28 @@ use crate::pointcut::JoinPointQuery;
 use crate::signature::Signature;
 use crate::trace::Recorder;
 
-pub(crate) type CacheKey = (Signature, JoinPointKind, Provenance);
 pub(crate) type Chain = Arc<[Arc<AdviceEntry>]>;
 
-/// Shards of the per-snapshot chain cache. Threads that miss their local
-/// cache contend only on the shard their key hashes to.
-const CHAIN_SHARDS: usize = 16;
+/// Where a `&'static str` lives (address, length) rather than what it spells:
+/// a static is never freed, so the pair identifies it for good. Two statics
+/// spelling one name are two keys with equal chains.
+type Name = (usize, usize);
 
-/// Per-thread cap on cached (weaver, snapshot) entries, so tests that create
-/// thousands of weavers on one thread don't grow TLS without bound.
-const TLS_CAPACITY: usize = 32;
+type CacheKey = (Name, Name, JoinPointKind, Provenance);
 
-/// Process-unique identifier for a publication cell. Deliberately *not* the
-/// cell's address: a freed weaver's address can be reused, which would let a
-/// stale TLS entry validate against an unrelated weaver.
-fn next_uid() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+fn cache_key(signature: Signature, kind: JoinPointKind, provenance: Provenance) -> CacheKey {
+    let name = |s: &'static str| (s.as_ptr() as usize, s.len());
+    (name(signature.class), name(signature.method), kind, provenance)
 }
 
-/// Multiply-rotate hasher for the chain caches (fxhash-style). Cache keys are
-/// short (`two &'static str`s and two discriminants) and looked up once per
-/// join point, where SipHash's per-key setup cost is measurable; these keys
-/// are never attacker-controlled, so DoS-resistant hashing buys nothing here.
+/// Per-thread cap on cached cells of one kind, which bounds the linear scan
+/// on a thread that keeps more weavers than this alive at once.
+const TLS_CAPACITY: usize = 32;
+
+/// Multiply-rotate hasher for the chain cache (fxhash-style). A key is six
+/// machine words generated by the runtime itself and looked up once per join
+/// point, where SipHash's per-key setup cost is measurable and its
+/// DoS-resistance buys nothing.
 #[derive(Default)]
 struct ChainKeyHasher {
     hash: u64,
@@ -77,22 +79,8 @@ impl Hasher for ChainKeyHasher {
         self.hash
     }
 
-    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.mix(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let mut tail = 0u64;
-        for &b in chunks.remainder() {
-            tail = (tail << 8) | b as u64;
-        }
-        self.mix(tail ^ bytes.len() as u64);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.mix(v as u64);
+        bytes.iter().for_each(|&b| self.mix(b as u64));
     }
 
     #[inline]
@@ -106,112 +94,107 @@ impl Hasher for ChainKeyHasher {
     }
 }
 
-type ChainHash = BuildHasherDefault<ChainKeyHasher>;
-type ChainMap = HashMap<CacheKey, Chain, ChainHash>;
+/// `None` is the empty chain: an unadvised join point clones nothing.
+type ChainMap = HashMap<CacheKey, Option<Chain>, BuildHasherDefault<ChainKeyHasher>>;
 
-fn shard_of(key: &CacheKey) -> usize {
-    let mut hasher = ChainKeyHasher::default();
-    key.hash(&mut hasher);
-    (hasher.finish() as usize) % CHAIN_SHARDS
+/// Forget the entries of cells that no longer exist, so what their snapshots
+/// hold (advice closures and whatever those captured) is released. `Relaxed`:
+/// the flag publishes no data, it only says the entry is garbage.
+fn sweep<E>(entries: &mut Vec<E>, alive: impl Fn(&E) -> &AtomicBool) {
+    entries.retain(|e| alive(e).load(Ordering::Relaxed));
+}
+
+/// Register `entry` for a cell this thread has not cached yet (oldest out at
+/// capacity); returns its position.
+fn register<E>(entries: &mut Vec<E>, alive: impl Fn(&E) -> &AtomicBool, entry: E) -> usize {
+    sweep(entries, alive);
+    if entries.len() >= TLS_CAPACITY {
+        entries.remove(0);
+    }
+    entries.push(entry);
+    entries.len() - 1
 }
 
 // ---- aspect snapshots -------------------------------------------------------
 
-/// An immutable view of the enabled advice set, plus the chain cache that is
-/// valid exactly as long as this view is current.
+/// An immutable view of the enabled advice set.
 pub(crate) struct AspectsSnapshot {
     generation: u64,
     cache_enabled: bool,
     /// Enabled advice in plug order (declaration order within an aspect).
     advice: Vec<Arc<AdviceEntry>>,
-    shards: Vec<Mutex<ChainMap>>,
 }
 
 impl AspectsSnapshot {
-    fn new(generation: u64, cache_enabled: bool, advice: Vec<Arc<AdviceEntry>>) -> Arc<Self> {
-        Arc::new(AspectsSnapshot {
-            generation,
-            cache_enabled,
-            advice,
-            shards: (0..CHAIN_SHARDS).map(|_| Mutex::new(ChainMap::default())).collect(),
-        })
-    }
-
-    /// The generation this snapshot was published as.
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Look up (or compute and memoise) the advice chain for a join point,
-    /// **as seen by this snapshot's aspect set**.
-    ///
-    /// The insert below cannot poison later aspect sets: the cache lives in
-    /// the snapshot, and mutations publish a new snapshot with a fresh cache.
+    /// Match and order the advice chain for a join point **as seen by this
+    /// snapshot's aspect set**; `None` when nothing matches. One allocation:
+    /// matches are gathered in a per-thread scratch vector that keeps its
+    /// capacity, and the `Arc<[..]>` is built from its exact length.
     pub(crate) fn matched(
         &self,
         signature: Signature,
         kind: JoinPointKind,
         provenance: Provenance,
-    ) -> Chain {
-        if !self.cache_enabled {
-            return self.compute(signature, kind, provenance);
+    ) -> Option<Chain> {
+        thread_local! {
+            static SCRATCH: RefCell<Vec<Arc<AdviceEntry>>> = const { RefCell::new(Vec::new()) };
         }
-        let key = (signature, kind, provenance);
-        let shard = &self.shards[shard_of(&key)];
-        if let Some(chain) = shard.lock().get(&key) {
-            return chain.clone();
-        }
-        let chain = self.compute(signature, kind, provenance);
-        shard.lock().insert(key, chain.clone());
-        chain
-    }
-
-    fn compute(&self, signature: Signature, kind: JoinPointKind, provenance: Provenance) -> Chain {
-        let mut matched: Vec<Arc<AdviceEntry>> = Vec::new();
-        for entry in &self.advice {
-            let query = JoinPointQuery { signature, kind, provenance, owner: entry.aspect };
-            if entry.pointcut.matches(&query) {
-                matched.push(entry.clone());
+        SCRATCH.with(|scratch| {
+            let mut matched = scratch.borrow_mut();
+            matched.extend(
+                self.advice
+                    .iter()
+                    .filter(|entry| {
+                        let owner = entry.aspect;
+                        entry.pointcut.matches(&JoinPointQuery {
+                            signature,
+                            kind,
+                            provenance,
+                            owner,
+                        })
+                    })
+                    .cloned(),
+            );
+            if matched.is_empty() {
+                return None;
             }
-        }
-        // Lower precedence runs outermost; plug order and declaration order
-        // break ties deterministically.
-        matched.sort_by_key(|e| (e.precedence, e.aspect, e.index));
-        matched.into()
+            // Lower precedence runs outermost; plug order and declaration
+            // order break ties deterministically.
+            matched.sort_by_key(|e| (e.precedence, e.aspect, e.index));
+            Some(matched.drain(..).collect())
+        })
     }
 }
 
 struct AspectTlsEntry {
-    uid: u64,
+    alive: Arc<AtomicBool>,
     snap: Arc<AspectsSnapshot>,
     /// Thread-private chain cache, valid for `snap.generation` only.
     chains: ChainMap,
 }
 
-/// `(cell uid, generation, recorder)` cached per thread.
-type RecorderTlsEntry = (u64, u64, Arc<Option<Recorder>>);
-
-/// `(cell uid, generation, dispatch stats)` cached per thread.
-type MetricsTlsEntry = (u64, u64, Arc<Option<DispatchStats>>);
-
 thread_local! {
     static ASPECT_TLS: RefCell<Vec<AspectTlsEntry>> = const { RefCell::new(Vec::new()) };
-    static RECORDER_TLS: RefCell<Vec<RecorderTlsEntry>> = const { RefCell::new(Vec::new()) };
-    static METRICS_TLS: RefCell<Vec<MetricsTlsEntry>> = const { RefCell::new(Vec::new()) };
+    static RECORDER_TLS: RefCell<Vec<ServiceTlsEntry<Recorder>>> = const { RefCell::new(Vec::new()) };
+    static METRICS_TLS: RefCell<Vec<ServiceTlsEntry<DispatchStats>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Publication point for [`AspectsSnapshot`]s: one per weaver.
 pub(crate) struct AspectCell {
-    uid: u64,
+    /// Shared with this cell's per-thread entries, which also tell cells
+    /// apart by its address: an entry keeps the flag allocated, so the
+    /// address cannot be reused while a stale entry could still match it.
+    alive: Arc<AtomicBool>,
     current: RwLock<Arc<AspectsSnapshot>>,
     generation: AtomicU64,
 }
 
 impl AspectCell {
     pub(crate) fn new() -> Self {
+        let first = AspectsSnapshot { generation: 1, cache_enabled: true, advice: Vec::new() };
         AspectCell {
-            uid: next_uid(),
-            current: RwLock::new(AspectsSnapshot::new(1, true, Vec::new())),
+            alive: Arc::new(AtomicBool::new(true)),
+            current: RwLock::new(Arc::new(first)),
             generation: AtomicU64::new(1),
         }
     }
@@ -221,8 +204,7 @@ impl AspectCell {
     /// counter in step with the aspect set's actual history.
     pub(crate) fn publish(&self, cache_enabled: bool, advice: Vec<Arc<AdviceEntry>>) {
         let generation = self.generation.load(Ordering::Relaxed) + 1;
-        let snap = AspectsSnapshot::new(generation, cache_enabled, advice);
-        *self.current.write() = snap;
+        *self.current.write() = Arc::new(AspectsSnapshot { generation, cache_enabled, advice });
         // Publish the snapshot before the generation: a reader that observes
         // the new generation is then guaranteed to fetch a snapshot at least
         // that new.
@@ -235,204 +217,159 @@ impl AspectCell {
         self.current.read().clone()
     }
 
-    /// The advice chain for a join point under the *current* aspect set.
+    /// The advice chain for a join point under the *current* aspect set;
+    /// `None` when no advice applies.
     ///
     /// Hot path: one atomic load, one TLS scan, one thread-private hash
-    /// lookup — no locks. Falls back to the snapshot's sharded cache (one
-    /// shard mutex) and full matching only on cold keys.
+    /// lookup and, for an advised join point, one `Arc` clone — no locks. A
+    /// cold key is matched here and now (pointcuts are pure data, so nothing
+    /// can re-enter the TLS borrow).
     pub(crate) fn matched(
         &self,
         signature: Signature,
         kind: JoinPointKind,
         provenance: Provenance,
-    ) -> Chain {
+    ) -> Option<Chain> {
         let generation = self.generation.load(Ordering::Acquire);
-        let key = (signature, kind, provenance);
-
-        enum Outcome {
-            Hit(Chain),
-            Miss(Arc<AspectsSnapshot>),
-        }
-
-        // Phase 1 (under the TLS borrow): revalidate the cached snapshot and
-        // try the thread-private chain cache.
-        let outcome = ASPECT_TLS.with(|tls| {
+        ASPECT_TLS.with(|tls| {
             let mut tls = tls.borrow_mut();
-            if let Some(entry) = tls.iter_mut().find(|e| e.uid == self.uid) {
-                if entry.snap.generation != generation {
-                    entry.snap = self.current.read().clone();
-                    entry.chains.clear();
+            let at = match tls.iter().position(|e| Arc::ptr_eq(&e.alive, &self.alive)) {
+                Some(at) => at,
+                None => {
+                    let entry = AspectTlsEntry {
+                        alive: self.alive.clone(),
+                        snap: self.current.read().clone(),
+                        chains: ChainMap::default(),
+                    };
+                    register(&mut tls, |e| &e.alive, entry)
                 }
-                if entry.snap.cache_enabled {
-                    if let Some(chain) = entry.chains.get(&key) {
-                        return Outcome::Hit(chain.clone());
-                    }
-                }
-                Outcome::Miss(entry.snap.clone())
-            } else {
-                let snap = self.current.read().clone();
-                if tls.len() >= TLS_CAPACITY {
-                    tls.remove(0);
-                }
-                tls.push(AspectTlsEntry {
-                    uid: self.uid,
-                    snap: snap.clone(),
-                    chains: ChainMap::default(),
-                });
-                Outcome::Miss(snap)
+            };
+            let entry = &mut tls[at];
+            if entry.snap.generation != generation {
+                entry.snap = self.current.read().clone();
+                entry.chains.clear();
             }
-        });
-
-        // Phase 2 (no TLS borrow held — pointcut matching stays re-entrancy
-        // safe): consult the snapshot's shared cache or compute the chain.
-        match outcome {
-            Outcome::Hit(chain) => chain,
-            Outcome::Miss(snap) => {
-                let chain = snap.matched(signature, kind, provenance);
-                if snap.cache_enabled {
-                    ASPECT_TLS.with(|tls| {
-                        let mut tls = tls.borrow_mut();
-                        if let Some(entry) = tls.iter_mut().find(|e| e.uid == self.uid) {
-                            // Only memoise against the snapshot the chain was
-                            // actually computed for.
-                            if entry.snap.generation == snap.generation() {
-                                entry.chains.insert(key, chain.clone());
-                            }
-                        }
-                    });
-                }
-                chain
+            if !entry.snap.cache_enabled {
+                return entry.snap.matched(signature, kind, provenance);
             }
-        }
+            let key = cache_key(signature, kind, provenance);
+            if let Some(chain) = entry.chains.get(&key) {
+                return chain.clone();
+            }
+            let chain = entry.snap.matched(signature, kind, provenance);
+            entry.chains.insert(key, chain.clone());
+            sweep(&mut tls, |e| &e.alive);
+            chain
+        })
     }
 }
 
-// ---- recorder snapshots -----------------------------------------------------
+impl Drop for AspectCell {
+    fn drop(&mut self) {
+        self.alive.store(false, Ordering::Relaxed);
+    }
+}
 
-/// Publication point for the trace recorder: same generation-checked TLS
-/// scheme as [`AspectCell`], so the per-join-point recorder check does not
-/// take a lock. Swapping the recorder does *not* touch the advice cache.
-pub(crate) struct RecorderCell {
-    uid: u64,
-    current: RwLock<Arc<Option<Recorder>>>,
+// ---- recorder and metrics snapshots -----------------------------------------
+
+/// `(cell's alive flag, generation, value)` cached per thread.
+pub(crate) struct ServiceTlsEntry<T> {
+    alive: Arc<AtomicBool>,
+    generation: u64,
+    value: Arc<Option<T>>,
+}
+
+/// What a [`ServiceCell`] can publish: a type with its own per-thread cache.
+pub(crate) trait Service: Sized + 'static {
+    fn tls() -> &'static LocalKey<RefCell<Vec<ServiceTlsEntry<Self>>>>;
+}
+
+impl Service for Recorder {
+    fn tls() -> &'static LocalKey<RefCell<Vec<ServiceTlsEntry<Self>>>> {
+        &RECORDER_TLS
+    }
+}
+
+impl Service for DispatchStats {
+    fn tls() -> &'static LocalKey<RefCell<Vec<ServiceTlsEntry<Self>>>> {
+        &METRICS_TLS
+    }
+}
+
+/// Publication point for an optional per-weaver service — the trace recorder
+/// or the dispatch stats: same generation-checked TLS scheme as
+/// [`AspectCell`], so the per-join-point check does not take a lock. Swapping
+/// one does *not* touch the advice cache.
+pub(crate) struct ServiceCell<T> {
+    alive: Arc<AtomicBool>,
+    current: RwLock<Arc<Option<T>>>,
     generation: AtomicU64,
     installed: AtomicBool,
 }
 
-impl RecorderCell {
+/// Publication point for the trace recorder.
+pub(crate) type RecorderCell = ServiceCell<Recorder>;
+
+/// Publication point for the weaver's dispatch-stats handles.
+pub(crate) type MetricsCell = ServiceCell<DispatchStats>;
+
+impl<T: Service> ServiceCell<T> {
     pub(crate) fn new() -> Self {
-        RecorderCell {
-            uid: next_uid(),
+        ServiceCell {
+            alive: Arc::new(AtomicBool::new(true)),
             current: RwLock::new(Arc::new(None)),
             generation: AtomicU64::new(1),
             installed: AtomicBool::new(false),
         }
     }
 
-    /// Install (or remove) the recorder.
-    pub(crate) fn set(&self, recorder: Option<Recorder>) {
+    /// Install (or remove) the service.
+    pub(crate) fn set(&self, value: Option<T>) {
         let generation = self.generation.load(Ordering::Relaxed) + 1;
-        self.installed.store(recorder.is_some(), Ordering::Relaxed);
-        *self.current.write() = Arc::new(recorder);
+        self.installed.store(value.is_some(), Ordering::Relaxed);
+        *self.current.write() = Arc::new(value);
         self.generation.store(generation, Ordering::Release);
     }
 
-    /// Cheap pre-flight check: is any recorder installed at all? The common
-    /// (unrecorded) dispatch path uses this single relaxed load to skip the
-    /// TLS scan and `Arc` traffic of [`RecorderCell::get`] entirely. A call
-    /// racing with installation may miss the first few join points — trace
-    /// recording is inherently racy with in-flight calls.
+    /// Cheap pre-flight check: is anything installed at all? The common
+    /// dispatch path uses this single relaxed load to skip the TLS scan and
+    /// `Arc` traffic of [`ServiceCell::get`] entirely, which keeps it
+    /// allocation-free. A call racing with installation may miss the first
+    /// few join points — recording is inherently racy with in-flight calls.
     pub(crate) fn is_installed(&self) -> bool {
         self.installed.load(Ordering::Relaxed)
     }
 
-    /// The exact currently installed recorder (administrative read).
-    pub(crate) fn exact(&self) -> Option<Recorder> {
-        (**self.current.read()).clone()
+    /// The exact currently installed value (administrative read).
+    pub(crate) fn exact(&self) -> Arc<Option<T>> {
+        self.current.read().clone()
     }
 
-    /// The recorder as seen by this thread — one atomic load plus a TLS scan
+    /// The service as seen by this thread — one atomic load plus a TLS scan
     /// once warm.
-    pub(crate) fn get(&self) -> Arc<Option<Recorder>> {
+    pub(crate) fn get(&self) -> Arc<Option<T>> {
         let generation = self.generation.load(Ordering::Acquire);
-        RECORDER_TLS.with(|tls| {
+        T::tls().with(|tls| {
             let mut tls = tls.borrow_mut();
-            if let Some(entry) = tls.iter_mut().find(|e| e.0 == self.uid) {
-                if entry.1 != generation {
-                    entry.2 = self.current.read().clone();
-                    entry.1 = generation;
+            if let Some(entry) = tls.iter_mut().find(|e| Arc::ptr_eq(&e.alive, &self.alive)) {
+                if entry.generation != generation {
+                    entry.value = self.current.read().clone();
+                    entry.generation = generation;
                 }
-                return entry.2.clone();
+                return entry.value.clone();
             }
-            let snap = self.current.read().clone();
-            if tls.len() >= TLS_CAPACITY {
-                tls.remove(0);
-            }
-            tls.push((self.uid, generation, snap.clone()));
-            snap
+            let value = self.current.read().clone();
+            let entry =
+                ServiceTlsEntry { alive: self.alive.clone(), generation, value: value.clone() };
+            register(&mut tls, |e| &e.alive, entry);
+            value
         })
     }
 }
 
-// ---- metrics snapshots ------------------------------------------------------
-
-/// Publication point for the weaver's dispatch-stats handles: identical
-/// shape to [`RecorderCell`], so the per-join-point metrics check is one
-/// relaxed load when nothing is installed, and a TLS scan (no locks, no
-/// `Arc` contention) when a registry is.
-pub(crate) struct MetricsCell {
-    uid: u64,
-    current: RwLock<Arc<Option<DispatchStats>>>,
-    generation: AtomicU64,
-    installed: AtomicBool,
-}
-
-impl MetricsCell {
-    pub(crate) fn new() -> Self {
-        MetricsCell {
-            uid: next_uid(),
-            current: RwLock::new(Arc::new(None)),
-            generation: AtomicU64::new(1),
-            installed: AtomicBool::new(false),
-        }
-    }
-
-    /// Install (or remove) the dispatch stats.
-    pub(crate) fn set(&self, stats: Option<DispatchStats>) {
-        let generation = self.generation.load(Ordering::Relaxed) + 1;
-        self.installed.store(stats.is_some(), Ordering::Relaxed);
-        *self.current.write() = Arc::new(stats);
-        self.generation.store(generation, Ordering::Release);
-    }
-
-    /// Cheap pre-flight: is a registry installed at all? The disabled
-    /// dispatch path pays exactly this one relaxed load (the PR-9 recorder
-    /// pre-flight shape), keeping it allocation-free and canary-clean.
-    pub(crate) fn is_installed(&self) -> bool {
-        self.installed.load(Ordering::Relaxed)
-    }
-
-    /// The dispatch stats as seen by this thread — one atomic load plus a
-    /// TLS scan once warm. A call racing with installation may miss the
-    /// first few join points, same contract as the trace recorder.
-    pub(crate) fn get(&self) -> Arc<Option<DispatchStats>> {
-        let generation = self.generation.load(Ordering::Acquire);
-        METRICS_TLS.with(|tls| {
-            let mut tls = tls.borrow_mut();
-            if let Some(entry) = tls.iter_mut().find(|e| e.0 == self.uid) {
-                if entry.1 != generation {
-                    entry.2 = self.current.read().clone();
-                    entry.1 = generation;
-                }
-                return entry.2.clone();
-            }
-            let snap = self.current.read().clone();
-            if tls.len() >= TLS_CAPACITY {
-                tls.remove(0);
-            }
-            tls.push((self.uid, generation, snap.clone()));
-            snap
-        })
+impl<T> Drop for ServiceCell<T> {
+    fn drop(&mut self) {
+        self.alive.store(false, Ordering::Relaxed);
     }
 }
 
@@ -455,43 +392,53 @@ mod tests {
 
     const KEY: (JoinPointKind, Provenance) = (JoinPointKind::Call, Provenance::Core);
 
+    fn len(chain: Option<Chain>) -> usize {
+        chain.map_or(0, |c| c.len())
+    }
+
     #[test]
     fn publish_bumps_generation_and_resets_cache() {
         let cell = AspectCell::new();
         let sig = Signature::new("Acc", "add");
-        assert!(cell.matched(sig, KEY.0, KEY.1).is_empty());
+        assert!(cell.matched(sig, KEY.0, KEY.1).is_none());
 
         cell.publish(true, vec![entry(1, "Acc.add")]);
-        assert_eq!(cell.snapshot().generation(), 2);
-        assert_eq!(cell.matched(sig, KEY.0, KEY.1).len(), 1);
+        assert_eq!(cell.snapshot().generation, 2);
+        assert_eq!(len(cell.matched(sig, KEY.0, KEY.1)), 1);
 
         cell.publish(true, Vec::new());
-        assert!(cell.matched(sig, KEY.0, KEY.1).is_empty());
+        assert!(cell.matched(sig, KEY.0, KEY.1).is_none());
     }
 
     #[test]
     fn stale_snapshot_insert_cannot_poison_fresh_lookups() {
-        // The TOCTOU the snapshot-owned cache eliminates: a dispatch computes
-        // a chain against the old aspect set, the aspect is unplugged (cache
-        // invalidated), and only then does the dispatch insert its stale
-        // chain. With a shared cache that chain would be served forever.
+        // The TOCTOU a shared chain cache would have: a dispatch matches its
+        // chain against the old aspect set, the aspect is unplugged, and only
+        // then does the dispatch memoise the stale chain, to be served
+        // forever. Here a chain is only ever memoised next to the snapshot it
+        // was matched against, in the thread's own entry.
         let cell = AspectCell::new();
         cell.publish(true, vec![entry(1, "Acc.add")]);
         let sig = Signature::new("Acc", "add");
+        // Warm this thread's cache at the pre-unplug generation.
+        assert_eq!(len(cell.matched(sig, KEY.0, KEY.1)), 1);
 
-        // In-flight dispatch pins the pre-unplug snapshot...
+        // An in-flight dispatch pins the pre-unplug snapshot...
         let old = cell.snapshot();
 
         // ...the aspect is unplugged and the new (empty) set published...
         cell.publish(true, Vec::new());
 
-        // ...and the in-flight dispatch completes its lookup+insert late,
-        // against the snapshot it pinned. It legitimately sees the old set:
-        assert_eq!(old.matched(sig, KEY.0, KEY.1).len(), 1);
+        // ...and the in-flight dispatch completes its match late, against the
+        // snapshot it pinned. It legitimately sees the old set:
+        assert_eq!(len(old.matched(sig, KEY.0, KEY.1)), 1);
 
-        // but fresh dispatches can never observe that insert.
-        assert!(cell.matched(sig, KEY.0, KEY.1).is_empty());
-        assert!(cell.snapshot().matched(sig, KEY.0, KEY.1).is_empty());
+        // but fresh dispatches can never observe it, on this thread or another.
+        assert!(cell.matched(sig, KEY.0, KEY.1).is_none());
+        assert!(cell.snapshot().matched(sig, KEY.0, KEY.1).is_none());
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(cell.matched(sig, KEY.0, KEY.1).is_none()));
+        });
     }
 
     #[test]
@@ -503,9 +450,48 @@ mod tests {
         a.publish(true, vec![entry(1, "Acc.*")]);
         b.publish(true, Vec::new());
         let sig = Signature::new("Acc", "add");
-        assert_eq!(a.matched(sig, KEY.0, KEY.1).len(), 1);
-        assert!(b.matched(sig, KEY.0, KEY.1).is_empty());
-        assert_eq!(a.matched(sig, KEY.0, KEY.1).len(), 1);
+        assert_eq!(len(a.matched(sig, KEY.0, KEY.1)), 1);
+        assert!(b.matched(sig, KEY.0, KEY.1).is_none());
+        assert_eq!(len(a.matched(sig, KEY.0, KEY.1)), 1);
+    }
+
+    #[test]
+    fn one_name_spelled_from_two_statics_yields_equal_chains() {
+        let cell = AspectCell::new();
+        cell.publish(true, vec![entry(1, "Acc.add"), entry(2, "Acc.*")]);
+        let leaked = |s: &str| -> &'static str { Box::leak(s.to_owned().into_boxed_str()) };
+        let (a, b) = (Signature::new("Acc", "add"), Signature::new(leaked("Acc"), leaked("add")));
+        assert_eq!(a, b);
+        assert_ne!(cache_key(a, KEY.0, KEY.1), cache_key(b, KEY.0, KEY.1));
+        let (ca, cb) =
+            (cell.matched(a, KEY.0, KEY.1).unwrap(), cell.matched(b, KEY.0, KEY.1).unwrap());
+        assert_eq!(ca.len(), 2);
+        assert!(ca.iter().zip(cb.iter()).all(|(x, y)| Arc::ptr_eq(x, y)));
+        // Each spelling hits its own entry from now on.
+        assert!(Arc::ptr_eq(&ca, &cell.matched(a, KEY.0, KEY.1).unwrap()));
+        assert!(Arc::ptr_eq(&cb, &cell.matched(b, KEY.0, KEY.1).unwrap()));
+        // A prefix of a static shares its address but not its length.
+        let prefix = Signature::new("Acc", &"address"[..3]);
+        assert!(cell.matched(Signature::new("Acc", "address"), KEY.0, KEY.1).is_some());
+        assert_eq!(len(cell.matched(prefix, KEY.0, KEY.1)), 2);
+    }
+
+    #[test]
+    fn dead_cells_are_swept_on_the_next_registration_or_miss() {
+        let probe = entry(1, "Acc.add");
+        let sig = Signature::new("Acc", "add");
+        let dead = AspectCell::new();
+        dead.publish(true, vec![probe.clone()]);
+        assert_eq!(len(dead.matched(sig, KEY.0, KEY.1)), 1);
+        let live = AspectCell::new();
+        assert!(live.matched(sig, KEY.0, KEY.1).is_none());
+        drop(dead);
+        // A hit does not sweep (it stays free of bookkeeping)...
+        assert!(live.matched(sig, KEY.0, KEY.1).is_none());
+        assert_eq!(Arc::strong_count(&probe), 3, "this thread's entry: snapshot and cached chain");
+        // ...the next miss does.
+        assert!(live.matched(Signature::new("Acc", "total"), KEY.0, KEY.1).is_none());
+        assert_eq!(Arc::strong_count(&probe), 1);
     }
 
     #[test]
@@ -537,13 +523,25 @@ mod tests {
     }
 
     #[test]
+    fn dead_service_cells_are_swept_on_the_next_registration() {
+        let dead = RecorderCell::new();
+        dead.set(Some(Recorder::measuring()));
+        let pinned = dead.get();
+        assert_eq!(Arc::strong_count(&pinned), 3, "cell, this thread's entry, `pinned`");
+        drop(dead);
+        assert_eq!(Arc::strong_count(&pinned), 2);
+        assert!(RecorderCell::new().get().is_none());
+        assert_eq!(Arc::strong_count(&pinned), 1);
+    }
+
+    #[test]
     fn disabled_cache_recomputes_every_time() {
         let cell = AspectCell::new();
         cell.publish(false, vec![entry(1, "Acc.add")]);
         let sig = Signature::new("Acc", "add");
         // No caching layer retains the chain; each call matches afresh.
-        let c1 = cell.matched(sig, KEY.0, KEY.1);
-        let c2 = cell.matched(sig, KEY.0, KEY.1);
+        let c1 = cell.matched(sig, KEY.0, KEY.1).unwrap();
+        let c2 = cell.matched(sig, KEY.0, KEY.1).unwrap();
         assert_eq!(c1.len(), 1);
         assert_eq!(c2.len(), 1);
         assert!(!Arc::ptr_eq(&c1, &c2), "disabled cache must not memoise");
