@@ -8,14 +8,27 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# One path per operation: the forks deleted in PR 15 (and the deprecated
+# constructors) must not come back unnoticed.
+echo "==> no retired fork under crates/*/src or crates/bench/benches"
+retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
+if grep -rnE "$retired" crates/*/src crates/bench/benches; then
+    echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+# Tier-1 three times back-to-back: a test that depends on its environment
+# (load, sibling tests, timing) shows up as a round that differs.
+for round in 1 2 3; do
+    echo "==> cargo test -q, round $round"
+    cargo test -q
+done
 
 echo "==> cargo test --release (middleware stress: packing plug/unplug races)"
 cargo test --release -q -p weavepar-middleware -p weavepar-apps --test stress_middleware

@@ -18,31 +18,72 @@ use weavepar_apps::mandel::{render_dynamic, render_farmed, render_sequential};
 use weavepar_apps::sieve::{build_sieve, run_sieve, sequential_sieve, SieveConfig};
 use weavepar_apps::sort::{dc_pool_size, sort_divide_conquer};
 
+/// A sub-command, and the options it knows.
+#[derive(Clone, Copy)]
+enum Command {
+    Sieve,
+    Mandel,
+    Heat,
+    Heat2d,
+    Sort,
+}
+
+impl Command {
+    fn named(name: &str) -> Option<Self> {
+        Some(match name {
+            "sieve" => Command::Sieve,
+            "mandel" => Command::Mandel,
+            "heat" => Command::Heat,
+            "heat2d" => Command::Heat2d,
+            "sort" => Command::Sort,
+            _ => return None,
+        })
+    }
+
+    /// The `--flag value` names and the bare `--switch` names it accepts.
+    fn known(self) -> (&'static [&'static str], &'static [&'static str]) {
+        match self {
+            Command::Sieve => (&["variant", "max", "filters", "packs", "nodes"], &[]),
+            Command::Mandel => (&["width", "height", "iters", "workers", "packs"], &["dynamic"]),
+            Command::Heat => (&["len", "iters", "workers"], &[]),
+            Command::Heat2d => (&["width", "height", "iters", "workers"], &[]),
+            Command::Sort => (&["n", "threshold"], &["concurrent"]),
+        }
+    }
+}
+
+#[derive(Debug)]
 struct Options {
     flags: HashMap<String, String>,
     switches: Vec<String>,
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Self {
-        let mut flags = HashMap::new();
-        let mut switches = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
-            if let Some(name) = arg.strip_prefix("--") {
-                if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                    flags.insert(name.to_string(), args[i + 1].clone());
-                    i += 2;
-                } else {
-                    switches.push(name.to_string());
-                    i += 1;
+    /// Parse a sub-command's arguments. Anything it does not know — an
+    /// unknown option, a flag without its value, a stray positional — is an
+    /// error, never skipped.
+    fn parse(command: Command, args: &[String]) -> Result<Self, String> {
+        let (flags, switches) = command.known();
+        let mut parsed = Options { flags: HashMap::new(), switches: Vec::new() };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                return Err(format!("unexpected argument `{arg}`"));
+            };
+            if switches.contains(&name) {
+                parsed.switches.push(name.to_string());
+            } else if flags.contains(&name) {
+                match args.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        parsed.flags.insert(name.to_string(), value.clone());
+                    }
+                    _ => return Err(format!("--{name} needs a value")),
                 }
             } else {
-                i += 1;
+                return Err(format!("unknown option `{arg}`"));
             }
         }
-        Options { flags, switches }
+        Ok(parsed)
     }
 
     /// The value of `--name`, or `default` when the flag is absent. A value
@@ -80,13 +121,20 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = argv.first() else {
+    let Some(command) = argv.first().and_then(|name| Command::named(name)) else {
         return usage();
     };
-    let opts = Options::parse(&argv[1..]);
+    let opts = match Options::parse(command, &argv[1..]) {
+        Ok(opts) => opts,
+        Err(why) => {
+            eprintln!("{why}");
+            usage();
+            return ExitCode::from(2);
+        }
+    };
 
-    match command.as_str() {
-        "sieve" => {
+    match command {
+        Command::Sieve => {
             let max: u64 = opts.get("max", 1_000_000);
             let filters: usize = opts.get("filters", 4);
             let variant = opts.flags.get("variant").map(String::as_str).unwrap_or("farm-threads");
@@ -129,7 +177,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "mandel" => {
+        Command::Mandel => {
             let width: u64 = opts.get("width", 64);
             let height: u64 = opts.get("height", 32);
             let iters: u64 = opts.get("iters", 500);
@@ -162,7 +210,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "heat" => {
+        Command::Heat => {
             let len: u64 = opts.get("len", 60);
             let iters: u64 = opts.get("iters", 2_000);
             let workers: usize = opts.get("workers", 4);
@@ -185,7 +233,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "heat2d" => {
+        Command::Heat2d => {
             let width: u64 = opts.get("width", 16);
             let height: u64 = opts.get("height", 16);
             let iters: u64 = opts.get("iters", 200);
@@ -209,7 +257,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "sort" => {
+        Command::Sort => {
             let n: usize = opts.get("n", 200_000);
             let threshold: usize = opts.get("threshold", 10_000);
             let concurrent = opts.has("concurrent");
@@ -244,6 +292,44 @@ fn main() -> ExitCode {
                 }
             }
         }
-        _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(command: &str, line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Options::parse(Command::named(command).unwrap(), &args)
+    }
+
+    #[test]
+    fn bad_command_lines_are_rejected() {
+        let unknown = parse("sieve", "--maxx 10").unwrap_err();
+        assert!(unknown.contains("--maxx"), "{unknown}");
+        let last = parse("sieve", "--max").unwrap_err();
+        assert!(last.contains("--max needs a value"), "{last}");
+        let followed = parse("sieve", "--max --filters 4").unwrap_err();
+        assert!(followed.contains("--max needs a value"), "{followed}");
+        let stray = parse("sort", "5000").unwrap_err();
+        assert!(stray.contains("5000"), "{stray}");
+        // A switch of one sub-command is unknown to another.
+        assert!(parse("heat", "--dynamic").is_err());
+    }
+
+    #[test]
+    fn every_sub_command_accepts_its_own_options() {
+        let sieve = parse("sieve", "--variant farm-rmi --max 1000 --filters 4 --packs 8 --nodes 3");
+        assert_eq!(sieve.unwrap().get("max", 0u64), 1000);
+        let mandel =
+            parse("mandel", "--width 8 --height 4 --iters 9 --workers 2 --packs 4 --dynamic");
+        assert!(mandel.unwrap().has("dynamic"));
+        assert_eq!(parse("heat", "--len 60 --iters 5 --workers 2").unwrap().get("len", 0u64), 60);
+        let heat2d = parse("heat2d", "--width 8 --height 8 --iters 5 --workers 2");
+        assert_eq!(heat2d.unwrap().get("height", 0u64), 8);
+        let sort = parse("sort", "--n 100 --threshold 10 --concurrent").unwrap();
+        assert!(sort.has("concurrent") && sort.get("threshold", 0usize) == 10);
+        assert!(!parse("sort", "").unwrap().has("concurrent"));
     }
 }

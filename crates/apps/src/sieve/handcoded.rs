@@ -9,7 +9,7 @@
 use crossbeam::channel::unbounded;
 
 use weavepar::args;
-use weavepar::distribution::{InProcFabric, MarshalRegistry, RemoteRef};
+use weavepar::distribution::{CallPolicy, InProcFabric, MarshalRegistry, RemoteRef};
 use weavepar::weave::{Pack, WeaveError, WeaveResult};
 
 use super::core::{candidates, isqrt, PrimeFilter};
@@ -53,6 +53,7 @@ pub fn run_handcoded_rmi(
     }
 
     // Client side: one thread per pack pushes it through every stage.
+    let filter = fabric.marshal().method_id("PrimeFilter", "filter")?;
     let cands = candidates(max);
     if cands.is_empty() {
         return Ok(vec![2]);
@@ -73,9 +74,7 @@ pub fn run_handcoded_rmi(
                     for stage in &stages {
                         let bytes =
                             fabric.marshal().encode_args("PrimeFilter", "filter", &args![data])?;
-                        let reply = fabric
-                            .call(*stage, "filter", bytes, true)?
-                            .ok_or_else(|| WeaveError::remote("missing reply"))?;
+                        let reply = fabric.call(*stage, filter, bytes, &CallPolicy::unbounded())?;
                         let ret = fabric.marshal().decode_ret("PrimeFilter", "filter", &reply)?;
                         data = *ret
                             .downcast::<Pack>()

@@ -2,10 +2,6 @@
 //!
 //! Run with: `cargo bench -p weavepar-bench --bench ablations`
 //!
-//! * `match_cache` — advice-match caching on vs off (the per-join-point
-//!   matching cost the cache removes);
-//! * `match_cache_concurrent` — the per-thread chain cache under concurrent
-//!   dispatch over many signatures, vs re-matching every call;
 //! * `executor` — thread-per-call vs pooled execution of a farmed workload
 //!   (the §4.4 thread-pool optimisation);
 //! * `object_cache` — the §4.4 cache-objects aspect on a repeat-heavy
@@ -23,89 +19,6 @@ use weavepar::prelude::*;
 use weavepar_apps::sieve::{candidates, isqrt, PrimeFilterProxy};
 
 const MAX: u64 = 200_000;
-
-fn weaver_with_aspects(n: usize) -> Weaver {
-    let weaver = Weaver::new();
-    for i in 0..n {
-        weaver.plug(
-            Aspect::named(format!("P{i}"))
-                .around(Pointcut::call("PrimeFilter.*"), |inv: &mut Invocation| inv.proceed())
-                .build(),
-        );
-    }
-    weaver
-}
-
-fn bench_match_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("match_cache");
-    for (name, enabled) in [("cached", true), ("uncached", false)] {
-        group.bench_function(name, |b| {
-            let weaver = weaver_with_aspects(6);
-            weaver.set_match_cache(enabled);
-            let proxy = PrimeFilterProxy::construct(&weaver, 2, 10).unwrap();
-            b.iter(|| black_box(proxy.filter(black_box(Pack::from_slice(&[11, 13]))).unwrap()));
-        });
-    }
-    group.finish();
-}
-
-fn bench_match_cache_concurrent(c: &mut Criterion) {
-    // The per-thread chain cache (each thread matches a cold key itself, once
-    // per generation) vs no caching at all, under concurrent dispatch over
-    // several distinct join-point signatures. `no_cache` re-runs pointcut
-    // matching on every call.
-    struct Hot;
-    weavepar::weaveable! {
-        class Hot as HotProxy {
-            fn new() -> Self { Hot }
-            fn m0(&mut self, x: u64) -> u64 { x }
-            fn m1(&mut self, x: u64) -> u64 { x }
-            fn m2(&mut self, x: u64) -> u64 { x }
-            fn m3(&mut self, x: u64) -> u64 { x }
-            fn m4(&mut self, x: u64) -> u64 { x }
-            fn m5(&mut self, x: u64) -> u64 { x }
-            fn m6(&mut self, x: u64) -> u64 { x }
-            fn m7(&mut self, x: u64) -> u64 { x }
-        }
-    }
-    const METHODS: [&str; 8] = ["m0", "m1", "m2", "m3", "m4", "m5", "m6", "m7"];
-    const OPS: u64 = 2_000;
-
-    let mut group = c.benchmark_group("match_cache_concurrent");
-    group.sample_size(15);
-    for (name, cached) in [("cached", true), ("no_cache", false)] {
-        for threads in [1usize, 4] {
-            group.bench_function(format!("{name}_{threads}t"), |b| {
-                let weaver = Weaver::new();
-                for aspect in ["Partition", "Concurrency", "Distribution"] {
-                    weaver.plug(
-                        Aspect::named(aspect)
-                            .around(Pointcut::call("Hot.*"), |inv: &mut Invocation| inv.proceed())
-                            .build(),
-                    );
-                }
-                weaver.set_match_cache(cached);
-                let proxies: Vec<HotProxy> =
-                    (0..threads).map(|_| HotProxy::construct(&weaver).unwrap()).collect();
-                b.iter(|| {
-                    std::thread::scope(|s| {
-                        for proxy in &proxies {
-                            s.spawn(move || {
-                                for i in 0..OPS {
-                                    let method = METHODS[(i & 7) as usize];
-                                    let ret =
-                                        proxy.handle().call(method, weavepar::args![i]).unwrap();
-                                    black_box(ret);
-                                }
-                            });
-                        }
-                    });
-                });
-            });
-        }
-    }
-    group.finish();
-}
 
 fn bench_executor(c: &mut Criterion) {
     use weavepar::concurrency::future_concurrency_aspect;
@@ -220,13 +133,5 @@ fn bench_wire_roundtrip(c: &mut Criterion) {
     let _ = Arc::strong_count(&Arc::new(()));
 }
 
-criterion_group!(
-    benches,
-    bench_match_cache,
-    bench_match_cache_concurrent,
-    bench_executor,
-    bench_object_cache,
-    bench_monitor,
-    bench_wire_roundtrip
-);
+criterion_group!(benches, bench_executor, bench_object_cache, bench_monitor, bench_wire_roundtrip);
 criterion_main!(benches);

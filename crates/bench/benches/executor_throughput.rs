@@ -11,29 +11,25 @@
 //!   inside the pool; measures the worker-local spawn path (LIFO slot) and
 //!   stealing.
 //!
-//! Three scheduler configurations form the ablation:
+//! Two ways to submit:
 //!
-//! * `single_spawn` — the pre-PR single-channel pool, one `spawn` per task
-//!   (the PR 1 baseline);
-//! * `steal_spawn`  — work-stealing deques, still one `spawn` per task
-//!   (isolates the queue structure);
-//! * `steal_batch`  — work-stealing plus `spawn_batch` pack submission
-//!   (isolates batch submission; this is what the skeletons use).
+//! * `steal_spawn`  — one `spawn` per task;
+//! * `steal_batch`  — `spawn_batch` pack submission (what the skeletons use).
 //!
 //! This is a hand-rolled harness rather than the criterion shim because the
 //! contract (satellite 5) is a machine-readable `BENCH_executor.json` at the
 //! workspace root with the median ns/task per (workload, scheduler, workers)
 //! cell. CLI arguments (cargo passes `--bench`) are ignored.
 //!
-//! The container is single-core: numbers measure per-task scheduling
-//! overhead on the serialized path, not parallel speedup (see
-//! EXPERIMENTS.md).
+//! The container has one or two cores (`nproc` is written into the JSON):
+//! numbers measure per-task scheduling overhead on the serialized path, not
+//! parallel speedup (see EXPERIMENTS.md).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use weavepar::concurrency::{Scheduler, ThreadPool};
+use weavepar::concurrency::ThreadPool;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const FANOUT_TASKS: usize = 1_000;
@@ -44,7 +40,6 @@ const ROUNDS: usize = 15;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Config {
-    SingleSpawn,
     StealSpawn,
     StealBatch,
 }
@@ -52,16 +47,8 @@ enum Config {
 impl Config {
     fn name(self) -> &'static str {
         match self {
-            Config::SingleSpawn => "single_spawn",
             Config::StealSpawn => "steal_spawn",
             Config::StealBatch => "steal_batch",
-        }
-    }
-
-    fn scheduler(self) -> Scheduler {
-        match self {
-            Config::SingleSpawn => Scheduler::SingleQueue,
-            Config::StealSpawn | Config::StealBatch => Scheduler::WorkStealing,
         }
     }
 }
@@ -78,7 +65,7 @@ fn fanout_round(pool: &Arc<ThreadPool>, config: Config, hits: &Arc<AtomicUsize>)
                 }
             }));
         }
-        _ => {
+        Config::StealSpawn => {
             for _ in 0..FANOUT_TASKS {
                 let hits = hits.clone();
                 pool.spawn(move || {
@@ -109,7 +96,7 @@ fn nested_round(pool: &Arc<ThreadPool>, config: Config, hits: &Arc<AtomicUsize>)
         Config::StealBatch => {
             pool.spawn_batch((0..NESTED_ROOTS).map(|_| root(pool.clone(), hits.clone())));
         }
-        _ => {
+        Config::StealSpawn => {
             for _ in 0..NESTED_ROOTS {
                 pool.spawn(root(pool.clone(), hits.clone()));
             }
@@ -131,7 +118,7 @@ fn median(mut samples: Vec<f64>) -> f64 {
 }
 
 fn run_cell(workload: &str, config: Config, workers: usize) -> f64 {
-    let pool = ThreadPool::with_scheduler(workers, "bench", config.scheduler());
+    let pool = ThreadPool::new(workers, "bench");
     let hits = Arc::new(AtomicUsize::new(0));
     let mut samples = Vec::with_capacity(ROUNDS);
     let mut expected = 0;
@@ -158,16 +145,13 @@ fn main() {
     // cargo passes `--bench`; this harness has no options.
     let _ = std::env::args();
 
-    let configs = [Config::SingleSpawn, Config::StealSpawn, Config::StealBatch];
+    let configs = [Config::StealSpawn, Config::StealBatch];
     let workloads = ["fanout", "nested"];
 
     let mut json_cells = Vec::new();
     for workload in workloads {
         println!("\n== {workload} (median ns/task, {ROUNDS} rounds) ==");
-        println!(
-            "{:>8} {:>14} {:>14} {:>14} {:>8}",
-            "workers", "single_spawn", "steal_spawn", "steal_batch", "gain"
-        );
+        println!("{:>8} {:>14} {:>14} {:>8}", "workers", "steal_spawn", "steal_batch", "gain");
         for workers in WORKER_COUNTS {
             let mut row = Vec::new();
             for config in configs {
@@ -178,16 +162,14 @@ fn main() {
                 ));
                 row.push(ns);
             }
-            let gain = row[0] / row[2];
-            println!(
-                "{:>8} {:>14.0} {:>14.0} {:>14.0} {:>7.2}x",
-                workers, row[0], row[1], row[2], gain
-            );
+            let gain = row[0] / row[1];
+            println!("{:>8} {:>14.0} {:>14.0} {:>7.2}x", workers, row[0], row[1], gain);
         }
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"executor_throughput\",\n  \"unit\": \"ns_per_task\",\n  \"rounds\": {ROUNDS},\n  \"cells\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"executor_throughput\",\n  \"unit\": \"ns_per_task\",\n  \"nproc\": {},\n  \"rounds\": {ROUNDS},\n  \"cells\": [\n{}\n  ]\n}}\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         json_cells.join(",\n")
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_executor.json");

@@ -9,8 +9,8 @@
 //!   remote object, then synchronises with one replied call (FIFO drain).
 //!   The configurations form an ablation ladder, each adding one layer of
 //!   the fast path on top of the previous:
-//!   * `string_fresh` — per-call string class/method resolution and a fresh
-//!     heap buffer per frame (the seed path);
+//!   * `string_fresh` — the method id resolved from its class and method
+//!     names on every call, and a fresh heap buffer per frame;
 //!   * `interned_fresh` — cached `MethodId`, still fresh buffers (isolates
 //!     identifier interning);
 //!   * `interned_pooled` — cached id + `BufPool` frames (isolates buffer
@@ -21,16 +21,16 @@
 //!     node mailbox no longer pays a wake-up for a node thread that is
 //!     already awake, which made the *unpacked* path ≈ 1.8× cheaper, so the
 //!     ratio now reads ≈ 1.6× (EXPERIMENTS.md).
-//! * `sync` — replied calls, with and without the hand-off to the node
-//!   thread:
-//!   * `channel` — always queued, a fresh `bounded(1)` channel per call (the
-//!     seed path): two thread switches per call;
-//!   * `slot` — the production `call_id` with pooled frames in both
-//!     directions: served on the caller's own thread whenever the node is
-//!     idle, queued behind a pooled park/unpark reply slot otherwise. At one
-//!     client thread every call is served inline; with more, callers that
-//!     find the serve token taken queue (see EXPERIMENTS.md, "Remote-call
-//!     fast path").
+//! * `sync` — replied calls, the same `InProcFabric::call` with and without
+//!   the hand-off to the node thread:
+//!   * `queued` — under a deadline far too long to fire. A call with a
+//!     deadline is never served inline, so every call queues and parks on a
+//!     pooled reply slot: two thread switches per call;
+//!   * `unbounded` — under `CallPolicy::unbounded()`, what the distribution
+//!     aspects use by default: served on the caller's own thread whenever the
+//!     node is idle, queued otherwise. At one client thread every call is
+//!     served inline; with more, callers that find the serve token taken
+//!     queue (see EXPERIMENTS.md, "Remote-call fast path").
 //!
 //! Hand-rolled harness (same contract as `executor_throughput`): writes a
 //! machine-readable `BENCH_remote.json` at the workspace root with the
@@ -42,9 +42,11 @@
 //! client and server threads share them, so numbers measure per-call path
 //! cost, not parallel speedup.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use weavepar::distribution::{BytesMut, InProcFabric, MarshalRegistry, MethodId, RemoteRef};
+use weavepar::distribution::{
+    BytesMut, CallPolicy, InProcFabric, MarshalRegistry, MethodId, RemoteRef,
+};
 use weavepar::{args, weaveable};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -98,7 +100,8 @@ impl Harness {
     fn drain(&self, r: RemoteRef) -> u64 {
         let mut buf = self.fabric.buffers().take();
         self.fabric.marshal().encode_args_id(self.total, &args![], &mut buf).unwrap();
-        let reply = self.fabric.call_id(r, self.total, buf.freeze(), true).unwrap().unwrap();
+        let policy = CallPolicy::unbounded();
+        let reply = self.fabric.call(r, self.total, buf.freeze(), &policy).unwrap();
         let ret = self.fabric.marshal().decode_ret_id(self.total, &mut reply.clone()).unwrap();
         self.fabric.buffers().recycle(reply);
         *ret.downcast::<u64>().unwrap()
@@ -118,7 +121,8 @@ impl Harness {
                                     .marshal()
                                     .encode_args("Counter", "bump", &args![1u64])
                                     .unwrap();
-                                f.call(r, "bump", args, false).unwrap();
+                                let bump = f.marshal().method_id("Counter", "bump").unwrap();
+                                f.send(r, bump, args).unwrap();
                             }
                         }
                         OnewayConfig::InternedFresh => {
@@ -127,7 +131,7 @@ impl Harness {
                                 f.marshal()
                                     .encode_args_id(self.bump, &args![1u64], &mut buf)
                                     .unwrap();
-                                f.call_id(r, self.bump, buf.freeze(), false).unwrap();
+                                f.send(r, self.bump, buf.freeze()).unwrap();
                             }
                         }
                         OnewayConfig::InternedPooled => {
@@ -136,7 +140,7 @@ impl Harness {
                                 f.marshal()
                                     .encode_args_id(self.bump, &args![1u64], &mut buf)
                                     .unwrap();
-                                f.call_id(r, self.bump, buf.freeze(), false).unwrap();
+                                f.send(r, self.bump, buf.freeze()).unwrap();
                             }
                         }
                         OnewayConfig::Packed => {
@@ -159,33 +163,19 @@ impl Harness {
         (self.refs.len() * calls) as f64 / start.elapsed().as_secs_f64()
     }
 
-    /// One timed round of the sync (replied `bump`) workload; returns
-    /// calls/sec.
-    fn sync_round(&self, config: SyncConfig, calls: usize) -> f64 {
+    /// One timed round of the sync (replied `bump`) workload under `policy`;
+    /// returns calls/sec.
+    fn sync_round(&self, policy: &CallPolicy, calls: usize) -> f64 {
         let start = Instant::now();
         std::thread::scope(|s| {
             for &r in &self.refs {
                 s.spawn(move || {
                     let f = &self.fabric;
                     for _ in 0..calls {
-                        match config {
-                            SyncConfig::Channel => {
-                                let mut buf = BytesMut::with_capacity(32);
-                                f.marshal()
-                                    .encode_args_id(self.bump, &args![1u64], &mut buf)
-                                    .unwrap();
-                                f.call_id_channel(r, self.bump, buf.freeze(), true).unwrap();
-                            }
-                            SyncConfig::Slot => {
-                                let mut buf = f.buffers().take();
-                                f.marshal()
-                                    .encode_args_id(self.bump, &args![1u64], &mut buf)
-                                    .unwrap();
-                                let reply =
-                                    f.call_id(r, self.bump, buf.freeze(), true).unwrap().unwrap();
-                                f.buffers().recycle(reply);
-                            }
-                        }
+                        let mut buf = f.buffers().take();
+                        f.marshal().encode_args_id(self.bump, &args![1u64], &mut buf).unwrap();
+                        let reply = f.call(r, self.bump, buf.freeze(), policy).unwrap();
+                        f.buffers().recycle(reply);
                     }
                 });
             }
@@ -209,21 +199,6 @@ impl OnewayConfig {
             OnewayConfig::InternedFresh => "interned_fresh",
             OnewayConfig::InternedPooled => "interned_pooled",
             OnewayConfig::Packed => "packed",
-        }
-    }
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum SyncConfig {
-    Channel,
-    Slot,
-}
-
-impl SyncConfig {
-    fn name(self) -> &'static str {
-        match self {
-            SyncConfig::Channel => "channel",
-            SyncConfig::Slot => "slot",
         }
     }
 }
@@ -319,17 +294,21 @@ fn main() {
     }
 
     println!(
-        "\n== sync: queued + channel vs call_id (median calls/sec, {} rounds) ==",
+        "\n== sync: always queued vs served inline when idle (median calls/sec, {} rounds) ==",
         knobs.rounds
     );
-    println!("{:>8} {:>14} {:>14} {:>8}", "threads", "channel", "slot", "gain");
+    println!("{:>8} {:>14} {:>14} {:>8}", "threads", "queued", "unbounded", "gain");
+    let sync_policies = [
+        ("queued", CallPolicy::with_deadline(Duration::from_secs(3600))),
+        ("unbounded", CallPolicy::unbounded()),
+    ];
     for threads in THREAD_COUNTS {
         let mut row = Vec::new();
-        for config in [SyncConfig::Channel, SyncConfig::Slot] {
+        for (name, policy) in &sync_policies {
             let calls_per_sec = run_cell(&knobs, threads, knobs.sync_calls, |h| {
-                h.sync_round(config, knobs.sync_calls)
+                h.sync_round(policy, knobs.sync_calls)
             });
-            cell("sync", config.name(), threads, calls_per_sec);
+            cell("sync", name, threads, calls_per_sec);
             row.push(calls_per_sec);
         }
         println!("{threads:>8} {:>14.0} {:>14.0} {:>7.2}x", row[0], row[1], row[1] / row[0]);

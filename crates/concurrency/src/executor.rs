@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use crate::pool::{Scheduler, ThreadPool};
+use crate::pool::ThreadPool;
 use crate::tracker::CompletionTracker;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -36,12 +36,6 @@ impl Executor {
     /// Pooled executor with `size` workers (work-stealing scheduler).
     pub fn pool(size: usize, name: &str) -> Self {
         Executor::Pool(ThreadPool::new(size, name))
-    }
-
-    /// Pooled executor on an explicit scheduler (the single-queue variant
-    /// exists for the throughput ablation).
-    pub fn pool_with_scheduler(size: usize, name: &str, scheduler: Scheduler) -> Self {
-        Executor::Pool(ThreadPool::with_scheduler(size, name, scheduler))
     }
 
     /// Run `f` asynchronously under this policy. Inside an active
@@ -167,11 +161,6 @@ mod tests {
     #[test]
     fn pool_executes_everything() {
         exercise(&Executor::pool(3, "exec-test"));
-    }
-
-    #[test]
-    fn single_queue_pool_executes_everything() {
-        exercise(&Executor::pool_with_scheduler(3, "exec-sq", Scheduler::SingleQueue));
     }
 
     #[test]

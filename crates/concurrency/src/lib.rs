@@ -43,5 +43,5 @@ pub use executor::Executor;
 pub use future::{
     future_ret, resolve_any, resolve_any_deadline, FutureAny, FutureOrNow, FutureValue,
 };
-pub use pool::{Scheduler, ThreadPool};
+pub use pool::ThreadPool;
 pub use tracker::CompletionTracker;

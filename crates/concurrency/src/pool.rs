@@ -8,17 +8,17 @@
 //!
 //! # Scheduling
 //!
-//! The default backend ([`Scheduler::WorkStealing`]) is a Cilk-style
-//! work-stealing scheduler: every worker owns a LIFO deque, tasks submitted
-//! from outside the pool land in a shared FIFO injector, and tasks spawned
-//! *by* a pool worker (divide-and-conquer recursion generates these heavily)
-//! go to that worker's own deque, where the LIFO pop keeps the most recently
-//! spawned — cache-hot — task first. Idle workers steal batches from the
-//! injector or from a peer's deque, so a burst of nested spawns seeded on a
-//! single worker spreads across the pool without any submitter-side routing.
-//! Idle workers park on a condition variable behind an atomic sleeper count:
-//! submitters skip the wakeup entirely while every worker is busy, which
-//! keeps the submission fast path lock-free with respect to parking.
+//! The pool is a Cilk-style work-stealing scheduler: every worker owns a LIFO
+//! deque, tasks submitted from outside the pool land in a shared FIFO
+//! injector, and tasks spawned *by* a pool worker (divide-and-conquer
+//! recursion generates these heavily) go to that worker's own deque, where the
+//! LIFO pop keeps the most recently spawned — cache-hot — task first. Idle
+//! workers steal batches from the injector or from a peer's deque, so a burst
+//! of nested spawns seeded on a single worker spreads across the pool without
+//! any submitter-side routing. Idle workers park on a condition variable
+//! behind an atomic sleeper count: submitters skip the wakeup entirely while
+//! every worker is busy, which keeps the submission fast path lock-free with
+//! respect to parking.
 //!
 //! [`ThreadPool::spawn_batch`] submits a whole pack of tasks with one
 //! completion-tracker increment, one queue-lock acquisition and one wakeup —
@@ -27,7 +27,7 @@
 //!
 //! # Joins
 //!
-//! A task that blocks on a future **from a worker of this scheduler** does
+//! A task that blocks on a future **from a worker of the pool** does
 //! not give its thread up (`Joiner`): it runs queued tasks — its own deque
 //! first, so a divide level runs its youngest child inline (the work-first
 //! join), then the injector, then a steal — and sleeps only when nothing is
@@ -46,10 +46,6 @@
 //! and on independent work; a task that joins a future owed by a frame
 //! *beneath it on the same stack* would wait forever, as in every help-first
 //! scheduler.
-//!
-//! The previous single-shared-queue backend is kept as
-//! [`Scheduler::SingleQueue`] so the `executor_throughput` bench can ablate
-//! stealing against the old design (see EXPERIMENTS.md).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -57,7 +53,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Sender};
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 
@@ -86,18 +81,8 @@ impl Task {
     }
 }
 
-/// Which scheduler backs a [`ThreadPool`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Per-worker deques + global injector + stealing (the default).
-    WorkStealing,
-    /// One shared FIFO channel all workers receive from (the pre-stealing
-    /// design; kept for the throughput ablation).
-    SingleQueue,
-}
-
 thread_local! {
-    /// The stealing pool whose worker runs on this thread, and its index.
+    /// The pool whose worker runs on this thread, and its index.
     static WORKER: RefCell<Option<(Arc<StealCore>, usize)>> = const { RefCell::new(None) };
 }
 
@@ -118,7 +103,7 @@ struct PoolStats {
     join_parks: Arc<AtomicU64>,
 }
 
-/// Shared state of the work-stealing backend.
+/// The scheduler state a pool shares with its workers.
 pub(crate) struct StealCore {
     /// FIFO entry queue for tasks submitted from outside the pool.
     injector: Injector<Task>,
@@ -233,16 +218,16 @@ impl StealCore {
     }
 }
 
-/// A stealing-pool worker about to wait on a join: it helps instead of
-/// blocking (see the module docs).
+/// A pool worker about to wait on a join: it helps instead of blocking (see
+/// the module docs).
 pub(crate) struct Joiner {
     core: Arc<StealCore>,
     idx: usize,
 }
 
 impl Joiner {
-    /// `Some` on a worker of a work-stealing pool that holds no object
-    /// monitor; everyone else joins by blocking.
+    /// `Some` on a pool worker that holds no object monitor; everyone else
+    /// joins by blocking.
     pub(crate) fn current() -> Option<Joiner> {
         if weavepar_weave::object::monitors_held() > 0 {
             return None;
@@ -275,15 +260,9 @@ impl Joiner {
     }
 }
 
-enum Backend {
-    Single { tx: Option<Sender<Task>> },
-    Stealing(Arc<StealCore>),
-}
-
-/// A fixed set of worker threads consuming work-stealing deques (or, for the
-/// ablation backend, one shared job queue).
+/// A fixed set of worker threads consuming work-stealing deques.
 pub struct ThreadPool {
-    backend: Backend,
+    core: Arc<StealCore>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     tracker: CompletionTracker,
     size: usize,
@@ -292,77 +271,39 @@ pub struct ThreadPool {
     /// before the whole pack is enqueued. `0` (the default) submits the
     /// batch whole. Held in a shared cell for runtime tuning.
     grain: Arc<AtomicU32>,
-    /// Scheduler event counters (shared with the stealing core; all zero on
-    /// the single-queue backend, which has no stealing or parking).
-    stats: PoolStats,
 }
 
 impl ThreadPool {
-    /// Spawn `size` workers (at least one) named `{name}-{i}` on the default
-    /// work-stealing scheduler.
+    /// Spawn `size` workers (at least one) named `{name}-{i}`.
     pub fn new(size: usize, name: &str) -> Arc<Self> {
-        Self::with_scheduler(size, name, Scheduler::WorkStealing)
-    }
-
-    /// The pre-stealing single-shared-queue pool (ablation / comparison).
-    pub fn single_queue(size: usize, name: &str) -> Arc<Self> {
-        Self::with_scheduler(size, name, Scheduler::SingleQueue)
-    }
-
-    /// Spawn `size` workers (at least one) named `{name}-{i}` on the chosen
-    /// scheduler.
-    pub fn with_scheduler(size: usize, name: &str, scheduler: Scheduler) -> Arc<Self> {
         let size = size.max(1);
-        let stats = PoolStats::default();
+        let locals: Vec<Worker<Task>> = (0..size).map(|_| Worker::new_lifo()).collect();
+        let stealers = locals.iter().map(|w| w.stealer()).collect();
+        let core = Arc::new(StealCore {
+            injector: Injector::new(),
+            locals,
+            stealers,
+            sleepers: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            park_lock: Mutex::new(()),
+            unpark: Condvar::new(),
+            stats: PoolStats::default(),
+        });
         let mut workers = Vec::with_capacity(size);
-        let backend = match scheduler {
-            Scheduler::SingleQueue => {
-                let (tx, rx) = unbounded::<Task>();
-                for i in 0..size {
-                    let rx = rx.clone();
-                    let handle = std::thread::Builder::new()
-                        .name(format!("{name}-{i}"))
-                        .spawn(move || {
-                            while let Ok(task) = rx.recv() {
-                                task.run();
-                            }
-                        })
-                        .expect("spawning pool worker");
-                    workers.push(handle);
-                }
-                Backend::Single { tx: Some(tx) }
-            }
-            Scheduler::WorkStealing => {
-                let locals: Vec<Worker<Task>> = (0..size).map(|_| Worker::new_lifo()).collect();
-                let stealers = locals.iter().map(|w| w.stealer()).collect();
-                let core = Arc::new(StealCore {
-                    injector: Injector::new(),
-                    locals,
-                    stealers,
-                    sleepers: AtomicUsize::new(0),
-                    shutdown: AtomicBool::new(false),
-                    park_lock: Mutex::new(()),
-                    unpark: Condvar::new(),
-                    stats: stats.clone(),
-                });
-                for i in 0..size {
-                    let core = core.clone();
-                    let handle = std::thread::Builder::new()
-                        .name(format!("{name}-{i}"))
-                        .spawn(move || core.worker_loop(i))
-                        .expect("spawning pool worker");
-                    workers.push(handle);
-                }
-                Backend::Stealing(core)
-            }
-        };
+        for i in 0..size {
+            let core = core.clone();
+            let handle = std::thread::Builder::new()
+                .name(format!("{name}-{i}"))
+                .spawn(move || core.worker_loop(i))
+                .expect("spawning pool worker");
+            workers.push(handle);
+        }
         Arc::new(ThreadPool {
-            backend,
+            core,
             workers: Mutex::new(workers),
             tracker: CompletionTracker::new(),
             size,
             grain: Arc::new(AtomicU32::new(0)),
-            stats,
         })
     }
 
@@ -377,14 +318,6 @@ impl ThreadPool {
         self.size
     }
 
-    /// The scheduler backing this pool.
-    pub fn scheduler(&self) -> Scheduler {
-        match self.backend {
-            Backend::Single { .. } => Scheduler::SingleQueue,
-            Backend::Stealing(_) => Scheduler::WorkStealing,
-        }
-    }
-
     /// Enqueue a job. Never blocks (unbounded queues). Called from a pool
     /// worker, the job goes to that worker's own deque (LIFO, cache-hot);
     /// called from anywhere else it goes to the shared injector.
@@ -394,9 +327,8 @@ impl ThreadPool {
     }
 
     /// Enqueue a whole pack of jobs: one tracker increment, one queue-lock
-    /// acquisition (work-stealing backend) and one wakeup for the entire
-    /// batch. Semantically identical to calling [`spawn`](Self::spawn) once
-    /// per job.
+    /// acquisition and one wakeup for the entire batch. Semantically
+    /// identical to calling [`spawn`](Self::spawn) once per job.
     pub fn spawn_batch<I>(&self, jobs: I)
     where
         I: IntoIterator,
@@ -411,43 +343,34 @@ impl ThreadPool {
         }
         let tokens = self.tracker.begin_many(jobs.len());
         let tasks = tokens.into_iter().zip(jobs).map(|(token, job)| Task { token, job });
-        match &self.backend {
-            Backend::Single { tx } => {
-                let tx = tx.as_ref().expect("pool sender present until drop");
+        let core = &self.core;
+        match core.worker_index() {
+            Some(idx) => {
                 for task in tasks {
-                    tx.send(task).expect("pool workers alive until drop");
+                    core.locals[idx].push(task);
                 }
+                core.wake_all();
             }
-            Backend::Stealing(core) => {
-                match core.worker_index() {
-                    Some(idx) => {
-                        for task in tasks {
-                            core.locals[idx].push(task);
-                        }
-                        core.wake_all();
-                    }
-                    None => {
-                        let grain = self.grain.load(Ordering::Relaxed) as usize;
-                        if grain == 0 {
-                            core.injector.push_batch(tasks);
+            None => {
+                let grain = self.grain.load(Ordering::Relaxed) as usize;
+                if grain == 0 {
+                    core.injector.push_batch(tasks);
+                    core.wake_all();
+                } else {
+                    // Tuned grain: release the batch in chunks, waking
+                    // workers per chunk so the first tasks start while
+                    // the rest are still being enqueued.
+                    let mut chunk = Vec::with_capacity(grain);
+                    for task in tasks {
+                        chunk.push(task);
+                        if chunk.len() >= grain {
+                            core.injector.push_batch(chunk.drain(..));
                             core.wake_all();
-                        } else {
-                            // Tuned grain: release the batch in chunks, waking
-                            // workers per chunk so the first tasks start while
-                            // the rest are still being enqueued.
-                            let mut chunk = Vec::with_capacity(grain);
-                            for task in tasks {
-                                chunk.push(task);
-                                if chunk.len() >= grain {
-                                    core.injector.push_batch(chunk.drain(..));
-                                    core.wake_all();
-                                }
-                            }
-                            if !chunk.is_empty() {
-                                core.injector.push_batch(chunk);
-                                core.wake_all();
-                            }
                         }
+                    }
+                    if !chunk.is_empty() {
+                        core.injector.push_batch(chunk);
+                        core.wake_all();
                     }
                 }
             }
@@ -455,21 +378,11 @@ impl ThreadPool {
     }
 
     fn push_task(&self, task: Task) {
-        match &self.backend {
-            Backend::Single { tx } => {
-                tx.as_ref()
-                    .expect("pool sender present until drop")
-                    .send(task)
-                    .expect("pool workers alive until drop");
-            }
-            Backend::Stealing(core) => {
-                match core.worker_index() {
-                    Some(idx) => core.locals[idx].push(task),
-                    None => core.injector.push(task),
-                }
-                core.wake_one();
-            }
+        match self.core.worker_index() {
+            Some(idx) => self.core.locals[idx].push(task),
+            None => self.core.injector.push(task),
         }
+        self.core.wake_one();
     }
 
     /// Jobs queued or running.
@@ -497,7 +410,7 @@ impl ThreadPool {
     /// scheduler keeps incrementing its own relaxed atomics; installation
     /// only names the cells, so an uninstalled pool pays nothing extra.
     pub fn install_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
-        let PoolStats { steals, parks, wakeups, helped, join_parks } = &self.stats;
+        let PoolStats { steals, parks, wakeups, helped, join_parks } = &self.core.stats;
         for (name, cell) in [
             ("steals", steals),
             ("parks", parks),
@@ -513,14 +426,10 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        match &mut self.backend {
-            // Closing the channel stops the workers after the queue drains.
-            Backend::Single { tx } => *tx = None,
-            Backend::Stealing(core) => {
-                core.shutdown.store(true, Ordering::SeqCst);
-                let _guard = core.park_lock.lock();
-                core.unpark.notify_all();
-            }
+        self.core.shutdown.store(true, Ordering::SeqCst);
+        {
+            let _guard = self.core.park_lock.lock();
+            self.core.unpark.notify_all();
         }
         // Take the handles out before joining: joining while holding the
         // `workers` mutex would deadlock a concurrent `Debug`-format or
@@ -536,7 +445,6 @@ impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("size", &self.size)
-            .field("scheduler", &self.scheduler())
             .field("in_flight", &self.in_flight())
             .finish()
     }
@@ -549,23 +457,18 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
-    fn both_schedulers() -> [Arc<ThreadPool>; 2] {
-        [ThreadPool::new(4, "steal"), ThreadPool::single_queue(4, "single")]
-    }
-
     #[test]
     fn runs_jobs() {
-        for pool in both_schedulers() {
-            let counter = Arc::new(AtomicUsize::new(0));
-            for _ in 0..100 {
-                let c = counter.clone();
-                pool.spawn(move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            pool.wait_idle();
-            assert_eq!(counter.load(Ordering::Relaxed), 100, "{:?}", pool.scheduler());
+        let pool = ThreadPool::new(4, "steal");
+        let counter = Arc::new(AtomicUsize::new(0));
+        for _ in 0..100 {
+            let c = counter.clone();
+            pool.spawn(move || {
+                c.fetch_add(1, Ordering::Relaxed);
+            });
         }
+        pool.wait_idle();
+        assert_eq!(counter.load(Ordering::Relaxed), 100);
     }
 
     #[test]
@@ -601,66 +504,62 @@ mod tests {
 
     #[test]
     fn nested_submission_is_tracked() {
-        for pool in both_schedulers() {
-            let hits = Arc::new(AtomicUsize::new(0));
-            let (p2, h2) = (pool.clone(), hits.clone());
-            pool.spawn(move || {
-                h2.fetch_add(1, Ordering::Relaxed);
-                let h3 = h2.clone();
-                p2.spawn(move || {
-                    h3.fetch_add(1, Ordering::Relaxed);
-                });
+        let pool = ThreadPool::new(4, "steal");
+        let hits = Arc::new(AtomicUsize::new(0));
+        let (p2, h2) = (pool.clone(), hits.clone());
+        pool.spawn(move || {
+            h2.fetch_add(1, Ordering::Relaxed);
+            let h3 = h2.clone();
+            p2.spawn(move || {
+                h3.fetch_add(1, Ordering::Relaxed);
             });
-            pool.wait_idle();
-            assert_eq!(hits.load(Ordering::Relaxed), 2, "{:?}", pool.scheduler());
-        }
+        });
+        pool.wait_idle();
+        assert_eq!(hits.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn panicking_job_does_not_wedge_the_pool() {
-        for pool in [ThreadPool::new(1, "panicky"), ThreadPool::single_queue(1, "panicky-sq")] {
-            pool.spawn(|| panic!("boom"));
-            assert!(pool.tracker().wait_idle_timeout(Duration::from_millis(500)));
-            // The single worker survived the panic and keeps serving jobs.
-            let ok = Arc::new(AtomicUsize::new(0));
-            let ok2 = ok.clone();
-            pool.spawn(move || {
-                ok2.fetch_add(1, Ordering::Relaxed);
-            });
-            pool.wait_idle();
-            assert_eq!(ok.load(Ordering::Relaxed), 1, "{:?}", pool.scheduler());
-        }
+        let pool = ThreadPool::new(1, "panicky");
+        pool.spawn(|| panic!("boom"));
+        assert!(pool.tracker().wait_idle_timeout(Duration::from_millis(500)));
+        // The single worker survived the panic and keeps serving jobs.
+        let ok = Arc::new(AtomicUsize::new(0));
+        let ok2 = ok.clone();
+        pool.spawn(move || {
+            ok2.fetch_add(1, Ordering::Relaxed);
+        });
+        pool.wait_idle();
+        assert_eq!(ok.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn drop_joins_workers() {
-        for pool in [ThreadPool::new(2, "drop"), ThreadPool::single_queue(2, "drop-sq")] {
-            let hits = Arc::new(AtomicUsize::new(0));
-            for _ in 0..10 {
-                let h = hits.clone();
-                pool.spawn(move || {
-                    h.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            drop(pool);
-            assert_eq!(hits.load(Ordering::Relaxed), 10, "queued jobs drain before drop completes");
+        let pool = ThreadPool::new(2, "drop");
+        let hits = Arc::new(AtomicUsize::new(0));
+        for _ in 0..10 {
+            let h = hits.clone();
+            pool.spawn(move || {
+                h.fetch_add(1, Ordering::Relaxed);
+            });
         }
+        drop(pool);
+        assert_eq!(hits.load(Ordering::Relaxed), 10, "queued jobs drain before drop completes");
     }
 
     #[test]
     fn spawn_batch_runs_every_job() {
-        for pool in both_schedulers() {
-            let counter = Arc::new(AtomicUsize::new(0));
-            pool.spawn_batch((0..250).map(|_| {
-                let c = counter.clone();
-                move || {
-                    c.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-            pool.wait_idle();
-            assert_eq!(counter.load(Ordering::Relaxed), 250, "{:?}", pool.scheduler());
-            assert_eq!(pool.in_flight(), 0);
-        }
+        let pool = ThreadPool::new(4, "steal");
+        let counter = Arc::new(AtomicUsize::new(0));
+        pool.spawn_batch((0..250).map(|_| {
+            let c = counter.clone();
+            move || {
+                c.fetch_add(1, Ordering::Relaxed);
+            }
+        }));
+        pool.wait_idle();
+        assert_eq!(counter.load(Ordering::Relaxed), 250);
+        assert_eq!(pool.in_flight(), 0);
     }
 
     #[test]
@@ -716,8 +615,8 @@ mod tests {
         rx.recv_timeout(Duration::from_secs(60)).unwrap_or_else(|_| panic!("{what}: hung"))
     }
 
-    fn metered(size: usize, scheduler: Scheduler) -> (Arc<ThreadPool>, MetricsRegistry) {
-        let pool = ThreadPool::with_scheduler(size, "metered", scheduler);
+    fn metered(size: usize) -> (Arc<ThreadPool>, MetricsRegistry) {
+        let pool = ThreadPool::new(size, "metered");
         let reg = MetricsRegistry::new();
         pool.install_metrics(&reg, "pool");
         (pool, reg)
@@ -725,7 +624,7 @@ mod tests {
 
     #[test]
     fn installed_metrics_expose_scheduler_events() {
-        let (pool, reg) = metered(4, Scheduler::WorkStealing);
+        let (pool, reg) = metered(4);
         let count = |name: &str| reg.snapshot().counter(name).unwrap();
         // With nothing to do, workers park; a submission made while one is
         // parked issues a wakeup.
@@ -775,7 +674,7 @@ mod tests {
     fn nested_joins_deeper_than_the_pool_help_instead_of_deadlocking() {
         for size in [1, 2, 4] {
             let (helped, leaves) = watchdog("fork/join", move || {
-                let (pool, reg) = metered(size, Scheduler::WorkStealing);
+                let (pool, reg) = metered(size);
                 let root = FutureValue::new();
                 let (setter, p2) = (root.clone(), pool.clone());
                 // Depth 12: 4096 leaves, 8190 tasks below the root.
@@ -796,9 +695,9 @@ mod tests {
     }
 
     #[test]
-    fn joins_off_the_pool_or_on_a_single_queue_block() {
+    fn joins_off_the_pool_block() {
         // From a non-worker thread: the plain blocking path.
-        let (pool, reg) = metered(2, Scheduler::WorkStealing);
+        let (pool, reg) = metered(2);
         let futures: Vec<FutureValue<u64>> = (0..64).map(|_| FutureValue::new()).collect();
         for (i, f) in futures.iter().enumerate() {
             let setter = f.clone();
@@ -810,23 +709,6 @@ mod tests {
         pool.wait_idle();
         assert_eq!(reg.snapshot().counter("pool.helped"), Some(0));
         assert_eq!(reg.snapshot().counter("pool.join_parks"), Some(0));
-
-        // On a single-queue worker: one nested join, the second worker runs
-        // the child.
-        let total = watchdog("single-queue join", || {
-            let (pool, reg) = metered(2, Scheduler::SingleQueue);
-            let root = FutureValue::new();
-            let (setter, p2) = (root.clone(), pool.clone());
-            pool.spawn(move || {
-                setter.fulfill(fork_join_sum(&p2, 0, 2) + 40);
-            });
-            let total = root.take().unwrap();
-            pool.wait_idle();
-            assert_eq!(reg.snapshot().counter("pool.helped"), Some(0));
-            assert_eq!(pool.in_flight(), 0);
-            total
-        });
-        assert_eq!(total, 41);
     }
 
     struct Guarded;
@@ -859,7 +741,7 @@ mod tests {
     #[test]
     fn a_panicking_helped_task_spares_the_joining_frame_and_the_worker() {
         let alive = watchdog("panicking helped task", || {
-            let (pool, reg) = metered(1, Scheduler::WorkStealing);
+            let (pool, reg) = metered(1);
             let (tx, rx) = std::sync::mpsc::channel();
             let p2 = pool.clone();
             pool.spawn(move || {

@@ -110,7 +110,7 @@ pub mod prelude {
     };
     pub use weavepar_middleware::{
         message_packing_aspect, CallPolicy, InProcFabric, MarshalRegistry, MppConfig, NameServer,
-        Policy, ReplyBackend, RmiConfig,
+        Policy, RmiConfig,
     };
     pub use weavepar_skeletons::{
         hints, DivideConquerConfig, DynamicFarmConfig, FarmConfig, HeartbeatConfig, PipelineConfig,

@@ -18,8 +18,10 @@
 //!   `(target, argument-key)` and answers repeats without `proceed` — in a
 //!   distributed stack it sits outside the distribution aspect and therefore
 //!   elides remote calls;
-//! * **communication packing** — [`CallBatcher`]: buffers matched oneway
-//!   calls and flushes them as one merged call per target.
+//! * **communication packing** —
+//!   [`message_packing_aspect`](weavepar_middleware::message_packing_aspect):
+//!   buffers matched oneway calls on remote stubs and ships them as one framed
+//!   pack per destination node. It lives with the wire format it packs into.
 //!
 //! The fourth example, *replicated computation*, is exhibited by the
 //! distribution aspect itself in this reproduction: the client-side stub
@@ -224,161 +226,6 @@ pub fn object_cache_aspect_bounded(
     (aspect, stats)
 }
 
-/// The communication-packing optimisation: buffer matched *oneway* calls
-/// (they return `()` immediately) and flush them as one merged call per
-/// target. Plug [`CallBatcher::aspect`] and call [`CallBatcher::flush`] at
-/// the application's natural synchronisation points.
-#[derive(Clone)]
-pub struct CallBatcher {
-    buffered: Arc<Mutex<Vec<(ObjId, Args)>>>,
-    class: &'static str,
-    method: &'static str,
-    merge: Arc<dyn Fn(Vec<Args>) -> WeaveResult<Args> + Send + Sync>,
-    id: Arc<Mutex<Option<weavepar_weave::AspectId>>>,
-}
-
-impl CallBatcher {
-    /// A batcher for `class.method`, merging buffered argument packs with
-    /// `merge`.
-    pub fn new(
-        class: &'static str,
-        method: &'static str,
-        merge: Arc<dyn Fn(Vec<Args>) -> WeaveResult<Args> + Send + Sync>,
-    ) -> Self {
-        CallBatcher {
-            buffered: Arc::new(Mutex::new(Vec::new())),
-            class,
-            method,
-            merge,
-            id: Arc::new(Mutex::new(None)),
-        }
-    }
-
-    /// Build and plug the buffering aspect. The calls [`CallBatcher::flush`]
-    /// issues carry this aspect's provenance, so the `within_self().not()`
-    /// pointcut below keeps them from being re-buffered while still letting
-    /// other aspects (synchronisation, distribution) apply to them.
-    pub fn plug(&self, weaver: &Weaver, name: impl Into<String>) -> PluggedAspect {
-        let batcher = self.clone();
-        let aspect = Aspect::named(name)
-            .precedence(precedence::OPTIMISATION)
-            .around(
-                Pointcut::call_sig(self.class, self.method).and(Pointcut::within_self().not()),
-                move |inv: &mut Invocation| {
-                    let target = inv.target_required()?;
-                    let args = std::mem::take(inv.args_mut()?);
-                    batcher.buffered.lock().push((target, args));
-                    Ok(weavepar_weave::ret!())
-                },
-            )
-            .build();
-        let token = weaver.plug(aspect);
-        *self.id.lock() = Some(token.id());
-        token
-    }
-
-    /// Number of buffered calls.
-    pub fn pending(&self) -> usize {
-        self.buffered.lock().len()
-    }
-
-    /// Merge and issue the buffered calls — one call per distinct target,
-    /// in first-buffered order. Returns how many merged calls were issued.
-    pub fn flush(&self, weaver: &Weaver) -> WeaveResult<usize> {
-        let drained = std::mem::take(&mut *self.buffered.lock());
-        if drained.is_empty() {
-            return Ok(0);
-        }
-        let mut order: Vec<ObjId> = Vec::new();
-        let mut per_target: HashMap<ObjId, Vec<Args>> = HashMap::new();
-        for (target, args) in drained {
-            if !per_target.contains_key(&target) {
-                order.push(target);
-            }
-            per_target.entry(target).or_default().push(args);
-        }
-        let issued = order.len();
-        // Issue the merged calls under this aspect's provenance so they are
-        // not re-buffered by our own advice.
-        let id = self.id.lock().ok_or_else(|| {
-            WeaveError::app("CallBatcher::flush before the batching aspect was plugged")
-        })?;
-        let _prov = weavepar_weave::context::push(Provenance::Aspect(id));
-        for target in order {
-            let packs = per_target.remove(&target).expect("target recorded");
-            let merged = (self.merge)(packs)?;
-            weaver.invoke_call(target, self.class, self.method, merged)?;
-        }
-        Ok(issued)
-    }
-
-    /// Like [`CallBatcher::flush`], but merged calls whose targets are
-    /// remote stubs ship through the wire as one
-    /// [`CallPack`](weavepar_middleware::PackFrame) frame per destination
-    /// node — one submit and one wakeup for the whole node's batch —
-    /// instead of one woven call (and thus one `Request::Call`) each.
-    /// Targets without a remote reference are issued through the weaver
-    /// exactly as in `flush`. Packed calls bypass the client-side advice
-    /// chain (they already ran through it when buffered), so use this only
-    /// when the distribution aspect is the sole remaining stage below the
-    /// batcher. Returns `(merged_local_calls, packed_remote_calls)`.
-    pub fn flush_remote(
-        &self,
-        weaver: &Weaver,
-        fabric: &weavepar_middleware::InProcFabric,
-    ) -> WeaveResult<(usize, usize)> {
-        use weavepar_middleware::aspects::REMOTE_FIELD;
-        use weavepar_middleware::RemoteRef;
-
-        let drained = std::mem::take(&mut *self.buffered.lock());
-        if drained.is_empty() {
-            return Ok((0, 0));
-        }
-        let mut order: Vec<ObjId> = Vec::new();
-        let mut per_target: HashMap<ObjId, Vec<Args>> = HashMap::new();
-        for (target, args) in drained {
-            if !per_target.contains_key(&target) {
-                order.push(target);
-            }
-            per_target.entry(target).or_default().push(args);
-        }
-        let method_id = fabric.marshal().method_id(self.class, self.method)?;
-        let mut local = 0usize;
-        let mut packed = 0usize;
-        // One frame per destination node, filled in first-buffered order.
-        let mut frames: HashMap<usize, weavepar_middleware::PackFrame> = HashMap::new();
-        let id = self.id.lock().ok_or_else(|| {
-            WeaveError::app("CallBatcher::flush_remote before the batching aspect was plugged")
-        })?;
-        let _prov = weavepar_weave::context::push(Provenance::Aspect(id));
-        for target in order {
-            let packs = per_target.remove(&target).expect("target recorded");
-            let merged = (self.merge)(packs)?;
-            match weaver.intertype().get_field::<RemoteRef>(target, REMOTE_FIELD) {
-                Some(remote) => {
-                    let frame = frames.entry(remote.node).or_insert_with(|| fabric.new_pack());
-                    frame.push(remote.obj, method_id, fabric.marshal(), &merged)?;
-                    packed += 1;
-                }
-                None => {
-                    weaver.invoke_call(target, self.class, self.method, merged)?;
-                    local += 1;
-                }
-            }
-        }
-        for (node, frame) in frames {
-            fabric.submit_pack(node, frame)?;
-        }
-        Ok((local, packed))
-    }
-}
-
-impl std::fmt::Debug for CallBatcher {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CallBatcher({}.{}, pending={})", self.class, self.method, self.pending())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,146 +383,5 @@ mod tests {
         assert_eq!(*out.downcast::<Vec<u64>>().unwrap(), vec![2]);
         pool.wait_idle();
         assert_eq!(executions() - before, 1);
-    }
-
-    #[test]
-    fn batcher_buffers_and_flushes_merged_calls() {
-        let weaver = Weaver::new();
-        let batcher = CallBatcher::new(
-            "Expensive",
-            "work",
-            Arc::new(|packs: Vec<Args>| {
-                let mut merged: Vec<u64> = Vec::new();
-                for p in packs {
-                    merged.extend(p.get::<Vec<u64>>(0)?.iter().copied());
-                }
-                Ok(weavepar_weave::args![merged])
-            }),
-        );
-        batcher.plug(&weaver, "Packing");
-        let e = ExpensiveProxy::construct(&weaver).unwrap();
-        let before = executions();
-        // Buffered: returns unit immediately, nothing executes.
-        let r1 = e.handle().call("work", weavepar_weave::args![vec![1u64, 2]]).unwrap();
-        assert!(r1.downcast::<()>().is_ok());
-        e.handle().call("work", weavepar_weave::args![vec![3u64]]).unwrap();
-        assert_eq!(executions() - before, 0);
-        assert_eq!(batcher.pending(), 2);
-        // One merged execution on flush.
-        let issued = batcher.flush(&weaver).unwrap();
-        assert_eq!(issued, 1);
-        assert_eq!(executions() - before, 1);
-        assert_eq!(batcher.pending(), 0);
-        // Idempotent flush.
-        assert_eq!(batcher.flush(&weaver).unwrap(), 0);
-    }
-
-    #[test]
-    fn batcher_keeps_targets_separate() {
-        let weaver = Weaver::new();
-        let batcher = CallBatcher::new(
-            "Expensive",
-            "work",
-            Arc::new(|packs: Vec<Args>| {
-                let mut merged: Vec<u64> = Vec::new();
-                for p in packs {
-                    merged.extend(p.get::<Vec<u64>>(0)?.iter().copied());
-                }
-                Ok(weavepar_weave::args![merged])
-            }),
-        );
-        batcher.plug(&weaver, "Packing");
-        let a = ExpensiveProxy::construct(&weaver).unwrap();
-        let b = ExpensiveProxy::construct(&weaver).unwrap();
-        let before = executions();
-        a.handle().call("work", weavepar_weave::args![vec![1u64]]).unwrap();
-        b.handle().call("work", weavepar_weave::args![vec![2u64]]).unwrap();
-        a.handle().call("work", weavepar_weave::args![vec![3u64]]).unwrap();
-        assert_eq!(batcher.flush(&weaver).unwrap(), 2, "one merged call per target");
-        assert_eq!(executions() - before, 2);
-    }
-
-    struct Sink {
-        taken: u64,
-    }
-
-    weavepar_weave::weaveable! {
-        class Sink as SinkProxy {
-            fn new() -> Self { Sink { taken: 0 } }
-            fn absorb(&mut self, xs: Vec<u64>) -> u64 {
-                self.taken += xs.len() as u64;
-                self.taken
-            }
-            fn taken(&mut self) -> u64 {
-                self.taken
-            }
-        }
-    }
-
-    #[test]
-    fn batcher_flush_remote_packs_per_node() {
-        use weavepar_middleware::aspects::REMOTE_FIELD;
-        use weavepar_middleware::{MppConfig, Policy, RemoteRef};
-
-        let weaver = Weaver::new();
-        let m = weavepar_middleware::MarshalRegistry::new();
-        m.register::<(), ()>("Sink", "new");
-        m.register::<(Vec<u64>,), u64>("Sink", "absorb");
-        m.register::<(), u64>("Sink", "taken");
-        let f = weavepar_middleware::InProcFabric::new(2, m);
-        f.register_class::<Sink>();
-
-        let batcher = CallBatcher::new(
-            "Sink",
-            "absorb",
-            Arc::new(|packs: Vec<Args>| {
-                let mut merged: Vec<u64> = Vec::new();
-                for p in packs {
-                    merged.extend(p.get::<Vec<u64>>(0)?.iter().copied());
-                }
-                Ok(weavepar_weave::args![merged])
-            }),
-        );
-        batcher.plug(&weaver, "Packing");
-        // Constructed before distribution is plugged: stays local.
-        let local = SinkProxy::construct(&weaver).unwrap();
-        weaver.plug(
-            MppConfig::new(
-                "Sink",
-                Pointcut::call("Sink.absorb").or(Pointcut::call("Sink.taken")),
-                f.clone(),
-            )
-            .placement(Policy::round_robin())
-            .oneway(true)
-            .aspect("DistributionMPP"),
-        );
-        let a = SinkProxy::construct(&weaver).unwrap();
-        let b = SinkProxy::construct(&weaver).unwrap();
-
-        // Buffer two calls per remote target and one on the local object.
-        for sink in [&a, &b] {
-            sink.handle().call("absorb", weavepar_weave::args![vec![1u64, 2]]).unwrap();
-            sink.handle().call("absorb", weavepar_weave::args![vec![3u64]]).unwrap();
-        }
-        local.handle().call("absorb", weavepar_weave::args![vec![9u64]]).unwrap();
-        assert_eq!(batcher.pending(), 5);
-
-        let (local_calls, packed) = batcher.flush_remote(&weaver, &f).unwrap();
-        assert_eq!(local_calls, 1);
-        assert_eq!(packed, 2, "one merged packed call per remote target");
-        assert_eq!(batcher.pending(), 0);
-
-        // Each remote instance absorbed its merged batch of 3 values; the
-        // replied `taken` call synchronises behind the pack frame (FIFO).
-        for stub in [&a, &b] {
-            let remote =
-                weaver.intertype().get_field::<RemoteRef>(stub.id(), REMOTE_FIELD).unwrap();
-            let args = f.marshal().encode_args("Sink", "taken", &weavepar_weave::args![]).unwrap();
-            let reply = f.call(remote, "taken", args, true).unwrap().unwrap();
-            let taken = f.marshal().decode_ret("Sink", "taken", &reply).unwrap();
-            assert_eq!(*taken.downcast::<u64>().unwrap(), 3);
-        }
-        let local_taken = weaver.space().with_object::<Sink, _>(local.id(), |s| s.taken).unwrap();
-        assert_eq!(local_taken, 1, "local target executed through the weaver");
     }
 }

@@ -133,7 +133,7 @@ fn distribution_aspect(
     policy: Policy,
     use_nameserver: bool,
     oneway: bool,
-    call_policy: Option<CallPolicy>,
+    call_policy: CallPolicy,
     metrics: Option<MetricsRegistry>,
 ) -> Aspect {
     let call_metrics = metrics.map(|registry| CallMetrics {
@@ -193,21 +193,11 @@ fn distribution_aspect(
                 let method = sig_cache.resolve(fabric.marshal(), inv.signature())?;
                 let mut buf = fabric.buffers().take();
                 fabric.marshal().encode_args_id(method, inv.args()?, &mut buf)?;
-                // With a call policy the invocation gets a deadline on the
-                // reply park and transparent retry of transient failures;
-                // without one it is the original wait-forever fast path.
-                let send = |frame, want_reply| match &call_policy {
-                    Some(policy) => {
-                        fabric.call_id_with_policy(remote, method, frame, want_reply, policy)
-                    }
-                    None => fabric.call_id(remote, method, frame, want_reply),
-                };
                 if oneway {
-                    send(buf.freeze(), false)?;
+                    fabric.send(remote, method, buf.freeze())?;
                     Ok(weavepar_weave::ret!())
                 } else {
-                    let mut reply = send(buf.freeze(), true)?
-                        .ok_or_else(|| WeaveError::remote("missing reply"))?;
+                    let mut reply = fabric.call(remote, method, buf.freeze(), &call_policy)?;
                     // Decoded in place: recycling does not care how far the
                     // view has advanced, and a second handle costs an `Arc`.
                     let ret = fabric.marshal().decode_ret_id(method, &mut reply);
@@ -245,21 +235,22 @@ pub struct RmiConfig {
     call_pointcut: Pointcut,
     fabric: Arc<InProcFabric>,
     placement: Policy,
-    call_policy: Option<CallPolicy>,
+    call_policy: CallPolicy,
     metrics: Option<MetricsRegistry>,
 }
 
 impl RmiConfig {
     /// Distribute `class`, redirecting calls matched by `call_pointcut` over
-    /// `fabric`. Placement defaults to round-robin; calls wait forever (no
-    /// [`CallPolicy`]) and record no metrics until configured otherwise.
+    /// `fabric`. Placement defaults to round-robin; calls wait forever
+    /// ([`CallPolicy::unbounded`]) and record no metrics until configured
+    /// otherwise.
     pub fn new(class: &'static str, call_pointcut: Pointcut, fabric: Arc<InProcFabric>) -> Self {
         RmiConfig {
             class,
             call_pointcut,
             fabric,
             placement: Policy::round_robin(),
-            call_policy: None,
+            call_policy: CallPolicy::unbounded(),
             metrics: None,
         }
     }
@@ -274,7 +265,7 @@ impl RmiConfig {
     /// transient failures with backoff — the fault-tolerant flavour of
     /// Figure 14, still one pluggable module.
     pub fn policy(mut self, call_policy: CallPolicy) -> Self {
-        self.call_policy = Some(call_policy);
+        self.call_policy = call_policy;
         self
     }
 
@@ -313,7 +304,7 @@ pub struct MppConfig {
     fabric: Arc<InProcFabric>,
     placement: Policy,
     oneway: bool,
-    call_policy: Option<CallPolicy>,
+    call_policy: CallPolicy,
     metrics: Option<MetricsRegistry>,
 }
 
@@ -328,7 +319,7 @@ impl MppConfig {
             fabric,
             placement: Policy::round_robin(),
             oneway: false,
-            call_policy: None,
+            call_policy: CallPolicy::unbounded(),
             metrics: None,
         }
     }
@@ -346,10 +337,10 @@ impl MppConfig {
         self
     }
 
-    /// A [`CallPolicy`] on redirected calls (deadline + retry/backoff;
-    /// oneway sends only mint a dedup key).
+    /// A [`CallPolicy`] on redirected replied calls (deadline +
+    /// retry/backoff); a oneway send has no reply to wait for or retry on.
     pub fn policy(mut self, call_policy: CallPolicy) -> Self {
-        self.call_policy = Some(call_policy);
+        self.call_policy = call_policy;
         self
     }
 
@@ -374,68 +365,6 @@ impl MppConfig {
             self.metrics,
         )
     }
-}
-
-/// The RMI-style distribution aspect (Figure 14).
-#[deprecated(note = "use `RmiConfig::new(class, pointcut, fabric).placement(policy).aspect(name)`")]
-pub fn rmi_distribution_aspect(
-    name: impl Into<String>,
-    class: &'static str,
-    call_pointcut: Pointcut,
-    fabric: Arc<InProcFabric>,
-    policy: Policy,
-) -> Aspect {
-    RmiConfig::new(class, call_pointcut, fabric).placement(policy).aspect(name)
-}
-
-/// The RMI-style distribution aspect with a [`CallPolicy`].
-#[deprecated(
-    note = "use `RmiConfig::new(class, pointcut, fabric).placement(policy).policy(call_policy).aspect(name)`"
-)]
-pub fn rmi_distribution_aspect_with_policy(
-    name: impl Into<String>,
-    class: &'static str,
-    call_pointcut: Pointcut,
-    fabric: Arc<InProcFabric>,
-    policy: Policy,
-    call_policy: CallPolicy,
-) -> Aspect {
-    RmiConfig::new(class, call_pointcut, fabric).placement(policy).policy(call_policy).aspect(name)
-}
-
-/// The MPP-style distribution aspect (Figure 15).
-#[deprecated(
-    note = "use `MppConfig::new(class, pointcut, fabric).placement(policy).oneway(oneway).aspect(name)`"
-)]
-pub fn mpp_distribution_aspect(
-    name: impl Into<String>,
-    class: &'static str,
-    call_pointcut: Pointcut,
-    fabric: Arc<InProcFabric>,
-    policy: Policy,
-    oneway: bool,
-) -> Aspect {
-    MppConfig::new(class, call_pointcut, fabric).placement(policy).oneway(oneway).aspect(name)
-}
-
-/// The MPP-style distribution aspect with a [`CallPolicy`].
-#[deprecated(
-    note = "use `MppConfig::new(class, pointcut, fabric).placement(policy).oneway(oneway).policy(call_policy).aspect(name)`"
-)]
-pub fn mpp_distribution_aspect_with_policy(
-    name: impl Into<String>,
-    class: &'static str,
-    call_pointcut: Pointcut,
-    fabric: Arc<InProcFabric>,
-    policy: Policy,
-    oneway: bool,
-    call_policy: CallPolicy,
-) -> Aspect {
-    MppConfig::new(class, call_pointcut, fabric)
-        .placement(policy)
-        .oneway(oneway)
-        .policy(call_policy)
-        .aspect(name)
 }
 
 /// One node's pending pack.
@@ -587,7 +516,7 @@ impl MessagePacker {
 ///
 /// Packed calls are **oneway**: the advice returns unit without waiting, so
 /// only apply the pointcut to methods whose results are unused (the same
-/// contract as `mpp_distribution_aspect` with `oneway = true`). Replied
+/// contract as [`MppConfig::oneway`]). Replied
 /// calls and non-remote targets are untouched — they proceed down the
 /// aspect stack as if this aspect were not plugged.
 pub fn message_packing_aspect(
@@ -654,7 +583,8 @@ mod tests {
     /// any queued packs (FIFO) and reads the server-side call count.
     fn remote_calls(f: &InProcFabric, remote: RemoteRef) -> u64 {
         let args = f.marshal().encode_args("Doubler", "calls", &weavepar_weave::args![]).unwrap();
-        let reply = f.call(remote, "calls", args, true).unwrap().unwrap();
+        let calls = f.marshal().method_id("Doubler", "calls").unwrap();
+        let reply = f.call(remote, calls, args, &CallPolicy::unbounded()).unwrap();
         *f.marshal().decode_ret("Doubler", "calls", &reply).unwrap().downcast::<u64>().unwrap()
     }
 

@@ -6,28 +6,29 @@
 //! the 2005 Ethernet (whose costs live in `weavepar-cluster`).
 //!
 //! The per-call fast path is allocation-free in the steady state:
-//! [`InProcFabric::call_id`] takes an interned [`MethodId`] (an array index
-//! into the registry, not a string lookup), and encode/decode frames cycle
-//! through a shared [`BufPool`]. A replied call to an idle node is served on
-//! the caller's own thread ([`NodeRuntime::call_inline`]; the rules are in
-//! [`node`](crate::node)); one that has to queue draws its reply rendezvous
-//! from a slab of reusable park/unpark slots.
+//! [`InProcFabric::call`] and [`InProcFabric::send`] take an interned
+//! [`MethodId`] (an array index into the registry, not a string lookup), and
+//! encode/decode frames cycle through a shared [`BufPool`]. A replied call to
+//! an idle node is served on the caller's own thread
+//! ([`NodeRuntime::call_inline`]; the rules are in [`node`](crate::node)); one
+//! that has to queue draws its reply rendezvous from a slab of reusable
+//! park/unpark slots.
 //! [`InProcFabric::call_batch`] packs many oneway calls to one node into a
 //! single [`Request::CallPack`] frame — one submit, one wakeup.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::bounded;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use weavepar_weave::{Args, MetricsRegistry, ObjId, WeaveError, WeaveResult, Weaveable};
 
 use crate::faults::{FaultAction, FaultPlan, RequestClass};
 use crate::nameserver::NameServer;
-use crate::node::{NodeRuntime, ReplySink, Request};
+use crate::node::{NodeRuntime, Request};
 use crate::policy::CallPolicy;
 use crate::pool::{BufPool, ReplyPool};
 use crate::wire::{ClassId, MarshalRegistry, MethodId, PackFrame};
@@ -43,29 +44,6 @@ pub struct RemoteRef {
     pub obj: ObjId,
     /// Interned class of the remote instance.
     pub class: ClassId,
-}
-
-/// Which rendezvous a replied [`InProcFabric::call_id`] parks on. The
-/// encoding is a `u32` so the choice can be bound to a tuning cell and
-/// flipped at runtime by a feedback controller (or by hand).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u32)]
-pub enum ReplyBackend {
-    /// Pooled park/unpark [`crate::pool::ReplySlot`] (the default).
-    Slot = 0,
-    /// A fresh `bounded(1)` channel per call.
-    Channel = 1,
-}
-
-impl ReplyBackend {
-    /// Decode a tuning-cell value; anything non-zero selects the channel.
-    pub fn from_u32(v: u32) -> Self {
-        if v == 0 {
-            ReplyBackend::Slot
-        } else {
-            ReplyBackend::Channel
-        }
-    }
 }
 
 /// Always-on fabric event cells. Plain relaxed `fetch_add`s on `Arc`ed
@@ -116,15 +94,6 @@ pub struct InProcFabric {
     faulty: AtomicBool,
     /// Dedup-key generator for at-most-once call delivery.
     seq: AtomicU64,
-    /// Reply rendezvous selector for replied calls (see [`ReplyBackend`]).
-    /// An `Arc` so a tuner can hold the cell and adjust it while calls are
-    /// in flight; each call reads it once with a relaxed load.
-    reply_backend: Arc<AtomicU32>,
-    /// Reply senders of channel-backed calls whose request was injected as
-    /// lost. Holding them keeps the caller parked until its own deadline —
-    /// a dropped datagram is *silent* on both reply backends — instead of a
-    /// prompt disconnect. Drained with the plan.
-    lost_replies: Mutex<Vec<crossbeam::channel::Sender<WeaveResult<Bytes>>>>,
     /// Always-on event cells a metrics registry can bind by name (see
     /// [`InProcFabric::install_metrics`]).
     stats: FabricStats,
@@ -147,8 +116,6 @@ impl InProcFabric {
             faults: RwLock::new(None),
             faulty: AtomicBool::new(false),
             seq: AtomicU64::new(1),
-            reply_backend: Arc::new(AtomicU32::new(ReplyBackend::Slot as u32)),
-            lost_replies: Mutex::new(Vec::new()),
             stats: FabricStats::default(),
         })
     }
@@ -177,21 +144,6 @@ impl InProcFabric {
     fn flight(&self) -> InFlightGuard<'_> {
         self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
         InFlightGuard(&self.stats.in_flight)
-    }
-
-    /// The reply rendezvous currently used by replied [`InProcFabric::call_id`]s.
-    pub fn reply_backend(&self) -> ReplyBackend {
-        ReplyBackend::from_u32(self.reply_backend.load(Ordering::Relaxed))
-    }
-
-    /// Select the reply rendezvous for subsequent replied calls.
-    pub fn set_reply_backend(&self, backend: ReplyBackend) {
-        self.reply_backend.store(backend as u32, Ordering::Relaxed);
-    }
-
-    /// The raw backend cell, for binding to a tuning controller.
-    pub fn reply_backend_cell(&self) -> Arc<AtomicU32> {
-        self.reply_backend.clone()
     }
 
     /// Number of nodes.
@@ -242,13 +194,10 @@ impl InProcFabric {
         self.faulty.store(true, Ordering::SeqCst);
     }
 
-    /// Remove the fault schedule (back to a faithful network). Reply
-    /// senders parked by injected drops are released here; their callers
-    /// have long since timed out against their own deadlines.
+    /// Remove the fault schedule (back to a faithful network).
     pub fn clear_faults(&self) {
         self.faulty.store(false, Ordering::SeqCst);
         *self.faults.write() = None;
-        self.lost_replies.lock().clear();
     }
 
     /// The installed fault plan, if any (chaos harnesses read its stats).
@@ -256,9 +205,13 @@ impl InProcFabric {
         self.faults.read().clone()
     }
 
-    /// Next at-most-once dedup key.
-    fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
+    /// An at-most-once dedup key, for a delivery that can happen twice: the
+    /// call may be retried, or a fault plan may duplicate it. Every other call
+    /// pays no atomic increment and leaves the serving node's dedup window
+    /// untouched.
+    fn dedup_key(&self, retried: bool) -> Option<u64> {
+        (retried || self.faulty.load(Ordering::Relaxed))
+            .then(|| self.seq.fetch_add(1, Ordering::Relaxed))
     }
 
     /// The installed fault schedule's decision for one delivery attempt.
@@ -320,20 +273,17 @@ impl InProcFabric {
         }
     }
 
-    /// Lose a request: recycle its frames and silence its reply path. A
-    /// pooled reply slot is *discarded*, and a plain channel sender is
-    /// parked in `lost_replies` — either way the caller times out against
-    /// its own deadline, like a lost datagram, rather than seeing a prompt
+    /// Lose a request: recycle its frames and silence its reply path. The
+    /// reply slot is *discarded*, so the caller times out against its own
+    /// deadline, like a lost datagram, rather than seeing a prompt
     /// disconnect the real network would never deliver.
     fn discard(&self, request: Request) {
         match request {
             Request::Construct { args, .. } => self.buffers.recycle(args),
             Request::Call { args, reply, .. } => {
                 self.buffers.recycle(args);
-                match reply {
-                    Some(ReplySink::Slot(slot)) => slot.discard(),
-                    Some(ReplySink::Channel(tx)) => self.lost_replies.lock().push(tx),
-                    None => {}
+                if let Some(slot) = reply {
+                    slot.discard();
                 }
             }
             Request::CallPack { frame } => self.buffers.recycle(frame),
@@ -422,118 +372,63 @@ impl InProcFabric {
         }
     }
 
-    /// Invoke `method` on a remote object by name (resolves the interned id
-    /// first — convenience path; stubs on the hot path should cache the
-    /// [`MethodId`] and use [`InProcFabric::call_id`]).
+    /// Invoke an interned method on a remote object and return its
+    /// marshalled return value (RMI semantics). [`CallPolicy::unbounded`]
+    /// waits forever and never retries; a deadline bounds each attempt's
+    /// reply wait, and *retryable* failures (timeouts, declared transients —
+    /// never [`WeaveError::NodeDown`]) are retried with exponential backoff
+    /// and seeded jitter. Three rules keep the common call cheap:
+    ///
+    /// * a dedup key is minted only while a fault plan is installed or the
+    ///   policy retries. All attempts of one call share the key, so a retry
+    ///   whose original delivery actually executed is answered from the
+    ///   node's at-most-once window;
+    /// * an unfaulted attempt with no deadline is first tried on this thread
+    ///   (node idle), one with a deadline always queues;
+    /// * the last attempt the policy allows gives `args` away instead of
+    ///   cloning it, so the serving side can reclaim the frame.
     pub fn call(
         &self,
         reference: RemoteRef,
-        method: &str,
-        args: Bytes,
-        want_reply: bool,
-    ) -> WeaveResult<Option<Bytes>> {
-        let class = self.marshal.class_name(reference.class)?;
-        let id = self.marshal.method_id(&class, method)?;
-        self.call_id(reference, id, args, want_reply)
-    }
-
-    /// Invoke an interned method on a remote object. With `want_reply`,
-    /// returns the marshalled return value (RMI semantics): served on this
-    /// thread if the node is idle, else queued and awaited on a pooled reply
-    /// slot. Without, returns immediately (MPP oneway send).
-    pub fn call_id(
-        &self,
-        reference: RemoteRef,
         method: MethodId,
         args: Bytes,
-        want_reply: bool,
-    ) -> WeaveResult<Option<Bytes>> {
-        // Dedup keys are only minted while a fault plan is installed: the
-        // production fast path pays no atomic increment and the serving
-        // node's dedup window stays untouched.
-        let seq = self.faulty.load(Ordering::Relaxed).then(|| self.next_seq());
-        if want_reply {
-            self.stats.calls.fetch_add(1, Ordering::Relaxed);
-            let _flight = self.flight();
-            if self.reply_backend() == ReplyBackend::Channel {
-                let (tx, rx) = bounded(1);
-                self.route(
-                    reference.node,
-                    RequestClass::Call,
-                    Request::Call {
-                        obj: reference.obj,
-                        method,
-                        args,
-                        reply: Some(ReplySink::Channel(tx)),
-                        seq,
-                    },
-                )?;
-                let bytes = rx.recv().map_err(|_| {
-                    WeaveError::remote(format!("node {} dropped the call reply", reference.node))
-                })??;
-                return Ok(Some(bytes));
-            }
-            self.replied_attempt(reference, method, args, seq, None).map(Some)
-        } else {
-            self.stats.oneway.fetch_add(1, Ordering::Relaxed);
-            self.route(
-                reference.node,
-                RequestClass::Oneway,
-                Request::Call { obj: reference.obj, method, args, reply: None, seq },
-            )?;
-            Ok(None)
-        }
-    }
-
-    /// Invoke an interned method under a [`CallPolicy`]: the synchronous
-    /// reply wait gets a real deadline on the pooled reply slot, and
-    /// *retryable* failures (timeouts, declared transients — never
-    /// [`WeaveError::NodeDown`]) are retried with exponential backoff and
-    /// seeded jitter. All attempts share one dedup key, so a retry whose
-    /// original delivery actually executed is answered from the node's
-    /// at-most-once window instead of executing twice.
-    pub fn call_id_with_policy(
-        &self,
-        reference: RemoteRef,
-        method: MethodId,
-        args: Bytes,
-        want_reply: bool,
         policy: &CallPolicy,
-    ) -> WeaveResult<Option<Bytes>> {
-        let seq = self.next_seq();
-        if !want_reply {
-            self.stats.oneway.fetch_add(1, Ordering::Relaxed);
-            self.route(
-                reference.node,
-                RequestClass::Oneway,
-                Request::Call { obj: reference.obj, method, args, reply: None, seq: Some(seq) },
-            )?;
-            return Ok(None);
-        }
+    ) -> WeaveResult<Bytes> {
         self.stats.calls.fetch_add(1, Ordering::Relaxed);
         let _flight = self.flight();
+        let seq = self.dedup_key(policy.retries > 0);
         // Jitter stream: policy seed mixed with the call's dedup key, so
         // concurrent calls de-synchronise but a given (seed, call) replays.
-        let mut rng = policy.seed ^ seq.wrapping_mul(0x9e3779b97f4a7c15);
-        let mut attempt = 0u32;
-        loop {
-            let once =
-                self.replied_attempt(reference, method, args.clone(), Some(seq), policy.deadline);
-            match once {
-                Ok(bytes) => return Ok(Some(bytes)),
-                Err(err) => {
-                    if !policy.should_retry(&err, attempt) {
-                        return Err(err);
-                    }
-                    attempt += 1;
+        let mut rng = policy.seed ^ seq.unwrap_or(0).wrapping_mul(0x9e3779b97f4a7c15);
+        for attempt in 0..policy.retries {
+            match self.replied_attempt(reference, method, args.clone(), seq, policy.deadline) {
+                Err(err) if policy.should_retry(&err, attempt) => {
                     self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    let pause = policy.backoff.delay(attempt, &mut rng);
+                    let pause = policy.backoff.delay(attempt + 1, &mut rng);
                     if !pause.is_zero() {
                         std::thread::sleep(pause);
                     }
                 }
+                done => return done,
             }
         }
+        // No retry can follow this attempt: a second handle on the frame
+        // would only keep the serving side from recycling it.
+        self.replied_attempt(reference, method, args, seq, policy.deadline)
+    }
+
+    /// Send an interned method call without waiting for a reply (MPP oneway
+    /// send): returns as soon as the request is queued. Like
+    /// [`InProcFabric::call`] it carries a dedup key only while a fault plan
+    /// is installed, so an injected duplicate still executes once.
+    pub fn send(&self, reference: RemoteRef, method: MethodId, args: Bytes) -> WeaveResult<()> {
+        self.stats.oneway.fetch_add(1, Ordering::Relaxed);
+        let seq = self.dedup_key(false);
+        self.route(
+            reference.node,
+            RequestClass::Oneway,
+            Request::Call { obj: reference.obj, method, args, reply: None, seq },
+        )
     }
 
     /// One delivery attempt of a replied call. The fault plan decides
@@ -561,13 +456,13 @@ impl InProcFabric {
             }
         }
         let (ticket, reply) = self.replies.checkout();
-        let request = Request::Call { obj, method, args, reply: Some(ReplySink::Slot(reply)), seq };
+        let request = Request::Call { obj, method, args, reply: Some(reply), seq };
         let routed = match fault {
             Some(action) => self.inject(node, action, request),
             None => target.submit(request),
         };
         if let Err(err) = routed {
-            // The reply sink died with the request; its drop-guard filled
+            // The reply half died with the request; its drop-guard filled
             // the slot, so finishing the ticket garbage-collects it.
             self.replies.finish(ticket);
             return Err(err);
@@ -591,125 +486,6 @@ impl InProcFabric {
         result
     }
 
-    /// Ablation backend for the `remote_throughput` bench: identical to
-    /// [`InProcFabric::call_id`] but with a fresh `bounded(1)` channel per
-    /// replied call — the pre-pooling rendezvous. Not for production use.
-    #[doc(hidden)]
-    pub fn call_id_channel(
-        &self,
-        reference: RemoteRef,
-        method: MethodId,
-        args: Bytes,
-        want_reply: bool,
-    ) -> WeaveResult<Option<Bytes>> {
-        let target = self.node(reference.node)?;
-        if want_reply {
-            let (tx, rx) = bounded(1);
-            target.submit(Request::Call {
-                obj: reference.obj,
-                method,
-                args,
-                reply: Some(ReplySink::Channel(tx)),
-                seq: None,
-            })?;
-            let bytes = rx.recv().map_err(|_| {
-                WeaveError::remote(format!("node {} dropped the call reply", reference.node))
-            })??;
-            Ok(Some(bytes))
-        } else {
-            target.submit(Request::Call {
-                obj: reference.obj,
-                method,
-                args,
-                reply: None,
-                seq: None,
-            })?;
-            Ok(None)
-        }
-    }
-
-    /// The channel-rendezvous ablation path under a [`CallPolicy`]: same
-    /// deadline/retry/at-most-once semantics as
-    /// [`InProcFabric::call_id_with_policy`], parked on a fresh `bounded(1)`
-    /// channel (`recv_timeout`) instead of a pooled slot. Chaos tests run
-    /// both backends against the same fault schedule.
-    #[doc(hidden)]
-    pub fn call_id_channel_with_policy(
-        &self,
-        reference: RemoteRef,
-        method: MethodId,
-        args: Bytes,
-        want_reply: bool,
-        policy: &CallPolicy,
-    ) -> WeaveResult<Option<Bytes>> {
-        let seq = self.next_seq();
-        if !want_reply {
-            self.stats.oneway.fetch_add(1, Ordering::Relaxed);
-            self.route(
-                reference.node,
-                RequestClass::Oneway,
-                Request::Call { obj: reference.obj, method, args, reply: None, seq: Some(seq) },
-            )?;
-            return Ok(None);
-        }
-        self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        let _flight = self.flight();
-        let mut rng = policy.seed ^ seq.wrapping_mul(0x9e3779b97f4a7c15);
-        let mut attempt = 0u32;
-        loop {
-            let (tx, rx) = bounded(1);
-            let routed = self.route(
-                reference.node,
-                RequestClass::Call,
-                Request::Call {
-                    obj: reference.obj,
-                    method,
-                    args: args.clone(),
-                    reply: Some(ReplySink::Channel(tx)),
-                    seq: Some(seq),
-                },
-            );
-            let result: WeaveResult<Bytes> = match routed {
-                Err(err) => Err(err),
-                Ok(()) => match policy.deadline {
-                    Some(after) => match rx.recv_timeout(after) {
-                        Ok(reply) => reply,
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                            self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                            Err(WeaveError::Timeout { waited_ms: after.as_millis() as u64 })
-                        }
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                            Err(WeaveError::remote(format!(
-                                "node {} dropped the call reply",
-                                reference.node
-                            )))
-                        }
-                    },
-                    None => rx.recv().map_err(|_| {
-                        WeaveError::remote(format!(
-                            "node {} dropped the call reply",
-                            reference.node
-                        ))
-                    })?,
-                },
-            };
-            match result {
-                Ok(bytes) => return Ok(Some(bytes)),
-                Err(err) => {
-                    if !policy.should_retry(&err, attempt) {
-                        return Err(err);
-                    }
-                    attempt += 1;
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed);
-                    let pause = policy.backoff.delay(attempt, &mut rng);
-                    if !pause.is_zero() {
-                        std::thread::sleep(pause);
-                    }
-                }
-            }
-        }
-    }
-
     /// Pack many oneway calls to one node into a single framed
     /// [`Request::CallPack`]: one submit, one queue wakeup, zero
     /// intermediate allocation on the serving side. Returns the number of
@@ -722,14 +498,7 @@ impl InProcFabric {
         for (obj, method, args) in calls {
             frame.push(obj, method, &self.marshal, &args)?;
         }
-        if frame.is_empty() {
-            return Ok(0);
-        }
-        let count = frame.count() as usize;
-        self.route(node, RequestClass::Pack, Request::CallPack { frame: frame.finish() })?;
-        self.stats.packs.fetch_add(1, Ordering::Relaxed);
-        self.stats.packed_calls.fetch_add(count as u64, Ordering::Relaxed);
-        Ok(count)
+        self.submit_pack(node, frame)
     }
 
     /// Submit an already-framed pack to `node` (the packing aspect builds
@@ -766,13 +535,18 @@ mod tests {
 
     struct Echo {
         tag: String,
+        heard: u64,
     }
 
     weavepar_weave::weaveable! {
         class Echo as EchoProxy {
-            fn new(tag: String) -> Self { Echo { tag } }
+            fn new(tag: String) -> Self { Echo { tag, heard: 0 } }
             fn shout(&mut self, msg: String) -> String {
+                self.heard += 1;
                 format!("{}:{}", self.tag, msg)
+            }
+            fn heard(&mut self) -> u64 {
+                self.heard
             }
         }
     }
@@ -797,6 +571,7 @@ mod tests {
         let m = MarshalRegistry::new();
         m.register::<(String,), ()>("Echo", "new");
         m.register::<(String,), String>("Echo", "shout");
+        m.register::<(), u64>("Echo", "heard");
         m.register::<(), ()>("Staller", "new");
         m.register::<(), u64>("Staller", "stall");
         m.register::<(), ()>("Probe", "new");
@@ -818,13 +593,21 @@ mod tests {
         let r = f.construct_on(0, "Echo", ctor).unwrap();
         let shout = f.marshal().method_id("Echo", "shout").unwrap();
         while registry.snapshot().counter("fabric.served_inline") == Some(0) {
-            f.call_id(r, shout, shout_args(f, "warm"), true).unwrap();
+            f.call(r, shout, shout_args(f, "warm"), &CallPolicy::unbounded()).unwrap();
         }
         (r, shout, registry)
     }
 
     fn shout_args(f: &InProcFabric, msg: &str) -> Bytes {
         f.marshal().encode_args("Echo", "shout", &args![msg.to_string()]).unwrap()
+    }
+
+    /// `Echo.shout(msg)` on `r` under the default policy, by name.
+    fn shout_on(f: &InProcFabric, r: RemoteRef, msg: &str) -> WeaveResult<String> {
+        let shout = f.marshal().method_id("Echo", "shout")?;
+        let reply = f.call(r, shout, shout_args(f, msg), &CallPolicy::unbounded())?;
+        let ret = f.marshal().decode_ret("Echo", "shout", &reply)?;
+        Ok(*ret.downcast::<String>().unwrap())
     }
 
     fn counters(registry: &MetricsRegistry) -> (u64, u64) {
@@ -840,16 +623,12 @@ mod tests {
             let r = f.construct_on(node, "Echo", args).unwrap();
             assert_eq!(r.node, node);
             assert_eq!(r.class, f.marshal().class_id("Echo").unwrap());
-            let call_args =
-                f.marshal().encode_args("Echo", "shout", &args!["hi".to_string()]).unwrap();
-            let reply = f.call(r, "shout", call_args, true).unwrap().unwrap();
-            let ret = f.marshal().decode_ret("Echo", "shout", &reply).unwrap();
-            assert_eq!(*ret.downcast::<String>().unwrap(), format!("n{node}:hi"));
+            assert_eq!(shout_on(&f, r, "hi").unwrap(), format!("n{node}:hi"));
         }
     }
 
     #[test]
-    fn call_id_matches_string_path() {
+    fn pooled_frames_round_trip_through_a_call() {
         let f = fabric();
         let ctor = f.marshal().encode_args("Echo", "new", &args!["n".to_string()]).unwrap();
         let r = f.construct_on(0, "Echo", ctor).unwrap();
@@ -857,7 +636,7 @@ mod tests {
         for msg in ["a", "b", "c"] {
             let mut buf = f.buffers().take();
             f.marshal().encode_args_id(shout, &args![msg.to_string()], &mut buf).unwrap();
-            let reply = f.call_id(r, shout, buf.freeze(), true).unwrap().unwrap();
+            let reply = f.call(r, shout, buf.freeze(), &CallPolicy::unbounded()).unwrap();
             let ret = f.marshal().decode_ret_id(shout, &mut reply.clone()).unwrap();
             assert_eq!(*ret.downcast::<String>().unwrap(), format!("n:{msg}"));
             f.buffers().recycle(reply);
@@ -876,14 +655,9 @@ mod tests {
         assert_eq!(f.node(0).unwrap().weaver().space().len(), 1);
         assert_eq!(f.node(1).unwrap().weaver().space().len(), 1);
         assert_eq!(f.node(2).unwrap().weaver().space().len(), 0);
-        // Calling node 1's object id on node 0 fails: spaces are disjoint.
-        let call_args = f.marshal().encode_args("Echo", "shout", &args!["x".to_string()]).unwrap();
-        let misdirected = RemoteRef { node: 0, obj: rb.obj, class: rb.class };
-        // ids happen to collide across spaces (both start at 1), so this is
-        // only an error when they don't; assert the *correct* routing works.
-        let _ = misdirected;
-        let ok = f.call(ra, "shout", call_args, true).unwrap();
-        assert!(ok.is_some());
+        // Each reference is served by the object on its own node.
+        assert_eq!(shout_on(&f, ra, "x").unwrap(), "a:x");
+        assert_eq!(shout_on(&f, rb, "x").unwrap(), "b:x");
     }
 
     #[test]
@@ -899,9 +673,8 @@ mod tests {
         let f = fabric();
         let ctor = f.marshal().encode_args("Echo", "new", &args!["n".to_string()]).unwrap();
         let r = f.construct_on(0, "Echo", ctor).unwrap();
-        let call_args = f.marshal().encode_args("Echo", "shout", &args!["x".to_string()]).unwrap();
-        let reply = f.call(r, "shout", call_args, false).unwrap();
-        assert!(reply.is_none());
+        let shout = f.marshal().method_id("Echo", "shout").unwrap();
+        f.send(r, shout, shout_args(&f, "x")).unwrap();
     }
 
     #[test]
@@ -914,20 +687,18 @@ mod tests {
         assert_eq!(f.call_batch(2, calls).unwrap(), 5);
         assert_eq!(f.call_batch(2, std::iter::empty()).unwrap(), 0);
         // Synchronise; the replied call queues behind the pack.
-        let call_args = f.marshal().encode_args("Echo", "shout", &args!["x".to_string()]).unwrap();
-        assert!(f.call(r, "shout", call_args, true).unwrap().is_some());
+        assert_eq!(shout_on(&f, r, "x").unwrap(), "n:x");
     }
 
     #[test]
     fn remote_errors_propagate_on_replied_calls() {
         let f = fabric();
-        let call_args = f.marshal().encode_args("Echo", "shout", &args!["x".to_string()]).unwrap();
         let ghost = RemoteRef {
             node: 0,
             obj: ObjId::from_raw(404),
             class: f.marshal().intern_class("Echo"),
         };
-        assert!(f.call(ghost, "shout", call_args, true).is_err());
+        assert!(shout_on(&f, ghost, "x").is_err());
     }
 
     #[test]
@@ -941,18 +712,14 @@ mod tests {
         FABRIC_GATE.store(false, Ordering::SeqCst);
         // Occupy node 0's serve loop with a blocking oneway call.
         let stall_args = f.marshal().encode_args("Staller", "stall", &args![]).unwrap();
-        f.call(stall_ref, "stall", stall_args, false).unwrap();
+        f.send(stall_ref, f.marshal().method_id("Staller", "stall").unwrap(), stall_args).unwrap();
 
         // Queue replied calls behind it from worker threads; they block on
         // their reply slots.
         let waiters: Vec<_> = (0..4)
             .map(|_| {
                 let f = f.clone();
-                std::thread::spawn(move || {
-                    let args =
-                        f.marshal().encode_args("Echo", "shout", &args!["hi".to_string()]).unwrap();
-                    f.call(echo_ref, "shout", args, true)
-                })
+                std::thread::spawn(move || shout_on(&f, echo_ref, "hi"))
             })
             .collect();
         // Give the waiters time to enqueue, then crash the node and release
@@ -968,11 +735,7 @@ mod tests {
             assert!(matches!(err, WeaveError::NodeDown { node: 0 }), "{err}");
         }
         // And new submissions are rejected up front.
-        let args = f.marshal().encode_args("Echo", "shout", &args!["x".to_string()]).unwrap();
-        assert!(matches!(
-            f.call(echo_ref, "shout", args, true),
-            Err(WeaveError::NodeDown { node: 0 })
-        ));
+        assert!(matches!(shout_on(&f, echo_ref, "x"), Err(WeaveError::NodeDown { node: 0 })));
     }
 
     #[test]
@@ -1007,14 +770,14 @@ mod tests {
         let policy = CallPolicy::with_deadline(Duration::from_millis(30));
         let args = f.marshal().encode_args("Echo", "shout", &args!["x".to_string()]).unwrap();
         let start = std::time::Instant::now();
-        let err = f.call_id_with_policy(r, shout, args, true, &policy).unwrap_err();
+        let err = f.call(r, shout, args, &policy).unwrap_err();
         assert!(matches!(err, WeaveError::Timeout { waited_ms: 30 }), "{err}");
         assert!(start.elapsed() < Duration::from_secs(2));
         assert!(f.faults().unwrap().stats().snapshot().dropped >= 1);
         // Clearing the plan restores the faithful network.
         f.clear_faults();
         let args = f.marshal().encode_args("Echo", "shout", &args!["y".to_string()]).unwrap();
-        assert!(f.call_id_with_policy(r, shout, args, true, &policy).unwrap().is_some());
+        assert!(f.call(r, shout, args, &policy).is_ok());
     }
 
     #[test]
@@ -1037,7 +800,7 @@ mod tests {
             .backoff(Backoff { base: Duration::from_millis(1), max: Duration::from_millis(4) })
             .seed(42);
         let args = f.marshal().encode_args("Echo", "shout", &args!["hi".to_string()]).unwrap();
-        let reply = f.call_id_with_policy(r, shout, args, true, &policy).unwrap().unwrap();
+        let reply = f.call(r, shout, args, &policy).unwrap();
         let ret = f.marshal().decode_ret("Echo", "shout", &reply).unwrap();
         assert_eq!(*ret.downcast::<String>().unwrap(), "n:hi");
         assert_eq!(f.faults().unwrap().stats().snapshot().dropped, 2);
@@ -1052,10 +815,7 @@ mod tests {
         let err = f.migrate(r, "Echo", 2).unwrap_err();
         assert!(matches!(err, WeaveError::NodeDown { node: 2 }), "{err}");
         // No state left the source: the original reference still answers.
-        let args = f.marshal().encode_args("Echo", "shout", &args!["ok".to_string()]).unwrap();
-        let reply = f.call(r, "shout", args, true).unwrap().unwrap();
-        let ret = f.marshal().decode_ret("Echo", "shout", &reply).unwrap();
-        assert_eq!(*ret.downcast::<String>().unwrap(), "m:ok");
+        assert_eq!(shout_on(&f, r, "ok").unwrap(), "m:ok");
     }
 
     #[test]
@@ -1072,10 +832,8 @@ mod tests {
         let shout = f.marshal().method_id("Echo", "shout").unwrap();
 
         // Replied, oneway and packed traffic.
-        let args = f.marshal().encode_args("Echo", "shout", &args!["a".to_string()]).unwrap();
-        assert!(f.call_id(r, shout, args, true).unwrap().is_some());
-        let args = f.marshal().encode_args("Echo", "shout", &args!["b".to_string()]).unwrap();
-        assert!(f.call_id(r, shout, args, false).unwrap().is_none());
+        f.call(r, shout, shout_args(&f, "a"), &CallPolicy::unbounded()).unwrap();
+        f.send(r, shout, shout_args(&f, "b")).unwrap();
         let calls = (0..4).map(|i| (r.obj, shout, args![format!("m{i}")]));
         assert_eq!(f.call_batch(0, calls).unwrap(), 4);
 
@@ -1089,7 +847,7 @@ mod tests {
             .backoff(Backoff { base: Duration::from_millis(1), max: Duration::from_millis(2) })
             .seed(7);
         let args = f.marshal().encode_args("Echo", "shout", &args!["c".to_string()]).unwrap();
-        assert!(f.call_id_with_policy(r, shout, args, true, &policy).unwrap().is_some());
+        f.call(r, shout, args, &policy).unwrap();
         f.clear_faults();
 
         let snap = registry.snapshot();
@@ -1111,16 +869,13 @@ mod tests {
             let (r, shout, registry) = idle_echo(&f);
             let (calls, inline) = counters(&registry);
             for i in 0..1000 {
-                let reply = f.call_id(r, shout, shout_args(&f, "x"), true).unwrap().unwrap();
+                let reply =
+                    f.call(r, shout, shout_args(&f, "x"), &CallPolicy::unbounded()).unwrap();
                 f.buffers().recycle(reply);
-                // Deadline-less policy calls take the same path.
+                // So are deadline-less calls that may retry.
                 if i % 10 == 0 {
                     let policy = CallPolicy::unbounded().retries(2);
-                    let args = shout_args(&f, "y");
-                    assert!(f
-                        .call_id_with_policy(r, shout, args, true, &policy)
-                        .unwrap()
-                        .is_some());
+                    f.call(r, shout, shout_args(&f, "y"), &policy).unwrap();
                 }
             }
             let (calls_now, inline_now) = counters(&registry);
@@ -1138,7 +893,7 @@ mod tests {
             let (_, inline) = counters(&registry);
             let patient = CallPolicy::with_deadline(Duration::from_secs(30));
             let args = shout_args(&f, "x");
-            assert!(f.call_id_with_policy(r, shout, args, true, &patient).unwrap().is_some());
+            f.call(r, shout, args, &patient).unwrap();
             assert_eq!(counters(&registry).1, inline, "a deadline keeps the call on the queue");
 
             // And the deadline works: a served call that blocks times out.
@@ -1148,7 +903,7 @@ mod tests {
             let held = latch();
             let args = f.marshal().encode_args("Probe", "hold", &args![held.key]).unwrap();
             let hasty = CallPolicy::with_deadline(Duration::from_millis(20));
-            let err = f.call_id_with_policy(probe, hold, args, true, &hasty).unwrap_err();
+            let err = f.call(probe, hold, args, &hasty).unwrap_err();
             assert!(matches!(err, WeaveError::Timeout { waited_ms: 20 }), "{err}");
             held.release.send(()).unwrap();
             assert_eq!(registry.snapshot().counter("fabric.timeouts"), Some(1));
@@ -1169,10 +924,60 @@ mod tests {
                 FaultPlan::seeded(5)
                     .rule(FaultRule::on(RequestClass::Call, FaultAction::CrashNode).times(1)),
             ));
-            let err = f.call_id(r, shout, shout_args(&f, "x"), true).unwrap_err();
+            let err = f.call(r, shout, shout_args(&f, "x"), &CallPolicy::unbounded()).unwrap_err();
             assert!(matches!(err, WeaveError::NodeDown { node: 0 }), "{err}");
             assert_eq!(f.faults().unwrap().stats().snapshot().crashed, 1);
             assert_eq!(counters(&registry).1, inline);
+        });
+    }
+
+    #[test]
+    fn a_dedup_key_is_minted_only_for_a_fault_plan_or_a_retrying_policy() {
+        watchdog("key minting", || {
+            let f = fabric();
+            let (r, shout, registry) = idle_echo(&f);
+            let keys = || f.seq.load(Ordering::Relaxed);
+            let call = |policy: CallPolicy| {
+                f.call(r, shout, shout_args(&f, "x"), &policy).unwrap();
+                counters(&registry).1
+            };
+            let (minted, inline) = (keys(), counters(&registry).1);
+            assert_eq!(call(CallPolicy::unbounded()), inline + 1, "idle node: served inline");
+            assert_eq!(keys(), minted, "the production fast path mints no key");
+            assert_eq!(call(CallPolicy::unbounded().retries(1)), inline + 2);
+            assert_eq!(keys(), minted + 1, "a call that may retry carries one");
+            let patient = CallPolicy::with_deadline(Duration::from_secs(30));
+            assert_eq!(call(patient), inline + 2, "a deadline queues");
+            assert_eq!(keys(), minted + 1, "and mints nothing by itself");
+        });
+    }
+
+    #[test]
+    fn a_duplicated_send_executes_once() {
+        use crate::faults::{FaultAction, FaultPlan, FaultRule, RequestClass};
+
+        watchdog("duplicate send", || {
+            let f = fabric();
+            let (r, shout, _) = idle_echo(&f);
+            let heard = || {
+                let id = f.marshal().method_id("Echo", "heard").unwrap();
+                let args = f.marshal().encode_args("Echo", "heard", &args![]).unwrap();
+                let reply = f.call(r, id, args, &CallPolicy::unbounded()).unwrap();
+                *f.marshal().decode_ret("Echo", "heard", &reply).unwrap().downcast::<u64>().unwrap()
+            };
+            let (before, minted) = (heard(), f.seq.load(Ordering::Relaxed));
+            f.send(r, shout, shout_args(&f, "x")).unwrap();
+            assert_eq!(f.seq.load(Ordering::Relaxed), minted, "no plan, no key");
+            let plan = Arc::new(
+                FaultPlan::seeded(9)
+                    .rule(FaultRule::on(RequestClass::Oneway, FaultAction::Duplicate)),
+            );
+            f.install_faults(plan.clone());
+            f.send(r, shout, shout_args(&f, "y")).unwrap();
+            f.clear_faults();
+            assert_eq!(plan.stats().snapshot().duplicated, 1);
+            // The replied call queues behind all three deliveries.
+            assert_eq!(heard(), before + 2, "the duplicate carried its original's key");
         });
     }
 

@@ -25,8 +25,8 @@
 //!   call with reply, Figure 14) and [`MppConfig`](aspects::MppConfig)
 //!   (direct node addressing, Figure 15) — both chain an optional placement
 //!   [`Policy`](aspects::Policy) (round-robin, random, fixed — §4.3 "several
-//!   policies can be implemented in this aspect"), an optional
-//!   [`CallPolicy`] and an optional metrics registry — plus the §4.4
+//!   policies can be implemented in this aspect"), a [`CallPolicy`]
+//!   (default: wait forever, never retry) and an optional metrics registry — plus the §4.4
 //!   communication-packing optimisation
 //!   ([`aspects::message_packing_aspect`]);
 //! * [`migration`] — the paper's Figure 2 `migrate` method, introduced by
@@ -51,16 +51,11 @@ pub mod wire;
 pub use bytes::{Bytes, BytesMut};
 
 pub use aspects::{message_packing_aspect, MessagePacker, MppConfig, Policy, RmiConfig};
-#[allow(deprecated)]
-pub use aspects::{
-    mpp_distribution_aspect, mpp_distribution_aspect_with_policy, rmi_distribution_aspect,
-    rmi_distribution_aspect_with_policy,
-};
-pub use fabric::{InProcFabric, RemoteRef, ReplyBackend};
+pub use fabric::{InProcFabric, RemoteRef};
 pub use faults::{FaultAction, FaultPlan, FaultRule, FaultStats, FaultStatsSnapshot, RequestClass};
 pub use migration::{introduce_migration, migrate_object, remove_migration, MigrationCapability};
 pub use nameserver::NameServer;
-pub use node::{NodeRuntime, ReplySink, Request};
+pub use node::{NodeRuntime, Request};
 pub use policy::{Backoff, CallPolicy};
 pub use pool::{BufPool, ReplyPool};
 pub use wire::{ClassId, MarshalRegistry, MethodId, PackFrame, PackReader, Wire, WireArgs};

@@ -58,25 +58,6 @@ use crate::pool::{BufPool, SlotReply};
 use crate::server::{DedupWindow, Server};
 use crate::wire::{ClassId, MarshalRegistry, MethodId};
 
-/// Where a replied call's answer goes: a plain channel (convenience, tests)
-/// or a pooled reply slot (the fabric's queued path).
-pub enum ReplySink {
-    /// One-shot channel, as used by direct node tests.
-    Channel(Sender<WeaveResult<Bytes>>),
-    /// Checked-out slot from the fabric's [`ReplyPool`](crate::ReplyPool).
-    Slot(SlotReply),
-}
-
-impl ReplySink {
-    /// Deliver the reply.
-    pub fn send(self, result: WeaveResult<Bytes>) {
-        match self {
-            ReplySink::Channel(tx) => drop(tx.send(result)),
-            ReplySink::Slot(slot) => slot.send(result),
-        }
-    }
-}
-
 /// A request arriving at a node.
 pub enum Request {
     /// Create an instance from marshalled constructor arguments. `ctor` is
@@ -116,9 +97,9 @@ pub enum Request {
         method: MethodId,
         /// Marshalled arguments.
         args: Bytes,
-        /// Reply sink for the marshalled return value; `None` makes the
+        /// Reply slot for the marshalled return value; `None` makes the
         /// call oneway (MPP-style send).
-        reply: Option<ReplySink>,
+        reply: Option<SlotReply>,
         /// At-most-once dedup key: a retried or duplicated delivery carrying
         /// a `seq` already in the node's dedup window is never executed
         /// again — replied duplicates get the cached reply, oneway
@@ -400,6 +381,7 @@ impl std::fmt::Debug for NodeRuntime {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::pool::{ReplyPool, SlotTicket};
     use crossbeam::channel::{bounded, Receiver};
     use std::sync::atomic::AtomicU64;
     use weavepar_weave::WeaveResult as WR;
@@ -532,14 +514,30 @@ pub(crate) mod tests {
         let args = m.encode_args(class, method, &args)?;
         let (ret, inline) = match node.call_inline(obj, id, args, seq) {
             Ok(result) => (result?, true),
-            Err(args) => {
-                let (tx, rx) = bounded(1);
-                let reply = Some(ReplySink::Channel(tx));
-                node.submit(Request::Call { obj, method: id, args, reply, seq })?;
-                (rx.recv().expect("reply delivered")?, false)
-            }
+            Err(args) => (queued(node, obj, id, args, seq)?.wait()?, false),
         };
         Ok((*m.decode_ret(class, method, &ret)?.downcast::<u64>().unwrap(), inline))
+    }
+
+    /// Queue a replied call the way the fabric does: the request carries the
+    /// serving half of a reply slot, the caller waits on the ticket.
+    fn queued(
+        node: &NodeRuntime,
+        obj: ObjId,
+        method: MethodId,
+        args: Bytes,
+        seq: Option<u64>,
+    ) -> WR<SlotTicket> {
+        let (ticket, reply) = ReplyPool::new().checkout();
+        node.submit(Request::Call { obj, method, args, reply: Some(reply), seq })?;
+        Ok(ticket)
+    }
+
+    /// A queued `Adder.add(x)`, decoded.
+    fn queued_add(node: &NodeRuntime, m: &MarshalRegistry, obj: ObjId, x: u64) -> WR<u64> {
+        let add = m.method_id("Adder", "add")?;
+        let ret = queued(node, obj, add, add_args(m, x), None)?.wait()?;
+        Ok(*m.decode_ret("Adder", "add", &ret)?.downcast::<u64>().unwrap())
     }
 
     fn construct(node: &NodeRuntime, m: &MarshalRegistry, class: &str, args: Bytes) -> WR<ObjId> {
@@ -563,19 +561,7 @@ pub(crate) mod tests {
         let node = NodeRuntime::spawn(0, m.clone());
         node.register_class::<Adder>();
         let obj = construct_adder(&node, &m, 10).unwrap();
-
-        let (tx, rx) = bounded(1);
-        node.submit(Request::Call {
-            obj,
-            method: m.method_id("Adder", "add").unwrap(),
-            args: add_args(&m, 5),
-            reply: Some(ReplySink::Channel(tx)),
-            seq: None,
-        })
-        .unwrap();
-        let ret = rx.recv().unwrap().unwrap();
-        let v = m.decode_ret("Adder", "add", &ret).unwrap();
-        assert_eq!(*v.downcast::<u64>().unwrap(), 15);
+        assert_eq!(queued_add(&node, &m, obj, 5).unwrap(), 15);
     }
 
     #[test]
@@ -596,18 +582,7 @@ pub(crate) mod tests {
             .unwrap();
         }
         // Synchronise via a replied call.
-        let (tx, rx) = bounded(1);
-        node.submit(Request::Call {
-            obj,
-            method: add,
-            args: add_args(&m, 0),
-            reply: Some(ReplySink::Channel(tx)),
-            seq: None,
-        })
-        .unwrap();
-        let ret = rx.recv().unwrap().unwrap();
-        let v = m.decode_ret("Adder", "add", &ret).unwrap();
-        assert_eq!(*v.downcast::<u64>().unwrap(), 3);
+        assert_eq!(queued_add(&node, &m, obj, 0).unwrap(), 3);
     }
 
     #[test]
@@ -624,18 +599,7 @@ pub(crate) mod tests {
         }
         node.submit(Request::CallPack { frame: frame.finish() }).unwrap();
         // Synchronise via a replied call: queue order is execution order.
-        let (tx, rx) = bounded(1);
-        node.submit(Request::Call {
-            obj,
-            method: add,
-            args: add_args(&m, 0),
-            reply: Some(ReplySink::Channel(tx)),
-            seq: None,
-        })
-        .unwrap();
-        let ret = rx.recv().unwrap().unwrap();
-        let v = m.decode_ret("Adder", "add", &ret).unwrap();
-        assert_eq!(*v.downcast::<u64>().unwrap(), 10);
+        assert_eq!(queued_add(&node, &m, obj, 0).unwrap(), 10);
     }
 
     #[test]
@@ -652,16 +616,7 @@ pub(crate) mod tests {
         let m = marshal();
         let node = NodeRuntime::spawn(0, m.clone());
         node.register_class::<Adder>();
-        let (tx, rx) = bounded(1);
-        node.submit(Request::Call {
-            obj: ObjId::from_raw(404),
-            method: m.method_id("Adder", "add").unwrap(),
-            args: add_args(&m, 1),
-            reply: Some(ReplySink::Channel(tx)),
-            seq: None,
-        })
-        .unwrap();
-        assert!(rx.recv().unwrap().is_err());
+        assert!(queued_add(&node, &m, ObjId::from_raw(404), 1).is_err());
     }
 
     #[test]
@@ -673,16 +628,7 @@ pub(crate) mod tests {
         assert!(!node.is_down());
         node.kill();
         assert!(node.is_down());
-        let (tx, _rx) = bounded(1);
-        let err = node
-            .submit(Request::Call {
-                obj,
-                method: m.method_id("Adder", "add").unwrap(),
-                args: add_args(&m, 1),
-                reply: Some(ReplySink::Channel(tx)),
-                seq: None,
-            })
-            .unwrap_err();
+        let err = queued_add(&node, &m, obj, 1).unwrap_err();
         assert!(matches!(err, weavepar_weave::WeaveError::NodeDown { node: 0 }));
         // Nor is anything served inline after the kill.
         let add = m.method_id("Adder", "add").unwrap();
@@ -714,20 +660,13 @@ pub(crate) mod tests {
         })
         .unwrap();
         // ...queue a replied call behind it...
-        let (tx, rx) = bounded(1);
-        node.submit(Request::Call {
-            obj: adder,
-            method: m.method_id("Adder", "add").unwrap(),
-            args: add_args(&m, 1),
-            reply: Some(ReplySink::Channel(tx)),
-            seq: None,
-        })
-        .unwrap();
+        let add = m.method_id("Adder", "add").unwrap();
+        let pending = queued(&node, adder, add, add_args(&m, 1), None).unwrap();
         // ...kill the node while the call is queued, then release the gate.
         node.kill();
         GATE_OPEN.store(true, Ordering::SeqCst);
         // The queued caller must be failed, not executed or stranded.
-        let err = rx.recv().expect("reply delivered").unwrap_err();
+        let err = pending.wait().unwrap_err();
         assert!(matches!(err, weavepar_weave::WeaveError::NodeDown { node: 0 }));
     }
 
@@ -753,18 +692,8 @@ pub(crate) mod tests {
                 submitters.push(std::thread::spawn(move || {
                     let mut accepted = Vec::new();
                     while !stop.load(Ordering::SeqCst) {
-                        let (tx, rx) = bounded(1);
-                        let sent = node.submit(Request::Call {
-                            obj,
-                            method: add,
-                            args: m
-                                .encode_args("Adder", "add", &weavepar_weave::args![1u64])
-                                .unwrap(),
-                            reply: Some(ReplySink::Channel(tx)),
-                            seq: None,
-                        });
-                        if sent.is_ok() {
-                            accepted.push(rx);
+                        if let Ok(ticket) = queued(&node, obj, add, add_args(&m, 1), None) {
+                            accepted.push(ticket);
                         }
                     }
                     accepted
@@ -774,12 +703,15 @@ pub(crate) mod tests {
             node.kill();
             stop.store(true, Ordering::SeqCst);
             for handle in submitters {
-                for rx in handle.join().unwrap() {
+                for ticket in handle.join().unwrap() {
                     // Every accepted call gets a reply (value before the kill,
                     // NodeDown after) within a bounded wait — no stranding.
-                    let _ = rx
-                        .recv_timeout(std::time::Duration::from_secs(5))
-                        .expect("accepted call must be answered");
+                    let within = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                    let answer = ticket.wait_deadline(Some(within), 5000);
+                    assert!(
+                        !matches!(answer, Err(WeaveError::Timeout { .. })),
+                        "accepted call must be answered"
+                    );
                 }
             }
             // And the node still shuts down cleanly.
@@ -806,18 +738,7 @@ pub(crate) mod tests {
                 .build(),
         );
         let obj = construct_adder(&node, &m, 0).unwrap();
-        let send = |obj| {
-            let (tx, rx) = bounded(1);
-            node.submit(Request::Call {
-                obj,
-                method: m.method_id("Adder", "add").unwrap(),
-                args: add_args(&m, 1),
-                reply: Some(ReplySink::Channel(tx)),
-                seq: None,
-            })
-            .unwrap();
-            rx.recv().unwrap().unwrap();
-        };
+        let send = |obj| queued_add(&node, &m, obj, 1).unwrap();
         // Unwoven (default): server aspects do not apply.
         send(obj);
         assert_eq!(fired.load(Ordering::Relaxed), 0);
@@ -850,21 +771,10 @@ pub(crate) mod tests {
         }
         // A replied call duplicated under one seq: executed once, the second
         // delivery answered from the cached reply.
-        let mut replies = Vec::new();
-        for _ in 0..2 {
-            let (tx, rx) = bounded(1);
-            node.submit(Request::Call {
-                obj,
-                method: add,
-                args: add_args(&m, 1),
-                reply: Some(ReplySink::Channel(tx)),
-                seq: Some(8),
-            })
-            .unwrap();
-            replies.push(rx);
-        }
-        for rx in replies {
-            let ret = rx.recv().unwrap().unwrap();
+        let replies: Vec<_> =
+            (0..2).map(|_| queued(&node, obj, add, add_args(&m, 1), Some(8)).unwrap()).collect();
+        for ticket in replies {
+            let ret = ticket.wait().unwrap();
             let v = m.decode_ret("Adder", "add", &ret).unwrap();
             // 0 + 5 (executed once) + 1 (executed once) — both deliveries of
             // the replied call see the same total.
@@ -918,18 +828,16 @@ pub(crate) mod tests {
                 })
                 .unwrap();
             }
-            let (tx, rx) = bounded(1);
-            let reply = Some(ReplySink::Channel(tx));
-            node.submit(Request::Call {
-                obj: probe,
-                method: m.method_id("Probe", "on_node_thread").unwrap(),
-                args: m.encode_args("Probe", "on_node_thread", &no_args()).unwrap(),
-                reply,
-                seq: None,
-            })
+            let pending = queued(
+                &node,
+                probe,
+                m.method_id("Probe", "on_node_thread").unwrap(),
+                m.encode_args("Probe", "on_node_thread", &no_args()).unwrap(),
+                None,
+            )
             .unwrap();
             held.release.send(()).unwrap();
-            let ret = rx.recv().unwrap().unwrap();
+            let ret = pending.wait().unwrap();
             let on_node = m.decode_ret("Probe", "on_node_thread", &ret).unwrap();
             assert_eq!(*on_node.downcast::<u64>().unwrap(), 1);
             // Per-sender FIFO: the replied call, inline or not, sees all 100.
@@ -961,20 +869,11 @@ pub(crate) mod tests {
             let m = marshal();
             let explode = m.method_id("Probe", "explode").unwrap();
             let no_args = || m.encode_args("Probe", "explode", &weavepar_weave::args![]).unwrap();
-            for queued in [false, true] {
+            for on_queue in [false, true] {
                 let (node, adder, probe) = probed_node(&m);
-                let result = if queued {
-                    let (tx, rx) = bounded(1);
-                    let reply = Some(ReplySink::Channel(tx));
-                    node.submit(Request::Call {
-                        obj: probe,
-                        method: explode,
-                        args: no_args(),
-                        reply,
-                        seq: None,
-                    })
-                    .unwrap();
-                    rx.recv().expect("the node thread survives and answers")
+                let result = if on_queue {
+                    // The node thread survives and answers.
+                    queued(&node, probe, explode, no_args(), None).unwrap().wait()
                 } else {
                     let mut args = no_args();
                     loop {
@@ -988,12 +887,12 @@ pub(crate) mod tests {
                 assert!(
                     matches!(&err, WeaveError::Remote(msg)
                         if msg.contains("node 0: served call panicked: boom")),
-                    "queued={queued}: {err}"
+                    "queued={on_queue}: {err}"
                 );
                 assert!(node.is_down());
                 let next =
                     replied(&node, &m, adder, ("Adder", "add"), weavepar_weave::args![1u64], None);
-                assert!(matches!(next, Err(WeaveError::NodeDown { node: 0 })), "queued={queued}");
+                assert!(matches!(next, Err(WeaveError::NodeDown { node: 0 })), "queued={on_queue}");
                 // The token went back and the thread is alive: drop joins.
                 drop(node);
             }

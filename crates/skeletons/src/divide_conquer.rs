@@ -163,26 +163,6 @@ impl DivideConquerBuilder {
     }
 }
 
-/// Build the divide-and-conquer aspect for `config`.
-#[deprecated(note = "use `config.aspect(name)` (see `DivideConquerConfig`)")]
-pub fn divide_conquer_aspect(name: impl Into<String>, config: DivideConquerConfig) -> Aspect {
-    config.aspect(name)
-}
-
-/// [`DivideConquerConfig::tuned`] in the old free-function shape.
-#[deprecated(note = "use `config.tuned(cell).aspect(name)` (see `DivideConquerConfig`)")]
-pub fn divide_conquer_aspect_tuned(
-    name: impl Into<String>,
-    config: DivideConquerConfig,
-    cutoff_hint: Option<Arc<AtomicU32>>,
-) -> Aspect {
-    let builder = config.builder();
-    match cutoff_hint {
-        Some(cell) => builder.tuned(cell).aspect(name),
-        None => builder.aspect(name),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -240,27 +240,6 @@ struct FarmMeters {
     redispatched: Counter,
 }
 
-/// Build the dynamic-farm aspect (partition *and* concurrency, merged).
-#[deprecated(note = "use `DynamicFarmConfig::new(protocol).aspect(name)`")]
-pub fn dynamic_farm_aspect(name: impl Into<String>, protocol: Protocol) -> Aspect {
-    DynamicFarmConfig::new(protocol).aspect(name)
-}
-
-/// [`DynamicFarmConfig::new`] + [`tuned`](DynamicFarmConfig::tuned) in the
-/// old free-function shape.
-#[deprecated(note = "use `DynamicFarmConfig::new(protocol).tuned(cell).aspect(name)`")]
-pub fn dynamic_farm_aspect_tuned(
-    name: impl Into<String>,
-    protocol: Protocol,
-    packs_hint: Option<Arc<AtomicU32>>,
-) -> Aspect {
-    let mut cfg = DynamicFarmConfig::new(protocol);
-    if let Some(cell) = packs_hint {
-        cfg = cfg.tuned(cell);
-    }
-    cfg.aspect(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -161,27 +161,6 @@ struct FarmMeters {
     redispatched: Counter,
 }
 
-/// Build the farm partition aspect for `protocol`.
-#[deprecated(note = "use `FarmConfig::new(protocol).aspect(name)`")]
-pub fn farm_aspect(name: impl Into<String>, protocol: Protocol) -> Aspect {
-    FarmConfig::new(protocol).aspect(name)
-}
-
-/// [`FarmConfig::new`] + [`tuned`](FarmConfig::tuned) in the old free-function
-/// shape.
-#[deprecated(note = "use `FarmConfig::new(protocol).tuned(cell).aspect(name)`")]
-pub fn farm_aspect_tuned(
-    name: impl Into<String>,
-    protocol: Protocol,
-    packs_hint: Option<Arc<AtomicU32>>,
-) -> Aspect {
-    let mut cfg = FarmConfig::new(protocol);
-    if let Some(cell) = packs_hint {
-        cfg = cfg.tuned(cell);
-    }
-    cfg.aspect(name)
-}
-
 /// Re-dispatch pack `k`, lost to a dead node, on the other workers in
 /// round-robin order starting after the one that failed. Argument packs are
 /// consumed by dispatch, so a retry needs a fresh pack; `regen` caches one

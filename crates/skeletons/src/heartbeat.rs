@@ -68,12 +68,6 @@ impl HeartbeatConfig {
     }
 }
 
-/// Build the heartbeat partition aspect for `config`.
-#[deprecated(note = "use `config.aspect(name)` (see `HeartbeatConfig`)")]
-pub fn heartbeat_aspect(name: impl Into<String>, config: HeartbeatConfig) -> Aspect {
-    config.aspect(name)
-}
-
 fn build(name: String, config: HeartbeatConfig) -> Aspect {
     let dup = config.clone();
     let drive = config.clone();

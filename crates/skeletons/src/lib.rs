@@ -49,14 +49,3 @@ pub use farm::FarmConfig;
 pub use heartbeat::HeartbeatConfig;
 pub use pipeline::PipelineConfig;
 pub use supervisor::{supervisor_aspect, SupervisorStats};
-
-#[allow(deprecated)]
-pub use divide_conquer::{divide_conquer_aspect, divide_conquer_aspect_tuned};
-#[allow(deprecated)]
-pub use dynamic_farm::{dynamic_farm_aspect, dynamic_farm_aspect_tuned};
-#[allow(deprecated)]
-pub use farm::{farm_aspect, farm_aspect_tuned};
-#[allow(deprecated)]
-pub use heartbeat::heartbeat_aspect;
-#[allow(deprecated)]
-pub use pipeline::{pipeline_aspect, pipeline_aspect_tuned};

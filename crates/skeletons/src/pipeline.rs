@@ -181,27 +181,6 @@ impl Drop for OccupancyGuard<'_> {
     }
 }
 
-/// Build the pipeline partition aspect for `protocol`.
-#[deprecated(note = "use `PipelineConfig::new(protocol).aspect(name)`")]
-pub fn pipeline_aspect(name: impl Into<String>, protocol: Protocol) -> Aspect {
-    PipelineConfig::new(protocol).aspect(name)
-}
-
-/// [`PipelineConfig::new`] + [`tuned`](PipelineConfig::tuned) in the old
-/// free-function shape.
-#[deprecated(note = "use `PipelineConfig::new(protocol).tuned(cell).aspect(name)`")]
-pub fn pipeline_aspect_tuned(
-    name: impl Into<String>,
-    protocol: Protocol,
-    fusion_hint: Option<Arc<AtomicU32>>,
-) -> Aspect {
-    let mut cfg = PipelineConfig::new(protocol);
-    if let Some(cell) = fusion_hint {
-        cfg = cfg.tuned(cell);
-    }
-    cfg.aspect(name)
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;

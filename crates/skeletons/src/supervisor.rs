@@ -34,7 +34,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use weavepar_middleware::aspects::REMOTE_FIELD;
-use weavepar_middleware::{Bytes, InProcFabric, RemoteRef};
+use weavepar_middleware::{Bytes, CallPolicy, InProcFabric, RemoteRef};
 use weavepar_weave::aspect::precedence;
 use weavepar_weave::prelude::*;
 
@@ -188,10 +188,8 @@ pub fn supervisor_aspect(
                 Ok(ret) => Ok(ret),
                 Err(err) if err.is_node_loss() => {
                     let repaired = sup.recover(&weaver, target, remote)?;
-                    let reply = sup
-                        .fabric
-                        .call_id(repaired, method, saved, true)?
-                        .ok_or_else(|| WeaveError::remote("supervisor: missing reply"))?;
+                    let reply =
+                        sup.fabric.call(repaired, method, saved, &CallPolicy::unbounded())?;
                     let mut view = reply.clone();
                     let ret = sup.fabric.marshal().decode_ret_id(method, &mut view);
                     drop(view);

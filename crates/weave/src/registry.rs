@@ -10,15 +10,12 @@
 //! Matching results are cached per `(signature, kind, provenance)` by each
 //! dispatching thread, next to its copy of the published
 //! [`snapshot`](crate::snapshot) of the aspect set; every mutation of that set
-//! (plug, unplug, enable, disable, cache toggle) publishes a new
-//! generation-stamped snapshot, which retires those caches, so plugging and
-//! unplugging at run time is always honoured without any clear-the-world
-//! invalidation.
-//! The cache can be disabled for ablation benchmarks
-//! ([`Weaver::set_match_cache`]).
+//! (plug, unplug, enable, disable) publishes a new generation-stamped
+//! snapshot, which retires those caches, so plugging and unplugging at run
+//! time is always honoured without any clear-the-world invalidation.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -52,7 +49,6 @@ struct WeaverInner {
     /// never touches this lock: it reads the published snapshot instead.
     aspects: RwLock<Vec<Slot>>,
     snapshot: AspectCell,
-    cache_enabled: AtomicBool,
     next_aspect: AtomicU64,
     recorder: RecorderCell,
     metrics: MetricsCell,
@@ -74,7 +70,6 @@ impl Weaver {
                 intertype: IntertypeStore::new(),
                 aspects: RwLock::new(Vec::new()),
                 snapshot: AspectCell::new(),
-                cache_enabled: AtomicBool::new(true),
                 next_aspect: AtomicU64::new(1),
                 recorder: RecorderCell::new(),
                 metrics: MetricsCell::new(),
@@ -220,15 +215,6 @@ impl Weaver {
     /// The installed metrics registry, if any.
     pub fn metrics(&self) -> Option<MetricsRegistry> {
         self.inner.metrics.exact().as_ref().as_ref().map(|s| s.registry.clone())
-    }
-
-    /// Enable/disable the advice match cache (ablation benchmarks).
-    pub fn set_match_cache(&self, enabled: bool) {
-        self.inner.cache_enabled.store(enabled, Ordering::Relaxed);
-        // Republishing swaps in a snapshot with the new flag (and an empty
-        // cache), which is also the invalidation.
-        let aspects = self.inner.aspects.write();
-        self.republish(&aspects);
     }
 
     // ---- join points ----------------------------------------------------------
@@ -500,7 +486,7 @@ impl Weaver {
     fn republish(&self, aspects: &[Slot]) {
         let advice: Vec<Arc<AdviceEntry>> =
             aspects.iter().filter(|s| s.enabled).flat_map(|s| s.advice.iter().cloned()).collect();
-        self.inner.snapshot.publish(self.inner.cache_enabled.load(Ordering::Relaxed), advice);
+        self.inner.snapshot.publish(advice);
     }
 
     /// The published aspect snapshot (tests and diagnostics).
@@ -826,29 +812,6 @@ pub(crate) mod tests {
         h.call("add", args![1i64]).unwrap();
         assert_eq!(reg.snapshot().counter("weaver.calls"), Some(3), "cleared registry is idle");
         assert!(weaver.metrics().is_none());
-    }
-
-    #[test]
-    fn match_cache_can_be_disabled() {
-        let weaver = Weaver::new();
-        weaver.set_match_cache(false);
-        let count = Arc::new(AtomicU64::new(0));
-        let count2 = count.clone();
-        let a = Aspect::named("A")
-            .before(Pointcut::call("Acc.add"), move |_| {
-                count2.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            })
-            .build();
-        weaver.plug(a);
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-        for _ in 0..5 {
-            h.call("add", args![1i64]).unwrap();
-        }
-        assert_eq!(count.load(Ordering::Relaxed), 5);
-        weaver.set_match_cache(true);
-        h.call("add", args![1i64]).unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), 6);
     }
 
     #[test]

@@ -120,7 +120,6 @@ fn register<E>(entries: &mut Vec<E>, alive: impl Fn(&E) -> &AtomicBool, entry: E
 /// An immutable view of the enabled advice set.
 pub(crate) struct AspectsSnapshot {
     generation: u64,
-    cache_enabled: bool,
     /// Enabled advice in plug order (declaration order within an aspect).
     advice: Vec<Arc<AdviceEntry>>,
 }
@@ -191,7 +190,7 @@ pub(crate) struct AspectCell {
 
 impl AspectCell {
     pub(crate) fn new() -> Self {
-        let first = AspectsSnapshot { generation: 1, cache_enabled: true, advice: Vec::new() };
+        let first = AspectsSnapshot { generation: 1, advice: Vec::new() };
         AspectCell {
             alive: Arc::new(AtomicBool::new(true)),
             current: RwLock::new(Arc::new(first)),
@@ -202,9 +201,9 @@ impl AspectCell {
     /// Publish a new snapshot. The caller must hold the registry's aspect
     /// write lock, which serialises publications and keeps the generation
     /// counter in step with the aspect set's actual history.
-    pub(crate) fn publish(&self, cache_enabled: bool, advice: Vec<Arc<AdviceEntry>>) {
+    pub(crate) fn publish(&self, advice: Vec<Arc<AdviceEntry>>) {
         let generation = self.generation.load(Ordering::Relaxed) + 1;
-        *self.current.write() = Arc::new(AspectsSnapshot { generation, cache_enabled, advice });
+        *self.current.write() = Arc::new(AspectsSnapshot { generation, advice });
         // Publish the snapshot before the generation: a reader that observes
         // the new generation is then guaranteed to fetch a snapshot at least
         // that new.
@@ -248,9 +247,6 @@ impl AspectCell {
             if entry.snap.generation != generation {
                 entry.snap = self.current.read().clone();
                 entry.chains.clear();
-            }
-            if !entry.snap.cache_enabled {
-                return entry.snap.matched(signature, kind, provenance);
             }
             let key = cache_key(signature, kind, provenance);
             if let Some(chain) = entry.chains.get(&key) {
@@ -402,11 +398,11 @@ mod tests {
         let sig = Signature::new("Acc", "add");
         assert!(cell.matched(sig, KEY.0, KEY.1).is_none());
 
-        cell.publish(true, vec![entry(1, "Acc.add")]);
+        cell.publish(vec![entry(1, "Acc.add")]);
         assert_eq!(cell.snapshot().generation, 2);
         assert_eq!(len(cell.matched(sig, KEY.0, KEY.1)), 1);
 
-        cell.publish(true, Vec::new());
+        cell.publish(Vec::new());
         assert!(cell.matched(sig, KEY.0, KEY.1).is_none());
     }
 
@@ -418,7 +414,7 @@ mod tests {
         // forever. Here a chain is only ever memoised next to the snapshot it
         // was matched against, in the thread's own entry.
         let cell = AspectCell::new();
-        cell.publish(true, vec![entry(1, "Acc.add")]);
+        cell.publish(vec![entry(1, "Acc.add")]);
         let sig = Signature::new("Acc", "add");
         // Warm this thread's cache at the pre-unplug generation.
         assert_eq!(len(cell.matched(sig, KEY.0, KEY.1)), 1);
@@ -427,7 +423,7 @@ mod tests {
         let old = cell.snapshot();
 
         // ...the aspect is unplugged and the new (empty) set published...
-        cell.publish(true, Vec::new());
+        cell.publish(Vec::new());
 
         // ...and the in-flight dispatch completes its match late, against the
         // snapshot it pinned. It legitimately sees the old set:
@@ -447,8 +443,8 @@ mod tests {
         // see each other's cached chains.
         let a = AspectCell::new();
         let b = AspectCell::new();
-        a.publish(true, vec![entry(1, "Acc.*")]);
-        b.publish(true, Vec::new());
+        a.publish(vec![entry(1, "Acc.*")]);
+        b.publish(Vec::new());
         let sig = Signature::new("Acc", "add");
         assert_eq!(len(a.matched(sig, KEY.0, KEY.1)), 1);
         assert!(b.matched(sig, KEY.0, KEY.1).is_none());
@@ -458,7 +454,7 @@ mod tests {
     #[test]
     fn one_name_spelled_from_two_statics_yields_equal_chains() {
         let cell = AspectCell::new();
-        cell.publish(true, vec![entry(1, "Acc.add"), entry(2, "Acc.*")]);
+        cell.publish(vec![entry(1, "Acc.add"), entry(2, "Acc.*")]);
         let leaked = |s: &str| -> &'static str { Box::leak(s.to_owned().into_boxed_str()) };
         let (a, b) = (Signature::new("Acc", "add"), Signature::new(leaked("Acc"), leaked("add")));
         assert_eq!(a, b);
@@ -481,7 +477,7 @@ mod tests {
         let probe = entry(1, "Acc.add");
         let sig = Signature::new("Acc", "add");
         let dead = AspectCell::new();
-        dead.publish(true, vec![probe.clone()]);
+        dead.publish(vec![probe.clone()]);
         assert_eq!(len(dead.matched(sig, KEY.0, KEY.1)), 1);
         let live = AspectCell::new();
         assert!(live.matched(sig, KEY.0, KEY.1).is_none());
@@ -532,18 +528,5 @@ mod tests {
         assert_eq!(Arc::strong_count(&pinned), 2);
         assert!(RecorderCell::new().get().is_none());
         assert_eq!(Arc::strong_count(&pinned), 1);
-    }
-
-    #[test]
-    fn disabled_cache_recomputes_every_time() {
-        let cell = AspectCell::new();
-        cell.publish(false, vec![entry(1, "Acc.add")]);
-        let sig = Signature::new("Acc", "add");
-        // No caching layer retains the chain; each call matches afresh.
-        let c1 = cell.matched(sig, KEY.0, KEY.1).unwrap();
-        let c2 = cell.matched(sig, KEY.0, KEY.1).unwrap();
-        assert_eq!(c1.len(), 1);
-        assert_eq!(c2.len(), 1);
-        assert!(!Arc::ptr_eq(&c1, &c2), "disabled cache must not memoise");
     }
 }

@@ -15,7 +15,6 @@
 //! a scalar return touches the allocator zero times end to end.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::error::{WeaveError, WeaveResult};
@@ -239,18 +238,6 @@ impl FromIterator<u64> for Pack {
     }
 }
 
-/// Ablation switch: when set, [`Value::new`] always boxes and [`Args`]
-/// spills straight to its heap vector — together the pre-inline
-/// `Vec<Box<dyn Any>>` representation. Used by the `joinpoint_values`
-/// bench and the representation-equivalence property tests; not for
-/// production code.
-static FORCE_BOXED: AtomicBool = AtomicBool::new(false);
-
-#[doc(hidden)]
-pub fn set_force_boxed(on: bool) {
-    FORCE_BOXED.store(on, Ordering::SeqCst);
-}
-
 /// Move a value from one statically known type to another *when they are
 /// the same type*, without boxing. `TypeId::of::<Option<S>>() ==
 /// TypeId::of::<Option<T>>()` iff `S == T`, and after monomorphization the
@@ -274,9 +261,6 @@ macro_rules! value_repr {
             /// Wrap a value, storing it inline when its type is one of the
             /// small `Copy` payloads (plus [`Pack`]) and boxing otherwise.
             pub fn new<T: Any + Send>(v: T) -> Value {
-                if FORCE_BOXED.load(Ordering::Relaxed) {
-                    return Value(Repr::Boxed(Box::new(v)));
-                }
                 $(
                     let v = match steal::<T, $ty>(v) {
                         Ok(x) => return Value(Repr::$Variant(x)),
@@ -536,12 +520,10 @@ impl Args {
     /// Append an already-wrapped value.
     pub fn push_value(&mut self, value: AnyValue) {
         let il = self.inline_len as usize;
-        if il < INLINE_SLOTS && self.spill.is_empty() && !FORCE_BOXED.load(Ordering::Relaxed) {
+        if il < INLINE_SLOTS && self.spill.is_empty() {
             self.inline[il] = Some(value);
             self.inline_len += 1;
         } else {
-            // Spilled: the ablation path lands here unconditionally, which
-            // reproduces the pre-inline `Vec<Box<dyn Any>>` representation.
             self.spill.push(Some(value));
         }
     }
@@ -778,16 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_boxing_is_observationally_identical() {
-        set_force_boxed(true);
-        let v = Value::new(7u64);
-        set_force_boxed(false);
-        assert!(!v.is_inline());
-        assert_eq!(*v.downcast_ref::<u64>().unwrap(), 7);
-        assert_eq!(v.into_typed::<u64>().unwrap(), 7);
-    }
-
-    #[test]
     fn pack_split_shares_allocation() {
         let p = Pack::from_vec((0..10).collect());
         let parts = p.split_chunks(4);
@@ -890,8 +862,7 @@ mod tests {
             assert_send::<Pack>();
         }
 
-        /// Both representations of the same payload, built explicitly (no
-        /// global flag, so parallel tests can't interleave).
+        /// Both representations of the same payload, built explicitly.
         fn both<T: Any + Send + Clone>(v: T) -> (Value, Value) {
             (Value::new(v.clone()), Value::from_box(Box::new(v)))
         }

@@ -155,10 +155,9 @@ fn metered_dispatch_stays_allocation_free() {
     assert_eq!(registry.snapshot().counter("Metrics.calls"), Some(1_016));
 }
 
-#[test]
-fn replied_remote_call_is_allocation_free() {
-    // Marshal, serve inline, unmarshal: argument and reply frames cycle
-    // through the fabric's pool, and freezing a pooled frame reuses its Arc.
+/// An `Alu` behind the RMI proxy on a one-node fabric, its replied calls
+/// under `policy`, and a registry reading the fabric's counters.
+fn remote_alu(policy: CallPolicy) -> (AluProxy, MetricsRegistry) {
     let marshal = MarshalRegistry::new();
     marshal.register::<(), ()>("Alu", "new");
     marshal.register::<(u64,), u64>("Alu", "poke");
@@ -167,8 +166,16 @@ fn replied_remote_call_is_allocation_free() {
     let registry = MetricsRegistry::new();
     fabric.install_metrics(&registry, "fabric");
     let weaver = Weaver::new();
-    weaver.plug(RmiConfig::new("Alu", Pointcut::call("Alu.*"), fabric.clone()).aspect("Rmi"));
-    let proxy = AluProxy::construct(&weaver).unwrap();
+    weaver
+        .plug(RmiConfig::new("Alu", Pointcut::call("Alu.*"), fabric).policy(policy).aspect("Rmi"));
+    (AluProxy::construct(&weaver).unwrap(), registry)
+}
+
+#[test]
+fn replied_remote_call_is_allocation_free() {
+    // Marshal, serve inline, unmarshal: argument and reply frames cycle
+    // through the fabric's pool, and freezing a pooled frame reuses its Arc.
+    let (proxy, registry) = remote_alu(CallPolicy::unbounded());
     let inline = || registry.snapshot().counter("fabric.served_inline").unwrap();
     // Warm-up: until the node thread has put the serve token down after the
     // construct (a call is served inline), then fill pools and caches.
@@ -189,6 +196,29 @@ fn replied_remote_call_is_allocation_free() {
     assert_eq!(sum, (1..=1_000u64).sum::<u64>(), "calls really ran");
     assert_eq!(inline() - before, 1_000, "the whole call ran on the counted thread");
     assert_eq!(allocs, 0, "a steady-state replied remote call must not allocate");
+}
+
+#[test]
+fn queued_replied_call_gives_its_frame_away() {
+    // A deadline keeps the call on the queue, and with no retry to follow the
+    // caller keeps no second handle on the argument frame: the node thread
+    // reclaims it, so the caller's next `take()` finds a pooled frame. A
+    // clone per attempt would show here as two allocations a call.
+    let patient = CallPolicy::with_deadline(std::time::Duration::from_secs(60));
+    let (proxy, registry) = remote_alu(patient);
+    for i in 0..64 {
+        proxy.poke(i).unwrap();
+    }
+    let (allocs, sum) = count_allocs(|| {
+        let mut sum = 0u64;
+        for i in 0..1_000u64 {
+            sum = sum.wrapping_add(proxy.poke(i).unwrap());
+        }
+        sum
+    });
+    assert_eq!(sum, (1..=1_000u64).sum::<u64>(), "calls really ran");
+    assert_eq!(registry.snapshot().counter("fabric.served_inline"), Some(0), "all queued");
+    assert_eq!(allocs, 0, "the calling side of a queued replied call must not allocate");
 }
 
 #[test]

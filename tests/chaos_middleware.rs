@@ -10,8 +10,7 @@
 //! * a node crashed **mid-flight** under a farm costs nothing but time — the
 //!   supervision aspect rebuilds the dead workers and re-dispatches the
 //!   orphaned packs, and the result is byte-identical to the undisturbed run;
-//! * dropped replies are retried under a [`CallPolicy`] and recover, on both
-//!   the pooled-slot and channel-rendezvous backends;
+//! * dropped replies are retried under a [`CallPolicy`] and recover;
 //! * an **unrecoverable** loss fails with a typed [`WeaveError::Timeout`]
 //!   within the policy's worst case (every attempt hitting its deadline plus
 //!   one full backoff ladder) — never a hang;
@@ -23,7 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use weavepar::distribution::{
-    Backoff, Bytes, FaultAction, FaultPlan, FaultRule, MethodId, RemoteRef, RequestClass,
+    Backoff, FaultAction, FaultPlan, FaultRule, MethodId, RemoteRef, RequestClass,
 };
 use weavepar::prelude::*;
 use weavepar::skeletons::{supervisor_aspect, SupervisorStats};
@@ -195,17 +194,6 @@ fn delayed_pipeline_sieve_is_undisturbed() {
     assert!(injected.delayed >= 1, "seed {seed}: p=0.3 over a whole sieve must delay something");
 }
 
-/// The two replied-call backends under one policy: the pooled-slot fast path
-/// and the channel-rendezvous ablation path must expose identical
-/// deadline/retry semantics.
-type PolicyBackend =
-    fn(&InProcFabric, RemoteRef, MethodId, Bytes, &CallPolicy) -> WeaveResult<Option<Bytes>>;
-
-const BACKENDS: [(&str, PolicyBackend); 2] = [
-    ("pooled-slot", |f, r, m, a, p| f.call_id_with_policy(r, m, a, true, p)),
-    ("channel", |f, r, m, a, p| f.call_id_channel_with_policy(r, m, a, true, p)),
-];
-
 fn lone_cruncher(bias: u64) -> (Arc<InProcFabric>, RemoteRef, MethodId) {
     let f = InProcFabric::new(1, cruncher_marshal());
     f.register_class::<Cruncher>();
@@ -216,64 +204,57 @@ fn lone_cruncher(bias: u64) -> (Arc<InProcFabric>, RemoteRef, MethodId) {
 }
 
 #[test]
-fn dropped_replies_recover_under_retry_on_both_backends() {
+fn dropped_replies_recover_under_retry() {
     let seed = chaos_seed();
-    for (name, call) in BACKENDS {
-        let (f, r, crunch) = lone_cruncher(5);
-        // Lose the first two replied deliveries, then behave.
-        f.install_faults(Arc::new(
-            FaultPlan::seeded(seed)
-                .rule(FaultRule::on(RequestClass::Call, FaultAction::Drop).times(2)),
-        ));
-        let policy = CallPolicy::with_deadline(Duration::from_millis(40))
-            .retries(3)
-            .backoff(Backoff { base: Duration::from_millis(2), max: Duration::from_millis(8) })
-            .seed(seed);
-        let args = f.marshal().encode_args("Cruncher", "crunch", &args![vec![3u64]]).unwrap();
-        let reply = call(&f, r, crunch, args, &policy)
-            .unwrap_or_else(|e| panic!("seed {seed} [{name}]: {e}"))
-            .unwrap();
-        let ret = f.marshal().decode_ret("Cruncher", "crunch", &reply).unwrap();
-        assert_eq!(*ret.downcast::<Vec<u64>>().unwrap(), vec![14], "seed {seed} [{name}]");
-        assert_eq!(
-            f.faults().unwrap().stats().snapshot().dropped,
-            2,
-            "seed {seed} [{name}]: both budgeted drops must have fired"
-        );
-    }
+    let (f, r, crunch) = lone_cruncher(5);
+    // Lose the first two replied deliveries, then behave.
+    f.install_faults(Arc::new(
+        FaultPlan::seeded(seed).rule(FaultRule::on(RequestClass::Call, FaultAction::Drop).times(2)),
+    ));
+    let policy = CallPolicy::with_deadline(Duration::from_millis(40))
+        .retries(3)
+        .backoff(Backoff { base: Duration::from_millis(2), max: Duration::from_millis(8) })
+        .seed(seed);
+    let args = f.marshal().encode_args("Cruncher", "crunch", &args![vec![3u64]]).unwrap();
+    let reply = f.call(r, crunch, args, &policy).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    let ret = f.marshal().decode_ret("Cruncher", "crunch", &reply).unwrap();
+    assert_eq!(*ret.downcast::<Vec<u64>>().unwrap(), vec![14], "seed {seed}");
+    assert_eq!(
+        f.faults().unwrap().stats().snapshot().dropped,
+        2,
+        "seed {seed}: both budgeted drops must have fired"
+    );
 }
 
 #[test]
 fn unrecoverable_loss_fails_typed_within_the_policy_worst_case() {
     let seed = chaos_seed();
-    for (name, call) in BACKENDS {
-        let (f, r, crunch) = lone_cruncher(0);
-        // Every replied delivery is lost: no retry can help, so the call
-        // must fail with a typed Timeout inside deadline × attempts plus
-        // one full backoff ladder (CallPolicy::worst_case), never hang.
-        f.install_faults(Arc::new(
-            FaultPlan::seeded(seed).rule(FaultRule::on(RequestClass::Call, FaultAction::Drop)),
-        ));
-        let policy = CallPolicy::with_deadline(Duration::from_millis(30))
-            .retries(2)
-            .backoff(Backoff { base: Duration::from_millis(2), max: Duration::from_millis(6) })
-            .seed(seed);
-        let bound = policy.worst_case().unwrap();
-        let args = f.marshal().encode_args("Cruncher", "crunch", &args![vec![1u64]]).unwrap();
-        let start = Instant::now();
-        let err = call(&f, r, crunch, args, &policy).unwrap_err();
-        let elapsed = start.elapsed();
-        assert!(
-            matches!(err, WeaveError::Timeout { .. }),
-            "seed {seed} [{name}]: expected Timeout, got {err:?}"
-        );
-        // Generous scheduling slack: the bound is ~100ms, the slack covers a
-        // loaded CI box without masking a hang.
-        assert!(
-            elapsed <= bound + Duration::from_millis(400),
-            "seed {seed} [{name}]: failure took {elapsed:?}, policy worst case is {bound:?}"
-        );
-    }
+    let (f, r, crunch) = lone_cruncher(0);
+    // Every replied delivery is lost: no retry can help, so the call
+    // must fail with a typed Timeout inside deadline × attempts plus
+    // one full backoff ladder (CallPolicy::worst_case), never hang.
+    f.install_faults(Arc::new(
+        FaultPlan::seeded(seed).rule(FaultRule::on(RequestClass::Call, FaultAction::Drop)),
+    ));
+    let policy = CallPolicy::with_deadline(Duration::from_millis(30))
+        .retries(2)
+        .backoff(Backoff { base: Duration::from_millis(2), max: Duration::from_millis(6) })
+        .seed(seed);
+    let bound = policy.worst_case().unwrap();
+    let args = f.marshal().encode_args("Cruncher", "crunch", &args![vec![1u64]]).unwrap();
+    let start = Instant::now();
+    let err = f.call(r, crunch, args, &policy).unwrap_err();
+    let elapsed = start.elapsed();
+    assert!(
+        matches!(err, WeaveError::Timeout { .. }),
+        "seed {seed}: expected Timeout, got {err:?}"
+    );
+    // Generous scheduling slack: the bound is ~100ms, the slack covers a
+    // loaded CI box without masking a hang.
+    assert!(
+        elapsed <= bound + Duration::from_millis(400),
+        "seed {seed}: failure took {elapsed:?}, policy worst case is {bound:?}"
+    );
 }
 
 #[test]
@@ -293,13 +274,15 @@ fn duplicated_oneways_execute_at_most_once() {
         FaultPlan::seeded(seed).rule(FaultRule::on(RequestClass::Oneway, FaultAction::Duplicate)),
     ));
     const BUMPS: usize = 64;
+    let bump = f.marshal().method_id("Counter", "bump").unwrap();
     for _ in 0..BUMPS {
         let args = f.marshal().encode_args("Counter", "bump", &args![1u64]).unwrap();
-        f.call(r, "bump", args, false).unwrap();
+        f.send(r, bump, args).unwrap();
     }
     // The replied read drains the node FIFO behind every duplicate.
+    let total = f.marshal().method_id("Counter", "total").unwrap();
     let args = f.marshal().encode_args("Counter", "total", &args![]).unwrap();
-    let reply = f.call(r, "total", args, true).unwrap().unwrap();
+    let reply = f.call(r, total, args, &CallPolicy::unbounded()).unwrap();
     let total =
         *f.marshal().decode_ret("Counter", "total", &reply).unwrap().downcast::<u64>().unwrap();
     let injected = f.faults().unwrap().stats().snapshot();

@@ -16,7 +16,7 @@
 //!    subsequent call — from a thread with a warm thread-local chain cache or
 //!    a cold one — runs the unplugged advice.
 //! 3. **Liveness**: nothing deadlocks or panics under the mix of dispatch,
-//!    republish, recorder swaps and cache toggles.
+//!    republish and recorder swaps.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -96,8 +96,8 @@ fn concurrent_plug_unplug_never_tears_a_dispatch() {
         }
 
         // Chaos: plug/unplug the aspect as fast as possible, with occasional
-        // enable/disable flips, recorder swaps and match-cache toggles thrown
-        // in — every operation that republishes the snapshot.
+        // enable/disable flips and recorder swaps thrown in — every operation
+        // that republishes a snapshot.
         let weaver = &weaver;
         let fired = &fired;
         let stop = &stop;
@@ -111,10 +111,6 @@ fn concurrent_plug_unplug_never_tears_a_dispatch() {
                 if cycle % 11 == 0 {
                     weaver.set_recorder(Some(Recorder::measuring()));
                     weaver.set_recorder(None);
-                }
-                if cycle % 13 == 0 {
-                    weaver.set_match_cache(false);
-                    weaver.set_match_cache(true);
                 }
                 assert!(weaver.unplug(&plugged), "unplug of a live aspect must succeed");
                 std::thread::yield_now();

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use weavepar::concurrency::{BatchScope, Executor, Scheduler, ThreadPool};
+use weavepar::concurrency::{BatchScope, Executor, ThreadPool};
 
 /// Spawn a chain of depth `depth`; every level fans out `width` leaves and
 /// recurses once — all from whichever worker runs it.
@@ -149,26 +149,24 @@ fn batch_scope_defers_across_repeated_rounds() {
 
 #[test]
 fn both_schedulers_agree_under_load() {
-    // The ablation backend is semantically identical to the stealing one;
-    // hammer both with the same nested workload and compare the count.
-    for scheduler in [Scheduler::WorkStealing, Scheduler::SingleQueue] {
-        let pool = ThreadPool::with_scheduler(3, "agree", scheduler);
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..100 {
-            let pool2 = pool.clone();
-            let h = hits.clone();
-            pool.spawn(move || {
-                h.fetch_add(1, Ordering::Relaxed);
-                let h2 = h.clone();
-                pool2.spawn(move || {
-                    h2.fetch_add(1, Ordering::Relaxed);
-                });
+    // Named for the two backends it once compared; the case is the nested
+    // workload: every job spawns a second one from inside the pool, and
+    // `wait_idle` has to cover both generations.
+    let pool = ThreadPool::new(3, "agree");
+    let hits = Arc::new(AtomicUsize::new(0));
+    for _ in 0..100 {
+        let pool2 = pool.clone();
+        let h = hits.clone();
+        pool.spawn(move || {
+            h.fetch_add(1, Ordering::Relaxed);
+            let h2 = h.clone();
+            pool2.spawn(move || {
+                h2.fetch_add(1, Ordering::Relaxed);
             });
-        }
-        pool.wait_idle();
-        assert_eq!(hits.load(Ordering::Relaxed), 200, "{scheduler:?}");
-        drop(pool);
+        });
     }
+    pool.wait_idle();
+    assert_eq!(hits.load(Ordering::Relaxed), 200);
 }
 
 mod fork_join {

@@ -52,7 +52,8 @@ fn fabric() -> Arc<InProcFabric> {
 /// (packs included) and reads the server-side count.
 fn remote_total(f: &InProcFabric, remote: RemoteRef) -> u64 {
     let args = f.marshal().encode_args("Counter", "total", &args![]).unwrap();
-    let reply = f.call(remote, "total", args, true).unwrap().unwrap();
+    let total = f.marshal().method_id("Counter", "total").unwrap();
+    let reply = f.call(remote, total, args, &CallPolicy::unbounded()).unwrap();
     *f.marshal().decode_ret("Counter", "total", &reply).unwrap().downcast::<u64>().unwrap()
 }
 
@@ -272,8 +273,9 @@ mod served_inline {
 
     /// A replied `add` straight through the fabric.
     fn add(f: &InProcFabric, to: RemoteRef, x: u64) -> WeaveResult<u64> {
-        let reply = f.call_id(to, method(f, "add"), encode(f, "add", &args![x]), true)?;
-        Ok(decode(f, "add", reply.expect("replied")))
+        let args = encode(f, "add", &args![x]);
+        let reply = f.call(to, method(f, "add"), args, &CallPolicy::unbounded())?;
+        Ok(decode(f, "add", reply))
     }
 
     fn served_inline(registry: &MetricsRegistry) -> u64 {
@@ -301,7 +303,7 @@ mod served_inline {
             let mut expected = 0;
             for n in [0u64, 1, 2, 7, 100, 5_000, 3, 0, 1] {
                 for _ in 0..n {
-                    f.call_id(ledger, note, encode(&f, "note", &args![1u64]), false).unwrap();
+                    f.send(ledger, note, encode(&f, "note", &args![1u64])).unwrap();
                 }
                 let calls = (0..n).map(|_| (ledger.obj, note, args![2u64]));
                 assert_eq!(f.call_batch(0, calls).unwrap(), n as usize);
@@ -470,9 +472,7 @@ mod served_inline {
                         add(&f2, ledger, 1)?;
                         let patient = CallPolicy::with_deadline(Duration::from_secs(60));
                         let args = encode(&f2, "add", &args![1u64]);
-                        let reply = f2
-                            .call_id_with_policy(ledger, method(&f2, "add"), args, true, &patient)?
-                            .expect("replied");
+                        let reply = f2.call(ledger, method(&f2, "add"), args, &patient)?;
                         let total = decode(&f2, "add", reply);
                         // The caller's own context is back in place.
                         assert!(scope_active() && hints::cutoff_or(0) == 7);
@@ -510,7 +510,8 @@ mod served_inline {
             for i in 1..=100u64 {
                 let key = register(Outside::Forward(f.clone(), far));
                 let args = encode(&f, "relay", &args![key, 1u64]);
-                let reply = f.call_id(near, method(&f, "relay"), args, true).unwrap().unwrap();
+                let reply =
+                    f.call(near, method(&f, "relay"), args, &CallPolicy::unbounded()).unwrap();
                 assert_eq!(decode(&f, "relay", reply), i, "the far ledger's running total");
             }
             // A on this thread, then B on this thread from inside A.
