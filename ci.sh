@@ -9,11 +9,26 @@ echo "==> cargo fmt --check"
 cargo fmt --check
 
 # One path per operation: the forks deleted in PR 15 (and the deprecated
-# constructors) must not come back unnoticed.
+# constructors) and the duplicate machinery deleted in PR 16 must not come
+# back unnoticed.
 echo "==> no retired fork under crates/*/src or crates/bench/benches"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
+retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
 if grep -rnE "$retired" crates/*/src crates/bench/benches; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
+    exit 1
+fi
+
+# Per-thread state is the weaving context (crates/weave/src/context.rs) unless
+# it has a reason not to be: a new `thread_local!` outside test modules is a
+# decision, not an accident. Raise the number with the reason next to the cell.
+echo "==> thread_local! census under crates/*/src (test modules excluded)"
+census=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /thread_local!/ { n++ } END { if (n) print n, f }' "$f"
+done)
+if [ "$(echo "$census" | awk '{ n += $1 } END { print n + 0 }')" -gt 6 ]; then
+    echo "$census"
+    echo "more than 6 production thread_local! blocks (DESIGN.md §2 lists the six and why)"
     exit 1
 fi
 

@@ -171,8 +171,7 @@ impl PackingModel {
     }
 
     /// A [`call_pack`](Self::call_pack) model reading its pack size from a
-    /// live tunable cell (e.g. the packer's `max_calls` cell bound to a
-    /// tuning controller), so a replay models the pack granularity the tuner
+    /// live tunable cell, so a replay models the pack granularity a tuner
     /// actually converged to rather than the static default.
     pub fn from_tuned(cell: &std::sync::atomic::AtomicU32) -> Self {
         Self::call_pack(cell.load(std::sync::atomic::Ordering::Relaxed) as usize)

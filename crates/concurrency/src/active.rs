@@ -145,6 +145,7 @@ pub fn active_object_aspect(
 mod tests {
     use super::*;
     use crate::future::resolve_any;
+    use crate::pool::tests::{wait_until, watchdog, Gate};
     use weavepar_weave::{args, value::downcast_ret};
 
     struct Logger {
@@ -155,11 +156,11 @@ mod tests {
         class Logger as LoggerProxy {
             fn new() -> Self { Logger { seen: Vec::new() } }
             fn record(&mut self, x: u64) -> u64 {
-                // A tiny sleep makes out-of-order execution likely if the
-                // implementation does not guarantee issue order.
-                std::thread::sleep(std::time::Duration::from_micros(200));
                 self.seen.push(x);
                 x
+            }
+            fn hold(&mut self, gate: Gate) {
+                gate.enter();
             }
             fn seen(&mut self) -> Vec<u64> {
                 self.seen.clone()
@@ -197,26 +198,32 @@ mod tests {
     #[test]
     fn objects_run_concurrently_with_each_other() {
         let weaver = Weaver::new();
-        let (aspect, runtime) = active_object_aspect("Active", Pointcut::call("Logger.record"));
+        let (aspect, runtime) = active_object_aspect(
+            "Active",
+            Pointcut::call("Logger.record").or(Pointcut::call("Logger.hold")),
+        );
         weaver.plug(aspect);
         let objs: Vec<_> = (0..4).map(|_| LoggerProxy::construct(&weaver).unwrap()).collect();
-        let start = std::time::Instant::now();
-        for o in &objs {
-            for i in 0..100u64 {
-                o.handle().call("record", args![i]).unwrap();
+        watchdog("inter-object concurrency", move || {
+            // Each object's first message holds its server inside `hold`: one
+            // thread serving all four would never get to a second object.
+            let gate = Gate::default();
+            for o in &objs {
+                o.handle().call("hold", args![gate.clone()]).unwrap();
+                for i in 0..100u64 {
+                    o.handle().call("record", args![i]).unwrap();
+                }
             }
-        }
-        runtime.wait_idle();
-        let elapsed = start.elapsed();
-        // 4 × 100 × 200 µs = 80 ms serial; concurrent across objects should
-        // be well under half of that even with scheduling slack.
-        assert!(elapsed.as_millis() < 60, "no inter-object concurrency: {elapsed:?}");
-        assert_eq!(runtime.active_objects(), 4);
-        for o in &objs {
-            assert_eq!(o.seen().unwrap().len(), 100);
-        }
-        runtime.shutdown();
-        assert_eq!(runtime.active_objects(), 0);
+            wait_until("two objects to be inside at once", || gate.inside() >= 2);
+            gate.open();
+            runtime.wait_idle();
+            assert_eq!(runtime.active_objects(), 4);
+            for o in &objs {
+                assert_eq!(o.seen().unwrap().len(), 100);
+            }
+            runtime.shutdown();
+            assert_eq!(runtime.active_objects(), 0);
+        });
     }
 
     #[test]

@@ -192,7 +192,7 @@ pub fn future_concurrency_aspect(
 mod tests {
     use super::*;
     use crate::future::future_ret;
-    use std::time::Duration;
+    use crate::pool::tests::{wait_until, watchdog, Gate};
     use weavepar_weave::{args, Weaver};
 
     struct Slowpoke {
@@ -202,8 +202,11 @@ mod tests {
     weavepar_weave::weaveable! {
         class Slowpoke as SlowpokeProxy {
             fn new() -> Self { Slowpoke { log: Vec::new() } }
-            fn work(&mut self, id: u64, millis: u64) {
-                std::thread::sleep(std::time::Duration::from_millis(millis));
+            fn work(&mut self, id: u64) {
+                self.log.push(id);
+            }
+            fn held(&mut self, id: u64, gate: Gate) {
+                gate.enter();
                 self.log.push(id);
             }
             fn compute(&mut self, x: u64) -> u64 {
@@ -211,12 +214,6 @@ mod tests {
             }
             fn log_len(&mut self) -> u64 {
                 self.log.len() as u64
-            }
-            fn fail(&mut self) {
-                // Dispatch-level failures come from bad arguments; emulate an
-                // application failure through a monitored panic-free path is
-                // not possible here, so this method exists for the dyn-call
-                // error tests that pass a wrong argument type.
             }
         }
     }
@@ -228,20 +225,24 @@ mod tests {
         let sink = ErrorSink::new();
         weaver.plug(oneway_aspect(
             "Concurrency",
-            Pointcut::call("Slowpoke.work"),
+            Pointcut::call("Slowpoke.held"),
             executor.clone(),
             sink.clone(),
         ));
         let p = SlowpokeProxy::construct(&weaver).unwrap();
-        let start = std::time::Instant::now();
-        for i in 0..4 {
-            p.work(i, 80).unwrap();
-        }
-        let issue_time = start.elapsed();
-        assert!(issue_time < Duration::from_millis(80), "calls did not return immediately");
-        executor.wait_idle();
-        sink.check().unwrap();
-        assert_eq!(p.log_len().unwrap(), 4);
+        watchdog("oneway calls", move || {
+            let gate = Gate::default();
+            for i in 0..4 {
+                p.held(i, gate.clone()).unwrap();
+            }
+            // All four calls are back while the first body is still held: a
+            // call that waited for its body would never have returned.
+            wait_until("a body to be inside", || gate.inside() >= 1);
+            gate.open();
+            executor.wait_idle();
+            sink.check().unwrap();
+            assert_eq!(p.log_len().unwrap(), 4);
+        });
     }
 
     #[test]
@@ -251,23 +252,25 @@ mod tests {
         let sink = ErrorSink::new();
         for a in concurrency_aspect(
             "Concurrency",
-            Pointcut::call("Slowpoke.work"),
+            Pointcut::call("Slowpoke.held"),
             executor.clone(),
             sink.clone(),
         ) {
             weaver.plug(a);
         }
-        // Four independent objects, 60 ms each: parallel wall time must be
-        // well under the 240 ms sequential time.
+        // Four independent objects: executed one after the other, the first
+        // body would wait for a second one for ever.
         let objs: Vec<_> = (0..4).map(|_| SlowpokeProxy::construct(&weaver).unwrap()).collect();
-        let start = std::time::Instant::now();
-        for (i, o) in objs.iter().enumerate() {
-            o.work(i as u64, 60).unwrap();
-        }
-        executor.wait_idle();
-        let elapsed = start.elapsed();
-        sink.check().unwrap();
-        assert!(elapsed < Duration::from_millis(200), "no parallel speedup: {elapsed:?}");
+        watchdog("parallel bodies", move || {
+            let gate = Gate::default();
+            for (i, o) in objs.iter().enumerate() {
+                o.held(i as u64, gate.clone()).unwrap();
+            }
+            wait_until("two bodies to be inside at once", || gate.inside() >= 2);
+            gate.open();
+            executor.wait_idle();
+            sink.check().unwrap();
+        });
     }
 
     #[test]
@@ -285,7 +288,7 @@ mod tests {
         }
         let p = SlowpokeProxy::construct(&weaver).unwrap();
         for i in 0..6 {
-            p.work(i, 5).unwrap();
+            p.work(i).unwrap();
         }
         executor.wait_idle();
         sink.check().unwrap();
@@ -353,13 +356,13 @@ mod tests {
         .map(|a| weaver.plug(a))
         .collect();
         let p = SlowpokeProxy::construct(&weaver).unwrap();
-        p.work(1, 10).unwrap();
+        p.work(1).unwrap();
         executor.wait_idle();
         for p in &plugged {
             weaver.unplug(p);
         }
         // Now strictly synchronous: effects are visible immediately.
-        p.work(2, 0).unwrap();
+        p.work(2).unwrap();
         assert_eq!(p.log_len().unwrap(), 2);
         sink.check().unwrap();
     }

@@ -31,20 +31,28 @@ use crate::executor::Executor;
 type Job = Box<dyn FnOnce() + Send + 'static>;
 type FlushHook = Box<dyn FnOnce()>;
 
-thread_local! {
+/// This thread's open scopes and what they have deferred.
+#[derive(Default)]
+struct Scopes {
     /// Depth of nested scopes; `Executor::spawn` defers only when > 0.
-    static DEPTH: Cell<usize> = const { Cell::new(0) };
+    depth: Cell<usize>,
     /// Jobs deferred on this thread, tagged with their destination executor.
-    static DEFERRED: RefCell<Vec<(Executor, Job)>> = const { RefCell::new(Vec::new()) };
+    deferred: RefCell<Vec<(Executor, Job)>>,
     /// Hooks to run when the innermost owning scope flushes (message
     /// packing registers one per destination node to ship its pack with the
     /// batch).
-    static HOOKS: RefCell<Vec<FlushHook>> = const { RefCell::new(Vec::new()) };
+    hooks: RefCell<Vec<FlushHook>>,
+}
+
+thread_local! {
+    // Not in the weaving context, which lives a crate below and cannot name
+    // an `Executor`; [`set_aside`] hides these scopes together with it.
+    static SCOPES: Scopes = Scopes::default();
 }
 
 /// Is a [`BatchScope`] active on the current thread?
 pub fn scope_active() -> bool {
-    DEPTH.with(|d| d.get()) > 0
+    SCOPES.with(|s| s.depth.get()) > 0
 }
 
 /// Run `hook` when the innermost active scope on this thread flushes (after
@@ -52,7 +60,7 @@ pub fn scope_active() -> bool {
 /// immediately — callers can register unconditionally.
 pub fn on_scope_flush(hook: impl FnOnce() + 'static) {
     if scope_active() {
-        HOOKS.with(|hooks| hooks.borrow_mut().push(Box::new(hook)));
+        SCOPES.with(|s| s.hooks.borrow_mut().push(Box::new(hook)));
     } else {
         hook();
     }
@@ -61,31 +69,40 @@ pub fn on_scope_flush(hook: impl FnOnce() + 'static) {
 /// Buffer a job if a batch scope is active on this thread. Returns the job
 /// back when no scope is active (the caller submits it directly).
 pub(crate) fn defer(executor: &Executor, job: Job) -> Option<Job> {
-    if DEPTH.with(|d| d.get()) == 0 {
-        return Some(job);
-    }
-    DEFERRED.with(|buf| buf.borrow_mut().push((executor.clone(), job)));
-    None
+    SCOPES.with(|s| {
+        if s.depth.get() == 0 {
+            return Some(job);
+        }
+        s.deferred.borrow_mut().push((executor.clone(), job));
+        None
+    })
 }
 
-/// Restores the scope depth [`set_aside`] cleared.
+/// What [`set_aside`] lifted off the thread, put back when dropped.
 #[doc(hidden)]
-pub struct SetAside(usize);
+pub struct SetAside {
+    depth: usize,
+    _context: weavepar_weave::context::SetAside,
+}
 
-/// Hide the enclosing scopes from a task a joining pool worker is about to
-/// help: its spawns are submitted at once, as on a fresh worker — it may well
-/// block on them before the waiting frame's scope flushes. The buffers stay
-/// put: scopes own them by offset, and nothing is added at depth 0. The
-/// middleware does the same around a remote call it serves on the caller's
-/// thread.
+/// Give the work about to run on this thread a fresh worker's view of it: the
+/// weaving context is lifted off (`weavepar_weave::context::set_aside`) and
+/// the enclosing scopes are hidden, so its spawns are submitted at once — it
+/// may well block on them before the waiting frame's scope flushes. The
+/// buffers stay put: scopes own them by offset, and nothing is added at depth
+/// 0. A joining pool worker does this around a task it helps, the middleware
+/// around a remote call it serves on the caller's thread.
 #[doc(hidden)]
 pub fn set_aside() -> SetAside {
-    SetAside(DEPTH.with(|d| d.replace(0)))
+    SetAside {
+        depth: SCOPES.with(|s| s.depth.replace(0)),
+        _context: weavepar_weave::context::set_aside(),
+    }
 }
 
 impl Drop for SetAside {
     fn drop(&mut self) {
-        DEPTH.with(|d| d.set(self.0));
+        SCOPES.with(|s| s.depth.set(self.depth));
     }
 }
 
@@ -102,12 +119,14 @@ pub struct BatchScope {
 impl BatchScope {
     /// Start deferring `Executor::spawn`s on the current thread.
     pub fn enter() -> BatchScope {
-        DEPTH.with(|d| d.set(d.get() + 1));
-        BatchScope {
-            start: DEFERRED.with(|buf| buf.borrow().len()),
-            hooks_start: HOOKS.with(|hooks| hooks.borrow().len()),
-            flushed: false,
-        }
+        SCOPES.with(|s| {
+            s.depth.set(s.depth.get() + 1);
+            BatchScope {
+                start: s.deferred.borrow().len(),
+                hooks_start: s.hooks.borrow().len(),
+                flushed: false,
+            }
+        })
     }
 
     /// Submit everything deferred under this scope, grouping consecutive
@@ -121,9 +140,10 @@ impl BatchScope {
             return;
         }
         self.flushed = true;
-        DEPTH.with(|d| d.set(d.get() - 1));
-        let drained: Vec<(Executor, Job)> =
-            DEFERRED.with(|buf| buf.borrow_mut().split_off(self.start));
+        let drained: Vec<(Executor, Job)> = SCOPES.with(|s| {
+            s.depth.set(s.depth.get() - 1);
+            s.deferred.borrow_mut().split_off(self.start)
+        });
         let mut drained = drained.into_iter().peekable();
         while let Some((executor, job)) = drained.next() {
             let mut group = vec![job];
@@ -133,7 +153,7 @@ impl BatchScope {
             executor.spawn_batch_boxed(group);
         }
         let hooks: Vec<FlushHook> =
-            HOOKS.with(|hooks| hooks.borrow_mut().split_off(self.hooks_start));
+            SCOPES.with(|s| s.hooks.borrow_mut().split_off(self.hooks_start));
         for hook in hooks {
             hook();
         }

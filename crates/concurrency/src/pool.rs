@@ -82,7 +82,9 @@ impl Task {
 }
 
 thread_local! {
-    /// The pool whose worker runs on this thread, and its index.
+    /// The pool whose worker runs on this thread, and its index. Not in the
+    /// weaving context: a task run while that is set aside still runs on this
+    /// worker.
     static WORKER: RefCell<Option<(Arc<StealCore>, usize)>> = const { RefCell::new(None) };
 }
 
@@ -250,8 +252,7 @@ impl Joiner {
                     self.core.stats.helped.fetch_add(1, Ordering::Relaxed);
                     // The task sees a fresh worker's thread-local state; the
                     // waiting frame gets its own back afterwards.
-                    let _context = weavepar_weave::context::set_aside();
-                    let _scope = crate::batch::set_aside();
+                    let _fresh = crate::batch::set_aside();
                     task.run();
                 }
                 None => self.core.park_unless(&ready, &self.core.stats.join_parks),
@@ -451,11 +452,46 @@ impl std::fmt::Debug for ThreadPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::FutureValue;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
+
+    /// A rendezvous for ordering proofs: a method body [`enter`](Gate::enter)s
+    /// and stays inside until the test [`open`](Gate::open)s the gate, so "the
+    /// call returned while its body is held" and "two bodies were inside at
+    /// once" are states a test waits for, not durations it measures.
+    #[derive(Clone, Default)]
+    pub(crate) struct Gate(Arc<GateState>);
+
+    #[derive(Default)]
+    struct GateState {
+        entered: AtomicUsize,
+        open: AtomicBool,
+    }
+
+    impl Gate {
+        pub(crate) fn enter(&self) {
+            self.0.entered.fetch_add(1, Ordering::SeqCst);
+            wait_until("the gate to open", || self.0.open.load(Ordering::SeqCst));
+        }
+
+        /// Bodies that have entered (none leaves before the gate opens).
+        pub(crate) fn inside(&self) -> usize {
+            self.0.entered.load(Ordering::SeqCst)
+        }
+
+        pub(crate) fn open(&self) {
+            self.0.open.store(true, Ordering::SeqCst);
+        }
+    }
+
+    impl weavepar_weave::ByteSize for Gate {
+        fn byte_size(&self) -> usize {
+            0
+        }
+    }
 
     #[test]
     fn runs_jobs() {
@@ -494,7 +530,8 @@ mod tests {
             pool.spawn(move || {
                 let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(Duration::from_millis(50));
+                // Stay inside until a second job is inside too.
+                wait_until("two jobs to overlap", || peak.load(Ordering::SeqCst) >= 2);
                 running.fetch_sub(1, Ordering::SeqCst);
             });
         }
@@ -599,7 +636,7 @@ mod tests {
 
     /// Spin (yielding) until `cond` holds; a watchdog turns a hang into a
     /// failure. Waits for an observable state, never for an amount of time.
-    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    pub(crate) fn wait_until(what: &str, cond: impl Fn() -> bool) {
         let start = std::time::Instant::now();
         while !cond() {
             assert!(start.elapsed() < Duration::from_secs(60), "timed out waiting for {what}");
@@ -609,7 +646,10 @@ mod tests {
 
     /// Run `f` on its own thread and fail, instead of hanging the suite, if
     /// it does not finish.
-    fn watchdog<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
+    pub(crate) fn watchdog<R: Send + 'static>(
+        what: &str,
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> R {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || tx.send(f()));
         rx.recv_timeout(Duration::from_secs(60)).unwrap_or_else(|_| panic!("{what}: hung"))

@@ -24,7 +24,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -202,15 +202,8 @@ pub fn logging_aspect(name: impl Into<String>, pointcut: Pointcut, log: CallLog)
             let signature = inv.signature();
             let target = inv.target();
             let caller = inv.caller();
-            let start = Instant::now();
-            let result = inv.proceed();
-            log.push(CallRecord {
-                signature,
-                target,
-                caller,
-                elapsed: start.elapsed(),
-                ok: result.is_ok(),
-            });
+            let (result, elapsed) = inv.proceed_timed();
+            log.push(CallRecord { signature, target, caller, elapsed, ok: result.is_ok() });
             result
         })
         .build()

@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use weavepar_concurrency::{future_aspect, Executor, ThreadPool};
+use weavepar_concurrency::{future_aspect, Executor, FutureValue, ThreadPool};
 use weavepar_weave::aspect::precedence;
 use weavepar_weave::prelude::*;
 use weavepar_weave::ObjId;
@@ -169,7 +169,7 @@ pub fn object_cache_aspect_bounded(
     let stats = CacheStats::default();
     let stats_inner = stats.clone();
     let cache = Arc::new(Mutex::new(CacheStore { map: HashMap::new(), tick: 0 }));
-    type InflightMap = HashMap<(ObjId, String), Arc<crate::tuning::Flight>>;
+    type InflightMap = HashMap<(ObjId, String), FutureValue<()>>;
     let inflight: Arc<Mutex<InflightMap>> = Arc::new(Mutex::new(HashMap::new()));
     let aspect = Aspect::named(name)
         .precedence(precedence::OPTIMISATION)
@@ -188,7 +188,7 @@ pub fn object_cache_aspect_bounded(
                     match inflight.get(&key) {
                         Some(f) => Some(f.clone()),
                         None => {
-                            inflight.insert(key.clone(), Arc::new(crate::tuning::Flight::new()));
+                            inflight.insert(key.clone(), FutureValue::new());
                             None
                         }
                     }
@@ -213,13 +213,15 @@ pub fn object_cache_aspect_bounded(
                     };
                     let f = inflight.lock().remove(&key);
                     if let Some(f) = f {
-                        f.complete();
+                        f.fulfill(());
                     }
                     return ret;
                 };
                 // Follower: wait for the leader, then re-check the cache (a
                 // failed leader leaves it empty, and the loop elects anew).
-                flight.wait();
+                // Only the wake-up matters: that one follower took the unit
+                // value first is no error to the others.
+                let _ = flight.take();
             }
         })
         .build();

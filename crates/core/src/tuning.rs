@@ -3,9 +3,8 @@
 //! The paper's experiments (§6) fix each skeleton's granularity — packs per
 //! farm call, batch sizes, packing thresholds — by hand, per machine. This
 //! module closes that loop at run time: skeletons and aspects register
-//! **tunables** (live `AtomicU32` cells such as a farm's pack count, the
-//! executor's batch grain, the message packer's flush thresholds, or the
-//! fabric's reply backend), completed calls report **observations** into
+//! **tunables** (live `AtomicU32` cells such as a farm's pack count or the
+//! executor's batch grain), completed calls report **observations** into
 //! lock-free sharded accumulators, and a feedback **controller** adjusts one
 //! tunable at a time toward the throughput gradient.
 //!
@@ -28,11 +27,11 @@
 //! and stops via [`Autotuner::stop`] or when the tuner is dropped, so no
 //! thread outlives the tuner.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use weavepar_weave::aspect::precedence;
 use weavepar_weave::prelude::*;
@@ -66,9 +65,8 @@ impl Step {
 /// One adjustable parameter: a named, range-clamped `AtomicU32` cell.
 ///
 /// The cell can be owned by the tunable or **bound** to one that already
-/// exists elsewhere — the message packer's `max_calls` cell, the pool's
-/// batch-grain cell, the fabric's reply-backend selector — so the consumer
-/// keeps reading its own atomic and never learns a tuner exists.
+/// exists elsewhere — the pool's batch-grain cell — so the consumer keeps
+/// reading its own atomic and never learns a tuner exists.
 #[derive(Clone)]
 pub struct Tunable {
     name: &'static str,
@@ -193,24 +191,6 @@ const SHARDS: usize = 8;
 struct Shard {
     count: AtomicU64,
     service_ns: AtomicU64,
-    queue: AtomicU64,
-    bytes: AtomicU64,
-}
-
-fn shard_index() -> usize {
-    use std::cell::Cell;
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static MINE: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    MINE.with(|m| {
-        let mut idx = m.get();
-        if idx == usize::MAX {
-            idx = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            m.set(idx);
-        }
-        idx
-    })
 }
 
 /// Totals drained at one epoch boundary.
@@ -220,10 +200,6 @@ pub struct EpochStats {
     pub count: u64,
     /// Summed service time, nanoseconds.
     pub service_ns: u64,
-    /// Summed reported queue depths.
-    pub queue: u64,
-    /// Summed reported payload bytes.
-    pub bytes: u64,
     /// Throughput proxy the controller scored: completions per service-µs.
     pub score: f64,
 }
@@ -297,16 +273,14 @@ impl Autotuner {
         tunable
     }
 
-    /// Report one completed call: its service time plus optional queue-depth
-    /// and payload-byte context. Lock-free except at an epoch boundary,
-    /// where one caller (never more) takes the controller mutex.
-    pub fn observe(&self, service: Duration, queue_depth: u64, bytes: u64) {
-        let shard = &self.shards[shard_index()];
+    /// Report one completed call and its service time. Lock-free except at
+    /// an epoch boundary, where one caller (never more) takes the controller
+    /// mutex.
+    pub fn observe(&self, service: Duration) {
+        let shard = &self.shards[weavepar_weave::trace::thread_tag() as usize % SHARDS];
         shard.count.fetch_add(1, Ordering::Relaxed);
         let ns = u64::try_from(service.as_nanos()).unwrap_or(u64::MAX);
         shard.service_ns.fetch_add(ns, Ordering::Relaxed);
-        shard.queue.fetch_add(queue_depth, Ordering::Relaxed);
-        shard.bytes.fetch_add(bytes, Ordering::Relaxed);
         if self.pending.fetch_add(1, Ordering::Relaxed) + 1 >= u64::from(self.config.epoch_calls) {
             self.maybe_tick();
         }
@@ -337,8 +311,6 @@ impl Autotuner {
         for shard in &self.shards {
             totals.count += shard.count.swap(0, Ordering::Relaxed);
             totals.service_ns += shard.service_ns.swap(0, Ordering::Relaxed);
-            totals.queue += shard.queue.swap(0, Ordering::Relaxed);
-            totals.bytes += shard.bytes.swap(0, Ordering::Relaxed);
         }
         if totals.count == 0 {
             return;
@@ -580,37 +552,13 @@ pub fn autotune_aspect_at(
     Aspect::named(name)
         .precedence(precedence)
         .around(pointcut, move |inv: &mut Invocation| {
-            let start = std::time::Instant::now();
-            let ret = inv.proceed()?;
-            tuner.observe(start.elapsed(), 0, 0);
-            Ok(ret)
+            let (result, elapsed) = inv.proceed_timed();
+            if result.is_ok() {
+                tuner.observe(elapsed);
+            }
+            result
         })
         .build()
-}
-
-/// The mutex+condvar pair is here so `optimisation.rs`'s single-flight cache
-/// and any future in-crate waiters share one vetted implementation.
-pub(crate) struct Flight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Flight {
-    pub(crate) fn new() -> Self {
-        Flight { done: Mutex::new(false), cv: Condvar::new() }
-    }
-
-    pub(crate) fn complete(&self) {
-        *self.done.lock() = true;
-        self.cv.notify_all();
-    }
-
-    pub(crate) fn wait(&self) {
-        let mut done = self.done.lock();
-        while !*done {
-            self.cv.wait(&mut done);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -628,7 +576,7 @@ mod tests {
         for _ in 0..epochs {
             let v = tunable.get();
             for _ in 0..tuner.config.epoch_calls {
-                tuner.observe(Duration::from_nanos(cost_ns(v)), 0, 0);
+                tuner.observe(Duration::from_nanos(cost_ns(v)));
             }
             tuner.force_tick();
         }

@@ -33,7 +33,7 @@
 //! thread flushes, or on an explicit [`MessagePacker::flush`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,7 +41,7 @@ use parking_lot::{Mutex, RwLock};
 
 use weavepar_weave::aspect::precedence;
 use weavepar_weave::prelude::*;
-use weavepar_weave::{Counter, Histogram, MetricsRegistry, Signature};
+use weavepar_weave::{CallMeter, MetricsRegistry, Signature};
 
 use crate::fabric::{InProcFabric, RemoteRef};
 use crate::policy::CallPolicy;
@@ -116,31 +116,112 @@ impl SigCache {
     }
 }
 
-/// Pre-resolved per-aspect metric cells: the redirected-call advice bumps
-/// these directly, never consulting the registry on the hot path.
-struct CallMetrics {
-    calls: Counter,
-    errors: Counter,
-    latency: Histogram,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn distribution_aspect(
-    name: String,
+/// Configuration of a distribution aspect. Its two names are the paper's two
+/// flavours and differ in nothing but what [`new`](DistributionConfig::new)
+/// leaves implied: [`RmiConfig`] (Figure 14) registers every remote instance
+/// in the name server and looks it up again; [`MppConfig`] (Figure 15)
+/// addresses nodes directly and can send [`oneway`](MppConfig::oneway).
+///
+/// The three constructor arguments are the decisions every deployment makes;
+/// everything optional — placement policy, call policy, metrics — chains:
+///
+/// ```ignore
+/// let aspect = RmiConfig::new("Doubler", Pointcut::call("Doubler.apply"), fabric)
+///     .placement(Policy::round_robin())
+///     .policy(CallPolicy::with_deadline(Duration::from_millis(50)).retries(3))
+///     .metrics(&registry)
+///     .aspect("Distribution");
+/// ```
+#[derive(Clone)]
+pub struct DistributionConfig<const NAME_SERVER: bool> {
     class: &'static str,
     call_pointcut: Pointcut,
     fabric: Arc<InProcFabric>,
-    policy: Policy,
-    use_nameserver: bool,
+    placement: Policy,
     oneway: bool,
     call_policy: CallPolicy,
     metrics: Option<MetricsRegistry>,
+}
+
+/// The RMI-style distribution aspect's configuration (Figure 14): name-server
+/// registration and lookup, synchronous calls with marshalled replies.
+pub type RmiConfig = DistributionConfig<true>;
+
+/// The MPP-style distribution aspect's configuration (Figure 15): direct node
+/// addressing, no name server. [`MppConfig::oneway`] sends without replies
+/// (the figure's `comm.send`); the replied default awaits a reply message,
+/// which methods with results require.
+pub type MppConfig = DistributionConfig<false>;
+
+impl<const NAME_SERVER: bool> DistributionConfig<NAME_SERVER> {
+    /// Distribute `class`, redirecting calls matched by `call_pointcut` over
+    /// `fabric`. Placement defaults to round-robin; calls are replied, wait
+    /// forever ([`CallPolicy::unbounded`]) and record no metrics until
+    /// configured otherwise.
+    pub fn new(class: &'static str, call_pointcut: Pointcut, fabric: Arc<InProcFabric>) -> Self {
+        DistributionConfig {
+            class,
+            call_pointcut,
+            fabric,
+            placement: Policy::round_robin(),
+            oneway: false,
+            call_policy: CallPolicy::unbounded(),
+            metrics: None,
+        }
+    }
+
+    /// Node-selection policy for new instances (default: round-robin).
+    pub fn placement(mut self, policy: Policy) -> Self {
+        self.placement = policy;
+        self
+    }
+
+    /// Give every redirected replied call a deadline on its reply wait and
+    /// retry transient failures with backoff — the fault-tolerant flavour,
+    /// still one pluggable module. A oneway send has no reply to wait for or
+    /// retry on.
+    pub fn policy(mut self, call_policy: CallPolicy) -> Self {
+        self.call_policy = call_policy;
+        self
+    }
+
+    /// Record per-call observability into `registry`: `{name}.calls` /
+    /// `{name}.errors` counters and an `{name}.latency_ns` histogram over
+    /// redirected calls (marshal + round-trip + decode).
+    pub fn metrics(mut self, registry: &MetricsRegistry) -> Self {
+        self.metrics = Some(registry.clone());
+        self
+    }
+
+    /// Build the pluggable aspect under `name`.
+    pub fn aspect(self, name: impl Into<String>) -> Aspect {
+        distribution_aspect(name.into(), self)
+    }
+}
+
+impl MppConfig {
+    /// Send without replies (only apply to methods whose results are
+    /// unused); `false` restores the replied default.
+    pub fn oneway(mut self, oneway: bool) -> Self {
+        self.oneway = oneway;
+        self
+    }
+}
+
+fn distribution_aspect<const NAME_SERVER: bool>(
+    name: String,
+    config: DistributionConfig<NAME_SERVER>,
 ) -> Aspect {
-    let call_metrics = metrics.map(|registry| CallMetrics {
-        calls: registry.counter(&format!("{name}.calls")),
-        errors: registry.counter(&format!("{name}.errors")),
-        latency: registry.histogram(&format!("{name}.latency_ns")),
-    });
+    let DistributionConfig {
+        class,
+        call_pointcut,
+        fabric,
+        placement,
+        oneway,
+        call_policy,
+        metrics,
+    } = config;
+    let meter = metrics.map(|registry| CallMeter::new(&registry, &name));
     let construct_fabric = fabric.clone();
     let sig_cache = Arc::new(SigCache::default());
     Aspect::named(name)
@@ -157,9 +238,9 @@ fn distribution_aspect(
             let local_id = *local
                 .downcast_ref::<ObjId>()
                 .ok_or_else(|| WeaveError::remote("construction did not return an ObjId"))?;
-            let node = policy.pick(fabric.node_count());
+            let node = placement.pick(fabric.node_count());
             let remote = fabric.construct_on_id(node, ctor, buf.freeze())?;
-            let resolved = if use_nameserver {
+            let resolved = if NAME_SERVER {
                 // Figure 14: register under PS<n>, then look it up — the
                 // client only ever holds what the name server handed out.
                 let ns = fabric.nameserver();
@@ -183,13 +264,7 @@ fn distribution_aspect(
                 // purely local instance): run locally.
                 return inv.proceed();
             };
-            // Only redirected calls are metered: the timer covers marshal,
-            // wire round-trip and decode — the cost distribution added.
-            let timer = call_metrics.as_ref().map(|m| {
-                m.calls.inc();
-                Instant::now()
-            });
-            let result: WeaveResult<_> = (|| {
+            let redirected = || {
                 let method = sig_cache.resolve(fabric.marshal(), inv.signature())?;
                 let mut buf = fabric.buffers().take();
                 fabric.marshal().encode_args_id(method, inv.args()?, &mut buf)?;
@@ -204,167 +279,16 @@ fn distribution_aspect(
                     fabric.buffers().recycle(reply);
                     ret
                 }
-            })();
-            if let (Some(m), Some(start)) = (&call_metrics, timer) {
-                m.latency.record(start.elapsed());
-                if result.is_err() {
-                    m.errors.inc();
-                }
+            };
+            // Only redirected calls are metered: the meter's clock covers
+            // marshal, wire round-trip and decode — the cost distribution
+            // added.
+            match &meter {
+                Some(meter) => meter.time(redirected),
+                None => redirected(),
             }
-            result
         })
         .build()
-}
-
-/// Builder for the RMI-style distribution aspect (Figure 14): name-server
-/// registration and lookup, synchronous calls with marshalled replies.
-///
-/// The three constructor arguments are the decisions every deployment makes;
-/// everything optional — placement policy, call policy, metrics — chains:
-///
-/// ```ignore
-/// let aspect = RmiConfig::new("Doubler", Pointcut::call("Doubler.apply"), fabric)
-///     .placement(Policy::round_robin())
-///     .policy(CallPolicy::with_deadline(Duration::from_millis(50)).retries(3))
-///     .metrics(&registry)
-///     .aspect("Distribution");
-/// ```
-#[derive(Clone)]
-pub struct RmiConfig {
-    class: &'static str,
-    call_pointcut: Pointcut,
-    fabric: Arc<InProcFabric>,
-    placement: Policy,
-    call_policy: CallPolicy,
-    metrics: Option<MetricsRegistry>,
-}
-
-impl RmiConfig {
-    /// Distribute `class`, redirecting calls matched by `call_pointcut` over
-    /// `fabric`. Placement defaults to round-robin; calls wait forever
-    /// ([`CallPolicy::unbounded`]) and record no metrics until configured
-    /// otherwise.
-    pub fn new(class: &'static str, call_pointcut: Pointcut, fabric: Arc<InProcFabric>) -> Self {
-        RmiConfig {
-            class,
-            call_pointcut,
-            fabric,
-            placement: Policy::round_robin(),
-            call_policy: CallPolicy::unbounded(),
-            metrics: None,
-        }
-    }
-
-    /// Node-selection policy for new instances (default: round-robin).
-    pub fn placement(mut self, policy: Policy) -> Self {
-        self.placement = policy;
-        self
-    }
-
-    /// Give every redirected call a deadline on its reply wait and retry
-    /// transient failures with backoff — the fault-tolerant flavour of
-    /// Figure 14, still one pluggable module.
-    pub fn policy(mut self, call_policy: CallPolicy) -> Self {
-        self.call_policy = call_policy;
-        self
-    }
-
-    /// Record per-call observability into `registry`: `{name}.calls` /
-    /// `{name}.errors` counters and an `{name}.latency_ns` histogram over
-    /// redirected calls (marshal + round-trip + decode).
-    pub fn metrics(mut self, registry: &MetricsRegistry) -> Self {
-        self.metrics = Some(registry.clone());
-        self
-    }
-
-    /// Build the pluggable aspect under `name`.
-    pub fn aspect(self, name: impl Into<String>) -> Aspect {
-        distribution_aspect(
-            name.into(),
-            self.class,
-            self.call_pointcut,
-            self.fabric,
-            self.placement,
-            true,
-            false,
-            self.call_policy,
-            self.metrics,
-        )
-    }
-}
-
-/// Builder for the MPP-style distribution aspect (Figure 15): direct node
-/// addressing, no name server. [`MppConfig::oneway`] sends without replies
-/// (the figure's `comm.send`); the replied default awaits a reply message,
-/// which methods with results require.
-#[derive(Clone)]
-pub struct MppConfig {
-    class: &'static str,
-    call_pointcut: Pointcut,
-    fabric: Arc<InProcFabric>,
-    placement: Policy,
-    oneway: bool,
-    call_policy: CallPolicy,
-    metrics: Option<MetricsRegistry>,
-}
-
-impl MppConfig {
-    /// Distribute `class` MPP-style over `fabric`. Placement defaults to
-    /// round-robin and calls are replied; chain [`MppConfig::oneway`] for
-    /// send-and-forget semantics.
-    pub fn new(class: &'static str, call_pointcut: Pointcut, fabric: Arc<InProcFabric>) -> Self {
-        MppConfig {
-            class,
-            call_pointcut,
-            fabric,
-            placement: Policy::round_robin(),
-            oneway: false,
-            call_policy: CallPolicy::unbounded(),
-            metrics: None,
-        }
-    }
-
-    /// Node-selection policy for new instances (default: round-robin).
-    pub fn placement(mut self, policy: Policy) -> Self {
-        self.placement = policy;
-        self
-    }
-
-    /// Send without replies (only apply to methods whose results are
-    /// unused); `false` restores the replied default.
-    pub fn oneway(mut self, oneway: bool) -> Self {
-        self.oneway = oneway;
-        self
-    }
-
-    /// A [`CallPolicy`] on redirected replied calls (deadline +
-    /// retry/backoff); a oneway send has no reply to wait for or retry on.
-    pub fn policy(mut self, call_policy: CallPolicy) -> Self {
-        self.call_policy = call_policy;
-        self
-    }
-
-    /// Record per-call observability into `registry` (see
-    /// [`RmiConfig::metrics`]).
-    pub fn metrics(mut self, registry: &MetricsRegistry) -> Self {
-        self.metrics = Some(registry.clone());
-        self
-    }
-
-    /// Build the pluggable aspect under `name`.
-    pub fn aspect(self, name: impl Into<String>) -> Aspect {
-        distribution_aspect(
-            name.into(),
-            self.class,
-            self.call_pointcut,
-            self.fabric,
-            self.placement,
-            false,
-            self.oneway,
-            self.call_policy,
-            self.metrics,
-        )
-    }
 }
 
 /// One node's pending pack.
@@ -384,11 +308,9 @@ pub struct MessagePacker {
     /// racing the unplug ship immediately instead of parking in a buffer
     /// nobody will flush again.
     closed: Arc<AtomicBool>,
-    /// Flush thresholds, held in shared cells so a tuning controller can
-    /// adjust them between flushes; each `buffer` reads them with one
-    /// relaxed load apiece.
-    max_calls: Arc<AtomicU32>,
-    max_age_ms: Arc<AtomicU32>,
+    /// Flush thresholds: calls per frame and age of a frame's oldest call.
+    max_calls: u32,
+    max_age: Duration,
 }
 
 impl MessagePacker {
@@ -397,21 +319,9 @@ impl MessagePacker {
             fabric,
             pending: Arc::new(Mutex::new(HashMap::new())),
             closed: Arc::new(AtomicBool::new(false)),
-            max_calls: Arc::new(AtomicU32::new(max_calls.max(1))),
-            max_age_ms: Arc::new(AtomicU32::new(
-                max_age.as_millis().min(u128::from(u32::MAX)) as u32
-            )),
+            max_calls: max_calls.max(1),
+            max_age,
         }
-    }
-
-    /// The pack-size threshold cell (calls per frame), for tuner binding.
-    pub fn max_calls_cell(&self) -> Arc<AtomicU32> {
-        self.max_calls.clone()
-    }
-
-    /// The flush-age threshold cell (milliseconds), for tuner binding.
-    pub fn max_age_ms_cell(&self) -> Arc<AtomicU32> {
-        self.max_age_ms.clone()
     }
 
     /// Append one call bound for `node`; ships the pack when the count or
@@ -445,9 +355,7 @@ impl MessagePacker {
                 }
             }
             entry.frame.push(obj, method, self.fabric.marshal(), args)?;
-            let max_calls = self.max_calls.load(Ordering::Relaxed).max(1);
-            let max_age = Duration::from_millis(u64::from(self.max_age_ms.load(Ordering::Relaxed)));
-            if entry.frame.count() >= max_calls || entry.born.elapsed() >= max_age {
+            if entry.frame.count() >= self.max_calls || entry.born.elapsed() >= self.max_age {
                 pending.remove(&node)
             } else {
                 None

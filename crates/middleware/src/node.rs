@@ -344,8 +344,7 @@ impl NodeRuntime {
         }
         let mut serving = Serving { mailbox: &self.mailbox, server: state.server.take() };
         drop(state);
-        let _context = weavepar_weave::context::set_aside();
-        let _scope = weavepar_concurrency::batch::set_aside();
+        let _fresh = weavepar_concurrency::batch::set_aside();
         let _token = weavepar_weave::object::Held::new();
         let server = serving.server.as_mut().expect("held until drop");
         Ok(server.replied_call(obj, method, args, seq))

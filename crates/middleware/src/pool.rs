@@ -31,22 +31,11 @@ const SHARDS: usize = 8;
 /// doesn't pin its high-water allocation forever.
 const PER_SHARD: usize = 32;
 
-/// Per-thread shard affinity, assigned round-robin on first use so the hot
-/// path is a plain TLS read — no thread-id hashing per call. Shared by every
-/// sharded pool in this module: a thread always hits the same shard index.
+/// Per-thread shard affinity: the thread's ordinal picks the shard, so the
+/// hot path is a plain TLS read — no thread-id hashing per call. Shared by
+/// every sharded pool in this module: a thread always hits the same shard.
 fn shard_index() -> usize {
-    static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    }
-    SHARD.with(|s| {
-        let mut idx = s.get();
-        if idx == usize::MAX {
-            idx = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            s.set(idx);
-        }
-        idx
-    })
+    weavepar_weave::trace::thread_tag() as usize % SHARDS
 }
 
 /// Sharded pool of reusable [`BytesMut`] frames.

@@ -1,4 +1,4 @@
-//! Call-site provenance tracking.
+//! The per-thread weaving context.
 //!
 //! The paper's pointcuts distinguish *where a call comes from*: the split
 //! advice of the Partition aspect applies only to calls made by core
@@ -6,104 +6,128 @@
 //! the aspect itself makes (Figure 7, block 3). AspectJ gets this from
 //! `within(..)`; we reproduce it with a thread-local provenance frame that the
 //! runtime replaces around base-method execution and around advice execution.
+//!
+//! That frame is one field of `Context`, the single value holding everything
+//! the runtime knows per thread about the join point in flight. Running
+//! unrelated work on a thread ([`set_aside`]) and carrying a join point to
+//! another thread ([`CurrentContext`]) both swap the whole value.
 
 use std::cell::{Cell, RefCell};
 
 use crate::aspect::AspectId;
 use crate::signature::{MethodPattern, Signature};
+use crate::trace::TaskId;
 
 /// Who issued the call currently being woven.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Provenance {
     /// Top-level application code or a core-functionality method body.
+    #[default]
     Core,
     /// Code executing inside an advice body of the given aspect.
     Aspect(AspectId),
 }
 
-thread_local! {
-    // The innermost provenance frame and how many frames are open. The frames
-    // beneath it live in their guards: each holds the value it replaced.
-    static FRAME: Cell<(Provenance, usize)> = const { Cell::new((Provenance::Core, 0)) };
-    // The join points currently executing on this thread, outermost first —
-    // the dynamic extent AspectJ's `cflow` quantifies over.
-    static CFLOW: RefCell<Vec<Signature>> = const { RefCell::new(Vec::new()) };
-    // Grain hints a tuned skeleton aspect publishes around an application
-    // closure (`weavepar_skeletons::hints` names the slots; 0 = unset). They
-    // live here so that `set_aside` lifts them with the rest of the context.
-    static HINTS: Cell<[u32; HINT_SLOTS]> = const { Cell::new([0; HINT_SLOTS]) };
-}
-
 /// Number of grain-hint slots (see [`replace_hint`]).
 pub const HINT_SLOTS: usize = 3;
 
+/// What a thread knows about the join point it is executing. Every field is
+/// its own cell and no borrow outlives the accessor that took it, so advice
+/// may re-enter freely. A new field is carried by [`Context::swap`] or the
+/// crate does not compile; whether it crosses threads is decided in
+/// [`CurrentContext::capture`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Context {
+    /// The innermost provenance frame and how many frames are open. The
+    /// frames beneath it live in their guards: each holds the value it
+    /// replaced.
+    pub(crate) frame: Cell<(Provenance, usize)>,
+    /// The join points currently executing on this thread, outermost first —
+    /// the dynamic extent AspectJ's `cflow` quantifies over.
+    pub(crate) cflow: RefCell<Vec<Signature>>,
+    /// Grain hints a tuned skeleton aspect publishes around an application
+    /// closure (`weavepar_skeletons::hints` names the slots; 0 = unset).
+    pub(crate) hints: Cell<[u32; HINT_SLOTS]>,
+    /// The recorded task whose base method body is executing, if any; an
+    /// outer one lives in the [`TaskGuard`](crate::trace::TaskGuard) that
+    /// masked it.
+    pub(crate) task: Cell<Option<TaskId>>,
+    /// Data-dependency marker, tagged with the recorder id it belongs to so a
+    /// stale marker from an earlier recording session (or a reused pool
+    /// thread) is never mistaken for an edge in the current trace.
+    pub(crate) data_dep: Cell<Option<(u64, TaskId)>>,
+}
+
+impl Context {
+    fn swap(&self, other: &Context) {
+        let Context { frame, cflow, hints, task, data_dep } = self;
+        frame.swap(&other.frame);
+        cflow.swap(&other.cflow);
+        hints.swap(&other.hints);
+        task.swap(&other.task);
+        data_dep.swap(&other.data_dep);
+    }
+}
+
+thread_local! {
+    static CONTEXT: Context = Context::default();
+}
+
+/// This thread's context (runtime use; `f` must not run advice).
+pub(crate) fn with<R>(f: impl FnOnce(&Context) -> R) -> R {
+    CONTEXT.with(f)
+}
+
 /// The grain hint published in `slot` on this thread (0 = none).
 pub fn hint(slot: usize) -> u32 {
-    HINTS.with(|h| h.get()[slot])
+    with(|c| c.hints.get()[slot])
 }
 
 /// Publish `value` in hint `slot`, returning the previous value (the caller
 /// restores it: hints are scoped like the provenance frames).
 pub fn replace_hint(slot: usize, value: u32) -> u32 {
-    HINTS.with(|h| {
-        let mut hints = h.get();
+    with(|c| {
+        let mut hints = c.hints.get();
         let prev = std::mem::replace(&mut hints[slot], value);
-        h.set(hints);
+        c.hints.set(hints);
         prev
     })
 }
 
-/// The thread's whole weaving context, lifted off the thread until dropped.
+/// The thread's own weaving context, lifted off the thread until dropped.
 ///
 /// A pool worker that *helps* while it waits on a join (see
 /// `weavepar_concurrency::pool`) runs an unrelated task on top of the waiting
 /// frame. That task must see what it would see on a fresh worker — empty
 /// provenance frame and control-flow stack, no current trace task, no hints —
 /// and the waiting frame must find its own context intact afterwards.
-pub struct SetAside {
-    frame: (Provenance, usize),
-    cflow: Vec<Signature>,
-    hints: [u32; HINT_SLOTS],
-    trace: crate::trace::SetAside,
-}
+pub struct SetAside(Context);
 
 /// Lift the current thread's weaving context off the thread; dropping the
 /// returned value puts it back (discarding whatever was left in between).
 pub fn set_aside() -> SetAside {
-    SetAside {
-        frame: FRAME.replace((Provenance::Core, 0)),
-        cflow: CFLOW.with(|s| std::mem::take(&mut *s.borrow_mut())),
-        hints: HINTS.with(|h| h.replace([0; HINT_SLOTS])),
-        trace: crate::trace::set_aside(),
-    }
+    CurrentContext(Context::default()).install()
 }
 
 impl Drop for SetAside {
     fn drop(&mut self) {
-        FRAME.set(self.frame);
-        CFLOW.with(|s| *s.borrow_mut() = std::mem::take(&mut self.cflow));
-        HINTS.with(|h| h.set(self.hints));
-        crate::trace::restore(std::mem::take(&mut self.trace));
+        with(|c| c.swap(&self.0));
     }
 }
 
 /// RAII guard for one frame of the control-flow stack.
-pub struct CflowGuard {
-    _priv: (),
-}
+pub struct CflowGuard(());
 
 impl Drop for CflowGuard {
     fn drop(&mut self) {
-        CFLOW.with(|s| {
-            s.borrow_mut().pop();
-        });
+        with(|c| c.cflow.borrow_mut().pop());
     }
 }
 
 /// Push a join point onto the control-flow stack (runtime use).
 pub fn push_cflow(sig: Signature) -> CflowGuard {
-    CFLOW.with(|s| s.borrow_mut().push(sig));
-    CflowGuard { _priv: () }
+    with(|c| c.cflow.borrow_mut().push(sig));
+    CflowGuard(())
 }
 
 /// Is the current thread executing within the dynamic extent of a join point
@@ -114,18 +138,12 @@ pub fn push_cflow(sig: Signature) -> CflowGuard {
 /// [`AspectBuilder::around_if`](crate::aspect::AspectBuilder::around_if),
 /// which is evaluated per join point.
 pub fn in_cflow_of(pattern: &MethodPattern) -> bool {
-    CFLOW.with(|s| s.borrow().iter().any(|sig| pattern.matches(sig)))
+    with(|c| c.cflow.borrow().iter().any(|sig| pattern.matches(sig)))
 }
 
-/// Snapshot of the control-flow stack (crossing async boundaries).
+/// Snapshot of the control-flow stack (tests and diagnostics).
 pub fn cflow_snapshot() -> Vec<Signature> {
-    CFLOW.with(|s| s.borrow().clone())
-}
-
-/// Install a captured control-flow stack beneath the current one; frames pop
-/// when the guard drops.
-pub fn install_cflow(stack: &[Signature]) -> Vec<CflowGuard> {
-    stack.iter().map(|sig| push_cflow(*sig)).collect()
+    with(|c| c.cflow.borrow().clone())
 }
 
 /// The provenance of the code currently executing on this thread.
@@ -133,12 +151,12 @@ pub fn install_cflow(stack: &[Signature]) -> Vec<CflowGuard> {
 /// Defaults to [`Provenance::Core`] when nothing has been pushed — top-level
 /// application code *is* core functionality.
 pub fn current() -> Provenance {
-    FRAME.get().0
+    with(|c| c.frame.get().0)
 }
 
 /// Number of open provenance frames (used in tests and diagnostics).
 pub fn depth() -> usize {
-    FRAME.get().1
+    with(|c| c.frame.get().1)
 }
 
 /// RAII guard that restores the previous provenance when dropped.
@@ -149,7 +167,7 @@ pub struct ProvenanceGuard {
 impl Drop for ProvenanceGuard {
     fn drop(&mut self) {
         if let Some(frame) = self.replaced {
-            FRAME.set(frame);
+            with(|c| c.frame.set(frame));
         }
     }
 }
@@ -161,55 +179,41 @@ impl Drop for ProvenanceGuard {
 /// cannot observe the difference, and base-method dispatch pushes exactly
 /// this frame on every unwoven call.
 pub fn push(p: Provenance) -> ProvenanceGuard {
-    let (top, depth) = FRAME.get();
-    if p == Provenance::Core && top == Provenance::Core {
-        ProvenanceGuard { replaced: None }
-    } else {
-        FRAME.set((p, depth + 1));
-        ProvenanceGuard { replaced: Some((top, depth)) }
-    }
+    with(|c| {
+        let (top, depth) = c.frame.get();
+        if p == Provenance::Core && top == Provenance::Core {
+            ProvenanceGuard { replaced: None }
+        } else {
+            c.frame.set((p, depth + 1));
+            ProvenanceGuard { replaced: Some((top, depth)) }
+        }
+    })
 }
 
-/// Snapshot of the per-thread weaving context, used by
-/// [`Detached`](crate::invocation::Detached) to re-establish provenance (and by
-/// the trace recorder to re-establish the causal parent) on another thread.
+/// A thread's weaving context as a value: what
+/// [`Detached`](crate::invocation::Detached) takes along so that provenance,
+/// `cflow` guards and the trace's causal parent survive the thread hop.
 #[derive(Debug, Clone)]
-pub struct CurrentContext {
-    /// Provenance at capture time.
-    pub provenance: Provenance,
-    /// Trace task identifier at capture time, if recording.
-    pub task: Option<crate::trace::TaskId>,
-    /// Data-dependency marker at capture time (see
-    /// [`trace::note_completion`](crate::trace::note_completion)).
-    pub data_dep: Option<(u64, crate::trace::TaskId)>,
-    /// Control-flow stack at capture time (so `cflow` guards keep working
-    /// across asynchronous boundaries).
-    pub cflow: Vec<Signature>,
-}
+pub struct CurrentContext(Context);
 
 impl CurrentContext {
-    /// Capture the current thread's weaving context.
+    /// Capture the current thread's weaving context: everything in it but
+    /// the grain hints, which belong to the advice frame that published them
+    /// around a closure it calls on its own thread.
     pub fn capture() -> Self {
-        CurrentContext {
-            provenance: current(),
-            task: crate::trace::current_task(),
-            data_dep: crate::trace::data_dep_raw(),
-            cflow: cflow_snapshot(),
-        }
+        let captured = with(Context::clone);
+        captured.hints.take();
+        // Room for the frames the installing thread pushes: growing a buffer
+        // that another thread allocated costs a detached call about 1 µs.
+        captured.cflow.borrow_mut().reserve(4);
+        CurrentContext(captured)
     }
 
-    /// Re-establish the captured context on the current thread for the
-    /// lifetime of the returned guards.
-    pub fn install(
-        &self,
-    ) -> (ProvenanceGuard, crate::trace::TaskGuard, crate::trace::DataDepGuard, Vec<CflowGuard>)
-    {
-        (
-            push(self.provenance),
-            crate::trace::push_task(self.task),
-            crate::trace::push_data_dep(self.data_dep),
-            install_cflow(&self.cflow),
-        )
+    /// Make the captured context the current thread's until the guard drops;
+    /// the thread's own is set aside meanwhile, as by [`set_aside`].
+    pub fn install(self) -> SetAside {
+        with(|c| c.swap(&self.0));
+        SetAside(self.0)
     }
 }
 
@@ -307,6 +311,53 @@ mod tests {
         });
         assert!(unwound.is_err());
         assert_eq!((current(), depth()), (Provenance::Core, 0));
+    }
+
+    /// The context, field by field. Exhaustive on purpose: whoever adds a
+    /// field has to say below what `set_aside` and `capture` do with it.
+    #[allow(clippy::type_complexity)]
+    fn fields() -> (
+        (Provenance, usize),
+        Vec<Signature>,
+        [u32; HINT_SLOTS],
+        Option<TaskId>,
+        Option<(u64, TaskId)>,
+    ) {
+        let Context { frame, cflow, hints, task, data_dep } = with(Context::clone);
+        (frame.get(), cflow.into_inner(), hints.get(), task.get(), data_dep.get())
+    }
+
+    #[test]
+    fn every_field_is_set_aside_and_all_but_the_hints_cross_threads() {
+        let (sig, task) = (Signature::new("C", "m"), TaskId::from_raw(9));
+        let frame = (Provenance::Aspect(AspectId::from_raw(5)), 1);
+        let _p = push(frame.0);
+        let _c = push_cflow(sig);
+        replace_hint(2, 17);
+        let _t = crate::trace::push_task(Some(task));
+        crate::trace::note_completion(3, task);
+        let mine = (frame, vec![sig], [0, 0, 17], Some(task), Some((3, task)));
+        assert_eq!(fields(), mine);
+        {
+            let _clean = set_aside();
+            assert_eq!(fields(), ((Provenance::Core, 0), vec![], [0; HINT_SLOTS], None, None));
+        }
+        assert_eq!(fields(), mine);
+
+        let captured = CurrentContext::capture();
+        assert_eq!(fields(), mine, "capturing takes nothing away");
+        std::thread::spawn(move || {
+            replace_hint(0, 4);
+            let theirs = fields();
+            {
+                let _installed = captured.install();
+                let carried = (frame, vec![sig], [0; HINT_SLOTS], Some(task), Some((3, task)));
+                assert_eq!(fields(), carried);
+            }
+            assert_eq!(fields(), theirs, "the installing thread gets its own context back");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

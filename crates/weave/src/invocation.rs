@@ -13,6 +13,8 @@
 //!   objects ([`Invocation::construct_sibling`]) exactly like the paper's
 //!   Partition aspect creates the pipeline of `PrimeFilter`s.
 
+use std::time::{Duration, Instant};
+
 use crate::context::{self, CurrentContext, Provenance};
 use crate::dispatch::ClassInfo;
 use crate::error::{WeaveError, WeaveResult};
@@ -153,6 +155,14 @@ impl<'a> Invocation<'a> {
             let args = self.args.take().ok_or(WeaveError::AlreadyProceeded)?;
             self.execute_base(args)
         }
+    }
+
+    /// [`proceed`](Invocation::proceed), with the wall time it took: the one
+    /// place an observer advice (metrics, logging, autotuning) reads the clock.
+    pub fn proceed_timed(&mut self) -> (WeaveResult<AnyValue>, Duration) {
+        let start = Instant::now();
+        let result = self.proceed();
+        (result, start.elapsed())
     }
 
     /// Run the rest of the chain with explicit arguments. May be called

@@ -98,7 +98,7 @@ pub use error::{WeaveError, WeaveResult};
 pub use intertype::IntertypeStore;
 pub use invocation::{Detached, Invocation, JoinPointKind};
 pub use metrics::{
-    metrics_aspect, metrics_aspect_at, Counter, Gauge, Histogram, HistogramSnapshot,
+    metrics_aspect, metrics_aspect_at, CallMeter, Counter, Gauge, Histogram, HistogramSnapshot,
     MetricsRegistry, Snapshot,
 };
 pub use object::{Handle, ObjId, ObjectSpace};

@@ -12,8 +12,9 @@
 //! # Hot-path discipline
 //!
 //! * **Counters** are 8-way sharded relaxed atomics (the same layout as the
-//!   tuning accumulators): each thread increments a shard picked once per
-//!   thread, so hot-path increments never contend on a shared cache line.
+//!   tuning accumulators): each thread increments the shard its ordinal
+//!   ([`thread_tag`](crate::trace::thread_tag)) picks, so hot-path
+//!   increments never contend on a shared cache line.
 //! * **Histograms** use fixed log₂(ns) buckets — recording a sample is a
 //!   handful of relaxed `fetch_add`s on this thread's shard, no allocation,
 //!   no locks, no floating point.
@@ -45,22 +46,9 @@ const SHARDS: usize = 8;
 /// `[2^k, 2^(k+1))` ns, so 40 buckets cover 1 ns to ≈ 18 minutes.
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
-/// This thread's shard, assigned round-robin on first use (same scheme as
-/// the tuning accumulators).
+/// This thread's shard.
 fn shard_index() -> usize {
-    use std::cell::Cell;
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    SHARD.with(|s| {
-        let mut idx = s.get();
-        if idx == usize::MAX {
-            idx = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            s.set(idx);
-        }
-        idx
-    })
+    crate::trace::thread_tag() as usize % SHARDS
 }
 
 /// One cache line per shard so neighbouring shards never false-share.
@@ -365,11 +353,6 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// True when `other` is a clone of this registry.
-    pub fn same_as(&self, other: &MetricsRegistry) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
     /// Get or create the sharded counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
         if let Some(c) = self.inner.counters.read().get(name) {
@@ -552,31 +535,49 @@ impl Snapshot {
     }
 }
 
-// ---- weaver dispatch stats --------------------------------------------------
+// ---- call meter and metrics aspect -------------------------------------------
 
-/// Pre-resolved handles for the weaver's own dispatch tap. Resolved once at
-/// [`Weaver::install_metrics`](crate::registry::Weaver::install_metrics), so
-/// the installed-idle dispatch path is two relaxed shard increments and zero
-/// clock reads.
-pub(crate) struct DispatchStats {
-    pub(crate) registry: MetricsRegistry,
-    pub(crate) calls: Counter,
-    pub(crate) constructs: Counter,
-    pub(crate) errors: Counter,
+/// The `{name}.calls` / `{name}.errors` counters and `{name}.latency_ns`
+/// histogram of one metered operation, resolved once so that recording never
+/// consults the registry.
+#[derive(Clone, Debug)]
+pub struct CallMeter {
+    calls: Counter,
+    errors: Counter,
+    latency: Histogram,
 }
 
-impl DispatchStats {
-    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
-        DispatchStats {
-            registry: registry.clone(),
-            calls: registry.counter("weaver.calls"),
-            constructs: registry.counter("weaver.constructs"),
-            errors: registry.counter("weaver.errors"),
+impl CallMeter {
+    /// Resolve (or create) the three cells under `name` in `registry`.
+    pub fn new(registry: &MetricsRegistry, name: &str) -> Self {
+        CallMeter {
+            calls: registry.counter(&format!("{name}.calls")),
+            errors: registry.counter(&format!("{name}.errors")),
+            latency: registry.histogram(&format!("{name}.latency_ns")),
         }
     }
-}
 
-// ---- metrics aspect ---------------------------------------------------------
+    /// Record one completed operation that took `elapsed`.
+    #[inline]
+    pub fn record(&self, elapsed: Duration, ok: bool) {
+        self.latency.record(elapsed);
+        self.calls.inc();
+        if !ok {
+            self.errors.inc();
+        }
+    }
+
+    /// Run `operation` and record it with the time it took — for a metered
+    /// operation that is not a `proceed` (the distribution proxy's marshal +
+    /// round trip + decode). An advice timing its `proceed` records what
+    /// [`Invocation::proceed_timed`] measured instead.
+    pub fn time<T, E>(&self, operation: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+        let start = Instant::now();
+        let result = operation();
+        self.record(start.elapsed(), result.is_ok());
+        result
+    }
+}
 
 /// Build a metrics observer aspect at an explicit precedence: every matched
 /// join point is timed around `proceed` into `{name}.latency_ns`, with
@@ -594,19 +595,12 @@ pub fn metrics_aspect_at(
     precedence: i32,
 ) -> Aspect {
     let name = name.into();
-    let calls = registry.counter(&format!("{name}.calls"));
-    let errors = registry.counter(&format!("{name}.errors"));
-    let latency = registry.histogram(&format!("{name}.latency_ns"));
+    let meter = CallMeter::new(registry, &name);
     Aspect::named(name)
         .precedence(precedence)
         .around(pointcut, move |inv: &mut Invocation| {
-            let start = Instant::now();
-            let result = inv.proceed();
-            latency.record(start.elapsed());
-            calls.inc();
-            if result.is_err() {
-                errors.inc();
-            }
+            let (result, elapsed) = inv.proceed_timed();
+            meter.record(elapsed, result.is_ok());
             result
         })
         .build()
@@ -748,6 +742,7 @@ mod tests {
         let weaver = Weaver::new();
         let reg = MetricsRegistry::new();
         weaver.plug(metrics_aspect("obs", Pointcut::call("Acc.add"), &reg));
+        weaver.plug(metrics_aspect("weaver", Pointcut::any("*.*"), &reg));
         let h = weaver.construct::<Acc>(args![0i64]).unwrap();
         for _ in 0..5 {
             h.call("add", args![1i64]).unwrap();
@@ -760,5 +755,9 @@ mod tests {
         let lat = snap.histogram("obs.latency_ns").unwrap();
         assert_eq!(lat.count, 6);
         assert!(lat.sum_ns > 0);
+        // Over every join point it counts what a hook in the dispatcher would:
+        // the construction and the six calls, one of them failed.
+        assert_eq!(snap.counter("weaver.calls"), Some(7));
+        assert_eq!(snap.counter("weaver.errors"), Some(1));
     }
 }

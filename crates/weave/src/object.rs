@@ -50,6 +50,7 @@ pub(crate) type Instance = Arc<ReentrantMutex<RefCell<Box<dyn Any + Send>>>>;
 
 thread_local! {
     /// Object monitors this thread holds, re-entrant acquisitions included.
+    /// Not in the weaving context: setting that aside releases no monitor.
     static MONITORS_HELD: Cell<usize> = const { Cell::new(0) };
 }
 

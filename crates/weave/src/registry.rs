@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
@@ -28,11 +28,10 @@ use crate::dispatch::{ClassInfo, Weaveable};
 use crate::error::{WeaveError, WeaveResult};
 use crate::intertype::IntertypeStore;
 use crate::invocation::{BaseAction, Invocation, JoinPointKind};
-use crate::metrics::{DispatchStats, MetricsRegistry};
 use crate::object::{Handle, Instance, ObjId, ObjectSpace};
 use crate::signature::Signature;
-use crate::snapshot::{AspectCell, MetricsCell, RecorderCell};
-use crate::trace::{self, Recorder};
+use crate::snapshot::{AspectCell, RecorderCell};
+use crate::trace::{self, Recorder, TaskId};
 use crate::value::{AnyValue, Args};
 
 struct Slot {
@@ -51,7 +50,6 @@ struct WeaverInner {
     snapshot: AspectCell,
     next_aspect: AtomicU64,
     recorder: RecorderCell,
-    metrics: MetricsCell,
     classes: RwLock<HashMap<&'static str, ClassInfo>>,
 }
 
@@ -72,7 +70,6 @@ impl Weaver {
                 snapshot: AspectCell::new(),
                 next_aspect: AtomicU64::new(1),
                 recorder: RecorderCell::new(),
-                metrics: MetricsCell::new(),
                 classes: RwLock::new(HashMap::new()),
             }),
         }
@@ -192,29 +189,7 @@ impl Weaver {
 
     /// The installed recorder, if any.
     pub fn recorder(&self) -> Option<Recorder> {
-        (*self.inner.recorder.exact()).clone()
-    }
-
-    // ---- metrics -------------------------------------------------------------
-
-    /// Install a metrics registry: every dispatched call and construction is
-    /// counted into `weaver.calls` / `weaver.constructs` / `weaver.errors`.
-    /// The handles are resolved once here, so the installed-idle dispatch
-    /// path is two relaxed sharded increments — no clock reads, no
-    /// allocation. With no registry installed the cost is one relaxed load
-    /// (the same pre-flight shape as the trace recorder).
-    pub fn install_metrics(&self, registry: &MetricsRegistry) {
-        self.inner.metrics.set(Some(DispatchStats::new(registry)));
-    }
-
-    /// Remove the installed metrics registry.
-    pub fn clear_metrics(&self) {
-        self.inner.metrics.set(None);
-    }
-
-    /// The installed metrics registry, if any.
-    pub fn metrics(&self) -> Option<MetricsRegistry> {
-        self.inner.metrics.exact().as_ref().as_ref().map(|s| s.registry.clone())
+        self.inner.recorder.get()
     }
 
     // ---- join points ----------------------------------------------------------
@@ -368,39 +343,12 @@ impl Weaver {
         issuer: u64,
     ) -> WeaveResult<AnyValue> {
         let in_table = info.methods.contains(&signature.method);
-        // One relaxed load skips all recorder bookkeeping when none is
-        // installed — the steady-state dispatch path.
-        let recorder_snap =
-            if self.inner.recorder.is_installed() { Some(self.inner.recorder.get()) } else { None };
-        let recorder = recorder_snap.as_deref().and_then(|r| r.as_ref());
-        // Same pre-flight shape for metrics: the uninstalled path pays one
-        // relaxed load; the installed-idle path pays sharded relaxed
-        // increments and never reads the clock.
-        let metrics_snap =
-            if self.inner.metrics.is_installed() { Some(self.inner.metrics.get()) } else { None };
-        let metrics = metrics_snap.as_deref().and_then(|m| m.as_ref());
-        if let Some(stats) = metrics {
-            stats.calls.inc();
-        }
-
-        let (task, model_cost) = match recorder {
-            Some(rec) => {
-                let bytes = (info.arg_bytes)(signature.method, &args);
-                let model = rec.model_cost(&signature, &args);
-                (
-                    Some(rec.begin_task(signature, Some(target), bytes, async_boundary, issuer)),
-                    model,
-                )
-            }
-            None => (None, None),
-        };
-
+        let recording =
+            self.recording(&info, signature, &args, Some(target), async_boundary, issuer);
         let result = {
             let _prov = context::push(Provenance::Core);
-            let _task = trace::push_task(task);
-            // The clock is only read when a recorder needs wall-time costs.
-            let start = recorder.map(|_| Instant::now());
-            let result = if in_table {
+            let _task = trace::push_task(recording.as_ref().and_then(|r| r.task));
+            if in_table {
                 ObjectSpace::dispatch_on(&info, &instance, target, signature.method, args)
             } else {
                 drop(instance);
@@ -411,23 +359,12 @@ impl Weaver {
                     target,
                     args,
                 )
-            };
-            if let (Some(rec), Some(task)) = (recorder, task) {
-                let cost = model_cost
-                    .unwrap_or_else(|| start.expect("clock read when recording").elapsed());
-                let ret_bytes =
-                    result.as_ref().map(|r| (info.ret_bytes)(signature.method, r)).unwrap_or(0);
-                rec.end_task(task, cost, ret_bytes);
             }
-            result
         };
-        if let (Some(rec), Some(task)) = (recorder, task) {
-            // Whatever this thread's advice does next (e.g. forward the
-            // result down the pipeline) happens after this task.
-            trace::note_completion(rec.id(), task);
-        }
-        if let (Some(stats), Err(_)) = (metrics, &result) {
-            stats.errors.inc();
+        if let Some(recording) = recording {
+            let ret_bytes =
+                result.as_ref().map(|r| (info.ret_bytes)(signature.method, r)).unwrap_or(0);
+            recording.close(target, ret_bytes);
         }
         result
     }
@@ -440,43 +377,41 @@ impl Weaver {
         issuer: u64,
     ) -> WeaveResult<ObjId> {
         let signature = Signature::construction(info.class);
-        let recorder_snap =
-            if self.inner.recorder.is_installed() { Some(self.inner.recorder.get()) } else { None };
-        let recorder = recorder_snap.as_deref().and_then(|r| r.as_ref());
-        let metrics_snap =
-            if self.inner.metrics.is_installed() { Some(self.inner.metrics.get()) } else { None };
-        if let Some(stats) = metrics_snap.as_deref().and_then(|m| m.as_ref()) {
-            stats.constructs.inc();
-        }
-        let (bytes, model_cost) = match recorder {
-            Some(rec) => {
-                ((info.arg_bytes)(Signature::NEW, &args), rec.model_cost(&signature, &args))
-            }
-            None => (0, None),
-        };
-        let start = recorder.map(|_| Instant::now());
-        let constructed = {
+        let recording = self.recording(&info, signature, &args, None, async_boundary, issuer);
+        let boxed = {
             let _prov = context::push(Provenance::Core);
             (info.construct)(args)
-        };
-        let boxed = match constructed {
-            Ok(boxed) => boxed,
-            Err(err) => {
-                if let Some(stats) = metrics_snap.as_deref().and_then(|m| m.as_ref()) {
-                    stats.errors.inc();
-                }
-                return Err(err);
-            }
-        };
+        }?;
         let id = self.inner.space.insert_erased(info, boxed);
-        if let Some(rec) = recorder {
-            let task = rec.begin_task(signature, Some(id), bytes, async_boundary, issuer);
-            let cost =
-                model_cost.unwrap_or_else(|| start.expect("clock read when recording").elapsed());
-            rec.end_task(task, cost, 0);
-            trace::note_completion(rec.id(), task);
+        if let Some(recording) = recording {
+            recording.close(id, 0);
         }
         Ok(id)
+    }
+
+    /// The recorder's bracket around one base event, if a recorder is
+    /// installed; one relaxed load when none is — the steady-state path.
+    fn recording(
+        &self,
+        info: &ClassInfo,
+        signature: Signature,
+        args: &Args,
+        target: Option<ObjId>,
+        async_boundary: bool,
+        issuer: u64,
+    ) -> Option<Recording> {
+        let recorder = self.inner.recorder.get()?;
+        let issued = Issued {
+            signature,
+            args_bytes: (info.arg_bytes)(signature.method, args),
+            async_boundary,
+            issuer,
+        };
+        let model_cost = recorder.model_cost(&signature, args);
+        // A call's task opens now, so that what its body issues names it as
+        // parent; a construction's opens once the new object has an id.
+        let task = target.map(|target| issued.begin(&recorder, target));
+        Some(Recording { recorder, issued, task, model_cost, started: Instant::now() })
     }
 
     // ---- advice matching ---------------------------------------------------------
@@ -505,6 +440,46 @@ impl Weaver {
     #[cfg(test)]
     pub(crate) fn debug_strong_count(&self) -> usize {
         Arc::strong_count(&self.inner)
+    }
+}
+
+/// What the recorder is told when a base event's task opens, but for its
+/// target.
+#[derive(Clone, Copy)]
+struct Issued {
+    signature: Signature,
+    args_bytes: usize,
+    async_boundary: bool,
+    issuer: u64,
+}
+
+impl Issued {
+    fn begin(self, recorder: &Recorder, target: ObjId) -> TaskId {
+        let Issued { signature, args_bytes, async_boundary, issuer } = self;
+        recorder.begin_task(signature, Some(target), args_bytes, async_boundary, issuer)
+    }
+}
+
+/// One base event as the installed recorder sees it: opened by
+/// [`Weaver::recording`] before the event runs, closed with what it produced.
+/// The clock is read here and nowhere else in the dispatcher, and only when a
+/// recorder needs wall-time costs.
+struct Recording {
+    recorder: Recorder,
+    issued: Issued,
+    task: Option<TaskId>,
+    model_cost: Option<Duration>,
+    started: Instant,
+}
+
+impl Recording {
+    fn close(self, target: ObjId, ret_bytes: usize) {
+        let cost = self.model_cost.unwrap_or_else(|| self.started.elapsed());
+        let task = self.task.unwrap_or_else(|| self.issued.begin(&self.recorder, target));
+        self.recorder.end_task(task, cost, ret_bytes);
+        // Whatever this thread's advice does next (e.g. forward the result
+        // down the pipeline) happens after this task.
+        trace::note_completion(self.recorder.id(), task);
     }
 }
 
@@ -794,27 +769,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn installed_metrics_count_dispatches_and_errors() {
-        let weaver = Weaver::new();
-        assert!(weaver.metrics().is_none());
-        let reg = MetricsRegistry::new();
-        weaver.install_metrics(&reg);
-        assert!(weaver.metrics().is_some_and(|r| r.same_as(&reg)));
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-        h.call("add", args![1i64]).unwrap();
-        h.call("add", args![2i64]).unwrap();
-        let _ = h.call("add", args!["bad".to_string()]); // base dispatch error
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("weaver.constructs"), Some(1));
-        assert_eq!(snap.counter("weaver.calls"), Some(3));
-        assert_eq!(snap.counter("weaver.errors"), Some(1));
-        weaver.clear_metrics();
-        h.call("add", args![1i64]).unwrap();
-        assert_eq!(reg.snapshot().counter("weaver.calls"), Some(3), "cleared registry is idle");
-        assert!(weaver.metrics().is_none());
-    }
-
-    #[test]
     fn plugging_invalidates_cached_matches() {
         let weaver = Weaver::new();
         let h = weaver.construct::<Acc>(args![0i64]).unwrap();
@@ -928,7 +882,6 @@ pub(crate) mod tests {
         {
             let weaver = Weaver::new();
             weaver.set_recorder(Some(Recorder::measuring()));
-            weaver.install_metrics(&MetricsRegistry::new());
             let captured = token.clone();
             let holding = Aspect::named("Holding")
                 .before(Pointcut::call("Acc.add"), move |_| {

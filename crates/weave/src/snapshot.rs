@@ -14,8 +14,8 @@
 //!   generation moves. A chain matched at generation G can therefore never be
 //!   served at G+1: there is no shared cache for a stale computation to
 //!   poison.
-//! * The trace recorder and the dispatch stats are published the same way
-//!   ([`ServiceCell`]), so the per-call check is a TLS read, not a lock.
+//! * The trace recorder ([`RecorderCell`]) costs a join point one relaxed load
+//!   while none is installed.
 //! * A cell that is dropped clears the `alive` flag it shares with its
 //!   per-thread entries; every thread releases dead entries (and whatever
 //!   their advice closures captured) on its next cold path.
@@ -25,14 +25,12 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::LocalKey;
 
 use parking_lot::RwLock;
 
 use crate::advice::AdviceEntry;
 use crate::context::Provenance;
 use crate::invocation::JoinPointKind;
-use crate::metrics::DispatchStats;
 use crate::pointcut::JoinPointQuery;
 use crate::signature::Signature;
 use crate::trace::Recorder;
@@ -51,7 +49,7 @@ fn cache_key(signature: Signature, kind: JoinPointKind, provenance: Provenance) 
     (name(signature.class), name(signature.method), kind, provenance)
 }
 
-/// Per-thread cap on cached cells of one kind, which bounds the linear scan
+/// Per-thread cap on cached cells, which bounds the linear scan
 /// on a thread that keeps more weavers than this alive at once.
 const TLS_CAPACITY: usize = 32;
 
@@ -97,24 +95,6 @@ impl Hasher for ChainKeyHasher {
 /// `None` is the empty chain: an unadvised join point clones nothing.
 type ChainMap = HashMap<CacheKey, Option<Chain>, BuildHasherDefault<ChainKeyHasher>>;
 
-/// Forget the entries of cells that no longer exist, so what their snapshots
-/// hold (advice closures and whatever those captured) is released. `Relaxed`:
-/// the flag publishes no data, it only says the entry is garbage.
-fn sweep<E>(entries: &mut Vec<E>, alive: impl Fn(&E) -> &AtomicBool) {
-    entries.retain(|e| alive(e).load(Ordering::Relaxed));
-}
-
-/// Register `entry` for a cell this thread has not cached yet (oldest out at
-/// capacity); returns its position.
-fn register<E>(entries: &mut Vec<E>, alive: impl Fn(&E) -> &AtomicBool, entry: E) -> usize {
-    sweep(entries, alive);
-    if entries.len() >= TLS_CAPACITY {
-        entries.remove(0);
-    }
-    entries.push(entry);
-    entries.len() - 1
-}
-
 // ---- aspect snapshots -------------------------------------------------------
 
 /// An immutable view of the enabled advice set.
@@ -135,9 +115,6 @@ impl AspectsSnapshot {
         kind: JoinPointKind,
         provenance: Provenance,
     ) -> Option<Chain> {
-        thread_local! {
-            static SCRATCH: RefCell<Vec<Arc<AdviceEntry>>> = const { RefCell::new(Vec::new()) };
-        }
         SCRATCH.with(|scratch| {
             let mut matched = scratch.borrow_mut();
             matched.extend(
@@ -172,10 +149,31 @@ struct AspectTlsEntry {
     chains: ChainMap,
 }
 
+/// Forget the entries of cells that no longer exist, so what their snapshots
+/// hold (advice closures and whatever those captured) is released. `Relaxed`:
+/// the flag publishes no data, it only says the entry is garbage.
+fn sweep(entries: &mut Vec<AspectTlsEntry>) {
+    entries.retain(|e| e.alive.load(Ordering::Relaxed));
+}
+
+/// Register `entry` for a cell this thread has not cached yet (oldest out at
+/// capacity); returns its position.
+fn register(entries: &mut Vec<AspectTlsEntry>, entry: AspectTlsEntry) -> usize {
+    sweep(entries);
+    if entries.len() >= TLS_CAPACITY {
+        entries.remove(0);
+    }
+    entries.push(entry);
+    entries.len() - 1
+}
+
 thread_local! {
+    // Not in the weaving context: this caches what weavers published, keyed by
+    // cell, and says nothing about the join point in flight — a task that
+    // runs while the context is set aside is served by the same cache.
     static ASPECT_TLS: RefCell<Vec<AspectTlsEntry>> = const { RefCell::new(Vec::new()) };
-    static RECORDER_TLS: RefCell<Vec<ServiceTlsEntry<Recorder>>> = const { RefCell::new(Vec::new()) };
-    static METRICS_TLS: RefCell<Vec<ServiceTlsEntry<DispatchStats>>> = const { RefCell::new(Vec::new()) };
+    /// Where [`AspectsSnapshot::matched`] gathers its matches.
+    static SCRATCH: RefCell<Vec<Arc<AdviceEntry>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Publication point for [`AspectsSnapshot`]s: one per weaver.
@@ -240,7 +238,7 @@ impl AspectCell {
                         snap: self.current.read().clone(),
                         chains: ChainMap::default(),
                     };
-                    register(&mut tls, |e| &e.alive, entry)
+                    register(&mut tls, entry)
                 }
             };
             let entry = &mut tls[at];
@@ -254,7 +252,7 @@ impl AspectCell {
             }
             let chain = entry.snap.matched(signature, kind, provenance);
             entry.chains.insert(key, chain.clone());
-            sweep(&mut tls, |e| &e.alive);
+            sweep(&mut tls);
             chain
         })
     }
@@ -266,106 +264,38 @@ impl Drop for AspectCell {
     }
 }
 
-// ---- recorder and metrics snapshots -----------------------------------------
+// ---- the recorder -------------------------------------------------------------
 
-/// `(cell's alive flag, generation, value)` cached per thread.
-pub(crate) struct ServiceTlsEntry<T> {
-    alive: Arc<AtomicBool>,
-    generation: u64,
-    value: Arc<Option<T>>,
-}
-
-/// What a [`ServiceCell`] can publish: a type with its own per-thread cache.
-pub(crate) trait Service: Sized + 'static {
-    fn tls() -> &'static LocalKey<RefCell<Vec<ServiceTlsEntry<Self>>>>;
-}
-
-impl Service for Recorder {
-    fn tls() -> &'static LocalKey<RefCell<Vec<ServiceTlsEntry<Self>>>> {
-        &RECORDER_TLS
-    }
-}
-
-impl Service for DispatchStats {
-    fn tls() -> &'static LocalKey<RefCell<Vec<ServiceTlsEntry<Self>>>> {
-        &METRICS_TLS
-    }
-}
-
-/// Publication point for an optional per-weaver service — the trace recorder
-/// or the dispatch stats: same generation-checked TLS scheme as
-/// [`AspectCell`], so the per-join-point check does not take a lock. Swapping
-/// one does *not* touch the advice cache.
-pub(crate) struct ServiceCell<T> {
-    alive: Arc<AtomicBool>,
-    current: RwLock<Arc<Option<T>>>,
-    generation: AtomicU64,
+/// Where a weaver keeps its optional trace recorder. Installing one does
+/// *not* touch the advice cache.
+pub(crate) struct RecorderCell {
     installed: AtomicBool,
+    current: RwLock<Option<Recorder>>,
 }
 
-/// Publication point for the trace recorder.
-pub(crate) type RecorderCell = ServiceCell<Recorder>;
-
-/// Publication point for the weaver's dispatch-stats handles.
-pub(crate) type MetricsCell = ServiceCell<DispatchStats>;
-
-impl<T: Service> ServiceCell<T> {
+impl RecorderCell {
     pub(crate) fn new() -> Self {
-        ServiceCell {
-            alive: Arc::new(AtomicBool::new(true)),
-            current: RwLock::new(Arc::new(None)),
-            generation: AtomicU64::new(1),
-            installed: AtomicBool::new(false),
-        }
+        RecorderCell { installed: AtomicBool::new(false), current: RwLock::new(None) }
     }
 
-    /// Install (or remove) the service.
-    pub(crate) fn set(&self, value: Option<T>) {
-        let generation = self.generation.load(Ordering::Relaxed) + 1;
+    /// Install (or remove) the recorder.
+    pub(crate) fn set(&self, value: Option<Recorder>) {
         self.installed.store(value.is_some(), Ordering::Relaxed);
-        *self.current.write() = Arc::new(value);
-        self.generation.store(generation, Ordering::Release);
+        *self.current.write() = value;
     }
 
-    /// Cheap pre-flight check: is anything installed at all? The common
-    /// dispatch path uses this single relaxed load to skip the TLS scan and
-    /// `Arc` traffic of [`ServiceCell::get`] entirely, which keeps it
-    /// allocation-free. A call racing with installation may miss the first
-    /// few join points — recording is inherently racy with in-flight calls.
-    pub(crate) fn is_installed(&self) -> bool {
-        self.installed.load(Ordering::Relaxed)
-    }
-
-    /// The exact currently installed value (administrative read).
-    pub(crate) fn exact(&self) -> Arc<Option<T>> {
-        self.current.read().clone()
-    }
-
-    /// The service as seen by this thread — one atomic load plus a TLS scan
-    /// once warm.
-    pub(crate) fn get(&self) -> Arc<Option<T>> {
-        let generation = self.generation.load(Ordering::Acquire);
-        T::tls().with(|tls| {
-            let mut tls = tls.borrow_mut();
-            if let Some(entry) = tls.iter_mut().find(|e| Arc::ptr_eq(&e.alive, &self.alive)) {
-                if entry.generation != generation {
-                    entry.value = self.current.read().clone();
-                    entry.generation = generation;
-                }
-                return entry.value.clone();
-            }
-            let value = self.current.read().clone();
-            let entry =
-                ServiceTlsEntry { alive: self.alive.clone(), generation, value: value.clone() };
-            register(&mut tls, |e| &e.alive, entry);
-            value
-        })
-    }
-}
-
-impl<T> Drop for ServiceCell<T> {
-    fn drop(&mut self) {
-        self.alive.store(false, Ordering::Relaxed);
+    /// The installed recorder. With none — the steady state — this is one
+    /// relaxed load: no lock, no `Arc` traffic. A call racing with
+    /// installation on another thread may miss the first few join points;
+    /// recording is inherently racy with in-flight calls. An installed one
+    /// is fetched under the read lock, which is noise next to the recorder's
+    /// own task list, locked twice per base event.
+    pub(crate) fn get(&self) -> Option<Recorder> {
+        if self.installed.load(Ordering::Relaxed) {
+            self.current.read().clone()
+        } else {
+            None
+        }
     }
 }
 
@@ -494,39 +424,10 @@ mod tests {
     fn recorder_cell_roundtrip() {
         let cell = RecorderCell::new();
         assert!(cell.get().is_none());
-        assert!(cell.exact().is_none());
         let rec = Recorder::measuring();
         cell.set(Some(rec.clone()));
         assert!(cell.get().is_some());
-        assert!(cell.exact().is_some());
         cell.set(None);
         assert!(cell.get().is_none());
-    }
-
-    #[test]
-    fn metrics_cell_roundtrip() {
-        let cell = MetricsCell::new();
-        assert!(!cell.is_installed());
-        assert!(cell.get().is_none());
-        let reg = crate::metrics::MetricsRegistry::new();
-        cell.set(Some(DispatchStats::new(&reg)));
-        assert!(cell.is_installed());
-        cell.get().as_ref().as_ref().unwrap().calls.inc();
-        assert_eq!(reg.snapshot().counter("weaver.calls"), Some(1));
-        cell.set(None);
-        assert!(!cell.is_installed());
-        assert!(cell.get().is_none());
-    }
-
-    #[test]
-    fn dead_service_cells_are_swept_on_the_next_registration() {
-        let dead = RecorderCell::new();
-        dead.set(Some(Recorder::measuring()));
-        let pinned = dead.get();
-        assert_eq!(Arc::strong_count(&pinned), 3, "cell, this thread's entry, `pinned`");
-        drop(dead);
-        assert_eq!(Arc::strong_count(&pinned), 2);
-        assert!(RecorderCell::new().get().is_none());
-        assert_eq!(Arc::strong_count(&pinned), 1);
     }
 }

@@ -14,13 +14,14 @@
 //! *real executions of the woven code* into the paper's cluster-scale figures
 //! without the authors' hardware.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::context;
 use crate::object::ObjId;
 use crate::signature::Signature;
 use crate::value::Args;
@@ -29,12 +30,16 @@ use crate::value::Args;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(u64);
 
-/// Dense per-process tag for the current thread (stable within a run; used to
-/// distinguish the client's main thread from worker threads in traces).
+/// Dense per-process ordinal of the current thread, assigned on first use and
+/// stable within a run: traces tell the client's main thread from worker
+/// threads by it, and every sharded accumulator (metric cells, buffer pools,
+/// tuner shards) picks this thread's shard as `thread_tag() % SHARDS`.
+#[inline]
 pub fn thread_tag() -> u64 {
-    use std::cell::Cell;
     static NEXT: AtomicU64 = AtomicU64::new(0);
     thread_local! {
+        // Not in the weaving context: this is the thread's identity, and
+        // `set_aside` must leave it where it is.
         static TAG: Cell<Option<u64>> = const { Cell::new(None) };
     }
     TAG.with(|t| match t.get() {
@@ -275,49 +280,17 @@ impl std::fmt::Debug for Recorder {
     }
 }
 
-thread_local! {
-    static CURRENT_TASK: RefCell<Vec<Option<TaskId>>> = const { RefCell::new(Vec::new()) };
-    // Data-dependency marker, tagged with the recorder id it belongs to so a
-    // stale marker from an earlier recording session (or a reused pool
-    // thread) is never mistaken for an edge in the current trace.
-    static DATA_DEP: std::cell::Cell<Option<(u64, TaskId)>> = const { std::cell::Cell::new(None) };
-}
-
-/// This thread's trace context (current-task frames and data-dependency
-/// marker), lifted off the thread by [`context::set_aside`](crate::context::set_aside).
-#[derive(Default)]
-pub(crate) struct SetAside {
-    tasks: Vec<Option<TaskId>>,
-    data_dep: Option<(u64, TaskId)>,
-}
-
-pub(crate) fn set_aside() -> SetAside {
-    SetAside {
-        tasks: CURRENT_TASK.with(|s| std::mem::take(&mut *s.borrow_mut())),
-        data_dep: DATA_DEP.with(|c| c.take()),
-    }
-}
-
-pub(crate) fn restore(saved: SetAside) {
-    CURRENT_TASK.with(|s| *s.borrow_mut() = saved.tasks);
-    DATA_DEP.with(|c| c.set(saved.data_dep));
-}
-
-/// The raw (recorder id, task) data-dependency marker of this thread.
-pub fn data_dep_raw() -> Option<(u64, TaskId)> {
-    DATA_DEP.with(|c| c.get())
-}
-
 /// The most recent task that completed on this thread's logical flow,
 /// *within the given recorder's session*.
 pub fn data_dep_for(recorder_id: u64) -> Option<TaskId> {
-    DATA_DEP.with(|c| c.get()).and_then(|(id, task)| (id == recorder_id).then_some(task))
+    let marker = context::with(|c| c.data_dep.get());
+    marker.and_then(|(id, task)| (id == recorder_id).then_some(task))
 }
 
 /// Note that `task` (recorded by `recorder_id`) has completed on this thread:
 /// subsequent join points issued here record it as their `after` dependency.
 pub fn note_completion(recorder_id: u64, task: TaskId) {
-    DATA_DEP.with(|c| c.set(Some((recorder_id, task))));
+    context::with(|c| c.data_dep.set(Some((recorder_id, task))));
 }
 
 /// RAII guard restoring the previous data-dependency marker.
@@ -327,53 +300,34 @@ pub struct DataDepGuard {
 
 impl Drop for DataDepGuard {
     fn drop(&mut self) {
-        DATA_DEP.with(|c| c.set(self.previous));
+        context::with(|c| c.data_dep.set(self.previous));
     }
 }
 
-/// Install a data-dependency marker (used when a detached chain re-installs
-/// its captured context on another thread).
+/// Install a data-dependency marker (`None` masks the thread's own).
 pub fn push_data_dep(dep: Option<(u64, TaskId)>) -> DataDepGuard {
-    let previous = data_dep_raw();
-    DATA_DEP.with(|c| c.set(dep));
-    DataDepGuard { previous }
+    DataDepGuard { previous: context::with(|c| c.data_dep.replace(dep)) }
 }
 
 /// The task whose base method body is currently executing on this thread.
 pub fn current_task() -> Option<TaskId> {
-    CURRENT_TASK.with(|s| s.borrow().last().copied().flatten())
+    context::with(|c| c.task.get())
 }
 
-/// RAII guard restoring the previous current-task frame.
+/// RAII guard restoring the previous current task.
 pub struct TaskGuard {
-    pushed: bool,
+    previous: Option<TaskId>,
 }
 
 impl Drop for TaskGuard {
     fn drop(&mut self) {
-        if self.pushed {
-            CURRENT_TASK.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
+        context::with(|c| c.task.set(self.previous));
     }
 }
 
-/// Push a current-task frame (possibly `None`, masking an outer task).
-///
-/// Pushing `None` onto an empty stack is elided — the empty stack already
-/// reads as "no current task", so the frame would be indistinguishable. This
-/// keeps the unrecorded dispatch path to a single thread-local access.
+/// Make `task` the current task (`None` masks an outer one).
 pub fn push_task(task: Option<TaskId>) -> TaskGuard {
-    CURRENT_TASK.with(|s| {
-        let mut s = s.borrow_mut();
-        if task.is_none() && s.is_empty() {
-            TaskGuard { pushed: false }
-        } else {
-            s.push(task);
-            TaskGuard { pushed: true }
-        }
-    })
+    TaskGuard { previous: context::with(|c| c.task.replace(task)) }
 }
 
 #[cfg(test)]
