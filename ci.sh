@@ -14,8 +14,22 @@ cargo fmt --check
 echo "==> no retired fork under crates/*/src or crates/bench/benches"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
+retired="$retired|fetch_halos"
 if grep -rnE "$retired" crates/*/src crates/bench/benches; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
+    exit 1
+fi
+
+# Partition code reaches its workers through join points, so that distribution
+# and the recorder see every access: `with_object` reads the *local* object,
+# which under a distribution aspect is the stub.
+echo "==> no with_object in crates/{apps,skeletons}/src (test modules excluded)"
+direct=$(find crates/apps/src crates/skeletons/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /with_object(::<[^>]*>)?\(/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$direct" ]; then
+    echo "$direct"
+    echo "application or skeleton code reads a worker behind the weaver's back"
     exit 1
 fi
 

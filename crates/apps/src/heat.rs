@@ -42,9 +42,15 @@ weaveable! {
             }
         }
 
+        /// A NaN keeps that side as it is (the outermost halos are the fixed
+        /// boundary temperatures), like an empty row in `heat2d`.
         fn set_halos(&mut self, left: f64, right: f64) {
-            self.left_halo = left;
-            self.right_halo = right;
+            if !left.is_nan() {
+                self.left_halo = left;
+            }
+            if !right.is_nan() {
+                self.right_halo = right;
+            }
         }
 
         fn edges(&mut self) -> (f64, f64) {
@@ -114,26 +120,25 @@ pub fn heat_heartbeat_config(workers: usize) -> HeartbeatConfig {
         step_method: "step",
         step_args: Arc::new(|_iter| Ok(args![])),
         exchange: Arc::new(|weaver: &Weaver, workers: &[ObjId], _iter| {
-            let mut edges = Vec::with_capacity(workers.len());
-            for &w in workers {
-                let raw = weaver.invoke_call(w, "Rod", "edges", args![])?;
-                edges.push(downcast_ret::<(f64, f64)>(resolve_any(raw)?)?);
-            }
+            let edges = |w: ObjId| -> WeaveResult<(f64, f64)> {
+                downcast_ret(resolve_any(weaver.invoke_call(w, "Rod", "edges", args![])?)?)
+            };
+            let Some(&first) = workers.first() else { return Ok(()) };
+            // A window of three blocks rolls over the rod: edges are cells
+            // and `set_halos` writes halos, so a block's halos can be set as
+            // soon as both neighbours' edges are known, and nothing is
+            // gathered. NaN (no neighbour) keeps the fixed boundary.
+            let mut left = f64::NAN;
+            let mut current = edges(first)?;
             for (i, &w) in workers.iter().enumerate() {
-                // Outermost halos are the fixed boundary temperatures the
-                // blocks were constructed with; only interior halos change.
-                let left = if i == 0 { None } else { Some(edges[i - 1].1) };
-                let right = if i + 1 == workers.len() { None } else { Some(edges[i + 1].0) };
-                if left.is_some() || right.is_some() {
-                    let (cur_left, cur_right) = fetch_halos(weaver, w)?;
-                    let raw = weaver.invoke_call(
-                        w,
-                        "Rod",
-                        "set_halos",
-                        args![left.unwrap_or(cur_left), right.unwrap_or(cur_right)],
-                    )?;
+                let next = workers.get(i + 1).map(|&n| edges(n)).transpose()?;
+                if workers.len() > 1 {
+                    let right = next.map_or(f64::NAN, |(first, _)| first);
+                    let raw = weaver.invoke_call(w, "Rod", "set_halos", args![left, right])?;
                     resolve_any(raw)?;
                 }
+                left = current.1;
+                current = next.unwrap_or(current);
             }
             Ok(())
         }),
@@ -146,11 +151,6 @@ pub fn heat_heartbeat_config(workers: usize) -> HeartbeatConfig {
             Ok(ret!(all))
         }),
     }
-}
-
-/// Read a rod's current halo values directly from the object space.
-fn fetch_halos(weaver: &Weaver, rod: ObjId) -> WeaveResult<(f64, f64)> {
-    weaver.space().with_object::<Rod, _>(rod, |r| (r.left_halo, r.right_halo))
 }
 
 /// Solve with the heartbeat aspect over `workers` blocks.
@@ -250,5 +250,11 @@ mod tests {
         rod.step();
         assert_eq!(rod.cells()[0], 1.5); // (2.0 + 1.0)/2
         assert_eq!(rod.cells()[3], 2.5); // (1.0 + 4.0)/2
+                                         // NaN keeps a side.
+        rod.set_halos(f64::NAN, 6.0);
+        rod.set_halos(f64::NAN, f64::NAN);
+        assert_eq!((rod.left_halo, rod.right_halo), (2.0, 6.0));
+        rod.set_halos(8.0, f64::NAN);
+        assert_eq!((rod.left_halo, rod.right_halo), (8.0, 6.0));
     }
 }

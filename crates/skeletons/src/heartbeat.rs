@@ -10,7 +10,10 @@
 //! The aspect intercepts the core's *run* call and replaces it with the
 //! heartbeat driver: per iteration, an exchange phase followed by a step on
 //! every worker (a barrier separates iterations). All worker interactions go
-//! through the weaver, so concurrency and distribution aspects compose.
+//! through the weaver, so concurrency and distribution aspects compose; the
+//! driver binds its workers once per run ([`Weaver::bind`]), so the loop's
+//! join points skip the object and chain look-ups while nothing is plugged,
+//! unplugged or removed.
 
 use std::sync::Arc;
 
@@ -95,12 +98,17 @@ fn build(name: String, config: HeartbeatConfig) -> Aspect {
         .around(
             Pointcut::call_sig(config.class, config.run_method).and(Pointcut::within_core()),
             move |inv: &mut Invocation| {
-                let weaver = inv.weaver().clone();
                 let target = inv.target_required()?;
-                let workers = weaver
+                let workers = inv
+                    .weaver()
                     .intertype()
                     .get_field::<Vec<ObjId>>(target, WORKERS_FIELD)
                     .unwrap_or_else(|| vec![target]);
+                // Worker set and aspect set are fixed for the run: weave the
+                // workers once, ahead of the loop, as AspectJ would have at
+                // compile time. `exchange`, `collect` and the steps all call
+                // through the view.
+                let weaver = inv.weaver().bind(&workers);
                 let iterations = (drive.iterations)(inv.args()?)?;
                 // One exchange buffer reused across iterations — the step
                 // phase runs every heartbeat, so a fresh Vec per iteration
@@ -131,6 +139,7 @@ fn build(name: String, config: HeartbeatConfig) -> Aspect {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use weavepar_concurrency::{future_concurrency_aspect, Executor};
     use weavepar_weave::{args, value::downcast_ret};
 
@@ -252,6 +261,90 @@ mod tests {
         executor.wait_idle();
         let want = sequential_reference(2.0, 32, 8);
         assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+    }
+
+    /// `config(workers)` whose exchange first lets `before` act on the run's
+    /// weaver and worker set.
+    fn config_with(
+        workers: usize,
+        before: impl Fn(&Weaver, &[ObjId], u64) + Send + Sync + 'static,
+    ) -> HeartbeatConfig {
+        let base = config(workers);
+        let exchange = base.exchange.clone();
+        HeartbeatConfig {
+            exchange: Arc::new(move |weaver: &Weaver, workers: &[ObjId], iteration| {
+                before(weaver, workers, iteration);
+                exchange(weaver, workers, iteration)
+            }),
+            ..base
+        }
+    }
+
+    #[test]
+    fn an_aspect_plugged_mid_run_fires_from_the_next_join_point_on() {
+        // The run's workers are bound before the loop; a plug from inside
+        // the exchange of iteration `PLUG_AT` must reach that iteration's
+        // steps, and an unplug at `unplug_at` must keep it from that one's.
+        const WORKERS: u64 = 2;
+        const ITERATIONS: u64 = 10;
+        const PLUG_AT: u64 = 3;
+        for (unplug_at, stepped) in [(None, ITERATIONS - PLUG_AT), (Some(7), 7 - PLUG_AT)] {
+            let weaver = Weaver::new();
+            let fired = Arc::new(AtomicU64::new(0));
+            let token = parking_lot::Mutex::new(None);
+            let counter = fired.clone();
+            let toggling = config_with(WORKERS as usize, move |weaver, _, iteration| {
+                if iteration == PLUG_AT {
+                    let counter = counter.clone();
+                    let counting = Aspect::named("Counting")
+                        .before(Pointcut::call("Block.step"), move |_| {
+                            counter.fetch_add(1, Ordering::Relaxed);
+                            Ok(())
+                        })
+                        .build();
+                    *token.lock() = Some(weaver.plug(counting));
+                }
+                if Some(iteration) == unplug_at {
+                    assert!(weaver.unplug(&token.lock().take().expect("plugged earlier")));
+                }
+            });
+            weaver.plug(toggling.aspect("Partition"));
+            let b = BlockProxy::construct(&weaver, 1.0, 16).unwrap();
+            let got = b.run(ITERATIONS).unwrap();
+            assert_eq!(fired.load(Ordering::Relaxed), WORKERS * stepped, "unplug: {unplug_at:?}");
+            assert!((got - sequential_reference(1.0, 16, ITERATIONS)).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn a_worker_removed_mid_run_is_missed_at_the_next_call_on_it() {
+        const REMOVE_AT: u64 = 2;
+        let weaver = Weaver::new();
+        let removing = config_with(2, |weaver, workers, iteration| {
+            if iteration == REMOVE_AT {
+                assert!(weaver.space().remove(workers[1]));
+            }
+        });
+        weaver.plug(removing.aspect("Partition"));
+        // Counts attempts: the advice runs before the base call looks the
+        // object up.
+        let asked = Arc::new(AtomicU64::new(0));
+        let counter = asked.clone();
+        let counting = Aspect::named("Counting")
+            .before(Pointcut::call("Block.edge_values"), move |_| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })
+            .build();
+        weaver.plug(counting);
+        let b = BlockProxy::construct(&weaver, 1.0, 16).unwrap();
+        let workers = weaver.space().ids_of_class("Block");
+        let err = b.run(10).unwrap_err();
+        assert!(matches!(err, WeaveError::NoSuchObject(id) if id == workers[1]), "got {err:?}");
+        // Two full exchanges, then the first worker answered once more
+        // before the removed one was asked and missed.
+        assert_eq!(asked.load(Ordering::Relaxed), 2 * REMOVE_AT + 2);
+        assert_eq!(weaver.space().ids_of_class("Block"), vec![workers[0]]);
     }
 
     #[test]

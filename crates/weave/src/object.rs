@@ -138,6 +138,9 @@ type IdBuildHasher = std::hash::BuildHasherDefault<IdHasher>;
 pub struct ObjectSpace {
     shards: [RwLock<HashMap<u64, Entry, IdBuildHasher>>; SHARDS],
     next_id: AtomicU64,
+    /// Objects removed so far: the stamp under which a bound weaver view
+    /// ([`Weaver::bind`]) trusts the instances it resolved ahead of time.
+    removals: AtomicU64,
 }
 
 impl ObjectSpace {
@@ -146,6 +149,7 @@ impl ObjectSpace {
         ObjectSpace {
             shards: std::array::from_fn(|_| RwLock::new(HashMap::default())),
             next_id: AtomicU64::new(1),
+            removals: AtomicU64::new(0),
         }
     }
 
@@ -237,7 +241,20 @@ impl ObjectSpace {
 
     /// Remove an object; returns true when it was present.
     pub fn remove(&self, id: ObjId) -> bool {
-        self.shard(id.raw()).write().remove(&id.raw()).is_some()
+        let removed = self.shard(id.raw()).write().remove(&id.raw()).is_some();
+        if removed {
+            // After the map, so that whoever reads the new epoch finds the
+            // object gone; `Release` pairs with `removal_epoch`'s `Acquire`.
+            self.removals.fetch_add(1, Ordering::Release);
+        }
+        removed
+    }
+
+    /// The removal epoch: it moves whenever an object leaves the space. An
+    /// instance resolved under an epoch read *before* its look-up is live for
+    /// as long as the epoch reads the same (ids are never reused).
+    pub(crate) fn removal_epoch(&self) -> u64 {
+        self.removals.load(Ordering::Acquire)
     }
 
     /// True when the object is live.
@@ -401,15 +418,18 @@ mod tests {
         assert!(matches!(space.class_of(ghost), Err(WeaveError::NoSuchObject(_))));
         assert!(matches!(space.monitor(ghost), Err(WeaveError::NoSuchObject(_))));
         assert!(!space.remove(ghost));
+        assert_eq!(space.removal_epoch(), 0, "nothing left the space");
     }
 
     #[test]
     fn remove_frees_object() {
         let space = ObjectSpace::new();
         let id = space.insert(Cell { v: 1 });
+        assert_eq!(space.removal_epoch(), 0);
         assert!(space.remove(id));
         assert!(!space.contains(id));
         assert!(space.is_empty());
+        assert_eq!(space.removal_epoch(), 1);
     }
 
     #[test]

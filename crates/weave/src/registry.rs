@@ -13,6 +13,12 @@
 //! (plug, unplug, enable, disable) publishes a new generation-stamped
 //! snapshot, which retires those caches, so plugging and unplugging at run
 //! time is always honoured without any clear-the-world invalidation.
+//!
+//! A skeleton whose worker set is fixed for a whole run can have both
+//! look-ups done once, ahead of its loop: [`Weaver::bind`] returns a view of
+//! the weaver that carries the resolved objects and their pre-matched chains,
+//! and falls back to the look-ups above whenever one of its two stamps (aspect
+//! generation, removal epoch) has moved.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,7 +36,7 @@ use crate::intertype::IntertypeStore;
 use crate::invocation::{BaseAction, Invocation, JoinPointKind};
 use crate::object::{Handle, Instance, ObjId, ObjectSpace};
 use crate::signature::Signature;
-use crate::snapshot::{AspectCell, RecorderCell};
+use crate::snapshot::{AspectCell, Chain, RecorderCell};
 use crate::trace::{self, Recorder, TaskId};
 use crate::value::{AnyValue, Args};
 
@@ -53,10 +59,32 @@ struct WeaverInner {
     classes: RwLock<HashMap<&'static str, ClassInfo>>,
 }
 
+/// What [`Weaver::bind`] resolved ahead of a run — the paper's AspectJ fixes
+/// a call site's target and advice when it weaves, at compile time; this is
+/// that, for as long as the two stamps hold. Immutable, so it travels with
+/// every clone of the view (a [`Detached`](crate::invocation::Detached) chain
+/// on a pool thread included).
+struct Bound {
+    /// The aspect generation, read before the chains were matched.
+    generation: u64,
+    /// Whose calls the chains were matched for.
+    provenance: Provenance,
+    /// The `Call` chain of every method in the bound objects' class tables:
+    /// a handful of entries, compared by content (a call site's `"step"` and
+    /// the class table's `stringify!(step)` are different statics).
+    chains: Vec<(Signature, Option<Chain>)>,
+    /// The object space's removal epoch, read before the objects were
+    /// resolved.
+    epoch: u64,
+    /// The bound objects that were in the local space, sorted by id.
+    objects: Vec<(ObjId, ClassInfo, Instance)>,
+}
+
 /// The weaving runtime. Cheap to clone (shared internally).
 #[derive(Clone)]
 pub struct Weaver {
     inner: Arc<WeaverInner>,
+    bound: Option<Arc<Bound>>,
 }
 
 impl Weaver {
@@ -72,7 +100,51 @@ impl Weaver {
                 recorder: RecorderCell::new(),
                 classes: RwLock::new(HashMap::new()),
             }),
+            bound: None,
         }
+    }
+
+    /// A view of this weaver with `ids` woven ahead of time: the objects among
+    /// them that live in the local space are resolved now, and so is the
+    /// advice chain of every method of their classes, for calls made under
+    /// the provenance current *here*. A skeleton binds its workers once per
+    /// run and makes its calls through the view.
+    ///
+    /// The view is the same weaver — same objects, same aspects — and every
+    /// rule of [`Weaver::invoke_call`] holds at the next join point after the
+    /// event that changes it: a plug, unplug or enable retires the pre-matched
+    /// chains (generation stamp), an [`ObjectSpace::remove`] retires the
+    /// resolved objects (removal epoch), and a call under another provenance,
+    /// to an inter-type method or on an object that was not local when the
+    /// view was made takes the ordinary look-ups, as every call on an unbound
+    /// weaver does. With nothing to resolve the view is an unbound handle.
+    pub fn bind(&self, ids: &[ObjId]) -> Weaver {
+        let space = &self.inner.space;
+        // Stamps first: a plug or a removal that lands while the tables are
+        // being filled leaves a stamp that no longer matches, never a stale
+        // entry under a current one.
+        let generation = self.inner.snapshot.generation();
+        let epoch = space.removal_epoch();
+        let provenance = context::current();
+        let mut objects: Vec<(ObjId, ClassInfo, Instance)> = ids
+            .iter()
+            .filter_map(|&id| space.lookup(id).ok().map(|(info, instance)| (id, info, instance)))
+            .collect();
+        objects.sort_by_key(|&(id, ..)| id);
+        let mut chains: Vec<(Signature, Option<Chain>)> = Vec::new();
+        for (_, info, _) in &objects {
+            if chains.iter().any(|(bound, _)| bound.class == info.class) {
+                continue;
+            }
+            chains.extend(info.methods.iter().map(|&method| {
+                let signature = Signature::new(info.class, method);
+                let chain = self.inner.snapshot.matched(signature, JoinPointKind::Call, provenance);
+                (signature, chain)
+            }));
+        }
+        let bound = (!objects.is_empty())
+            .then(|| Arc::new(Bound { generation, provenance, chains, epoch, objects }));
+        Weaver { inner: self.inner.clone(), bound }
     }
 
     /// The object space holding aspect-managed objects.
@@ -257,8 +329,14 @@ impl Weaver {
         target: ObjId,
         class: &'static str,
         method: &'static str,
-        args: Args,
+        mut args: Args,
     ) -> WeaveResult<AnyValue> {
+        if let Some(bound) = &self.bound {
+            match self.invoke_bound(bound, target, Signature::new(class, method), args) {
+                Ok(result) => return result,
+                Err(unserved) => args = unserved,
+            }
+        }
         let signature = Signature::new(class, method);
         let provenance = context::current();
         let chain = self.inner.snapshot.matched(signature, JoinPointKind::Call, provenance);
@@ -278,6 +356,57 @@ impl Weaver {
             false,
         )
         .proceed()
+    }
+
+    /// [`Weaver::invoke_call`] through a bound view, when the chain matched at
+    /// [`Weaver::bind`] is still the chain: same provenance, same aspect
+    /// generation, a method of a bound class. `Err` hands the arguments back
+    /// for the ordinary path (the frame is large, the miss is rare). Kept out
+    /// of line so that `invoke_call` on an unbound weaver stays the code it was.
+    #[inline(never)]
+    #[allow(clippy::result_large_err)]
+    fn invoke_bound(
+        &self,
+        bound: &Bound,
+        target: ObjId,
+        signature: Signature,
+        args: Args,
+    ) -> Result<WeaveResult<AnyValue>, Args> {
+        let provenance = context::current();
+        if provenance != bound.provenance || self.inner.snapshot.generation() != bound.generation {
+            return Err(args);
+        }
+        let Some((_, chain)) = bound.chains.iter().find(|(known, _)| *known == signature) else {
+            return Err(args);
+        };
+        let _cflow = context::push_cflow(signature);
+        let Some(chain) = chain else {
+            return Ok(self.base_call(signature, target, args, false, trace::thread_tag()));
+        };
+        Ok(Invocation::new(
+            self,
+            signature,
+            JoinPointKind::Call,
+            Some(target),
+            provenance,
+            args,
+            chain,
+            BaseAction::Call,
+            false,
+        )
+        .proceed())
+    }
+
+    /// The instance a bound view resolved for `target`, while no object has
+    /// left the space since.
+    fn bound_object(&self, target: ObjId) -> Option<(&ClassInfo, &Instance)> {
+        let bound = self.bound.as_deref()?;
+        if self.inner.space.removal_epoch() != bound.epoch {
+            return None;
+        }
+        let at = bound.objects.binary_search_by_key(&target, |&(id, ..)| id).ok()?;
+        let (_, info, instance) = &bound.objects[at];
+        Some((info, instance))
     }
 
     /// Woven method call with a dynamic method name: the class is resolved
@@ -301,7 +430,7 @@ impl Weaver {
     pub fn invoke_unwoven(&self, target: ObjId, method: &str, args: Args) -> WeaveResult<AnyValue> {
         let (info, instance) = self.inner.space.lookup(target)?;
         let signature = Signature::new(info.class, self.resolve_method_name(&info, method)?);
-        self.base_call_on(signature, target, info, instance, args, false, trace::thread_tag())
+        self.base_call_on(signature, target, &info, &instance, args, false, trace::thread_tag())
     }
 
     fn resolve_method_name(&self, info: &ClassInfo, method: &str) -> WeaveResult<&'static str> {
@@ -325,8 +454,16 @@ impl Weaver {
         issuer: u64,
     ) -> WeaveResult<AnyValue> {
         // One shard read resolves both the class record and the instance; the
-        // monitor is then taken without revisiting the map.
-        let (info, instance) = self.inner.space.lookup(target)?;
+        // monitor is then taken without revisiting the map. A bound view has
+        // done that read already.
+        let resolved;
+        let (info, instance) = match self.bound_object(target) {
+            Some(bound) => bound,
+            None => {
+                resolved = self.inner.space.lookup(target)?;
+                (&resolved.0, &resolved.1)
+            }
+        };
         self.base_call_on(signature, target, info, instance, args, async_boundary, issuer)
     }
 
@@ -336,22 +473,21 @@ impl Weaver {
         &self,
         signature: Signature,
         target: ObjId,
-        info: ClassInfo,
-        instance: Instance,
+        info: &ClassInfo,
+        instance: &Instance,
         args: Args,
         async_boundary: bool,
         issuer: u64,
     ) -> WeaveResult<AnyValue> {
         let in_table = info.methods.contains(&signature.method);
         let recording =
-            self.recording(&info, signature, &args, Some(target), async_boundary, issuer);
+            self.recording(info, signature, &args, Some(target), async_boundary, issuer);
         let result = {
             let _prov = context::push(Provenance::Core);
             let _task = trace::push_task(recording.as_ref().and_then(|r| r.task));
             if in_table {
-                ObjectSpace::dispatch_on(&info, &instance, target, signature.method, args)
+                ObjectSpace::dispatch_on(info, instance, target, signature.method, args)
             } else {
-                drop(instance);
                 self.inner.intertype.call_method(
                     self,
                     signature.class,
@@ -1106,6 +1242,238 @@ pub(crate) mod tests {
         let h = weaver.construct::<Acc>(args![0i64]).unwrap();
         h.call("add", args![1i64]).unwrap();
         assert_eq!(total(&weaver, &h), 1);
+    }
+
+    // ---- bound views ---------------------------------------------------------
+
+    /// Run `add(v)` on `id` through `view`'s bound table alone: `false` when
+    /// the table hands the call back to the ordinary path (not run then).
+    fn served_bound(view: &Weaver, id: ObjId, signature: Signature, v: i64) -> bool {
+        let bound = view.bound.as_ref().expect("a bound view");
+        view.invoke_bound(bound, id, signature, args![v]).map(|r| r.unwrap()).is_ok()
+    }
+
+    const ADD: Signature = Signature::new("Acc", "add");
+
+    fn counting_adds(count: &Arc<AtomicU64>, pointcut: Pointcut) -> Aspect {
+        let count = count.clone();
+        Aspect::named("Counting")
+            .before(pointcut, move |_| {
+                count.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            })
+            .build()
+    }
+
+    #[test]
+    fn bound_view_honours_plug_unplug_and_enable_at_the_next_join_point() {
+        let weaver = Weaver::new();
+        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
+        let view = weaver.bind(&[h.id()]);
+        assert!(served_bound(&view, h.id(), ADD, 1), "unadvised, from the table");
+        let count = Arc::new(AtomicU64::new(0));
+        let fired = || count.load(Ordering::Relaxed);
+        let add = |v: i64| view.invoke_call(h.id(), "Acc", "add", args![v]).map(drop);
+
+        let plugged = weaver.plug(counting_adds(&count, Pointcut::call("Acc.add")));
+        assert!(!served_bound(&view, h.id(), ADD, 0), "the generation moved");
+        add(1).unwrap();
+        assert_eq!(fired(), 1, "plugged after the bind, seen by the very next call");
+        weaver.set_enabled(&plugged, false);
+        add(1).unwrap();
+        assert_eq!(fired(), 1);
+        weaver.set_enabled(&plugged, true);
+        add(1).unwrap();
+        assert_eq!(fired(), 2);
+
+        // Bound with the aspect plugged, the table holds the advised chain...
+        let advised = weaver.bind(&[h.id()]);
+        assert!(served_bound(&advised, h.id(), ADD, 1));
+        assert_eq!(fired(), 3);
+        // ...and gives it up at the unplug.
+        weaver.unplug(&plugged);
+        advised.invoke_call(h.id(), "Acc", "add", args![1i64]).unwrap();
+        assert_eq!(fired(), 3, "unplugged advice served from a bound chain");
+        assert_eq!(total(&weaver, &h), 6);
+        // The instance is still the bound one: no removal since.
+        assert!(advised.bound_object(h.id()).is_some());
+    }
+
+    #[test]
+    fn bound_view_gives_up_a_removed_object_and_keeps_serving_the_others() {
+        let weaver = Weaver::new();
+        let ids: Vec<ObjId> =
+            (0..3).map(|i| weaver.construct::<Acc>(args![i as i64]).unwrap().id()).collect();
+        let view = weaver.bind(&ids);
+        for &id in &ids {
+            assert!(view.bound_object(id).is_some());
+            view.invoke_call(id, "Acc", "add", args![10i64]).unwrap();
+        }
+        assert!(weaver.space().remove(ids[1]));
+        let gone = view.invoke_call(ids[1], "Acc", "add", args![1i64]).unwrap_err();
+        assert!(matches!(gone, WeaveError::NoSuchObject(id) if id == ids[1]), "got {gone:?}");
+        // The chains are still the bound ones (no aspect moved); the objects
+        // are looked up again, and the two that are left are found.
+        assert!(served_bound(&view, ids[0], ADD, 1));
+        assert!(view.bound_object(ids[0]).is_none(), "the epoch moved");
+        let left = view.invoke_call(ids[2], "Acc", "total", args![]).unwrap();
+        assert_eq!(downcast_ret::<i64>(left).unwrap(), 12);
+        let first = view.invoke_call(ids[0], "Acc", "total", args![]).unwrap();
+        assert_eq!(downcast_ret::<i64>(first).unwrap(), 11);
+    }
+
+    #[test]
+    fn bound_view_matches_again_for_another_provenance() {
+        // The heartbeat's situation: bound inside advice, so the table holds
+        // the chains of aspect-made calls. A call the view receives from a
+        // core method body must get the chain an unbound weaver gives it —
+        // here, one more advice (`within_core`).
+        let run = |bind: bool| {
+            let weaver = Weaver::new();
+            let count = Arc::new(AtomicU64::new(0));
+            weaver.plug(counting_adds(
+                &count,
+                Pointcut::call("Acc.add").and(Pointcut::within_core()),
+            ));
+            // A core method body that calls `add` through the weaver it is
+            // handed — the view, when the call came through one.
+            weaver.intertype().add_method(
+                "Acc",
+                "relay",
+                Arc::new(|w: &Weaver, obj, args: Args| w.invoke_call(obj, "Acc", "add", args)),
+            );
+            let driver = Aspect::named("Driver")
+                .around(Pointcut::call("Acc.total"), move |inv: &mut Invocation| {
+                    let target = inv.target_required()?;
+                    let weaver =
+                        if bind { inv.weaver().bind(&[target]) } else { inv.weaver().clone() };
+                    assert_eq!(weaver.bound.is_some(), bind);
+                    weaver.invoke_call(target, "Acc", "add", args![1i64])?; // aspect-made
+                    weaver.invoke_call(target, "Acc", "relay", args![10i64])?; // core-made inside
+                    inv.proceed()
+                })
+                .build();
+            weaver.plug(driver);
+            let h = weaver.construct::<Acc>(args![0i64]).unwrap();
+            (total(&weaver, &h), count.load(Ordering::Relaxed))
+        };
+        assert_eq!(run(false), (11, 1), "only the relayed add is core-made");
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn bound_chains_are_found_by_what_a_name_spells() {
+        // The call site's "add" and the class table's are different statics
+        // in different crates; so are these.
+        let leaked = |s: &str| -> &'static str { Box::leak(s.to_owned().into_boxed_str()) };
+        let weaver = Weaver::new();
+        let count = Arc::new(AtomicU64::new(0));
+        weaver.plug(counting_adds(&count, Pointcut::call("Acc.add")));
+        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
+        let view = weaver.bind(&[h.id()]);
+        let respelled = Signature::new(leaked("Acc"), leaked("add"));
+        assert_ne!(respelled.method.as_ptr(), ADD.method.as_ptr());
+        assert!(served_bound(&view, h.id(), ADD, 1));
+        assert!(served_bound(&view, h.id(), respelled, 1));
+        assert_eq!(count.load(Ordering::Relaxed), 2, "one entry, the advised one, both times");
+        // Not a method of the class table: the ordinary path's business.
+        assert!(!served_bound(&view, h.id(), Signature::new("Acc", "migrate"), 0));
+        assert_eq!(total(&weaver, &h), 2);
+    }
+
+    #[test]
+    fn detached_call_through_a_bound_view_runs_elsewhere_with_the_view_intact() {
+        let weaver = Weaver::new();
+        let seen = Arc::new(Mutex::new(None));
+        let seen2 = seen.clone();
+        let asynchronise = Aspect::named("Async")
+            .precedence(1)
+            .around(Pointcut::call("Acc.add"), |inv: &mut Invocation| {
+                let detached = inv.detach()?;
+                std::thread::spawn(move || detached.run()).join().expect("remainder panicked")
+            })
+            .build();
+        let probe = Aspect::named("Probe")
+            .precedence(2)
+            .around(Pointcut::call("Acc.add"), move |inv: &mut Invocation| {
+                let target = inv.target_required()?;
+                let resolved = inv.weaver().bound_object(target).is_some();
+                *seen2.lock() = Some((std::thread::current().id(), resolved));
+                inv.proceed()
+            })
+            .build();
+        weaver.plug(asynchronise);
+        weaver.plug(probe);
+        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
+        let view = weaver.bind(&[h.id()]);
+        assert!(served_bound(&view, h.id(), ADD, 5));
+        let (thread, resolved) = seen.lock().expect("the inner advice ran");
+        assert_ne!(thread, std::thread::current().id());
+        assert!(resolved, "the detached chain's base call finds the bound instance");
+        assert_eq!(total(&weaver, &h), 5);
+    }
+
+    #[test]
+    fn bound_view_keeps_the_cflow_and_recorder_rules() {
+        use crate::context::{cflow_snapshot, in_cflow_of};
+        use crate::signature::MethodPattern;
+
+        let weaver = Weaver::new();
+        let inside = Arc::new(AtomicU64::new(0));
+        let inside2 = inside.clone();
+        let pattern = MethodPattern::parse("Acc.add");
+        // Advice on `total`, reached from inside an `add` join point only
+        // through the nested call below.
+        let probe = Aspect::named("CflowProbe")
+            .before(Pointcut::call("Acc.total"), move |_| {
+                inside2.fetch_add(u64::from(in_cflow_of(&pattern)), Ordering::Relaxed);
+                Ok(())
+            })
+            .build();
+        weaver.plug(probe);
+        let nested = Aspect::named("Nested")
+            .before(Pointcut::call("Acc.add"), |inv: &mut Invocation| {
+                let target = inv.target_required()?;
+                inv.weaver().invoke_call(target, "Acc", "total", args![]).map(drop)
+            })
+            .build();
+        weaver.plug(nested);
+        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
+        let view = weaver.bind(&[h.id()]);
+        assert!(served_bound(&view, h.id(), ADD, 1));
+        assert_eq!(inside.load(Ordering::Relaxed), 1, "`add` was on the cflow stack");
+        assert!(cflow_snapshot().is_empty(), "and came off it");
+
+        // A recorder installed after the bind sees the very next base event.
+        let rec = Recorder::measuring();
+        weaver.set_recorder(Some(rec.clone()));
+        assert!(served_bound(&view, h.id(), ADD, 1));
+        weaver.set_recorder(None);
+        assert!(served_bound(&view, h.id(), ADD, 1));
+        let adds = rec.finish().tasks.iter().filter(|t| t.signature == ADD).count();
+        assert_eq!(adds, 1);
+    }
+
+    #[test]
+    fn binding_nothing_is_the_plain_weaver() {
+        let weaver = Weaver::new();
+        let h = weaver.construct::<Acc>(args![4i64]).unwrap();
+        let ghost = ObjId::from_raw(999);
+        for view in [weaver.bind(&[]), weaver.bind(&[ghost])] {
+            assert!(view.bound.is_none());
+            assert_eq!(total(&view, &h), 4);
+            let err = view.invoke_call(ghost, "Acc", "total", args![]).unwrap_err();
+            assert!(matches!(err, WeaveError::NoSuchObject(_)));
+        }
+        // An id that was not local at the bind is looked up, next to one
+        // that was.
+        let view = weaver.bind(&[ghost, h.id()]);
+        assert!(view.bound_object(h.id()).is_some());
+        assert!(view.bound_object(ghost).is_none());
+        let late = weaver.construct::<Acc>(args![7i64]).unwrap();
+        assert_eq!(total(&view, &late), 7);
+        // Re-binding a view replaces what it carried.
+        assert!(view.bind(&[]).bound.is_none());
     }
 }
 

@@ -208,6 +208,13 @@ impl AspectCell {
         self.generation.store(generation, Ordering::Release);
     }
 
+    /// The generation of the published aspect set: what `matched` revalidates
+    /// a thread's cache against, and what a bound weaver view stamps its
+    /// pre-matched chains with.
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
     /// The currently published snapshot (tests and diagnostics).
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn snapshot(&self) -> Arc<AspectsSnapshot> {
@@ -227,7 +234,7 @@ impl AspectCell {
         kind: JoinPointKind,
         provenance: Provenance,
     ) -> Option<Chain> {
-        let generation = self.generation.load(Ordering::Acquire);
+        let generation = self.generation();
         ASPECT_TLS.with(|tls| {
             let mut tls = tls.borrow_mut();
             let at = match tls.iter().position(|e| Arc::ptr_eq(&e.alive, &self.alive)) {

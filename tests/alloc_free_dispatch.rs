@@ -222,6 +222,21 @@ fn queued_replied_call_gives_its_frame_away() {
 }
 
 #[test]
+fn heartbeat_iterations_are_allocation_free() {
+    // Set-up and collection allocate (stack, blocks, the bound view, the
+    // result); an iteration — two `edges`, two `set_halos`, two `step`, all
+    // through the view bound before the loop — does not, so twice the
+    // iterations cost exactly the same allocations.
+    use weavepar_apps::heat::solve_heartbeat;
+    let solve = |iterations| solve_heartbeat(64, 0.0, 100.0, 0.0, iterations, 2).unwrap();
+    solve(8); // this thread's lazily built state (context, chain cache)
+    let (short, _) = count_allocs(|| solve(100));
+    let (long, out) = count_allocs(|| solve(200));
+    assert!(out.iter().all(|v| v.is_finite()) && out[0] > 0.0, "the solver really ran");
+    assert_eq!(long, short, "100 more heartbeat iterations changed the allocation count");
+}
+
+#[test]
 fn wrong_type_take_keeps_inline_value_intact() {
     let mut args = weavepar::args![41u64];
     // A mistyped take must fail AND leave the argument in place. (The error

@@ -2,6 +2,7 @@
 //! name-server behaviour, failure propagation.
 
 use weavepar::prelude::*;
+use weavepar_apps::heat::{heat_heartbeat_config, solve_sequential, Rod, RodProxy};
 use weavepar_apps::sieve::{build_sieve, run_sieve, sequential_sieve, PrimeFilter, SieveConfig};
 
 fn sieve_marshal() -> MarshalRegistry {
@@ -100,6 +101,44 @@ fn remote_failure_surfaces_as_remote_error() {
         .invoke_call_dyn(id, "filter", weavepar::args![Pack::from_slice(&[4u64])])
         .unwrap_err();
     assert!(matches!(err, WeaveError::Remote(_)), "got {err:?}");
+}
+
+#[test]
+fn heat_heartbeat_under_rmi_matches_sequential() {
+    // The exchange reaches its rods through join points only, so it works on
+    // stubs: every `Rod.*` call is redirected, the "keep this side" NaN of
+    // `set_halos` crosses the `f64` wire codec, and the heartbeat's bound
+    // view of the stubs never stands in for the redirecting advice.
+    let marshal = MarshalRegistry::new();
+    marshal.register::<(u64, f64, f64, f64), ()>("Rod", "new");
+    marshal.register::<(f64, f64), ()>("Rod", "set_halos");
+    marshal.register::<(), (f64, f64)>("Rod", "edges");
+    marshal.register::<(), ()>("Rod", "step");
+    marshal.register::<(), Vec<f64>>("Rod", "snapshot");
+    let fabric = InProcFabric::new(2, marshal);
+    fabric.register_class::<Rod>();
+    let stack = ConcernStack::new();
+    stack.plug(Concern::Partition, heat_heartbeat_config(2).aspect("Partition.heartbeat"));
+    stack.plug(
+        Concern::Distribution,
+        RmiConfig::new("Rod", Pointcut::call("Rod.*"), fabric.clone()).aspect("Distribution"),
+    );
+    let rod = RodProxy::construct(stack.weaver(), 24, 0.0, 1.0, 3.0).unwrap();
+    let got = rod.run(50).unwrap();
+    let want = solve_sequential(24, 0.0, 1.0, 3.0, 50);
+    assert_eq!(got.len(), want.len());
+    assert!(got.iter().zip(&want).all(|(a, b)| (a - b).abs() < 1e-9), "{got:?} vs {want:?}");
+    // The work happened on the nodes: one block each, and the local stubs
+    // still hold what they were constructed with.
+    for node in 0..2 {
+        assert_eq!(fabric.node(node).unwrap().weaver().space().len(), 1);
+    }
+    let stubs = stack.weaver().space().ids_of_class("Rod");
+    assert_eq!(stubs.len(), 2);
+    for stub in stubs {
+        let cells = stack.weaver().space().with_object::<Rod, _>(stub, |r| r.cells().to_vec());
+        assert_eq!(cells.unwrap(), vec![0.0; 12], "a stub was stepped locally");
+    }
 }
 
 #[test]
