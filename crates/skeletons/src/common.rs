@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use weavepar_weave::{AnyValue, Args, ObjId, WeaveResult, Weaver};
+use weavepar_weave::{AnyValue, Args, ObjId, WeaveError, WeaveResult, Weaver};
 
 /// Derives a worker's constructor arguments from `(rank, workers, original)`.
 pub type RankedArgsFn = Arc<dyn Fn(usize, usize, &Args) -> WeaveResult<Args> + Send + Sync>;
@@ -51,22 +51,24 @@ pub struct Protocol {
     pub combine: Arc<dyn Fn(Vec<AnyValue>) -> WeaveResult<AnyValue> + Send + Sync>,
 }
 
-impl Protocol {
-    /// Create the protocol's aspect-managed workers through *woven*
-    /// constructions (provenance: aspect), so a plugged distribution aspect
-    /// places each of them remotely, and return their ids in rank order.
-    pub fn create_workers(
-        &self,
-        weaver: &Weaver,
-        original_ctor_args: &Args,
-    ) -> WeaveResult<Vec<ObjId>> {
-        let mut ids = Vec::with_capacity(self.workers);
-        for rank in 0..self.workers {
-            let args = (self.worker_args)(rank, self.workers, original_ctor_args)?;
-            ids.push(weaver.construct_dyn(self.class, args)?);
-        }
-        Ok(ids)
+/// Create `workers` aspect-managed objects of `class` through *woven*
+/// constructions (provenance: aspect), so a plugged distribution aspect
+/// places each of them remotely, and return their ids in rank order — never
+/// empty: a partition without a worker is a configuration error. The one
+/// duplication loop of the partition and heartbeat aspects.
+pub(crate) fn create_workers(
+    weaver: &Weaver,
+    class: &'static str,
+    workers: usize,
+    worker_args: &RankedArgsFn,
+    original_ctor_args: &Args,
+) -> WeaveResult<Vec<ObjId>> {
+    if workers == 0 {
+        return Err(WeaveError::app(format!("partition of `{class}` needs at least one worker")));
     }
+    (0..workers)
+        .map(|rank| weaver.construct_dyn(class, worker_args(rank, workers, original_ctor_args)?))
+        .collect()
 }
 
 impl std::fmt::Debug for Protocol {
@@ -190,11 +192,15 @@ mod tests {
         }
     }
 
+    fn create(weaver: &Weaver, p: &Protocol) -> WeaveResult<Vec<ObjId>> {
+        create_workers(weaver, p.class, p.workers, &p.worker_args, &args![])
+    }
+
     #[test]
     fn create_workers_in_rank_order() {
         let weaver = Weaver::new();
         weaver.register_class::<W>();
-        let ids = protocol(4).create_workers(&weaver, &args![]).unwrap();
+        let ids = create(&weaver, &protocol(4)).unwrap();
         assert_eq!(ids.len(), 4);
         for (rank, id) in ids.iter().enumerate() {
             let got = weaver.space().with_object::<W, _>(*id, |w| w.rank).unwrap();
@@ -205,7 +211,7 @@ mod tests {
     #[test]
     fn create_workers_requires_registered_class() {
         let weaver = Weaver::new();
-        let err = protocol(1).create_workers(&weaver, &args![]).unwrap_err();
+        let err = create(&weaver, &protocol(1)).unwrap_err();
         assert!(matches!(err, weavepar_weave::WeaveError::Construction(_)));
     }
 }

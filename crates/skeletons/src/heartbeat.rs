@@ -21,7 +21,9 @@ use weavepar_concurrency::resolve_any;
 use weavepar_weave::aspect::precedence;
 use weavepar_weave::prelude::*;
 
-use crate::common::{CollectFn, ExchangeFn, IterationsFn, RankedArgsFn, WORKERS_FIELD};
+use crate::common::{
+    create_workers, CollectFn, ExchangeFn, IterationsFn, RankedArgsFn, WORKERS_FIELD,
+};
 
 /// Configuration of a concrete heartbeat computation.
 #[derive(Clone)]
@@ -81,15 +83,10 @@ fn build(name: String, config: HeartbeatConfig) -> Aspect {
         .around(
             Pointcut::construct(config.class).and(Pointcut::within_core()),
             move |inv: &mut Invocation| {
-                let weaver = inv.weaver().clone();
-                let mut ids = Vec::with_capacity(dup.workers);
-                for rank in 0..dup.workers {
-                    let args = (dup.worker_args)(rank, dup.workers, inv.args()?)?;
-                    ids.push(weaver.construct_dyn(dup.class, args)?);
-                }
-                let first = *ids.first().ok_or_else(|| {
-                    WeaveError::app("heartbeat protocol needs at least one worker")
-                })?;
+                let weaver = inv.weaver();
+                let ids =
+                    create_workers(weaver, dup.class, dup.workers, &dup.worker_args, inv.args()?)?;
+                let first = ids[0];
                 weaver.intertype().set_field(first, WORKERS_FIELD, ids);
                 Ok(weavepar_weave::ret!(first))
             },

@@ -5,14 +5,16 @@
 //! strategies for "the three most common categories: pipeline, farm with
 //! separable dependencies and heartbeat". This crate is that library:
 //!
-//! * [`pipeline`] — object duplication into a stage chain, method-call split
-//!   into packs, and recursive forwarding of each pack down the chain
-//!   (Figure 8's three advice blocks);
-//! * [`farm`] — broadcast duplication and per-pack routing to any worker
-//!   (Figure 10);
-//! * [`dynamic_farm`] — demand-driven farm with its own worker threads; the
-//!   paper's example of a strategy where partition and concurrency could not
-//!   be separated into different aspects;
+//! * [`PipelineConfig`], [`FarmConfig`], [`DynamicFarmConfig`] — **one**
+//!   partition module (`partition.rs`: Figure 8's three advice blocks —
+//!   object duplication, method-call split into packs, recursive forwarding —
+//!   made abstract as in Figure 9) under the three names of its *routing*,
+//!   the two blocks the paper edits to get Figure 10: how the workers are
+//!   linked (a chain | a list), how a wave of packs reaches them (in split
+//!   order at stage one | round robin in one batch submission | pulled by a
+//!   thread per worker, the paper's example of partition and concurrency
+//!   that could not be separated), and whether another worker may stand in
+//!   for a pack lost with its node (never for a pipeline stage);
 //! * [`heartbeat`] — block duplication plus an iterate/exchange/step driver
 //!   for stencil-style computations;
 //! * [`divide_conquer`] — object creation at *call* join points, unfolding a
@@ -36,6 +38,9 @@ pub mod divide_conquer;
 pub mod dynamic_farm;
 pub mod farm;
 pub mod heartbeat;
+// Private: the routing is neither an option nor an extension point, so only
+// its three names leave the crate, not the type they parameterise.
+mod partition;
 pub mod pipeline;
 pub mod supervisor;
 

@@ -1,0 +1,618 @@
+//! The reusable partition aspect — the paper's Figure 9 protocol, with the
+//! three routings its Figure 10 gets by editing two blocks.
+//!
+//! Figure 8's sieve-specific Partition aspect is three advice blocks, which
+//! Figure 9 makes abstract over a [`Protocol`]:
+//!
+//! 1. **Object duplication** (`around Class.new`, core-made only): the single
+//!    core construction becomes `workers` aspect-managed objects; the client
+//!    receives the first.
+//! 2. **Method-call split** (`around Class.method`, core-made only): the one
+//!    big call becomes a *wave* of one call per pack; pack results are
+//!    combined, in pack order, into the original call's result.
+//! 3. **Forwarding** (`around Class.method`, *all* call sites — applies
+//!    recursively to the aspect's own calls, as the paper highlights): a
+//!    stage's output is forwarded to the next stage; the value of a pack call
+//!    is the value produced by the *end* of the chain.
+//!
+//! "In a simple farming parallelisation each filter has ALL the primes … and
+//! each pack of numbers can be processed by ANY PrimeFilter": the paper's
+//! farm is this module with the construction broadcast (a matter of the
+//! protocol's `worker_args`) and the `next` selection edited, its dynamic
+//! farm one more edit. Here those edits are a *routing*, fixed by which of
+//! the three names builds the aspect:
+//!
+//! | | [`PipelineConfig`] | [`FarmConfig`] | [`DynamicFarmConfig`] |
+//! |---|---|---|---|
+//! | workers are linked | each to its successor ([`NEXT_FIELD`]) | as a list on the first ([`WORKERS_FIELD`]) | as the farm's |
+//! | a wave reaches them | in split order at stage one, no `BatchScope` | round robin, one `BatchScope` flushed before the join | pulled from one cursor by a thread per worker |
+//! | a pack lost with its node | fails the call: no stage stands in for another | is regenerated and re-offered to the other workers | as the farm's |
+//! | block 3 | yes, with the `.stage_occupancy` gauge | no | no |
+//!
+//! Block 3 runs *inside* a plugged asynchronous-invocation aspect (see
+//! `weavepar_weave::aspect::precedence`), so with concurrency plugged every
+//! hop returns a future and packs stream through the stages concurrently —
+//! the paper's Figure 11.
+
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use weavepar_concurrency::{resolve_any, BatchScope};
+use weavepar_weave::aspect::precedence;
+use weavepar_weave::context::CurrentContext;
+use weavepar_weave::prelude::*;
+use weavepar_weave::{Counter, Gauge, MetricsRegistry};
+
+use crate::common::{create_workers, hints, Protocol, NEXT_FIELD, WORKERS_FIELD};
+
+// The routings, as `PartitionConfig`'s parameter. The type is reachable only
+// through the three aliases below, so no other value can be named.
+pub(crate) const PIPELINE: u8 = 0;
+pub(crate) const FARM: u8 = 1;
+pub(crate) const DYNAMIC_FARM: u8 = 2;
+
+/// Builder-style configuration of a partition aspect. Its three names are
+/// the paper's three strategies and differ in nothing but the routing: how
+/// the workers are linked, how a wave of packs reaches them, and whether
+/// another worker may stand in for a pack lost with its node. The mandatory
+/// part is the [`Protocol`]; everything optional chains:
+///
+/// ```ignore
+/// weaver.plug(FarmConfig::new(protocol).tuned(cell).metrics(&reg).aspect("Partition"));
+/// ```
+#[derive(Clone)]
+pub struct PartitionConfig<const ROUTING: u8> {
+    protocol: Protocol,
+    hint: Option<Arc<AtomicU32>>,
+    metrics: Option<MetricsRegistry>,
+}
+
+/// The pipeline (Figure 8's three blocks): `workers` stages, every pack
+/// crosses all of them in order.
+pub type PipelineConfig = PartitionConfig<PIPELINE>;
+
+/// The farm (Figure 10): the protocol's `worker_args` typically broadcasts
+/// the original constructor arguments, and each pack is served by exactly
+/// one worker, assigned round robin.
+pub type FarmConfig = PartitionConfig<FARM>;
+
+/// The demand-driven farm, the paper's `FarmDRMI` row in Table 1: packs are
+/// not pre-assigned but pulled by whichever worker becomes free, which
+/// absorbs load imbalance. The paper notes this is the one strategy where it
+/// could not separate partition from concurrency — the demand-driven pull
+/// *is* the concurrency structure — and the same holds here: the aspect owns
+/// `workers` OS threads **per split call**, created and joined inside it, and
+/// is meant to be plugged **without** a separate concurrency aspect. That
+/// per-call constant (12–60 µs a thread on the 2-vCPU reference host) is the
+/// strategy's by design, not the routing's cost per pack: over empty packs
+/// it is nearly all there is to measure (EXPERIMENTS.md, "PR 20").
+pub type DynamicFarmConfig = PartitionConfig<DYNAMIC_FARM>;
+
+impl<const ROUTING: u8> PartitionConfig<ROUTING> {
+    /// A partition over `protocol`, untuned and unmetered.
+    pub fn new(protocol: Protocol) -> Self {
+        Self { protocol, hint: None, metrics: None }
+    }
+
+    /// Follow a live grain hint: for the whole of each split call the aspect
+    /// publishes the cell's value as of the call's start — a farm's through
+    /// [`hints::set_packs`](crate::common::hints), a pipeline's (its
+    /// stage-fusion factor: fewer, larger packs amortise the per-hop
+    /// forwarding cost) through [`hints::set_fusion`](crate::common::hints) —
+    /// so grain-aware `split` closures (ones reading
+    /// [`hints::packs_or`](crate::common::hints::packs_or) /
+    /// [`fusion_or`](crate::common::hints::fusion_or)) follow the tuner, and
+    /// a lost pack is regenerated with the grain its wave was split with.
+    pub fn tuned(mut self, hint: Arc<AtomicU32>) -> Self {
+        self.hint = Some(hint);
+        self
+    }
+
+    /// Meter the partition into `registry`: `{name}.packs_issued` counts the
+    /// packs the split produced, `{name}.redispatched` the packs re-offered
+    /// to other workers after a node loss (a pipeline's stays 0), and a
+    /// pipeline's `{name}.stage_occupancy` gauges how many packs are being
+    /// processed inside a stage right now (forwarding hops excluded) — under
+    /// a plugged concurrency aspect it rises towards the stage count while
+    /// packs stream.
+    pub fn metrics(mut self, registry: &MetricsRegistry) -> Self {
+        self.metrics = Some(registry.clone());
+        self
+    }
+
+    /// Build the partition aspect named `name`.
+    pub fn aspect(self, name: impl Into<String>) -> Aspect {
+        let name = name.into();
+        let PartitionConfig { protocol, hint, metrics } = self;
+        let (class, method) = (protocol.class, protocol.method);
+        // Resolved once at build time: the hot path bumps pre-bound atomics,
+        // never consulting the registry.
+        let meters = metrics.map(|m| Meters {
+            packs: m.counter(&format!("{name}.packs_issued")),
+            redispatched: m.counter(&format!("{name}.redispatched")),
+            occupancy: (ROUTING == PIPELINE).then(|| m.gauge(&format!("{name}.stage_occupancy"))),
+        });
+        let partition = Arc::new(Partition::<ROUTING> { protocol, hint, meters });
+        let (duplicate, split, forward) = (partition.clone(), partition.clone(), partition);
+        let blocks = Aspect::named(name)
+            .precedence(precedence::PARTITION)
+            .around(
+                Pointcut::construct(class).and(Pointcut::within_core()),
+                move |inv: &mut Invocation| duplicate.duplicate(inv),
+            )
+            .around(
+                Pointcut::call_sig(class, method).and(Pointcut::within_core()),
+                move |inv: &mut Invocation| split.split(inv),
+            );
+        if ROUTING != PIPELINE {
+            return blocks.build();
+        }
+        blocks
+            .around(Pointcut::call_sig(class, method), move |inv: &mut Invocation| {
+                forward.forward(inv)
+            })
+            .build()
+    }
+}
+
+/// Pre-resolved instruments (see [`PartitionConfig::metrics`]).
+struct Meters {
+    packs: Counter,
+    redispatched: Counter,
+    occupancy: Option<Gauge>,
+}
+
+/// What the advice blocks of one built aspect share.
+struct Partition<const ROUTING: u8> {
+    protocol: Protocol,
+    hint: Option<Arc<AtomicU32>>,
+    meters: Option<Meters>,
+}
+
+impl<const ROUTING: u8> Partition<ROUTING> {
+    /// Block 1: object duplication.
+    fn duplicate(&self, inv: &Invocation) -> WeaveResult<AnyValue> {
+        let (weaver, p) = (inv.weaver(), &self.protocol);
+        let ids = create_workers(weaver, p.class, p.workers, &p.worker_args, inv.args()?)?;
+        let first = ids[0];
+        if ROUTING == PIPELINE {
+            // Link the chain: ids[i] -> ids[i+1], last -> None.
+            for (i, id) in ids.iter().enumerate() {
+                weaver.intertype().set_field(*id, NEXT_FIELD, ids.get(i + 1).copied());
+            }
+        } else {
+            // Shared, so that a farm call clones a pointer, not the list.
+            weaver.intertype().set_field(first, WORKERS_FIELD, Arc::<[ObjId]>::from(ids));
+        }
+        Ok(weavepar_weave::ret!(first))
+    }
+
+    /// Block 2: method-call split.
+    fn split(&self, inv: &Invocation) -> WeaveResult<AnyValue> {
+        let (weaver, target, original) = (inv.weaver(), inv.target_required()?, inv.args()?);
+        // Every pack enters a pipeline at the stage the client holds; a farm's
+        // lead object lists its workers. An object constructed before the
+        // aspect was plugged serves its packs itself.
+        let workers = match ROUTING {
+            PIPELINE => None,
+            _ => weaver.intertype().get_field::<Arc<[ObjId]>>(target, WORKERS_FIELD),
+        }
+        .unwrap_or_else(|| Arc::from([target]));
+        // The guard spans the wave *and* the recovery, so a lost pack is
+        // regenerated with the grain the wave was split with even if the
+        // tuner moves mid-call.
+        let _hint = self.hint.as_ref().map(|cell| {
+            let grain = cell.load(Ordering::Relaxed);
+            if ROUTING == PIPELINE {
+                hints::set_fusion(grain)
+            } else {
+                hints::set_packs(grain)
+            }
+        });
+        let packs = (self.protocol.split)(original)?;
+        if let Some(m) = &self.meters {
+            m.packs.add(packs.len() as u64);
+        }
+        let results = match ROUTING {
+            DYNAMIC_FARM => {
+                self.settle(weaver, &workers, original, self.pulled_wave(weaver, &workers, packs))
+            }
+            _ => self.settle(weaver, &workers, original, self.issued_wave(weaver, &workers, packs)),
+        };
+        (self.protocol.combine)(results?)
+    }
+
+    /// Issue every pack call (aspect provenance: matched by the forward
+    /// advice and by concurrency/distribution, not by the split again) round
+    /// robin over `workers`; the outcomes resolve, in pack order, as they are
+    /// asked for.
+    fn issued_wave(
+        &self,
+        weaver: &Weaver,
+        workers: &[ObjId],
+        packs: Vec<Args>,
+    ) -> impl Iterator<Item = WeaveResult<AnyValue>> {
+        let p = &self.protocol;
+        // With a concurrency aspect plugged, every invoke below ends in an
+        // executor spawn; the farm's scope coalesces them into one batch
+        // submission for the whole wave, flushed before the results are
+        // awaited. Deliberately not so for a pipeline: packs must *enter stage
+        // one in submission order* so the stages see them in the sequence the
+        // split produced — a pack's journey overlaps the next pack's, which is
+        // the pipeline's parallelism — and a batch flush hands the whole set
+        // to the work-stealing pool, whose LIFO deques and stealing give no
+        // FIFO guarantee.
+        let scope = (ROUTING == FARM).then(BatchScope::enter);
+        let pending: Vec<_> = packs
+            .into_iter()
+            .enumerate()
+            .map(|(k, pack)| {
+                weaver.invoke_call(workers[k % workers.len()], p.class, p.method, pack)
+            })
+            .collect();
+        if let Some(scope) = scope {
+            scope.flush();
+        }
+        pending.into_iter().map(|ret| ret.and_then(resolve_any))
+    }
+
+    /// One puller thread per worker, each drawing the next pack from a shared
+    /// cursor when its worker falls free; outcomes come back in pack order.
+    fn pulled_wave(
+        &self,
+        weaver: &Weaver,
+        workers: &[ObjId],
+        packs: Vec<Args>,
+    ) -> impl Iterator<Item = WeaveResult<AnyValue>> {
+        let p = &self.protocol;
+        let mut outcomes: Vec<_> = packs.iter().map(|_| None).collect();
+        let cursor = Mutex::new(packs.into_iter().enumerate());
+        std::thread::scope(|scope| {
+            let pullers: Vec<_> = workers
+                .iter()
+                .map(|&worker| {
+                    // Keep aspect provenance (and the trace context) on the
+                    // puller so the farm's own calls do not re-match its
+                    // within-core pointcut.
+                    let context = CurrentContext::capture();
+                    let cursor = &cursor;
+                    scope.spawn(move || {
+                        let _context = context.install();
+                        let mut served = Vec::new();
+                        loop {
+                            let next = cursor.lock().next();
+                            let Some((k, pack)) = next else { break served };
+                            // Each pack's data comes from the client's cursor,
+                            // not from the previous pack this thread happened
+                            // to execute: mask the data-dependency marker so
+                            // traces don't record a spurious node-local edge
+                            // (per-worker serialisation is already captured
+                            // by the object monitor).
+                            let _dep = weavepar_weave::trace::push_data_dep(None);
+                            let outcome = weaver
+                                .invoke_call(worker, p.class, p.method, pack)
+                                .and_then(resolve_any);
+                            served.push((k, outcome));
+                        }
+                    })
+                })
+                .collect();
+            for puller in pullers {
+                // A puller that panicked takes what it served with it; the
+                // others drain the cursor, and its packs' slots stay empty.
+                for (k, outcome) in puller.join().unwrap_or_default() {
+                    outcomes[k] = Some(outcome);
+                }
+            }
+        });
+        let lost = || Err(WeaveError::app("dynamic farm lost a pack to a panicking worker"));
+        outcomes.into_iter().map(move |outcome| outcome.unwrap_or_else(lost))
+    }
+
+    /// Turn a wave's outcomes into results. Farm property: any worker can
+    /// process any pack, so a pack lost with its node is regenerated from the
+    /// original arguments — packs are consumed by dispatch — and offered to
+    /// the other workers in turn; a pipeline stage has no stand-in. The first
+    /// outcome that stays an error, in pack order, is the call's, as itself.
+    fn settle(
+        &self,
+        weaver: &Weaver,
+        workers: &[ObjId],
+        original: &Args,
+        outcomes: impl Iterator<Item = WeaveResult<AnyValue>>,
+    ) -> WeaveResult<Vec<AnyValue>> {
+        let p = &self.protocol;
+        let lost = |outcome: &WeaveResult<AnyValue>| matches!(outcome, Err(e) if e.is_node_loss());
+        // One regenerated split shared by all orphans of the wave (filled at
+        // the first miss, packs taken as orphans claim them): the common
+        // one-attempt recovery costs one extra split in total, and only a
+        // second attempt for the *same* pack pays for another.
+        let mut regenerated: Vec<Option<Args>> = Vec::new();
+        let mut results = Vec::with_capacity(outcomes.size_hint().0);
+        for (k, mut outcome) in outcomes.enumerate() {
+            if ROUTING != PIPELINE && lost(&outcome) {
+                if let Some(m) = &self.meters {
+                    m.redispatched.inc();
+                }
+                for offset in 1..=workers.len() {
+                    if !matches!(regenerated.get(k), Some(Some(_))) {
+                        regenerated = (p.split)(original)?.into_iter().map(Some).collect();
+                    }
+                    let pack = regenerated.get_mut(k).and_then(Option::take).ok_or_else(|| {
+                        WeaveError::app("partition cannot regenerate a lost pack")
+                    })?;
+                    let stand_in = workers[(k + offset) % workers.len()];
+                    outcome =
+                        weaver.invoke_call(stand_in, p.class, p.method, pack).and_then(resolve_any);
+                    if !lost(&outcome) {
+                        break;
+                    }
+                }
+            }
+            results.push(outcome?);
+        }
+        Ok(results)
+    }
+
+    /// Block 3: forwarding.
+    fn forward(&self, inv: &mut Invocation) -> WeaveResult<AnyValue> {
+        let target = inv.target_required()?;
+        let out = {
+            // Occupancy covers the stage's own processing; the guard restores
+            // the gauge on the error path too.
+            let _occupied = self.meters.as_ref().and_then(|m| m.occupancy.as_ref()).map(|g| {
+                g.inc();
+                OccupancyGuard(g)
+            });
+            inv.proceed()?
+        };
+        let (weaver, p) = (inv.weaver(), &self.protocol);
+        match weaver.intertype().get_field::<Option<ObjId>>(target, NEXT_FIELD) {
+            // Forward this stage's output down the chain; the downstream
+            // return value (possibly a future) IS this pack's result.
+            Some(Some(next)) => weaver.invoke_call(next, p.class, p.method, (p.reforward)(out)?),
+            // Last stage (or an unmanaged object): its output is final.
+            _ => Ok(out),
+        }
+    }
+}
+
+/// Decrements the stage-occupancy gauge on every exit path.
+struct OccupancyGuard<'a>(&'a Gauge);
+
+impl Drop for OccupancyGuard<'_> {
+    fn drop(&mut self) {
+        self.0.dec();
+    }
+}
+
+/// The one fixture of the partition tests: a worker class, a protocol over
+/// it, the result it must produce, and a cluster to lose nodes from — each
+/// taking the routing as an input.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use super::*;
+    pub(crate) use super::{DYNAMIC_FARM, FARM, PIPELINE};
+    use weavepar_middleware::{InProcFabric, MarshalRegistry, RmiConfig};
+    use weavepar_weave::{args, value::downcast_ret};
+
+    pub(crate) const ROUTINGS: [u8; 3] = [PIPELINE, FARM, DYNAMIC_FARM];
+
+    /// The tag the client constructs its `Stage` with.
+    pub(crate) const TAG: u64 = 7;
+
+    /// Appends its tag to every item it sees and counts the packs it served.
+    pub(crate) struct Stage {
+        pub(crate) tag: u64,
+        pub(crate) served: u64,
+    }
+
+    weavepar_weave::weaveable! {
+        class Stage as StageProxy {
+            fn new(tag: u64) -> Self { Stage { tag, served: 0 } }
+            fn apply(&mut self, items: Vec<u64>) -> Vec<u64> {
+                self.served += 1;
+                items.into_iter().map(|x| x * 10 + self.tag).collect()
+            }
+            fn served(&mut self) -> u64 { self.served }
+        }
+    }
+
+    /// `Stage.apply` over `workers` workers and `packs` packs (or as many as
+    /// a tuner hints). A pipeline's stages are tagged `1..=workers`; a farm
+    /// broadcasts the client's tag.
+    pub(crate) fn protocol(routing: u8, workers: usize, packs: usize) -> Protocol {
+        Protocol {
+            class: "Stage",
+            method: "apply",
+            workers,
+            worker_args: Arc::new(move |rank, _n, orig: &Args| match routing {
+                PIPELINE => Ok(args![rank as u64 + 1]),
+                _ => Ok(args![*orig.get::<u64>(0)?]),
+            }),
+            split: Arc::new(move |a: &Args| {
+                let items = a.get::<Vec<u64>>(0)?;
+                let chunk = items.len().div_ceil(hints::packs_or(packs).max(1)).max(1);
+                Ok(items.chunks(chunk).map(|c| args![c.to_vec()]).collect())
+            }),
+            reforward: Arc::new(|v: AnyValue| Ok(Args::from_values(vec![v]))),
+            combine: Arc::new(|vs: Vec<AnyValue>| {
+                let mut all = Vec::new();
+                for v in vs {
+                    all.extend(downcast_ret::<Vec<u64>>(v)?);
+                }
+                Ok(weavepar_weave::ret!(all))
+            }),
+        }
+    }
+
+    /// What `protocol(routing, workers, _)` computes for a client that
+    /// constructed `Stage::new(TAG)`, by definition: every item crosses every
+    /// pipeline stage in stage order, or one farm worker.
+    pub(crate) fn expected(routing: u8, workers: usize, input: &[u64]) -> Vec<u64> {
+        let tags = if routing == PIPELINE { 1..=workers as u64 } else { TAG..=TAG };
+        tags.fold(input.to_vec(), |data, tag| Stage { tag, served: 0 }.apply(data))
+    }
+
+    /// The aspect named "Partition" that `routing` builds from `protocol`.
+    pub(crate) fn partition(routing: u8, protocol: Protocol) -> Aspect {
+        match routing {
+            PIPELINE => PipelineConfig::new(protocol).aspect("Partition"),
+            FARM => FarmConfig::new(protocol).aspect("Partition"),
+            _ => DynamicFarmConfig::new(protocol).aspect("Partition"),
+        }
+    }
+
+    /// A weaver with `routing`'s partition plugged, and the client's `Stage`.
+    pub(crate) fn plugged(routing: u8, workers: usize, packs: usize) -> (Weaver, StageProxy) {
+        let weaver = Weaver::new();
+        weaver.plug(partition(routing, protocol(routing, workers, packs)));
+        let stage = StageProxy::construct(&weaver, TAG).unwrap();
+        (weaver, stage)
+    }
+
+    /// How many packs each managed `Stage` of a local run served, in id order.
+    pub(crate) fn served(weaver: &Weaver) -> Vec<u64> {
+        let ids = weaver.space().ids_of_class("Stage");
+        ids.iter()
+            .map(|&id| weaver.space().with_object(id, |s: &mut Stage| s.served).unwrap())
+            .collect()
+    }
+
+    /// Test-side advice on the packs' own calls (aspect-made `Stage.apply`,
+    /// a pipeline's forwards included), woven between partition and
+    /// distribution: it runs on the thread that issues the call, before the
+    /// call leaves for its node.
+    pub(crate) fn on_pack_calls(
+        f: impl Fn(&mut Invocation<'_>) -> WeaveResult<()> + Send + Sync + 'static,
+    ) -> Aspect {
+        Aspect::named("OnPackCalls")
+            .precedence(precedence::SYNCHRONISATION)
+            .before(Pointcut::call("Stage.apply").and(Pointcut::within_core().not()), f)
+            .build()
+    }
+
+    /// Holds each of the first `calls` pack calls until `parties` of them are
+    /// inside at once — an interleaving forced, not slept for.
+    pub(crate) fn rendezvous(parties: usize, calls: u32) -> Aspect {
+        let (barrier, seen) = (std::sync::Barrier::new(parties), AtomicU32::new(0));
+        on_pack_calls(move |_| {
+            if seen.fetch_add(1, Ordering::SeqCst) < calls {
+                barrier.wait();
+            }
+            Ok(())
+        })
+    }
+
+    /// Run `f` on a thread of its own and fail, instead of hanging, when it
+    /// does not come back.
+    pub(crate) fn watchdog<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(60)).expect("the partition call hung")
+    }
+
+    /// The client's `Stage` under `partition`, distributed over `nodes` nodes
+    /// (round-robin placement: worker `i` lives on node `i`), the nodes in
+    /// `dead` killed once the workers exist.
+    pub(crate) fn distributed(
+        partition: Aspect,
+        nodes: usize,
+        dead: &[usize],
+    ) -> (Weaver, StageProxy) {
+        let marshal = MarshalRegistry::new();
+        marshal.register::<(u64,), ()>("Stage", "new");
+        marshal.register::<(Vec<u64>,), Vec<u64>>("Stage", "apply");
+        let fabric = InProcFabric::new(nodes, marshal);
+        fabric.register_class::<Stage>();
+        let weaver = Weaver::new();
+        weaver.plug(partition);
+        weaver.plug(
+            RmiConfig::new("Stage", Pointcut::call("Stage.apply"), fabric.clone())
+                .aspect("Distribution"),
+        );
+        let stage = StageProxy::construct(&weaver, TAG).unwrap();
+        for &node in dead {
+            fabric.kill_node(node).unwrap();
+        }
+        (weaver, stage)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fixture::*;
+    use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn an_application_error_in_a_pack_is_returned_as_itself() {
+        for routing in ROUTINGS {
+            let (weaver, stage) = plugged(routing, 3, 4);
+            // Pack 2 of 4 is the one holding item 5.
+            weaver.plug(on_pack_calls(|inv| match inv.args()?.get::<Vec<u64>>(0)?.contains(&5) {
+                true => Err(WeaveError::app("item 5 is poison")),
+                false => Ok(()),
+            }));
+            let err = stage.apply((0..8).collect()).unwrap_err();
+            assert!(
+                matches!(&err, WeaveError::App(m) if m == "item 5 is poison"),
+                "{routing}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn only_the_farm_issues_its_wave_under_a_batch_scope() {
+        for routing in ROUTINGS {
+            let (weaver, stage) = plugged(routing, 2, 4);
+            let in_scope = Arc::new(AtomicU32::new(0));
+            let counter = in_scope.clone();
+            weaver.plug(on_pack_calls(move |_| {
+                counter.fetch_add(weavepar_concurrency::scope_active() as u32, Ordering::Relaxed);
+                Ok(())
+            }));
+            stage.apply((0..8).collect()).unwrap();
+            // A pipeline's packs must enter stage one in split order, which a
+            // batch flush to the pool does not keep; pullers submit nothing.
+            let expect = if routing == FARM { 4 } else { 0 };
+            assert_eq!(in_scope.load(Ordering::Relaxed), expect, "routing {routing}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Partitioning is semantically invisible under every routing: any
+        /// input, worker count and pack count produces exactly the
+        /// sequential result — every pack crosses every pipeline stage once,
+        /// in stage order, or is served by one farm worker, and pack order
+        /// survives the combine — from exactly `workers` managed objects.
+        #[test]
+        fn every_routing_is_semantically_invisible(
+            input in proptest::collection::vec(any::<u32>(), 0..200),
+            workers in 1usize..6,
+            packs in 1usize..10,
+        ) {
+            let input: Vec<u64> = input.into_iter().map(u64::from).collect();
+            for routing in ROUTINGS {
+                let (weaver, stage) = plugged(routing, workers, packs);
+                prop_assert_eq!(stage.apply(input.clone()).unwrap(), expected(routing, workers, &input));
+                prop_assert_eq!(weaver.space().ids_of_class("Stage").len(), workers);
+            }
+        }
+
+        /// Pack granularity never changes the result.
+        #[test]
+        fn pack_count_is_irrelevant(
+            input in proptest::collection::vec(0u64..1000, 1..80),
+            workers in 1usize..4,
+        ) {
+            for routing in ROUTINGS {
+                let run = |packs: usize| plugged(routing, workers, packs).1.apply(input.clone()).unwrap();
+                prop_assert_eq!(run(1), run(7));
+            }
+        }
+    }
+}

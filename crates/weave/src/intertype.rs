@@ -13,6 +13,7 @@
 //!   (e.g. the Partition aspect's `next` pipeline pointer from Figure 8).
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -25,13 +26,41 @@ use crate::value::{AnyValue, Args};
 /// Body of an extension method.
 pub type ExtensionFn = Arc<dyn Fn(&Weaver, ObjId, Args) -> WeaveResult<AnyValue> + Send + Sync>;
 
+/// Hasher for [`ObjId`] keys: dense counters minted by the runtime, mixed
+/// with one multiply the way `snapshot.rs` mixes its chain-key words — a
+/// field is looked up once per redirected remote call, pipeline hop and farm
+/// call, where SipHash's per-key setup cost is measurable and its
+/// DoS-resistance buys nothing.
+#[derive(Default)]
+struct ObjIdHasher(u64);
+
+impl Hasher for ObjIdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+/// One object's mixin fields: a handful, scanned by name.
+type ObjectFields = Vec<(&'static str, AnyValue)>;
+
 /// Store of inter-type declarations, shared by all aspects on a weaver.
 #[derive(Default)]
 pub struct IntertypeStore {
     extensions: RwLock<HashMap<(&'static str, &'static str), ExtensionFn>>,
     class_tags: RwLock<HashSet<(&'static str, &'static str)>>,
-    // `Mutex`, not `RwLock`: the boxed values are `Send` but not `Sync`.
-    fields: Mutex<HashMap<(ObjId, &'static str), AnyValue>>,
+    // Keyed by object: one probe, then that object's few entries. `Mutex`,
+    // not `RwLock`: the boxed values are `Send` but not `Sync`.
+    fields: Mutex<HashMap<ObjId, ObjectFields, BuildHasherDefault<ObjIdHasher>>>,
 }
 
 impl IntertypeStore {
@@ -50,11 +79,9 @@ impl IntertypeStore {
 
     /// Remove an extension method. Returns true when present.
     pub fn remove_method(&self, class: &str, method: &str) -> bool {
-        let key = match self.resolve_method(class, method) {
-            Some(k) => k,
-            None => return false,
-        };
-        self.extensions.write().remove(&key).is_some()
+        let mut extensions = self.extensions.write();
+        let key = extensions.keys().copied().find(|(c, m)| *c == class && *m == method);
+        key.is_some_and(|k| extensions.remove(&k).is_some())
     }
 
     /// Resolve a (possibly dynamic) class/method pair to the `'static` key it
@@ -97,14 +124,9 @@ impl IntertypeStore {
 
     /// Remove a declared tag. Returns true when present.
     pub fn remove_tag(&self, class: &str, tag: &str) -> bool {
-        let key = {
-            let tags = self.class_tags.read();
-            tags.iter().copied().find(|(c, t)| *c == class && *t == tag)
-        };
-        match key {
-            Some(k) => self.class_tags.write().remove(&k),
-            None => false,
-        }
+        let mut tags = self.class_tags.write();
+        let key = tags.iter().copied().find(|(c, t)| *c == class && *t == tag);
+        key.is_some_and(|k| tags.remove(&k))
     }
 
     /// Does `class` carry `tag`?
@@ -116,13 +138,19 @@ impl IntertypeStore {
 
     /// Attach (or overwrite) a named field on an object.
     pub fn set_field<T: Send + 'static>(&self, obj: ObjId, key: &'static str, value: T) {
-        self.fields.lock().insert((obj, key), crate::value::Value::new(value));
+        let value = crate::value::Value::new(value);
+        let mut fields = self.fields.lock();
+        let of_obj = fields.entry(obj).or_default();
+        match of_obj.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, slot)) => *slot = value,
+            None => of_obj.push((key, value)),
+        }
     }
 
     /// Read a copy of a field.
     pub fn get_field<T: Clone + Send + 'static>(&self, obj: ObjId, key: &str) -> Option<T> {
         let fields = self.fields.lock();
-        let (_, v) = fields.iter().find(|((o, k), _)| *o == obj && *k == key)?;
+        let (_, v) = fields.get(&obj)?.iter().find(|(k, _)| *k == key)?;
         v.downcast_ref::<T>().cloned()
     }
 
@@ -135,8 +163,8 @@ impl IntertypeStore {
     ) -> WeaveResult<R> {
         let mut fields = self.fields.lock();
         let (_, v) = fields
-            .iter_mut()
-            .find(|((o, k), _)| *o == obj && *k == key)
+            .get_mut(&obj)
+            .and_then(|of_obj| of_obj.iter_mut().find(|(k, _)| *k == key))
             .ok_or_else(|| WeaveError::app(format!("no inter-type field `{key}` on {obj}")))?;
         let typed = v.downcast_mut::<T>().ok_or_else(|| WeaveError::TypeMismatch {
             expected: std::any::type_name::<T>(),
@@ -147,24 +175,24 @@ impl IntertypeStore {
 
     /// Does the object carry the field?
     pub fn has_field(&self, obj: ObjId, key: &str) -> bool {
-        self.fields.lock().keys().any(|(o, k)| *o == obj && *k == key)
+        self.fields.lock().get(&obj).is_some_and(|of_obj| of_obj.iter().any(|(k, _)| *k == key))
     }
 
     /// Remove a field. Returns true when present.
     pub fn remove_field(&self, obj: ObjId, key: &str) -> bool {
-        let found = {
-            let fields = self.fields.lock();
-            fields.keys().copied().find(|(o, k)| *o == obj && *k == key)
-        };
-        match found {
-            Some(k) => self.fields.lock().remove(&k).is_some(),
-            None => false,
+        let mut fields = self.fields.lock();
+        let Some(of_obj) = fields.get_mut(&obj) else { return false };
+        let Some(at) = of_obj.iter().position(|(k, _)| *k == key) else { return false };
+        of_obj.swap_remove(at);
+        if of_obj.is_empty() {
+            fields.remove(&obj);
         }
+        true
     }
 
     /// Drop all fields attached to an object (object garbage collection).
     pub fn remove_object(&self, obj: ObjId) {
-        self.fields.lock().retain(|(o, _), _| *o != obj);
+        self.fields.lock().remove(&obj);
     }
 }
 
@@ -173,7 +201,7 @@ impl std::fmt::Debug for IntertypeStore {
         f.debug_struct("IntertypeStore")
             .field("extensions", &self.extensions.read().len())
             .field("class_tags", &self.class_tags.read().len())
-            .field("fields", &self.fields.lock().len())
+            .field("fields", &self.fields.lock().values().map(Vec::len).sum::<usize>())
             .finish()
     }
 }
@@ -206,6 +234,11 @@ mod tests {
         assert_eq!(store.get_field::<Option<ObjId>>(obj(9), "next"), None);
         store.with_field_mut::<Option<ObjId>, _>(obj(1), "next", |n| *n = None).unwrap();
         assert_eq!(store.get_field::<Option<ObjId>>(obj(1), "next"), Some(None));
+        // Setting again overwrites in place: one entry, whatever its type.
+        store.set_field(obj(1), "next", 7u8);
+        assert_eq!(store.get_field::<u8>(obj(1), "next"), Some(7));
+        assert!(store.remove_field(obj(1), "next"));
+        assert!(!store.has_field(obj(1), "next"));
     }
 
     #[test]
