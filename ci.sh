@@ -19,8 +19,13 @@ if grep -rnE "$retired" crates/*/src crates/bench/benches; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1
 fi
-if grep -rn "crossbeam" crates/skeletons; then
-    echo "crates/skeletons is channel-free: a wave's outcomes come back through join handles"
+if grep -rn "crossbeam" crates/skeletons crates/middleware crates/apps; then
+    echo "skeletons, middleware and apps are crossbeam-free: results come back through join"
+    echo "handles, replies through the pooled slot (only concurrency::pool uses the deque)"
+    exit 1
+fi
+if grep -rn "crossbeam::channel" crates tests examples vendor; then
+    echo "crossbeam::channel was deleted in PR 21 (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1
 fi
 
@@ -54,9 +59,9 @@ fi
 # force the interleaving with a barrier or a gate, then lower the number.
 echo "==> sleep( census under crates/*/src, tests/ and examples/ (benches excluded)"
 sleeps=$(grep -rc "sleep(" crates/*/src tests examples | grep -v '^crates/bench/' | grep -v ':0$' || true)
-if [ "$(echo "$sleeps" | awk -F: '{ n += $NF } END { print n + 0 }')" -gt 18 ]; then
+if [ "$(echo "$sleeps" | awk -F: '{ n += $NF } END { print n + 0 }')" -gt 15 ]; then
     echo "$sleeps"
-    echo "more than 18 sleep( sites outside the benches"
+    echo "more than 15 sleep( sites outside the benches"
     exit 1
 fi
 
@@ -104,7 +109,8 @@ done
 echo "==> benchmark package tests (perfbench/)"
 CARGO_TARGET_DIR=.bench_build cargo test --offline --manifest-path perfbench/Cargo.toml
 # perfbench/ is frozen, its lock file included, and cargo drops from it the
-# `crossbeam` edge `weavepar-skeletons` no longer has: put the file back.
+# `crossbeam` edges `weavepar-skeletons` (PR 20), `weavepar-middleware` and
+# `weavepar-apps` (PR 21) no longer have: put the file back.
 git checkout -- perfbench/Cargo.lock 2>/dev/null || true
 
 echo "==> chaos matrix, pinned seed (--release)"

@@ -6,8 +6,6 @@
 //! no weaver, no aspects, no join points. Functionally identical output;
 //! structurally everything the methodology argues against.
 
-use crossbeam::channel::unbounded;
-
 use weavepar::args;
 use weavepar::distribution::{CallPolicy, InProcFabric, MarshalRegistry, RemoteRef};
 use weavepar::weave::{Pack, WeaveError, WeaveResult};
@@ -59,17 +57,14 @@ pub fn run_handcoded_rmi(
         return Ok(vec![2]);
     }
     let chunk = cands.len().div_ceil(packs.max(1)).max(1);
-    let (tx, rx) = unbounded::<(usize, WeaveResult<Pack>)>();
-    let mut spawned = 0usize;
-    std::thread::scope(|scope| {
-        for (index, pack) in cands.chunks(chunk).enumerate() {
-            spawned += 1;
-            let tx = tx.clone();
-            let fabric = fabric.clone();
-            let stages = stages.clone();
-            let pack = Pack::from_slice(pack);
-            scope.spawn(move || {
-                let result = (|| {
+    let filtered: Vec<WeaveResult<Pack>> = std::thread::scope(|scope| {
+        let clients: Vec<_> = cands
+            .chunks(chunk)
+            .map(|pack| {
+                let fabric = fabric.clone();
+                let stages = stages.clone();
+                let pack = Pack::from_slice(pack);
+                scope.spawn(move || {
                     let mut data = pack;
                     for stage in &stages {
                         let bytes =
@@ -81,20 +76,16 @@ pub fn run_handcoded_rmi(
                             .map_err(|_| WeaveError::remote("bad filter reply type"))?;
                     }
                     Ok(data)
-                })();
-                let _ = tx.send((index, result));
-            });
-        }
+                })
+            })
+            .collect();
+        // Spawn order is pack order.
+        clients.into_iter().map(|c| c.join().expect("a pack's client thread panicked")).collect()
     });
-    drop(tx);
 
-    let mut slots: Vec<Option<Pack>> = vec![None; spawned];
-    for (index, result) in rx {
-        slots[index] = Some(result?);
-    }
     let mut primes = vec![2];
-    for slot in slots {
-        primes.extend_from_slice(slot.ok_or_else(|| WeaveError::remote("lost a pack"))?.as_slice());
+    for pack in filtered {
+        primes.extend_from_slice(pack?.as_slice());
     }
     Ok(primes)
 }

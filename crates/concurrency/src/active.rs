@@ -6,17 +6,19 @@
 //! or synchronous method invocation."
 //!
 //! [`active_object_aspect`] turns the matched calls of a class into exactly
-//! that: each target object gets its own mailbox and a dedicated server
-//! thread draining it **in issue order** (a stronger guarantee than the
-//! monitor-based concurrency aspect, whose lock acquisition order is
-//! scheduler-dependent). Calls return [`FutureAny`] — synchronous use is
-//! taking the future immediately, asynchronous use is taking it later.
+//! that: each target object gets its own mailbox (a `std::sync::mpsc`
+//! channel: many posters, one server) and a dedicated server thread draining
+//! it **in issue order** (a stronger guarantee than the monitor-based
+//! concurrency aspect, whose lock acquisition order is scheduler-dependent).
+//! Calls return [`FutureAny`] — synchronous use is taking the future
+//! immediately, asynchronous use is taking it later. A call that panics fails
+//! its own future; the object keeps serving.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
 use weavepar_weave::aspect::precedence;
@@ -61,12 +63,12 @@ impl ActiveRuntime {
     fn post(&self, target: ObjId, mail: Mail) -> WeaveResult<()> {
         let mut mailboxes = self.inner.mailboxes.lock();
         let mailbox = mailboxes.entry(target).or_insert_with(|| {
-            let (tx, rx) = unbounded::<Mail>();
+            let (tx, rx) = channel::<Mail>();
             let handle = std::thread::Builder::new()
                 .name(format!("active-{}", target.raw()))
                 .spawn(move || {
-                    while let Ok((detached, future, token)) = rx.recv() {
-                        future.fulfill(detached.run());
+                    for (detached, future, token) in rx {
+                        future.run(detached);
                         drop(token); // one invocation done, even on failure
                     }
                 })
@@ -165,6 +167,9 @@ mod tests {
             fn seen(&mut self) -> Vec<u64> {
                 self.seen.clone()
             }
+            fn boom(&mut self) -> u64 {
+                panic!("boom")
+            }
         }
     }
 
@@ -223,6 +228,28 @@ mod tests {
             }
             runtime.shutdown();
             assert_eq!(runtime.active_objects(), 0);
+        });
+    }
+
+    #[test]
+    fn a_panicking_call_fails_its_own_future_and_the_object_keeps_serving() {
+        let weaver = Weaver::new();
+        let (aspect, runtime) = active_object_aspect(
+            "Active",
+            Pointcut::call("Logger.record").or(Pointcut::call("Logger.boom")),
+        );
+        weaver.plug(aspect);
+        let l = LoggerProxy::construct(&weaver).unwrap();
+        watchdog("panicking active call", move || {
+            let boom = l.handle().call("boom", args![]).unwrap();
+            let after = l.handle().call("record", args![7u64]).unwrap();
+            let err = resolve_any(boom).unwrap_err();
+            assert!(matches!(err, WeaveError::App(_)), "typed failure, not a hang: {err:?}");
+            // The same server thread went on to the next message.
+            assert_eq!(downcast_ret::<u64>(resolve_any(after).unwrap()).unwrap(), 7);
+            runtime.wait_idle();
+            assert_eq!(runtime.active_objects(), 1);
+            runtime.shutdown();
         });
     }
 

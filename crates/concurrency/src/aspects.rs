@@ -118,24 +118,13 @@ pub fn oneway_aspect(
 /// A call that panics fails its own future with an application error (the
 /// joiner is not left waiting for a value nobody will write).
 pub fn future_aspect(name: impl Into<String>, pointcut: Pointcut, executor: Executor) -> Aspect {
-    /// Fails the future if the call unwinds before fulfilling it.
-    struct Setter(FutureAny);
-    impl Drop for Setter {
-        fn drop(&mut self) {
-            if std::thread::panicking() {
-                self.0.fulfill(Err(WeaveError::app("asynchronous invocation panicked")));
-            }
-        }
-    }
     Aspect::named(name)
         .precedence(precedence::ASYNC_INVOCATION)
         .around(pointcut, move |inv: &mut Invocation| {
             let detached = inv.detach()?;
             let future = FutureAny::new();
-            let setter = Setter(future.clone());
-            executor.spawn(move || {
-                setter.0.fulfill(detached.run());
-            });
+            let running = future.clone();
+            executor.spawn(move || running.run(detached));
             Ok(weavepar_weave::ret!(future))
         })
         .build()

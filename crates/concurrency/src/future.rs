@@ -15,12 +15,13 @@
 //!   points; [`future_ret`] recovers a typed view on the client side whether
 //!   or not the concurrency aspect is currently plugged.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use weavepar_weave::{AnyValue, WeaveError, WeaveResult};
+use weavepar_weave::{AnyValue, Detached, WeaveError, WeaveResult};
 
 use crate::pool::{Joiner, StealCore};
 
@@ -204,6 +205,18 @@ impl FutureAny {
     /// Fulfil with a result.
     pub fn fulfill(&self, value: WeaveResult<AnyValue>) -> bool {
         self.inner.fulfill(value)
+    }
+
+    /// Run a detached chain into this future — the one way an asynchronous
+    /// invocation completes. A chain that panics fails its own future with
+    /// an application error (the joiner is not left waiting for a value
+    /// nobody will write) and the unwind stops here, so the thread that ran
+    /// it — an executor's worker, an active object's server — lives on.
+    pub(crate) fn run(&self, detached: Detached) {
+        let outcome = catch_unwind(AssertUnwindSafe(|| detached.run()));
+        self.fulfill(
+            outcome.unwrap_or_else(|_| Err(WeaveError::app("asynchronous invocation panicked"))),
+        );
     }
 
     /// True when fulfilled (and not yet taken).

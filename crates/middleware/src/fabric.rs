@@ -2,17 +2,19 @@
 //!
 //! `InProcFabric` is the "cluster" the distribution aspects talk to. Its
 //! nodes are real threads with private object spaces; calls are marshalled
-//! to bytes and cross channels — functionally a distributed system, minus
-//! the 2005 Ethernet (whose costs live in `weavepar-cluster`).
+//! to bytes and cross node mailboxes — functionally a distributed system,
+//! minus the 2005 Ethernet (whose costs live in `weavepar-cluster`).
 //!
 //! The per-call fast path is allocation-free in the steady state:
 //! [`InProcFabric::call`] and [`InProcFabric::send`] take an interned
 //! [`MethodId`] (an array index into the registry, not a string lookup), and
 //! encode/decode frames cycle through a shared [`BufPool`]. A replied call to
 //! an idle node is served on the caller's own thread
-//! ([`NodeRuntime::call_inline`]; the rules are in [`node`](crate::node)); one
-//! that has to queue draws its reply rendezvous from a slab of reusable
-//! park/unpark slots.
+//! ([`NodeRuntime::call_inline`]; the rules are in [`node`](crate::node)).
+//! Every other replied request — a call that has to queue, a construct, a
+//! snapshot, a restore — goes through one rendezvous on a pooled park/unpark
+//! slot, so a middleware hand-off is a mailbox push or a slot fill and
+//! nothing else.
 //! [`InProcFabric::call_batch`] packs many oneway calls to one node into a
 //! single [`Request::CallPack`] frame — one submit, one wakeup.
 
@@ -21,7 +23,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::bounded;
 use parking_lot::RwLock;
 
 use weavepar_weave::{Args, MetricsRegistry, ObjId, WeaveError, WeaveResult, Weaveable};
@@ -30,8 +31,8 @@ use crate::faults::{FaultAction, FaultPlan, RequestClass};
 use crate::nameserver::NameServer;
 use crate::node::{NodeRuntime, Request};
 use crate::policy::CallPolicy;
-use crate::pool::{BufPool, ReplyPool};
-use crate::wire::{ClassId, MarshalRegistry, MethodId, PackFrame};
+use crate::pool::{BufPool, ReplyPool, SlotReply, SlotTicket};
+use crate::wire::{ClassId, MarshalRegistry, MethodId, PackFrame, Wire};
 
 /// A reference to an object living on a fabric node. Carries the interned
 /// class id so method resolution on the stub side never re-hashes the class
@@ -226,15 +227,18 @@ impl InProcFabric {
     /// Route one request to `node`'s queue, applying the installed fault
     /// schedule. With no plan installed this is exactly `submit`.
     fn route(&self, node: usize, class: RequestClass, request: Request) -> WeaveResult<()> {
-        match self.decide(class, node) {
-            Some(action) => self.inject(node, action, request),
-            None => self.node(node)?.submit(request),
-        }
+        self.deliver(node, self.decide(class, node), request)
     }
 
-    /// Apply one injected fault to a request.
-    fn inject(&self, node: usize, action: FaultAction, request: Request) -> WeaveResult<()> {
+    /// Deliver one request under the fault decision already taken for it.
+    fn deliver(
+        &self,
+        node: usize,
+        fault: Option<FaultAction>,
+        request: Request,
+    ) -> WeaveResult<()> {
         let target = self.node(node)?;
+        let Some(action) = fault else { return target.submit(request) };
         match action {
             FaultAction::Drop => {
                 self.discard(request);
@@ -273,10 +277,12 @@ impl InProcFabric {
         }
     }
 
-    /// Lose a request: recycle its frames and silence its reply path. The
-    /// reply slot is *discarded*, so the caller times out against its own
-    /// deadline, like a lost datagram, rather than seeing a prompt
-    /// disconnect the real network would never deliver.
+    /// Lose a request and recycle its frames. A call's reply slot is
+    /// *discarded*, so the caller times out against its own deadline, like a
+    /// lost datagram, rather than seeing a prompt disconnect the real
+    /// network would never deliver. Construct / snapshot / restore have no
+    /// deadline to time out against: their slot is dropped, and its
+    /// drop-guard fails the caller at once.
     fn discard(&self, request: Request) {
         match request {
             Request::Construct { args, .. } => self.buffers.recycle(args),
@@ -314,36 +320,48 @@ impl InProcFabric {
         args: Bytes,
     ) -> WeaveResult<RemoteRef> {
         let class = self.marshal.method_entry(ctor)?.class;
-        let (tx, rx) = bounded(1);
-        self.route(node, RequestClass::Construct, Request::Construct { ctor, args, reply: tx })?;
-        let obj = rx.recv().map_err(|_| {
-            WeaveError::remote(format!("node {node} dropped the construct reply"))
-        })??;
-        Ok(RemoteRef { node, obj, class })
+        let made = self.admin(node, RequestClass::Construct, |reply| Request::Construct {
+            ctor,
+            args,
+            reply,
+        })?;
+        Ok(RemoteRef { node, obj: self.replied_obj(made)?, class })
     }
 
     /// Snapshot a remote object's state (removing it when `remove`).
     pub fn snapshot(&self, reference: RemoteRef, remove: bool) -> WeaveResult<Bytes> {
-        let (tx, rx) = bounded(1);
-        self.route(
-            reference.node,
-            RequestClass::Snapshot,
-            Request::Snapshot { obj: reference.obj, remove, reply: tx },
-        )?;
-        rx.recv().map_err(|_| WeaveError::remote("node dropped the snapshot reply"))?
+        let RemoteRef { node, obj, .. } = reference;
+        self.admin(node, RequestClass::Snapshot, |reply| Request::Snapshot { obj, remove, reply })
     }
 
     /// Rebuild an instance of `class` on `node` from snapshotted state.
     pub fn restore(&self, node: usize, class: &str, state: Bytes) -> WeaveResult<RemoteRef> {
-        let class_id = self.marshal.intern_class(class);
-        let (tx, rx) = bounded(1);
-        self.route(
-            node,
-            RequestClass::Restore,
-            Request::Restore { class: class_id, state, reply: tx },
-        )?;
-        let obj = rx.recv().map_err(|_| WeaveError::remote("node dropped the restore reply"))??;
-        Ok(RemoteRef { node, obj, class: class_id })
+        let class = self.marshal.intern_class(class);
+        let rebuilt = self.admin(node, RequestClass::Restore, |reply| Request::Restore {
+            class,
+            state,
+            reply,
+        })?;
+        Ok(RemoteRef { node, obj: self.replied_obj(rebuilt)?, class })
+    }
+
+    /// A construct / snapshot / restore: a replied request with no deadline
+    /// and no retry, never served inline.
+    fn admin(
+        &self,
+        node: usize,
+        class: RequestClass,
+        request: impl FnOnce(SlotReply) -> Request,
+    ) -> WeaveResult<Bytes> {
+        let (ticket, reply) = self.replies.checkout();
+        self.rendezvous(node, self.decide(class, node), request(reply), ticket, None)
+    }
+
+    /// The object id a construct or restore answered with.
+    fn replied_obj(&self, mut frame: Bytes) -> WeaveResult<ObjId> {
+        let obj = ObjId::decode(&mut frame);
+        self.buffers.recycle(frame);
+        obj
     }
 
     /// Move a remote object to another node, preserving its state — the
@@ -457,22 +475,29 @@ impl InProcFabric {
         }
         let (ticket, reply) = self.replies.checkout();
         let request = Request::Call { obj, method, args, reply: Some(reply), seq };
-        let routed = match fault {
-            Some(action) => self.inject(node, action, request),
-            None => target.submit(request),
-        };
-        if let Err(err) = routed {
-            // The reply half died with the request; its drop-guard filled
-            // the slot, so finishing the ticket garbage-collects it.
-            self.replies.finish(ticket);
-            return Err(err);
-        }
-        let result = match deadline {
-            Some(after) => {
-                ticket.wait_deadline(Some(Instant::now() + after), after.as_millis() as u64)
-            }
-            None => ticket.wait(),
-        };
+        self.rendezvous(node, fault, request, ticket, deadline)
+    }
+
+    /// The one reply rendezvous: deliver `request`, which carries the
+    /// serving half of `ticket`'s slot, under the fault decision taken for
+    /// it, and park until the slot is filled or `deadline` passes. Kept out
+    /// of line and non-generic: the inline-served half of a call never gets
+    /// here.
+    #[inline(never)]
+    fn rendezvous(
+        &self,
+        node: usize,
+        fault: Option<FaultAction>,
+        request: Request,
+        ticket: SlotTicket,
+        deadline: Option<Duration>,
+    ) -> WeaveResult<Bytes> {
+        // A request refused at the door died with its reply half, whose
+        // drop-guard filled the slot: the route's typed error is the answer.
+        let result = self.deliver(node, fault, request).and_then(|()| {
+            let until = deadline.map(|after| Instant::now() + after);
+            ticket.wait_deadline(until, deadline.map_or(0, |after| after.as_millis() as u64))
+        });
         if matches!(result, Err(WeaveError::Timeout { .. })) {
             self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
             // A late reply may still land in the slot: drop the ticket
@@ -530,7 +555,7 @@ impl std::fmt::Debug for InProcFabric {
 mod tests {
     use super::*;
     use crate::node::tests::{latch, watchdog, Probe};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use crate::wire::to_bytes;
     use weavepar_weave::args;
 
     struct Echo {
@@ -551,19 +576,13 @@ mod tests {
         }
     }
 
-    static FABRIC_GATE: AtomicBool = AtomicBool::new(false);
-
-    struct Staller;
+    /// A class whose constructor panics on the serving node.
+    struct Fragile;
 
     weavepar_weave::weaveable! {
-        class Staller as StallerProxy {
-            fn new() -> Self { Staller }
-            fn stall(&mut self) -> u64 {
-                while !crate::fabric::tests::FABRIC_GATE.load(Ordering::SeqCst) {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                1
-            }
+        class Fragile as FragileProxy {
+            fn new() -> Self { panic!("Fragile.new blew up") }
+            fn poke(&mut self) -> u64 { 0 }
         }
     }
 
@@ -572,13 +591,23 @@ mod tests {
         m.register::<(String,), ()>("Echo", "new");
         m.register::<(String,), String>("Echo", "shout");
         m.register::<(), u64>("Echo", "heard");
-        m.register::<(), ()>("Staller", "new");
-        m.register::<(), u64>("Staller", "stall");
+        m.register::<(), ()>("Fragile", "new");
         m.register::<(), ()>("Probe", "new");
         m.register::<(u64,), u64>("Probe", "hold");
+        // An `Echo`'s state is its tag; the codec chokes on two of them.
+        m.register_state::<Echo, String, _, _>(
+            |echo| {
+                assert_ne!(echo.tag, "bomb", "extract blew up");
+                echo.tag.clone()
+            },
+            |tag| {
+                assert_ne!(tag, "dud", "rebuild blew up");
+                Echo { tag, heard: 0 }
+            },
+        );
         let f = InProcFabric::new(3, m);
         f.register_class::<Echo>();
-        f.register_class::<Staller>();
+        f.register_class::<Fragile>();
         f.register_class::<Probe>();
         f
     }
@@ -704,15 +733,16 @@ mod tests {
     #[test]
     fn kill_fails_pending_replied_calls_promptly() {
         let f = fabric();
-        let ctor = f.marshal().encode_args("Staller", "new", &args![]).unwrap();
-        let stall_ref = f.construct_on(0, "Staller", ctor).unwrap();
+        let ctor = f.marshal().encode_args("Probe", "new", &args![]).unwrap();
+        let probe = f.construct_on(0, "Probe", ctor).unwrap();
         let echo_ctor = f.marshal().encode_args("Echo", "new", &args!["e".to_string()]).unwrap();
         let echo_ref = f.construct_on(0, "Echo", echo_ctor).unwrap();
 
-        FABRIC_GATE.store(false, Ordering::SeqCst);
         // Occupy node 0's serve loop with a blocking oneway call.
-        let stall_args = f.marshal().encode_args("Staller", "stall", &args![]).unwrap();
-        f.send(stall_ref, f.marshal().method_id("Staller", "stall").unwrap(), stall_args).unwrap();
+        let held = latch();
+        let hold_args = f.marshal().encode_args("Probe", "hold", &args![held.key]).unwrap();
+        f.send(probe, f.marshal().method_id("Probe", "hold").unwrap(), hold_args).unwrap();
+        held.entered.recv().unwrap();
 
         // Queue replied calls behind it from worker threads; they block on
         // their reply slots.
@@ -722,11 +752,13 @@ mod tests {
                 std::thread::spawn(move || shout_on(&f, echo_ref, "hi"))
             })
             .collect();
-        // Give the waiters time to enqueue, then crash the node and release
-        // the blocker.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        // Crash the node once all four are queued, then release the blocker:
+        // a call executed or stranded, not refused, fails the test.
+        while f.node(0).unwrap().queued() < 4 {
+            std::thread::yield_now();
+        }
         f.kill_node(0).unwrap();
-        FABRIC_GATE.store(true, Ordering::SeqCst);
+        held.release.send(()).unwrap();
 
         // Every pending caller is failed promptly with a typed NodeDown —
         // nobody hangs until fabric teardown.
@@ -736,6 +768,91 @@ mod tests {
         }
         // And new submissions are rejected up front.
         assert!(matches!(shout_on(&f, echo_ref, "x"), Err(WeaveError::NodeDown { node: 0 })));
+    }
+
+    /// What goes wrong with a construct / snapshot / restore on node 1.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Mishap {
+        /// The fault plan loses the request.
+        Dropped,
+        /// The fault plan crashes the node on delivery.
+        Crashed,
+        /// The node was killed beforehand.
+        Killed,
+        /// The served body panics.
+        Panics,
+    }
+
+    #[test]
+    fn a_failed_admin_request_fails_typed_and_promptly() {
+        use crate::faults::FaultRule;
+        use Mishap::*;
+        use RequestClass::{Construct, Restore, Snapshot};
+
+        for op in [Construct, Snapshot, Restore] {
+            for mishap in [Dropped, Crashed, Killed, Panics] {
+                watchdog(&format!("{op:?} / {mishap:?}"), move || {
+                    let f = fabric();
+                    let echo_ctor = |tag: &str| {
+                        f.marshal().encode_args("Echo", "new", &args![tag.to_string()]).unwrap()
+                    };
+                    // The panicking rows use the values the bodies choke on.
+                    let panics = mishap == Panics;
+                    let (tag, state) = if panics { ("bomb", "dud") } else { ("e", "e") };
+                    let echo = f.construct_on(1, "Echo", echo_ctor(tag)).unwrap();
+                    let attempt = || match op {
+                        Construct if panics => {
+                            let ctor = f.marshal().encode_args("Fragile", "new", &args![]).unwrap();
+                            f.construct_on(1, "Fragile", ctor).map(drop)
+                        }
+                        Construct => f.construct_on(1, "Echo", echo_ctor("e")).map(drop),
+                        Snapshot => f.snapshot(echo, false).map(drop),
+                        _ => f.restore(1, "Echo", to_bytes(&state.to_string())).map(drop),
+                    };
+                    match mishap {
+                        Dropped | Crashed => {
+                            let action = if mishap == Dropped {
+                                FaultAction::Drop
+                            } else {
+                                FaultAction::CrashNode
+                            };
+                            let plan = FaultPlan::seeded(1).rule(FaultRule::on(op, action));
+                            f.install_faults(Arc::new(plan));
+                        }
+                        Killed => f.kill_node(1).unwrap(),
+                        Panics => {}
+                    }
+                    let pooled = f.replies.pooled();
+                    let err = attempt().expect_err("the request cannot succeed");
+                    let said =
+                        |what: &str| matches!(&err, WeaveError::Remote(msg) if msg.contains(what));
+                    match mishap {
+                        // No deadline to time out against: the drop-guard answers.
+                        Dropped => {
+                            assert!(said("reply dropped"), "{err}");
+                            assert_eq!(f.faults().unwrap().stats().snapshot().dropped, 1);
+                            assert!(!f.node(1).unwrap().is_down());
+                        }
+                        Crashed | Killed => {
+                            assert!(matches!(err, WeaveError::NodeDown { node: 1 }), "{err}")
+                        }
+                        Panics => assert!(said("node 1: served call panicked"), "{err}"),
+                    }
+                    if matches!(mishap, Dropped | Panics) {
+                        assert_eq!(f.replies.pooled(), pooled, "an answered slot comes back");
+                    }
+                    if mishap != Dropped {
+                        assert!(f.node(1).unwrap().is_down());
+                        let next = f.snapshot(echo, false);
+                        assert!(matches!(next, Err(WeaveError::NodeDown { node: 1 })), "{next:?}");
+                    }
+                    // No slot went back with an unread answer in it (`checkout`
+                    // asserts that), and the other nodes still serve.
+                    f.clear_faults();
+                    f.construct_on(0, "Echo", echo_ctor("z")).unwrap();
+                });
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub enum FaultAction {
     /// Silently lose the message. A replied call's caller sees nothing
     /// until its deadline expires (a lost datagram); callers without a
     /// deadline would hang, which is exactly the failure mode deadlines
-    /// exist for.
+    /// exist for. Construct / snapshot / restore take no deadline, so a
+    /// lost one fails its caller at once instead.
     Drop,
     /// Deliver the message late by this much.
     Delay(Duration),

@@ -49,7 +49,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use bytes::Bytes;
-use crossbeam::channel::Sender;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use weavepar_weave::{ObjId, WeaveError, WeaveResult, Weaveable, Weaver};
@@ -58,7 +57,8 @@ use crate::pool::{BufPool, SlotReply};
 use crate::server::{DedupWindow, Server};
 use crate::wire::{ClassId, MarshalRegistry, MethodId};
 
-/// A request arriving at a node.
+/// A request arriving at a node. A reply travels as bytes through a pooled
+/// slot; an object id is its 8 [`Wire`](crate::wire::Wire) bytes.
 pub enum Request {
     /// Create an instance from marshalled constructor arguments. `ctor` is
     /// the interned id of the class's `"new"` method — it names both the
@@ -68,8 +68,8 @@ pub enum Request {
         ctor: MethodId,
         /// Marshalled constructor arguments.
         args: Bytes,
-        /// Reply channel carrying the new object's id.
-        reply: Sender<WeaveResult<ObjId>>,
+        /// Reply slot for the new object's id.
+        reply: SlotReply,
     },
     /// Snapshot (and optionally remove) an object's state for migration.
     Snapshot {
@@ -77,8 +77,8 @@ pub enum Request {
         obj: ObjId,
         /// Remove the object after snapshotting (move semantics).
         remove: bool,
-        /// Reply channel with the marshalled state.
-        reply: Sender<WeaveResult<Bytes>>,
+        /// Reply slot for the marshalled state.
+        reply: SlotReply,
     },
     /// Rebuild an instance of `class` from snapshotted state.
     Restore {
@@ -86,8 +86,8 @@ pub enum Request {
         class: ClassId,
         /// Marshalled state.
         state: Bytes,
-        /// Reply channel with the new object's id.
-        reply: Sender<WeaveResult<ObjId>>,
+        /// Reply slot for the new object's id.
+        reply: SlotReply,
     },
     /// Invoke `method` on object `obj` with marshalled arguments.
     Call {
@@ -119,13 +119,12 @@ pub enum Request {
 impl Request {
     /// Fail the request's reply path with `err`; oneway requests are
     /// silently dropped (they have nowhere to report to).
-    pub(crate) fn fail(self, err: impl Fn() -> WeaveError) {
+    pub(crate) fn fail(self, err: WeaveError) {
         match self {
-            Request::Construct { reply, .. } | Request::Restore { reply, .. } => {
-                drop(reply.send(Err(err())))
-            }
-            Request::Snapshot { reply, .. } => drop(reply.send(Err(err()))),
-            Request::Call { reply: Some(reply), .. } => reply.send(Err(err())),
+            Request::Construct { reply, .. }
+            | Request::Snapshot { reply, .. }
+            | Request::Restore { reply, .. }
+            | Request::Call { reply: Some(reply), .. } => reply.send(Err(err)),
             Request::Call { reply: None, .. } | Request::CallPack { .. } => {}
         }
     }
@@ -350,6 +349,12 @@ impl NodeRuntime {
         Ok(server.replied_call(obj, method, args, seq))
     }
 
+    /// Requests queued and not yet popped: what a test waits on, not a sleep.
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> usize {
+        self.mailbox.state.lock().queue.len()
+    }
+
     /// The mailbox itself, for delivery-injection threads that enqueue late
     /// and cannot borrow the runtime: by then a killed node's mailbox is
     /// closed, or its server fails the request — it never executes.
@@ -381,8 +386,9 @@ impl std::fmt::Debug for NodeRuntime {
 pub(crate) mod tests {
     use super::*;
     use crate::pool::{ReplyPool, SlotTicket};
-    use crossbeam::channel::{bounded, Receiver};
+    use crate::wire::Wire;
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
     use weavepar_weave::WeaveResult as WR;
 
     struct Adder {
@@ -399,38 +405,22 @@ pub(crate) mod tests {
         }
     }
 
-    static GATE_OPEN: AtomicBool = AtomicBool::new(false);
-
-    struct Blocker;
-
-    weavepar_weave::weaveable! {
-        class Blocker as BlockerProxy {
-            fn new() -> Self { Blocker }
-            fn block(&mut self) -> u64 {
-                while !super::tests::GATE_OPEN.load(Ordering::SeqCst) {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                1
-            }
-        }
-    }
-
     /// Rendezvous for a served `Probe.hold(key)`: the call announces itself
     /// on `entered`, then blocks until the test sends on `release`.
     pub(crate) struct Latch {
         pub(crate) entered: Receiver<()>,
-        pub(crate) release: Sender<()>,
+        pub(crate) release: SyncSender<()>,
         pub(crate) key: u64,
     }
 
-    type LatchEnds = (u64, Sender<()>, Receiver<()>);
+    type LatchEnds = (u64, SyncSender<()>, Receiver<()>);
     static LATCHES: Mutex<Vec<LatchEnds>> = Mutex::new(Vec::new());
 
     pub(crate) fn latch() -> Latch {
         static NEXT: AtomicU64 = AtomicU64::new(1);
         let key = NEXT.fetch_add(1, Ordering::Relaxed);
-        let (entered_tx, entered) = bounded(1);
-        let (release, release_rx) = bounded(1);
+        let (entered_tx, entered) = sync_channel(1);
+        let (release, release_rx) = sync_channel(1);
         LATCHES.lock().push((key, entered_tx, release_rx));
         Latch { entered, release, key }
     }
@@ -467,8 +457,6 @@ pub(crate) mod tests {
         let m = MarshalRegistry::new();
         m.register::<(u64,), ()>("Adder", "new");
         m.register::<(u64,), u64>("Adder", "add");
-        m.register::<(), ()>("Blocker", "new");
-        m.register::<(), u64>("Blocker", "block");
         m.register::<(), ()>("Probe", "new");
         m.register::<(u64,), u64>("Probe", "hold");
         m.register::<(), u64>("Probe", "on_node_thread");
@@ -479,7 +467,7 @@ pub(crate) mod tests {
     /// Run `f` on its own thread and fail, instead of hanging the suite, if
     /// it does not finish.
     pub(crate) fn watchdog(what: &str, f: impl FnOnce() + Send + 'static) {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         std::thread::spawn(move || {
             f();
             tx.send(())
@@ -540,9 +528,9 @@ pub(crate) mod tests {
     }
 
     fn construct(node: &NodeRuntime, m: &MarshalRegistry, class: &str, args: Bytes) -> WR<ObjId> {
-        let (tx, rx) = bounded(1);
-        node.submit(Request::Construct { ctor: m.method_id(class, "new")?, args, reply: tx })?;
-        rx.recv().map_err(|_| weavepar_weave::WeaveError::remote("no reply"))?
+        let (ticket, reply) = ReplyPool::new().checkout();
+        node.submit(Request::Construct { ctor: m.method_id(class, "new")?, args, reply })?;
+        ObjId::decode(&mut ticket.wait()?)
     }
 
     fn construct_adder(node: &NodeRuntime, m: &MarshalRegistry, start: u64) -> WR<ObjId> {
@@ -637,36 +625,47 @@ pub(crate) mod tests {
     #[test]
     fn kill_fails_queued_requests_promptly() {
         let m = marshal();
-        let node = NodeRuntime::spawn(0, m.clone());
-        node.register_class::<Adder>();
-        node.register_class::<Blocker>();
-        let adder = construct_adder(&node, &m, 0).unwrap();
-        let blocker = construct(
-            &node,
-            &m,
-            "Blocker",
-            m.encode_args("Blocker", "new", &weavepar_weave::args![]).unwrap(),
-        )
-        .unwrap();
-        GATE_OPEN.store(false, Ordering::SeqCst);
+        let (node, adder, probe) = probed_node(&m);
         // Occupy the serve loop with a blocking oneway call...
+        let held = latch();
         node.submit(Request::Call {
-            obj: blocker,
-            method: m.method_id("Blocker", "block").unwrap(),
-            args: m.encode_args("Blocker", "block", &weavepar_weave::args![]).unwrap(),
+            obj: probe,
+            method: m.method_id("Probe", "hold").unwrap(),
+            args: m.encode_args("Probe", "hold", &weavepar_weave::args![held.key]).unwrap(),
             reply: None,
             seq: None,
         })
         .unwrap();
+        held.entered.recv().unwrap();
         // ...queue a replied call behind it...
         let add = m.method_id("Adder", "add").unwrap();
         let pending = queued(&node, adder, add, add_args(&m, 1), None).unwrap();
-        // ...kill the node while the call is queued, then release the gate.
+        // ...kill the node while the call is queued, then release the latch.
         node.kill();
-        GATE_OPEN.store(true, Ordering::SeqCst);
+        held.release.send(()).unwrap();
         // The queued caller must be failed, not executed or stranded.
         let err = pending.wait().unwrap_err();
         assert!(matches!(err, weavepar_weave::WeaveError::NodeDown { node: 0 }));
+    }
+
+    #[test]
+    fn a_construct_refused_by_a_closed_mailbox_answers_its_ticket_when_dropped() {
+        watchdog("refused construct", || {
+            let m = marshal();
+            let node = NodeRuntime::spawn(0, m.clone());
+            node.kill();
+            let pool = ReplyPool::new();
+            let (ticket, reply) = pool.checkout();
+            let ctor = m.method_id("Adder", "new").unwrap();
+            let args = m.encode_args("Adder", "new", &weavepar_weave::args![1u64]).unwrap();
+            // A delayed delivery holds the mailbox, not the runtime, and finds
+            // it closed: the request comes back, and dropping it answers.
+            let refused = node.mailbox().push(Request::Construct { ctor, args, reply });
+            drop(refused.expect_err("a closed mailbox hands the request back"));
+            assert!(matches!(ticket.wait(), Err(WeaveError::Remote(_))));
+            pool.finish(ticket);
+            assert_eq!(pool.pooled(), 1, "an answered ticket goes back to the pool");
+        });
     }
 
     #[test]

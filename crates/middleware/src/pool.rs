@@ -8,14 +8,15 @@
 //!   [`Bytes`] whose refcount has dropped to one with `recycle`. Shards are
 //!   picked by thread id, so concurrent clients rarely contend on one lock.
 //!
-//! * [`ReplySlot`] — a park/unpark rendezvous replacing the per-call
-//!   `bounded(1)` channel, for replied calls that have to queue (one served
-//!   on the caller's thread needs none). A caller checks a slot out of the
-//!   pool, submits the request carrying the [`SlotReply`] half, blocks on
-//!   the condvar, and returns the slot for reuse. `SlotReply` is a
-//!   drop-guard: if the serving side drops it without answering (request
-//!   dropped on the floor), the waiter is woken with a `WeaveError::Remote`
-//!   instead of blocking forever.
+//! * [`ReplySlot`] — the fabric's one park/unpark reply rendezvous, for
+//!   every replied request that has to queue: a call, a construct, a
+//!   snapshot, a restore (a call served on the caller's thread needs none).
+//!   A caller checks a slot out of the pool, submits the request carrying
+//!   the [`SlotReply`] half, blocks on the condvar, and returns the slot for
+//!   reuse. `SlotReply` is a drop-guard, filled under the slot's own lock:
+//!   if the serving side drops it without answering (request dropped on the
+//!   floor), the waiter is woken with a `WeaveError::Remote` instead of
+//!   blocking forever.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -118,8 +119,7 @@ impl ReplySlot {
         // Notify with the mailbox lock *released*: waking the parked caller
         // while still holding the lock sends it straight into a futex
         // contention on the mutex it needs next (glibc condvars no longer
-        // wait-morph), which cost the slot path its lead over `bounded(1)`
-        // channels in BENCH_remote.json.
+        // wait-morph).
         self.ready.notify_one();
     }
 

@@ -17,7 +17,7 @@ use weavepar_weave::{AnyValue, ObjId, WeaveError, WeaveResult, Weaver};
 
 use crate::node::Request;
 use crate::pool::BufPool;
-use crate::wire::{MarshalRegistry, MethodId, PackReader};
+use crate::wire::{MarshalRegistry, MethodId, PackReader, Wire};
 
 /// Per-node at-most-once window: remembers recently seen call `seq` keys and
 /// the reply outcome they produced, so a retried (or fault-injected
@@ -75,11 +75,10 @@ impl Server {
         // Crashed node: fail everything still queued instead of executing
         // it, so callers blocked on replies are released promptly.
         if self.down.load(Ordering::SeqCst) {
-            let node = self.id;
-            return request.fail(|| WeaveError::NodeDown { node });
+            return request.fail(WeaveError::NodeDown { node: self.id });
         }
-        // A panic drops the request's reply sender with it, which fails the
-        // waiting caller (a replied call has its own, typed containment).
+        // What unwinds this far is a oneway call or a pack, which have
+        // nowhere to report to; a replied request contains its own body.
         let _ = self.contained(|server| {
             server.dispatch(request);
             Ok(())
@@ -147,40 +146,47 @@ impl Server {
         encoded
     }
 
+    /// An object id as a reply: its 8 wire bytes in a pooled frame.
+    fn obj_reply(&self, obj: ObjId) -> Bytes {
+        let mut buf = self.pool.take();
+        obj.encode(&mut buf);
+        buf.freeze()
+    }
+
     fn dispatch(&mut self, request: Request) {
-        match request {
+        let (reply, result) = match request {
             Request::Call { obj, method, args, reply: Some(reply), seq } => {
-                reply.send(self.replied_call(obj, method, args, seq));
+                (reply, self.replied_call(obj, method, args, seq))
             }
-            Request::Construct { ctor, args, reply } => {
-                let result = (|| {
-                    let entry = self.marshal.method_entry(ctor)?;
-                    let class = entry.class_name.clone();
-                    let mut view = args.clone();
-                    let decoded = self.marshal.decode_args_id(ctor, &mut view)?;
-                    self.weaver.construct_dyn_unwoven(&class, decoded)
-                })();
-                self.pool.recycle(args);
-                let _ = reply.send(result);
-            }
-            Request::Snapshot { obj, remove, reply } => {
-                let result = (|| {
-                    let class = self.weaver.space().class_of(obj)?;
-                    let state = self.marshal.snapshot_state(&self.weaver, class, obj)?;
+            Request::Construct { ctor, mut args, reply } => (
+                reply,
+                self.contained(|server| {
+                    let class = server.marshal.method_entry(ctor)?.class_name.clone();
+                    let decoded = server.marshal.decode_args_id(ctor, &mut args);
+                    server.pool.recycle(args);
+                    let obj = server.weaver.construct_dyn_unwoven(&class, decoded?)?;
+                    Ok(server.obj_reply(obj))
+                }),
+            ),
+            Request::Snapshot { obj, remove, reply } => (
+                reply,
+                self.contained(|server| {
+                    let class = server.weaver.space().class_of(obj)?;
+                    let state = server.marshal.snapshot_state(&server.weaver, class, obj)?;
                     if remove {
-                        self.weaver.space().remove(obj);
+                        server.weaver.space().remove(obj);
                     }
                     Ok(state)
-                })();
-                let _ = reply.send(result);
-            }
-            Request::Restore { class, state, reply } => {
-                let result = self
-                    .marshal
-                    .class_name(class)
-                    .and_then(|name| self.marshal.restore_state(&self.weaver, &name, &state));
-                let _ = reply.send(result);
-            }
+                }),
+            ),
+            Request::Restore { class, state, reply } => (
+                reply,
+                self.contained(|server| {
+                    let name = server.marshal.class_name(class)?;
+                    let obj = server.marshal.restore_state(&server.weaver, &name, &state)?;
+                    Ok(server.obj_reply(obj))
+                }),
+            ),
             // Oneway: failures have nowhere to go; drop them like a lost
             // datagram (the paper's MPP send has the same property). So is
             // a duplicate delivery.
@@ -192,6 +198,7 @@ impl Server {
                     }
                 }
                 self.pool.recycle(args);
+                return;
             }
             Request::CallPack { frame } => {
                 // Entries are oneway: malformed frames (a truncated header
@@ -204,7 +211,9 @@ impl Server {
                     }
                 }
                 self.pool.recycle(frame);
+                return;
             }
-        }
+        };
+        reply.send(result);
     }
 }
