@@ -6,7 +6,11 @@
 //! weavepar-demo heat   [--len 60] [--iters 2000] [--workers 4]
 //! weavepar-demo heat2d [--width 16] [--height 16] [--iters 200] [--workers 4]
 //! weavepar-demo sort   [--n 200000] [--threshold 10000] [--concurrent]
+//! weavepar-demo figures [--max 2000000] [--packs 50]
 //! ```
+//!
+//! `figures` regenerates the paper's §6 evaluation (Figures 16 and 17,
+//! Table 1) on stdout: see [`figures`].
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -18,6 +22,12 @@ use weavepar_apps::mandel::{render_dynamic, render_farmed, render_sequential};
 use weavepar_apps::sieve::{build_sieve, run_sieve, sequential_sieve, SieveConfig};
 use weavepar_apps::sort::{dc_pool_size, sort_divide_conquer};
 
+// Beside the binary, not in the `weavepar_apps` library: nothing else calls
+// it. A crate root looks for its modules next to itself, and this one stays
+// `weavepar-demo.rs` (the ids of its tests name the file): hence the path.
+#[path = "weavepar-demo/figures.rs"]
+mod figures;
+
 /// A sub-command, and the options it knows.
 #[derive(Clone, Copy)]
 enum Command {
@@ -26,6 +36,7 @@ enum Command {
     Heat,
     Heat2d,
     Sort,
+    Figures,
 }
 
 impl Command {
@@ -36,6 +47,7 @@ impl Command {
             "heat" => Command::Heat,
             "heat2d" => Command::Heat2d,
             "sort" => Command::Sort,
+            "figures" => Command::Figures,
             _ => return None,
         })
     }
@@ -48,6 +60,7 @@ impl Command {
             Command::Heat => (&["len", "iters", "workers"], &[]),
             Command::Heat2d => (&["width", "height", "iters", "workers"], &[]),
             Command::Sort => (&["n", "threshold"], &["concurrent"]),
+            Command::Figures => (&["max", "packs"], &[]),
         }
     }
 }
@@ -107,14 +120,15 @@ impl Options {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: weavepar-demo <sieve|mandel|heat|heat2d|sort> [options]\n\
+        "usage: weavepar-demo <sieve|mandel|heat|heat2d|sort|figures> [options]\n\
          \n\
          sieve  --variant <seq-pipe|farm-threads|pipe-rmi|farm-rmi|farm-drmi|farm-mpp>\n\
                 --max N --filters N --packs N --nodes N\n\
          mandel --width N --height N --iters N --workers N --packs N [--dynamic]\n\
          heat   --len N --iters N --workers N\n\
          heat2d --width N --height N --iters N --workers N\n\
-         sort   --n N --threshold N [--concurrent]"
+         sort   --n N --threshold N [--concurrent]\n\
+         figures --max N --packs N"
     );
     ExitCode::FAILURE
 }
@@ -292,6 +306,13 @@ fn main() -> ExitCode {
                 }
             }
         }
+        Command::Figures => match figures::run(opts.get("max", 2_000_000), opts.get("packs", 50)) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("figures failed: {e}");
+                ExitCode::FAILURE
+            }
+        },
     }
 }
 
@@ -316,6 +337,9 @@ mod tests {
         assert!(stray.contains("5000"), "{stray}");
         // A switch of one sub-command is unknown to another.
         assert!(parse("heat", "--dynamic").is_err());
+        let figures = parse("figures", "--max 1000 --packs").unwrap_err();
+        assert!(figures.contains("--packs needs a value"), "{figures}");
+        assert!(parse("figures", "--filters 4").is_err());
     }
 
     #[test]
@@ -331,5 +355,7 @@ mod tests {
         let sort = parse("sort", "--n 100 --threshold 10 --concurrent").unwrap();
         assert!(sort.has("concurrent") && sort.get("threshold", 0usize) == 10);
         assert!(!parse("sort", "").unwrap().has("concurrent"));
+        let figures = parse("figures", "--max 200000 --packs 10").unwrap();
+        assert!(figures.get("max", 0u64) == 200_000 && figures.get("packs", 0usize) == 10);
     }
 }

@@ -7,7 +7,7 @@
 //! RMI ⇄ MPP). [`ConcernStack`] tracks which aspects are plugged under which
 //! of the four concern categories on a single weaver, making those moves
 //! one-liners (and making the paper's Table 1 combinations enumerable — see
-//! the `weavepar-bench` harness).
+//! `weavepar-demo figures`).
 
 use std::collections::HashMap;
 

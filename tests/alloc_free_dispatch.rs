@@ -155,6 +155,41 @@ fn metered_dispatch_stays_allocation_free() {
     assert_eq!(registry.snapshot().counter("Metrics.calls"), Some(1_016));
 }
 
+#[test]
+fn an_idle_metrics_aspect_costs_an_unwatched_call_nothing() {
+    // Pay for what you watch, as counts rather than as a ratio of two
+    // timings: the metrics aspect watches `Alu.poke`, the burst calls
+    // `Alu.fma`. Its advice never fires, the burst allocates nothing, and
+    // the values are those of the same burst with the aspect unplugged.
+    let weaver = Weaver::new();
+    let registry = MetricsRegistry::new();
+    let metrics = weaver.plug(metrics_aspect("Metrics", Pointcut::call("Alu.poke"), &registry));
+    weaver.plug(
+        Aspect::named("P0")
+            .around(Pointcut::call("Alu.fma"), |inv: &mut Invocation| inv.proceed())
+            .build(),
+    );
+    let proxy = AluProxy::construct(&weaver).unwrap();
+    let burst = || {
+        let mut values = [0u64; 1_000];
+        for (i, value) in values.iter_mut().enumerate() {
+            *value = proxy.fma(i as u64, 3, 5, 7).unwrap();
+        }
+        values
+    };
+    burst();
+    let (allocs, idle) = count_allocs(burst);
+    assert_eq!(allocs, 0, "an unwatched call must not allocate under an idle metrics aspect");
+    let fired = |name: &str| {
+        weaver.advice_fire_counts().into_iter().find(|(n, _)| n == name).map(|(_, fired)| fired)
+    };
+    assert_eq!(fired("P0"), Some(2_000), "the burst really went through the weaver");
+    assert_eq!(fired("Metrics"), Some(0), "the idle aspect's advice must never fire");
+    assert_eq!(registry.snapshot().counter("Metrics.calls"), Some(0));
+    assert!(weaver.unplug(&metrics));
+    assert_eq!(burst(), idle, "installing the aspect must not change an unwatched call");
+}
+
 /// An `Alu` behind the RMI proxy on a one-node fabric, its replied calls
 /// under `policy`, and a registry reading the fabric's counters.
 fn remote_alu(policy: CallPolicy) -> (AluProxy, MetricsRegistry) {
