@@ -10,11 +10,14 @@ cargo fmt --check
 
 # One path per operation: the forks deleted in PR 15 (and the deprecated
 # constructors), the duplicate machinery deleted in PR 16 and the per-routing
-# copies of the partition module folded in PR 20 must not come back unnoticed.
+# copies of the partition module folded in PR 20 must not come back unnoticed;
+# nor the sort kernel deleted in PR 23, whose every node built a `Vec` and then
+# copied it into a `Pack` (a result is built in place, with `Pack::build`).
 echo "==> no retired fork under crates/*/src"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
 retired="$retired|fetch_halos|FarmMeters|fn redispatch_pack"
+retired="$retired|Pack::from_vec\\(merge"
 if grep -rnE "$retired" crates/*/src; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1

@@ -1,9 +1,11 @@
 //! Merge sort on the divide-and-conquer protocol.
 //!
-//! Core functionality: a [`Sorter`] that sorts a vector (plain sequential
-//! merge sort). The divide-and-conquer aspect splits large inputs at the
-//! *call* join point, creating sub-sorter objects on the fly (§4.1's
-//! divide-and-conquer remark) and merging their outputs.
+//! Core functionality: a [`Sorter`] that sorts a pack (plain sequential merge
+//! sort, in place in the pack it is given, one scratch buffer per call). The
+//! divide-and-conquer aspect splits large inputs at the *call* join point,
+//! creating sub-sorter objects on the fly (§4.1's divide-and-conquer remark)
+//! and merging their outputs, each pair straight into the pack it returns.
+//! Sorter and aspect share one merge loop, [`merge_into`].
 
 use std::sync::Arc;
 
@@ -18,23 +20,90 @@ pub fn merge(a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
     merge_slices(&a, &b)
 }
 
-/// Merge two sorted slices (the pack-level merge: reads both inputs in
-/// place, allocating only the output).
+/// Merge two sorted slices into a new vector ([`merge_into`] with the output
+/// allocated here).
 pub fn merge_slices(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    let mut out = vec![0; a.len() + b.len()];
+    merge_into(a, b, &mut out);
     out
+}
+
+/// Merge sorted `a` and sorted `b` into `out` (of ties, `a`'s item first).
+///
+/// Which run the next item comes from is a coin toss on real data, so the
+/// loop selects instead of branching, and it works from both ends at once —
+/// the smallest item left goes to the front of `out`, the largest to the
+/// back — so that two selections, neither waiting for the other's load, are
+/// in flight. Its cost per item is the same on every input.
+fn merge_into(a: &[u64], b: &[u64], out: &mut [u64]) {
+    assert_eq!(out.len(), a.len() + b.len(), "the output holds both runs exactly");
+    if matches!((a.last(), b.first()), (Some(last), Some(first)) if last <= first) {
+        // Already in order (sorted or nearly sorted input): two copies.
+        out[..a.len()].copy_from_slice(a);
+        out[a.len()..].copy_from_slice(b);
+        return;
+    }
+    // Not yet merged: a[i..p] and b[j..q]; not yet written: out[lo..hi].
+    let (mut i, mut p) = (0, a.len());
+    let (mut j, mut q) = (0, b.len());
+    let (mut lo, mut hi) = (0, out.len());
+    while i < p && j < q {
+        let (x, y) = (a[i], b[j]);
+        let from_b = y < x;
+        out[lo] = if from_b { y } else { x };
+        i += usize::from(!from_b);
+        j += usize::from(from_b);
+        lo += 1;
+        if i == p || j == q {
+            break;
+        }
+        let (x, y) = (a[p - 1], b[q - 1]);
+        let from_a = y < x;
+        out[hi - 1] = if from_a { x } else { y };
+        p -= usize::from(from_a);
+        q -= usize::from(!from_a);
+        hi -= 1;
+    }
+    out[lo..hi].copy_from_slice(if i == p { &b[j..q] } else { &a[i..p] });
+}
+
+/// Slices of at most this many items are insertion-sorted, not divided.
+const INSERTION_RUN: usize = 32;
+
+fn insertion_sort(xs: &mut [u64]) {
+    for i in 1..xs.len() {
+        let x = xs[i];
+        let mut j = i;
+        while j > 0 && xs[j - 1] > x {
+            xs[j] = xs[j - 1];
+            j -= 1;
+        }
+        xs[j] = x;
+    }
+}
+
+/// Sort `xs`, with `buf` (as long as `xs`) as the other side of every merge:
+/// the sorted items end up in `buf` if `into_buf` and in `xs` otherwise, and
+/// the other slice is left in no particular state. Each level merges out of
+/// one slice into the other, so an item is written once per level.
+fn merge_sort(xs: &mut [u64], buf: &mut [u64], into_buf: bool) {
+    if xs.len() <= INSERTION_RUN {
+        insertion_sort(xs);
+        if into_buf {
+            buf.copy_from_slice(xs);
+        }
+        return;
+    }
+    let mid = xs.len() / 2;
+    let (xs_left, xs_right) = xs.split_at_mut(mid);
+    let (buf_left, buf_right) = buf.split_at_mut(mid);
+    merge_sort(xs_left, buf_left, !into_buf);
+    merge_sort(xs_right, buf_right, !into_buf);
+    if into_buf {
+        merge_into(xs_left, xs_right, buf);
+    } else {
+        merge_into(buf_left, buf_right, xs);
+    }
 }
 
 /// The sequential sorter.
@@ -44,17 +113,17 @@ weaveable! {
     class Sorter as SorterProxy {
         fn new() -> Self { Sorter }
 
-        /// Plain sequential merge sort. The halves are copy-on-write views
-        /// of the input pack, so dividing never copies the data.
+        /// Plain sequential merge sort, in the pack it is given: in place if
+        /// the pack is the only owner of its allocation, in a copy of its
+        /// own range (only) if the allocation is shared — a half handed out
+        /// by a divide is. One scratch buffer per call is the only other
+        /// allocation.
         fn sort(&mut self, xs: Pack) -> Pack {
-            if xs.len() <= 1 {
-                return xs;
-            }
-            let (left, right) = xs.split_at(xs.len() / 2);
-            let mut s = Sorter;
-            let left = s.sort(left);
-            let right = s.sort(right);
-            Pack::from_vec(merge_slices(left.as_slice(), right.as_slice()))
+            let mut xs = xs;
+            let items = xs.make_mut();
+            let mut scratch = vec![0; items.len()];
+            merge_sort(items, &mut scratch, false);
+            xs
         }
     }
 }
@@ -80,7 +149,12 @@ pub fn sort_dc_config(threshold: usize) -> DivideConquerConfig {
             }
             let combined = sorted
                 .into_iter()
-                .reduce(|a, b| Pack::from_vec(merge_slices(a.as_slice(), b.as_slice())))
+                // Each pair is merged straight into the allocation it returns in.
+                .reduce(|a, b| {
+                    Pack::build(a.len() + b.len(), |out| {
+                        merge_into(a.as_slice(), b.as_slice(), out)
+                    })
+                })
                 .unwrap_or_else(|| Pack::from_vec(Vec::new()));
             Ok(ret!(combined))
         }),
@@ -182,12 +256,64 @@ mod tests {
         assert_eq!(sort_divide_conquer(vec![5], 8, false).unwrap(), vec![5]);
         assert_eq!(sort_divide_conquer(vec![2, 1], 1, false).unwrap(), vec![1, 2]);
     }
+
+    #[test]
+    fn sorting_a_shared_half_copies_that_half_only() {
+        let xs = pseudo_random(301, 3);
+        let parent = Pack::from_slice(&xs);
+        let (left, right) = parent.split_at(150);
+        let sorted = Sorter::new().sort(left.clone());
+        assert_eq!(sorted.to_vec(), reference(xs[..150].to_vec()));
+        assert!(!sorted.is_shared(), "the sorted half detached from the shared allocation");
+        // The parent, the sibling and the other view of the same half still
+        // read what they read before.
+        assert_eq!(parent.as_slice(), &xs[..]);
+        assert_eq!(left.as_slice(), &xs[..150]);
+        assert_eq!(right.as_slice(), &xs[150..]);
+    }
+
+    #[test]
+    fn sorting_a_uniquely_owned_subrange_sorts_in_place() {
+        let xs = pseudo_random(301, 4);
+        let (left, right) = Pack::from_slice(&xs).split_at(150);
+        drop(left);
+        assert!(!right.is_shared(), "the only view left owns the allocation");
+        let items = right.as_slice().as_ptr();
+        let sorted = Sorter::new().sort(right);
+        assert_eq!(sorted.as_slice().as_ptr(), items, "same allocation, same range: no copy");
+        assert_eq!(sorted.to_vec(), reference(xs[150..].to_vec()));
+    }
+
+    #[test]
+    fn combine_merges_any_number_of_sorted_packs() {
+        let combine = sort_dc_config(8).combine;
+        let packs = |runs: &[&[u64]]| runs.iter().map(|r| ret!(Pack::from_slice(r))).collect();
+        let merged = |runs: &[&[u64]]| downcast_ret::<Pack>(combine(packs(runs)).unwrap()).unwrap();
+        assert!(merged(&[]).is_empty());
+        assert_eq!(merged(&[&[1, 4]]).as_slice(), &[1, 4]);
+        assert_eq!(merged(&[&[1, 4], &[2, 3, 9]]).as_slice(), &[1, 2, 3, 4, 9]);
+        assert_eq!(merged(&[&[5], &[], &[0, 7]]).as_slice(), &[0, 5, 7]);
+        assert!(combine(vec![ret!(1u64)]).is_err(), "a sub-result that is not a Pack is refused");
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Inputs the kernel treats differently: anything, a handful of distinct
+    /// values (long runs of ties), one value, sorted, reverse-sorted.
+    fn kernel_input() -> impl Strategy<Value = Vec<u64>> {
+        let len = 0usize..2_000;
+        prop_oneof![
+            proptest::collection::vec(any::<u64>(), len.clone()),
+            proptest::collection::vec(0u64..2, len.clone()),
+            (any::<u64>(), len.clone()).prop_map(|(v, n)| vec![v; n]),
+            len.clone().prop_map(|n| (0..n as u64).collect()),
+            len.prop_map(|n| (0..n as u64).rev().collect()),
+        ]
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -212,6 +338,28 @@ mod proptests {
             let mut expect = [a, b].concat();
             expect.sort_unstable();
             prop_assert_eq!(merged, expect);
+        }
+
+        /// Lengths on both sides of the insertion cut-off, odd splits at
+        /// every level, and the inputs of [`kernel_input`].
+        #[test]
+        fn sequential_core_equals_std_sort(xs in kernel_input()) {
+            let mut expect = xs.clone();
+            expect.sort_unstable();
+            prop_assert_eq!(Sorter::new().sort(Pack::from_vec(xs)).to_vec(), expect);
+        }
+
+        /// The merge on runs of unequal length (one may be empty, one may
+        /// lie wholly before the other), through its old signature.
+        #[test]
+        fn merge_slices_equals_concat_then_sort(mut a in kernel_input(), mut b in kernel_input(),
+                                                 cut in 0usize..2_000) {
+            a.truncate(cut);
+            a.sort_unstable();
+            b.sort_unstable();
+            let mut expect = [&a[..], &b[..]].concat();
+            expect.sort_unstable();
+            prop_assert_eq!(merge_slices(&a, &b), expect);
         }
     }
 }

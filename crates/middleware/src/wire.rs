@@ -157,8 +157,8 @@ impl<T: Wire> Wire for Vec<T> {
 
 /// Same wire format as `Vec<u64>`, so a `Pack`-taking method is wire-
 /// compatible with its `Vec<u64>` predecessor. Encoding reads straight from
-/// the pack's shared range (no intermediate copy); decoding materialises a
-/// fresh, unshared pack.
+/// the pack's shared range (no intermediate copy); decoding fills a fresh,
+/// unshared pack's allocation straight from the frame.
 impl Wire for weavepar_weave::Pack {
     fn encode(&self, buf: &mut BytesMut) {
         let items = self.as_slice();
@@ -172,11 +172,14 @@ impl Wire for weavepar_weave::Pack {
         if buf.remaining() < len * 8 {
             return Err(short("Pack"));
         }
-        let mut items = Vec::with_capacity(len);
-        for _ in 0..len {
-            items.push(buf.get_u64_le());
-        }
-        Ok(weavepar_weave::Pack::from_vec(items))
+        // Checked above, before the allocation: a forged length cannot make
+        // this allocate more than the frame holds.
+        let raw = buf.take_front(len * 8);
+        Ok(weavepar_weave::Pack::build(len, |items| {
+            for (item, bytes) in items.iter_mut().zip(raw.chunks_exact(8)) {
+                *item = u64::from_le_bytes(bytes.try_into().expect("chunks of 8 bytes"));
+            }
+        }))
     }
 }
 

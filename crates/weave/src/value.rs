@@ -129,6 +129,18 @@ impl Pack {
         Pack::from_arc(Arc::from(items))
     }
 
+    /// Allocate a pack of `len` items once and let `fill` write them in
+    /// place (they start as zeros): a result is built in the allocation it
+    /// is returned in, not in a `Vec` that is then copied into one.
+    pub fn build(len: usize, fill: impl FnOnce(&mut [u64])) -> Self {
+        // Checked before the allocation, not after it as in `from_arc`.
+        let len = u32::try_from(len).expect("pack longer than u32::MAX items");
+        // An iterator of trusted length is collected straight into the `Arc`.
+        let mut data: Arc<[u64]> = std::iter::repeat_n(0, len as usize).collect();
+        fill(Arc::get_mut(&mut data).expect("a fresh allocation has one owner"));
+        Pack { data, start: 0, len }
+    }
+
     /// The items in this pack's range.
     pub fn as_slice(&self) -> &[u64] {
         let start = self.start as usize;
@@ -195,15 +207,16 @@ impl Pack {
         self.as_slice().to_vec()
     }
 
-    /// Concatenate packs into one freshly allocated pack (used by combine
-    /// closures gathering worker results).
+    /// Concatenate packs into one freshly allocated pack, copying each item
+    /// once (used by combine closures gathering worker results).
     pub fn concat(packs: &[Pack]) -> Pack {
-        let total: usize = packs.iter().map(Pack::len).sum();
-        let mut items = Vec::with_capacity(total);
-        for p in packs {
-            items.extend_from_slice(p.as_slice());
-        }
-        Pack::from_vec(items)
+        Pack::build(packs.iter().map(Pack::len).sum(), |items| {
+            let mut at = 0;
+            for p in packs {
+                items[at..at + p.len()].copy_from_slice(p.as_slice());
+                at += p.len();
+            }
+        })
     }
 
     /// True when this pack shares its backing allocation with others.
@@ -234,7 +247,10 @@ impl From<Vec<u64>> for Pack {
 
 impl FromIterator<u64> for Pack {
     fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
-        Pack::from_vec(iter.into_iter().collect())
+        // One allocation and one write per item when the iterator's length
+        // is trusted (a range, a slice, a `map` over one); a `Vec` first and
+        // a copy of it otherwise.
+        Pack::from_arc(iter.into_iter().collect())
     }
 }
 
@@ -802,6 +818,55 @@ mod tests {
         assert!(empty.is_empty());
         assert!(empty.split_chunks(3).is_empty());
         assert_eq!(format!("{:?}", Pack::from_vec(vec![1])), "Pack[1 items @ 0..]");
+    }
+
+    #[test]
+    fn pack_make_mut_on_a_unique_subrange_stays_inside_it() {
+        let whole = Pack::from_vec((0..8).collect());
+        let (left, mut right) = whole.split_at(5);
+        drop((whole, left));
+        assert!(!right.is_shared(), "the only view left owns the allocation");
+        let before = right.as_slice().as_ptr();
+        right.make_mut().iter_mut().for_each(|v| *v += 100);
+        assert_eq!(right.as_slice().as_ptr(), before, "mutated in place, not copied");
+        assert_eq!(right.as_slice(), &[105, 106, 107]);
+        assert_eq!(&right.data[..], &[0, 1, 2, 3, 4, 105, 106, 107], "nothing outside the range");
+    }
+
+    #[test]
+    fn pack_build_fills_one_fresh_allocation() {
+        let built = Pack::build(5, |items| {
+            assert_eq!(items, &[0; 5], "the slice starts as zeros and is exactly `len` long");
+            items.iter_mut().zip(10..).for_each(|(slot, v)| *slot = v);
+        });
+        assert_eq!(built, Pack::from_vec(vec![10, 11, 12, 13, 14]));
+        assert!(!built.is_shared());
+        let empty = Pack::build(0, |items| assert!(items.is_empty()));
+        assert!(empty.is_empty());
+        assert_eq!(empty, Pack::from_vec(vec![]));
+    }
+
+    #[test]
+    fn pack_concat_of_empty_one_and_many() {
+        assert!(Pack::concat(&[]).is_empty());
+        let one = Pack::from_vec(vec![7, 8]);
+        let copy = Pack::concat(std::slice::from_ref(&one));
+        assert_eq!(copy, one);
+        assert!(!copy.is_shared() && !one.is_shared(), "a concat never aliases its inputs");
+        // Sub-range views, an empty pack in the middle, uneven lengths.
+        let (head, tail) = Pack::from_vec((0..7).collect()).split_at(3);
+        let many = [tail, Pack::from_vec(vec![]), head, one];
+        assert_eq!(Pack::concat(&many).as_slice(), &[3, 4, 5, 6, 0, 1, 2, 7, 8]);
+        assert_eq!((1..4).collect::<Pack>().as_slice(), &[1, 2, 3]);
+        let untrusted_len = (1..9).filter(|v| v % 2 == 0);
+        assert_eq!(untrusted_len.collect::<Pack>().as_slice(), &[2, 4, 6, 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "pack longer than u32::MAX items")]
+    fn pack_build_refuses_an_overlong_pack_before_allocating() {
+        // 32 GiB if it were allocated: the guard comes first.
+        Pack::build(u32::MAX as usize + 1, |_| unreachable!("nothing to fill"));
     }
 
     #[test]

@@ -272,6 +272,41 @@ fn heartbeat_iterations_are_allocation_free() {
 }
 
 #[test]
+fn the_sort_kernel_allocates_per_call_not_per_item() {
+    // A bound, not a timing: a merge sort that builds a `Vec` and an `Arc`
+    // at every node of its recursion makes ≈ 2 n allocations, and a combine
+    // that collects then wraps makes two of n items each.
+    use weavepar::weave::value::downcast_ret;
+    use weavepar::weave::Pack;
+    use weavepar_apps::sort::{sort_dc_config, Sorter};
+    let xs: Vec<u64> = (1..=10_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+    let mut expect = xs.clone();
+    expect.sort_unstable();
+
+    // The only owner of its allocation: sorted in place, plus the scratch.
+    let unique = Pack::from_slice(&xs);
+    let (allocs, sorted) = count_allocs(|| Sorter::new().sort(unique));
+    assert_eq!(sorted.as_slice(), &expect[..]);
+    assert!(allocs <= 2, "sorting a unique 10 000-item pack made {allocs} allocations");
+
+    // One of two views: its own copy of the items, plus the scratch.
+    let shared = Pack::from_slice(&xs);
+    let other_view = shared.clone();
+    let (allocs, sorted) = count_allocs(|| Sorter::new().sort(shared));
+    assert_eq!(sorted.as_slice(), &expect[..]);
+    assert_eq!(other_view.as_slice(), &xs[..]);
+    assert!(allocs <= 2, "sorting a shared 10 000-item pack made {allocs} allocations");
+
+    // The result's allocation and the `Vec<Pack>` of the sub-results.
+    let combine = sort_dc_config(1024).combine;
+    let halves = vec![weavepar::ret!(sorted.clone()), weavepar::ret!(sorted)];
+    let (allocs, merged) = count_allocs(|| combine(halves));
+    let merged: Pack = downcast_ret(merged.unwrap()).unwrap();
+    assert!(merged.len() == 20_000 && merged.as_slice().windows(2).all(|w| w[0] <= w[1]));
+    assert!(allocs <= 3, "combining two 10 000-item packs made {allocs} allocations");
+}
+
+#[test]
 fn wrong_type_take_keeps_inline_value_intact() {
     let mut args = weavepar::args![41u64];
     // A mistyped take must fail AND leave the argument in place. (The error
