@@ -169,13 +169,6 @@ impl PackingModel {
     pub fn call_pack(max_pack: usize) -> Self {
         PackingModel { max_pack: max_pack.max(1), header_bytes: 4 + 16 * max_pack.max(1) }
     }
-
-    /// A [`call_pack`](Self::call_pack) model reading its pack size from a
-    /// live tunable cell, so a replay models the pack granularity a tuner
-    /// actually converged to rather than the static default.
-    pub fn from_tuned(cell: &std::sync::atomic::AtomicU32) -> Self {
-        Self::call_pack(cell.load(std::sync::atomic::Ordering::Relaxed) as usize)
-    }
 }
 
 /// One node crashing at a virtual time, never to return.
@@ -388,15 +381,5 @@ mod tests {
         assert_eq!(PackingModel::call_pack(0).max_pack, 1, "degenerate pack clamps to 1");
         let p = SimParams::paper_cluster(MiddlewareProfile::mpp()).with_packing(pk);
         assert_eq!(p.packing, Some(pk));
-    }
-
-    #[test]
-    fn packing_model_follows_a_tuned_cell() {
-        let cell = std::sync::atomic::AtomicU32::new(16);
-        assert_eq!(PackingModel::from_tuned(&cell), PackingModel::call_pack(16));
-        cell.store(32, std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(PackingModel::from_tuned(&cell).max_pack, 32);
-        cell.store(0, std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(PackingModel::from_tuned(&cell).max_pack, 1, "unset cell clamps to 1");
     }
 }

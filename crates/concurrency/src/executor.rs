@@ -85,16 +85,6 @@ impl Executor {
         }
     }
 
-    /// The pooled backend's batch-submission grain cell (0 = whole-batch
-    /// submission), for binding to a tuning controller. `None` for the
-    /// thread-per-call executor, which has no queue to chunk.
-    pub fn batch_grain_cell(&self) -> Option<Arc<std::sync::atomic::AtomicU32>> {
-        match self {
-            Executor::ThreadPerCall(_) => None,
-            Executor::Pool(pool) => Some(pool.batch_grain_cell()),
-        }
-    }
-
     /// Bind this executor's scheduler counters and queue depth into
     /// `registry` under `prefix` (see
     /// [`ThreadPool::install_metrics`](crate::pool::ThreadPool::install_metrics)).

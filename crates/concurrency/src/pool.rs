@@ -48,7 +48,7 @@
 //! scheduler.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -267,11 +267,6 @@ pub struct ThreadPool {
     workers: Mutex<Vec<JoinHandle<()>>>,
     tracker: CompletionTracker,
     size: usize,
-    /// Batch-submission grain: a `spawn_batch` larger than this is pushed to
-    /// the injector in chunks of `grain` tasks so stealers start draining
-    /// before the whole pack is enqueued. `0` (the default) submits the
-    /// batch whole. Held in a shared cell for runtime tuning.
-    grain: Arc<AtomicU32>,
 }
 
 impl ThreadPool {
@@ -304,14 +299,7 @@ impl ThreadPool {
             workers: Mutex::new(workers),
             tracker: CompletionTracker::new(),
             size,
-            grain: Arc::new(AtomicU32::new(0)),
         })
-    }
-
-    /// The batch-submission grain cell (0 = submit batches whole), for
-    /// binding to a tuning controller.
-    pub fn batch_grain_cell(&self) -> Arc<AtomicU32> {
-        self.grain.clone()
     }
 
     /// Number of workers.
@@ -350,32 +338,10 @@ impl ThreadPool {
                 for task in tasks {
                     core.locals[idx].push(task);
                 }
-                core.wake_all();
             }
-            None => {
-                let grain = self.grain.load(Ordering::Relaxed) as usize;
-                if grain == 0 {
-                    core.injector.push_batch(tasks);
-                    core.wake_all();
-                } else {
-                    // Tuned grain: release the batch in chunks, waking
-                    // workers per chunk so the first tasks start while
-                    // the rest are still being enqueued.
-                    let mut chunk = Vec::with_capacity(grain);
-                    for task in tasks {
-                        chunk.push(task);
-                        if chunk.len() >= grain {
-                            core.injector.push_batch(chunk.drain(..));
-                            core.wake_all();
-                        }
-                    }
-                    if !chunk.is_empty() {
-                        core.injector.push_batch(chunk);
-                        core.wake_all();
-                    }
-                }
-            }
+            None => core.injector.push_batch(tasks),
         }
+        core.wake_all();
     }
 
     fn push_task(&self, task: Task) {

@@ -81,82 +81,6 @@ impl std::fmt::Debug for Protocol {
     }
 }
 
-/// Grain hints: how a tuning controller reaches into an application's split
-/// logic without changing the [`Protocol`] surface.
-///
-/// The pack/cutoff/fusion granularity lives inside app-supplied closures
-/// (`split`, `should_divide`), which capture their grain by value. Rather
-/// than threading a handle through every closure signature, the tuned
-/// skeleton aspects publish the current hint in a thread-local around the
-/// closure call, and grain-aware closures read it back through
-/// [`hints::packs_or`] / [`hints::cutoff_or`] / [`hints::fusion_or`],
-/// falling back to their captured default when no tuner is plugged. The
-/// hint is scoped by an RAII guard, so nested skeletons (a farm splitting
-/// inside a divide-and-conquer) never see each other's values.
-pub mod hints {
-    use weavepar_weave::context::{hint, replace_hint};
-
-    // Slots in the weaving context's hint cells. The cells live in
-    // `weavepar_weave::context` so that a pool worker helping during a join
-    // sets them aside with the rest of the waiting frame's context.
-    const PACKS: usize = 0;
-    const CUTOFF: usize = 1;
-    const FUSION: usize = 2;
-
-    /// RAII restore of one hint cell.
-    pub struct HintGuard {
-        slot: usize,
-        prev: u32,
-    }
-
-    impl Drop for HintGuard {
-        fn drop(&mut self) {
-            replace_hint(self.slot, self.prev);
-        }
-    }
-
-    fn set(slot: usize, value: u32) -> HintGuard {
-        HintGuard { slot, prev: replace_hint(slot, value) }
-    }
-
-    fn or(slot: usize, default: usize) -> usize {
-        match hint(slot) {
-            0 => default,
-            v => v as usize,
-        }
-    }
-
-    /// Publish a pack-count hint for the duration of the guard (0 = unset).
-    pub fn set_packs(value: u32) -> HintGuard {
-        set(PACKS, value)
-    }
-
-    /// Publish a sequential-cutoff hint for the duration of the guard.
-    pub fn set_cutoff(value: u32) -> HintGuard {
-        set(CUTOFF, value)
-    }
-
-    /// Publish a pipeline stage-fusion hint for the duration of the guard.
-    pub fn set_fusion(value: u32) -> HintGuard {
-        set(FUSION, value)
-    }
-
-    /// The tuned pack count, or `default` when no tuner published one.
-    pub fn packs_or(default: usize) -> usize {
-        or(PACKS, default)
-    }
-
-    /// The tuned sequential cutoff, or `default` when none is published.
-    pub fn cutoff_or(default: usize) -> usize {
-        or(CUTOFF, default)
-    }
-
-    /// The tuned stage-fusion factor, or `default` when none is published.
-    pub fn fusion_or(default: usize) -> usize {
-        or(FUSION, default)
-    }
-}
-
 /// Inter-type field linking a pipeline stage to its successor
 /// (the paper's `next` HashMap in Figure 8).
 pub const NEXT_FIELD: &str = "pipeline.next";

@@ -21,7 +21,6 @@
 //! be far deeper than the pool is wide (see `weavepar_concurrency::pool`,
 //! "Joins").
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use weavepar_concurrency::{resolve_any, BatchScope};
@@ -29,7 +28,7 @@ use weavepar_weave::aspect::precedence;
 use weavepar_weave::prelude::*;
 use weavepar_weave::MetricsRegistry;
 
-use crate::common::{hints, MapArgsFn, PredicateFn, SplitFn};
+use crate::common::{MapArgsFn, PredicateFn, SplitFn};
 
 /// Configuration of a concrete divide-and-conquer computation.
 #[derive(Clone)]
@@ -39,7 +38,9 @@ pub struct DivideConquerConfig {
     /// The recursive method (e.g. `solve`).
     pub method: &'static str,
     /// Should this call's problem be divided further (false = solve
-    /// directly via `proceed`)?
+    /// directly via `proceed`)? A tuned cutoff is a tunable's cell this
+    /// closure captures and reads: a divide never re-splits, so unlike a
+    /// partition's `split` it needs no hint.
     pub should_divide: PredicateFn,
     /// Split the call's arguments into sub-problem argument packs.
     pub divide: SplitFn,
@@ -60,49 +61,31 @@ impl std::fmt::Debug for DivideConquerConfig {
 }
 
 impl DivideConquerConfig {
-    /// Follow a live sequential-cutoff hint: the cell's value is published
-    /// through [`hints::set_cutoff`](crate::common::hints) around
-    /// `should_divide` and `divide`, so a cutoff-aware predicate (reading
-    /// [`hints::cutoff_or`](crate::common::hints::cutoff_or)) lets a tuner
-    /// move the depth at which recursion falls back to the sequential solve.
-    pub fn tuned(self, cutoff_hint: Arc<AtomicU32>) -> DivideConquerBuilder {
-        self.builder().tuned(cutoff_hint)
-    }
-
     /// Meter the recursion into `registry`: `{name}.divides` counts divide
     /// events, `{name}.sub_calls` counts sub-problems dispatched.
     pub fn metrics(self, registry: &MetricsRegistry) -> DivideConquerBuilder {
         self.builder().metrics(registry)
     }
 
-    /// Build the divide-and-conquer aspect named `name`, untuned and
-    /// unmetered.
+    /// Build the divide-and-conquer aspect named `name`, unmetered.
     pub fn aspect(self, name: impl Into<String>) -> Aspect {
         self.builder().aspect(name)
     }
 
     fn builder(self) -> DivideConquerBuilder {
-        DivideConquerBuilder { config: self, cutoff_hint: None, metrics: None }
+        DivideConquerBuilder { config: self, metrics: None }
     }
 }
 
-/// Option carrier produced by [`DivideConquerConfig::tuned`] /
-/// [`DivideConquerConfig::metrics`]; finish with
+/// Option carrier produced by [`DivideConquerConfig::metrics`]; finish with
 /// [`aspect`](DivideConquerBuilder::aspect).
 #[derive(Clone)]
 pub struct DivideConquerBuilder {
     config: DivideConquerConfig,
-    cutoff_hint: Option<Arc<AtomicU32>>,
     metrics: Option<MetricsRegistry>,
 }
 
 impl DivideConquerBuilder {
-    /// See [`DivideConquerConfig::tuned`].
-    pub fn tuned(mut self, cutoff_hint: Arc<AtomicU32>) -> Self {
-        self.cutoff_hint = Some(cutoff_hint);
-        self
-    }
-
     /// See [`DivideConquerConfig::metrics`].
     pub fn metrics(mut self, registry: &MetricsRegistry) -> Self {
         self.metrics = Some(registry.clone());
@@ -112,7 +95,7 @@ impl DivideConquerBuilder {
     /// Build the divide-and-conquer aspect named `name`.
     pub fn aspect(self, name: impl Into<String>) -> Aspect {
         let name = name.into();
-        let DivideConquerBuilder { config, cutoff_hint, metrics } = self;
+        let DivideConquerBuilder { config, metrics } = self;
         // Counters resolved once at build time; the recursion bumps pre-bound
         // atomics only.
         let meters = metrics.map(|m| {
@@ -126,9 +109,6 @@ impl DivideConquerBuilder {
             .around(Pointcut::call_sig(cfg.class, cfg.method), {
                 let cfg = cfg.clone();
                 move |inv: &mut Invocation| {
-                    let _hint = cutoff_hint
-                        .as_ref()
-                        .map(|cell| hints::set_cutoff(cell.load(Ordering::Relaxed)));
                     if !(cfg.should_divide)(inv.args()?)? {
                         return inv.proceed();
                     }

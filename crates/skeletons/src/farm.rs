@@ -7,8 +7,8 @@ pub use crate::partition::FarmConfig;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::hints;
     use crate::partition::fixture::*;
+    use crate::partition::hints;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
     use weavepar_concurrency::{future_concurrency_aspect, resolve_any, Executor};

@@ -45,12 +45,12 @@ pub mod pipeline;
 pub mod supervisor;
 
 pub use common::{
-    hints, CollectFn, ExchangeFn, IterationsFn, MapArgsFn, PredicateFn, Protocol, RankedArgsFn,
-    SplitFn,
+    CollectFn, ExchangeFn, IterationsFn, MapArgsFn, PredicateFn, Protocol, RankedArgsFn, SplitFn,
 };
 pub use divide_conquer::{DivideConquerBuilder, DivideConquerConfig};
 pub use dynamic_farm::DynamicFarmConfig;
 pub use farm::FarmConfig;
 pub use heartbeat::HeartbeatConfig;
+pub use partition::hints;
 pub use pipeline::PipelineConfig;
 pub use supervisor::{supervisor_aspect, SupervisorStats};

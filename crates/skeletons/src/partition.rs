@@ -44,7 +44,48 @@ use weavepar_weave::context::CurrentContext;
 use weavepar_weave::prelude::*;
 use weavepar_weave::{Counter, Gauge, MetricsRegistry};
 
-use crate::common::{create_workers, hints, Protocol, NEXT_FIELD, WORKERS_FIELD};
+use crate::common::{create_workers, Protocol, NEXT_FIELD, WORKERS_FIELD};
+
+/// The pack hint: how a tuning controller reaches a partition's `split`
+/// without changing the [`Protocol`] surface.
+///
+/// A `split` closure captures its pack count by value. A partition built with
+/// `.tuned(cell)` publishes its cell's value, as of the call's start, in the
+/// weaving context for the whole split call, and a grain-aware closure reads
+/// it back through [`hints::packs_or`], falling back to its captured count
+/// when no tuner is plugged. One value for all three routings, so one `split`
+/// written for all of them follows the tuner under each. The hint lives in
+/// the context, not in the cell, for one reason: a farm regenerates a lost
+/// pack with the grain its *wave* was split with, even if the tuner has moved
+/// the cell since. It is scoped by an RAII guard, so a partition nested in
+/// another never sees the outer's value.
+pub mod hints {
+    use weavepar_weave::context::{hint, replace_hint};
+
+    /// RAII restore of the pack hint.
+    pub struct HintGuard {
+        prev: u32,
+    }
+
+    impl Drop for HintGuard {
+        fn drop(&mut self) {
+            replace_hint(self.prev);
+        }
+    }
+
+    /// Publish a pack-count hint for the duration of the guard (0 = unset).
+    pub fn set_packs(value: u32) -> HintGuard {
+        HintGuard { prev: replace_hint(value) }
+    }
+
+    /// The tuned pack count, or `default` when no tuner published one.
+    pub fn packs_or(default: usize) -> usize {
+        match hint() {
+            0 => default,
+            v => v as usize,
+        }
+    }
+}
 
 // The routings, as `PartitionConfig`'s parameter. The type is reachable only
 // through the three aliases below, so no other value can be named.
@@ -86,7 +127,7 @@ pub type FarmConfig = PartitionConfig<FARM>;
 /// is meant to be plugged **without** a separate concurrency aspect. That
 /// per-call constant (12–60 µs a thread on the 2-vCPU reference host) is the
 /// strategy's by design, not the routing's cost per pack: over empty packs
-/// it is nearly all there is to measure (EXPERIMENTS.md, "PR 20").
+/// it is nearly all there is to measure (EXPERIMENTS.md, PR 20's verdict).
 pub type DynamicFarmConfig = PartitionConfig<DYNAMIC_FARM>;
 
 impl<const ROUTING: u8> PartitionConfig<ROUTING> {
@@ -95,15 +136,11 @@ impl<const ROUTING: u8> PartitionConfig<ROUTING> {
         Self { protocol, hint: None, metrics: None }
     }
 
-    /// Follow a live grain hint: for the whole of each split call the aspect
-    /// publishes the cell's value as of the call's start — a farm's through
-    /// [`hints::set_packs`](crate::common::hints), a pipeline's (its
-    /// stage-fusion factor: fewer, larger packs amortise the per-hop
-    /// forwarding cost) through [`hints::set_fusion`](crate::common::hints) —
-    /// so grain-aware `split` closures (ones reading
-    /// [`hints::packs_or`](crate::common::hints::packs_or) /
-    /// [`fusion_or`](crate::common::hints::fusion_or)) follow the tuner, and
-    /// a lost pack is regenerated with the grain its wave was split with.
+    /// Follow a live pack count: for the whole of each split call the aspect
+    /// publishes the cell's value as of the call's start through
+    /// [`hints::set_packs`], so a grain-aware `split` (one reading
+    /// [`hints::packs_or`]) follows the tuner, and a lost pack is regenerated
+    /// with the grain its wave was split with.
     pub fn tuned(mut self, hint: Arc<AtomicU32>) -> Self {
         self.hint = Some(hint);
         self
@@ -202,14 +239,7 @@ impl<const ROUTING: u8> Partition<ROUTING> {
         // The guard spans the wave *and* the recovery, so a lost pack is
         // regenerated with the grain the wave was split with even if the
         // tuner moves mid-call.
-        let _hint = self.hint.as_ref().map(|cell| {
-            let grain = cell.load(Ordering::Relaxed);
-            if ROUTING == PIPELINE {
-                hints::set_fusion(grain)
-            } else {
-                hints::set_packs(grain)
-            }
-        });
+        let _hint = self.hint.as_ref().map(|cell| hints::set_packs(cell.load(Ordering::Relaxed)));
         let packs = (self.protocol.split)(original)?;
         if let Some(m) = &self.meters {
             m.packs.add(packs.len() as u64);
@@ -578,6 +608,30 @@ mod tests {
             // batch flush to the pool does not keep; pullers submit nothing.
             let expect = if routing == FARM { 4 } else { 0 };
             assert_eq!(in_scope.load(Ordering::Relaxed), expect, "routing {routing}");
+        }
+    }
+
+    /// One `split` written for all three routings follows a tuned cell under
+    /// each of them: the fixture's split asks for one pack, the cell for 5.
+    #[test]
+    fn a_tuned_partition_splits_with_the_cells_pack_count_under_every_routing() {
+        fn tuned<const R: u8>(cell: Arc<AtomicU32>, registry: &MetricsRegistry) -> Aspect {
+            let config = PartitionConfig::<R>::new(protocol(R, 2, 1));
+            config.tuned(cell).metrics(registry).aspect("Partition")
+        }
+        for routing in ROUTINGS {
+            let (cell, registry) = (Arc::new(AtomicU32::new(5)), MetricsRegistry::new());
+            let weaver = Weaver::new();
+            weaver.plug(match routing {
+                PIPELINE => tuned::<PIPELINE>(cell, &registry),
+                FARM => tuned::<FARM>(cell, &registry),
+                _ => tuned::<DYNAMIC_FARM>(cell, &registry),
+            });
+            let stage = StageProxy::construct(&weaver, TAG).unwrap();
+            let input: Vec<u64> = (0..20).collect();
+            assert_eq!(stage.apply(input.clone()).unwrap(), expected(routing, 2, &input));
+            let issued = registry.snapshot().counter("Partition.packs_issued");
+            assert_eq!(issued, Some(5), "routing {routing}");
         }
     }
 

@@ -28,9 +28,6 @@ pub enum Provenance {
     Aspect(AspectId),
 }
 
-/// Number of grain-hint slots (see [`replace_hint`]).
-pub const HINT_SLOTS: usize = 3;
-
 /// What a thread knows about the join point it is executing. Every field is
 /// its own cell and no borrow outlives the accessor that took it, so advice
 /// may re-enter freely. A new field is carried by [`Context::swap`] or the
@@ -45,9 +42,9 @@ pub(crate) struct Context {
     /// The join points currently executing on this thread, outermost first —
     /// the dynamic extent AspectJ's `cflow` quantifies over.
     pub(crate) cflow: RefCell<Vec<Signature>>,
-    /// Grain hints a tuned skeleton aspect publishes around an application
-    /// closure (`weavepar_skeletons::hints` names the slots; 0 = unset).
-    pub(crate) hints: Cell<[u32; HINT_SLOTS]>,
+    /// The pack hint a tuned partition aspect publishes around its `split`
+    /// closure (`weavepar_skeletons::hints`; 0 = unset).
+    pub(crate) hint: Cell<u32>,
     /// The recorded task whose base method body is executing, if any; an
     /// outer one lives in the [`TaskGuard`](crate::trace::TaskGuard) that
     /// masked it.
@@ -60,10 +57,10 @@ pub(crate) struct Context {
 
 impl Context {
     fn swap(&self, other: &Context) {
-        let Context { frame, cflow, hints, task, data_dep } = self;
+        let Context { frame, cflow, hint, task, data_dep } = self;
         frame.swap(&other.frame);
         cflow.swap(&other.cflow);
-        hints.swap(&other.hints);
+        hint.swap(&other.hint);
         task.swap(&other.task);
         data_dep.swap(&other.data_dep);
     }
@@ -78,20 +75,15 @@ pub(crate) fn with<R>(f: impl FnOnce(&Context) -> R) -> R {
     CONTEXT.with(f)
 }
 
-/// The grain hint published in `slot` on this thread (0 = none).
-pub fn hint(slot: usize) -> u32 {
-    with(|c| c.hints.get()[slot])
+/// The pack hint published on this thread (0 = none).
+pub fn hint() -> u32 {
+    with(|c| c.hint.get())
 }
 
-/// Publish `value` in hint `slot`, returning the previous value (the caller
-/// restores it: hints are scoped like the provenance frames).
-pub fn replace_hint(slot: usize, value: u32) -> u32 {
-    with(|c| {
-        let mut hints = c.hints.get();
-        let prev = std::mem::replace(&mut hints[slot], value);
-        c.hints.set(hints);
-        prev
-    })
+/// Publish `value` as the pack hint, returning the previous value (the caller
+/// restores it: the hint is scoped like the provenance frames).
+pub fn replace_hint(value: u32) -> u32 {
+    with(|c| c.hint.replace(value))
 }
 
 /// The thread's own weaving context, lifted off the thread until dropped.
@@ -99,7 +91,7 @@ pub fn replace_hint(slot: usize, value: u32) -> u32 {
 /// A pool worker that *helps* while it waits on a join (see
 /// `weavepar_concurrency::pool`) runs an unrelated task on top of the waiting
 /// frame. That task must see what it would see on a fresh worker — empty
-/// provenance frame and control-flow stack, no current trace task, no hints —
+/// provenance frame and control-flow stack, no current trace task, no hint —
 /// and the waiting frame must find its own context intact afterwards.
 pub struct SetAside(Context);
 
@@ -198,11 +190,11 @@ pub struct CurrentContext(Context);
 
 impl CurrentContext {
     /// Capture the current thread's weaving context: everything in it but
-    /// the grain hints, which belong to the advice frame that published them
+    /// the pack hint, which belongs to the advice frame that published it
     /// around a closure it calls on its own thread.
     pub fn capture() -> Self {
         let captured = with(Context::clone);
-        captured.hints.take();
+        captured.hint.take();
         // Room for the frames the installing thread pushes: growing a buffer
         // that another thread allocated costs a detached call about 1 µs.
         captured.cflow.borrow_mut().reserve(4);
@@ -258,21 +250,21 @@ mod tests {
         let _p = push(Provenance::Aspect(AspectId::from_raw(4)));
         let _c = push_cflow(sig);
         let _t = crate::trace::push_task(Some(crate::trace::TaskId::from_raw(7)));
-        replace_hint(1, 33);
+        replace_hint(33);
         {
             let _clean = set_aside();
             assert_eq!((current(), depth()), (Provenance::Core, 0));
             assert!(cflow_snapshot().is_empty());
             assert_eq!(crate::trace::current_task(), None);
-            assert_eq!(hint(1), 0);
+            assert_eq!(hint(), 0);
             // Whatever the helped task leaves behind is discarded.
             std::mem::forget(push_cflow(Signature::new("Other", "leak")));
-            replace_hint(1, 99);
+            replace_hint(99);
         }
         assert_eq!(current(), Provenance::Aspect(AspectId::from_raw(4)));
         assert_eq!(cflow_snapshot(), vec![sig]);
         assert_eq!(crate::trace::current_task(), Some(crate::trace::TaskId::from_raw(7)));
-        assert_eq!(replace_hint(1, 0), 33);
+        assert_eq!(replace_hint(0), 33);
     }
 
     #[test]
@@ -316,15 +308,10 @@ mod tests {
     /// The context, field by field. Exhaustive on purpose: whoever adds a
     /// field has to say below what `set_aside` and `capture` do with it.
     #[allow(clippy::type_complexity)]
-    fn fields() -> (
-        (Provenance, usize),
-        Vec<Signature>,
-        [u32; HINT_SLOTS],
-        Option<TaskId>,
-        Option<(u64, TaskId)>,
-    ) {
-        let Context { frame, cflow, hints, task, data_dep } = with(Context::clone);
-        (frame.get(), cflow.into_inner(), hints.get(), task.get(), data_dep.get())
+    fn fields() -> ((Provenance, usize), Vec<Signature>, u32, Option<TaskId>, Option<(u64, TaskId)>)
+    {
+        let Context { frame, cflow, hint, task, data_dep } = with(Context::clone);
+        (frame.get(), cflow.into_inner(), hint.get(), task.get(), data_dep.get())
     }
 
     #[test]
@@ -333,25 +320,25 @@ mod tests {
         let frame = (Provenance::Aspect(AspectId::from_raw(5)), 1);
         let _p = push(frame.0);
         let _c = push_cflow(sig);
-        replace_hint(2, 17);
+        replace_hint(17);
         let _t = crate::trace::push_task(Some(task));
         crate::trace::note_completion(3, task);
-        let mine = (frame, vec![sig], [0, 0, 17], Some(task), Some((3, task)));
+        let mine = (frame, vec![sig], 17, Some(task), Some((3, task)));
         assert_eq!(fields(), mine);
         {
             let _clean = set_aside();
-            assert_eq!(fields(), ((Provenance::Core, 0), vec![], [0; HINT_SLOTS], None, None));
+            assert_eq!(fields(), ((Provenance::Core, 0), vec![], 0, None, None));
         }
         assert_eq!(fields(), mine);
 
         let captured = CurrentContext::capture();
         assert_eq!(fields(), mine, "capturing takes nothing away");
         std::thread::spawn(move || {
-            replace_hint(0, 4);
+            replace_hint(4);
             let theirs = fields();
             {
                 let _installed = captured.install();
-                let carried = (frame, vec![sig], [0; HINT_SLOTS], Some(task), Some((3, task)));
+                let carried = (frame, vec![sig], 0, Some(task), Some((3, task)));
                 assert_eq!(fields(), carried);
             }
             assert_eq!(fields(), theirs, "the installing thread gets its own context back");

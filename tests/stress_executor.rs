@@ -296,12 +296,12 @@ mod fork_join {
     #[derive(Debug, PartialEq)]
     struct Seen {
         task: Option<TaskId>,
-        cutoff: usize,
+        packs: usize,
         in_scope: bool,
     }
 
     fn look() -> Seen {
-        Seen { task: current_task(), cutoff: hints::cutoff_or(0), in_scope: scope_active() }
+        Seen { task: current_task(), packs: hints::packs_or(0), in_scope: scope_active() }
     }
 
     struct Probe;
@@ -317,7 +317,7 @@ mod fork_join {
 
     /// A 1-worker pool whose worker sits in a join it can only leave by
     /// helping: `Probe.outer` is woven with an advice that waits on `gate`
-    /// (inside the join point's control flow, with a trace task, a cutoff
+    /// (inside the join point's control flow, with a trace task, a pack
     /// hint and a batch scope of its own), and the test fulfils `gate` only
     /// after the calls it queued behind it have completed.
     struct Gated {
@@ -332,7 +332,7 @@ mod fork_join {
     }
 
     const WAITING_TASK: u64 = 4242;
-    const WAITING_CUTOFF: u32 = 7;
+    const WAITING_PACKS: u32 = 7;
 
     fn gated() -> Gated {
         let (executor, registry) = metered_pool(1);
@@ -347,7 +347,7 @@ mod fork_join {
                 .precedence(precedence::PARTITION)
                 .around(Pointcut::call("Probe.outer"), move |inv: &mut Invocation| {
                     let _task = push_task(Some(TaskId::from_raw(WAITING_TASK)));
-                    let _hint = hints::set_cutoff(WAITING_CUTOFF);
+                    let _hint = hints::set_packs(WAITING_PACKS);
                     let scope = BatchScope::enter();
                     entered_tx.lock().send(()).expect("test is listening");
                     gate2.take()?;
@@ -370,7 +370,7 @@ mod fork_join {
             assert!(self.gate.fulfill(Ok(ret!())));
             let expect = Seen {
                 task: Some(TaskId::from_raw(WAITING_TASK)),
-                cutoff: WAITING_CUTOFF as usize,
+                packs: WAITING_PACKS as usize,
                 in_scope: true,
             };
             assert_eq!(self.after_join.recv().unwrap(), expect, "waiting frame's own context");
@@ -421,7 +421,7 @@ mod fork_join {
                 seen_tx.send((seen, child.take().unwrap())).expect("test is listening");
             });
             assert_eq!(downcast_ret::<u64>(resolve_any(ping).unwrap()).unwrap(), 2);
-            let clean = Seen { task: None, cutoff: 0, in_scope: false };
+            let clean = Seen { task: None, packs: 0, in_scope: false };
             assert_eq!(seen_rx.recv().unwrap(), (clean, 3), "helped task starts clean");
 
             g.weaver.set_recorder(None);
