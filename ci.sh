@@ -15,7 +15,10 @@ cargo fmt --check
 # copied it into a `Pack` (a result is built in place, with `Pack::build`); nor
 # the tuner's dormant reach deleted in PR 26 (the pool's grain cell, the
 # cutoff and fusion hints, the simulator hook, the controller thread and its
-# knobs): a tuner reaches a skeleton through one pack hint or a cell it owns.
+# knobs); nor the partition's own re-offer of lost packs, the pack hint that
+# existed for it and the simulator's dormant packing model: the supervisor is
+# the one recovery path, and a tuner reaches a skeleton through a cell its
+# closure captures.
 echo "==> no retired fork under crates tests examples"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
@@ -23,6 +26,7 @@ retired="$retired|fetch_halos|FarmMeters|fn redispatch_pack"
 retired="$retired|Pack::from_vec\\(merge"
 retired="$retired|batch_grain|set_fusion|fusion_or|set_cutoff|cutoff_or|from_tuned|last_epoch|EpochStats"
 retired="$retired|is_running|hysteresis"
+retired="$retired|set_packs|packs_or|replace_hint|HintGuard|PackingModel|with_packing|Partition\\.redispatched"
 if grep -rnE "$retired" crates tests examples; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1

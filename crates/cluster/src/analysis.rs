@@ -123,7 +123,6 @@ mod tests {
             placement: Placement::AllOn(0),
             client_node: 0,
             cpu_inflation: 1.0,
-            packing: None,
         };
         // 0.8 s of work on 2 cores: bound 0.4 s (critical path only 0.1 s).
         assert!((lower_bound(&g, &params) - 0.4).abs() < 1e-9);
@@ -210,7 +209,6 @@ mod proptests {
                     placement: Placement::RoundRobin { nodes },
                     client_node: 0,
                     cpu_inflation: 1.0,
-                    packing: None,
                 }
             },
         )
@@ -270,7 +268,6 @@ mod proptests {
                 placement: Placement::AllOn(0),
                 client_node: 0,
                 cpu_inflation: 1.0,
-                packing: None,
             };
             let a = simulate(&trace, &mk(MiddlewareProfile::mpp()));
             let b = simulate(&trace, &mk(MiddlewareProfile::rmi()));

@@ -149,28 +149,6 @@ impl Placement {
     }
 }
 
-/// Wire-level message packing (the §4.4 communication-packing aspect,
-/// realised by `weavepar-middleware`'s `CallPack` frames): consecutive
-/// asynchronous client calls to the same node coalesce into one framed
-/// message, paying one protocol round and one per-message receive cost for
-/// the whole pack instead of per call.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PackingModel {
-    /// Maximum calls coalesced into one frame.
-    pub max_pack: usize,
-    /// Frame envelope overhead (count word + per-entry headers), bytes.
-    pub header_bytes: usize,
-}
-
-impl PackingModel {
-    /// The middleware's `PackFrame` layout: a 4-byte count word plus a
-    /// 16-byte `obj | method | args_len` header per entry, here folded into
-    /// a flat per-frame constant for a typical pack.
-    pub fn call_pack(max_pack: usize) -> Self {
-        PackingModel { max_pack: max_pack.max(1), header_bytes: 4 + 16 * max_pack.max(1) }
-    }
-}
-
 /// One node crashing at a virtual time, never to return.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeFailure {
@@ -253,9 +231,6 @@ pub struct SimParams {
     /// dispatch overhead (measured by the `weaving_overhead` bench; 1.0 for
     /// the hand-coded baseline).
     pub cpu_inflation: f64,
-    /// Wire-level packing of client-issued asynchronous calls; `None`
-    /// replays every call as its own message.
-    pub packing: Option<PackingModel>,
 }
 
 impl SimParams {
@@ -267,7 +242,6 @@ impl SimParams {
             placement: Placement::AllOn(0),
             client_node: 0,
             cpu_inflation: 1.0,
-            packing: None,
         }
     }
 
@@ -281,14 +255,7 @@ impl SimParams {
             placement: Placement::RoundRobin { nodes },
             client_node: 0,
             cpu_inflation: 1.0,
-            packing: None,
         }
-    }
-
-    /// The same parameters with wire-level packing switched on.
-    pub fn with_packing(mut self, packing: PackingModel) -> Self {
-        self.packing = Some(packing);
-        self
     }
 }
 
@@ -356,7 +323,6 @@ mod tests {
         let p = SimParams::paper_cluster(MiddlewareProfile::rmi());
         assert_eq!(p.cluster.nodes, 7);
         assert_eq!(p.middleware.name, "RMI");
-        assert_eq!(p.packing, None, "packing is off by default");
     }
 
     #[test]
@@ -371,15 +337,5 @@ mod tests {
         assert_eq!(ft.redispatch_overhead, 0.01);
         assert_eq!(ft.failures().len(), 3);
         assert_eq!(FaultTimeline::new().next_alive(0, 2, 0.0), Some(1));
-    }
-
-    #[test]
-    fn packing_model_matches_pack_frame_layout() {
-        let pk = PackingModel::call_pack(64);
-        assert_eq!(pk.max_pack, 64);
-        assert_eq!(pk.header_bytes, 4 + 16 * 64);
-        assert_eq!(PackingModel::call_pack(0).max_pack, 1, "degenerate pack clamps to 1");
-        let p = SimParams::paper_cluster(MiddlewareProfile::mpp()).with_packing(pk);
-        assert_eq!(p.packing, Some(pk));
     }
 }

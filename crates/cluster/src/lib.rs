@@ -34,8 +34,7 @@ pub mod sim;
 
 pub use analysis::{critical_path, lower_bound};
 pub use config::{
-    ClusterConfig, FaultTimeline, MiddlewareProfile, NodeFailure, PackingModel, Placement,
-    SimParams,
+    ClusterConfig, FaultTimeline, MiddlewareProfile, NodeFailure, Placement, SimParams,
 };
 pub use report::SimReport;
 pub use sim::{simulate, simulate_schedule, simulate_with_faults, Schedule, ScheduledTask};

@@ -247,13 +247,7 @@ impl<'a> Engine<'a> {
         self.hop(from, to, bytes)
     }
 
-    /// Let the client issue roots until it blocks or runs out. With a
-    /// [`PackingModel`](crate::config::PackingModel) configured, consecutive
-    /// asynchronous roots bound for the same remote node coalesce into one
-    /// framed message: one send-pipe occupation for the summed payload plus
-    /// the frame header, one hop, one message on the wire and one per-message
-    /// receive cost — each task still pays the demarshalling of its own
-    /// arguments on the receiver.
+    /// Let the client issue roots until it blocks or runs out.
     fn client_issue(&mut self) {
         while self.client_blocked_on.is_none() && self.next_root < self.roots.len() {
             let id = self.roots[self.next_root];
@@ -262,50 +256,14 @@ impl<'a> Engine<'a> {
             let t = &self.trace.tasks[i];
             let (async_spawn, args_bytes) = (t.async_spawn, t.args_bytes);
             let from = self.params.client_node;
-            let packed = self
-                .params
-                .packing
-                .filter(|_| async_spawn && to != from)
-                .map(|pk| (pk.max_pack.max(1), pk.header_bytes));
-            if let Some((max_pack, header_bytes)) = packed {
-                // Gather the run of consecutive async roots to the same node.
-                let mut frame = vec![id];
-                let mut payload = args_bytes;
-                while frame.len() < max_pack && self.next_root + frame.len() < self.roots.len() {
-                    let next = self.roots[self.next_root + frame.len()];
-                    let ni = self.idx(next);
-                    let nt = &self.trace.tasks[ni];
-                    if !nt.async_spawn || self.node_of_task[ni] != to {
-                        break;
-                    }
-                    payload += nt.args_bytes;
-                    frame.push(next);
-                }
-                self.next_root += frame.len();
-                let total = payload + header_bytes;
-                let sent = self.send_slot(from, to, self.client_clock, total);
-                self.client_clock = sent;
-                self.messages += 1;
-                self.bytes += total;
-                let delay = self.hop(from, to, total);
-                for (k, fid) in frame.into_iter().enumerate() {
-                    let fi = self.idx(fid);
-                    let own = self.trace.tasks[fi].args_bytes;
-                    self.recv_extra[fi] = self.params.middleware.marshal_cpu(own)
-                        + if k == 0 { self.params.middleware.recv_cpu } else { 0.0 };
-                    self.client_ready[fi] = Some(sent + delay);
-                    self.maybe_push(fid);
-                }
-            } else {
-                self.next_root += 1;
-                let sent = self.send_slot(from, to, self.client_clock, args_bytes);
-                self.client_clock = sent;
-                let delay = self.deliver(from, id, args_bytes);
-                self.client_ready[i] = Some(self.client_clock + delay);
-                self.maybe_push(id);
-                if !async_spawn {
-                    self.client_blocked_on = Some(id);
-                }
+            self.next_root += 1;
+            let sent = self.send_slot(from, to, self.client_clock, args_bytes);
+            self.client_clock = sent;
+            let delay = self.deliver(from, id, args_bytes);
+            self.client_ready[i] = Some(self.client_clock + delay);
+            self.maybe_push(id);
+            if !async_spawn {
+                self.client_blocked_on = Some(id);
             }
         }
     }
@@ -670,7 +628,6 @@ mod tests {
             placement: Placement::RoundRobin { nodes },
             client_node: 0,
             cpu_inflation: 1.0,
-            packing: None,
         }
     }
 
@@ -763,7 +720,6 @@ mod tests {
             placement: Placement::RoundRobin { nodes: 2 },
             client_node: 0,
             cpu_inflation: 1.0,
-            packing: None,
         };
         let r = simulate(&trace, &p);
         // 1 MB at 1 MB/s + 1 ms latency ≈ 1.001 s.
@@ -800,7 +756,6 @@ mod tests {
             placement: Placement::RoundRobin { nodes: 2 },
             client_node: 0,
             cpu_inflation: 1.0,
-            packing: None,
         };
         let r = simulate(&b.build(), &params);
         // send 10 ms + latency 50 ms + recv 20 ms, plus the (empty) reply:
@@ -825,7 +780,6 @@ mod tests {
                 placement: Placement::RoundRobin { nodes: 5 },
                 client_node: 0,
                 cpu_inflation: 1.0,
-                packing: None,
             };
             simulate(&trace, &params).makespan
         };
@@ -923,82 +877,7 @@ mod tests {
             placement: Placement::RoundRobin { nodes },
             client_node: 0,
             cpu_inflation: 1.0,
-            packing: None,
         }
-    }
-
-    #[test]
-    fn packing_coalesces_consecutive_async_roots() {
-        // 16 async roots, all on node 1 (odd targets under round-robin/2).
-        let mut b = TraceBuilder::new();
-        for k in 0..16u64 {
-            b.task(None, None, 1 + 2 * k, 10, true, 100);
-        }
-        let trace = b.build();
-        let unpacked = simulate(&trace, &remote_params(2));
-        assert_eq!(unpacked.messages, 16);
-
-        let pk = crate::config::PackingModel { max_pack: 8, header_bytes: 4 };
-        let packed = simulate(&trace, &remote_params(2).with_packing(pk));
-        assert_eq!(packed.messages, 2, "16 calls / pack of 8 = 2 frames");
-        assert_eq!(packed.bytes, 16 * 100 + 2 * 4, "payload plus one header per frame");
-        assert!(
-            packed.makespan <= unpacked.makespan + 1e-12,
-            "packing must not slow the replay: {} vs {}",
-            packed.makespan,
-            unpacked.makespan
-        );
-    }
-
-    #[test]
-    fn packing_runs_break_on_sync_and_destination() {
-        // async×2 → node 1, sync → node 1, async×2 → node 1: the sync root
-        // splits the run, so 2 frames + request + reply = 4 messages.
-        let mut b = TraceBuilder::new();
-        b.task(None, None, 1, 10, true, 50);
-        b.task(None, None, 3, 10, true, 50);
-        b.task(None, None, 5, 10, false, 50);
-        b.task(None, None, 7, 10, true, 50);
-        b.task(None, None, 9, 10, true, 50);
-        let trace = b.build();
-        let pk = crate::config::PackingModel::call_pack(8);
-        let r = simulate(&trace, &remote_params(2).with_packing(pk));
-        assert_eq!(r.messages, 4);
-
-        // Alternating destinations never coalesce (frames keep issue order).
-        let mut b = TraceBuilder::new();
-        for k in 0..8u64 {
-            b.task(None, None, 1 + k % 2, 10, true, 50); // nodes 1, 2, 1, 2 ...
-        }
-        let trace = b.build();
-        let r = simulate(&trace, &remote_params(3).with_packing(pk));
-        assert_eq!(r.messages, 8, "each run is length 1");
-    }
-
-    #[test]
-    fn packing_ignores_local_roots() {
-        // All targets on the client's node: no messages either way.
-        let mut b = TraceBuilder::new();
-        for k in 0..6u64 {
-            b.task(None, None, 2 * k, 10, true, 50); // even targets → node 0
-        }
-        let trace = b.build();
-        let pk = crate::config::PackingModel::call_pack(8);
-        let r = simulate(&trace, &remote_params(2).with_packing(pk));
-        assert_eq!(r.messages, 0);
-        assert_eq!(r.bytes, 0);
-    }
-
-    #[test]
-    fn packing_off_matches_seed_behaviour() {
-        let mut b = TraceBuilder::new();
-        for k in 0..12u64 {
-            b.task(None, None, k, 10, k % 3 != 0, 40 * k as usize);
-        }
-        let trace = b.build();
-        let a = simulate(&trace, &remote_params(3));
-        let bb = simulate(&trace, &remote_params(3));
-        assert_eq!(a, bb, "packing: None stays deterministic and unchanged");
     }
 
     #[test]

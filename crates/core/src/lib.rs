@@ -113,7 +113,7 @@ pub mod prelude {
         Policy, RmiConfig,
     };
     pub use weavepar_skeletons::{
-        hints, DivideConquerConfig, DynamicFarmConfig, FarmConfig, HeartbeatConfig, PipelineConfig,
+        DivideConquerConfig, DynamicFarmConfig, FarmConfig, HeartbeatConfig, PipelineConfig,
         Protocol,
     };
     pub use weavepar_weave::prelude::*;

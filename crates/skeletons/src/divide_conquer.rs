@@ -39,8 +39,7 @@ pub struct DivideConquerConfig {
     pub method: &'static str,
     /// Should this call's problem be divided further (false = solve
     /// directly via `proceed`)? A tuned cutoff is a tunable's cell this
-    /// closure captures and reads: a divide never re-splits, so unlike a
-    /// partition's `split` it needs no hint.
+    /// closure captures and reads, as a partition's `split` reads its grain.
     pub should_divide: PredicateFn,
     /// Split the call's arguments into sub-problem argument packs.
     pub divide: SplitFn,

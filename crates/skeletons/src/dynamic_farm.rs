@@ -9,7 +9,7 @@ mod tests {
     use super::*;
     use crate::partition::fixture::*;
     use weavepar_weave::prelude::*;
-    use weavepar_weave::{trace, MetricsRegistry, TaskId};
+    use weavepar_weave::{trace, TaskId};
 
     #[test]
     fn dynamic_farm_computes_in_order() {
@@ -73,27 +73,10 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_farm_redispatches_packs_lost_to_a_dead_node() {
-        // Two pullers, six packs, node 1 dead. The wave's six calls meet in
-        // pairs, so each puller draws exactly three packs: the dead worker's
-        // three fail with NodeDown, are collected as orphans and re-offered
-        // to the survivor — the call still completes with exact results.
-        let registry = MetricsRegistry::new();
-        let config = DynamicFarmConfig::new(protocol(DYNAMIC_FARM, 2, 6)).metrics(&registry);
-        let (weaver, w) = distributed(config.aspect("Partition+Concurrency"), 2, &[1]);
-        weaver.plug(rendezvous(2, 6));
-        let input: Vec<u64> = (0..12).collect();
-        let expect = expected(DYNAMIC_FARM, 2, &input);
-        assert_eq!(watchdog(move || w.apply(input).unwrap()), expect);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("Partition+Concurrency.packs_issued"), Some(6));
-        assert_eq!(snap.counter("Partition+Concurrency.redispatched"), Some(3));
-    }
-
-    #[test]
     fn dynamic_farm_with_every_worker_dead_fails_typed() {
         let config = DynamicFarmConfig::new(protocol(DYNAMIC_FARM, 2, 2));
-        let (_weaver, w) = distributed(config.aspect("Partition+Concurrency"), 2, &[0, 1]);
+        let aspect = config.aspect("Partition+Concurrency");
+        let (_weaver, w, _) = distributed(aspect, 2, &[0, 1], false);
         let err = w.apply(vec![1, 2]).unwrap_err();
         assert!(matches!(err, WeaveError::NodeDown { .. }), "unexpected error: {err}");
     }

@@ -8,12 +8,9 @@ pub use crate::partition::FarmConfig;
 mod tests {
     use super::*;
     use crate::partition::fixture::*;
-    use crate::partition::hints;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
     use weavepar_concurrency::{future_concurrency_aspect, resolve_any, Executor};
     use weavepar_weave::prelude::*;
-    use weavepar_weave::{args, value::downcast_ret, MetricsRegistry};
+    use weavepar_weave::{args, value::downcast_ret};
 
     #[test]
     fn farm_computes_and_preserves_order() {
@@ -78,55 +75,10 @@ mod tests {
         assert_eq!(w2.apply(vec![3]).unwrap(), vec![37]);
     }
 
-    /// Two workers on nodes 0 and 1, four packs; node 1 is dead: its packs
-    /// (1 and 3) are regenerated and served by the survivor.
-    fn survives_a_dead_node(config: FarmConfig) {
-        let (_weaver, w) = distributed(config.aspect("Partition"), 2, &[1]);
-        let input: Vec<u64> = (0..16).collect();
-        assert_eq!(w.apply(input.clone()).unwrap(), expected(FARM, 2, &input));
-    }
-
-    #[test]
-    fn farm_redispatches_orphaned_packs_without_a_supervisor() {
-        survives_a_dead_node(FarmConfig::new(protocol(FARM, 2, 4)));
-    }
-
-    #[test]
-    fn metered_farm_counts_packs_and_redispatches() {
-        let registry = MetricsRegistry::new();
-        survives_a_dead_node(FarmConfig::new(protocol(FARM, 2, 4)).metrics(&registry));
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("Partition.packs_issued"), Some(4));
-        assert_eq!(snap.counter("Partition.redispatched"), Some(2));
-    }
-
-    #[test]
-    fn a_tuned_farm_regenerates_a_lost_pack_with_the_grain_of_its_wave() {
-        // The cell says 4 packs when the call starts and 7 from the wave's
-        // first pack call on; the recovery must still split in 4.
-        let cell = Arc::new(AtomicU32::new(4));
-        let grains = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let mut protocol = protocol(FARM, 2, 1);
-        let (split, seen) = (protocol.split.clone(), grains.clone());
-        protocol.split = Arc::new(move |a: &Args| {
-            seen.lock().push(hints::packs_or(0));
-            split(a)
-        });
-        let tuned = FarmConfig::new(protocol).tuned(cell.clone()).aspect("Partition");
-        let (weaver, w) = distributed(tuned, 2, &[1]);
-        weaver.plug(on_pack_calls(move |_| {
-            cell.store(7, Ordering::Relaxed);
-            Ok(())
-        }));
-        let input: Vec<u64> = (0..28).collect();
-        assert_eq!(w.apply(input.clone()).unwrap(), expected(FARM, 2, &input));
-        assert_eq!(*grains.lock(), [4, 4], "the wave's split, then one regeneration");
-    }
-
     #[test]
     fn farm_with_every_worker_dead_fails_typed() {
         let config = FarmConfig::new(protocol(FARM, 2, 2));
-        let (_weaver, w) = distributed(config.aspect("Partition"), 2, &[0, 1]);
+        let (_weaver, w, _) = distributed(config.aspect("Partition"), 2, &[0, 1], false);
         let err = w.apply(vec![1, 2]).unwrap_err();
         assert!(err.is_node_loss(), "unexpected error: {err}");
     }

@@ -13,15 +13,14 @@
 //!   linked (a chain | a list), how a wave of packs reaches them (in split
 //!   order at stage one | round robin in one batch submission | pulled by a
 //!   thread per worker, the paper's example of partition and concurrency
-//!   that could not be separated), and whether another worker may stand in
-//!   for a pack lost with its node (never for a pipeline stage);
+//!   that could not be separated);
 //! * [`heartbeat`] — block duplication plus an iterate/exchange/step driver
 //!   for stencil-style computations;
 //! * [`divide_conquer`] — object creation at *call* join points, unfolding a
 //!   recursion tree of sub-workers (the §4.1 divide-and-conquer remark);
-//! * [`supervisor`] — fault tolerance as one more pluggable layer: worker
-//!   checkpoints, node-loss detection and re-dispatch of orphaned tasks,
-//!   woven outside the distribution aspect.
+//! * [`supervisor`] — fault tolerance as one more pluggable layer, and the
+//!   only one: worker checkpoints, node-loss detection and re-dispatch of
+//!   orphaned tasks, woven outside the distribution aspect.
 //!
 //! Every protocol is *generic*: it quantifies over a weaveable class by name
 //! and composes with the application through a small set of closures
@@ -51,6 +50,5 @@ pub use divide_conquer::{DivideConquerBuilder, DivideConquerConfig};
 pub use dynamic_farm::DynamicFarmConfig;
 pub use farm::FarmConfig;
 pub use heartbeat::HeartbeatConfig;
-pub use partition::hints;
 pub use pipeline::PipelineConfig;
 pub use supervisor::{supervisor_aspect, SupervisorStats};

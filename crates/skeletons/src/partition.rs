@@ -26,15 +26,18 @@
 //! |---|---|---|---|
 //! | workers are linked | each to its successor ([`NEXT_FIELD`]) | as a list on the first ([`WORKERS_FIELD`]) | as the farm's |
 //! | a wave reaches them | in split order at stage one, no `BatchScope` | round robin, one `BatchScope` flushed before the join | pulled from one cursor by a thread per worker |
-//! | a pack lost with its node | fails the call: no stage stands in for another | is regenerated and re-offered to the other workers | as the farm's |
 //! | block 3 | yes, with the `.stage_occupancy` gauge | no | no |
 //!
 //! Block 3 runs *inside* a plugged asynchronous-invocation aspect (see
 //! `weavepar_weave::aspect::precedence`), so with concurrency plugged every
 //! hop returns a future and packs stream through the stages concurrently —
 //! the paper's Figure 11.
+//!
+//! Fault tolerance is not this module's concern: a pack lost with its node
+//! fails the call, typed, under every routing. Plug
+//! [`supervisor_aspect`](crate::supervisor_aspect) and it repairs the worker
+//! and re-dispatches the pack before the partition sees the loss.
 
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -46,47 +49,6 @@ use weavepar_weave::{Counter, Gauge, MetricsRegistry};
 
 use crate::common::{create_workers, Protocol, NEXT_FIELD, WORKERS_FIELD};
 
-/// The pack hint: how a tuning controller reaches a partition's `split`
-/// without changing the [`Protocol`] surface.
-///
-/// A `split` closure captures its pack count by value. A partition built with
-/// `.tuned(cell)` publishes its cell's value, as of the call's start, in the
-/// weaving context for the whole split call, and a grain-aware closure reads
-/// it back through [`hints::packs_or`], falling back to its captured count
-/// when no tuner is plugged. One value for all three routings, so one `split`
-/// written for all of them follows the tuner under each. The hint lives in
-/// the context, not in the cell, for one reason: a farm regenerates a lost
-/// pack with the grain its *wave* was split with, even if the tuner has moved
-/// the cell since. It is scoped by an RAII guard, so a partition nested in
-/// another never sees the outer's value.
-pub mod hints {
-    use weavepar_weave::context::{hint, replace_hint};
-
-    /// RAII restore of the pack hint.
-    pub struct HintGuard {
-        prev: u32,
-    }
-
-    impl Drop for HintGuard {
-        fn drop(&mut self) {
-            replace_hint(self.prev);
-        }
-    }
-
-    /// Publish a pack-count hint for the duration of the guard (0 = unset).
-    pub fn set_packs(value: u32) -> HintGuard {
-        HintGuard { prev: replace_hint(value) }
-    }
-
-    /// The tuned pack count, or `default` when no tuner published one.
-    pub fn packs_or(default: usize) -> usize {
-        match hint() {
-            0 => default,
-            v => v as usize,
-        }
-    }
-}
-
 // The routings, as `PartitionConfig`'s parameter. The type is reachable only
 // through the three aliases below, so no other value can be named.
 pub(crate) const PIPELINE: u8 = 0;
@@ -95,17 +57,18 @@ pub(crate) const DYNAMIC_FARM: u8 = 2;
 
 /// Builder-style configuration of a partition aspect. Its three names are
 /// the paper's three strategies and differ in nothing but the routing: how
-/// the workers are linked, how a wave of packs reaches them, and whether
-/// another worker may stand in for a pack lost with its node. The mandatory
-/// part is the [`Protocol`]; everything optional chains:
+/// the workers are linked and how a wave of packs reaches them. The mandatory
+/// part is the [`Protocol`]; the one option chains:
 ///
 /// ```ignore
-/// weaver.plug(FarmConfig::new(protocol).tuned(cell).metrics(&reg).aspect("Partition"));
+/// weaver.plug(FarmConfig::new(protocol).metrics(&reg).aspect("Partition"));
 /// ```
+///
+/// A tuner reaches the grain through the protocol, not the config: a `split`
+/// closure that captures a tunable's cell reads the pack count on each call.
 #[derive(Clone)]
 pub struct PartitionConfig<const ROUTING: u8> {
     protocol: Protocol,
-    hint: Option<Arc<AtomicU32>>,
     metrics: Option<MetricsRegistry>,
 }
 
@@ -131,28 +94,16 @@ pub type FarmConfig = PartitionConfig<FARM>;
 pub type DynamicFarmConfig = PartitionConfig<DYNAMIC_FARM>;
 
 impl<const ROUTING: u8> PartitionConfig<ROUTING> {
-    /// A partition over `protocol`, untuned and unmetered.
+    /// A partition over `protocol`, unmetered.
     pub fn new(protocol: Protocol) -> Self {
-        Self { protocol, hint: None, metrics: None }
-    }
-
-    /// Follow a live pack count: for the whole of each split call the aspect
-    /// publishes the cell's value as of the call's start through
-    /// [`hints::set_packs`], so a grain-aware `split` (one reading
-    /// [`hints::packs_or`]) follows the tuner, and a lost pack is regenerated
-    /// with the grain its wave was split with.
-    pub fn tuned(mut self, hint: Arc<AtomicU32>) -> Self {
-        self.hint = Some(hint);
-        self
+        Self { protocol, metrics: None }
     }
 
     /// Meter the partition into `registry`: `{name}.packs_issued` counts the
-    /// packs the split produced, `{name}.redispatched` the packs re-offered
-    /// to other workers after a node loss (a pipeline's stays 0), and a
-    /// pipeline's `{name}.stage_occupancy` gauges how many packs are being
-    /// processed inside a stage right now (forwarding hops excluded) — under
-    /// a plugged concurrency aspect it rises towards the stage count while
-    /// packs stream.
+    /// packs the split produced, and a pipeline's `{name}.stage_occupancy`
+    /// gauges how many packs are being processed inside a stage right now
+    /// (forwarding hops excluded) — under a plugged concurrency aspect it
+    /// rises towards the stage count while packs stream.
     pub fn metrics(mut self, registry: &MetricsRegistry) -> Self {
         self.metrics = Some(registry.clone());
         self
@@ -161,16 +112,15 @@ impl<const ROUTING: u8> PartitionConfig<ROUTING> {
     /// Build the partition aspect named `name`.
     pub fn aspect(self, name: impl Into<String>) -> Aspect {
         let name = name.into();
-        let PartitionConfig { protocol, hint, metrics } = self;
+        let PartitionConfig { protocol, metrics } = self;
         let (class, method) = (protocol.class, protocol.method);
         // Resolved once at build time: the hot path bumps pre-bound atomics,
         // never consulting the registry.
         let meters = metrics.map(|m| Meters {
             packs: m.counter(&format!("{name}.packs_issued")),
-            redispatched: m.counter(&format!("{name}.redispatched")),
             occupancy: (ROUTING == PIPELINE).then(|| m.gauge(&format!("{name}.stage_occupancy"))),
         });
-        let partition = Arc::new(Partition::<ROUTING> { protocol, hint, meters });
+        let partition = Arc::new(Partition::<ROUTING> { protocol, meters });
         let (duplicate, split, forward) = (partition.clone(), partition.clone(), partition);
         let blocks = Aspect::named(name)
             .precedence(precedence::PARTITION)
@@ -196,14 +146,12 @@ impl<const ROUTING: u8> PartitionConfig<ROUTING> {
 /// Pre-resolved instruments (see [`PartitionConfig::metrics`]).
 struct Meters {
     packs: Counter,
-    redispatched: Counter,
     occupancy: Option<Gauge>,
 }
 
 /// What the advice blocks of one built aspect share.
 struct Partition<const ROUTING: u8> {
     protocol: Protocol,
-    hint: Option<Arc<AtomicU32>>,
     meters: Option<Meters>,
 }
 
@@ -236,19 +184,13 @@ impl<const ROUTING: u8> Partition<ROUTING> {
             _ => weaver.intertype().get_field::<Arc<[ObjId]>>(target, WORKERS_FIELD),
         }
         .unwrap_or_else(|| Arc::from([target]));
-        // The guard spans the wave *and* the recovery, so a lost pack is
-        // regenerated with the grain the wave was split with even if the
-        // tuner moves mid-call.
-        let _hint = self.hint.as_ref().map(|cell| hints::set_packs(cell.load(Ordering::Relaxed)));
         let packs = (self.protocol.split)(original)?;
         if let Some(m) = &self.meters {
             m.packs.add(packs.len() as u64);
         }
         let results = match ROUTING {
-            DYNAMIC_FARM => {
-                self.settle(weaver, &workers, original, self.pulled_wave(weaver, &workers, packs))
-            }
-            _ => self.settle(weaver, &workers, original, self.issued_wave(weaver, &workers, packs)),
+            DYNAMIC_FARM => settle(self.pulled_wave(weaver, &workers, packs)),
+            _ => settle(self.issued_wave(weaver, &workers, packs)),
         };
         (self.protocol.combine)(results?)
     }
@@ -340,51 +282,6 @@ impl<const ROUTING: u8> Partition<ROUTING> {
         outcomes.into_iter().map(move |outcome| outcome.unwrap_or_else(lost))
     }
 
-    /// Turn a wave's outcomes into results. Farm property: any worker can
-    /// process any pack, so a pack lost with its node is regenerated from the
-    /// original arguments — packs are consumed by dispatch — and offered to
-    /// the other workers in turn; a pipeline stage has no stand-in. The first
-    /// outcome that stays an error, in pack order, is the call's, as itself.
-    fn settle(
-        &self,
-        weaver: &Weaver,
-        workers: &[ObjId],
-        original: &Args,
-        outcomes: impl Iterator<Item = WeaveResult<AnyValue>>,
-    ) -> WeaveResult<Vec<AnyValue>> {
-        let p = &self.protocol;
-        let lost = |outcome: &WeaveResult<AnyValue>| matches!(outcome, Err(e) if e.is_node_loss());
-        // One regenerated split shared by all orphans of the wave (filled at
-        // the first miss, packs taken as orphans claim them): the common
-        // one-attempt recovery costs one extra split in total, and only a
-        // second attempt for the *same* pack pays for another.
-        let mut regenerated: Vec<Option<Args>> = Vec::new();
-        let mut results = Vec::with_capacity(outcomes.size_hint().0);
-        for (k, mut outcome) in outcomes.enumerate() {
-            if ROUTING != PIPELINE && lost(&outcome) {
-                if let Some(m) = &self.meters {
-                    m.redispatched.inc();
-                }
-                for offset in 1..=workers.len() {
-                    if !matches!(regenerated.get(k), Some(Some(_))) {
-                        regenerated = (p.split)(original)?.into_iter().map(Some).collect();
-                    }
-                    let pack = regenerated.get_mut(k).and_then(Option::take).ok_or_else(|| {
-                        WeaveError::app("partition cannot regenerate a lost pack")
-                    })?;
-                    let stand_in = workers[(k + offset) % workers.len()];
-                    outcome =
-                        weaver.invoke_call(stand_in, p.class, p.method, pack).and_then(resolve_any);
-                    if !lost(&outcome) {
-                        break;
-                    }
-                }
-            }
-            results.push(outcome?);
-        }
-        Ok(results)
-    }
-
     /// Block 3: forwarding.
     fn forward(&self, inv: &mut Invocation) -> WeaveResult<AnyValue> {
         let target = inv.target_required()?;
@@ -408,6 +305,17 @@ impl<const ROUTING: u8> Partition<ROUTING> {
     }
 }
 
+/// A wave's outcomes as results, in pack order: the first error is the
+/// call's, as itself — a pack lost with its node included. Written out
+/// because collecting into a `Result` would not pre-size the `Vec`.
+fn settle(outcomes: impl Iterator<Item = WeaveResult<AnyValue>>) -> WeaveResult<Vec<AnyValue>> {
+    let mut results = Vec::with_capacity(outcomes.size_hint().0);
+    for outcome in outcomes {
+        results.push(outcome?);
+    }
+    Ok(results)
+}
+
 /// Decrements the stage-occupancy gauge on every exit path.
 struct OccupancyGuard<'a>(&'a Gauge);
 
@@ -424,6 +332,9 @@ impl Drop for OccupancyGuard<'_> {
 pub(crate) mod fixture {
     use super::*;
     pub(crate) use super::{DYNAMIC_FARM, FARM, PIPELINE};
+    use crate::common::SplitFn;
+    use crate::supervisor::{supervisor_aspect, SupervisorStats};
+    use std::sync::atomic::{AtomicU32, Ordering};
     use weavepar_middleware::{InProcFabric, MarshalRegistry, RmiConfig};
     use weavepar_weave::{args, value::downcast_ret};
 
@@ -449,9 +360,17 @@ pub(crate) mod fixture {
         }
     }
 
-    /// `Stage.apply` over `workers` workers and `packs` packs (or as many as
-    /// a tuner hints). A pipeline's stages are tagged `1..=workers`; a farm
-    /// broadcasts the client's tag.
+    /// A `split` cutting the items into `packs()` packs, asked on every call.
+    pub(crate) fn chunked(packs: impl Fn() -> usize + Send + Sync + 'static) -> SplitFn {
+        Arc::new(move |a: &Args| {
+            let items = a.get::<Vec<u64>>(0)?;
+            let chunk = items.len().div_ceil(packs().max(1)).max(1);
+            Ok(items.chunks(chunk).map(|c| args![c.to_vec()]).collect())
+        })
+    }
+
+    /// `Stage.apply` over `workers` workers and `packs` packs. A pipeline's
+    /// stages are tagged `1..=workers`; a farm broadcasts the client's tag.
     pub(crate) fn protocol(routing: u8, workers: usize, packs: usize) -> Protocol {
         Protocol {
             class: "Stage",
@@ -461,11 +380,7 @@ pub(crate) mod fixture {
                 PIPELINE => Ok(args![rank as u64 + 1]),
                 _ => Ok(args![*orig.get::<u64>(0)?]),
             }),
-            split: Arc::new(move |a: &Args| {
-                let items = a.get::<Vec<u64>>(0)?;
-                let chunk = items.len().div_ceil(hints::packs_or(packs).max(1)).max(1);
-                Ok(items.chunks(chunk).map(|c| args![c.to_vec()]).collect())
-            }),
+            split: chunked(move || packs),
             reforward: Arc::new(|v: AnyValue| Ok(Args::from_values(vec![v]))),
             combine: Arc::new(|vs: Vec<AnyValue>| {
                 let mut all = Vec::new();
@@ -545,12 +460,15 @@ pub(crate) mod fixture {
 
     /// The client's `Stage` under `partition`, distributed over `nodes` nodes
     /// (round-robin placement: worker `i` lives on node `i`), the nodes in
-    /// `dead` killed once the workers exist.
+    /// `dead` killed once the workers exist. With `supervise`, a
+    /// `supervisor_aspect` is plugged before the workers are built, and its
+    /// stats come back.
     pub(crate) fn distributed(
         partition: Aspect,
         nodes: usize,
         dead: &[usize],
-    ) -> (Weaver, StageProxy) {
+        supervise: bool,
+    ) -> (Weaver, StageProxy, Option<Arc<SupervisorStats>>) {
         let marshal = MarshalRegistry::new();
         marshal.register::<(u64,), ()>("Stage", "new");
         marshal.register::<(Vec<u64>,), Vec<u64>>("Stage", "apply");
@@ -558,6 +476,13 @@ pub(crate) mod fixture {
         fabric.register_class::<Stage>();
         let weaver = Weaver::new();
         weaver.plug(partition);
+        let stats = supervise.then(|| {
+            let pointcut = Pointcut::call("Stage.apply");
+            let (aspect, stats) =
+                supervisor_aspect("Supervision", "Stage", pointcut, fabric.clone());
+            weaver.plug(aspect);
+            stats
+        });
         weaver.plug(
             RmiConfig::new("Stage", Pointcut::call("Stage.apply"), fabric.clone())
                 .aspect("Distribution"),
@@ -566,7 +491,38 @@ pub(crate) mod fixture {
         for &node in dead {
             fabric.kill_node(node).unwrap();
         }
-        (weaver, stage)
+        (weaver, stage, stats)
+    }
+
+    /// Packs of a node-loss row: two for each of its two workers.
+    pub(crate) const ROW_PACKS: usize = 4;
+
+    /// The items a node-loss row's call carries: `0..ROW_ITEMS`.
+    pub(crate) const ROW_ITEMS: u64 = 16;
+
+    /// One node-loss row: `routing` over two workers and [`ROW_PACKS`] packs,
+    /// the second worker's node dead, with or without a supervisor. Returns
+    /// the call's outcome and how many pack calls reached the live worker
+    /// (the client's `Stage`). A dynamic farm's pack calls meet in pairs, so
+    /// the dead worker's puller draws its share instead of watching the live
+    /// one drain the cursor.
+    pub(crate) fn node_loss(
+        routing: u8,
+        supervise: bool,
+    ) -> (WeaveResult<Vec<u64>>, u32, Option<Arc<SupervisorStats>>) {
+        let partition = partition(routing, protocol(routing, 2, ROW_PACKS));
+        let (weaver, stage, stats) = distributed(partition, 2, &[1], supervise);
+        let live = Arc::new(AtomicU32::new(0));
+        let (first, counter) = (stage.handle().id(), live.clone());
+        weaver.plug(on_pack_calls(move |inv| {
+            counter.fetch_add((inv.target() == Some(first)) as u32, Ordering::Relaxed);
+            Ok(())
+        }));
+        if routing == DYNAMIC_FARM {
+            weaver.plug(rendezvous(2, ROW_PACKS as u32));
+        }
+        let outcome = watchdog(move || stage.apply((0..ROW_ITEMS).collect()));
+        (outcome, live.load(Ordering::Relaxed), stats)
     }
 }
 
@@ -575,6 +531,7 @@ mod tests {
     use super::fixture::*;
     use super::*;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
     fn an_application_error_in_a_pack_is_returned_as_itself() {
@@ -611,27 +568,62 @@ mod tests {
         }
     }
 
-    /// One `split` written for all three routings follows a tuned cell under
-    /// each of them: the fixture's split asks for one pack, the cell for 5.
+    /// One `split` written for all three routings follows a tuner's cell
+    /// under each of them: the closure captures the cell (what
+    /// `Tunable::cell` hands out) and reads it on every call — 5 packs, then
+    /// 3 once the tuner has moved.
     #[test]
     fn a_tuned_partition_splits_with_the_cells_pack_count_under_every_routing() {
-        fn tuned<const R: u8>(cell: Arc<AtomicU32>, registry: &MetricsRegistry) -> Aspect {
-            let config = PartitionConfig::<R>::new(protocol(R, 2, 1));
-            config.tuned(cell).metrics(registry).aspect("Partition")
+        fn metered<const R: u8>(protocol: Protocol, registry: &MetricsRegistry) -> Aspect {
+            PartitionConfig::<R>::new(protocol).metrics(registry).aspect("Partition")
         }
         for routing in ROUTINGS {
             let (cell, registry) = (Arc::new(AtomicU32::new(5)), MetricsRegistry::new());
+            let mut protocol = protocol(routing, 2, 1);
+            let grain = cell.clone();
+            protocol.split = chunked(move || grain.load(Ordering::Relaxed) as usize);
             let weaver = Weaver::new();
             weaver.plug(match routing {
-                PIPELINE => tuned::<PIPELINE>(cell, &registry),
-                FARM => tuned::<FARM>(cell, &registry),
-                _ => tuned::<DYNAMIC_FARM>(cell, &registry),
+                PIPELINE => metered::<PIPELINE>(protocol, &registry),
+                FARM => metered::<FARM>(protocol, &registry),
+                _ => metered::<DYNAMIC_FARM>(protocol, &registry),
             });
             let stage = StageProxy::construct(&weaver, TAG).unwrap();
             let input: Vec<u64> = (0..20).collect();
             assert_eq!(stage.apply(input.clone()).unwrap(), expected(routing, 2, &input));
+            cell.store(3, Ordering::Relaxed);
+            assert_eq!(stage.apply(input.clone()).unwrap(), expected(routing, 2, &input));
             let issued = registry.snapshot().counter("Partition.packs_issued");
-            assert_eq!(issued, Some(5), "routing {routing}");
+            assert_eq!(issued, Some(5 + 3), "routing {routing}");
+        }
+    }
+
+    /// Without a supervisor nothing stands in for a lost worker: the call
+    /// fails typed under every routing, and the live worker sees each pack
+    /// it was given exactly once — a pipeline's stage one all of them, a
+    /// farm's survivor its half — so none is re-offered.
+    #[test]
+    fn a_pack_lost_with_its_node_fails_the_call_typed_under_every_routing() {
+        for routing in ROUTINGS {
+            let (outcome, live, _) = node_loss(routing, false);
+            let err = outcome.unwrap_err();
+            assert!(matches!(err, WeaveError::NodeDown { node: 1 }), "{routing}: {err:?}");
+            let given = if routing == PIPELINE { ROW_PACKS } else { ROW_PACKS / 2 };
+            assert_eq!(live as usize, given, "routing {routing}");
+        }
+    }
+
+    /// The same rows with `supervisor_aspect` plugged: it rebuilds the dead
+    /// worker and re-dispatches what it lost, so every routing returns the
+    /// sequential result.
+    #[test]
+    fn a_supervised_partition_recovers_a_pack_lost_with_its_node_under_every_routing() {
+        let input: Vec<u64> = (0..ROW_ITEMS).collect();
+        for routing in ROUTINGS {
+            let (outcome, _, stats) = node_loss(routing, true);
+            assert_eq!(outcome.unwrap(), expected(routing, 2, &input), "routing {routing}");
+            let stats = stats.unwrap();
+            assert!(stats.tasks_redispatched() >= 1, "routing {routing}: nothing re-dispatched");
         }
     }
 

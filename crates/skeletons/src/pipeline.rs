@@ -7,8 +7,6 @@ pub use crate::partition::PipelineConfig;
 mod tests {
     use super::*;
     use crate::partition::fixture::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
     use weavepar_concurrency::{future_concurrency_aspect, resolve_any, Executor};
     use weavepar_weave::prelude::*;
     use weavepar_weave::{args, value::downcast_ret, MetricsRegistry};
@@ -81,27 +79,5 @@ mod tests {
         // Quiescent pipeline: every occupancy increment was paired with its
         // guard's decrement.
         assert_eq!(snap.gauge("Partition.stage_occupancy"), Some(0));
-    }
-
-    #[test]
-    fn a_stage_lost_to_a_dead_node_fails_typed_and_is_not_reoffered() {
-        // Stage two lives on node 1, which is dead: every pack crosses stage
-        // one and is lost at the forward. No stage can stand in for another,
-        // so nothing is regenerated — stage one sees each pack exactly once.
-        let registry = MetricsRegistry::new();
-        let config = PipelineConfig::new(protocol(PIPELINE, 2, 3)).metrics(&registry);
-        let (weaver, p) = distributed(config.aspect("Partition"), 2, &[1]);
-        let entered = Arc::new(AtomicU32::new(0));
-        let (first, counter) = (p.handle().id(), entered.clone());
-        weaver.plug(on_pack_calls(move |inv| {
-            counter.fetch_add((inv.target() == Some(first)) as u32, Ordering::Relaxed);
-            Ok(())
-        }));
-        let err = p.apply((0..9).collect()).unwrap_err();
-        assert!(matches!(err, WeaveError::NodeDown { node: 1 }), "unexpected error: {err}");
-        assert_eq!(entered.load(Ordering::Relaxed), 3);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("Partition.packs_issued"), Some(3));
-        assert_eq!(snap.counter("Partition.redispatched"), Some(0));
     }
 }

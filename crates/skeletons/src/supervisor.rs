@@ -5,7 +5,8 @@
 //! try/catch (Figure 14). This module is the next increment the methodology
 //! promises: plug one aspect and the skeletons become fault-tolerant, unplug
 //! it and they are exactly the non-tolerant build — core and partition code
-//! untouched.
+//! untouched. It is the one recovery path: no partition routing re-offers a
+//! pack lost with its node, so unsupervised such a loss fails the call typed.
 //!
 //! It weaves at [`precedence::SUPERVISION`], *outside* distribution, so a
 //! typed [`WeaveError::NodeDown`] surfacing from a remote call is caught and

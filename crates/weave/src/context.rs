@@ -31,8 +31,8 @@ pub enum Provenance {
 /// What a thread knows about the join point it is executing. Every field is
 /// its own cell and no borrow outlives the accessor that took it, so advice
 /// may re-enter freely. A new field is carried by [`Context::swap`] or the
-/// crate does not compile; whether it crosses threads is decided in
-/// [`CurrentContext::capture`].
+/// crate does not compile, and [`CurrentContext::capture`] takes every
+/// field across threads.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Context {
     /// The innermost provenance frame and how many frames are open. The
@@ -42,9 +42,6 @@ pub(crate) struct Context {
     /// The join points currently executing on this thread, outermost first —
     /// the dynamic extent AspectJ's `cflow` quantifies over.
     pub(crate) cflow: RefCell<Vec<Signature>>,
-    /// The pack hint a tuned partition aspect publishes around its `split`
-    /// closure (`weavepar_skeletons::hints`; 0 = unset).
-    pub(crate) hint: Cell<u32>,
     /// The recorded task whose base method body is executing, if any; an
     /// outer one lives in the [`TaskGuard`](crate::trace::TaskGuard) that
     /// masked it.
@@ -57,10 +54,9 @@ pub(crate) struct Context {
 
 impl Context {
     fn swap(&self, other: &Context) {
-        let Context { frame, cflow, hint, task, data_dep } = self;
+        let Context { frame, cflow, task, data_dep } = self;
         frame.swap(&other.frame);
         cflow.swap(&other.cflow);
-        hint.swap(&other.hint);
         task.swap(&other.task);
         data_dep.swap(&other.data_dep);
     }
@@ -75,24 +71,13 @@ pub(crate) fn with<R>(f: impl FnOnce(&Context) -> R) -> R {
     CONTEXT.with(f)
 }
 
-/// The pack hint published on this thread (0 = none).
-pub fn hint() -> u32 {
-    with(|c| c.hint.get())
-}
-
-/// Publish `value` as the pack hint, returning the previous value (the caller
-/// restores it: the hint is scoped like the provenance frames).
-pub fn replace_hint(value: u32) -> u32 {
-    with(|c| c.hint.replace(value))
-}
-
 /// The thread's own weaving context, lifted off the thread until dropped.
 ///
 /// A pool worker that *helps* while it waits on a join (see
 /// `weavepar_concurrency::pool`) runs an unrelated task on top of the waiting
 /// frame. That task must see what it would see on a fresh worker — empty
-/// provenance frame and control-flow stack, no current trace task, no hint —
-/// and the waiting frame must find its own context intact afterwards.
+/// provenance frame and control-flow stack, no current trace task — and the
+/// waiting frame must find its own context intact afterwards.
 pub struct SetAside(Context);
 
 /// Lift the current thread's weaving context off the thread; dropping the
@@ -189,12 +174,9 @@ pub fn push(p: Provenance) -> ProvenanceGuard {
 pub struct CurrentContext(Context);
 
 impl CurrentContext {
-    /// Capture the current thread's weaving context: everything in it but
-    /// the pack hint, which belongs to the advice frame that published it
-    /// around a closure it calls on its own thread.
+    /// Capture the current thread's weaving context, all of it.
     pub fn capture() -> Self {
         let captured = with(Context::clone);
-        captured.hint.take();
         // Room for the frames the installing thread pushes: growing a buffer
         // that another thread allocated costs a detached call about 1 µs.
         captured.cflow.borrow_mut().reserve(4);
@@ -250,21 +232,17 @@ mod tests {
         let _p = push(Provenance::Aspect(AspectId::from_raw(4)));
         let _c = push_cflow(sig);
         let _t = crate::trace::push_task(Some(crate::trace::TaskId::from_raw(7)));
-        replace_hint(33);
         {
             let _clean = set_aside();
             assert_eq!((current(), depth()), (Provenance::Core, 0));
             assert!(cflow_snapshot().is_empty());
             assert_eq!(crate::trace::current_task(), None);
-            assert_eq!(hint(), 0);
             // Whatever the helped task leaves behind is discarded.
             std::mem::forget(push_cflow(Signature::new("Other", "leak")));
-            replace_hint(99);
         }
         assert_eq!(current(), Provenance::Aspect(AspectId::from_raw(4)));
         assert_eq!(cflow_snapshot(), vec![sig]);
         assert_eq!(crate::trace::current_task(), Some(crate::trace::TaskId::from_raw(7)));
-        assert_eq!(replace_hint(0), 33);
     }
 
     #[test]
@@ -308,38 +286,35 @@ mod tests {
     /// The context, field by field. Exhaustive on purpose: whoever adds a
     /// field has to say below what `set_aside` and `capture` do with it.
     #[allow(clippy::type_complexity)]
-    fn fields() -> ((Provenance, usize), Vec<Signature>, u32, Option<TaskId>, Option<(u64, TaskId)>)
-    {
-        let Context { frame, cflow, hint, task, data_dep } = with(Context::clone);
-        (frame.get(), cflow.into_inner(), hint.get(), task.get(), data_dep.get())
+    fn fields() -> ((Provenance, usize), Vec<Signature>, Option<TaskId>, Option<(u64, TaskId)>) {
+        let Context { frame, cflow, task, data_dep } = with(Context::clone);
+        (frame.get(), cflow.into_inner(), task.get(), data_dep.get())
     }
 
     #[test]
-    fn every_field_is_set_aside_and_all_but_the_hints_cross_threads() {
+    fn every_field_is_set_aside_and_crosses_threads() {
         let (sig, task) = (Signature::new("C", "m"), TaskId::from_raw(9));
         let frame = (Provenance::Aspect(AspectId::from_raw(5)), 1);
         let _p = push(frame.0);
         let _c = push_cflow(sig);
-        replace_hint(17);
         let _t = crate::trace::push_task(Some(task));
         crate::trace::note_completion(3, task);
-        let mine = (frame, vec![sig], 17, Some(task), Some((3, task)));
+        let mine = (frame, vec![sig], Some(task), Some((3, task)));
         assert_eq!(fields(), mine);
         {
             let _clean = set_aside();
-            assert_eq!(fields(), ((Provenance::Core, 0), vec![], 0, None, None));
+            assert_eq!(fields(), ((Provenance::Core, 0), vec![], None, None));
         }
         assert_eq!(fields(), mine);
 
         let captured = CurrentContext::capture();
         assert_eq!(fields(), mine, "capturing takes nothing away");
         std::thread::spawn(move || {
-            replace_hint(4);
+            let _own = push(Provenance::Aspect(AspectId::from_raw(6)));
             let theirs = fields();
             {
                 let _installed = captured.install();
-                let carried = (frame, vec![sig], 0, Some(task), Some((3, task)));
-                assert_eq!(fields(), carried);
+                assert_eq!(fields(), mine);
             }
             assert_eq!(fields(), theirs, "the installing thread gets its own context back");
         })

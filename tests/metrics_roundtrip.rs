@@ -1,12 +1,13 @@
-//! Observability round-trip: a live farm run under injected faults and a
-//! simulated fault replay of the *same captured structure* export into one
-//! [`MetricsRegistry`], and their re-dispatch accounts agree line-for-line.
+//! Observability round-trip: a live supervised farm run under injected
+//! faults and a simulated fault replay of the *same captured structure*
+//! export into one [`MetricsRegistry`], and their re-dispatch accounts agree.
 //!
-//! This pins the PR's unified-snapshot contract: skeleton taps
-//! (`Partition.packs_issued`, `Partition.redispatched`), fabric taps
-//! (`fabric.retries`), and [`SimReport::install_metrics`] all land in the
-//! same [`Snapshot`] namespace, so a simulated cluster run and a live run
-//! can be diffed with `to_text()` alone.
+//! This pins the unified-snapshot contract: skeleton taps
+//! (`Partition.packs_issued`), distribution and fabric taps
+//! (`Distribution.calls`, `fabric.retries`), and
+//! [`SimReport::install_metrics`] all land in the same [`Snapshot`]
+//! namespace, so a simulated cluster run and a live run can be diffed with
+//! `to_text()` alone.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,6 +19,7 @@ use weavepar::cluster::{
 };
 use weavepar::distribution::{Backoff, FaultAction, FaultPlan, FaultRule, RequestClass};
 use weavepar::prelude::*;
+use weavepar::skeletons::{supervisor_aspect, SupervisorStats};
 use weavepar::weave::trace::Recorder;
 use weavepar::weave::value::downcast_ret;
 use weavepar::{args, ret, weaveable};
@@ -69,19 +71,30 @@ fn protocol(workers: usize, packs: usize) -> Protocol {
     }
 }
 
-/// Farm + RMI distribution over a fresh 2-node fabric, everything metered
-/// into `registry`.
-fn metered_farm(registry: &MetricsRegistry) -> (Weaver, Arc<InProcFabric>) {
+/// One pack per worker: the supervisor and the replay count re-dispatches
+/// alike only then (DESIGN.md §5).
+const PACKS: usize = 2;
+
+/// Farm + supervision + RMI distribution over a fresh 2-node fabric,
+/// everything metered into `registry`.
+fn supervised_farm(
+    registry: &MetricsRegistry,
+) -> (Weaver, Arc<InProcFabric>, Arc<SupervisorStats>) {
     let fabric = InProcFabric::new(2, marshal());
     fabric.register_class::<Cruncher>();
+    fabric.install_metrics(registry, "fabric");
     let weaver = Weaver::new();
-    weaver.plug(FarmConfig::new(protocol(2, 4)).metrics(registry).aspect("Partition"));
+    weaver.plug(FarmConfig::new(protocol(2, PACKS)).metrics(registry).aspect("Partition"));
+    let pointcut = Pointcut::call("Cruncher.crunch");
+    let (supervision, stats) =
+        supervisor_aspect("Supervision", "Cruncher", pointcut.clone(), fabric.clone());
+    weaver.plug(supervision);
     weaver.plug(
-        RmiConfig::new("Cruncher", Pointcut::call("Cruncher.crunch"), fabric.clone())
+        RmiConfig::new("Cruncher", pointcut, fabric.clone())
             .metrics(registry)
             .aspect("Distribution"),
     );
-    (weaver, fabric)
+    (weaver, fabric, stats)
 }
 
 #[test]
@@ -94,7 +107,7 @@ fn live_redispatches_match_simulated_fault_replay() {
     // during replay. ---
     let recorder = Recorder::measuring();
     let rec_weaver = Weaver::new();
-    rec_weaver.plug(FarmConfig::new(protocol(2, 4)).aspect("Partition"));
+    rec_weaver.plug(FarmConfig::new(protocol(2, PACKS)).aspect("Partition"));
     rec_weaver.set_recorder(Some(recorder.clone()));
     let c = CruncherProxy::construct(&rec_weaver).unwrap();
     let input: Vec<u64> = (0..16).collect();
@@ -132,7 +145,6 @@ fn live_redispatches_match_simulated_fault_replay() {
         placement: Placement::ByObject(by_obj),
         client_node: 0,
         cpu_inflation: 1.0,
-        packing: None,
     };
 
     // --- 2. Replay with node 1 crashing right after its constructions. ---
@@ -151,28 +163,28 @@ fn live_redispatches_match_simulated_fault_replay() {
     assert!(report.redispatched > 0, "the replay lost node 1's in-flight packs");
     report.install_metrics(&registry, "sim");
 
-    // --- 3. The live run: same farm, node 1 killed before the call. ---
-    let (weaver, fabric) = metered_farm(&registry);
+    // --- 3. The live run: same farm, supervised, node 1 killed before the
+    // call. ---
+    let (weaver, fabric, stats) = supervised_farm(&registry);
     let c = CruncherProxy::construct(&weaver).unwrap();
     fabric.kill_node(1).unwrap();
     assert_eq!(c.crunch(input).unwrap(), expect, "node loss degrades, never corrupts");
 
     // --- 4. One snapshot holds both accounts, and they agree. ---
     let snap = registry.snapshot();
-    assert_eq!(snap.counter("Partition.packs_issued"), Some(4));
+    assert_eq!(snap.counter("Partition.packs_issued"), Some(PACKS as u64));
     assert_eq!(
-        snap.counter("Partition.redispatched"),
+        Some(stats.tasks_redispatched() as u64),
         snap.counter("sim.redispatched"),
-        "live farm and simulated replay disagree on re-dispatches:\n{}",
+        "the supervisor and the simulated replay disagree on re-dispatches:\n{}",
         snap.to_text()
     );
-    let redispatched = snap.counter("Partition.redispatched").unwrap();
-    assert!(redispatched > 0, "the live farm re-dispatched the dead node's packs");
-    assert_eq!(
-        snap.counter("Distribution.calls"),
-        Some(4 + redispatched),
-        "every pack plus every re-dispatch crossed the middleware"
-    );
+    assert_eq!(stats.tasks_redispatched(), 1, "node 1's one pack was re-dispatched");
+    // Every pack crossed the distribution aspect and one failed there; the
+    // supervisor re-dispatched it through the fabric itself.
+    assert_eq!(snap.counter("Distribution.calls"), Some(PACKS as u64));
+    assert_eq!(snap.counter("Distribution.errors"), Some(1));
+    assert_eq!(snap.counter("fabric.calls"), Some(PACKS as u64 + 1));
 }
 
 #[test]
@@ -219,7 +231,6 @@ fn chaos_drops_surface_as_retries_in_the_snapshot() {
         "seed {seed}: retries must match injected drops:\n{}",
         snap.to_text()
     );
-    assert_eq!(snap.counter("Partition.redispatched"), Some(0), "drops retry, they never re-farm");
 }
 
 #[test]

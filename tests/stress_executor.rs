@@ -296,12 +296,11 @@ mod fork_join {
     #[derive(Debug, PartialEq)]
     struct Seen {
         task: Option<TaskId>,
-        packs: usize,
         in_scope: bool,
     }
 
     fn look() -> Seen {
-        Seen { task: current_task(), packs: hints::packs_or(0), in_scope: scope_active() }
+        Seen { task: current_task(), in_scope: scope_active() }
     }
 
     struct Probe;
@@ -317,8 +316,8 @@ mod fork_join {
 
     /// A 1-worker pool whose worker sits in a join it can only leave by
     /// helping: `Probe.outer` is woven with an advice that waits on `gate`
-    /// (inside the join point's control flow, with a trace task, a pack
-    /// hint and a batch scope of its own), and the test fulfils `gate` only
+    /// (inside the join point's control flow, with a trace task and a batch
+    /// scope of its own), and the test fulfils `gate` only
     /// after the calls it queued behind it have completed.
     struct Gated {
         executor: Executor,
@@ -332,7 +331,6 @@ mod fork_join {
     }
 
     const WAITING_TASK: u64 = 4242;
-    const WAITING_PACKS: u32 = 7;
 
     fn gated() -> Gated {
         let (executor, registry) = metered_pool(1);
@@ -347,7 +345,6 @@ mod fork_join {
                 .precedence(precedence::PARTITION)
                 .around(Pointcut::call("Probe.outer"), move |inv: &mut Invocation| {
                     let _task = push_task(Some(TaskId::from_raw(WAITING_TASK)));
-                    let _hint = hints::set_packs(WAITING_PACKS);
                     let scope = BatchScope::enter();
                     entered_tx.lock().send(()).expect("test is listening");
                     gate2.take()?;
@@ -368,11 +365,7 @@ mod fork_join {
         /// Open the gate and check the waiting frame found its context back.
         fn release(self) -> (Executor, MetricsRegistry) {
             assert!(self.gate.fulfill(Ok(ret!())));
-            let expect = Seen {
-                task: Some(TaskId::from_raw(WAITING_TASK)),
-                packs: WAITING_PACKS as usize,
-                in_scope: true,
-            };
+            let expect = Seen { task: Some(TaskId::from_raw(WAITING_TASK)), in_scope: true };
             assert_eq!(self.after_join.recv().unwrap(), expect, "waiting frame's own context");
             assert_eq!(downcast_ret::<u64>(resolve_any(self.outer).unwrap()).unwrap(), 1);
             quiesce(&self.executor);
@@ -421,7 +414,7 @@ mod fork_join {
                 seen_tx.send((seen, child.take().unwrap())).expect("test is listening");
             });
             assert_eq!(downcast_ret::<u64>(resolve_any(ping).unwrap()).unwrap(), 2);
-            let clean = Seen { task: None, packs: 0, in_scope: false };
+            let clean = Seen { task: None, in_scope: false };
             assert_eq!(seen_rx.recv().unwrap(), (clean, 3), "helped task starts clean");
 
             g.weaver.set_recorder(None);

@@ -406,7 +406,6 @@ mod served_inline {
         provenance_depth: usize,
         cflow: Vec<String>,
         in_scope: bool,
-        packs: usize,
     }
 
     #[test]
@@ -441,7 +440,6 @@ mod served_inline {
                                 .map(|s| s.to_string())
                                 .collect(),
                             in_scope: scope_active(),
-                            packs: hints::packs_or(0),
                         };
                         let sent = seen_tx.lock().unwrap().send((seen, monitors_held()));
                         sent.expect("test is listening");
@@ -451,7 +449,7 @@ mod served_inline {
             );
 
             // The caller: inside an advice (aspect provenance) on Front.outer
-            // (control flow), under an open batch scope and a grain hint.
+            // (control flow), under an open batch scope.
             struct Front;
             weaveable! {
                 class Front as FrontProxy {
@@ -464,7 +462,6 @@ mod served_inline {
             client.plug(
                 Aspect::named("Caller")
                     .around(Pointcut::call("Front.outer"), move |_inv: &mut Invocation| {
-                        let _hint = hints::set_packs(7);
                         let scope = BatchScope::enter();
                         let depth = context::depth();
                         // Inline (the node is idle), then queued: a deadline
@@ -475,7 +472,7 @@ mod served_inline {
                         let reply = f2.call(ledger, method(&f2, "add"), args, &patient)?;
                         let total = decode(&f2, "add", reply);
                         // The caller's own context is back in place.
-                        assert!(scope_active() && hints::packs_or(0) == 7);
+                        assert!(scope_active());
                         assert!(in_cflow_of(&MethodPattern::parse("Front.outer")));
                         assert_eq!(context::depth(), depth);
                         scope.flush();
@@ -494,7 +491,7 @@ mod served_inline {
             // thread, so a join in there blocks rather than helps.
             assert_eq!((inline_monitors, queued_monitors), (1, 0));
             assert_eq!(inline, queued, "served inline as on the node thread");
-            assert_eq!((inline.in_scope, inline.packs), (false, 0));
+            assert!(!inline.in_scope);
             assert_eq!(inline.cflow, ["Ledger.add"], "only the served join point");
             assert!(!leaked.load(Ordering::SeqCst), "the served call saw the caller's cflow");
         });
