@@ -156,6 +156,18 @@ TUNE_SEED="$TUNE_SEED" cargo test --release -q -p weavepar tuning::tests::climbs
     exit 1
 }
 
+# The one concurrent pipeline smoke: 50 packs streaming through seven stages
+# over RMI, each pack continued on one thread, checked against the sequential
+# sieve.
+echo "==> weavepar-demo sieve --variant pipe-rmi --max 200000 --filters 7 --packs 50"
+pipe=$(cargo run --release -q -p weavepar-apps --bin weavepar-demo -- \
+    sieve --variant pipe-rmi --max 200000 --filters 7 --packs 50)
+echo "$pipe"
+if ! echo "$pipe" | grep -q "(validated)"; then
+    echo "the concurrent pipeline did not validate"
+    exit 1
+fi
+
 # The paper's whole evaluation at a tenth of the default size: all five blocks
 # must print. The shape-check lines compare measured costs: shown, never a gate.
 echo "==> weavepar-demo figures --max 200000"

@@ -15,6 +15,25 @@
 //! forward advice forwards each stage's output, which is also the only
 //! reading under which the paper's by-value RMI variant computes correct
 //! results.
+//!
+//! ## The kernel
+//!
+//! `filter` keeps `n` unless one of its primes `p` divides it with `n != p`,
+//! but it does not divide. It cuts its input into *runs* of consecutive items
+//! whose values span less than `WINDOW` (2^16), and for each run strikes out,
+//! in one bitmap of `WINDOW` bits reused from run to run, the multiples of
+//! every prime over the run's `[lo, hi]`: from the first multiple `>= lo`,
+//! `p` itself skipped, 0 (a multiple of every prime) included. The unstruck
+//! items of the run are kept, in input order. A pipeline pack of odd
+//! candidates is one run per `WINDOW` values, so a prime costs one division
+//! per run and then `WINDOW / p` bit writes, where dividing cost one division
+//! per candidate.
+//!
+//! Input order, duplicates and values near `u64::MAX` are the caller's: a
+//! run only needs its span, and no multiple is formed by an unchecked
+//! product. The worst case is sparse input, whose items lie `WINDOW` or more
+//! apart: every run is one item, and striking it costs one division per prime
+//! — what dividing it would.
 
 use weavepar::weave::Pack;
 use weavepar::weaveable;
@@ -65,6 +84,49 @@ pub fn candidates(max: u64) -> Vec<u64> {
     (3..=max).step_by(2).collect()
 }
 
+/// How many consecutive values one run of [`PrimeFilter::filter`] may span:
+/// the bits it strikes them out in (8 KB) stay in the L1 cache.
+const WINDOW: u64 = 1 << 16;
+
+/// The longest prefix of `items` whose values span less than [`WINDOW`], as
+/// its length, least and greatest value. `items` is not empty.
+fn next_run(items: &[u64]) -> (usize, u64, u64) {
+    let (mut lo, mut hi) = (items[0], items[0]);
+    for (len, &n) in items.iter().enumerate().skip(1) {
+        let (wider_lo, wider_hi) = (lo.min(n), hi.max(n));
+        if wider_hi - wider_lo >= WINDOW {
+            return (len, lo, hi);
+        }
+        (lo, hi) = (wider_lo, wider_hi);
+    }
+    (items.len(), lo, hi)
+}
+
+/// Set bit `n - lo` of `struck` for every `n` in `[lo, hi]` (a span below
+/// [`WINDOW`]) that one of `primes` removes: each multiple of a prime but the
+/// prime itself, 0 included.
+fn strike(primes: &[u64], lo: u64, hi: u64, struck: &mut [u64]) {
+    let span = (hi - lo) as usize;
+    struck[..=span / 64].fill(0);
+    if lo == 0 && !primes.is_empty() {
+        struck[0] = 1;
+    }
+    for &p in primes {
+        // The multiplier 0 is 0, struck above; 1 is `p` itself, kept.
+        let Some(first) = lo.div_ceil(p).max(2).checked_mul(p) else { continue };
+        if first > hi {
+            continue;
+        }
+        // A step past the window is as good as `p` and cannot overflow.
+        let step = p.min(WINDOW) as usize;
+        let mut at = (first - lo) as usize;
+        while at <= span {
+            struck[at / 64] |= 1 << (at % 64);
+            at += step;
+        }
+    }
+}
+
 /// The sieve's core class.
 pub struct PrimeFilter {
     primes: Vec<u64>,
@@ -93,14 +155,24 @@ weaveable! {
 
         fn filter(&mut self, nums: Pack) -> Pack {
             // Remove every multiple of one of our primes; a number equal to
-            // the prime itself is of course kept. The input pack is a shared
-            // view (splits alias one allocation); survivors go to a fresh
-            // pack, since the length shrinks.
-            nums.as_slice()
-                .iter()
-                .copied()
-                .filter(|n| self.primes.iter().all(|p| n % p != 0 || n == p))
-                .collect()
+            // the prime itself is of course kept (see the module docs for
+            // how). The input pack is a shared view (splits alias one
+            // allocation); survivors go to a fresh pack, since the length
+            // shrinks.
+            let mut rest = nums.as_slice();
+            let mut survivors = Vec::with_capacity(rest.len());
+            let mut struck = vec![0u64; (WINDOW / 64) as usize];
+            while !rest.is_empty() {
+                let (len, lo, hi) = next_run(rest);
+                let (run, after) = rest.split_at(len);
+                strike(&self.primes, lo, hi, &mut struck);
+                survivors.extend(run.iter().copied().filter(|&n| {
+                    let at = (n - lo) as usize;
+                    struck[at / 64] & (1 << (at % 64)) == 0
+                }));
+                rest = after;
+            }
+            Pack::from_vec(survivors)
         }
     }
 }
@@ -204,7 +276,93 @@ mod proptests {
         true
     }
 
+    /// The oracle: what `filter` computed before it struck multiples out, one
+    /// division per item and prime.
+    fn divided(primes: &[u64], nums: &[u64]) -> Vec<u64> {
+        nums.iter().copied().filter(|n| primes.iter().all(|p| n % p != 0 || n == p)).collect()
+    }
+
+    /// `filter` against the oracle, over `primes` and `nums` as given.
+    fn agrees(primes: &[u64], nums: &[u64]) -> bool {
+        let mut f = PrimeFilter::from_primes(primes.to_vec());
+        f.filter(Pack::from_slice(nums)).to_vec() == divided(primes, nums)
+    }
+
+    /// The largest prime below 2^64: its own multiples cannot be formed.
+    const TOP_PRIME: u64 = u64::MAX - 58;
+
+    /// Items in no order, with duplicates, 0, 1 and divisors themselves.
+    fn small_items() -> impl Strategy<Value = Vec<u64>> {
+        proptest::collection::vec(prop_oneof![0u64..2, 2u64..200, 0u64..5_000], 0..300)
+    }
+
+    /// Items within `2^16` of `u64::MAX`, mixed with some far below.
+    fn top_items() -> impl Strategy<Value = Vec<u64>> {
+        let near = (u64::MAX - WINDOW)..u64::MAX;
+        proptest::collection::vec(prop_oneof![near.clone(), near, 0u64..3 * WINDOW], 0..300)
+    }
+
+    #[test]
+    fn an_empty_divisor_range_keeps_everything() {
+        let mut f = PrimeFilter::new(3, 2);
+        assert!(f.primes().is_empty());
+        let nums = [0, 1, 2, 4, 9, u64::MAX, 4, 0];
+        assert_eq!(f.filter(Pack::from_slice(&nums)).to_vec(), nums);
+    }
+
+    #[test]
+    fn the_top_prime_keeps_itself_and_strikes_nothing_else() {
+        let nums = [TOP_PRIME, u64::MAX, TOP_PRIME - 1, 0, TOP_PRIME, 1];
+        assert!(agrees(&[TOP_PRIME], &nums));
+        assert!(agrees(&[2, 3, 5, TOP_PRIME], &nums));
+        assert_eq!(divided(&[TOP_PRIME], &nums).len(), 5, "0 is struck, the rest kept");
+    }
+
     proptest! {
+        /// Any divisor range over items in no order, duplicates, 0, 1 and
+        /// the divisors themselves included: the kernel is the oracle.
+        #[test]
+        fn striking_equals_dividing(pmin in 0u64..60, width in 0u64..150, nums in small_items()) {
+            let mut f = PrimeFilter::new(pmin, pmin + width);
+            let got = f.filter(Pack::from_slice(&nums)).to_vec();
+            prop_assert_eq!(got, divided(f.primes(), &nums));
+        }
+
+        /// Ascending items spread over several windows, as a pipeline pack
+        /// is but from any start: runs cut where the span reaches `2^16`.
+        #[test]
+        fn striking_equals_dividing_across_windows(
+            start in 0u64..1_000_000_000_000,
+            step in 1u64..120,
+            len in 0usize..2_000,
+            pmax in 2u64..400,
+        ) {
+            let nums: Vec<u64> = (0..len as u64).map(|i| start + i * step).collect();
+            prop_assert!(agrees(&primes_upto(pmax), &nums));
+        }
+
+        /// Items near `u64::MAX`, where a next multiple overflows, with the
+        /// small primes and the largest one.
+        #[test]
+        fn striking_equals_dividing_near_the_top(nums in top_items(), pmax in 2u64..300) {
+            let mut primes = primes_upto(pmax);
+            prop_assert!(agrees(&primes, &nums));
+            primes.push(TOP_PRIME);
+            prop_assert!(agrees(&primes, &nums));
+        }
+
+        /// `from_primes` over any set of primes, in any order, the filter a
+        /// snapshot restores.
+        #[test]
+        fn striking_equals_dividing_for_any_prime_set(
+            picks in proptest::collection::vec(0usize..303, 0..40),
+            nums in small_items(),
+        ) {
+            let pool = primes_upto(2_000);
+            let primes: Vec<u64> = picks.into_iter().map(|i| pool[i]).collect();
+            prop_assert!(agrees(&primes, &nums));
+        }
+
         /// The sequential sieve agrees with naive primality testing.
         #[test]
         fn sieve_equals_naive(max in 2u64..3000) {

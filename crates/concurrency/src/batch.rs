@@ -23,6 +23,15 @@
 //! pool worker *helps* while one of its frames waits on a join (see
 //! [`pool`](crate::pool), "Joins") runs with the enclosing scopes hidden
 //! (`set_aside`), so its spawns are submitted at once, as on a fresh worker.
+//!
+//! The same boundary also lets a spawn *not* leave the thread.
+//! [`continue_here`] marks the next `Executor::spawn` on this thread as the
+//! continuation of the work that is finishing: that job runs inline, before
+//! the spawn returns, ahead of any open scope. A pipeline's hop to its next
+//! stage is such a spawn — its own asynchronous invocation, continued on the
+//! thread that finished the previous stage instead of on a fresh one. Running
+//! a job where it was spawned cannot deadlock where deferring it could: the
+//! spawner waits on nothing until the job has run.
 
 use std::cell::{Cell, RefCell};
 
@@ -42,6 +51,8 @@ struct Scopes {
     /// packing registers one per destination node to ship its pack with the
     /// batch).
     hooks: RefCell<Vec<FlushHook>>,
+    /// Set by [`continue_here`]: the next spawn runs inline, and clears it.
+    tail: Cell<bool>,
 }
 
 thread_local! {
@@ -66,10 +77,35 @@ pub fn on_scope_flush(hook: impl FnOnce() + 'static) {
     }
 }
 
-/// Buffer a job if a batch scope is active on this thread. Returns the job
-/// back when no scope is active (the caller submits it directly).
+/// Run `call`, and run the job of the first [`Executor::spawn`] it makes on
+/// this thread right here, inside that spawn, instead of submitting or
+/// deferring it (see the module docs). Later spawns are submitted as usual,
+/// and nothing carries past `call`'s return, whether it spawned or not. The
+/// first spawn is whichever `call` reaches first: a pipeline hop that no
+/// asynchronous invocation detaches runs the next stage's body in `call`, and
+/// a spawn that body makes is the one that runs inline.
+pub fn continue_here<R>(call: impl FnOnce() -> R) -> R {
+    /// Clears the mark on every way out of `call`, unwinding included.
+    struct Cleared;
+    impl Drop for Cleared {
+        fn drop(&mut self) {
+            SCOPES.with(|s| s.tail.set(false));
+        }
+    }
+    SCOPES.with(|s| s.tail.set(true));
+    let _cleared = Cleared;
+    call()
+}
+
+/// Run a job [`continue_here`] marked, or buffer it if a batch scope is
+/// active on this thread. Returns the job back otherwise (the caller submits
+/// it directly).
 pub(crate) fn defer(executor: &Executor, job: Job) -> Option<Job> {
     SCOPES.with(|s| {
+        if s.tail.replace(false) {
+            job();
+            return None;
+        }
         if s.depth.get() == 0 {
             return Some(job);
         }
@@ -82,27 +118,30 @@ pub(crate) fn defer(executor: &Executor, job: Job) -> Option<Job> {
 #[doc(hidden)]
 pub struct SetAside {
     depth: usize,
+    tail: bool,
     _context: weavepar_weave::context::SetAside,
 }
 
 /// Give the work about to run on this thread a fresh worker's view of it: the
 /// weaving context is lifted off (`weavepar_weave::context::set_aside`) and
 /// the enclosing scopes are hidden, so its spawns are submitted at once — it
-/// may well block on them before the waiting frame's scope flushes. The
-/// buffers stay put: scopes own them by offset, and nothing is added at depth
-/// 0. A joining pool worker does this around a task it helps, the middleware
-/// around a remote call it serves on the caller's thread.
+/// may well block on them before the waiting frame's scope flushes. A
+/// [`continue_here`] mark is lifted with them: it belongs to the waiting
+/// frame. The buffers stay put: scopes own them by offset, and nothing is
+/// added at depth 0. A joining pool worker does this around a task it helps,
+/// the middleware around a remote call it serves on the caller's thread.
 #[doc(hidden)]
 pub fn set_aside() -> SetAside {
-    SetAside {
-        depth: SCOPES.with(|s| s.depth.replace(0)),
-        _context: weavepar_weave::context::set_aside(),
-    }
+    let (depth, tail) = SCOPES.with(|s| (s.depth.replace(0), s.tail.replace(false)));
+    SetAside { depth, tail, _context: weavepar_weave::context::set_aside() }
 }
 
 impl Drop for SetAside {
     fn drop(&mut self) {
-        SCOPES.with(|s| s.depth.set(self.depth));
+        SCOPES.with(|s| {
+            s.depth.set(self.depth);
+            s.tail.set(self.tail);
+        });
     }
 }
 
@@ -261,6 +300,81 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 11);
         executor.wait_idle();
         assert_eq!(hits.load(Ordering::Relaxed), 1);
+    }
+
+    /// A job that records the thread it ran on into `ran`.
+    fn record(ran: &Arc<parking_lot::Mutex<Vec<std::thread::ThreadId>>>) -> impl FnOnce() + Send {
+        let ran = ran.clone();
+        move || ran.lock().push(std::thread::current().id())
+    }
+
+    #[test]
+    fn only_the_first_spawn_under_continue_here_runs_inline() {
+        for executor in [Executor::thread_per_call(), Executor::pool(1, "tail")] {
+            let ran = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let here = std::thread::current().id();
+            continue_here(|| {
+                executor.spawn(record(&ran));
+                // Already run, on this thread, before the spawn returned.
+                assert_eq!(*ran.lock(), [here]);
+                executor.spawn(record(&ran));
+            });
+            executor.wait_idle();
+            let ran = ran.lock();
+            assert_eq!(ran.len(), 2);
+            assert_ne!(ran[1], here, "the second spawn was submitted");
+        }
+    }
+
+    #[test]
+    fn continue_here_leaves_nothing_behind_when_nothing_spawned() {
+        let executor = Executor::pool(1, "tail-unused");
+        assert_eq!(continue_here(|| 7), 7);
+        let ran = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        executor.spawn(record(&ran));
+        executor.wait_idle();
+        assert_ne!(ran.lock()[0], std::thread::current().id(), "a later spawn ran inline");
+        // Nor when the closure unwinds.
+        let unwound = std::panic::catch_unwind(|| continue_here(|| panic!("before any spawn")));
+        assert!(unwound.is_err());
+        executor.spawn(record(&ran));
+        executor.wait_idle();
+        assert_ne!(ran.lock()[1], std::thread::current().id(), "a later spawn ran inline");
+    }
+
+    #[test]
+    fn a_spawn_inside_set_aside_is_submitted_not_inlined() {
+        let executor = Executor::pool(1, "tail-aside");
+        let ran = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let here = std::thread::current().id();
+        continue_here(|| {
+            {
+                // A helped task: the mark belongs to the frame beneath it.
+                let _fresh = set_aside();
+                executor.spawn(record(&ran));
+                executor.wait_idle();
+                assert_ne!(ran.lock()[0], here, "the helped task's spawn ran inline");
+            }
+            // Back in the marked frame, the mark is still there.
+            executor.spawn(record(&ran));
+            assert_eq!(ran.lock()[1], here);
+        });
+    }
+
+    #[test]
+    fn inside_a_scope_the_tail_job_runs_inline_and_the_others_are_deferred() {
+        let executor = Executor::pool(2, "tail-scope");
+        let ran = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let here = std::thread::current().id();
+        let scope = BatchScope::enter();
+        executor.spawn(record(&ran));
+        continue_here(|| executor.spawn(record(&ran)));
+        executor.spawn(record(&ran));
+        assert_eq!(*ran.lock(), [here], "only the tail job has run");
+        assert_eq!(executor.tracker().in_flight(), 0, "the other two are still deferred");
+        scope.flush();
+        executor.wait_idle();
+        assert_eq!(ran.lock().len(), 3);
     }
 
     #[test]

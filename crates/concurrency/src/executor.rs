@@ -9,7 +9,9 @@
 //! [`Executor::spawn`] cooperates with [`BatchScope`](crate::BatchScope):
 //! while a scope is active on the calling thread, spawns are buffered and
 //! later submitted through [`Executor::spawn_batch`], which registers and
-//! enqueues a whole pack of tasks at once.
+//! enqueues a whole pack of tasks at once; and with
+//! [`continue_here`](crate::continue_here), whose first spawn does not leave
+//! the thread.
 
 use std::sync::Arc;
 
@@ -40,7 +42,8 @@ impl Executor {
 
     /// Run `f` asynchronously under this policy. Inside an active
     /// [`BatchScope`](crate::BatchScope) on this thread, the job is buffered
-    /// and submitted at the scope's flush instead.
+    /// and submitted at the scope's flush instead; as the first spawn under
+    /// [`continue_here`](crate::continue_here), it runs here and now.
     pub fn spawn(&self, f: impl FnOnce() + Send + 'static) {
         if let Some(job) = crate::batch::defer(self, Box::new(f)) {
             self.spawn_boxed(job);

@@ -15,7 +15,8 @@
 //!   `new Thread()` in Figure 12) or a pooled executor backed by a
 //!   work-stealing scheduler (the thread-pool *optimisation* aspect of §4.4
 //!   simply swaps the executor); [`BatchScope`] defers spawns so a skeleton
-//!   submits each pack of tasks as one batch;
+//!   submits each pack of tasks as one batch, and [`continue_here`] runs a
+//!   pipeline's hop on the thread that finished the stage before it;
 //! * [`CompletionTracker`] — quiescence detection so clients can wait for all
 //!   outstanding asynchronous invocations;
 //! * [`aspects`] — the pluggable concurrency aspects:
@@ -38,7 +39,7 @@ pub use aspects::{
     concurrency_aspect, future_aspect, future_concurrency_aspect, oneway_aspect,
     synchronized_aspect, ErrorSink,
 };
-pub use batch::{on_scope_flush, scope_active, BatchScope};
+pub use batch::{continue_here, on_scope_flush, scope_active, BatchScope};
 pub use executor::Executor;
 pub use future::{
     future_ret, resolve_any, resolve_any_deadline, FutureAny, FutureOrNow, FutureValue,

@@ -30,7 +30,9 @@
 //!
 //! All protocols issue their internal calls through the weaver, so the
 //! concurrency and distribution aspects (plugged or not) apply to them
-//! exactly as the paper's Figure 11 depicts.
+//! exactly as the paper's Figure 11 depicts: every forwarded pipeline call is
+//! its own asynchronous invocation, continued on the thread that finished the
+//! previous stage.
 
 pub mod common;
 pub mod divide_conquer;

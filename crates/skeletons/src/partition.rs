@@ -30,8 +30,11 @@
 //!
 //! Block 3 runs *inside* a plugged asynchronous-invocation aspect (see
 //! `weavepar_weave::aspect::precedence`), so with concurrency plugged every
-//! hop returns a future and packs stream through the stages concurrently —
-//! the paper's Figure 11.
+//! hop is its own asynchronous invocation and returns a future, continued
+//! on the thread that finished the previous stage
+//! ([`continue_here`](weavepar_concurrency::continue_here)): packs stream
+//! through the stages concurrently, each on the thread its first stage ran
+//! on — the paper's Figure 11.
 //!
 //! Fault tolerance is not this module's concern: a pack lost with its node
 //! fails the call, typed, under every routing. Plug
@@ -41,7 +44,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use weavepar_concurrency::{resolve_any, BatchScope};
+use weavepar_concurrency::{continue_here, resolve_any, BatchScope};
 use weavepar_weave::aspect::precedence;
 use weavepar_weave::context::CurrentContext;
 use weavepar_weave::prelude::*;
@@ -297,8 +300,15 @@ impl<const ROUTING: u8> Partition<ROUTING> {
         let (weaver, p) = (inv.weaver(), &self.protocol);
         match weaver.intertype().get_field::<Option<ObjId>>(target, NEXT_FIELD) {
             // Forward this stage's output down the chain; the downstream
-            // return value (possibly a future) IS this pack's result.
-            Some(Some(next)) => weaver.invoke_call(next, p.class, p.method, (p.reforward)(out)?),
+            // return value (possibly a future) IS this pack's result. The hop
+            // is a join point like any other, so a plugged asynchronous
+            // invocation still detaches it, but its spawn continues on this
+            // thread: the stage is done, and a fresh thread per pack and stage
+            // would only hand the pack over.
+            Some(Some(next)) => {
+                let args = (p.reforward)(out)?;
+                continue_here(|| weaver.invoke_call(next, p.class, p.method, args))
+            }
             // Last stage (or an unmanaged object): its output is final.
             _ => Ok(out),
         }
@@ -335,6 +345,7 @@ pub(crate) mod fixture {
     use crate::common::SplitFn;
     use crate::supervisor::{supervisor_aspect, SupervisorStats};
     use std::sync::atomic::{AtomicU32, Ordering};
+    use weavepar_concurrency::{future_aspect, Executor};
     use weavepar_middleware::{InProcFabric, MarshalRegistry, RmiConfig};
     use weavepar_weave::{args, value::downcast_ret};
 
@@ -354,7 +365,8 @@ pub(crate) mod fixture {
             fn new(tag: u64) -> Self { Stage { tag, served: 0 } }
             fn apply(&mut self, items: Vec<u64>) -> Vec<u64> {
                 self.served += 1;
-                items.into_iter().map(|x| x * 10 + self.tag).collect()
+                // Wrapping: a deep pipeline shifts an item past `u64::MAX`.
+                items.into_iter().map(|x| x.wrapping_mul(10).wrapping_add(self.tag)).collect()
             }
             fn served(&mut self) -> u64 { self.served }
         }
@@ -448,6 +460,31 @@ pub(crate) mod fixture {
             }
             Ok(())
         })
+    }
+
+    /// The two executors a concurrent run is checked under: a thread per
+    /// call, and a pool `workers` wide.
+    pub(crate) fn executors(workers: usize) -> [Executor; 2] {
+        [Executor::thread_per_call(), Executor::pool(workers, "fixture")]
+    }
+
+    /// A pipeline of `stages` stages and `packs` packs, metered into
+    /// `registry`, whose pack calls — the forwards included — are
+    /// asynchronous invocations on `executor`. The client's own call stays
+    /// synchronous, so the typed proxy returns the combined result.
+    pub(crate) fn streaming(
+        stages: usize,
+        packs: usize,
+        executor: &Executor,
+        registry: &MetricsRegistry,
+    ) -> (Weaver, StageProxy) {
+        let weaver = Weaver::new();
+        let config = PipelineConfig::new(protocol(PIPELINE, stages, packs)).metrics(registry);
+        weaver.plug(config.aspect("Partition"));
+        let pack_calls = Pointcut::call("Stage.apply").and(Pointcut::within_core().not());
+        weaver.plug(future_aspect("Concurrency", pack_calls, executor.clone()));
+        let stage = StageProxy::construct(&weaver, TAG).unwrap();
+        (weaver, stage)
     }
 
     /// Run `f` on a thread of its own and fail, instead of hanging, when it
@@ -624,6 +661,119 @@ mod tests {
             assert_eq!(outcome.unwrap(), expected(routing, 2, &input), "routing {routing}");
             let stats = stats.unwrap();
             assert!(stats.tasks_redispatched() >= 1, "routing {routing}: nothing re-dispatched");
+        }
+    }
+
+    /// With concurrency plugged, a hop is an asynchronous invocation
+    /// continued on the thread that finished the stage before it: under
+    /// either executor the stages of one pack run on one OS thread, and the
+    /// run uses as many threads as there are packs.
+    #[test]
+    fn a_streaming_pack_crosses_every_stage_on_one_thread() {
+        const STAGES: usize = 3;
+        const PACKS: usize = 4;
+        for executor in executors(PACKS) {
+            let registry = MetricsRegistry::new();
+            let (weaver, stage) = streaming(STAGES, PACKS, &executor, &registry);
+            // Every pack inside stage one at once: no thread serves two.
+            weaver.plug(rendezvous(PACKS, PACKS as u32));
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let log = seen.clone();
+            weaver.plug(on_pack_calls(move |inv| {
+                let first = inv.args()?.get::<Vec<u64>>(0)?[0];
+                log.lock().push((std::thread::current().id(), first));
+                Ok(())
+            }));
+            let input: Vec<u64> = (0..20).collect();
+            let expect = expected(PIPELINE, STAGES, &input);
+            assert_eq!(watchdog(move || stage.apply(input)).unwrap(), expect);
+            executor.wait_idle();
+
+            let mut journeys = std::collections::HashMap::<_, Vec<u64>>::new();
+            for &(thread, first) in seen.lock().iter() {
+                journeys.entry(thread).or_default().push(first);
+            }
+            assert_eq!(journeys.len(), PACKS, "{executor:?}: {journeys:?}");
+            for firsts in journeys.values() {
+                // One pack's first item as stages 1, 2, 3 received it.
+                let journey: Vec<u64> = (1..STAGES as u64).fold(vec![firsts[0]], |mut j, tag| {
+                    j.push(j[j.len() - 1] * 10 + tag);
+                    j
+                });
+                assert_eq!(*firsts, journey, "{executor:?}: {journeys:?}");
+            }
+            let occupancy = registry.snapshot().gauge("Partition.stage_occupancy");
+            assert_eq!(occupancy, Some(0), "{executor:?}");
+        }
+    }
+
+    /// A stage that errors or panics on the thread its pack continued on
+    /// fails that pack, typed: the hop's own future takes the failure, the
+    /// stage before it returns on the same thread, and the other packs go on.
+    #[test]
+    fn a_failing_streaming_stage_fails_its_own_pack_and_its_thread_lives_on() {
+        for panics in [false, true] {
+            for executor in executors(2) {
+                let registry = MetricsRegistry::new();
+                let (weaver, stage) = streaming(3, 4, &executor, &registry);
+                let second = weaver.space().ids_of_class("Stage")[1];
+                let failed_on = Arc::new(Mutex::new(None));
+                let at = failed_on.clone();
+                weaver.plug(on_pack_calls(move |inv| {
+                    // Item 5 of pack 2 reaches stage two as 51.
+                    let poisoned = inv.args()?.get::<Vec<u64>>(0)?.contains(&51);
+                    if inv.target() == Some(second) && poisoned {
+                        *at.lock() = Some(std::thread::current().id());
+                        if panics {
+                            panic!("stage two panicked");
+                        }
+                        return Err(WeaveError::app("stage two failed"));
+                    }
+                    Ok(())
+                }));
+                // Which threads came back from a pack call, woven outside
+                // the forwarding.
+                let returned = Arc::new(Mutex::new(Vec::new()));
+                let log = returned.clone();
+                weaver.plug(
+                    Aspect::named("Returns")
+                        .precedence(precedence::ASYNC_INVOCATION + 1)
+                        .around(
+                            Pointcut::call("Stage.apply").and(Pointcut::within_core().not()),
+                            move |inv: &mut Invocation| {
+                                let out = inv.proceed();
+                                log.lock().push(std::thread::current().id());
+                                out
+                            },
+                        )
+                        .build(),
+                );
+                let err = watchdog(move || stage.apply((0..20).collect())).unwrap_err();
+                let expect =
+                    if panics { "asynchronous invocation panicked" } else { "stage two failed" };
+                assert!(matches!(&err, WeaveError::App(m) if m == expect), "{executor:?}: {err:?}");
+                executor.wait_idle();
+                // Stage one served all four packs, the later stages the three
+                // that were not poisoned.
+                assert_eq!(served(&weaver), [4, 3, 3], "{executor:?}");
+                let thread = failed_on.lock().expect("stage two saw the poisoned pack");
+                assert!(returned.lock().contains(&thread), "{executor:?}: its thread died");
+                let occupancy = registry.snapshot().gauge("Partition.stage_occupancy");
+                assert_eq!(occupancy, Some(0), "{executor:?}");
+            }
+        }
+    }
+
+    /// A pack's hops nest on its thread's stack, each inside the one before:
+    /// 64 stages still complete under both executors.
+    #[test]
+    fn a_64_stage_streaming_pipeline_completes_under_both_executors() {
+        for executor in executors(2) {
+            let (_weaver, stage) = streaming(64, 4, &executor, &MetricsRegistry::new());
+            let input: Vec<u64> = (0..16).collect();
+            let expect = expected(PIPELINE, 64, &input);
+            assert_eq!(watchdog(move || stage.apply(input)).unwrap(), expect, "{executor:?}");
+            executor.wait_idle();
         }
     }
 

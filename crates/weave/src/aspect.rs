@@ -46,11 +46,12 @@ impl std::fmt::Display for AspectId {
 ///
 /// The asynchronous-invocation advice must be *outside* partition forwarding:
 /// in the paper's Figure 11 every filter call — including the ones the
-/// Partition aspect forwards down the pipeline — runs in its own thread, and
-/// the forward of a pack happens only after the previous filter finished it.
-/// Synchronisation and distribution run inside the spawned thread (Figure 12:
-/// the monitor is held by the worker; Figure 14: each worker performs its own
-/// remote call).
+/// Partition aspect forwards down the pipeline — is its own asynchronous
+/// invocation, and the forward of a pack happens only after the previous
+/// filter finished it; a forwarded call continues on the thread that finished
+/// the previous stage. Synchronisation and distribution run inside the
+/// asynchronous invocation (Figure 12: the monitor is held by the worker;
+/// Figure 14: each worker performs its own remote call).
 pub mod precedence {
     /// Asynchronous method invocation (thread spawn / future).
     pub const ASYNC_INVOCATION: i32 = 50;
