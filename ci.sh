@@ -18,7 +18,10 @@ cargo fmt --check
 # knobs); nor the partition's own re-offer of lost packs, the pack hint that
 # existed for it and the simulator's dormant packing model: the supervisor is
 # the one recovery path, and a tuner reaches a skeleton through a cell its
-# closure captures.
+# closure captures. Nor what PR 30 took off the join point: the control-flow
+# stack nothing read (provenance is the one notion of where a call comes from)
+# and the futures' deadline joins (`take` is the one join; a remote call's
+# deadline is its `CallPolicy`).
 echo "==> no retired fork under crates tests examples"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
@@ -27,6 +30,7 @@ retired="$retired|Pack::from_vec\\(merge"
 retired="$retired|batch_grain|set_fusion|fusion_or|set_cutoff|cutoff_or|from_tuned|last_epoch|EpochStats"
 retired="$retired|is_running|hysteresis"
 retired="$retired|set_packs|packs_or|replace_hint|HintGuard|PackingModel|with_packing|Partition\\.redispatched"
+retired="$retired|push_cflow|in_cflow_of|cflow_snapshot|CflowGuard|take_timeout|try_take|resolve_any_deadline"
 if grep -rnE "$retired" crates tests examples; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1

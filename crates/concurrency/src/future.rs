@@ -14,10 +14,13 @@
 //!   [`future_aspect`](crate::aspects::future_aspect) threads through join
 //!   points; [`future_ret`] recovers a typed view on the client side whether
 //!   or not the concurrency aspect is currently plugged.
+//!
+//! Both have one join, `take`: on a worker of a work-stealing pool it helps
+//! (see [`pool`](crate::pool), "Joins"), everywhere else it blocks. A remote
+//! call's deadline lives in its `CallPolicy` and the reply slot, not here.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -31,20 +34,6 @@ enum State<T> {
     Pending(Option<Arc<StealCore>>),
     Ready(T),
     Taken,
-}
-
-impl<T> State<T> {
-    /// Move the value out if the future is settled; `None` while pending.
-    fn take_settled(&mut self) -> Option<WeaveResult<T>> {
-        match std::mem::replace(self, State::Taken) {
-            State::Ready(v) => Some(Ok(v)),
-            State::Taken => Some(Err(WeaveError::app("future already taken"))),
-            pending @ State::Pending(_) => {
-                *self = pending;
-                None
-            }
-        }
-    }
 }
 
 struct Shared<T> {
@@ -114,8 +103,10 @@ impl<T> FutureValue<T> {
     pub fn take(&self) -> WeaveResult<T> {
         let mut state = self.shared.state.lock();
         loop {
-            if let Some(settled) = state.take_settled() {
-                return settled;
+            match std::mem::replace(&mut *state, State::Taken) {
+                State::Ready(v) => return Ok(v),
+                State::Taken => return Err(WeaveError::app("future already taken")),
+                pending @ State::Pending(_) => *state = pending,
             }
             match Joiner::current() {
                 Some(joiner) if Self::enlist(&mut state, &joiner) => {
@@ -143,28 +134,6 @@ impl<T> FutureValue<T> {
 
     fn is_pending(&self) -> bool {
         matches!(*self.shared.state.lock(), State::Pending(_))
-    }
-
-    /// Like [`FutureValue::take`] but gives up after `timeout` with a typed
-    /// [`WeaveError::Timeout`] (retryable under a call policy). Always a
-    /// plain wait, also on a pool worker: a helped task could overrun the
-    /// deadline.
-    pub fn take_timeout(&self, timeout: Duration) -> WeaveResult<T> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock();
-        loop {
-            if let Some(settled) = state.take_settled() {
-                return settled;
-            }
-            if self.shared.cv.wait_until(&mut state, deadline).timed_out() {
-                return Err(WeaveError::Timeout { waited_ms: timeout.as_millis() as u64 });
-            }
-        }
-    }
-
-    /// Non-blocking take: `None` while pending.
-    pub fn try_take(&self) -> WeaveResult<Option<T>> {
-        self.shared.state.lock().take_settled().transpose()
     }
 }
 
@@ -228,36 +197,6 @@ impl FutureAny {
     /// wait helps instead of blocking — see [`FutureValue::take`].
     pub fn take(&self) -> WeaveResult<AnyValue> {
         self.inner.take()?
-    }
-
-    /// Blocking take with timeout (never helps — see
-    /// [`FutureValue::take_timeout`]).
-    pub fn take_timeout(&self, timeout: Duration) -> WeaveResult<AnyValue> {
-        self.inner.take_timeout(timeout)?
-    }
-}
-
-/// Deadline-aware [`resolve_any`]: unwraps chained futures, but gives up
-/// with a typed [`WeaveError::Timeout`] once `deadline` has elapsed in
-/// total across the chain. `None` waits forever (plain `resolve_any`).
-/// With a deadline the wait never helps on a pool worker: a helped task
-/// could overrun it.
-pub fn resolve_any_deadline(
-    mut ret: AnyValue,
-    deadline: Option<Duration>,
-) -> WeaveResult<AnyValue> {
-    let Some(total) = deadline else { return resolve_any(ret) };
-    let start = Instant::now();
-    loop {
-        match ret.downcast::<FutureAny>() {
-            Ok(f) => {
-                let left = total
-                    .checked_sub(start.elapsed())
-                    .ok_or(WeaveError::Timeout { waited_ms: total.as_millis() as u64 })?;
-                ret = f.take_timeout(left)?;
-            }
-            Err(value) => return Ok(value),
-        }
     }
 }
 
@@ -330,6 +269,7 @@ pub fn future_ret<T: Send + 'static>(ret: AnyValue) -> WeaveResult<FutureOrNow<T
 mod tests {
     use super::*;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn fulfil_then_take() {
@@ -357,45 +297,6 @@ mod tests {
         thread::sleep(Duration::from_millis(30));
         f.fulfill("done".to_string());
         assert_eq!(t.join().unwrap(), "done");
-    }
-
-    #[test]
-    fn try_take_is_nonblocking() {
-        let f = FutureValue::<u8>::new();
-        assert_eq!(f.try_take().unwrap(), None);
-        f.fulfill(9);
-        assert_eq!(f.try_take().unwrap(), Some(9));
-        assert!(f.try_take().is_err());
-    }
-
-    #[test]
-    fn take_timeout_expires() {
-        let f = FutureValue::<u8>::new();
-        let err = f.take_timeout(Duration::from_millis(20)).unwrap_err();
-        assert!(matches!(err, WeaveError::Timeout { .. }), "typed timeout: {err:?}");
-        assert!(err.is_retryable());
-        f.fulfill(1);
-        assert_eq!(f.take_timeout(Duration::from_millis(20)).unwrap(), 1);
-    }
-
-    #[test]
-    fn resolve_any_deadline_times_out_and_resolves() {
-        // Pending future: the deadline expires with a typed Timeout.
-        let f = FutureAny::new();
-        let ret: AnyValue = AnyValue::new(f.clone());
-        let err = resolve_any_deadline(ret, Some(Duration::from_millis(15))).unwrap_err();
-        assert!(matches!(err, WeaveError::Timeout { .. }));
-        // Fulfilled chain: resolves like resolve_any, deadline untouched.
-        let inner = FutureAny::new();
-        inner.fulfill(Ok(AnyValue::new(9u32)));
-        let outer = FutureAny::new();
-        outer.fulfill(Ok(AnyValue::new(inner)));
-        let ret: AnyValue = AnyValue::new(outer);
-        let v = resolve_any_deadline(ret, Some(Duration::from_secs(5))).unwrap();
-        assert_eq!(*v.downcast::<u32>().unwrap(), 9);
-        // None deadline degrades to plain resolve_any.
-        let plain: AnyValue = AnyValue::new(3u32);
-        assert_eq!(*resolve_any_deadline(plain, None).unwrap().downcast::<u32>().unwrap(), 3);
     }
 
     #[test]

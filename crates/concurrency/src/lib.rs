@@ -41,8 +41,6 @@ pub use aspects::{
 };
 pub use batch::{continue_here, on_scope_flush, scope_active, BatchScope};
 pub use executor::Executor;
-pub use future::{
-    future_ret, resolve_any, resolve_any_deadline, FutureAny, FutureOrNow, FutureValue,
-};
+pub use future::{future_ret, resolve_any, FutureAny, FutureOrNow, FutureValue};
 pub use pool::ThreadPool;
 pub use tracker::CompletionTracker;

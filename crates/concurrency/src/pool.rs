@@ -33,14 +33,13 @@
 //! join), then the injector, then a steal — and sleeps only when nothing is
 //! runnable, on the same condition variable as an idle worker, woken by the
 //! future's fulfilment or by new work. That is what lets a nested fork/join
-//! deeper than the pool is wide complete on it. Three rules:
+//! deeper than the pool is wide complete on it. Two rules:
 //!
 //! * a helped task starts from a clean thread-local weaving context, as on a
 //!   fresh worker; the waiting frame's context is set aside and put back;
 //! * a thread that holds an object monitor does not help (monitors are
 //!   re-entrant: the helped task could enter the critical section) — it
-//!   blocks;
-//! * joins with a deadline do not help (a helped task could overrun it).
+//!   blocks.
 //!
 //! Helping is deadlock-free for joins on a task's own descendants (fork/join)
 //! and on independent work; a task that joins a future owed by a frame

@@ -8,14 +8,15 @@
 //! runtime replaces around base-method execution and around advice execution.
 //!
 //! That frame is one field of `Context`, the single value holding everything
-//! the runtime knows per thread about the join point in flight. Running
+//! the runtime knows per thread about the join point in flight. Every field
+//! is a `Copy` value in a `Cell`, so the value has no destructor: running
 //! unrelated work on a thread ([`set_aside`]) and carrying a join point to
-//! another thread ([`CurrentContext`]) both swap the whole value.
+//! another thread ([`CurrentContext`]) both copy and swap the whole value,
+//! and neither allocates.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 use crate::aspect::AspectId;
-use crate::signature::{MethodPattern, Signature};
 use crate::trace::TaskId;
 
 /// Who issued the call currently being woven.
@@ -29,19 +30,15 @@ pub enum Provenance {
 }
 
 /// What a thread knows about the join point it is executing. Every field is
-/// its own cell and no borrow outlives the accessor that took it, so advice
-/// may re-enter freely. A new field is carried by [`Context::swap`] or the
-/// crate does not compile, and [`CurrentContext::capture`] takes every
-/// field across threads.
-#[derive(Debug, Clone, Default)]
+/// a `Cell` of a `Copy` value, so advice may re-enter freely and no access
+/// borrows. A new field is carried by [`Context::swap`] or the crate does not
+/// compile, and [`CurrentContext::capture`] takes every field across threads.
+#[derive(Debug, Clone)]
 pub(crate) struct Context {
     /// The innermost provenance frame and how many frames are open. The
     /// frames beneath it live in their guards: each holds the value it
     /// replaced.
     pub(crate) frame: Cell<(Provenance, usize)>,
-    /// The join points currently executing on this thread, outermost first —
-    /// the dynamic extent AspectJ's `cflow` quantifies over.
-    pub(crate) cflow: RefCell<Vec<Signature>>,
     /// The recorded task whose base method body is executing, if any; an
     /// outer one lives in the [`TaskGuard`](crate::trace::TaskGuard) that
     /// masked it.
@@ -53,17 +50,30 @@ pub(crate) struct Context {
 }
 
 impl Context {
+    /// A fresh thread's context: `Core` with no frame open, no task, no marker.
+    const fn new() -> Self {
+        Context {
+            frame: Cell::new((Provenance::Core, 0)),
+            task: Cell::new(None),
+            data_dep: Cell::new(None),
+        }
+    }
+
     fn swap(&self, other: &Context) {
-        let Context { frame, cflow, task, data_dep } = self;
+        let Context { frame, task, data_dep } = self;
         frame.swap(&other.frame);
-        cflow.swap(&other.cflow);
         task.swap(&other.task);
         data_dep.swap(&other.data_dep);
     }
 }
 
+// Every access to a `const`-initialised thread-local without a destructor
+// skips the lazy-registration check, and the context is read on every join
+// point. A new field keeps it that way by being `Copy`, as the three are.
+const _: () = assert!(!std::mem::needs_drop::<Context>());
+
 thread_local! {
-    static CONTEXT: Context = Context::default();
+    static CONTEXT: Context = const { Context::new() };
 }
 
 /// This thread's context (runtime use; `f` must not run advice).
@@ -76,51 +86,20 @@ pub(crate) fn with<R>(f: impl FnOnce(&Context) -> R) -> R {
 /// A pool worker that *helps* while it waits on a join (see
 /// `weavepar_concurrency::pool`) runs an unrelated task on top of the waiting
 /// frame. That task must see what it would see on a fresh worker — empty
-/// provenance frame and control-flow stack, no current trace task — and the
-/// waiting frame must find its own context intact afterwards.
+/// provenance frame, no current trace task — and the waiting frame must find
+/// its own context intact afterwards.
 pub struct SetAside(Context);
 
 /// Lift the current thread's weaving context off the thread; dropping the
 /// returned value puts it back (discarding whatever was left in between).
 pub fn set_aside() -> SetAside {
-    CurrentContext(Context::default()).install()
+    CurrentContext(Context::new()).install()
 }
 
 impl Drop for SetAside {
     fn drop(&mut self) {
         with(|c| c.swap(&self.0));
     }
-}
-
-/// RAII guard for one frame of the control-flow stack.
-pub struct CflowGuard(());
-
-impl Drop for CflowGuard {
-    fn drop(&mut self) {
-        with(|c| c.cflow.borrow_mut().pop());
-    }
-}
-
-/// Push a join point onto the control-flow stack (runtime use).
-pub fn push_cflow(sig: Signature) -> CflowGuard {
-    with(|c| c.cflow.borrow_mut().push(sig));
-    CflowGuard(())
-}
-
-/// Is the current thread executing within the dynamic extent of a join point
-/// matching `pattern` — AspectJ's `cflow(call(pattern))`?
-///
-/// Pointcut *matching* is cached per static signature, so `cflow` cannot be a
-/// static designator here; use it as the guard of
-/// [`AspectBuilder::around_if`](crate::aspect::AspectBuilder::around_if),
-/// which is evaluated per join point.
-pub fn in_cflow_of(pattern: &MethodPattern) -> bool {
-    with(|c| c.cflow.borrow().iter().any(|sig| pattern.matches(sig)))
-}
-
-/// Snapshot of the control-flow stack (tests and diagnostics).
-pub fn cflow_snapshot() -> Vec<Signature> {
-    with(|c| c.cflow.borrow().clone())
 }
 
 /// The provenance of the code currently executing on this thread.
@@ -168,19 +147,16 @@ pub fn push(p: Provenance) -> ProvenanceGuard {
 }
 
 /// A thread's weaving context as a value: what
-/// [`Detached`](crate::invocation::Detached) takes along so that provenance,
-/// `cflow` guards and the trace's causal parent survive the thread hop.
+/// [`Detached`](crate::invocation::Detached) takes along so that provenance
+/// and the trace's causal parent survive the thread hop. A copy: capturing
+/// and installing it allocate nothing.
 #[derive(Debug, Clone)]
 pub struct CurrentContext(Context);
 
 impl CurrentContext {
     /// Capture the current thread's weaving context, all of it.
     pub fn capture() -> Self {
-        let captured = with(Context::clone);
-        // Room for the frames the installing thread pushes: growing a buffer
-        // that another thread allocated costs a detached call about 1 µs.
-        captured.cflow.borrow_mut().reserve(4);
-        CurrentContext(captured)
+        CurrentContext(with(Context::clone))
     }
 
     /// Make the captured context the current thread's until the guard drops;
@@ -228,21 +204,17 @@ mod tests {
 
     #[test]
     fn set_aside_hides_and_restores_the_whole_context() {
-        let sig = Signature::new("C", "m");
         let _p = push(Provenance::Aspect(AspectId::from_raw(4)));
-        let _c = push_cflow(sig);
-        let _t = crate::trace::push_task(Some(crate::trace::TaskId::from_raw(7)));
+        let _t = crate::trace::push_task(Some(TaskId::from_raw(7)));
         {
             let _clean = set_aside();
             assert_eq!((current(), depth()), (Provenance::Core, 0));
-            assert!(cflow_snapshot().is_empty());
             assert_eq!(crate::trace::current_task(), None);
             // Whatever the helped task leaves behind is discarded.
-            std::mem::forget(push_cflow(Signature::new("Other", "leak")));
+            std::mem::forget(crate::trace::push_task(Some(TaskId::from_raw(8))));
         }
         assert_eq!(current(), Provenance::Aspect(AspectId::from_raw(4)));
-        assert_eq!(cflow_snapshot(), vec![sig]);
-        assert_eq!(crate::trace::current_task(), Some(crate::trace::TaskId::from_raw(7)));
+        assert_eq!(crate::trace::current_task(), Some(TaskId::from_raw(7)));
     }
 
     #[test]
@@ -286,24 +258,23 @@ mod tests {
     /// The context, field by field. Exhaustive on purpose: whoever adds a
     /// field has to say below what `set_aside` and `capture` do with it.
     #[allow(clippy::type_complexity)]
-    fn fields() -> ((Provenance, usize), Vec<Signature>, Option<TaskId>, Option<(u64, TaskId)>) {
-        let Context { frame, cflow, task, data_dep } = with(Context::clone);
-        (frame.get(), cflow.into_inner(), task.get(), data_dep.get())
+    fn fields() -> ((Provenance, usize), Option<TaskId>, Option<(u64, TaskId)>) {
+        let Context { frame, task, data_dep } = with(Context::clone);
+        (frame.get(), task.get(), data_dep.get())
     }
 
     #[test]
     fn every_field_is_set_aside_and_crosses_threads() {
-        let (sig, task) = (Signature::new("C", "m"), TaskId::from_raw(9));
+        let task = TaskId::from_raw(9);
         let frame = (Provenance::Aspect(AspectId::from_raw(5)), 1);
         let _p = push(frame.0);
-        let _c = push_cflow(sig);
         let _t = crate::trace::push_task(Some(task));
         crate::trace::note_completion(3, task);
-        let mine = (frame, vec![sig], Some(task), Some((3, task)));
+        let mine = (frame, Some(task), Some((3, task)));
         assert_eq!(fields(), mine);
         {
             let _clean = set_aside();
-            assert_eq!(fields(), ((Provenance::Core, 0), vec![], None, None));
+            assert_eq!(fields(), ((Provenance::Core, 0), None, None));
         }
         assert_eq!(fields(), mine);
 

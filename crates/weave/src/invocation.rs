@@ -284,7 +284,6 @@ impl Detached {
     /// Execute the remainder of the chain on the current thread.
     pub fn run(self) -> WeaveResult<AnyValue> {
         let _guards = self.ctx.install();
-        let _cflow = context::push_cflow(self.signature);
         let mut inv = Invocation {
             weaver: &self.weaver,
             signature: self.signature,

@@ -339,9 +339,8 @@ impl Weaver {
         }
         let signature = Signature::new(class, method);
         let provenance = context::current();
-        let chain = self.inner.snapshot.matched(signature, JoinPointKind::Call, provenance);
-        let _cflow = context::push_cflow(signature);
-        let Some(chain) = chain else {
+        let Some(chain) = self.inner.snapshot.matched(signature, JoinPointKind::Call, provenance)
+        else {
             return self.base_call(signature, target, args, false, trace::thread_tag());
         };
         Invocation::new(
@@ -379,7 +378,6 @@ impl Weaver {
         let Some((_, chain)) = bound.chains.iter().find(|(known, _)| *known == signature) else {
             return Err(args);
         };
-        let _cflow = context::push_cflow(signature);
         let Some(chain) = chain else {
             return Ok(self.base_call(signature, target, args, false, trace::thread_tag()));
         };
@@ -1059,90 +1057,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn cflow_guard_distinguishes_call_paths() {
-        // AspectJ's cflow: advice on Acc.add that applies only when the add
-        // happens within the dynamic extent of an Acc.total call — here,
-        // never, because core code calls them separately.
-        use crate::context::in_cflow_of;
-        use crate::signature::MethodPattern;
-
-        let weaver = Weaver::new();
-        let inside = Arc::new(AtomicU64::new(0));
-        let outside = Arc::new(AtomicU64::new(0));
-        let (i2, o2) = (inside.clone(), outside.clone());
-        let pattern = MethodPattern::parse("Acc.total");
-        let counting = Aspect::named("CflowProbe")
-            .before(Pointcut::call("Acc.add"), move |_| {
-                if in_cflow_of(&pattern) {
-                    i2.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    o2.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(())
-            })
-            .build();
-        weaver.plug(counting);
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-        h.call("add", args![1i64]).unwrap();
-        assert_eq!(outside.load(Ordering::Relaxed), 1);
-        assert_eq!(inside.load(Ordering::Relaxed), 0);
-
-        // Now issue an add from WITHIN advice running inside a total call.
-        let nested = Aspect::named("NestedAdder")
-            .before(Pointcut::call("Acc.total"), {
-                let weaver2 = weaver.clone();
-                let h2 = h.id();
-                move |_| {
-                    weaver2.invoke_call(h2, "Acc", "add", args![1i64])?;
-                    Ok(())
-                }
-            })
-            .build();
-        weaver.plug(nested);
-        h.call("total", args![]).unwrap();
-        assert_eq!(inside.load(Ordering::Relaxed), 1, "add within cflow of total");
-        assert_eq!(outside.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn cflow_survives_async_boundaries() {
-        use crate::context::in_cflow_of;
-        use crate::signature::MethodPattern;
-
-        let weaver = Weaver::new();
-        let seen = Arc::new(AtomicU64::new(0));
-        let seen2 = seen.clone();
-        let pattern = MethodPattern::parse("Acc.add");
-        // Async aspect: detach and run on another thread; the cflow of the
-        // original call must still be visible there.
-        let asynchronous = Aspect::named("Async")
-            .around(Pointcut::call("Acc.add"), move |inv: &mut Invocation| {
-                let detached = inv.detach()?;
-                let seen3 = seen2.clone();
-                let pattern = pattern.clone();
-                std::thread::spawn(move || {
-                    if in_cflow_of(&pattern) {
-                        seen3.fetch_add(1, Ordering::Relaxed);
-                    }
-                    detached.run().unwrap();
-                })
-                .join()
-                .unwrap();
-                Ok(ret!())
-            })
-            .build();
-        weaver.plug(asynchronous);
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-        h.call("add", args![1i64]).unwrap();
-        // The spawned closure itself ran before detached.run() pushed the
-        // frame, so the signature is only in cflow via the captured context
-        // INSIDE run(); assert through the weaving instead: detached.run
-        // executed the base (total = 1).
-        assert_eq!(total(&weaver, &h), 1);
-        let _ = seen; // the direct check above documents the boundary
-    }
-
-    #[test]
     fn advice_fire_counts_expose_weaving_structure() {
         let weaver = Weaver::new();
         let logging =
@@ -1414,23 +1328,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn bound_view_keeps_the_cflow_and_recorder_rules() {
-        use crate::context::{cflow_snapshot, in_cflow_of};
-        use crate::signature::MethodPattern;
-
+    fn bound_view_keeps_the_recorder_rule() {
         let weaver = Weaver::new();
-        let inside = Arc::new(AtomicU64::new(0));
-        let inside2 = inside.clone();
-        let pattern = MethodPattern::parse("Acc.add");
-        // Advice on `total`, reached from inside an `add` join point only
-        // through the nested call below.
-        let probe = Aspect::named("CflowProbe")
-            .before(Pointcut::call("Acc.total"), move |_| {
-                inside2.fetch_add(u64::from(in_cflow_of(&pattern)), Ordering::Relaxed);
-                Ok(())
-            })
-            .build();
-        weaver.plug(probe);
         let nested = Aspect::named("Nested")
             .before(Pointcut::call("Acc.add"), |inv: &mut Invocation| {
                 let target = inv.target_required()?;
@@ -1441,8 +1340,6 @@ pub(crate) mod tests {
         let h = weaver.construct::<Acc>(args![0i64]).unwrap();
         let view = weaver.bind(&[h.id()]);
         assert!(served_bound(&view, h.id(), ADD, 1));
-        assert_eq!(inside.load(Ordering::Relaxed), 1, "`add` was on the cflow stack");
-        assert!(cflow_snapshot().is_empty(), "and came off it");
 
         // A recorder installed after the bind sees the very next base event.
         let rec = Recorder::measuring();

@@ -190,6 +190,32 @@ fn an_idle_metrics_aspect_costs_an_unwatched_call_nothing() {
     assert_eq!(burst(), idle, "installing the aspect must not change an unwatched call");
 }
 
+#[test]
+fn a_detached_chain_carries_its_context_without_allocating() {
+    // What an asynchronous call takes across threads: the rest of the chain
+    // and the caller's weaving context. Run here on the calling thread, so
+    // the counter sees every allocation the detach and the run make.
+    let weaver = Weaver::new();
+    weaver.plug(
+        Aspect::named("Detach")
+            .around(Pointcut::call("Alu.poke"), |inv: &mut Invocation| inv.detach()?.run())
+            .build(),
+    );
+    let proxy = AluProxy::construct(&weaver).unwrap();
+    for i in 0..16 {
+        proxy.poke(i).unwrap();
+    }
+    let (allocs, sum) = count_allocs(|| {
+        let mut sum = 0u64;
+        for i in 0..1_000u64 {
+            sum = sum.wrapping_add(proxy.poke(i).unwrap());
+        }
+        sum
+    });
+    assert_eq!(sum, (1..=1_000u64).sum::<u64>(), "calls really ran");
+    assert_eq!(allocs, 0, "a detached chain and its context must not allocate");
+}
+
 /// An `Alu` behind the RMI proxy on a one-node fabric, its replied calls
 /// under `policy`, and a registry reading the fabric's counters.
 fn remote_alu(policy: CallPolicy) -> (AluProxy, MetricsRegistry) {

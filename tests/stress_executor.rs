@@ -181,10 +181,9 @@ mod fork_join {
     };
     use weavepar::prelude::*;
     use weavepar::weave::aspect::precedence;
-    use weavepar::weave::context::in_cflow_of;
     use weavepar::weave::trace::{current_task, push_task};
     use weavepar::weave::value::downcast_ret;
-    use weavepar::weave::{MethodPattern, Recorder, TaskId};
+    use weavepar::weave::{Recorder, TaskId};
     use weavepar::{args, ret};
     use weavepar_apps::sort::sort_divide_conquer;
 
@@ -316,9 +315,9 @@ mod fork_join {
 
     /// A 1-worker pool whose worker sits in a join it can only leave by
     /// helping: `Probe.outer` is woven with an advice that waits on `gate`
-    /// (inside the join point's control flow, with a trace task and a batch
-    /// scope of its own), and the test fulfils `gate` only
-    /// after the calls it queued behind it have completed.
+    /// (with aspect provenance, a trace task and a batch scope of its own),
+    /// and the test fulfils `gate` only after the calls it queued behind it
+    /// have completed.
     struct Gated {
         executor: Executor,
         registry: MetricsRegistry,
@@ -377,22 +376,19 @@ mod fork_join {
     fn a_helped_task_sees_its_own_context_not_the_waiting_frames() {
         watchdog("context isolation", || {
             let g = gated();
-            // cflow(Probe.outer)-guarded advice on ping: must not fire for a
-            // ping issued outside that control flow, wherever it runs.
+            // An advice on ping, which the test issues with no trace task:
+            // it must not see the waiting frame's, wherever it runs.
             let leaked = Arc::new(AtomicBool::new(false));
             let leaked2 = leaked.clone();
-            let within_outer = MethodPattern::parse("Probe.outer");
             g.weaver.plug(
                 Aspect::named("Spy")
                     .precedence(precedence::PARTITION)
-                    .around_if(
-                        Pointcut::call("Probe.ping"),
-                        move |_inv: &Invocation| Ok(in_cflow_of(&within_outer)),
-                        move |inv: &mut Invocation| {
+                    .around(Pointcut::call("Probe.ping"), move |inv: &mut Invocation| {
+                        if current_task().is_some() {
                             leaked2.store(true, Ordering::SeqCst);
-                            inv.proceed()
-                        },
-                    )
+                        }
+                        inv.proceed()
+                    })
                     .build(),
             );
             let recorder = Recorder::measuring();
@@ -419,7 +415,7 @@ mod fork_join {
 
             g.weaver.set_recorder(None);
             let (_executor, registry) = g.release();
-            assert!(!leaked.load(Ordering::SeqCst), "helped ping saw the waiting frame's cflow");
+            assert!(!leaked.load(Ordering::SeqCst), "helped ping saw the waiting frame's task");
             let trace = recorder.finish();
             let ping = trace.tasks.iter().find(|t| t.signature.method == "ping").unwrap();
             assert_eq!(ping.parent, None, "parent edge comes from ping's own captured context");

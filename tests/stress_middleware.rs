@@ -163,9 +163,10 @@ mod served_inline {
     use weavepar::concurrency::{scope_active, BatchScope};
     use weavepar::distribution::{Bytes, MethodId, RemoteRef};
     use weavepar::prelude::*;
-    use weavepar::weave::context::{self, in_cflow_of};
+    use weavepar::weave::context;
     use weavepar::weave::object::monitors_held;
-    use weavepar::weave::MethodPattern;
+    use weavepar::weave::trace::{current_task, push_task};
+    use weavepar::weave::TaskId;
     use weavepar::{args, weaveable};
 
     /// Run `f` on its own thread and fail, instead of hanging the suite, if
@@ -404,9 +405,11 @@ mod served_inline {
     #[derive(Debug, PartialEq)]
     struct Seen {
         provenance_depth: usize,
-        cflow: Vec<String>,
+        task: Option<TaskId>,
         in_scope: bool,
     }
+
+    const CALLER_TASK: u64 = 4343;
 
     #[test]
     fn a_woven_node_sees_none_of_the_callers_context() {
@@ -415,30 +418,16 @@ mod served_inline {
             let ledger = ledger_on(&f, &registry, 0);
             let node = f.node(0).unwrap();
             node.set_woven(true);
-            // On the node: a cflow(Front.outer)-guarded advice that must not
-            // fire, and one that reports what the serving thread carries.
-            let leaked = Arc::new(AtomicBool::new(false));
-            let leaked2 = leaked.clone();
-            let within_outer = MethodPattern::parse("Front.outer");
+            // On the node: an advice that reports what the serving thread
+            // carries.
             let (seen_tx, seen_rx) = channel();
             let seen_tx = Mutex::new(seen_tx);
             node.weaver().plug(
                 Aspect::named("Spy")
-                    .around_if(
-                        Pointcut::call("Ledger.add"),
-                        move |_inv: &Invocation| Ok(in_cflow_of(&within_outer)),
-                        move |inv: &mut Invocation| {
-                            leaked2.store(true, Ordering::SeqCst);
-                            inv.proceed()
-                        },
-                    )
                     .around(Pointcut::call("Ledger.add"), move |inv: &mut Invocation| {
                         let seen = Seen {
                             provenance_depth: context::depth(),
-                            cflow: context::cflow_snapshot()
-                                .iter()
-                                .map(|s| s.to_string())
-                                .collect(),
+                            task: current_task(),
                             in_scope: scope_active(),
                         };
                         let sent = seen_tx.lock().unwrap().send((seen, monitors_held()));
@@ -448,8 +437,8 @@ mod served_inline {
                     .build(),
             );
 
-            // The caller: inside an advice (aspect provenance) on Front.outer
-            // (control flow), under an open batch scope.
+            // The caller: inside an advice (aspect provenance) on Front.outer,
+            // with a trace task of its own, under an open batch scope.
             struct Front;
             weaveable! {
                 class Front as FrontProxy {
@@ -462,6 +451,7 @@ mod served_inline {
             client.plug(
                 Aspect::named("Caller")
                     .around(Pointcut::call("Front.outer"), move |_inv: &mut Invocation| {
+                        let _task = push_task(Some(TaskId::from_raw(CALLER_TASK)));
                         let scope = BatchScope::enter();
                         let depth = context::depth();
                         // Inline (the node is idle), then queued: a deadline
@@ -473,7 +463,7 @@ mod served_inline {
                         let total = decode(&f2, "add", reply);
                         // The caller's own context is back in place.
                         assert!(scope_active());
-                        assert!(in_cflow_of(&MethodPattern::parse("Front.outer")));
+                        assert_eq!(current_task(), Some(TaskId::from_raw(CALLER_TASK)));
                         assert_eq!(context::depth(), depth);
                         scope.flush();
                         Ok(weavepar::ret!(total))
@@ -492,8 +482,7 @@ mod served_inline {
             assert_eq!((inline_monitors, queued_monitors), (1, 0));
             assert_eq!(inline, queued, "served inline as on the node thread");
             assert!(!inline.in_scope);
-            assert_eq!(inline.cflow, ["Ledger.add"], "only the served join point");
-            assert!(!leaked.load(Ordering::SeqCst), "the served call saw the caller's cflow");
+            assert_eq!(inline.task, None, "the served call saw the caller's task");
         });
     }
 
