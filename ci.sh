@@ -21,7 +21,9 @@ cargo fmt --check
 # closure captures. Nor what PR 30 took off the join point: the control-flow
 # stack nothing read (provenance is the one notion of where a call comes from)
 # and the futures' deadline joins (`take` is the one join; a remote call's
-# deadline is its `CallPolicy`).
+# deadline is its `CallPolicy`). Nor the per-word `Pack` encode, one
+# `put_u64_le` call per item: a pack crosses the wire in one bulk write
+# (`BytesMut::put_zeroed`) and is read back in one pass.
 echo "==> no retired fork under crates tests examples"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
@@ -31,6 +33,7 @@ retired="$retired|batch_grain|set_fusion|fusion_or|set_cutoff|cutoff_or|from_tun
 retired="$retired|is_running|hysteresis"
 retired="$retired|set_packs|packs_or|replace_hint|HintGuard|PackingModel|with_packing|Partition\\.redispatched"
 retired="$retired|push_cflow|in_cflow_of|cflow_snapshot|CflowGuard|take_timeout|try_take|resolve_any_deadline"
+retired="$retired|put_u64_le\\(\\*v\\)"
 if grep -rnE "$retired" crates tests examples; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1

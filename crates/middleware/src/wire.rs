@@ -1,7 +1,9 @@
 //! Binary marshalling: the Java-serialisation stand-in.
 //!
 //! [`Wire`] is a minimal, explicit binary codec (little-endian, length-
-//! prefixed containers). [`WireArgs`] lifts it to whole argument packs, and a
+//! prefixed containers). A [`Pack`](weavepar_weave::Pack) crosses in one
+//! bulk write, one pass to read, with the bytes of a `Vec<u64>`.
+//! [`WireArgs`] lifts it to whole argument packs, and a
 //! [`MarshalRegistry`] records, per `(class, method)`, how to convert between
 //! [`Args`](weavepar_weave::Args) and bytes — the knowledge the distribution
 //! aspect needs to put a call on the wire and a node runtime needs to take it
@@ -156,15 +158,18 @@ impl<T: Wire> Wire for Vec<T> {
 }
 
 /// Same wire format as `Vec<u64>`, so a `Pack`-taking method is wire-
-/// compatible with its `Vec<u64>` predecessor. Encoding reads straight from
-/// the pack's shared range (no intermediate copy); decoding fills a fresh,
-/// unshared pack's allocation straight from the frame.
+/// compatible with its `Vec<u64>` predecessor. One bulk write, one pass to
+/// read: encoding appends the whole range at once and fills it with the
+/// little-endian words straight from the pack's shared range; decoding
+/// reads each word from the frame straight into a fresh pack's one
+/// allocation.
 impl Wire for weavepar_weave::Pack {
     fn encode(&self, buf: &mut BytesMut) {
         let items = self.as_slice();
         buf.put_u32_le(items.len() as u32);
-        for v in items {
-            buf.put_u64_le(*v);
+        let (words, _) = buf.put_zeroed(items.len() * 8).as_chunks_mut::<8>();
+        for (word, item) in words.iter_mut().zip(items) {
+            *word = item.to_le_bytes();
         }
     }
     fn decode(buf: &mut Bytes) -> WeaveResult<Self> {
@@ -173,13 +178,10 @@ impl Wire for weavepar_weave::Pack {
             return Err(short("Pack"));
         }
         // Checked above, before the allocation: a forged length cannot make
-        // this allocate more than the frame holds.
-        let raw = buf.take_front(len * 8);
-        Ok(weavepar_weave::Pack::build(len, |items| {
-            for (item, bytes) in items.iter_mut().zip(raw.chunks_exact(8)) {
-                *item = u64::from_le_bytes(bytes.try_into().expect("chunks of 8 bytes"));
-            }
-        }))
+        // this allocate more than the frame holds. The iterator's length is
+        // trusted, so the pack's `Arc` is allocated once and written once.
+        let (words, _) = buf.take_front(len * 8).as_chunks::<8>();
+        Ok(words.iter().map(|word| u64::from_le_bytes(*word)).collect())
     }
 }
 
@@ -903,6 +905,28 @@ mod tests {
     }
 
     #[test]
+    fn pack_roundtrips_and_every_prefix_fails() {
+        use weavepar_weave::Pack;
+        let many: Pack = (0..1_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        for pack in [Pack::from_slice(&[]), Pack::from_slice(&[u64::MAX]), many] {
+            roundtrip_and_truncation_matrix(pack);
+        }
+    }
+
+    #[test]
+    fn a_forged_pack_length_is_the_truncation_error() {
+        // The header promises more words than the frame holds: the decode
+        // fails on the length check, before it allocates anything.
+        for promised in [2, 1 << 20, u32::MAX] {
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(promised);
+            buf.put_u64_le(1);
+            let mut b = buf.freeze();
+            assert_eq!(weavepar_weave::Pack::decode(&mut b).unwrap_err(), short("Pack"));
+        }
+    }
+
+    #[test]
     fn invalid_bool_is_an_error() {
         let mut buf = BytesMut::new();
         buf.put_u8(7);
@@ -1146,6 +1170,25 @@ mod proptests {
         fn vec_u64_roundtrip(v in proptest::collection::vec(any::<u64>(), 0..128)) {
             let b = to_bytes(&v);
             prop_assert_eq!(from_bytes::<Vec<u64>>(&b).unwrap(), v);
+        }
+
+        /// A pack has the bytes of its items as a `Vec<u64>`, and a view
+        /// that starts inside its allocation encodes only its own range.
+        #[test]
+        fn pack_has_the_vec_layout(
+            v in proptest::collection::vec(any::<u64>(), 0..128),
+            chunk in 1usize..40,
+            mid in 0usize..130,
+        ) {
+            let whole = weavepar_weave::Pack::from_slice(&v);
+            let (head, tail) = whole.split_at(mid);
+            let mut packs = whole.split_chunks(chunk);
+            packs.extend([whole, head, tail]);
+            for pack in packs {
+                let bytes = to_bytes(&pack);
+                prop_assert_eq!(&bytes, &to_bytes(&pack.to_vec()));
+                prop_assert_eq!(from_bytes::<weavepar_weave::Pack>(&bytes).unwrap(), pack);
+            }
         }
 
         #[test]

@@ -333,6 +333,22 @@ fn the_sort_kernel_allocates_per_call_not_per_item() {
 }
 
 #[test]
+fn a_pack_is_encoded_in_place_and_decoded_into_one_allocation() {
+    // Encoding writes into the frame's room; decoding allocates the pack's
+    // own `Arc` and nothing else (a `Vec` then a copy would count 2).
+    use weavepar::distribution::{BytesMut, Wire};
+    use weavepar::weave::Pack;
+    let pack: Pack = (0..10_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+    let mut frame = BytesMut::with_capacity(4 + 8 * pack.len());
+    let (allocs, ()) = count_allocs(|| pack.encode(&mut frame));
+    assert_eq!(allocs, 0, "encoding a pack into a frame with room must not allocate");
+    let mut bytes = frame.freeze();
+    let (allocs, back) = count_allocs(|| Pack::decode(&mut bytes));
+    assert_eq!(back.unwrap(), pack);
+    assert_eq!(allocs, 1, "decoding a pack allocates exactly its own Arc");
+}
+
+#[test]
 fn wrong_type_take_keeps_inline_value_intact() {
     let mut args = weavepar::args![41u64];
     // A mistyped take must fail AND leave the argument in place. (The error
