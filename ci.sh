@@ -23,7 +23,9 @@ cargo fmt --check
 # and the futures' deadline joins (`take` is the one join; a remote call's
 # deadline is its `CallPolicy`). Nor the per-word `Pack` encode, one
 # `put_u64_le` call per item: a pack crosses the wire in one bulk write
-# (`BytesMut::put_zeroed`) and is read back in one pass.
+# (`BytesMut::put_zeroed`) and is read back in one pass. Nor the dynamic farm's
+# puller threads and what only they used (the masked data-dependency marker and
+# the "lost a pack" error): a pack takes the next idle worker when it starts.
 echo "==> no retired fork under crates tests examples"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
@@ -34,6 +36,7 @@ retired="$retired|is_running|hysteresis"
 retired="$retired|set_packs|packs_or|replace_hint|HintGuard|PackingModel|with_packing|Partition\\.redispatched"
 retired="$retired|push_cflow|in_cflow_of|cflow_snapshot|CflowGuard|take_timeout|try_take|resolve_any_deadline"
 retired="$retired|put_u64_le\\(\\*v\\)"
+retired="$retired|pulled_wave|push_data_dep|DataDepGuard|lost a pack"
 if grep -rnE "$retired" crates tests examples; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1
@@ -63,6 +66,18 @@ done)
 if [ -n "$direct" ]; then
     echo "$direct"
     echo "application or skeleton code reads a worker behind the weaver's back"
+    exit 1
+fi
+
+# No skeleton owns a thread: a partition issues calls, and asynchrony is
+# whatever concurrency aspect is plugged (Table 1's concurrency column).
+echo "==> no thread::scope / thread::spawn in crates/skeletons/src (test modules excluded)"
+threads=$(find crates/skeletons/src -name '*.rs' | sort | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } /thread::(scope|spawn)/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$threads" ]; then
+    echo "$threads"
+    echo "skeleton code starts an OS thread of its own instead of plugging concurrency"
     exit 1
 fi
 

@@ -102,11 +102,33 @@ pub fn render_farmed(
     packs: usize,
     concurrent: bool,
 ) -> WeaveResult<Vec<u64>> {
+    let partition = FarmConfig::new(mandel_protocol(workers, packs)).aspect("Partition.farm");
+    render(partition, concurrent, width, height, max_iter)
+}
+
+/// Render with the dynamic farm (demand-driven row blocks) and concurrency.
+pub fn render_dynamic(
+    width: u64,
+    height: u64,
+    max_iter: u64,
+    workers: usize,
+    packs: usize,
+) -> WeaveResult<Vec<u64>> {
+    let partition =
+        DynamicFarmConfig::new(mandel_protocol(workers, packs)).aspect("Partition.dynamic-farm");
+    render(partition, true, width, height, max_iter)
+}
+
+/// Render under `partition`, plus concurrency over a thread per call.
+fn render(
+    partition: Aspect,
+    concurrent: bool,
+    width: u64,
+    height: u64,
+    max_iter: u64,
+) -> WeaveResult<Vec<u64>> {
     let stack = ConcernStack::new();
-    stack.plug(
-        Concern::Partition,
-        FarmConfig::new(mandel_protocol(workers, packs)).aspect("Partition.farm"),
-    );
+    stack.plug(Concern::Partition, partition);
     let executor = if concurrent {
         let executor = Executor::thread_per_call();
         stack.plug_all(
@@ -127,24 +149,6 @@ pub fn render_farmed(
     if let Some(executor) = executor {
         executor.wait_idle();
     }
-    Ok(image.to_vec())
-}
-
-/// Render with the dynamic farm (demand-driven row blocks).
-pub fn render_dynamic(
-    width: u64,
-    height: u64,
-    max_iter: u64,
-    workers: usize,
-    packs: usize,
-) -> WeaveResult<Vec<u64>> {
-    let stack = ConcernStack::new();
-    stack.plug(
-        Concern::Partition,
-        DynamicFarmConfig::new(mandel_protocol(workers, packs)).aspect("Partition.dynamic-farm"),
-    );
-    let m = MandelbrotProxy::construct(stack.weaver(), width, height, max_iter)?;
-    let image = m.render_rows((0..height).collect::<Pack>())?;
     Ok(image.to_vec())
 }
 

@@ -5,7 +5,7 @@
 //! | FarmThreads | Farm         | yes         | –            |
 //! | PipeRMI     | Pipeline     | yes         | RMI          |
 //! | FarmRMI     | Farm         | yes         | RMI          |
-//! | FarmDRMI    | Dynamic farm | (merged)    | RMI          |
+//! | FarmDRMI    | Dynamic farm | yes         | RMI          |
 //! | FarmMPP     | Farm         | yes         | MPP          |
 //!
 //! Each combination is obtained purely by plugging aspects into a
@@ -32,8 +32,10 @@ pub enum PartitionStrategy {
     /// Every filter owns all pre-primes; each pack goes to one filter
     /// (Figure 10).
     Farm,
-    /// Farm with demand-driven pack assignment (partition and concurrency
-    /// merged, as the paper concedes for this strategy).
+    /// Farm with demand-driven pack assignment: each pack goes to whichever
+    /// filter is idle when it starts. The paper merged this strategy's
+    /// concurrency into its partition; here concurrency is plugged as for
+    /// the others.
     DynamicFarm,
 }
 
@@ -93,12 +95,9 @@ impl SieveConfig {
         Self::base(PartitionStrategy::Farm, Middleware::Rmi, filters)
     }
 
-    /// Table 1 `FarmDRMI` (dynamic farm; concurrency merged into partition).
+    /// Table 1 `FarmDRMI`.
     pub fn farm_drmi(filters: usize) -> Self {
-        SieveConfig {
-            concurrency: false,
-            ..Self::base(PartitionStrategy::DynamicFarm, Middleware::Rmi, filters)
-        }
+        Self::base(PartitionStrategy::DynamicFarm, Middleware::Rmi, filters)
     }
 
     /// Table 1 `FarmMPP`.
@@ -363,6 +362,24 @@ mod tests {
     #[test]
     fn farm_drmi_is_correct() {
         check(SieveConfig { packs: 8, nodes: 3, ..SieveConfig::farm_drmi(4) });
+    }
+
+    #[test]
+    fn a_dynamic_farm_finds_the_same_primes_with_or_without_concurrency() {
+        let executors = [None, Some(Executor::thread_per_call()), Some(Executor::pool(2, "sieve"))];
+        for executor in executors {
+            let config =
+                SieveConfig { concurrency: false, packs: 8, nodes: 3, ..SieveConfig::farm_drmi(4) };
+            let mut run = build_sieve(config);
+            if let Some(executor) = &executor {
+                let pointcut = Pointcut::call("PrimeFilter.filter");
+                let aspects = future_concurrency_aspect("Concurrency", pointcut, executor.clone());
+                run.stack.plug_all(Concern::Concurrency, aspects);
+            }
+            run.executor = executor;
+            let primes = run_sieve(&run, MAX).unwrap();
+            assert_eq!(primes, sequential_sieve(MAX), "{:?}", run.executor);
+        }
     }
 
     #[test]

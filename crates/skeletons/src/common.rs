@@ -88,6 +88,9 @@ pub const NEXT_FIELD: &str = "pipeline.next";
 /// Inter-type field on the lead object listing all farm workers.
 pub const WORKERS_FIELD: &str = "farm.workers";
 
+/// Inter-type field on a dynamic farm's lead object: its idle-worker queue.
+pub const IDLE_FIELD: &str = "farm.idle";
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,10 +10,10 @@
 //!   object duplication, method-call split into packs, recursive forwarding —
 //!   made abstract as in Figure 9) under the three names of its *routing*,
 //!   the two blocks the paper edits to get Figure 10: how the workers are
-//!   linked (a chain | a list), how a wave of packs reaches them (in split
-//!   order at stage one | round robin in one batch submission | pulled by a
-//!   thread per worker, the paper's example of partition and concurrency
-//!   that could not be separated);
+//!   linked (a chain | a list | an idle queue), how a wave of packs reaches
+//!   them (in split order at stage one | round robin in one batch submission
+//!   | each to the next idle worker when it starts). No routing owns a
+//!   thread: concurrency is plugged, even where the paper merged it;
 //! * [`heartbeat`] — block duplication plus an iterate/exchange/step driver
 //!   for stencil-style computations;
 //! * [`divide_conquer`] — object creation at *call* join points, unfolding a

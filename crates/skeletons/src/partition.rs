@@ -24,9 +24,9 @@
 //!
 //! | | [`PipelineConfig`] | [`FarmConfig`] | [`DynamicFarmConfig`] |
 //! |---|---|---|---|
-//! | workers are linked | each to its successor ([`NEXT_FIELD`]) | as a list on the first ([`WORKERS_FIELD`]) | as the farm's |
-//! | a wave reaches them | in split order at stage one, no `BatchScope` | round robin, one `BatchScope` flushed before the join | pulled from one cursor by a thread per worker |
-//! | block 3 | yes, with the `.stage_occupancy` gauge | no | no |
+//! | workers are linked | each to its successor ([`NEXT_FIELD`]) | as a list on the first ([`WORKERS_FIELD`]) | as an idle queue on the first ([`IDLE_FIELD`]) |
+//! | a wave reaches them | in split order at stage one, no `BatchScope` | round robin, one `BatchScope` flushed before the join | at the first, one `BatchScope`; block 3 hands each pack on |
+//! | block 3 | forwarding, with the `.stage_occupancy` gauge | none | taking the next idle worker |
 //!
 //! Block 3 runs *inside* a plugged asynchronous-invocation aspect (see
 //! `weavepar_weave::aspect::precedence`), so with concurrency plugged every
@@ -34,23 +34,25 @@
 //! on the thread that finished the previous stage
 //! ([`continue_here`](weavepar_concurrency::continue_here)): packs stream
 //! through the stages concurrently, each on the thread its first stage ran
-//! on — the paper's Figure 11.
+//! on — the paper's Figure 11. A dynamic farm's pack takes the next idle
+//! worker when its invocation *starts*. No routing owns a thread.
 //!
 //! Fault tolerance is not this module's concern: a pack lost with its node
 //! fails the call, typed, under every routing. Plug
 //! [`supervisor_aspect`](crate::supervisor_aspect) and it repairs the worker
 //! and re-dispatches the pack before the partition sees the loss.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use weavepar_concurrency::{continue_here, resolve_any, BatchScope};
 use weavepar_weave::aspect::precedence;
-use weavepar_weave::context::CurrentContext;
+use weavepar_weave::object::Held;
 use weavepar_weave::prelude::*;
 use weavepar_weave::{Counter, Gauge, MetricsRegistry};
 
-use crate::common::{create_workers, Protocol, NEXT_FIELD, WORKERS_FIELD};
+use crate::common::{create_workers, Protocol, IDLE_FIELD, NEXT_FIELD, WORKERS_FIELD};
 
 // The routings, as `PartitionConfig`'s parameter. The type is reachable only
 // through the three aliases below, so no other value can be named.
@@ -84,16 +86,10 @@ pub type PipelineConfig = PartitionConfig<PIPELINE>;
 /// one worker, assigned round robin.
 pub type FarmConfig = PartitionConfig<FARM>;
 
-/// The demand-driven farm, the paper's `FarmDRMI` row in Table 1: packs are
-/// not pre-assigned but pulled by whichever worker becomes free, which
-/// absorbs load imbalance. The paper notes this is the one strategy where it
-/// could not separate partition from concurrency — the demand-driven pull
-/// *is* the concurrency structure — and the same holds here: the aspect owns
-/// `workers` OS threads **per split call**, created and joined inside it, and
-/// is meant to be plugged **without** a separate concurrency aspect. That
-/// per-call constant (12–60 µs a thread on the 2-vCPU reference host) is the
-/// strategy's by design, not the routing's cost per pack: over empty packs
-/// it is nearly all there is to measure (EXPERIMENTS.md, PR 20's verdict).
+/// The demand-driven farm, the paper's `FarmDRMI`: a pack is served by
+/// whichever worker is idle when it starts, which absorbs load imbalance.
+/// The paper merged this strategy's partition and concurrency; here it is the
+/// farm plus one advice block, with concurrency plugged beside it.
 pub type DynamicFarmConfig = PartitionConfig<DYNAMIC_FARM>;
 
 impl<const ROUTING: u8> PartitionConfig<ROUTING> {
@@ -124,7 +120,7 @@ impl<const ROUTING: u8> PartitionConfig<ROUTING> {
             occupancy: (ROUTING == PIPELINE).then(|| m.gauge(&format!("{name}.stage_occupancy"))),
         });
         let partition = Arc::new(Partition::<ROUTING> { protocol, meters });
-        let (duplicate, split, forward) = (partition.clone(), partition.clone(), partition);
+        let (duplicate, split, route) = (partition.clone(), partition.clone(), partition);
         let blocks = Aspect::named(name)
             .precedence(precedence::PARTITION)
             .around(
@@ -135,12 +131,13 @@ impl<const ROUTING: u8> PartitionConfig<ROUTING> {
                 Pointcut::call_sig(class, method).and(Pointcut::within_core()),
                 move |inv: &mut Invocation| split.split(inv),
             );
-        if ROUTING != PIPELINE {
+        if ROUTING == FARM {
             return blocks.build();
         }
         blocks
-            .around(Pointcut::call_sig(class, method), move |inv: &mut Invocation| {
-                forward.forward(inv)
+            .around(Pointcut::call_sig(class, method), move |inv: &mut Invocation| match ROUTING {
+                PIPELINE => route.forward(inv),
+                _ => route.take_worker(inv),
             })
             .build()
     }
@@ -163,15 +160,20 @@ impl<const ROUTING: u8> Partition<ROUTING> {
     fn duplicate(&self, inv: &Invocation) -> WeaveResult<AnyValue> {
         let (weaver, p) = (inv.weaver(), &self.protocol);
         let ids = create_workers(weaver, p.class, p.workers, &p.worker_args, inv.args()?)?;
-        let first = ids[0];
-        if ROUTING == PIPELINE {
+        let (first, fields) = (ids[0], weaver.intertype());
+        match ROUTING {
             // Link the chain: ids[i] -> ids[i+1], last -> None.
-            for (i, id) in ids.iter().enumerate() {
-                weaver.intertype().set_field(*id, NEXT_FIELD, ids.get(i + 1).copied());
+            PIPELINE => {
+                for (i, id) in ids.iter().enumerate() {
+                    fields.set_field(*id, NEXT_FIELD, ids.get(i + 1).copied());
+                }
             }
-        } else {
             // Shared, so that a farm call clones a pointer, not the list.
-            weaver.intertype().set_field(first, WORKERS_FIELD, Arc::<[ObjId]>::from(ids));
+            FARM => fields.set_field(first, WORKERS_FIELD, Arc::<[ObjId]>::from(ids)),
+            _ => {
+                let queue = IdleQueue { idle: Mutex::new((ids.into(), 0)), freed: Condvar::new() };
+                fields.set_field(first, IDLE_FIELD, Arc::new(queue))
+            }
         }
         Ok(weavepar_weave::ret!(first))
     }
@@ -179,29 +181,24 @@ impl<const ROUTING: u8> Partition<ROUTING> {
     /// Block 2: method-call split.
     fn split(&self, inv: &Invocation) -> WeaveResult<AnyValue> {
         let (weaver, target, original) = (inv.weaver(), inv.target_required()?, inv.args()?);
-        // Every pack enters a pipeline at the stage the client holds; a farm's
-        // lead object lists its workers. An object constructed before the
-        // aspect was plugged serves its packs itself.
+        // A farm's lead lists its workers; every other pack enters at the
+        // object the client holds (a dynamic farm's block 3 hands it on). An
+        // object constructed before the aspect was plugged serves it itself.
         let workers = match ROUTING {
-            PIPELINE => None,
-            _ => weaver.intertype().get_field::<Arc<[ObjId]>>(target, WORKERS_FIELD),
+            FARM => weaver.intertype().get_field::<Arc<[ObjId]>>(target, WORKERS_FIELD),
+            _ => None,
         }
         .unwrap_or_else(|| Arc::from([target]));
         let packs = (self.protocol.split)(original)?;
         if let Some(m) = &self.meters {
             m.packs.add(packs.len() as u64);
         }
-        let results = match ROUTING {
-            DYNAMIC_FARM => settle(self.pulled_wave(weaver, &workers, packs)),
-            _ => settle(self.issued_wave(weaver, &workers, packs)),
-        };
-        (self.protocol.combine)(results?)
+        (self.protocol.combine)(settle(self.issued_wave(weaver, &workers, packs))?)
     }
 
-    /// Issue every pack call (aspect provenance: matched by the forward
-    /// advice and by concurrency/distribution, not by the split again) round
-    /// robin over `workers`; the outcomes resolve, in pack order, as they are
-    /// asked for.
+    /// Issue every pack call (aspect provenance: matched by block 3 and by
+    /// concurrency/distribution, not by the split again) round robin over
+    /// `workers`; the outcomes resolve, in pack order, as they are asked for.
     fn issued_wave(
         &self,
         weaver: &Weaver,
@@ -210,15 +207,12 @@ impl<const ROUTING: u8> Partition<ROUTING> {
     ) -> impl Iterator<Item = WeaveResult<AnyValue>> {
         let p = &self.protocol;
         // With a concurrency aspect plugged, every invoke below ends in an
-        // executor spawn; the farm's scope coalesces them into one batch
-        // submission for the whole wave, flushed before the results are
-        // awaited. Deliberately not so for a pipeline: packs must *enter stage
-        // one in submission order* so the stages see them in the sequence the
-        // split produced — a pack's journey overlaps the next pack's, which is
-        // the pipeline's parallelism — and a batch flush hands the whole set
-        // to the work-stealing pool, whose LIFO deques and stealing give no
-        // FIFO guarantee.
-        let scope = (ROUTING == FARM).then(BatchScope::enter);
+        // executor spawn; a farm's scope coalesces them into one submission,
+        // flushed before the results are awaited. Not so for a pipeline: its
+        // packs must *enter stage one in split order* (a pack's journey
+        // overlaps the next one's), and a batch handed to the work-stealing
+        // pool keeps no order.
+        let scope = (ROUTING != PIPELINE).then(BatchScope::enter);
         let pending: Vec<_> = packs
             .into_iter()
             .enumerate()
@@ -232,60 +226,23 @@ impl<const ROUTING: u8> Partition<ROUTING> {
         pending.into_iter().map(|ret| ret.and_then(resolve_any))
     }
 
-    /// One puller thread per worker, each drawing the next pack from a shared
-    /// cursor when its worker falls free; outcomes come back in pack order.
-    fn pulled_wave(
-        &self,
-        weaver: &Weaver,
-        workers: &[ObjId],
-        packs: Vec<Args>,
-    ) -> impl Iterator<Item = WeaveResult<AnyValue>> {
-        let p = &self.protocol;
-        let mut outcomes: Vec<_> = packs.iter().map(|_| None).collect();
-        let cursor = Mutex::new(packs.into_iter().enumerate());
-        std::thread::scope(|scope| {
-            let pullers: Vec<_> = workers
-                .iter()
-                .map(|&worker| {
-                    // Keep aspect provenance (and the trace context) on the
-                    // puller so the farm's own calls do not re-match its
-                    // within-core pointcut.
-                    let context = CurrentContext::capture();
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let _context = context.install();
-                        let mut served = Vec::new();
-                        loop {
-                            let next = cursor.lock().next();
-                            let Some((k, pack)) = next else { break served };
-                            // Each pack's data comes from the client's cursor,
-                            // not from the previous pack this thread happened
-                            // to execute: mask the data-dependency marker so
-                            // traces don't record a spurious node-local edge
-                            // (per-worker serialisation is already captured
-                            // by the object monitor).
-                            let _dep = weavepar_weave::trace::push_data_dep(None);
-                            let outcome = weaver
-                                .invoke_call(worker, p.class, p.method, pack)
-                                .and_then(resolve_any);
-                            served.push((k, outcome));
-                        }
-                    })
-                })
-                .collect();
-            for puller in pullers {
-                // A puller that panicked takes what it served with it; the
-                // others drain the cursor, and its packs' slots stay empty.
-                for (k, outcome) in puller.join().unwrap_or_default() {
-                    outcomes[k] = Some(outcome);
-                }
-            }
-        });
-        let lost = || Err(WeaveError::app("dynamic farm lost a pack to a panicking worker"));
-        outcomes.into_iter().map(move |outcome| outcome.unwrap_or_else(lost))
+    /// Block 3 of a dynamic farm: a pack call to the lead runs on the idle
+    /// worker at the front of its queue — the lead itself, or another by a
+    /// hop continued on this thread. A target with no queue (a hop's worker,
+    /// or an object built before the aspect was plugged) serves it itself.
+    fn take_worker(&self, inv: &mut Invocation) -> WeaveResult<AnyValue> {
+        let lead = inv.target_required()?;
+        let idle = inv.weaver().intertype().get_field::<Arc<IdleQueue>>(lead, IDLE_FIELD);
+        let Some(taken) = idle.map(IdleQueue::take) else { return inv.proceed() };
+        if taken.worker == lead {
+            return inv.proceed();
+        }
+        let args = std::mem::take(inv.args_mut()?);
+        let (weaver, p) = (inv.weaver(), &self.protocol);
+        continue_here(|| weaver.invoke_call(taken.worker, p.class, p.method, args))
     }
 
-    /// Block 3: forwarding.
+    /// Block 3 of a pipeline: forwarding.
     fn forward(&self, inv: &mut Invocation) -> WeaveResult<AnyValue> {
         let target = inv.target_required()?;
         let out = {
@@ -311,6 +268,48 @@ impl<const ROUTING: u8> Partition<ROUTING> {
             }
             // Last stage (or an unmanaged object): its output is final.
             _ => Ok(out),
+        }
+    }
+}
+
+/// A dynamic farm's idle workers, FIFO (unplugged, packs go round robin), and
+/// how many packs wait for one. The farm's, not a wave's: calls share it.
+struct IdleQueue {
+    idle: Mutex<(VecDeque<ObjId>, usize)>,
+    freed: Condvar,
+}
+
+/// A worker taken for one pack, held like a node's serve token: a join inside
+/// the pack blocks rather than help a pack that may wait on this worker.
+struct Taken {
+    worker: ObjId,
+    queue: Arc<IdleQueue>,
+    _held: Held,
+}
+
+impl IdleQueue {
+    /// The worker at the front, waiting only while every worker is busy.
+    fn take(queue: Arc<IdleQueue>) -> Taken {
+        let mut idle = queue.idle.lock();
+        while idle.0.is_empty() {
+            idle.1 += 1;
+            queue.freed.wait(&mut idle);
+            idle.1 -= 1;
+        }
+        let worker = idle.0.pop_front().expect("a worker is idle");
+        drop(idle);
+        Taken { worker, queue, _held: Held::new() }
+    }
+}
+
+impl Drop for Taken {
+    /// Back at the end on every way out, unwinding included; a waiting pack
+    /// is woken (a system call, so only then).
+    fn drop(&mut self) {
+        let mut idle = self.queue.idle.lock();
+        idle.0.push_back(self.worker);
+        if idle.1 > 0 {
+            self.queue.freed.notify_one();
         }
     }
 }
@@ -468,10 +467,16 @@ pub(crate) mod fixture {
         [Executor::thread_per_call(), Executor::pool(workers, "fixture")]
     }
 
+    /// Make the packs' own calls under `weaver` — a pipeline's forwards
+    /// included — asynchronous invocations on `executor`. The client's own
+    /// call stays synchronous, so the typed proxy returns the combined result.
+    pub(crate) fn concurrent(weaver: &Weaver, executor: &Executor) {
+        let pack_calls = Pointcut::call("Stage.apply").and(Pointcut::within_core().not());
+        weaver.plug(future_aspect("Concurrency", pack_calls, executor.clone()));
+    }
+
     /// A pipeline of `stages` stages and `packs` packs, metered into
-    /// `registry`, whose pack calls — the forwards included — are
-    /// asynchronous invocations on `executor`. The client's own call stays
-    /// synchronous, so the typed proxy returns the combined result.
+    /// `registry`, its pack calls [`concurrent`] on `executor`.
     pub(crate) fn streaming(
         stages: usize,
         packs: usize,
@@ -481,8 +486,7 @@ pub(crate) mod fixture {
         let weaver = Weaver::new();
         let config = PipelineConfig::new(protocol(PIPELINE, stages, packs)).metrics(registry);
         weaver.plug(config.aspect("Partition"));
-        let pack_calls = Pointcut::call("Stage.apply").and(Pointcut::within_core().not());
-        weaver.plug(future_aspect("Concurrency", pack_calls, executor.clone()));
+        concurrent(&weaver, executor);
         let stage = StageProxy::construct(&weaver, TAG).unwrap();
         (weaver, stage)
     }
@@ -540,9 +544,8 @@ pub(crate) mod fixture {
     /// One node-loss row: `routing` over two workers and [`ROW_PACKS`] packs,
     /// the second worker's node dead, with or without a supervisor. Returns
     /// the call's outcome and how many pack calls reached the live worker
-    /// (the client's `Stage`). A dynamic farm's pack calls meet in pairs, so
-    /// the dead worker's puller draws its share instead of watching the live
-    /// one drain the cursor.
+    /// (the client's `Stage`). A dynamic farm's idle queue is FIFO, so its
+    /// dead worker draws every second pack, as the farm's does.
     pub(crate) fn node_loss(
         routing: u8,
         supervise: bool,
@@ -555,9 +558,6 @@ pub(crate) mod fixture {
             counter.fetch_add((inv.target() == Some(first)) as u32, Ordering::Relaxed);
             Ok(())
         }));
-        if routing == DYNAMIC_FARM {
-            weaver.plug(rendezvous(2, ROW_PACKS as u32));
-        }
         let outcome = watchdog(move || stage.apply((0..ROW_ITEMS).collect()));
         (outcome, live.load(Ordering::Relaxed), stats)
     }
@@ -598,9 +598,10 @@ mod tests {
                 Ok(())
             }));
             stage.apply((0..8).collect()).unwrap();
-            // A pipeline's packs must enter stage one in split order, which a
-            // batch flush to the pool does not keep; pullers submit nothing.
-            let expect = if routing == FARM { 4 } else { 0 };
+            // Both farms, static and dynamic; a pipeline's packs must enter
+            // stage one in split order, which a batch flush to the pool does
+            // not keep.
+            let expect = if routing == PIPELINE { 0 } else { 4 };
             assert_eq!(in_scope.load(Ordering::Relaxed), expect, "routing {routing}");
         }
     }

@@ -11,8 +11,8 @@
 //! the runtime knows per thread about the join point in flight. Every field
 //! is a `Copy` value in a `Cell`, so the value has no destructor: running
 //! unrelated work on a thread ([`set_aside`]) and carrying a join point to
-//! another thread ([`CurrentContext`]) both copy and swap the whole value,
-//! and neither allocates.
+//! another thread (a [`Detached`](crate::invocation::Detached) chain) both
+//! copy and swap the whole value, and neither allocates.
 
 use std::cell::Cell;
 
@@ -151,17 +151,17 @@ pub fn push(p: Provenance) -> ProvenanceGuard {
 /// and the trace's causal parent survive the thread hop. A copy: capturing
 /// and installing it allocate nothing.
 #[derive(Debug, Clone)]
-pub struct CurrentContext(Context);
+pub(crate) struct CurrentContext(Context);
 
 impl CurrentContext {
     /// Capture the current thread's weaving context, all of it.
-    pub fn capture() -> Self {
+    pub(crate) fn capture() -> Self {
         CurrentContext(with(Context::clone))
     }
 
     /// Make the captured context the current thread's until the guard drops;
     /// the thread's own is set aside meanwhile, as by [`set_aside`].
-    pub fn install(self) -> SetAside {
+    pub(crate) fn install(self) -> SetAside {
         with(|c| c.swap(&self.0));
         SetAside(self.0)
     }

@@ -66,7 +66,7 @@ pub fn monitors_held() -> usize {
 
 /// Counts one held monitor in [`monitors_held`] for its lifetime. Public for
 /// locks outside this crate that exclude like a monitor (a fabric node's
-/// serve token in the hands of a caller).
+/// serve token in the hands of a caller, a dynamic farm's worker a pack took).
 #[doc(hidden)]
 pub struct Held;
 

@@ -293,22 +293,6 @@ pub fn note_completion(recorder_id: u64, task: TaskId) {
     context::with(|c| c.data_dep.set(Some((recorder_id, task))));
 }
 
-/// RAII guard restoring the previous data-dependency marker.
-pub struct DataDepGuard {
-    previous: Option<(u64, TaskId)>,
-}
-
-impl Drop for DataDepGuard {
-    fn drop(&mut self) {
-        context::with(|c| c.data_dep.set(self.previous));
-    }
-}
-
-/// Install a data-dependency marker (`None` masks the thread's own).
-pub fn push_data_dep(dep: Option<(u64, TaskId)>) -> DataDepGuard {
-    DataDepGuard { previous: context::with(|c| c.data_dep.replace(dep)) }
-}
-
 /// The task whose base method body is currently executing on this thread.
 pub fn current_task() -> Option<TaskId> {
     context::with(|c| c.task.get())
