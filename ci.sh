@@ -26,6 +26,8 @@ cargo fmt --check
 # (`BytesMut::put_zeroed`) and is read back in one pass. Nor the dynamic farm's
 # puller threads and what only they used (the masked data-dependency marker and
 # the "lost a pack" error): a pack takes the next idle worker when it starts.
+# Nor the candidate list built as a `Vec` and then copied into its pack: it is
+# collected into the pack (`candidate_pack`).
 echo "==> no retired fork under crates tests examples"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
@@ -37,6 +39,7 @@ retired="$retired|set_packs|packs_or|replace_hint|HintGuard|PackingModel|with_pa
 retired="$retired|push_cflow|in_cflow_of|cflow_snapshot|CflowGuard|take_timeout|try_take|resolve_any_deadline"
 retired="$retired|put_u64_le\\(\\*v\\)"
 retired="$retired|pulled_wave|push_data_dep|DataDepGuard|lost a pack"
+retired="$retired|Pack::from_vec\\(candidates"
 if grep -rnE "$retired" crates tests examples; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1
@@ -178,17 +181,20 @@ TUNE_SEED="$TUNE_SEED" cargo test --release -q -p weavepar tuning::tests::climbs
     exit 1
 }
 
-# The one concurrent pipeline smoke: 50 packs streaming through seven stages
-# over RMI, each pack continued on one thread, checked against the sequential
-# sieve.
-echo "==> weavepar-demo sieve --variant pipe-rmi --max 200000 --filters 7 --packs 50"
-pipe=$(cargo run --release -q -p weavepar-apps --bin weavepar-demo -- \
-    sieve --variant pipe-rmi --max 200000 --filters 7 --packs 50)
-echo "$pipe"
-if ! echo "$pipe" | grep -q "(validated)"; then
-    echo "the concurrent pipeline did not validate"
-    exit 1
-fi
+# Every distributed Table 1 row, 50 packs over seven filters, checked against
+# the sequential sieve: their calls pass the stubs without a monitor and meet
+# one at a time at the nodes (the pipeline's packs each continued on one
+# thread, the dynamic farm's each on the worker it took).
+for variant in pipe-rmi farm-rmi farm-drmi farm-mpp; do
+    echo "==> weavepar-demo sieve --variant $variant --max 200000 --filters 7 --packs 50"
+    row=$(cargo run --release -q -p weavepar-apps --bin weavepar-demo -- \
+        sieve --variant "$variant" --max 200000 --filters 7 --packs 50)
+    echo "$row"
+    if ! echo "$row" | grep -q "(validated)"; then
+        echo "the $variant sieve did not validate"
+        exit 1
+    fi
+done
 
 # The paper's whole evaluation at a tenth of the default size: all five blocks
 # must print. The shape-check lines compare measured costs: shown, never a gate.

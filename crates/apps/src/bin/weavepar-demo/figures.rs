@@ -36,7 +36,7 @@ use weavepar::cluster::{
 use weavepar::prelude::*;
 use weavepar::weave::trace::{CostModel, Recorder, TraceGraph};
 use weavepar_apps::sieve::{
-    build_sieve, candidates, isqrt, run_sieve, sequential_sieve, Middleware, PrimeFilter,
+    build_sieve, candidate_pack, isqrt, run_sieve, sequential_sieve, Middleware, PrimeFilter,
     PrimeFilterProxy, SieveConfig,
 };
 
@@ -130,7 +130,7 @@ fn normalise_filter_costs(trace: &mut TraceGraph, filter_work: Duration) {
 fn measure_filter_work(max: u64, runs: usize) -> Duration {
     let mut filter = PrimeFilter::new(2, isqrt(max));
     // Pack clones share one allocation, so cloning per run is free.
-    let cands = Pack::from_vec(candidates(max));
+    let cands = candidate_pack(max);
     filter.filter(cands.clone());
     let mut times: Vec<Duration> =
         (0..runs.max(1)).map(|_| time(|| filter.filter(cands.clone())).1).collect();
@@ -161,8 +161,9 @@ fn capture_modelled(config: SieveConfig, max: u64) -> WeaveResult<TraceGraph> {
 /// Java"). Median of `runs` measurements.
 fn measure_weaving_inflation(max: u64, runs: usize) -> WeaveResult<f64> {
     let sqrt = isqrt(max);
-    // Pack clones share one allocation, so cloning per run is free.
-    let pack: Pack = candidates(max).into_iter().take(100_000).collect();
+    // The first 100 000 candidates, the odd numbers up to 200 001. Pack
+    // clones share one allocation, so cloning per run is free.
+    let pack = candidate_pack(max.min(200_001));
     let mut ratios = Vec::with_capacity(runs);
     for _ in 0..runs.max(1) {
         let mut direct = PrimeFilter::new(2, sqrt);

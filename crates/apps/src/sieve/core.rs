@@ -84,6 +84,13 @@ pub fn candidates(max: u64) -> Vec<u64> {
     (3..=max).step_by(2).collect()
 }
 
+/// [`candidates`] built in the pack they travel in: an iterator of trusted
+/// length collects them straight into the pack's one allocation, with no
+/// `Vec` to copy from.
+pub fn candidate_pack(max: u64) -> Pack {
+    (0..max.saturating_sub(1) / 2).map(|i| 3 + 2 * i).collect()
+}
+
 /// How many consecutive values one run of [`PrimeFilter::filter`] may span:
 /// the bits it strikes them out in (8 KB) stay in the L1 cache.
 const WINDOW: u64 = 1 << 16;
@@ -185,7 +192,7 @@ pub fn sequential_sieve(max: u64) -> Vec<u64> {
         return Vec::new();
     }
     let mut filter = PrimeFilter::new(2, isqrt(max));
-    let survivors = filter.filter(Pack::from_vec(candidates(max)));
+    let survivors = filter.filter(candidate_pack(max));
     let mut primes = vec![2];
     primes.extend_from_slice(survivors.as_slice());
     primes
@@ -318,7 +325,20 @@ mod proptests {
         assert_eq!(divided(&[TOP_PRIME], &nums).len(), 5, "0 is struck, the rest kept");
     }
 
+    #[test]
+    fn the_candidate_pack_is_the_candidate_list_at_the_edges() {
+        for max in (0..=5).chain([2_000_000]) {
+            assert_eq!(candidate_pack(max).as_slice(), candidates(max), "max={max}");
+        }
+    }
+
     proptest! {
+        /// The pack built in place holds the candidate list, item for item.
+        #[test]
+        fn the_candidate_pack_is_the_candidate_list(max in 0u64..20_000) {
+            prop_assert_eq!(candidate_pack(max).as_slice(), &candidates(max)[..]);
+        }
+
         /// Any divisor range over items in no order, duplicates, 0, 1 and
         /// the divisors themselves included: the kernel is the oracle.
         #[test]
@@ -383,7 +403,7 @@ mod proptests {
         #[test]
         fn filter_idempotent(max in 10u64..500) {
             let mut f = PrimeFilter::new(2, isqrt(max));
-            let once = f.filter(Pack::from_vec(candidates(max)));
+            let once = f.filter(candidate_pack(max));
             let twice = f.filter(once.clone());
             prop_assert_eq!(once.clone(), twice);
             let mut sorted = once.to_vec();
@@ -401,7 +421,7 @@ mod proptests {
             let mut whole = PrimeFilter::new(2, sqrt);
             let mut lo = PrimeFilter::new(2, cut);
             let mut hi = PrimeFilter::new(cut + 1, sqrt);
-            let cands = Pack::from_vec(candidates(max));
+            let cands = candidate_pack(max);
             let expect = whole.filter(cands.clone());
             let composed = hi.filter(lo.filter(cands));
             prop_assert_eq!(expect, composed);

@@ -12,7 +12,7 @@ pub mod handcoded;
 pub mod variants;
 
 pub use self::core::{
-    candidates, isqrt, primes_upto, sequential_sieve, PrimeFilter, PrimeFilterProxy,
+    candidate_pack, candidates, isqrt, primes_upto, sequential_sieve, PrimeFilter, PrimeFilterProxy,
 };
 pub use handcoded::run_handcoded_rmi;
 pub use variants::{build_sieve, run_sieve, Middleware, PartitionStrategy, SieveConfig, SieveRun};

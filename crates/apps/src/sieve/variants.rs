@@ -21,7 +21,7 @@ use weavepar::skeletons::RankedArgsFn;
 use weavepar::weave::value::downcast_ret;
 use weavepar::{args, ret};
 
-use super::core::{candidates, isqrt, primes_upto, PrimeFilter, PrimeFilterProxy};
+use super::core::{candidate_pack, isqrt, primes_upto, PrimeFilter, PrimeFilterProxy};
 
 /// Which partition aspect to plug (§4.1, §5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,7 +283,7 @@ pub fn run_sieve(run: &SieveRun, max: u64) -> WeaveResult<Vec<u64>> {
     }
     let weaver = run.stack.weaver();
     let filter = PrimeFilterProxy::construct(weaver, 2, isqrt(max))?;
-    let raw = filter.handle().call("filter", args![Pack::from_vec(candidates(max))])?;
+    let raw = filter.handle().call("filter", args![candidate_pack(max)])?;
     let survivors: Pack = downcast_ret(resolve_any(raw)?)?;
     if let Some(executor) = &run.executor {
         executor.wait_idle();

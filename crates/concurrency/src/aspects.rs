@@ -13,16 +13,18 @@
 //!
 //! [`concurrency_aspect`] is a faithful transcription: the first advice
 //! detaches the remainder of the chain onto an [`Executor`], the second holds
-//! the target object's monitor across `proceed`. Each is also available as a
-//! standalone aspect so the combinations in the paper's Table 1 can be
-//! assembled piecemeal, and [`future_aspect`] provides the future-returning
-//! variant of asynchronous invocation (ref [3]).
+//! the target object's monitor across `proceed` (a local object's: a remote
+//! stub is exclusive on its node, see [`synchronized_aspect`]). Each is also
+//! available as a standalone aspect so the combinations in the paper's Table 1
+//! can be assembled piecemeal, and [`future_aspect`] provides the
+//! future-returning variant of asynchronous invocation (ref [3]).
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use weavepar_weave::aspect::precedence;
+use weavepar_weave::intertype::REMOTE_TAG;
 use weavepar_weave::prelude::*;
 
 use crate::executor::Executor;
@@ -131,12 +133,19 @@ pub fn future_aspect(name: impl Into<String>, pointcut: Pointcut, executor: Exec
 }
 
 /// Synchronisation advice: hold the target object's monitor across the rest
-/// of the chain — the paper's `synchronized(target) { proceed(); }`.
+/// of the chain — the paper's `synchronized(target) { proceed(); }` — unless
+/// the target's class is declared [`REMOTE_TAG`] (in AspectJ, `&&
+/// !target(Remote)`). A remote stub holds no state, and the instance it
+/// stands for is exclusive where it lives: its node serves one request at a
+/// time, and base dispatch there takes the instance's monitor.
 pub fn synchronized_aspect(name: impl Into<String>, pointcut: Pointcut) -> Aspect {
     Aspect::named(name)
         .precedence(precedence::SYNCHRONISATION)
         .around(pointcut, move |inv: &mut Invocation| {
             let target = inv.target_required()?;
+            if inv.weaver().intertype().has_tag(inv.signature().class, REMOTE_TAG) {
+                return inv.proceed();
+            }
             let _monitor = inv.weaver().space().monitor(target)?;
             inv.proceed()
         })
@@ -179,6 +188,8 @@ pub fn future_concurrency_aspect(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
     use super::*;
     use crate::future::future_ret;
     use crate::pool::tests::{wait_until, watchdog, Gate};
@@ -283,6 +294,80 @@ mod tests {
         sink.check().unwrap();
         // All six writes landed despite racing threads.
         assert_eq!(p.log_len().unwrap(), 6);
+    }
+
+    /// The synchronisation advice around a probe at OPTIMISATION precedence
+    /// that notes how many monitors its thread holds, then waits at `gate`
+    /// and, once the rest of the chain is done, logs `"call"`.
+    fn synchronized_around_a_probe(
+        gate: Gate,
+        log: Arc<Mutex<Vec<&'static str>>>,
+    ) -> (Weaver, Arc<Mutex<Vec<usize>>>) {
+        use weavepar_weave::object::monitors_held;
+        let weaver = Weaver::new();
+        weaver.plug(synchronized_aspect("Sync", Pointcut::call("Slowpoke.compute")));
+        let held = Arc::new(Mutex::new(Vec::new()));
+        let seen = held.clone();
+        weaver.plug(
+            Aspect::named("Probe")
+                .precedence(precedence::OPTIMISATION)
+                .around(Pointcut::call("Slowpoke.compute"), move |inv: &mut Invocation| {
+                    seen.lock().push(monitors_held());
+                    gate.enter();
+                    let result = inv.proceed();
+                    log.lock().push("call");
+                    result
+                })
+                .build(),
+        );
+        (weaver, held)
+    }
+
+    #[test]
+    fn a_local_targets_monitor_is_held_across_the_inner_advice() {
+        let (gate, log) = (Gate::default(), Arc::new(Mutex::new(Vec::new())));
+        let (weaver, held) = synchronized_around_a_probe(gate.clone(), log.clone());
+        let p = SlowpokeProxy::construct(&weaver).unwrap();
+        watchdog("a local call", move || {
+            let target = p.id();
+            let trying = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                let call = s.spawn(|| p.compute(21).unwrap());
+                wait_until("the call to reach the probe", || gate.inside() == 1);
+                s.spawn(|| {
+                    trying.store(true, Ordering::SeqCst);
+                    let _monitor = weaver.space().monitor(target).unwrap();
+                    log.lock().push("monitor");
+                });
+                wait_until("the second thread to ask for the monitor", || {
+                    trying.load(Ordering::SeqCst)
+                });
+                gate.open();
+                assert_eq!(call.join().unwrap(), 42);
+            });
+            assert_eq!(*held.lock(), [1], "the probe ran under the target's monitor");
+            assert_eq!(*log.lock(), ["call", "monitor"], "the monitor waited for the call");
+        });
+    }
+
+    #[test]
+    fn a_remote_stubs_monitor_is_not_taken() {
+        let (gate, log) = (Gate::default(), Arc::new(Mutex::new(Vec::new())));
+        let (weaver, held) = synchronized_around_a_probe(gate.clone(), log);
+        weaver.intertype().declare_tag("Slowpoke", REMOTE_TAG);
+        let p = SlowpokeProxy::construct(&weaver).unwrap();
+        watchdog("a stub call", move || {
+            let target = p.id();
+            std::thread::scope(|s| {
+                let call = s.spawn(|| p.compute(21).unwrap());
+                wait_until("the call to reach the probe", || gate.inside() == 1);
+                // Free while the call sits in the probe: nothing holds it.
+                drop(weaver.space().monitor(target).unwrap());
+                gate.open();
+                assert_eq!(call.join().unwrap(), 42);
+            });
+            assert_eq!(*held.lock(), [0], "no monitor around the inner advice of a stub");
+        });
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! Both distribution aspects perform the paper's four RMI code modifications
 //! in one module:
 //!
-//! 1. the class is declared `Remote` (an inter-type class tag);
+//! 1. the class is declared `Remote` (the inter-type class tag [`REMOTE_TAG`],
+//!    which also keeps the synchronisation advice off the stub's monitor);
 //! 2. each construction additionally creates a server-side instance
 //!    (selected by a [`Policy`]) and — in the RMI flavour — registers it in
 //!    the name server under an automatic `PS<n>` name;
@@ -40,6 +41,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 
 use weavepar_weave::aspect::precedence;
+use weavepar_weave::intertype::REMOTE_TAG;
 use weavepar_weave::prelude::*;
 use weavepar_weave::{CallMeter, MetricsRegistry, Signature};
 
@@ -251,7 +253,7 @@ fn distribution_aspect<const NAME_SERVER: bool>(
                 remote
             };
             let weaver = inv.weaver();
-            weaver.intertype().declare_tag(class, "Remote");
+            weaver.intertype().declare_tag(class, REMOTE_TAG);
             weaver.intertype().set_field(local_id, REMOTE_FIELD, resolved);
             Ok(local)
         })
@@ -532,7 +534,7 @@ mod tests {
         let _a = DoublerProxy::construct(&weaver, 0).unwrap();
         let _b = DoublerProxy::construct(&weaver, 0).unwrap();
         assert_eq!(f.nameserver().names(), vec!["PS1".to_string(), "PS2".to_string()]);
-        assert!(weaver.intertype().has_tag("Doubler", "Remote"));
+        assert!(weaver.intertype().has_tag("Doubler", REMOTE_TAG));
     }
 
     #[test]

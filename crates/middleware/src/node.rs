@@ -350,8 +350,7 @@ impl NodeRuntime {
     }
 
     /// Requests queued and not yet popped: what a test waits on, not a sleep.
-    #[cfg(test)]
-    pub(crate) fn queued(&self) -> usize {
+    pub fn queued(&self) -> usize {
         self.mailbox.state.lock().queue.len()
     }
 

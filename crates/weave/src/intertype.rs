@@ -14,6 +14,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -22,6 +23,11 @@ use crate::error::{WeaveError, WeaveResult};
 use crate::object::ObjId;
 use crate::registry::Weaver;
 use crate::value::{AnyValue, Args};
+
+/// The class tag of the paper's RMI modification 1 (`declare parents: C
+/// implements Remote`): the distribution aspects declare it on the class they
+/// distribute, and the synchronisation advice skips a target that carries it.
+pub const REMOTE_TAG: &str = "Remote";
 
 /// Body of an extension method.
 pub type ExtensionFn = Arc<dyn Fn(&Weaver, ObjId, Args) -> WeaveResult<AnyValue> + Send + Sync>;
@@ -58,6 +64,9 @@ type ObjectFields = Vec<(&'static str, AnyValue)>;
 pub struct IntertypeStore {
     extensions: RwLock<HashMap<(&'static str, &'static str), ExtensionFn>>,
     class_tags: RwLock<HashSet<(&'static str, &'static str)>>,
+    // Whether `class_tags` has an entry: a store with none (every local
+    // run's) answers `has_tag` without the lock.
+    any_tag: AtomicBool,
     // Keyed by object: one probe, then that object's few entries. `Mutex`,
     // not `RwLock`: the boxed values are `Send` but not `Sync`.
     fields: Mutex<HashMap<ObjId, ObjectFields, BuildHasherDefault<ObjIdHasher>>>,
@@ -117,21 +126,35 @@ impl IntertypeStore {
 
     // ---- class tags (declare parents) --------------------------------------
 
-    /// Declare that `class` carries `tag` (e.g. `"Remote"`).
+    /// Declare that `class` carries `tag` (e.g. [`REMOTE_TAG`]).
     pub fn declare_tag(&self, class: &'static str, tag: &'static str) {
-        self.class_tags.write().insert((class, tag));
+        let mut tags = self.class_tags.write();
+        tags.insert((class, tag));
+        self.any_tag.store(true, Ordering::SeqCst);
     }
 
     /// Remove a declared tag. Returns true when present.
     pub fn remove_tag(&self, class: &str, tag: &str) -> bool {
         let mut tags = self.class_tags.write();
         let key = tags.iter().copied().find(|(c, t)| *c == class && *t == tag);
-        key.is_some_and(|k| tags.remove(&k))
+        let removed = key.is_some_and(|k| tags.remove(&k));
+        self.any_tag.store(!tags.is_empty(), Ordering::SeqCst);
+        removed
     }
 
-    /// Does `class` carry `tag`?
+    /// Does `class` carry `tag`? One hash probe (the synchronisation advice
+    /// asks on every call), and not even the lock while no class carries a
+    /// tag. A tag is declared before the object whose calls ask for it is
+    /// handed out, so no such call reads the flag unset.
     pub fn has_tag(&self, class: &str, tag: &str) -> bool {
-        self.class_tags.read().iter().any(|(c, t)| *c == class && *t == tag)
+        if !self.any_tag.load(Ordering::SeqCst) {
+            return false;
+        }
+        let tags = self.class_tags.read();
+        // The set is covariant in its key, so `'static` keys are probed with
+        // borrowed strings.
+        let tags: &HashSet<(&str, &str)> = &tags;
+        tags.contains(&(class, tag))
     }
 
     // ---- per-object mixin fields -------------------------------------------
@@ -224,6 +247,36 @@ mod tests {
         assert!(store.remove_tag("Point", "Serializable"));
         assert!(!store.remove_tag("Point", "Serializable"));
         assert!(!store.has_tag("Point", "Serializable"));
+    }
+
+    #[test]
+    fn a_tag_is_found_among_many_and_never_by_a_prefix() {
+        let store = IntertypeStore::new();
+        let leak = |s: String| -> &'static str { Box::leak(s.into_boxed_str()) };
+        for i in 0..500 {
+            let tag = if i % 2 == 0 { REMOTE_TAG } else { "Serializable" };
+            store.declare_tag(leak(format!("Class{i}")), tag);
+        }
+        // Two classes whose names share a prefix, tagged differently.
+        store.declare_tag("Filter", REMOTE_TAG);
+        store.declare_tag("FilterStage", "Migratable");
+        for i in 0..500 {
+            let class = format!("Class{i}");
+            assert_eq!(store.has_tag(&class, REMOTE_TAG), i % 2 == 0, "{class}");
+            assert_eq!(store.has_tag(&class, "Serializable"), i % 2 == 1, "{class}");
+        }
+        assert!(store.has_tag("Filter", REMOTE_TAG));
+        assert!(!store.has_tag("FilterStage", REMOTE_TAG));
+        assert!(store.has_tag("FilterStage", "Migratable"));
+        assert!(!store.has_tag("Filter", "Migratable"));
+        // Neither half of a pair runs into the other.
+        for (class, tag) in [("Filte", REMOTE_TAG), ("FilterR", "emote"), ("Filter", "Remot")] {
+            assert!(!store.has_tag(class, tag), "{class}/{tag}");
+        }
+        assert!(!store.has_tag("Class500", REMOTE_TAG));
+        assert!(store.remove_tag("Filter", REMOTE_TAG));
+        assert!(!store.has_tag("Filter", REMOTE_TAG));
+        assert!(store.has_tag("FilterStage", "Migratable"));
     }
 
     #[test]

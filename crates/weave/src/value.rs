@@ -113,7 +113,9 @@ pub struct Pack {
 }
 
 impl Pack {
-    /// Wrap a vector without copying its contents more than once.
+    /// Move a vector's items into a pack: one allocation and one copy of
+    /// every item. To build a pack from an iterator, collect into the pack
+    /// instead (no `Vec` first).
     pub fn from_vec(items: Vec<u64>) -> Self {
         Pack::from_arc(Arc::from(items))
     }

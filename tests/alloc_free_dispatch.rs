@@ -349,6 +349,16 @@ fn a_pack_is_encoded_in_place_and_decoded_into_one_allocation() {
 }
 
 #[test]
+fn the_candidate_pack_is_built_in_one_allocation() {
+    // Collected straight into the pack's `Arc` (a `Vec` then a copy would
+    // count 2).
+    use weavepar_apps::sieve::{candidate_pack, candidates};
+    let (allocs, pack) = count_allocs(|| candidate_pack(200_000));
+    assert_eq!(pack.as_slice(), candidates(200_000));
+    assert_eq!(allocs, 1, "building the candidate pack allocates exactly its own Arc");
+}
+
+#[test]
 fn wrong_type_take_keeps_inline_value_intact() {
     let mut args = weavepar::args![41u64];
     // A mistyped take must fail AND leave the argument in place. (The error

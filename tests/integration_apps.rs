@@ -36,7 +36,7 @@ fn cache_optimisation_composes_with_the_farm() {
     // list is answered entirely from the cache.
     use weavepar::concurrency::resolve_any;
     use weavepar::weave::value::downcast_ret;
-    use weavepar_apps::sieve::{candidates, isqrt, PrimeFilterProxy};
+    use weavepar_apps::sieve::{candidate_pack, isqrt, PrimeFilterProxy};
 
     let packs = 6u64;
     let run = build_sieve(SieveConfig { packs: packs as usize, ..SieveConfig::farm_threads(3) });
@@ -51,7 +51,7 @@ fn cache_optimisation_composes_with_the_farm() {
     let weaver = run.stack.weaver();
     let proxy = PrimeFilterProxy::construct(weaver, 2, isqrt(max)).unwrap();
     let call = || -> Vec<u64> {
-        let cands = Pack::from_vec(candidates(max));
+        let cands = candidate_pack(max);
         let raw = proxy.handle().call("filter", weavepar::args![cands]).unwrap();
         downcast_ret::<Pack>(resolve_any(raw).unwrap()).unwrap().to_vec()
     };

@@ -49,7 +49,8 @@ fn workers_are_actually_remote() {
     }
     assert_eq!(remote_objects, 4, "each worker lives on a fabric node");
     // The class is tagged Remote on the client (declare-parents analogue).
-    assert!(run.stack.weaver().intertype().has_tag("PrimeFilter", "Remote"));
+    let tag = weavepar::weave::intertype::REMOTE_TAG;
+    assert!(run.stack.weaver().intertype().has_tag("PrimeFilter", tag));
 }
 
 #[test]

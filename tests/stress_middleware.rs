@@ -238,8 +238,22 @@ mod served_inline {
             fn explode(&mut self) -> u64 {
                 panic!("Ledger.explode blew up")
             }
+            fn counted_add(&mut self, x: u64) -> u64 {
+                use std::sync::atomic::Ordering::SeqCst;
+                let inside = crate::served_inline::INSIDE.fetch_add(1, SeqCst) + 1;
+                crate::served_inline::MOST_INSIDE.fetch_max(inside, SeqCst);
+                std::thread::yield_now();
+                self.total += x;
+                crate::served_inline::INSIDE.fetch_sub(1, SeqCst);
+                self.total
+            }
         }
     }
+
+    /// `Ledger.counted_add` bodies executing now, and the most ever inside
+    /// at once (one test calls it).
+    static INSIDE: AtomicU64 = AtomicU64::new(0);
+    static MOST_INSIDE: AtomicU64 = AtomicU64::new(0);
 
     fn fabric(nodes: usize) -> (Arc<InProcFabric>, MetricsRegistry) {
         let m = MarshalRegistry::new();
@@ -249,6 +263,7 @@ mod served_inline {
         m.register::<(u64, u64), u64>("Ledger", "relay");
         m.register::<(u64,), u64>("Ledger", "hold");
         m.register::<(), u64>("Ledger", "explode");
+        m.register::<(u64,), u64>("Ledger", "counted_add");
         let f = InProcFabric::new(nodes, m);
         f.register_class::<Ledger>();
         let registry = MetricsRegistry::new();
@@ -293,6 +308,80 @@ mod served_inline {
             add(f, ledger, 0).unwrap();
         }
         ledger
+    }
+
+    /// A `Ledger` stub under the future-returning concurrency module and
+    /// RMI: a call returns a future at once, and its chain (synchronisation,
+    /// then redirection) runs on a thread of its own.
+    fn woven_stub(f: &Arc<InProcFabric>) -> (LedgerProxy, Executor) {
+        let weaver = Weaver::new();
+        let executor = Executor::thread_per_call();
+        let pointcut = Pointcut::call("Ledger.*");
+        for aspect in future_concurrency_aspect("Concurrency", pointcut.clone(), executor.clone()) {
+            weaver.plug(aspect);
+        }
+        weaver.plug(RmiConfig::new("Ledger", pointcut, f.clone()).aspect("Rmi"));
+        (LedgerProxy::construct(&weaver).unwrap(), executor)
+    }
+
+    /// Issue `method` on the stub and wait for its future.
+    fn through(stub: &LedgerProxy, method: &'static str, args: Args) -> u64 {
+        future_ret::<u64>(stub.handle().call(method, args).unwrap()).unwrap().take().unwrap()
+    }
+
+    #[test]
+    fn a_stub_call_queues_at_its_node_while_another_is_held_there() {
+        watchdog("two calls on one stub", || {
+            let (f, registry) = fabric(1);
+            let (stub, executor) = woven_stub(&f);
+            let before = served_inline(&registry);
+            while served_inline(&registry) == before {
+                through(&stub, "add", args![0u64]);
+            }
+            let calls = || registry.snapshot().counter("fabric.calls").unwrap();
+            let (calls_before, inline_before) = (calls(), served_inline(&registry));
+
+            // A: served inline on its thread, and held there.
+            let (entered_tx, entered) = sync_channel(1);
+            let (release, release_rx) = sync_channel(1);
+            let key = register(Outside::Latch(entered_tx, release_rx));
+            let a = future_ret::<u64>(stub.handle().call("hold", args![key]).unwrap()).unwrap();
+            entered.recv().unwrap();
+            // B: nothing on the stub holds it back; it waits at the node.
+            let b = future_ret::<u64>(stub.handle().call("add", args![5u64]).unwrap()).unwrap();
+            while f.node(0).unwrap().queued() == 0 {
+                std::thread::yield_now();
+            }
+            release.send(()).unwrap();
+            assert_eq!(a.take().unwrap(), key);
+            assert_eq!(b.take().unwrap(), 5);
+            executor.wait_idle();
+            let calls = calls() - calls_before;
+            assert_eq!(calls, 2);
+            assert_eq!(served_inline(&registry) - inline_before, calls - 1, "A inline, B queued");
+        });
+    }
+
+    #[test]
+    fn eight_threads_on_one_stub_meet_its_instance_one_at_a_time() {
+        const THREADS: u64 = 8;
+        const CALLS: u64 = 1_000;
+        watchdog("exclusive instance", || {
+            let (f, _registry) = fabric(1);
+            let (stub, executor) = woven_stub(&f);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        for _ in 0..CALLS {
+                            through(&stub, "counted_add", args![1u64]);
+                        }
+                    });
+                }
+            });
+            executor.wait_idle();
+            assert_eq!(through(&stub, "add", args![0u64]), THREADS * CALLS);
+            assert_eq!(MOST_INSIDE.load(Ordering::SeqCst), 1, "two calls inside one instance");
+        });
     }
 
     #[test]
