@@ -13,8 +13,9 @@
 //!
 //! [`concurrency_aspect`] is a faithful transcription: the first advice
 //! detaches the remainder of the chain onto an [`Executor`], the second holds
-//! the target object's monitor across `proceed` (a local object's: a remote
-//! stub is exclusive on its node, see [`synchronized_aspect`]). Each is also
+//! the target object's monitor across `proceed` (not a stub's on a redirected
+//! call: the instance it reaches is exclusive on its node, see
+//! [`synchronized_aspect`]). Each is also
 //! available as a standalone aspect so the combinations in the paper's Table 1
 //! can be assembled piecemeal, and [`future_aspect`] provides the
 //! future-returning variant of asynchronous invocation (ref [3]).
@@ -24,7 +25,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use weavepar_weave::aspect::precedence;
-use weavepar_weave::intertype::REMOTE_TAG;
+use weavepar_weave::intertype::REMOTE_FIELD;
 use weavepar_weave::prelude::*;
 
 use crate::executor::Executor;
@@ -134,16 +135,22 @@ pub fn future_aspect(name: impl Into<String>, pointcut: Pointcut, executor: Exec
 
 /// Synchronisation advice: hold the target object's monitor across the rest
 /// of the chain — the paper's `synchronized(target) { proceed(); }` — unless
-/// the target's class is declared [`REMOTE_TAG`] (in AspectJ, `&&
-/// !target(Remote)`). A remote stub holds no state, and the instance it
-/// stands for is exclusive where it lives: its node serves one request at a
-/// time, and base dispatch there takes the instance's monitor.
+/// this call goes to a remote instance (in AspectJ, `&& !target(Remote)`): a
+/// distribution advice runs ahead of this one and the target is a stub, one
+/// that carries [`REMOTE_FIELD`]. Such a call leaves the stub's own object
+/// untouched, and the instance it reaches is exclusive where it lives: its
+/// node serves one request at a time, and base dispatch there takes the
+/// instance's monitor. Every other call keeps the monitor: a call on a local
+/// object, on an object built before distribution was plugged, or on a stub
+/// while distribution is unplugged or disabled.
 pub fn synchronized_aspect(name: impl Into<String>, pointcut: Pointcut) -> Aspect {
     Aspect::named(name)
         .precedence(precedence::SYNCHRONISATION)
         .around(pointcut, move |inv: &mut Invocation| {
             let target = inv.target_required()?;
-            if inv.weaver().intertype().has_tag(inv.signature().class, REMOTE_TAG) {
+            if inv.runs_ahead(precedence::DISTRIBUTION)
+                && inv.weaver().intertype().has_field(target, REMOTE_FIELD)
+            {
                 return inv.proceed();
             }
             let _monitor = inv.weaver().space().monitor(target)?;
@@ -350,12 +357,32 @@ mod tests {
         });
     }
 
+    /// A stand-in for the distribution aspect: a call on an object that
+    /// carries [`REMOTE_FIELD`] is answered without reaching it.
+    fn redirecting() -> Aspect {
+        Aspect::named("Distribution")
+            .precedence(precedence::DISTRIBUTION)
+            .around(Pointcut::call("Slowpoke.compute"), |inv: &mut Invocation| {
+                if !inv.weaver().intertype().has_field(inv.target_required()?, REMOTE_FIELD) {
+                    return inv.proceed();
+                }
+                Ok(weavepar_weave::ret!(*inv.arg::<u64>(0)? * 2))
+            })
+            .build()
+    }
+
+    fn stub(weaver: &Weaver) -> SlowpokeProxy {
+        let p = SlowpokeProxy::construct(weaver).unwrap();
+        weaver.intertype().set_field(p.id(), REMOTE_FIELD, ());
+        p
+    }
+
     #[test]
-    fn a_remote_stubs_monitor_is_not_taken() {
+    fn a_redirected_calls_stub_monitor_is_not_taken() {
         let (gate, log) = (Gate::default(), Arc::new(Mutex::new(Vec::new())));
         let (weaver, held) = synchronized_around_a_probe(gate.clone(), log);
-        weaver.intertype().declare_tag("Slowpoke", REMOTE_TAG);
-        let p = SlowpokeProxy::construct(&weaver).unwrap();
+        weaver.plug(redirecting());
+        let p = stub(&weaver);
         watchdog("a stub call", move || {
             let target = p.id();
             std::thread::scope(|s| {
@@ -368,6 +395,28 @@ mod tests {
             });
             assert_eq!(*held.lock(), [0], "no monitor around the inner advice of a stub");
         });
+    }
+
+    #[test]
+    fn a_call_that_is_not_redirected_keeps_its_monitor() {
+        let gate = Gate::default();
+        gate.open();
+        let (weaver, held) = synchronized_around_a_probe(gate, Arc::default());
+        let early = SlowpokeProxy::construct(&weaver).unwrap();
+        let distribution = weaver.plug(redirecting());
+        let p = stub(&weaver);
+        // The class is tagged Remote, as a distribution aspect leaves it, but
+        // what counts is the call: `early`, built before distribution was
+        // plugged, is local; `p` is local while distribution is off.
+        weaver.intertype().declare_tag("Slowpoke", weavepar_weave::intertype::REMOTE_TAG);
+        assert_eq!(early.compute(1).unwrap(), 2);
+        assert_eq!(p.compute(2).unwrap(), 4);
+        weaver.set_enabled(&distribution, false);
+        assert_eq!(p.compute(3).unwrap(), 6);
+        weaver.set_enabled(&distribution, true);
+        weaver.unplug(&distribution);
+        assert_eq!(p.compute(4).unwrap(), 8);
+        assert_eq!(*held.lock(), [1, 0, 1, 1], "only the redirected call skips the monitor");
     }
 
     #[test]

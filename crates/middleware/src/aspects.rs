@@ -4,13 +4,14 @@
 //! Both distribution aspects perform the paper's four RMI code modifications
 //! in one module:
 //!
-//! 1. the class is declared `Remote` (the inter-type class tag [`REMOTE_TAG`],
-//!    which also keeps the synchronisation advice off the stub's monitor);
+//! 1. the class is declared `Remote` (the inter-type class tag [`REMOTE_TAG`]);
 //! 2. each construction additionally creates a server-side instance
 //!    (selected by a [`Policy`]) and — in the RMI flavour — registers it in
 //!    the name server under an automatic `PS<n>` name;
 //! 3. the client obtains the remote reference (RMI: name-server lookup) and
-//!    stores it as an inter-type field on the local stub;
+//!    stores it as an inter-type field on the local stub ([`REMOTE_FIELD`],
+//!    which, while this aspect is plugged, also keeps the synchronisation
+//!    advice off the stub's monitor);
 //! 4. matched calls are redirected to the remote instance, marshalled
 //!    through the wire codec, with failures surfacing as
 //!    [`WeaveError::Remote`] — the `RemoteException` analogue.
@@ -93,8 +94,7 @@ impl Policy {
     }
 }
 
-/// Inter-type field under which the remote reference is stored on the stub.
-pub const REMOTE_FIELD: &str = "remote";
+pub use weavepar_weave::intertype::REMOTE_FIELD;
 
 /// Per-aspect `Signature → MethodId` cache. Signatures are `Copy` pairs of
 /// `&'static str`, and an aspect only ever sees the handful its pointcut

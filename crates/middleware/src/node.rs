@@ -350,7 +350,8 @@ impl NodeRuntime {
     }
 
     /// Requests queued and not yet popped: what a test waits on, not a sleep.
-    pub fn queued(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn queued(&self) -> usize {
         self.mailbox.state.lock().queue.len()
     }
 

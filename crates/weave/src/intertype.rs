@@ -14,7 +14,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -26,8 +25,14 @@ use crate::value::{AnyValue, Args};
 
 /// The class tag of the paper's RMI modification 1 (`declare parents: C
 /// implements Remote`): the distribution aspects declare it on the class they
-/// distribute, and the synchronisation advice skips a target that carries it.
+/// distribute.
 pub const REMOTE_TAG: &str = "Remote";
+
+/// The per-object field under which a distribution aspect stores a stub's
+/// remote reference (RMI modification 3). An object that carries it is a
+/// stub: while a distribution advice is plugged, its calls are redirected,
+/// and the synchronisation advice leaves its monitor alone.
+pub const REMOTE_FIELD: &str = "remote";
 
 /// Body of an extension method.
 pub type ExtensionFn = Arc<dyn Fn(&Weaver, ObjId, Args) -> WeaveResult<AnyValue> + Send + Sync>;
@@ -64,9 +69,6 @@ type ObjectFields = Vec<(&'static str, AnyValue)>;
 pub struct IntertypeStore {
     extensions: RwLock<HashMap<(&'static str, &'static str), ExtensionFn>>,
     class_tags: RwLock<HashSet<(&'static str, &'static str)>>,
-    // Whether `class_tags` has an entry: a store with none (every local
-    // run's) answers `has_tag` without the lock.
-    any_tag: AtomicBool,
     // Keyed by object: one probe, then that object's few entries. `Mutex`,
     // not `RwLock`: the boxed values are `Send` but not `Sync`.
     fields: Mutex<HashMap<ObjId, ObjectFields, BuildHasherDefault<ObjIdHasher>>>,
@@ -128,28 +130,19 @@ impl IntertypeStore {
 
     /// Declare that `class` carries `tag` (e.g. [`REMOTE_TAG`]).
     pub fn declare_tag(&self, class: &'static str, tag: &'static str) {
-        let mut tags = self.class_tags.write();
-        tags.insert((class, tag));
-        self.any_tag.store(true, Ordering::SeqCst);
+        self.class_tags.write().insert((class, tag));
     }
 
     /// Remove a declared tag. Returns true when present.
     pub fn remove_tag(&self, class: &str, tag: &str) -> bool {
         let mut tags = self.class_tags.write();
         let key = tags.iter().copied().find(|(c, t)| *c == class && *t == tag);
-        let removed = key.is_some_and(|k| tags.remove(&k));
-        self.any_tag.store(!tags.is_empty(), Ordering::SeqCst);
-        removed
+        key.is_some_and(|k| tags.remove(&k))
     }
 
-    /// Does `class` carry `tag`? One hash probe (the synchronisation advice
-    /// asks on every call), and not even the lock while no class carries a
-    /// tag. A tag is declared before the object whose calls ask for it is
-    /// handed out, so no such call reads the flag unset.
+    /// Does `class` carry `tag`? One hash probe, however many tags are
+    /// declared.
     pub fn has_tag(&self, class: &str, tag: &str) -> bool {
-        if !self.any_tag.load(Ordering::SeqCst) {
-            return false;
-        }
         let tags = self.class_tags.read();
         // The set is covariant in its key, so `'static` keys are probed with
         // borrowed strings.

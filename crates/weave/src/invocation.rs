@@ -126,6 +126,13 @@ impl<'a> Invocation<'a> {
         self.async_boundary
     }
 
+    /// Will advice at `precedence` run inside this advice's `proceed`? Asked
+    /// of the chain this join point matched, so an aspect that is unplugged,
+    /// disabled or whose pointcut skips this call is not ahead.
+    pub fn runs_ahead(&self, precedence: i32) -> bool {
+        self.chain[self.index..].iter().any(|entry| entry.precedence == precedence)
+    }
+
     /// Borrow the (not yet consumed) argument pack.
     pub fn args(&self) -> WeaveResult<&Args> {
         self.args.as_ref().ok_or(WeaveError::AlreadyProceeded)
@@ -416,6 +423,35 @@ mod tests {
         weaver.invoke_call(id, "Acc", "add", args![7i64]).unwrap();
         assert_eq!(swallowed.load(Ordering::Relaxed), 2);
         assert_eq!(total(&weaver, id), 0);
+    }
+
+    #[test]
+    fn runs_ahead_sees_only_the_advice_still_to_run_on_this_call() {
+        let weaver = Weaver::new();
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = seen.clone();
+        let asking = Aspect::named("Ask")
+            .precedence(2)
+            .around(Pointcut::call("Acc.add"), move |inv: &mut Invocation| {
+                log.lock().push([1, 2, 3].map(|p| inv.runs_ahead(p)));
+                inv.proceed()
+            })
+            .build();
+        weaver.plug(pass_through("Outer", 1));
+        weaver.plug(asking);
+        let inner = weaver.plug(pass_through("Inner", 3));
+        let id = weaver.construct::<Acc>(args![0i64]).unwrap().id();
+        weaver.invoke_call(id, "Acc", "add", args![1i64]).unwrap();
+        weaver.set_enabled(&inner, false);
+        weaver.invoke_call(id, "Acc", "add", args![1i64]).unwrap();
+        weaver.set_enabled(&inner, true);
+        weaver.unplug(&inner);
+        weaver.invoke_call(id, "Acc", "add", args![1i64]).unwrap();
+        // Neither the advice that already ran nor the asker itself is ahead;
+        // the inner one is, until it is disabled or unplugged.
+        let (plugged, gone) = ([false, false, true], [false, false, false]);
+        assert_eq!(*seen.lock(), [plugged, gone, gone]);
+        assert_eq!(total(&weaver, id), 3);
     }
 
     #[test]

@@ -190,6 +190,53 @@ fn hybrid_stacks_coexist() {
 }
 
 #[test]
+fn only_a_redirected_call_leaves_the_stubs_monitor_alone() {
+    // The synchronisation advice holds every target's monitor but a stub's
+    // on a call that is redirected: an object of the distributed class built
+    // before distribution was plugged, and a stub once it is unplugged, run
+    // locally and under their monitor.
+    use std::sync::{Arc, Mutex};
+    use weavepar::concurrency::synchronized_aspect;
+    use weavepar::weave::{aspect::precedence, object::monitors_held};
+    struct Doubler;
+    weavepar::weaveable! {
+        class Doubler as DoublerProxy {
+            fn new() -> Self { Doubler }
+            fn double(&mut self, x: u64) -> u64 { x * 2 }
+        }
+    }
+    let m = MarshalRegistry::new();
+    m.register::<(), ()>("Doubler", "new");
+    m.register::<(u64,), u64>("Doubler", "double");
+    let fabric = InProcFabric::new(1, m);
+    fabric.register_class::<Doubler>();
+
+    let weaver = Weaver::new();
+    let pointcut = Pointcut::call("Doubler.double");
+    weaver.plug(synchronized_aspect("Sync", pointcut.clone()));
+    let held = Arc::new(Mutex::new(Vec::new()));
+    let seen = held.clone();
+    weaver.plug(
+        Aspect::named("Probe")
+            .precedence(precedence::OPTIMISATION)
+            .around(pointcut.clone(), move |inv: &mut Invocation| {
+                seen.lock().unwrap().push(monitors_held());
+                inv.proceed()
+            })
+            .build(),
+    );
+    let early = DoublerProxy::construct(&weaver).unwrap();
+    let rmi = weaver.plug(RmiConfig::new("Doubler", pointcut, fabric).aspect("Distribution"));
+    let stub = DoublerProxy::construct(&weaver).unwrap();
+    assert_eq!(early.double(1).unwrap(), 2);
+    assert_eq!(stub.double(2).unwrap(), 4);
+    weaver.unplug(&rmi);
+    assert!(weaver.intertype().has_tag("Doubler", weavepar::weave::intertype::REMOTE_TAG));
+    assert_eq!(stub.double(3).unwrap(), 6);
+    assert_eq!(*held.lock().unwrap(), [1, 0, 1], "early, redirected stub, unplugged stub");
+}
+
+#[test]
 fn filters_can_migrate_mid_run() {
     use weavepar::distribution::{introduce_migration, migrate_object};
 

@@ -347,9 +347,10 @@ mod served_inline {
             let key = register(Outside::Latch(entered_tx, release_rx));
             let a = future_ret::<u64>(stub.handle().call("hold", args![key]).unwrap()).unwrap();
             entered.recv().unwrap();
-            // B: nothing on the stub holds it back; it waits at the node.
+            // B: nothing on the stub holds it back; it reaches the fabric,
+            // where the node is busy with A, so it queues there.
             let b = future_ret::<u64>(stub.handle().call("add", args![5u64]).unwrap()).unwrap();
-            while f.node(0).unwrap().queued() == 0 {
+            while calls() - calls_before < 2 {
                 std::thread::yield_now();
             }
             release.send(()).unwrap();
