@@ -28,6 +28,8 @@ cargo fmt --check
 # the "lost a pack" error): a pack takes the next idle worker when it starts.
 # Nor the candidate list built as a `Vec` and then copied into its pack: it is
 # collected into the pack (`candidate_pack`).
+# Nor the sort's hand-rolled leaf merge sort and its per-call pool: a leaf is
+# `sort_unstable`d in its pack, and the recursion runs on one process-wide pool.
 echo "==> no retired fork under crates tests examples"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
@@ -40,6 +42,7 @@ retired="$retired|push_cflow|in_cflow_of|cflow_snapshot|CflowGuard|take_timeout|
 retired="$retired|put_u64_le\\(\\*v\\)"
 retired="$retired|pulled_wave|push_data_dep|DataDepGuard|lost a pack"
 retired="$retired|Pack::from_vec\\(candidates"
+retired="$retired|fn merge_sort|fn insertion_sort|INSERTION_RUN|let executor = Executor::pool\\(dc_pool_size"
 if grep -rnE "$retired" crates tests examples; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1
@@ -195,6 +198,16 @@ for variant in pipe-rmi farm-rmi farm-drmi farm-mpp; do
         exit 1
     fi
 done
+
+# The concurrent divide-and-conquer sort on the process-wide pool, checked
+# item for item against the standard library's sort.
+echo "==> weavepar-demo sort --concurrent --threshold 1024"
+row=$(cargo run --release -q -p weavepar-apps --bin weavepar-demo -- sort --concurrent --threshold 1024)
+echo "$row"
+if ! echo "$row" | grep -q "(validated)"; then
+    echo "the concurrent sort did not validate"
+    exit 1
+fi
 
 # The paper's whole evaluation at a tenth of the default size: all five blocks
 # must print. The shape-check lines compare measured costs: shown, never a gate.

@@ -282,11 +282,15 @@ fn main() -> ExitCode {
                     seed >> 33
                 })
                 .collect();
+            let mut expect = xs.clone();
+            expect.sort_unstable();
             let t0 = Instant::now();
-            match sort_divide_conquer(xs.clone(), threshold, concurrent) {
+            match sort_divide_conquer(xs, threshold, concurrent) {
                 Ok(sorted) => {
                     let elapsed = t0.elapsed();
-                    let ok = sorted.windows(2).all(|w| w[0] <= w[1]) && sorted.len() == xs.len();
+                    // Item for item: sortedness and length alone would pass
+                    // a result that duplicates one item and drops another.
+                    let ok = sorted == expect;
                     println!(
                         "sort n={n} threshold={threshold} concurrent={concurrent}: {elapsed:?} ({})",
                         if ok { "validated" } else { "MISMATCH" }

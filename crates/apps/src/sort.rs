@@ -1,13 +1,13 @@
 //! Merge sort on the divide-and-conquer protocol.
 //!
-//! Core functionality: a [`Sorter`] that sorts a pack (plain sequential merge
-//! sort, in place in the pack it is given, one scratch buffer per call). The
-//! divide-and-conquer aspect splits large inputs at the *call* join point,
-//! creating sub-sorter objects on the fly (§4.1's divide-and-conquer remark)
-//! and merging their outputs, each pair straight into the pack it returns.
-//! Sorter and aspect share one merge loop, [`merge_into`].
+//! Core functionality: a [`Sorter`] that sorts a pack (the standard library's
+//! unstable sort, in place in the pack it is given). The divide-and-conquer
+//! aspect splits large inputs at the *call* join point, creating sub-sorter
+//! objects on the fly (§4.1's divide-and-conquer remark) and merging their
+//! outputs, each pair straight into the pack it returns with [`merge_into`]:
+//! a merge sort at the skeleton level, whose leaves are the sorter's.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use weavepar::concurrency::resolve_any;
 use weavepar::prelude::*;
@@ -67,45 +67,6 @@ fn merge_into(a: &[u64], b: &[u64], out: &mut [u64]) {
     out[lo..hi].copy_from_slice(if i == p { &b[j..q] } else { &a[i..p] });
 }
 
-/// Slices of at most this many items are insertion-sorted, not divided.
-const INSERTION_RUN: usize = 32;
-
-fn insertion_sort(xs: &mut [u64]) {
-    for i in 1..xs.len() {
-        let x = xs[i];
-        let mut j = i;
-        while j > 0 && xs[j - 1] > x {
-            xs[j] = xs[j - 1];
-            j -= 1;
-        }
-        xs[j] = x;
-    }
-}
-
-/// Sort `xs`, with `buf` (as long as `xs`) as the other side of every merge:
-/// the sorted items end up in `buf` if `into_buf` and in `xs` otherwise, and
-/// the other slice is left in no particular state. Each level merges out of
-/// one slice into the other, so an item is written once per level.
-fn merge_sort(xs: &mut [u64], buf: &mut [u64], into_buf: bool) {
-    if xs.len() <= INSERTION_RUN {
-        insertion_sort(xs);
-        if into_buf {
-            buf.copy_from_slice(xs);
-        }
-        return;
-    }
-    let mid = xs.len() / 2;
-    let (xs_left, xs_right) = xs.split_at_mut(mid);
-    let (buf_left, buf_right) = buf.split_at_mut(mid);
-    merge_sort(xs_left, buf_left, !into_buf);
-    merge_sort(xs_right, buf_right, !into_buf);
-    if into_buf {
-        merge_into(xs_left, xs_right, buf);
-    } else {
-        merge_into(buf_left, buf_right, xs);
-    }
-}
-
 /// The sequential sorter.
 pub struct Sorter;
 
@@ -113,16 +74,13 @@ weaveable! {
     class Sorter as SorterProxy {
         fn new() -> Self { Sorter }
 
-        /// Plain sequential merge sort, in the pack it is given: in place if
-        /// the pack is the only owner of its allocation, in a copy of its
-        /// own range (only) if the allocation is shared — a half handed out
-        /// by a divide is. One scratch buffer per call is the only other
-        /// allocation.
+        /// The standard library's unstable sort, in the pack it is given: in
+        /// place if the pack is the only owner of its allocation, in a copy
+        /// of its own range (only) if the allocation is shared — a half
+        /// handed out by a divide is. That copy is the only allocation.
         fn sort(&mut self, xs: Pack) -> Pack {
             let mut xs = xs;
-            let items = xs.make_mut();
-            let mut scratch = vec![0; items.len()];
-            merge_sort(items, &mut scratch, false);
+            xs.make_mut().sort_unstable();
             xs
         }
     }
@@ -162,25 +120,28 @@ pub fn sort_dc_config(threshold: usize) -> DivideConquerConfig {
 }
 
 /// Workers of the pool the concurrent recursion runs on: one per available
-/// CPU. The tree may be far deeper than that — a join on a pool worker runs
-/// queued sub-problems instead of blocking.
+/// CPU, in one process-wide pool, created on the first concurrent call. The
+/// tree may be far deeper than that — a join on a pool worker runs queued
+/// sub-problems instead of blocking.
 pub fn dc_pool_size() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 /// Sort with the divide-and-conquer aspect (optionally with the concurrency
-/// module, giving a parallel recursion tree on a work-stealing pool of
-/// [`dc_pool_size`] workers).
+/// module, giving a parallel recursion tree on the process-wide
+/// work-stealing pool of [`dc_pool_size`] workers). The sorted items are
+/// written back into `xs`, which is returned.
 pub fn sort_divide_conquer(
-    xs: Vec<u64>,
+    mut xs: Vec<u64>,
     threshold: usize,
     concurrent: bool,
 ) -> WeaveResult<Vec<u64>> {
+    static POOL: OnceLock<Executor> = OnceLock::new();
     let stack = ConcernStack::new();
     stack.weaver().register_class::<Sorter>();
     stack.plug(Concern::Partition, sort_dc_config(threshold).aspect("Partition.dc"));
-    let executor = if concurrent {
-        let executor = Executor::pool(dc_pool_size(), "sort-dc");
+    if concurrent {
+        let executor = POOL.get_or_init(|| Executor::pool(dc_pool_size(), "sort-dc"));
         stack.plug_all(
             Concern::Concurrency,
             future_concurrency_aspect(
@@ -189,17 +150,15 @@ pub fn sort_divide_conquer(
                 executor.clone(),
             ),
         );
-        Some(executor)
-    } else {
-        None
-    };
-    let sorter = SorterProxy::construct(stack.weaver())?;
-    let raw = sorter.handle().call("sort", args![Pack::from_vec(xs)])?;
-    let sorted: Pack = downcast_ret(resolve_any(raw)?)?;
-    if let Some(executor) = executor {
-        executor.wait_idle();
     }
-    Ok(sorted.to_vec())
+    let sorter = SorterProxy::construct(stack.weaver())?;
+    let raw = sorter.handle().call("sort", args![Pack::from_slice(&xs)])?;
+    // No `wait_idle`: it would wait for other callers' work on the shared
+    // pool, and this call's tree is done once its root resolves, because
+    // every divide joins all of its sub-calls before it combines.
+    let sorted: Pack = downcast_ret(resolve_any(raw)?)?;
+    xs.copy_from_slice(sorted.as_slice());
+    Ok(xs)
 }
 
 #[cfg(test)]
@@ -255,6 +214,18 @@ mod tests {
         assert_eq!(sort_divide_conquer(vec![], 8, false).unwrap(), Vec::<u64>::new());
         assert_eq!(sort_divide_conquer(vec![5], 8, false).unwrap(), vec![5]);
         assert_eq!(sort_divide_conquer(vec![2, 1], 1, false).unwrap(), vec![1, 2]);
+    }
+
+    #[test]
+    fn the_result_is_written_back_into_the_callers_vector() {
+        for concurrent in [false, true] {
+            let xs = pseudo_random(3_000, 5);
+            let expect = reference(xs.clone());
+            let items = xs.as_ptr();
+            let got = sort_divide_conquer(xs, 128, concurrent).unwrap();
+            assert_eq!(got.as_ptr(), items, "concurrent = {concurrent}: a new allocation");
+            assert_eq!(got, expect, "concurrent = {concurrent}");
+        }
     }
 
     #[test]
@@ -340,8 +311,7 @@ mod proptests {
             prop_assert_eq!(merged, expect);
         }
 
-        /// Lengths on both sides of the insertion cut-off, odd splits at
-        /// every level, and the inputs of [`kernel_input`].
+        /// The inputs of [`kernel_input`], in a pack of their own.
         #[test]
         fn sequential_core_equals_std_sort(xs in kernel_input()) {
             let mut expect = xs.clone();

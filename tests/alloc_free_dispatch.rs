@@ -309,19 +309,19 @@ fn the_sort_kernel_allocates_per_call_not_per_item() {
     let mut expect = xs.clone();
     expect.sort_unstable();
 
-    // The only owner of its allocation: sorted in place, plus the scratch.
+    // The only owner of its allocation: sorted in place, no scratch.
     let unique = Pack::from_slice(&xs);
     let (allocs, sorted) = count_allocs(|| Sorter::new().sort(unique));
     assert_eq!(sorted.as_slice(), &expect[..]);
-    assert!(allocs <= 2, "sorting a unique 10 000-item pack made {allocs} allocations");
+    assert_eq!(allocs, 0, "sorting a unique 10 000-item pack must not allocate");
 
-    // One of two views: its own copy of the items, plus the scratch.
+    // One of two views: its own copy of the items, and nothing else.
     let shared = Pack::from_slice(&xs);
     let other_view = shared.clone();
     let (allocs, sorted) = count_allocs(|| Sorter::new().sort(shared));
     assert_eq!(sorted.as_slice(), &expect[..]);
     assert_eq!(other_view.as_slice(), &xs[..]);
-    assert!(allocs <= 2, "sorting a shared 10 000-item pack made {allocs} allocations");
+    assert_eq!(allocs, 1, "sorting a shared 10 000-item pack allocates exactly its copy");
 
     // The result's allocation and the `Vec<Pack>` of the sub-results.
     let combine = sort_dc_config(1024).combine;

@@ -172,7 +172,7 @@ fn both_schedulers_agree_under_load() {
 mod fork_join {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc::{channel, Sender};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::time::Duration;
 
     use weavepar::concurrency::{
@@ -288,6 +288,48 @@ mod fork_join {
                 sort_divide_conquer(input, threshold, true).unwrap()
             });
             assert_eq!(got, expect, "threshold {threshold}");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_share_the_sort_pool() {
+        // Four callers at once on the one process-wide pool: a join that
+        // helps may run another caller's sub-problem, and each caller's
+        // result is still its own.
+        let inputs: Vec<Vec<u64>> = (0..4u64)
+            .map(|caller| {
+                let mut seed = 31 + caller;
+                (0..5_000)
+                    .map(|_| {
+                        seed = seed
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        seed >> 33
+                    })
+                    .collect()
+            })
+            .collect();
+        for threshold in [1, 64, 1024] {
+            let callers = inputs.clone();
+            let got = watchdog("four concurrent sort_divide_conquer callers", move || {
+                let start = Arc::new(Barrier::new(callers.len()));
+                let threads: Vec<_> = callers
+                    .into_iter()
+                    .map(|xs| {
+                        let start = start.clone();
+                        std::thread::spawn(move || {
+                            start.wait();
+                            sort_divide_conquer(xs, threshold, true).unwrap()
+                        })
+                    })
+                    .collect();
+                threads.into_iter().map(|t| t.join().unwrap()).collect::<Vec<_>>()
+            });
+            for (got, xs) in got.iter().zip(&inputs) {
+                let mut expect = xs.clone();
+                expect.sort_unstable();
+                assert_eq!(got, &expect, "threshold {threshold}");
+            }
         }
     }
 
