@@ -30,6 +30,8 @@ cargo fmt --check
 # collected into the pack (`candidate_pack`).
 # Nor the sort's hand-rolled leaf merge sort and its per-call pool: a leaf is
 # `sort_unstable`d in its pack, and the recursion runs on one process-wide pool.
+# Nor the thread-pool aspect that only renamed `future_aspect` over a pool: the
+# pool is the executor the concurrency module is plugged with.
 echo "==> no retired fork under crates tests examples"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
@@ -43,6 +45,7 @@ retired="$retired|put_u64_le\\(\\*v\\)"
 retired="$retired|pulled_wave|push_data_dep|DataDepGuard|lost a pack"
 retired="$retired|Pack::from_vec\\(candidates"
 retired="$retired|fn merge_sort|fn insertion_sort|INSERTION_RUN|let executor = Executor::pool\\(dc_pool_size"
+retired="$retired|pooled_invocation_aspect"
 if grep -rnE "$retired" crates tests examples; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1
@@ -59,6 +62,15 @@ if grep -rn "crossbeam" crates/skeletons crates/middleware crates/apps; then
 fi
 if grep -rn "crossbeam::channel" crates tests examples vendor; then
     echo "crossbeam::channel was deleted in PR 21 (see EXPERIMENTS.md, \"Retired baselines\")"
+    exit 1
+fi
+
+# Every Table 1 row runs its concurrency on the crate's one process-wide pool
+# (§4.4's thread pool), not a thread per pack. Thread-per-call stays legitimate
+# elsewhere, so this is a check on the sieve's path, not a retired name.
+echo "==> no thread_per_call under crates/apps/src/sieve"
+if grep -rn "thread_per_call" crates/apps/src/sieve; then
+    echo "a sieve row starts a thread per pack instead of plugging the shared pool"
     exit 1
 fi
 

@@ -21,6 +21,10 @@
 //! and exposes `build`/`run` helpers that assemble the requested concern
 //! stack.
 
+use std::sync::OnceLock;
+
+use weavepar::concurrency::Executor;
+
 pub mod heat;
 pub mod heat2d;
 pub mod mandel;
@@ -28,3 +32,13 @@ pub mod sieve;
 pub mod sort;
 
 pub use sieve::{build_sieve, run_sieve, Middleware, PartitionStrategy, SieveConfig, SieveRun};
+
+/// The one pool the concurrency module runs on in every Table 1 row and in
+/// the concurrent sort (the paper's §4.4 thread-pool optimisation):
+/// [`sort::dc_pool_size`] workers, created on first concurrent use and never
+/// shut down. Callers share it, so none of them waits for it to go idle: a
+/// call is done once its root future resolves.
+pub(crate) fn shared_pool() -> &'static Executor {
+    static POOL: OnceLock<Executor> = OnceLock::new();
+    POOL.get_or_init(|| Executor::pool(sort::dc_pool_size(), "apps-pool"))
+}

@@ -11,7 +11,9 @@
 //! Each combination is obtained purely by plugging aspects into a
 //! [`ConcernStack`]; the core functionality ([`PrimeFilter`]) and the driver
 //! ([`run_sieve`]) are byte-for-byte identical across all of them — the
-//! paper's central claim.
+//! paper's central claim. Every row's concurrency module runs on the crate's
+//! one process-wide work-stealing pool (the §4.4 thread-pool optimisation,
+//! shared with the concurrent sort), so no row starts a thread per pack.
 
 use std::sync::Arc;
 
@@ -192,11 +194,12 @@ fn sieve_marshal() -> MarshalRegistry {
 }
 
 /// An assembled sieve: the concern stack plus the runtime pieces a caller
-/// needs to drive and drain it.
+/// needs to drive and inspect it.
 pub struct SieveRun {
     /// The configured concern stack.
     pub stack: ConcernStack,
-    /// The executor behind the concurrency module, when plugged.
+    /// The executor behind the concurrency module, when plugged: the
+    /// process-wide pool, which other callers share.
     pub executor: Option<Executor>,
     /// The node fabric behind the distribution aspect, when plugged.
     pub fabric: Option<Arc<InProcFabric>>,
@@ -228,7 +231,7 @@ pub fn build_sieve(config: SieveConfig) -> SieveRun {
 
     // Concurrency concern.
     let executor = if config.concurrency {
-        let executor = Executor::thread_per_call();
+        let executor = crate::shared_pool().clone();
         stack.plug_all(
             Concern::Concurrency,
             future_concurrency_aspect(
@@ -284,10 +287,11 @@ pub fn run_sieve(run: &SieveRun, max: u64) -> WeaveResult<Vec<u64>> {
     let weaver = run.stack.weaver();
     let filter = PrimeFilterProxy::construct(weaver, 2, isqrt(max))?;
     let raw = filter.handle().call("filter", args![candidate_pack(max)])?;
+    // No `wait_idle`: it would wait for other callers' work on the shared
+    // pool. Every pack's future is settled once the root resolves: the
+    // combine takes each one, and a pipeline or dynamic-farm hop continues
+    // inline into the future its pack already returned.
     let survivors: Pack = downcast_ret(resolve_any(raw)?)?;
-    if let Some(executor) = &run.executor {
-        executor.wait_idle();
-    }
     let mut primes = vec![2];
     primes.extend_from_slice(survivors.as_slice());
     Ok(primes)
@@ -304,6 +308,27 @@ mod tests {
         let run = build_sieve(config);
         let got = run_sieve(&run, MAX).unwrap();
         assert_eq!(got, sequential_sieve(MAX), "{} diverged", config.label());
+    }
+
+    #[test]
+    fn every_concurrent_row_runs_on_the_process_wide_pool() {
+        let rows = [
+            SieveConfig::farm_threads(4),
+            SieveConfig::pipe_rmi(4),
+            SieveConfig::farm_rmi(4),
+            SieveConfig::farm_drmi(4),
+            SieveConfig::farm_mpp(4),
+        ];
+        for config in rows {
+            let run = build_sieve(config);
+            let executor = run.executor.as_ref().expect("every Table 1 row plugs concurrency");
+            assert!(
+                executor.same_as(crate::shared_pool()),
+                "{} has its own executor",
+                config.label()
+            );
+        }
+        assert!(build_sieve(SieveConfig::sequential_pipeline(4)).executor.is_none());
     }
 
     #[test]
@@ -366,7 +391,8 @@ mod tests {
 
     #[test]
     fn a_dynamic_farm_finds_the_same_primes_with_or_without_concurrency() {
-        let executors = [None, Some(Executor::thread_per_call()), Some(Executor::pool(2, "sieve"))];
+        let executors =
+            [None, Some(crate::shared_pool().clone()), Some(Executor::pool(2, "sieve"))];
         for executor in executors {
             let config =
                 SieveConfig { concurrency: false, packs: 8, nodes: 3, ..SieveConfig::farm_drmi(4) };

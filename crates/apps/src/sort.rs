@@ -7,7 +7,7 @@
 //! outputs, each pair straight into the pack it returns with [`merge_into`]:
 //! a merge sort at the skeleton level, whose leaves are the sorter's.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use weavepar::concurrency::resolve_any;
 use weavepar::prelude::*;
@@ -120,9 +120,10 @@ pub fn sort_dc_config(threshold: usize) -> DivideConquerConfig {
 }
 
 /// Workers of the pool the concurrent recursion runs on: one per available
-/// CPU, in one process-wide pool, created on the first concurrent call. The
-/// tree may be far deeper than that — a join on a pool worker runs queued
-/// sub-problems instead of blocking.
+/// CPU, in the crate's one process-wide pool (which the concurrent sieve rows
+/// share), created on the first concurrent call. The tree may be far deeper
+/// than that — a join on a pool worker runs queued sub-problems instead of
+/// blocking.
 pub fn dc_pool_size() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
@@ -136,18 +137,16 @@ pub fn sort_divide_conquer(
     threshold: usize,
     concurrent: bool,
 ) -> WeaveResult<Vec<u64>> {
-    static POOL: OnceLock<Executor> = OnceLock::new();
     let stack = ConcernStack::new();
     stack.weaver().register_class::<Sorter>();
     stack.plug(Concern::Partition, sort_dc_config(threshold).aspect("Partition.dc"));
     if concurrent {
-        let executor = POOL.get_or_init(|| Executor::pool(dc_pool_size(), "sort-dc"));
         stack.plug_all(
             Concern::Concurrency,
             future_concurrency_aspect(
                 "Concurrency",
                 Pointcut::call("Sorter.sort"),
-                executor.clone(),
+                crate::shared_pool().clone(),
             ),
         );
     }

@@ -29,9 +29,16 @@ use weavepar_weave::{AnyValue, Detached, WeaveError, WeaveResult};
 use crate::pool::{Joiner, StealCore};
 
 enum State<T> {
-    /// Not fulfilled yet; the pool (if any) whose worker is helping while it
-    /// waits for this future, to be woken at fulfilment.
-    Pending(Option<Arc<StealCore>>),
+    /// Not fulfilled yet.
+    Pending {
+        /// The pool (if any) whose worker is helping while it waits for this
+        /// future, to be woken at fulfilment.
+        helper: Option<Arc<StealCore>>,
+        /// A taker is blocked on the condvar (or about to be: it sets this
+        /// under the lock its wait releases). Fulfilment notifies only then,
+        /// since a notify is a system call even when nobody waits.
+        blocked: bool,
+    },
     Ready(T),
     Taken,
 }
@@ -66,7 +73,7 @@ impl<T> FutureValue<T> {
     pub fn new() -> Self {
         FutureValue {
             shared: Arc::new(Shared {
-                state: Mutex::new(State::Pending(None)),
+                state: Mutex::new(State::Pending { helper: None, blocked: false }),
                 cv: Condvar::new(),
             }),
         }
@@ -76,13 +83,15 @@ impl<T> FutureValue<T> {
     /// already fulfilled — write-once semantics.
     pub fn fulfill(&self, value: T) -> bool {
         let mut state = self.shared.state.lock();
-        let State::Pending(helper) = &mut *state else { return false };
-        let helper = helper.take();
+        let State::Pending { helper, blocked } = &mut *state else { return false };
+        let (helper, blocked) = (helper.take(), *blocked);
         *state = State::Ready(value);
         // Notify with the lock released, or every woken taker would block
         // at once on the mutex it was just told about.
         drop(state);
-        self.shared.cv.notify_all();
+        if blocked {
+            self.shared.cv.notify_all();
+        }
         if let Some(pool) = helper {
             pool.wake_all();
         }
@@ -106,7 +115,7 @@ impl<T> FutureValue<T> {
             match std::mem::replace(&mut *state, State::Taken) {
                 State::Ready(v) => return Ok(v),
                 State::Taken => return Err(WeaveError::app("future already taken")),
-                pending @ State::Pending(_) => *state = pending,
+                pending @ State::Pending { .. } => *state = pending,
             }
             match Joiner::current() {
                 Some(joiner) if Self::enlist(&mut state, &joiner) => {
@@ -114,7 +123,12 @@ impl<T> FutureValue<T> {
                     joiner.help_until(|| !self.is_pending());
                     state = self.shared.state.lock();
                 }
-                _ => self.shared.cv.wait(&mut state),
+                _ => {
+                    if let State::Pending { blocked, .. } = &mut *state {
+                        *blocked = true;
+                    }
+                    self.shared.cv.wait(&mut state);
+                }
             }
         }
     }
@@ -124,7 +138,7 @@ impl<T> FutureValue<T> {
     /// slot: the later joiner blocks instead).
     fn enlist(state: &mut State<T>, joiner: &Joiner) -> bool {
         match state {
-            State::Pending(helper) => {
+            State::Pending { helper, .. } => {
                 let pool = helper.get_or_insert_with(|| joiner.pool().clone());
                 Arc::ptr_eq(pool, joiner.pool())
             }
@@ -133,7 +147,13 @@ impl<T> FutureValue<T> {
     }
 
     fn is_pending(&self) -> bool {
-        matches!(*self.shared.state.lock(), State::Pending(_))
+        matches!(*self.shared.state.lock(), State::Pending { .. })
+    }
+
+    /// True once a taker has blocked on this future and not yet been woken.
+    #[cfg(test)]
+    fn has_blocked_taker(&self) -> bool {
+        matches!(*self.shared.state.lock(), State::Pending { blocked: true, .. })
     }
 }
 
@@ -141,7 +161,7 @@ impl<T> std::fmt::Debug for FutureValue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.shared.state.lock();
         let s = match *state {
-            State::Pending(_) => "pending",
+            State::Pending { .. } => "pending",
             State::Ready(_) => "ready",
             State::Taken => "taken",
         };
@@ -297,6 +317,21 @@ mod tests {
         thread::sleep(Duration::from_millis(30));
         f.fulfill("done".to_string());
         assert_eq!(t.join().unwrap(), "done");
+    }
+
+    #[test]
+    fn a_taker_that_blocked_before_the_fulfilment_is_woken() {
+        let f = FutureValue::new();
+        let f2 = f.clone();
+        let t = thread::spawn(move || f2.take().unwrap());
+        // The flag is set under the lock that the taker's wait releases, so
+        // once it reads true the taker is parked on the condvar (or about to
+        // be, with the lock still held) and must be notified.
+        while !f.has_blocked_taker() {
+            thread::yield_now();
+        }
+        assert!(f.fulfill(7u32));
+        assert_eq!(t.join().unwrap(), 7);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! | [`skeletons`] | reusable partition protocols: pipeline, farm, dynamic farm, heartbeat (§4.1) |
 //! | [`cluster`] | deterministic discrete-event cluster simulator for the paper's testbed (§6) |
 //! | [`stack`] | [`ConcernStack`]: the plug/unplug lifecycle of the four concern categories |
-//! | [`optimisation`] | optimisation aspects: object cache, call batching, pooled execution (§4.4) |
+//! | [`optimisation`] | optimisation aspects (§4.4): object cache; where thread pools and message packing plug in |
 //! | [`tuning`] | adaptive grain-size autotuning: tunables, feedback controller, autotune aspect |
 //! | [`logging`] | the Figure 3 logging aspect as a structure-inspection tool |
 //!

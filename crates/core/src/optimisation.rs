@@ -8,12 +8,12 @@
 //!
 //! Realisations here:
 //!
-//! * **thread pools** — [`pooled_invocation_aspect`]: a drop-in replacement
-//!   for the thread-per-call asynchronous-invocation aspect that runs on a
-//!   shared [`ThreadPool`] instead (plug one *or* the other). The pool is
-//!   backed by a work-stealing scheduler (per-worker LIFO deques, global
-//!   injector, pack-granular `spawn_batch`); the aspect's plugging story is
-//!   unchanged — the optimisation just got faster;
+//! * **thread pools** — the concurrency module's executor is a plug-time
+//!   choice: `future_concurrency_aspect(.., Executor::Pool(pool))` instead of
+//!   `Executor::thread_per_call()`. Every concurrent Table 1 sieve row and the
+//!   concurrent divide-and-conquer sort plug one process-wide work-stealing
+//!   pool (per-worker LIFO deques, global injector, pack-granular
+//!   `spawn_batch`, joins that help), shared between them;
 //! * **cache objects** — [`object_cache_aspect`]: memoises matched calls per
 //!   `(target, argument-key)` and answers repeats without `proceed` — in a
 //!   distributed stack it sits outside the distribution aspect and therefore
@@ -33,21 +33,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use weavepar_concurrency::{future_aspect, Executor, FutureValue, ThreadPool};
+use weavepar_concurrency::FutureValue;
 use weavepar_weave::aspect::precedence;
 use weavepar_weave::prelude::*;
 use weavepar_weave::ObjId;
-
-/// Thread-pool optimisation: asynchronous invocation on a shared pool.
-/// Semantically identical to the future-returning concurrency aspect; the
-/// optimisation is purely in *how* the work executes.
-pub fn pooled_invocation_aspect(
-    name: impl Into<String>,
-    pointcut: Pointcut,
-    pool: Arc<ThreadPool>,
-) -> Aspect {
-    future_aspect(name, pointcut, Executor::Pool(pool))
-}
 
 /// How an application describes cacheable calls to [`object_cache_aspect`]:
 /// a stable key for the arguments and a way to duplicate a result (results
@@ -367,23 +356,5 @@ mod tests {
         a.work(vec![5]).unwrap();
         b.work(vec![5]).unwrap();
         assert_eq!(stats.misses(), 2, "distinct targets must not share entries");
-    }
-
-    #[test]
-    fn pooled_invocation_runs_on_the_pool() {
-        let weaver = Weaver::new();
-        let pool = ThreadPool::new(2, "opt");
-        weaver.plug(pooled_invocation_aspect(
-            "PooledAsync",
-            Pointcut::call("Expensive.work"),
-            pool.clone(),
-        ));
-        let e = ExpensiveProxy::construct(&weaver).unwrap();
-        let before = executions();
-        let ret = e.handle().call("work", weavepar_weave::args![vec![1u64]]).unwrap();
-        let out = weavepar_concurrency::resolve_any(ret).unwrap();
-        assert_eq!(*out.downcast::<Vec<u64>>().unwrap(), vec![2]);
-        pool.wait_idle();
-        assert_eq!(executions() - before, 1);
     }
 }

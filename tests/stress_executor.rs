@@ -17,8 +17,9 @@
 //!    worker helps instead of blocking — under the three rules of
 //!    `concurrency::pool`'s "Joins" section (clean context for the helped
 //!    task, no helping under a monitor, panics stay in their own future).
-//!    None of these tests sleeps; each runs under a watchdog that fails
-//!    instead of hanging.
+//!    The Table 1 sieves and the sort share one process-wide pool, and run
+//!    on it at once. None of these tests sleeps; each runs under a watchdog
+//!    that fails instead of hanging.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -185,6 +186,7 @@ mod fork_join {
     use weavepar::weave::value::downcast_ret;
     use weavepar::weave::{Recorder, TaskId};
     use weavepar::{args, ret};
+    use weavepar_apps::sieve::{build_sieve, run_sieve, sequential_sieve, SieveConfig};
     use weavepar_apps::sort::sort_divide_conquer;
 
     /// Run `f` on its own thread and fail, instead of hanging the suite, if
@@ -331,6 +333,71 @@ mod fork_join {
                 assert_eq!(got, &expect, "threshold {threshold}");
             }
         }
+    }
+
+    #[test]
+    fn three_sieves_and_a_sort_share_the_one_pool_at_once() {
+        // Pool workers park on reply slots (a queued remote call) next to
+        // workers whose joins help: node threads, not pool workers, serve the
+        // queued requests, and a dynamic-farm pack waits for an idle filter
+        // only while every filter is held by a pack that is running.
+        const MAX: u64 = 20_000;
+        let mut seed = 77u64;
+        let xs: Vec<u64> = (0..5_000)
+            .map(|_| {
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                seed >> 33
+            })
+            .collect();
+        for _round in 0..3 {
+            let input = xs.clone();
+            let (sieves, sorted) = watchdog("three sieves and a sort on one pool", move || {
+                let rows = [SieveConfig::pipe_rmi, SieveConfig::farm_rmi, SieveConfig::farm_drmi];
+                let runs: Vec<_> = rows
+                    .into_iter()
+                    .map(|row| build_sieve(SieveConfig { packs: 8, nodes: 3, ..row(4) }))
+                    .collect();
+                let start = Arc::new(Barrier::new(runs.len() + 1));
+                let sieves: Vec<_> = runs
+                    .into_iter()
+                    .map(|run| {
+                        let start = start.clone();
+                        std::thread::spawn(move || {
+                            start.wait();
+                            (run.config.label(), run_sieve(&run, MAX).unwrap())
+                        })
+                    })
+                    .collect();
+                start.wait();
+                let sorted = sort_divide_conquer(input, 64, true).unwrap();
+                (sieves.into_iter().map(|t| t.join().unwrap()).collect::<Vec<_>>(), sorted)
+            });
+            let primes = sequential_sieve(MAX);
+            for (label, got) in sieves {
+                assert_eq!(got, primes, "{label}");
+            }
+            let mut expect = xs.clone();
+            expect.sort_unstable();
+            assert_eq!(sorted, expect);
+        }
+    }
+
+    #[test]
+    fn an_outside_taker_is_woken_for_every_fulfilment_on_the_pool() {
+        const N: usize = 10_000;
+        let taken = watchdog("10 000 futures fulfilled by pool workers", || {
+            let executor = Executor::pool(2, "fulfil");
+            let futures: Vec<FutureValue<usize>> = (0..N).map(|_| FutureValue::new()).collect();
+            executor.spawn_batch(futures.iter().cloned().enumerate().map(|(i, f)| {
+                move || {
+                    f.fulfill(i);
+                }
+            }));
+            let taken: Vec<usize> = futures.iter().map(|f| f.take().unwrap()).collect();
+            quiesce(&executor);
+            taken
+        });
+        assert_eq!(taken, (0..N).collect::<Vec<_>>());
     }
 
     /// What a frame sees of its thread-local weaving context.
