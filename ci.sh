@@ -31,7 +31,16 @@ cargo fmt --check
 # Nor the sort's hand-rolled leaf merge sort and its per-call pool: a leaf is
 # `sort_unstable`d in its pack, and the recursion runs on one process-wide pool.
 # Nor the thread-pool aspect that only renamed `future_aspect` over a pool: the
-# pool is the executor the concurrency module is plugged with.
+# pool is the executor the concurrency module is plugged with. Nor the second
+# entry points that only their own tests reached: the oneway module and its
+# error sink (Figure 12's module is `future_concurrency_aspect`; a oneway call
+# leaves its future untaken), the tracker's timed wait, the typed and
+# per-space unwoven calls (`construct_dyn_unwoven`, `invoke_unwoven`), the
+# fabric's `call_batch`, `PackFrame::push_encoded` and the name-keyed registry
+# `decode_args` (`new_pack` → `push` → `submit_pack`, `decode_args_id`;
+# `WireArgs::decode_args` stays), the bounded LRU cache,
+# `ClusterConfig::with_nodes`, and the three skeleton modules that only
+# re-exported a name of `partition`.
 echo "==> no retired fork under crates tests examples"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
@@ -46,6 +55,11 @@ retired="$retired|pulled_wave|push_data_dep|DataDepGuard|lost a pack"
 retired="$retired|Pack::from_vec\\(candidates"
 retired="$retired|fn merge_sort|fn insertion_sort|INSERTION_RUN|let executor = Executor::pool\\(dc_pool_size"
 retired="$retired|pooled_invocation_aspect"
+retired="$retired|oneway_aspect|(^|[^_])concurrency_aspect|ErrorSink|wait_idle_timeout"
+retired="$retired|construct_unwoven|\\.call_unwoven\\(|fn call_unwoven\\(|space(\\(\\))?\\.invoke\\("
+retired="$retired|call_batch[<(]|push_encoded|\\.decode_args\\(|fn decode_args\\(&self"
+retired="$retired|object_cache_aspect_bounded|insert_bounded|CacheStore|with_nodes"
+retired="$retired|(crate|skeletons)::(farm|pipeline|dynamic_farm)::|mod (farm|pipeline|dynamic_farm);"
 if grep -rnE "$retired" crates tests examples; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1
@@ -65,12 +79,12 @@ if grep -rn "crossbeam::channel" crates tests examples vendor; then
     exit 1
 fi
 
-# Every Table 1 row runs its concurrency on the crate's one process-wide pool
-# (§4.4's thread pool), not a thread per pack. Thread-per-call stays legitimate
-# elsewhere, so this is a check on the sieve's path, not a retired name.
-echo "==> no thread_per_call under crates/apps/src/sieve"
-if grep -rn "thread_per_call" crates/apps/src/sieve; then
-    echo "a sieve row starts a thread per pack instead of plugging the shared pool"
+# Every app runs its concurrency on the crate's one process-wide pool (§4.4's
+# thread pool), not a thread per call. Thread-per-call stays legitimate
+# elsewhere, so this is a check on the apps' path, not a retired name.
+echo "==> no thread_per_call under crates/apps/src"
+if grep -rn "thread_per_call" crates/apps/src; then
+    echo "an app starts a thread per call instead of plugging the shared pool"
     exit 1
 fi
 
@@ -220,6 +234,13 @@ if ! echo "$row" | grep -q "(validated)"; then
     echo "the concurrent sort did not validate"
     exit 1
 fi
+
+# Every example must run to its end (exit 0), not just compile.
+for example in examples/*.rs; do
+    example=$(basename "$example" .rs)
+    echo "==> cargo run --release --example $example"
+    cargo run --release -q -p weavepar-apps --example "$example" > /dev/null
+done
 
 # The paper's whole evaluation at a tenth of the default size: all five blocks
 # must print. The shape-check lines compare measured costs: shown, never a gate.

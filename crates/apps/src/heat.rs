@@ -162,15 +162,10 @@ pub fn solve_heartbeat(
     iterations: u64,
     workers: usize,
 ) -> WeaveResult<Vec<f64>> {
-    // Never create empty blocks (see the 2-D variant for the rationale).
-    let workers = workers.clamp(1, len.max(1) as usize);
-    let stack = ConcernStack::new();
-    stack.plug(Concern::Partition, heat_heartbeat_config(workers).aspect("Partition.heartbeat"));
-    let rod = RodProxy::construct(stack.weaver(), len, initial, left, right)?;
-    rod.run(iterations)
+    solve(false, len, initial, left, right, iterations, workers)
 }
 
-/// Solve with heartbeat + concurrent steps.
+/// Solve with heartbeat + concurrent steps on the crate's shared pool.
 pub fn solve_heartbeat_concurrent(
     len: u64,
     initial: f64,
@@ -179,17 +174,34 @@ pub fn solve_heartbeat_concurrent(
     iterations: u64,
     workers: usize,
 ) -> WeaveResult<Vec<f64>> {
+    solve(true, len, initial, left, right, iterations, workers)
+}
+
+/// The heartbeat aspect over `workers` blocks, plus the concurrency module
+/// on the shared pool when `concurrent`. The run's result is its steps'
+/// last barrier, so nothing is left to wait for on the pool.
+fn solve(
+    concurrent: bool,
+    len: u64,
+    initial: f64,
+    left: f64,
+    right: f64,
+    iterations: u64,
+    workers: usize,
+) -> WeaveResult<Vec<f64>> {
+    // Never create empty blocks (see the 2-D variant for the rationale).
+    let workers = workers.clamp(1, len.max(1) as usize);
     let stack = ConcernStack::new();
     stack.plug(Concern::Partition, heat_heartbeat_config(workers).aspect("Partition.heartbeat"));
-    let executor = Executor::thread_per_call();
-    stack.plug_all(
-        Concern::Concurrency,
-        future_concurrency_aspect("Concurrency", Pointcut::call("Rod.step"), executor.clone()),
-    );
+    if concurrent {
+        let executor = crate::shared_pool().clone();
+        stack.plug_all(
+            Concern::Concurrency,
+            future_concurrency_aspect("Concurrency", Pointcut::call("Rod.step"), executor),
+        );
+    }
     let rod = RodProxy::construct(stack.weaver(), len, initial, left, right)?;
-    let result = rod.run(iterations)?;
-    executor.wait_idle();
-    Ok(result)
+    rod.run(iterations)
 }
 
 #[cfg(test)]
@@ -223,8 +235,11 @@ mod tests {
     #[test]
     fn heartbeat_concurrent_matches() {
         let reference = solve_sequential(32, 0.0, 2.0, -1.0, 30);
-        let got = solve_heartbeat_concurrent(32, 0.0, 2.0, -1.0, 30, 4).unwrap();
-        assert!(close(&got, &reference));
+        // 40 workers on 32 cells: clamped to one block a cell, as sequentially.
+        for workers in [1usize, 2, 4, 40] {
+            let got = solve_heartbeat_concurrent(32, 0.0, 2.0, -1.0, 30, workers).unwrap();
+            assert!(close(&got, &reference), "workers={workers}");
+        }
     }
 
     #[test]

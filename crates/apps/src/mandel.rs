@@ -119,7 +119,9 @@ pub fn render_dynamic(
     render(partition, true, width, height, max_iter)
 }
 
-/// Render under `partition`, plus concurrency over a thread per call.
+/// Render under `partition`, plus the concurrency module on the crate's
+/// shared pool when `concurrent`. The image is the root call's future, so
+/// nothing is left to wait for on the pool.
 fn render(
     partition: Aspect,
     concurrent: bool,
@@ -129,26 +131,17 @@ fn render(
 ) -> WeaveResult<Vec<u64>> {
     let stack = ConcernStack::new();
     stack.plug(Concern::Partition, partition);
-    let executor = if concurrent {
-        let executor = Executor::thread_per_call();
+    if concurrent {
+        let pointcut = Pointcut::call("Mandelbrot.render_rows");
+        let executor = crate::shared_pool().clone();
         stack.plug_all(
             Concern::Concurrency,
-            future_concurrency_aspect(
-                "Concurrency",
-                Pointcut::call("Mandelbrot.render_rows"),
-                executor.clone(),
-            ),
+            future_concurrency_aspect("Concurrency", pointcut, executor),
         );
-        Some(executor)
-    } else {
-        None
-    };
+    }
     let m = MandelbrotProxy::construct(stack.weaver(), width, height, max_iter)?;
     let raw = m.handle().call("render_rows", args![(0..height).collect::<Pack>()])?;
     let image: Pack = downcast_ret(resolve_any(raw)?)?;
-    if let Some(executor) = executor {
-        executor.wait_idle();
-    }
     Ok(image.to_vec())
 }
 

@@ -48,11 +48,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Custom node/core count with the paper's interconnect.
-    pub fn with_nodes(nodes: usize, cores_per_node: usize) -> Self {
-        ClusterConfig { nodes, cores_per_node, ..Self::paper_cluster() }
-    }
-
     /// Total cores in the cluster.
     pub fn total_cores(&self) -> usize {
         self.nodes * self.cores_per_node

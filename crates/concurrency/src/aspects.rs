@@ -11,18 +11,14 @@
 //! }
 //! ```
 //!
-//! [`concurrency_aspect`] is a faithful transcription: the first advice
-//! detaches the remainder of the chain onto an [`Executor`], the second holds
-//! the target object's monitor across `proceed` (not a stub's on a redirected
-//! call: the instance it reaches is exclusive on its node, see
-//! [`synchronized_aspect`]). Each is also
-//! available as a standalone aspect so the combinations in the paper's Table 1
-//! can be assembled piecemeal, and [`future_aspect`] provides the
-//! future-returning variant of asynchronous invocation (ref [3]).
-
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+//! [`future_concurrency_aspect`] is that module: the first advice detaches
+//! the remainder of the chain onto an [`Executor`] and hands the caller a
+//! [`FutureAny`]; the second holds the target object's monitor across
+//! `proceed` (not a stub's on a redirected call: the instance it reaches is
+//! exclusive on its node, see [`synchronized_aspect`]). Figure 12's `void`
+//! oneway advice is the same advice with the future left untaken; a call
+//! that fails fails its own future. Each half is also available alone so
+//! the combinations in the paper's Table 1 can be assembled piecemeal.
 
 use weavepar_weave::aspect::precedence;
 use weavepar_weave::intertype::REMOTE_FIELD;
@@ -31,92 +27,15 @@ use weavepar_weave::prelude::*;
 use crate::executor::Executor;
 use crate::future::FutureAny;
 
-/// Collects errors raised by asynchronous invocations whose caller has long
-/// moved on (the oneway aspect has nowhere to report failures inline).
-#[derive(Clone, Default)]
-pub struct ErrorSink {
-    errors: Arc<Mutex<Vec<WeaveError>>>,
-}
-
-impl ErrorSink {
-    /// An empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an error.
-    pub fn push(&self, e: WeaveError) {
-        self.errors.lock().push(e);
-    }
-
-    /// Number of recorded errors.
-    pub fn len(&self) -> usize {
-        self.errors.lock().len()
-    }
-
-    /// True when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Move all recorded errors out.
-    pub fn drain(&self) -> Vec<WeaveError> {
-        std::mem::take(&mut *self.errors.lock())
-    }
-
-    /// Fail with the first recorded error, if any (test/assert helper).
-    pub fn check(&self) -> WeaveResult<()> {
-        match self.errors.lock().first() {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
-    }
-}
-
-impl std::fmt::Debug for ErrorSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ErrorSink").field("errors", &self.len()).finish()
-    }
-}
-
-/// Asynchronous *oneway* invocation: the matched calls return `()`
-/// immediately while the event executes on `executor`. Failures go to
-/// `sink`. Only suitable for methods whose (ignored) result type is `()` —
-/// which is exactly the paper's `void filter(int num[])` shape.
-///
-/// The spawn participates in [`BatchScope`](crate::BatchScope) deferral: a
-/// skeleton issuing many matched calls under a scope submits them to the
-/// executor as one pack-granular batch at flush time.
-pub fn oneway_aspect(
-    name: impl Into<String>,
-    pointcut: Pointcut,
-    executor: Executor,
-    sink: ErrorSink,
-) -> Aspect {
-    Aspect::named(name)
-        .precedence(precedence::ASYNC_INVOCATION)
-        .around(pointcut, move |inv: &mut Invocation| {
-            let detached = inv.detach()?;
-            let sink = sink.clone();
-            executor.spawn(move || {
-                if let Err(e) = detached.run() {
-                    sink.push(e);
-                }
-            });
-            Ok(weavepar_weave::ret!())
-        })
-        .build()
-}
-
 /// Asynchronous invocation with a future result: the matched calls
 /// immediately return a [`FutureAny`] carrying the eventual result. Clients
 /// consume it through [`future_ret`](crate::future::future_ret), which also
 /// transparently accepts the synchronous value when this aspect is unplugged.
 ///
-/// Like [`oneway_aspect`], the spawn is [`BatchScope`](crate::BatchScope)-
-/// aware — under an active scope the detached chain is buffered and the
-/// whole pack is submitted in one batch; callers must flush the scope before
-/// blocking on a returned future.
+/// The spawn is [`BatchScope`](crate::BatchScope)-aware — under an active
+/// scope the detached chain is buffered and the whole pack is submitted in
+/// one batch; callers must flush the scope before blocking on a returned
+/// future.
 ///
 /// A call that panics fails its own future with an application error (the
 /// joiner is not left waiting for a value nobody will write).
@@ -159,28 +78,13 @@ pub fn synchronized_aspect(name: impl Into<String>, pointcut: Pointcut) -> Aspec
         .build()
 }
 
-/// The paper's complete Concurrency module (Figure 12): oneway invocation
-/// plus per-target synchronisation. Returned as two aspects so that a
+/// The paper's complete Concurrency module (Figure 12): asynchronous
+/// invocation with a future result plus per-target synchronisation — the
+/// ref-[3] pattern of §4.2 that result-carrying partition protocols
+/// (pipeline/farm `combine`) require. Returned as two aspects so that a
 /// partition aspect can weave *between* them (spawn outside the forwarding,
 /// monitor inside the spawned thread — the structure Figure 11 depicts);
 /// plug both, unplug both.
-pub fn concurrency_aspect(
-    name: impl Into<String>,
-    pointcut: Pointcut,
-    executor: Executor,
-    sink: ErrorSink,
-) -> [Aspect; 2] {
-    let name = name.into();
-    [
-        oneway_aspect(format!("{name}.async"), pointcut.clone(), executor, sink),
-        synchronized_aspect(format!("{name}.sync"), pointcut),
-    ]
-}
-
-/// The future-returning Concurrency module: like [`concurrency_aspect`] but
-/// matched calls return a [`FutureAny`] instead of `()`, which is what
-/// result-carrying partition protocols (pipeline/farm `combine`) require —
-/// the ref-[3] pattern of §4.2.
 pub fn future_concurrency_aspect(
     name: impl Into<String>,
     pointcut: Pointcut,
@@ -196,9 +100,12 @@ pub fn future_concurrency_aspect(
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    use parking_lot::Mutex;
 
     use super::*;
-    use crate::future::future_ret;
+    use crate::future::{future_ret, FutureOrNow};
     use crate::pool::tests::{wait_until, watchdog, Gate};
     use weavepar_weave::{args, Weaver};
 
@@ -225,29 +132,35 @@ mod tests {
         }
     }
 
+    /// Plug Figure 12's module on `Slowpoke.<method>` over `executor`.
+    fn concurrent(weaver: &Weaver, method: &str, executor: &Executor) -> Vec<PluggedAspect> {
+        let pointcut = Pointcut::call(&format!("Slowpoke.{method}"));
+        let module = future_concurrency_aspect("Concurrency", pointcut, executor.clone());
+        module.into_iter().map(|a| weaver.plug(a)).collect()
+    }
+
+    /// A matched `void` call: its future, which the oneway caller leaves untaken.
+    fn spawned(p: &SlowpokeProxy, method: &'static str, args: Args) -> FutureOrNow<()> {
+        future_ret::<()>(p.handle().call(method, args).unwrap()).unwrap()
+    }
+
     #[test]
     fn oneway_returns_immediately_and_completes() {
         let weaver = Weaver::new();
         let executor = Executor::thread_per_call();
-        let sink = ErrorSink::new();
-        weaver.plug(oneway_aspect(
-            "Concurrency",
-            Pointcut::call("Slowpoke.held"),
-            executor.clone(),
-            sink.clone(),
-        ));
+        concurrent(&weaver, "held", &executor);
         let p = SlowpokeProxy::construct(&weaver).unwrap();
         watchdog("oneway calls", move || {
             let gate = Gate::default();
-            for i in 0..4 {
-                p.held(i, gate.clone()).unwrap();
+            for i in 0..4u64 {
+                // Figure 12's oneway call: the future is left untaken.
+                spawned(&p, "held", args![i, gate.clone()]);
             }
             // All four calls are back while the first body is still held: a
             // call that waited for its body would never have returned.
             wait_until("a body to be inside", || gate.inside() >= 1);
             gate.open();
             executor.wait_idle();
-            sink.check().unwrap();
             assert_eq!(p.log_len().unwrap(), 4);
         });
     }
@@ -256,27 +169,21 @@ mod tests {
     fn oneway_parallelism_beats_sequential() {
         let weaver = Weaver::new();
         let executor = Executor::thread_per_call();
-        let sink = ErrorSink::new();
-        for a in concurrency_aspect(
-            "Concurrency",
-            Pointcut::call("Slowpoke.held"),
-            executor.clone(),
-            sink.clone(),
-        ) {
-            weaver.plug(a);
-        }
+        concurrent(&weaver, "held", &executor);
         // Four independent objects: executed one after the other, the first
         // body would wait for a second one for ever.
         let objs: Vec<_> = (0..4).map(|_| SlowpokeProxy::construct(&weaver).unwrap()).collect();
         watchdog("parallel bodies", move || {
             let gate = Gate::default();
-            for (i, o) in objs.iter().enumerate() {
-                o.held(i as u64, gate.clone()).unwrap();
-            }
+            let futures: Vec<_> = (0..4u64)
+                .zip(&objs)
+                .map(|(i, o)| spawned(o, "held", args![i, gate.clone()]))
+                .collect();
             wait_until("two bodies to be inside at once", || gate.inside() >= 2);
             gate.open();
-            executor.wait_idle();
-            sink.check().unwrap();
+            for f in futures {
+                f.take().unwrap();
+            }
         });
     }
 
@@ -284,21 +191,12 @@ mod tests {
     fn synchronized_serialises_per_object() {
         let weaver = Weaver::new();
         let executor = Executor::thread_per_call();
-        let sink = ErrorSink::new();
-        for a in concurrency_aspect(
-            "Concurrency",
-            Pointcut::call("Slowpoke.work"),
-            executor.clone(),
-            sink.clone(),
-        ) {
-            weaver.plug(a);
-        }
+        concurrent(&weaver, "work", &executor);
         let p = SlowpokeProxy::construct(&weaver).unwrap();
-        for i in 0..6 {
-            p.work(i).unwrap();
+        let futures: Vec<_> = (0..6u64).map(|i| spawned(&p, "work", args![i])).collect();
+        for f in futures {
+            f.take().unwrap();
         }
-        executor.wait_idle();
-        sink.check().unwrap();
         // All six writes landed despite racing threads.
         assert_eq!(p.log_len().unwrap(), 6);
     }
@@ -444,49 +342,33 @@ mod tests {
 
     #[test]
     fn oneway_errors_reach_the_sink() {
+        // The sink of a failing call is its own future.
         let weaver = Weaver::new();
         let executor = Executor::thread_per_call();
-        let sink = ErrorSink::new();
-        weaver.plug(oneway_aspect(
-            "Concurrency",
-            Pointcut::call("Slowpoke.work"),
-            executor.clone(),
-            sink.clone(),
-        ));
+        concurrent(&weaver, "work", &executor);
         let p = SlowpokeProxy::construct(&weaver).unwrap();
         // Wrong argument type: dispatch fails inside the detached chain.
-        p.handle().call("work", args!["wrong".to_string()]).unwrap();
-        executor.wait_idle();
-        assert_eq!(sink.len(), 1);
-        assert!(sink.check().is_err());
-        let drained = sink.drain();
-        assert_eq!(drained.len(), 1);
-        assert!(sink.is_empty());
+        let failing = spawned(&p, "work", args!["wrong".to_string()]);
+        let fine = spawned(&p, "work", args![1u64]);
+        let err = failing.take().unwrap_err();
+        assert!(matches!(err, WeaveError::TypeMismatch { .. }), "{err:?}");
+        fine.take().unwrap();
+        assert_eq!(p.log_len().unwrap(), 1);
     }
 
     #[test]
     fn unplugging_concurrency_restores_sequential_debuggability() {
         let weaver = Weaver::new();
         let executor = Executor::thread_per_call();
-        let sink = ErrorSink::new();
-        let plugged: Vec<_> = concurrency_aspect(
-            "Concurrency",
-            Pointcut::call("Slowpoke.work"),
-            executor.clone(),
-            sink.clone(),
-        )
-        .into_iter()
-        .map(|a| weaver.plug(a))
-        .collect();
+        let plugged = concurrent(&weaver, "work", &executor);
         let p = SlowpokeProxy::construct(&weaver).unwrap();
-        p.work(1).unwrap();
-        executor.wait_idle();
+        spawned(&p, "work", args![1u64]).take().unwrap();
         for p in &plugged {
             weaver.unplug(p);
         }
-        // Now strictly synchronous: effects are visible immediately.
+        // Now strictly synchronous: the typed call returns `()` itself, and
+        // its effect is visible immediately.
         p.work(2).unwrap();
         assert_eq!(p.log_len().unwrap(), 2);
-        sink.check().unwrap();
     }
 }

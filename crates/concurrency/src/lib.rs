@@ -20,11 +20,11 @@
 //! * [`CompletionTracker`] — quiescence detection so clients can wait for all
 //!   outstanding asynchronous invocations;
 //! * [`aspects`] — the pluggable concurrency aspects:
-//!   [`aspects::oneway_aspect`] (spawn and forget),
-//!   [`aspects::future_aspect`] (spawn and return a future),
+//!   [`aspects::future_aspect`] (spawn and return a future; Figure 12's
+//!   oneway call is one whose future is left untaken),
 //!   [`aspects::synchronized_aspect`] (hold the target's monitor around
-//!   `proceed`), and [`aspects::concurrency_aspect`] — the paper's Figure 12
-//!   combination of the first and the last.
+//!   `proceed`), and [`aspects::future_concurrency_aspect`] — the paper's
+//!   Figure 12 module, the two together.
 
 pub mod active;
 pub mod aspects;
@@ -35,10 +35,7 @@ pub mod pool;
 pub mod tracker;
 
 pub use active::{active_object_aspect, ActiveRuntime};
-pub use aspects::{
-    concurrency_aspect, future_aspect, future_concurrency_aspect, oneway_aspect,
-    synchronized_aspect, ErrorSink,
-};
+pub use aspects::{future_aspect, future_concurrency_aspect, synchronized_aspect};
 pub use batch::{continue_here, on_scope_flush, scope_active, BatchScope};
 pub use executor::Executor;
 pub use future::{future_ret, resolve_any, FutureAny, FutureOrNow, FutureValue};

@@ -524,7 +524,8 @@ pub(crate) mod tests {
     fn panicking_job_does_not_wedge_the_pool() {
         let pool = ThreadPool::new(1, "panicky");
         pool.spawn(|| panic!("boom"));
-        assert!(pool.tracker().wait_idle_timeout(Duration::from_millis(500)));
+        let idle = pool.clone();
+        watchdog("the pool after a panicking job", move || idle.wait_idle());
         // The single worker survived the panic and keeps serving jobs.
         let ok = Arc::new(AtomicUsize::new(0));
         let ok2 = ok.clone();

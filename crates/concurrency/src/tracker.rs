@@ -8,7 +8,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -104,18 +103,6 @@ impl CompletionTracker {
             self.inner.cv.wait(&mut guard);
         }
     }
-
-    /// Block until idle or the timeout elapses; returns true when idle.
-    pub fn wait_idle_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.inner.idle_lock.lock();
-        while self.inner.count.load(Ordering::Acquire) > 0 {
-            if self.inner.cv.wait_until(&mut guard, deadline).timed_out() {
-                return self.inner.count.load(Ordering::Acquire) == 0;
-            }
-        }
-        true
-    }
 }
 
 impl Default for CompletionTracker {
@@ -133,7 +120,9 @@ impl std::fmt::Debug for CompletionTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::tests::watchdog;
     use std::thread;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn starts_idle() {
@@ -199,11 +188,13 @@ mod tests {
 
     #[test]
     fn timeout_reports_busy() {
+        // Busy while a token lives; once it is dropped `wait_idle` returns,
+        // and the watchdog fails the test if it does not.
         let t = CompletionTracker::new();
-        let _tok = t.begin();
-        assert!(!t.wait_idle_timeout(Duration::from_millis(20)));
-        drop(_tok);
-        assert!(t.wait_idle_timeout(Duration::from_millis(20)));
+        let tok = t.begin();
+        assert_eq!(t.in_flight(), 1);
+        drop(tok);
+        watchdog("an idle tracker", move || t.wait_idle());
     }
 
     #[test]
@@ -215,6 +206,6 @@ mod tests {
             panic!("task crashed");
         });
         assert!(handle.join().is_err());
-        assert!(t.wait_idle_timeout(Duration::from_millis(200)));
+        watchdog("the tracker after a panicking task", move || t.wait_idle());
     }
 }

@@ -97,67 +97,20 @@ impl std::fmt::Debug for CacheStats {
 
 /// The cache-objects optimisation: matched calls are memoised per
 /// `(target, key)`, unbounded. Returns the aspect and its statistics handle.
-/// See [`object_cache_aspect_bounded`] for the capacity-limited variant —
-/// both share the single-flight miss path.
+///
+/// The miss path is **single-flight**: when several threads miss the same
+/// `(target, key)` at once, exactly one proceeds while the rest wait for its
+/// result — the point of a cache in front of an expensive (possibly remote)
+/// call is precisely *not* to issue it N times. If the leader's call fails,
+/// waiters retry (one becomes the next leader); errors are never cached.
 pub fn object_cache_aspect(
     name: impl Into<String>,
     pointcut: Pointcut,
     policy: CachePolicy,
 ) -> (Aspect, CacheStats) {
-    object_cache_aspect_bounded(name, pointcut, policy, usize::MAX)
-}
-
-/// Entries plus the LRU clock, under one mutex.
-struct CacheStore {
-    map: HashMap<(ObjId, String), (AnyValue, u64)>,
-    tick: u64,
-}
-
-impl CacheStore {
-    fn touch(&mut self, key: &(ObjId, String)) -> Option<&AnyValue> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|(v, stamp)| {
-            *stamp = tick;
-            &*v
-        })
-    }
-
-    fn insert_bounded(&mut self, key: (ObjId, String), value: AnyValue, capacity: usize) {
-        if capacity == 0 {
-            return;
-        }
-        if self.map.len() >= capacity && !self.map.contains_key(&key) {
-            // Evict the least-recently-used entry (min stamp). A linear scan
-            // is fine at the capacities this aspect targets: eviction runs
-            // only on an over-capacity *miss*, which just paid a `proceed`.
-            if let Some(oldest) =
-                self.map.iter().min_by_key(|(_, (_, stamp))| *stamp).map(|(k, _)| k.clone())
-            {
-                self.map.remove(&oldest);
-            }
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.insert(key, (value, tick));
-    }
-}
-
-/// [`object_cache_aspect`] with a bounded capacity (LRU eviction) and a
-/// **single-flight** miss path: when several threads miss the same
-/// `(target, key)` at once, exactly one proceeds while the rest wait for its
-/// result — the point of a cache in front of an expensive (possibly remote)
-/// call is precisely *not* to issue it N times. If the leader's call fails,
-/// waiters retry (one becomes the next leader); errors are never cached.
-pub fn object_cache_aspect_bounded(
-    name: impl Into<String>,
-    pointcut: Pointcut,
-    policy: CachePolicy,
-    capacity: usize,
-) -> (Aspect, CacheStats) {
     let stats = CacheStats::default();
     let stats_inner = stats.clone();
-    let cache = Arc::new(Mutex::new(CacheStore { map: HashMap::new(), tick: 0 }));
+    let cache: Arc<Mutex<HashMap<(ObjId, String), AnyValue>>> = Arc::default();
     type InflightMap = HashMap<(ObjId, String), FutureValue<()>>;
     let inflight: Arc<Mutex<InflightMap>> = Arc::new(Mutex::new(HashMap::new()));
     let aspect = Aspect::named(name)
@@ -167,7 +120,7 @@ pub fn object_cache_aspect_bounded(
             let key = (policy.key)(inv.args()?)?;
             let key = (target, key);
             loop {
-                if let Some(hit) = cache.lock().touch(&key) {
+                if let Some(hit) = cache.lock().get(&key) {
                     stats_inner.inner.lock().0 += 1;
                     return (policy.clone_ret)(hit);
                 }
@@ -192,7 +145,7 @@ pub fn object_cache_aspect_bounded(
                     });
                     let ret = match result {
                         Ok((ret, copy)) => {
-                            cache.lock().insert_bounded(key.clone(), copy, capacity);
+                            cache.lock().insert(key.clone(), copy);
                             stats_inner.inner.lock().1 += 1;
                             Ok(ret)
                         }
@@ -286,11 +239,10 @@ mod tests {
     #[test]
     fn racing_misses_are_single_flight() {
         let weaver = Weaver::new();
-        let (aspect, stats) = object_cache_aspect_bounded(
+        let (aspect, stats) = object_cache_aspect(
             "Cache",
             Pointcut::call("Slow.work"),
             CachePolicy::unary::<u64, u64>(),
-            16,
         );
         weaver.plug(aspect);
         let s = SlowProxy::construct(&weaver).unwrap();
@@ -317,29 +269,6 @@ mod tests {
         );
         assert_eq!(stats.misses(), 1);
         assert_eq!(stats.hits(), 3, "the three waiters are answered from the cache");
-    }
-
-    #[test]
-    fn bounded_cache_evicts_least_recently_used() {
-        let weaver = Weaver::new();
-        let (aspect, stats) = object_cache_aspect_bounded(
-            "Cache",
-            Pointcut::call("Expensive.work"),
-            CachePolicy::unary::<Vec<u64>, Vec<u64>>(),
-            2,
-        );
-        weaver.plug(aspect);
-        let e = ExpensiveProxy::construct(&weaver).unwrap();
-        let before = executions();
-        e.work(vec![1]).unwrap(); // miss: {1}
-        e.work(vec![2]).unwrap(); // miss: {1, 2}
-        e.work(vec![1]).unwrap(); // hit, refreshes 1
-        e.work(vec![3]).unwrap(); // miss: evicts LRU {2} -> {1, 3}
-        assert_eq!(e.work(vec![1]).unwrap(), vec![2], "recently used survives");
-        assert_eq!(stats.hits(), 2);
-        e.work(vec![2]).unwrap(); // miss again: 2 was the evictee
-        assert_eq!(stats.misses(), 4);
-        assert_eq!(executions() - before, 4);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! snapshot, a restore — goes through one rendezvous on a pooled park/unpark
 //! slot, so a middleware hand-off is a mailbox push or a slot fill and
 //! nothing else.
-//! [`InProcFabric::call_batch`] packs many oneway calls to one node into a
-//! single [`Request::CallPack`] frame — one submit, one wakeup.
+//! Oneway calls to one node travel packed as one [`Request::CallPack`]
+//! frame — one submit, one wakeup: [`InProcFabric::new_pack`], then
+//! [`PackFrame::push`] per call, then [`InProcFabric::submit_pack`] (what
+//! the message-packing aspect does).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,7 +27,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::RwLock;
 
-use weavepar_weave::{Args, MetricsRegistry, ObjId, WeaveError, WeaveResult, Weaveable};
+use weavepar_weave::{MetricsRegistry, ObjId, WeaveError, WeaveResult, Weaveable};
 
 use crate::faults::{FaultAction, FaultPlan, RequestClass};
 use crate::nameserver::NameServer;
@@ -59,7 +61,7 @@ struct FabricStats {
     served_inline: Arc<AtomicU64>,
     /// Oneway calls issued individually (MPP semantics, unpacked).
     oneway: Arc<AtomicU64>,
-    /// Pack frames shipped (`call_batch` / `submit_pack`).
+    /// Pack frames shipped (`submit_pack`).
     packs: Arc<AtomicU64>,
     /// Oneway calls carried inside those pack frames.
     packed_calls: Arc<AtomicU64>,
@@ -511,21 +513,6 @@ impl InProcFabric {
         result
     }
 
-    /// Pack many oneway calls to one node into a single framed
-    /// [`Request::CallPack`]: one submit, one queue wakeup, zero
-    /// intermediate allocation on the serving side. Returns the number of
-    /// calls shipped; an empty iterator ships nothing.
-    pub fn call_batch<I>(&self, node: usize, calls: I) -> WeaveResult<usize>
-    where
-        I: IntoIterator<Item = (ObjId, MethodId, Args)>,
-    {
-        let mut frame = PackFrame::new(self.buffers.take());
-        for (obj, method, args) in calls {
-            frame.push(obj, method, &self.marshal, &args)?;
-        }
-        self.submit_pack(node, frame)
-    }
-
     /// Submit an already-framed pack to `node` (the packing aspect builds
     /// frames incrementally and ships them here).
     pub fn submit_pack(&self, node: usize, frame: PackFrame) -> WeaveResult<usize> {
@@ -639,6 +626,16 @@ mod tests {
         Ok(*ret.downcast::<String>().unwrap())
     }
 
+    /// `n` shouts at `r` in one frame, built as the packing aspect builds it.
+    fn shouts(f: &InProcFabric, r: RemoteRef, n: usize) -> PackFrame {
+        let shout = f.marshal().method_id("Echo", "shout").unwrap();
+        let mut frame = f.new_pack();
+        for i in 0..n {
+            frame.push(r.obj, shout, f.marshal(), &args![format!("m{i}")]).unwrap();
+        }
+        frame
+    }
+
     fn counters(registry: &MetricsRegistry) -> (u64, u64) {
         let snap = registry.snapshot();
         (snap.counter("fabric.calls").unwrap(), snap.counter("fabric.served_inline").unwrap())
@@ -711,10 +708,8 @@ mod tests {
         let f = fabric();
         let ctor = f.marshal().encode_args("Echo", "new", &args!["n".to_string()]).unwrap();
         let r = f.construct_on(2, "Echo", ctor).unwrap();
-        let shout = f.marshal().method_id("Echo", "shout").unwrap();
-        let calls = (0..5).map(|i| (r.obj, shout, args![format!("m{i}")]));
-        assert_eq!(f.call_batch(2, calls).unwrap(), 5);
-        assert_eq!(f.call_batch(2, std::iter::empty()).unwrap(), 0);
+        assert_eq!(f.submit_pack(2, shouts(&f, r, 5)).unwrap(), 5);
+        assert_eq!(f.submit_pack(2, shouts(&f, r, 0)).unwrap(), 0);
         // Synchronise; the replied call queues behind the pack.
         assert_eq!(shout_on(&f, r, "x").unwrap(), "n:x");
     }
@@ -951,8 +946,7 @@ mod tests {
         // Replied, oneway and packed traffic.
         f.call(r, shout, shout_args(&f, "a"), &CallPolicy::unbounded()).unwrap();
         f.send(r, shout, shout_args(&f, "b")).unwrap();
-        let calls = (0..4).map(|i| (r.obj, shout, args![format!("m{i}")]));
-        assert_eq!(f.call_batch(0, calls).unwrap(), 4);
+        assert_eq!(f.submit_pack(0, shouts(&f, r, 4)).unwrap(), 4);
 
         // A retried-then-recovered policy call ticks retries.
         f.install_faults(Arc::new(

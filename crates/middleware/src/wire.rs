@@ -575,13 +575,6 @@ impl MarshalRegistry {
         Ok(buf.freeze())
     }
 
-    /// Decode an argument pack for `class.method`.
-    pub fn decode_args(&self, class: &str, method: &str, bytes: &Bytes) -> WeaveResult<Args> {
-        let id = self.method_id(class, method)?;
-        let mut view = bytes.clone();
-        self.decode_args_id(id, &mut view)
-    }
-
     /// Encode a return value for `class.method`.
     pub fn encode_ret(&self, class: &str, method: &str, ret: &AnyValue) -> WeaveResult<Bytes> {
         let id = self.method_id(class, method)?;
@@ -704,15 +697,6 @@ impl PackFrame {
         self.buf[len_at..len_at + 4].copy_from_slice(&args_len.to_le_bytes());
         self.count += 1;
         Ok(())
-    }
-
-    /// Append one call whose arguments are already encoded.
-    pub fn push_encoded(&mut self, obj: ObjId, method: MethodId, args: &[u8]) {
-        self.buf.put_u64_le(obj.raw());
-        self.buf.put_u32_le(method.raw());
-        self.buf.put_u32_le(args.len() as u32);
-        self.buf.put_slice(args);
-        self.count += 1;
     }
 
     /// Calls in the frame so far.
@@ -977,8 +961,9 @@ mod tests {
         assert!(!reg.knows("PrimeFilter", "other"));
 
         let args = args![vec![9u64, 15, 21]];
-        let bytes = reg.encode_args("PrimeFilter", "filter", &args).unwrap();
-        let back = reg.decode_args("PrimeFilter", "filter", &bytes).unwrap();
+        let mut bytes = reg.encode_args("PrimeFilter", "filter", &args).unwrap();
+        let filter = reg.method_id("PrimeFilter", "filter").unwrap();
+        let back = reg.decode_args_id(filter, &mut bytes).unwrap();
         assert_eq!(*back.get::<Vec<u64>>(0).unwrap(), vec![9, 15, 21]);
 
         let ret: AnyValue = AnyValue::new(vec![9u64]);
@@ -1075,19 +1060,6 @@ mod tests {
             let args = reg.decode_args_id(method, &mut argview).unwrap();
             assert_eq!(*args.get::<u64>(0).unwrap(), i as u64);
         }
-    }
-
-    #[test]
-    fn pack_frame_push_encoded_matches_push() {
-        let reg = MarshalRegistry::new();
-        let add = reg.register::<(u64,), u64>("Adder", "add");
-        let args = args![9u64];
-        let mut a = PackFrame::new(BytesMut::new());
-        a.push(ObjId::from_raw(3), add, &reg, &args).unwrap();
-        let pre = reg.encode_args("Adder", "add", &args).unwrap();
-        let mut b = PackFrame::new(BytesMut::new());
-        b.push_encoded(ObjId::from_raw(3), add, &pre);
-        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

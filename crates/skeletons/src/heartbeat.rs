@@ -69,68 +69,69 @@ impl HeartbeatConfig {
     /// weaver.plug(HeartbeatConfig { /* ... */ }.aspect("Partition"));
     /// ```
     pub fn aspect(self, name: impl Into<String>) -> Aspect {
-        build(name.into(), self)
+        let dup = self.clone();
+        let drive = self.clone();
+
+        Aspect::named(name)
+            .precedence(precedence::PARTITION)
+            // Block duplication: one construction becomes `workers` block objects.
+            .around(
+                Pointcut::construct(self.class).and(Pointcut::within_core()),
+                move |inv: &mut Invocation| {
+                    let weaver = inv.weaver();
+                    let ids = create_workers(
+                        weaver,
+                        dup.class,
+                        dup.workers,
+                        &dup.worker_args,
+                        inv.args()?,
+                    )?;
+                    let first = ids[0];
+                    weaver.intertype().set_field(first, WORKERS_FIELD, ids);
+                    Ok(weavepar_weave::ret!(first))
+                },
+            )
+            // The heartbeat driver replaces the core run call.
+            .around(
+                Pointcut::call_sig(self.class, self.run_method).and(Pointcut::within_core()),
+                move |inv: &mut Invocation| {
+                    let target = inv.target_required()?;
+                    let workers = inv
+                        .weaver()
+                        .intertype()
+                        .get_field::<Vec<ObjId>>(target, WORKERS_FIELD)
+                        .unwrap_or_else(|| vec![target]);
+                    // Worker set and aspect set are fixed for the run: weave the
+                    // workers once, ahead of the loop, as AspectJ would have at
+                    // compile time. `exchange`, `collect` and the steps all call
+                    // through the view.
+                    let weaver = inv.weaver().bind(&workers);
+                    let iterations = (drive.iterations)(inv.args()?)?;
+                    // One exchange buffer reused across iterations — the step
+                    // phase runs every heartbeat, so a fresh Vec per iteration
+                    // is avoidable hot-path allocation.
+                    let mut pending = Vec::with_capacity(workers.len());
+                    for iteration in 0..iterations {
+                        (drive.exchange)(&weaver, &workers, iteration)?;
+                        // Step phase: issue to all workers, then barrier.
+                        for &worker in &workers {
+                            let args = (drive.step_args)(iteration)?;
+                            pending.push(weaver.invoke_call(
+                                worker,
+                                drive.class,
+                                drive.step_method,
+                                args,
+                            )?);
+                        }
+                        for ret in pending.drain(..) {
+                            resolve_any(ret)?;
+                        }
+                    }
+                    (drive.collect)(&weaver, &workers)
+                },
+            )
+            .build()
     }
-}
-
-fn build(name: String, config: HeartbeatConfig) -> Aspect {
-    let dup = config.clone();
-    let drive = config.clone();
-
-    Aspect::named(name)
-        .precedence(precedence::PARTITION)
-        // Block duplication: one construction becomes `workers` block objects.
-        .around(
-            Pointcut::construct(config.class).and(Pointcut::within_core()),
-            move |inv: &mut Invocation| {
-                let weaver = inv.weaver();
-                let ids =
-                    create_workers(weaver, dup.class, dup.workers, &dup.worker_args, inv.args()?)?;
-                let first = ids[0];
-                weaver.intertype().set_field(first, WORKERS_FIELD, ids);
-                Ok(weavepar_weave::ret!(first))
-            },
-        )
-        // The heartbeat driver replaces the core run call.
-        .around(
-            Pointcut::call_sig(config.class, config.run_method).and(Pointcut::within_core()),
-            move |inv: &mut Invocation| {
-                let target = inv.target_required()?;
-                let workers = inv
-                    .weaver()
-                    .intertype()
-                    .get_field::<Vec<ObjId>>(target, WORKERS_FIELD)
-                    .unwrap_or_else(|| vec![target]);
-                // Worker set and aspect set are fixed for the run: weave the
-                // workers once, ahead of the loop, as AspectJ would have at
-                // compile time. `exchange`, `collect` and the steps all call
-                // through the view.
-                let weaver = inv.weaver().bind(&workers);
-                let iterations = (drive.iterations)(inv.args()?)?;
-                // One exchange buffer reused across iterations — the step
-                // phase runs every heartbeat, so a fresh Vec per iteration
-                // is avoidable hot-path allocation.
-                let mut pending = Vec::with_capacity(workers.len());
-                for iteration in 0..iterations {
-                    (drive.exchange)(&weaver, &workers, iteration)?;
-                    // Step phase: issue to all workers, then barrier.
-                    for &worker in &workers {
-                        let args = (drive.step_args)(iteration)?;
-                        pending.push(weaver.invoke_call(
-                            worker,
-                            drive.class,
-                            drive.step_method,
-                            args,
-                        )?);
-                    }
-                    for ret in pending.drain(..) {
-                        resolve_any(ret)?;
-                    }
-                }
-                (drive.collect)(&weaver, &workers)
-            },
-        )
-        .build()
 }
 
 #[cfg(test)]

@@ -209,7 +209,7 @@ pub fn supervisor_aspect(
 mod tests {
     use super::*;
     use crate::common::Protocol;
-    use crate::farm::FarmConfig;
+    use crate::FarmConfig;
     use std::sync::Arc;
     use weavepar_middleware::wire::MarshalRegistry;
     use weavepar_middleware::{Policy, RmiConfig};

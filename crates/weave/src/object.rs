@@ -213,13 +213,6 @@ impl ObjectSpace {
         Ok(MonitorGuard { _guard: ReentrantMutex::lock_arc(&instance), _held: Held::new() })
     }
 
-    /// Invoke `method` on the object, holding its monitor for the duration of
-    /// the call. `method` must be one of the class's dispatchable methods.
-    pub fn invoke(&self, id: ObjId, method: &'static str, args: Args) -> WeaveResult<AnyValue> {
-        let (info, instance) = self.lookup(id)?;
-        Self::dispatch_on(&info, &instance, id, method, args)
-    }
-
     /// Run a closure with typed mutable access to the object.
     pub fn with_object<T: Weaveable, R>(
         &self,
@@ -336,13 +329,6 @@ impl<T: Weaveable> Handle<T> {
     pub fn call(&self, method: &'static str, args: Args) -> WeaveResult<AnyValue> {
         self.weaver.invoke_call(self.id, T::CLASS, method, args)
     }
-
-    /// Make an unwoven call: straight to base dispatch, bypassing all advice.
-    /// This is the aspect-code escape hatch the paper relies on when aspect
-    /// internals must not re-trigger themselves.
-    pub fn call_unwoven(&self, method: &'static str, args: Args) -> WeaveResult<AnyValue> {
-        self.weaver.invoke_unwoven(self.id, method, args)
-    }
 }
 
 impl<T: Weaveable> Clone for Handle<T> {
@@ -361,6 +347,17 @@ impl<T: Weaveable> std::fmt::Debug for Handle<T> {
 mod tests {
     use super::*;
     use crate::args;
+
+    /// Dispatch `method` on `id` under its monitor, as base dispatch does.
+    fn invoke(
+        space: &ObjectSpace,
+        id: ObjId,
+        method: &'static str,
+        args: Args,
+    ) -> WeaveResult<AnyValue> {
+        let (info, instance) = space.lookup(id)?;
+        ObjectSpace::dispatch_on(&info, &instance, id, method, args)
+    }
 
     struct Cell {
         v: u64,
@@ -395,8 +392,8 @@ mod tests {
         let id = space.insert(Cell { v: 1 });
         assert!(space.contains(id));
         assert_eq!(space.class_of(id).unwrap(), "Cell");
-        space.invoke(id, "set", args![9u64]).unwrap();
-        let got = space.invoke(id, "get", args![]).unwrap();
+        invoke(&space, id, "set", args![9u64]).unwrap();
+        let got = invoke(&space, id, "get", args![]).unwrap();
         assert_eq!(crate::value::downcast_ret::<u64>(got).unwrap(), 9);
     }
 
@@ -414,7 +411,7 @@ mod tests {
     fn missing_object_errors() {
         let space = ObjectSpace::new();
         let ghost = ObjId::from_raw(999);
-        assert!(matches!(space.invoke(ghost, "get", args![]), Err(WeaveError::NoSuchObject(_))));
+        assert!(matches!(invoke(&space, ghost, "get", args![]), Err(WeaveError::NoSuchObject(_))));
         assert!(matches!(space.class_of(ghost), Err(WeaveError::NoSuchObject(_))));
         assert!(matches!(space.monitor(ghost), Err(WeaveError::NoSuchObject(_))));
         assert!(!space.remove(ghost));
@@ -478,8 +475,8 @@ mod tests {
         let _m1 = space.monitor(id).unwrap();
         // Same thread can re-acquire and still dispatch.
         let _m2 = space.monitor(id).unwrap();
-        space.invoke(id, "set", args![3u64]).unwrap();
-        let got = space.invoke(id, "get", args![]).unwrap();
+        invoke(&space, id, "set", args![3u64]).unwrap();
+        let got = invoke(&space, id, "get", args![]).unwrap();
         assert_eq!(crate::value::downcast_ret::<u64>(got).unwrap(), 3);
     }
 
@@ -526,7 +523,7 @@ mod tests {
             let space = space.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..100u64 {
-                    space.invoke(id, "set", args![i]).unwrap();
+                    invoke(&space, id, "set", args![i]).unwrap();
                 }
             }));
         }
@@ -534,7 +531,7 @@ mod tests {
             h.join().unwrap();
         }
         for &id in &ids {
-            let got = space.invoke(id, "get", args![]).unwrap();
+            let got = invoke(&space, id, "get", args![]).unwrap();
             assert_eq!(crate::value::downcast_ret::<u64>(got).unwrap(), 99);
         }
     }

@@ -283,13 +283,6 @@ impl Weaver {
         self.construct_info(info, args)
     }
 
-    /// Unwoven construction of `T`: no advice, straight to the constructor.
-    pub fn construct_unwoven<T: Weaveable>(&self, args: Args) -> WeaveResult<Handle<T>> {
-        self.register_class::<T>();
-        let id = self.base_construct(ClassInfo::of::<T>(), args, false, trace::thread_tag())?;
-        Ok(Handle::from_id(self, id))
-    }
-
     /// Unwoven construction by class name (what a distribution server does
     /// with a construct request it received off the wire — the weaving
     /// already happened on the client side).
@@ -842,12 +835,13 @@ pub(crate) mod tests {
             })
             .build();
         weaver.plug(boom);
-        let h = weaver.construct_unwoven::<Acc>(args![1i64]).unwrap();
-        h.call_unwoven("add", args![2i64]).unwrap();
-        let got = h.call_unwoven("total", args![]).unwrap();
+        weaver.register_class::<Acc>();
+        let id = weaver.construct_dyn_unwoven("Acc", args![1i64]).unwrap();
+        weaver.invoke_unwoven(id, "add", args![2i64]).unwrap();
+        let got = weaver.invoke_unwoven(id, "total", args![]).unwrap();
         assert_eq!(downcast_ret::<i64>(got).unwrap(), 3);
         // The woven path does hit the advice.
-        assert!(h.call("total", args![]).is_err());
+        assert!(weaver.invoke_call(id, "Acc", "total", args![]).is_err());
     }
 
     #[test]

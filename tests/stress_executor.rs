@@ -17,8 +17,9 @@
 //!    worker helps instead of blocking — under the three rules of
 //!    `concurrency::pool`'s "Joins" section (clean context for the helped
 //!    task, no helping under a monitor, panics stay in their own future).
-//!    The Table 1 sieves and the sort share one process-wide pool, and run
-//!    on it at once. None of these tests sleeps; each runs under a watchdog
+//!    The Table 1 sieves, the sort, the dynamic-farm render and the
+//!    concurrent heartbeat share one process-wide pool, and run on it at
+//!    once. None of these tests sleeps; each runs under a watchdog
 //!    that fails instead of hanging.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -186,6 +187,8 @@ mod fork_join {
     use weavepar::weave::value::downcast_ret;
     use weavepar::weave::{Recorder, TaskId};
     use weavepar::{args, ret};
+    use weavepar_apps::heat::{solve_heartbeat_concurrent, solve_sequential};
+    use weavepar_apps::mandel::{render_dynamic, render_sequential};
     use weavepar_apps::sieve::{build_sieve, run_sieve, sequential_sieve, SieveConfig};
     use weavepar_apps::sort::sort_divide_conquer;
 
@@ -335,12 +338,24 @@ mod fork_join {
         }
     }
 
+    /// Run `f` on a thread of its own once every party of `start` is there.
+    fn after<R: Send + 'static>(
+        start: &Arc<Barrier>,
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> std::thread::JoinHandle<R> {
+        let start = start.clone();
+        std::thread::spawn(move || {
+            start.wait();
+            f()
+        })
+    }
+
     #[test]
-    fn three_sieves_and_a_sort_share_the_one_pool_at_once() {
+    fn every_concurrent_app_shares_the_one_pool_at_once() {
         // Pool workers park on reply slots (a queued remote call) next to
         // workers whose joins help: node threads, not pool workers, serve the
-        // queued requests, and a dynamic-farm pack waits for an idle filter
-        // only while every filter is held by a pack that is running.
+        // queued requests, and a dynamic-farm pack waits for an idle worker
+        // only while every worker is held by a pack that is running.
         const MAX: u64 = 20_000;
         let mut seed = 77u64;
         let xs: Vec<u64> = (0..5_000)
@@ -349,28 +364,31 @@ mod fork_join {
                 seed >> 33
             })
             .collect();
+        let (width, height, iters) = (32, 16, 60);
+        let (len, initial, left, right, steps) = (32, 0.0, 2.0, -1.0, 30);
         for _round in 0..3 {
             let input = xs.clone();
-            let (sieves, sorted) = watchdog("three sieves and a sort on one pool", move || {
+            let (sieves, sorted, image, rod) = watchdog("every app on one pool", move || {
                 let rows = [SieveConfig::pipe_rmi, SieveConfig::farm_rmi, SieveConfig::farm_drmi];
                 let runs: Vec<_> = rows
                     .into_iter()
                     .map(|row| build_sieve(SieveConfig { packs: 8, nodes: 3, ..row(4) }))
                     .collect();
-                let start = Arc::new(Barrier::new(runs.len() + 1));
+                let start = Arc::new(Barrier::new(runs.len() + 3));
                 let sieves: Vec<_> = runs
                     .into_iter()
                     .map(|run| {
-                        let start = start.clone();
-                        std::thread::spawn(move || {
-                            start.wait();
-                            (run.config.label(), run_sieve(&run, MAX).unwrap())
-                        })
+                        after(&start, move || (run.config.label(), run_sieve(&run, MAX).unwrap()))
                     })
                     .collect();
+                let image = after(&start, move || render_dynamic(width, height, iters, 3, 6));
+                let rod = after(&start, move || {
+                    solve_heartbeat_concurrent(len, initial, left, right, steps, 4)
+                });
                 start.wait();
                 let sorted = sort_divide_conquer(input, 64, true).unwrap();
-                (sieves.into_iter().map(|t| t.join().unwrap()).collect::<Vec<_>>(), sorted)
+                let sieves: Vec<_> = sieves.into_iter().map(|t| t.join().unwrap()).collect();
+                (sieves, sorted, image.join().unwrap().unwrap(), rod.join().unwrap().unwrap())
             });
             let primes = sequential_sieve(MAX);
             for (label, got) in sieves {
@@ -379,6 +397,10 @@ mod fork_join {
             let mut expect = xs.clone();
             expect.sort_unstable();
             assert_eq!(sorted, expect);
+            assert_eq!(image, render_sequential(width, height, iters));
+            let reference = solve_sequential(len, initial, left, right, steps);
+            assert_eq!(rod.len(), reference.len());
+            assert!(rod.iter().zip(&reference).all(|(a, b)| (a - b).abs() < 1e-9), "{rod:?}");
         }
     }
 

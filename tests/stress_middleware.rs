@@ -396,8 +396,11 @@ mod served_inline {
                 for _ in 0..n {
                     f.send(ledger, note, encode(&f, "note", &args![1u64])).unwrap();
                 }
-                let calls = (0..n).map(|_| (ledger.obj, note, args![2u64]));
-                assert_eq!(f.call_batch(0, calls).unwrap(), n as usize);
+                let mut frame = f.new_pack();
+                for _ in 0..n {
+                    frame.push(ledger.obj, note, f.marshal(), &args![2u64]).unwrap();
+                }
+                assert_eq!(f.submit_pack(0, frame).unwrap(), n as usize);
                 expected += 3 * n;
                 assert_eq!(add(&f, ledger, 0).unwrap(), expected, "after {n} oneways + a pack");
             }
