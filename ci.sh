@@ -40,7 +40,10 @@ cargo fmt --check
 # `decode_args` (`new_pack` → `push` → `submit_pack`, `decode_args_id`;
 # `WireArgs::decode_args` stays), the bounded LRU cache,
 # `ClusterConfig::with_nodes`, and the three skeleton modules that only
-# re-exported a name of `partition`.
+# re-exported a name of `partition`. Nor the shards no workload contended
+# (PR 40): a metric is one `Arc` of plain atomics and binds only an
+# `Arc<AtomicU64>`, a pool is one free list, the object space one map; nor the
+# call log's capacity knob (the ring holds `CALL_LOG_CAPACITY`).
 echo "==> no retired fork under crates tests examples"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
@@ -60,6 +63,8 @@ retired="$retired|construct_unwoven|\\.call_unwoven\\(|fn call_unwoven\\(|space(
 retired="$retired|call_batch[<(]|push_encoded|\\.decode_args\\(|fn decode_args\\(&self"
 retired="$retired|object_cache_aspect_bounded|insert_bounded|CacheStore|with_nodes"
 retired="$retired|(crate|skeletons)::(farm|pipeline|dynamic_farm)::|mod (farm|pipeline|dynamic_farm);"
+retired="$retired|CounterRepr|GaugeRepr|HistogramShard|PaddedU64|bind_gauge_u32|bind_gauge_usize"
+retired="$retired|PER_SHARD|fn shard_index|CallLog::with_capacity"
 if grep -rnE "$retired" crates tests examples; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1

@@ -96,8 +96,8 @@ fn capture(config: SieveConfig, max: u64, recorder: Recorder) -> WeaveResult<Tra
 
 /// Capture a trace with measured costs, its `filter` costs normalised.
 ///
-/// Per-task costs are wall-clock measurements taken under real thread
-/// oversubscription (50 packs race on this machine's few cores), which
+/// Per-task costs are wall-clock measurements taken while the packs queue
+/// for the process-wide pool's workers and share their cores, which
 /// inflates them nonuniformly. The filter tasks are therefore rescaled so
 /// their total equals `filter_work`, a contention-free sequential measurement
 /// of the same workload; the *relative* per-task pattern (heavy early

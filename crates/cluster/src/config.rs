@@ -223,8 +223,8 @@ pub struct SimParams {
     /// Node the client (`main`) runs on.
     pub client_node: usize,
     /// Multiplier on every task's CPU cost, modelling the weaving runtime's
-    /// dispatch overhead (measured by the `weaving_overhead` bench; 1.0 for
-    /// the hand-coded baseline).
+    /// dispatch overhead (measured by `weavepar-demo figures`, woven over
+    /// direct `filter` time; 1.0 for the hand-coded baseline).
     pub cpu_inflation: f64,
 }
 

@@ -96,7 +96,7 @@ impl Executor {
     pub fn install_metrics(&self, registry: &weavepar_weave::MetricsRegistry, prefix: &str) {
         match self {
             Executor::ThreadPerCall(tracker) => {
-                registry.bind_gauge_usize(&format!("{prefix}.in_flight"), tracker.in_flight_cell());
+                registry.bind_gauge(&format!("{prefix}.in_flight"), tracker.in_flight_cell());
             }
             Executor::Pool(pool) => pool.install_metrics(registry, prefix),
         }

@@ -386,7 +386,7 @@ impl ThreadPool {
         ] {
             registry.bind_counter(&format!("{prefix}.{name}"), cell.clone());
         }
-        registry.bind_gauge_usize(&format!("{prefix}.in_flight"), self.tracker.in_flight_cell());
+        registry.bind_gauge(&format!("{prefix}.in_flight"), self.tracker.in_flight_cell());
     }
 }
 

@@ -6,7 +6,7 @@
 //! A [`CompletionTracker`] counts in-flight tasks; [`CompletionTracker::wait_idle`]
 //! blocks until the count reaches zero.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
@@ -25,7 +25,7 @@ pub struct CompletionTracker {
 struct Inner {
     /// In its own `Arc` so a metrics registry can bind the live count as a
     /// queue-depth gauge without the tracker updating anything twice.
-    count: Arc<AtomicUsize>,
+    count: Arc<AtomicU64>,
     idle_lock: Mutex<()>,
     cv: Condvar,
 }
@@ -53,7 +53,7 @@ impl CompletionTracker {
     pub fn new() -> Self {
         CompletionTracker {
             inner: Arc::new(Inner {
-                count: Arc::new(AtomicUsize::new(0)),
+                count: Arc::new(AtomicU64::new(0)),
                 idle_lock: Mutex::new(()),
                 cv: Condvar::new(),
             }),
@@ -76,7 +76,7 @@ impl CompletionTracker {
         if n == 0 {
             return Vec::new();
         }
-        self.inner.count.fetch_add(n, Ordering::Relaxed);
+        self.inner.count.fetch_add(n as u64, Ordering::Relaxed);
         (0..n).map(|_| TaskToken { inner: self.inner.clone() }).collect()
     }
 
@@ -87,12 +87,12 @@ impl CompletionTracker {
 
     /// Number of tasks currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.inner.count.load(Ordering::Acquire)
+        self.inner.count.load(Ordering::Acquire) as usize
     }
 
     /// The live in-flight count cell, for binding as a queue-depth gauge in
     /// a metrics registry. Read-only use expected.
-    pub fn in_flight_cell(&self) -> Arc<AtomicUsize> {
+    pub fn in_flight_cell(&self) -> Arc<AtomicU64> {
         self.inner.count.clone()
     }
 

@@ -16,7 +16,7 @@
 //! and read off who called what, from where, how often and for how long.
 //!
 //! The log is a **bounded ring**: long-running programs keep the most recent
-//! [`capacity`](CallLog::capacity) records, older ones are dropped (and
+//! [`CALL_LOG_CAPACITY`] records, older ones are dropped (and
 //! counted), and the aggregate timing survives unbounded in a
 //! [`Histogram`] — so leaving the aspect plugged for hours costs a fixed
 //! amount of memory.
@@ -31,8 +31,8 @@ use parking_lot::Mutex;
 use weavepar_weave::prelude::*;
 use weavepar_weave::{Histogram, ObjId};
 
-/// Retained records when none is specified ([`CallLog::new`]).
-pub const DEFAULT_CALL_LOG_CAPACITY: usize = 4096;
+/// Records a [`CallLog`] retains.
+pub const CALL_LOG_CAPACITY: usize = 4096;
 
 /// One logged join point.
 #[derive(Debug, Clone)]
@@ -51,7 +51,7 @@ pub struct CallRecord {
 
 /// A shared, thread-safe, **bounded** log of [`CallRecord`]s.
 ///
-/// The detailed records live in a ring of fixed capacity: once full, each
+/// The detailed records live in a ring of [`CALL_LOG_CAPACITY`]: once full, each
 /// new record evicts the oldest and bumps [`dropped`](CallLog::dropped).
 /// Aggregates ([`total_elapsed`], [`latency`]) are fed by every record ever
 /// logged, dropped or not, via an embedded latency [`Histogram`].
@@ -60,14 +60,9 @@ pub struct CallRecord {
 /// [`latency`]: CallLog::latency
 #[derive(Clone)]
 pub struct CallLog {
-    ring: Arc<Mutex<Ring>>,
+    ring: Arc<Mutex<VecDeque<CallRecord>>>,
     dropped: Arc<AtomicU64>,
     latency: Histogram,
-}
-
-struct Ring {
-    records: VecDeque<CallRecord>,
-    capacity: usize,
 }
 
 impl Default for CallLog {
@@ -77,43 +72,29 @@ impl Default for CallLog {
 }
 
 impl CallLog {
-    /// An empty log retaining [`DEFAULT_CALL_LOG_CAPACITY`] records.
+    /// An empty log.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CALL_LOG_CAPACITY)
-    }
-
-    /// An empty log retaining at most `capacity` records (minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         CallLog {
-            ring: Arc::new(Mutex::new(Ring {
-                records: VecDeque::with_capacity(capacity),
-                capacity,
-            })),
+            ring: Arc::new(Mutex::new(VecDeque::with_capacity(CALL_LOG_CAPACITY))),
             dropped: Arc::new(AtomicU64::new(0)),
             latency: Histogram::new(),
         }
-    }
-
-    /// Maximum number of retained records.
-    pub fn capacity(&self) -> usize {
-        self.ring.lock().capacity
     }
 
     /// Append one record, evicting the oldest when the ring is full.
     pub fn push(&self, record: CallRecord) {
         self.latency.record(record.elapsed);
         let mut ring = self.ring.lock();
-        if ring.records.len() == ring.capacity {
-            ring.records.pop_front();
+        if ring.len() == CALL_LOG_CAPACITY {
+            ring.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        ring.records.push_back(record);
+        ring.push_back(record);
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.ring.lock().records.len()
+        self.ring.lock().len()
     }
 
     /// True when nothing is retained.
@@ -129,20 +110,20 @@ impl CallLog {
 
     /// Copy of the retained records, in completion order.
     pub fn records(&self) -> Vec<CallRecord> {
-        self.ring.lock().records.iter().cloned().collect()
+        self.ring.lock().iter().cloned().collect()
     }
 
     /// Retained records for one method name.
     pub fn for_method(&self, method: &str) -> Vec<CallRecord> {
-        self.ring.lock().records.iter().filter(|r| r.signature.method == method).cloned().collect()
+        self.ring.lock().iter().filter(|r| r.signature.method == method).cloned().collect()
     }
 
     /// How many retained calls were issued from core vs from aspect advice —
     /// the split/forward structure of a partition becomes directly visible.
     pub fn provenance_split(&self) -> (usize, usize) {
         let ring = self.ring.lock();
-        let core = ring.records.iter().filter(|r| r.caller == Provenance::Core).count();
-        (core, ring.records.len() - core)
+        let core = ring.iter().filter(|r| r.caller == Provenance::Core).count();
+        (core, ring.len() - core)
     }
 
     /// Total logged wall time — over **every** record ever pushed, including
@@ -159,7 +140,7 @@ impl CallLog {
 
     /// Drop all records and reset the dropped counter and the histogram.
     pub fn clear(&self) {
-        self.ring.lock().records.clear();
+        self.ring.lock().clear();
         self.dropped.store(0, Ordering::Relaxed);
         self.latency.reset();
     }
@@ -169,7 +150,7 @@ impl CallLog {
     pub fn summary(&self) -> Vec<(String, usize, Duration)> {
         let ring = self.ring.lock();
         let mut rows: Vec<(String, usize, Duration)> = Vec::new();
-        for r in ring.records.iter() {
+        for r in ring.iter() {
             let key = r.signature.to_string();
             match rows.iter_mut().find(|(k, _, _)| *k == key) {
                 Some((_, n, d)) => {
@@ -306,18 +287,18 @@ mod tests {
     #[test]
     fn ring_bounds_memory_and_counts_drops() {
         let weaver = Weaver::new();
-        let log = CallLog::with_capacity(2);
+        let log = CallLog::new();
         weaver.plug(logging_aspect("Logging", Pointcut::call("Point.move_x"), log.clone()));
         let p = PointProxy::construct(&weaver).unwrap();
-        for d in 0..5 {
+        let calls = CALL_LOG_CAPACITY as i64 + 3;
+        for d in 0..calls {
             p.move_x(d).unwrap();
         }
-        // Only the 2 most recent records survive; the 3 evicted ones are
-        // counted, and the histogram still saw all 5.
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.capacity(), 2);
+        // Only the most recent records survive; the 3 evicted ones are
+        // counted, and the histogram still saw every call.
+        assert_eq!(log.len(), CALL_LOG_CAPACITY);
         assert_eq!(log.dropped(), 3);
-        assert_eq!(log.latency().count(), 5);
+        assert_eq!(log.latency().count(), calls as u64);
         assert!(log.total_elapsed() > Duration::ZERO);
         log.clear();
         assert!(log.is_empty());

@@ -3,11 +3,11 @@
 //! The paper's experiments (§6) fix each skeleton's granularity — packs per
 //! farm call, batch sizes, packing thresholds — by hand, per machine. This
 //! module closes that loop at run time: an application registers
-//! **tunables** (live `AtomicU32` cells each tunable owns, handed to the
+//! **tunables** (live `AtomicU64` cells each tunable owns, handed to the
 //! consumer through [`Tunable::cell`]), completed calls report
-//! **observations** into lock-free sharded accumulators, and a feedback
-//! **controller** adjusts one tunable at a time toward the throughput
-//! gradient.
+//! **observations** into two shared atomics (count and service time), and a
+//! feedback **controller** adjusts one tunable at a time toward the
+//! throughput gradient.
 //!
 //! The controller is a seeded coordinate-descent hill climber: every epoch
 //! (a fixed number of observations) it scores the workload as completions
@@ -26,7 +26,7 @@
 //! configuration is the artefact the controller produced — and
 //! [`Autotuner::reset_all`] restores every registered cell to its default.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,12 +61,13 @@ impl Step {
     }
 }
 
-/// One adjustable parameter: a named, range-clamped `AtomicU32` cell that the
-/// tunable owns and the consumer reads through [`Tunable::cell`].
+/// One adjustable parameter: a named, range-clamped `u32` value in an
+/// `AtomicU64` cell that the tunable owns and the consumer reads through
+/// [`Tunable::cell`] (the cell a metrics registry binds as a gauge).
 #[derive(Clone)]
 pub struct Tunable {
     name: &'static str,
-    cell: Arc<AtomicU32>,
+    cell: Arc<AtomicU64>,
     default: u32,
     min: u32,
     max: u32,
@@ -78,7 +79,8 @@ impl Tunable {
     pub fn new(name: &'static str, default: u32, min: u32, max: u32, step: Step) -> Self {
         let (min, max) = (min.min(max), max.max(min));
         let default = default.clamp(min, max);
-        Tunable { name, cell: Arc::new(AtomicU32::new(default)), default, min, max, step }
+        let cell = Arc::new(AtomicU64::new(u64::from(default)));
+        Tunable { name, cell, default, min, max, step }
     }
 
     /// The tunable's name (diagnostics and trajectories).
@@ -87,23 +89,23 @@ impl Tunable {
     }
 
     /// The live cell, for handing to the consuming subsystem.
-    pub fn cell(&self) -> Arc<AtomicU32> {
+    pub fn cell(&self) -> Arc<AtomicU64> {
         self.cell.clone()
     }
 
     /// Current value.
     pub fn get(&self) -> u32 {
-        self.cell.load(Ordering::Relaxed)
+        self.cell.load(Ordering::Relaxed) as u32
     }
 
     /// Set (clamped to the tunable's range).
     pub fn set(&self, v: u32) {
-        self.cell.store(v.clamp(self.min, self.max), Ordering::Relaxed);
+        self.cell.store(u64::from(v.clamp(self.min, self.max)), Ordering::Relaxed);
     }
 
     /// Restore the default value.
     pub fn reset(&self) {
-        self.cell.store(self.default, Ordering::Relaxed);
+        self.cell.store(u64::from(self.default), Ordering::Relaxed);
     }
 
     fn moved(&self, v: u32, dir: i8) -> u32 {
@@ -159,16 +161,6 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-const SHARDS: usize = 8;
-
-/// One observation accumulator shard: plain `fetch_add` counters, no locks
-/// on the completion path.
-#[derive(Default)]
-struct Shard {
-    count: AtomicU64,
-    service_ns: AtomicU64,
-}
-
 /// The registered tunables and the hill climber's bookkeeping, all under one
 /// mutex the observation hot path only ever `try_lock`s.
 struct CtlState {
@@ -184,12 +176,14 @@ struct CtlState {
 
 const TRAJECTORY_CAP: usize = 4096;
 
-/// The feedback controller: registered tunables + sharded observation
+/// The feedback controller: registered tunables + the epoch's observation
 /// accumulators + the seeded hill climber.
 pub struct Autotuner {
     config: TuneConfig,
-    shards: [Shard; SHARDS],
+    /// Observations since the last decision; bumped by every `observe`.
     pending: AtomicU64,
+    /// Their summed service time, nanoseconds.
+    service_ns: AtomicU64,
     /// In their own `Arc`s so a metrics registry can bind them as live
     /// counters without the controller updating anything twice.
     epochs: Arc<AtomicU64>,
@@ -203,8 +197,8 @@ impl Autotuner {
     pub fn new(config: TuneConfig) -> Arc<Self> {
         Arc::new(Autotuner {
             config,
-            shards: Default::default(),
             pending: AtomicU64::new(0),
+            service_ns: AtomicU64::new(0),
             epochs: Arc::new(AtomicU64::new(0)),
             accepted: Arc::new(AtomicU64::new(0)),
             state: Mutex::new(CtlState {
@@ -234,10 +228,8 @@ impl Autotuner {
     /// an epoch boundary, where one caller (never more) takes the controller
     /// mutex.
     pub fn observe(&self, service: Duration) {
-        let shard = &self.shards[weavepar_weave::trace::thread_tag() as usize % SHARDS];
-        shard.count.fetch_add(1, Ordering::Relaxed);
         let ns = u64::try_from(service.as_nanos()).unwrap_or(u64::MAX);
-        shard.service_ns.fetch_add(ns, Ordering::Relaxed);
+        self.service_ns.fetch_add(ns, Ordering::Relaxed);
         if self.pending.fetch_add(1, Ordering::Relaxed) + 1 >= u64::from(self.config.epoch_calls) {
             self.maybe_tick();
         }
@@ -247,8 +239,8 @@ impl Autotuner {
         // try_lock: if another thread is mid-decision, this boundary is its.
         if let Some(mut st) = self.state.try_lock() {
             if self.pending.load(Ordering::Relaxed) >= u64::from(self.config.epoch_calls) {
-                self.pending.store(0, Ordering::Relaxed);
-                self.tick_locked(&mut st);
+                let count = self.pending.swap(0, Ordering::Relaxed);
+                self.tick_locked(&mut st, count);
             }
         }
     }
@@ -257,20 +249,15 @@ impl Autotuner {
     /// tests call to drive the climber deterministically.
     pub fn force_tick(&self) {
         let mut st = self.state.lock();
-        if self.pending.swap(0, Ordering::Relaxed) > 0 {
-            self.tick_locked(&mut st);
-        }
+        let count = self.pending.swap(0, Ordering::Relaxed);
+        self.tick_locked(&mut st, count);
     }
 
-    fn tick_locked(&self, st: &mut CtlState) {
-        let (mut count, mut service_ns) = (0u64, 0u64);
-        for shard in &self.shards {
-            count += shard.count.swap(0, Ordering::Relaxed);
-            service_ns += shard.service_ns.swap(0, Ordering::Relaxed);
-        }
+    fn tick_locked(&self, st: &mut CtlState, count: u64) {
         if count == 0 {
             return;
         }
+        let service_ns = self.service_ns.swap(0, Ordering::Relaxed);
         self.epochs.fetch_add(1, Ordering::Relaxed);
         if st.tunables.is_empty() {
             return;
@@ -371,7 +358,7 @@ impl Autotuner {
         registry.bind_counter(&format!("{prefix}.epochs"), self.epochs.clone());
         registry.bind_counter(&format!("{prefix}.moves_accepted"), self.accepted.clone());
         for t in &self.state.lock().tunables {
-            registry.bind_gauge_u32(&format!("{prefix}.cell.{}", t.name()), t.cell());
+            registry.bind_gauge(&format!("{prefix}.cell.{}", t.name()), t.cell());
         }
     }
 

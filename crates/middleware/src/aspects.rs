@@ -47,7 +47,7 @@ use weavepar_weave::prelude::*;
 use weavepar_weave::{CallMeter, MetricsRegistry, Signature};
 
 use crate::fabric::{InProcFabric, RemoteRef};
-use crate::policy::CallPolicy;
+use crate::policy::{lcg_next, CallPolicy};
 use crate::wire::{MarshalRegistry, MethodId, PackFrame};
 
 /// Node-selection policy (§4.3: "Several policies can be implemented in this
@@ -86,8 +86,7 @@ impl Policy {
             Policy::Fixed(node) => *node % nodes,
             Policy::Random(state) => {
                 let mut s = state.lock();
-                // Numerical Recipes LCG.
-                *s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                *s = lcg_next(*s);
                 ((*s >> 33) % nodes as u64) as usize
             }
         }

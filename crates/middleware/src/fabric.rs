@@ -139,8 +139,7 @@ impl InProcFabric {
         registry.bind_counter(&format!("{prefix}.retries"), self.stats.retries.clone());
         registry.bind_counter(&format!("{prefix}.timeouts"), self.stats.timeouts.clone());
         registry.bind_gauge(&format!("{prefix}.in_flight"), self.stats.in_flight.clone());
-        registry
-            .bind_gauge_usize(&format!("{prefix}.reply_slots_pooled"), self.replies.pooled_cell());
+        registry.bind_gauge(&format!("{prefix}.reply_slots_pooled"), self.replies.pooled_cell());
     }
 
     /// Register one replied call as in flight; the guard's drop ends it.

@@ -16,8 +16,9 @@ use std::time::Duration;
 
 use weavepar_weave::WeaveError;
 
-/// Advance a split-mix/LCG style deterministic generator (same constants as
-/// the executor's seed scrambler) and return the next state.
+/// Advance the middleware's one deterministic generator, a 64-bit LCG
+/// (Knuth's MMIX constants), and return the next state: random placement,
+/// retry jitter and fault injection all draw from it.
 #[inline]
 pub(crate) fn lcg_next(state: u64) -> u64 {
     state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407)

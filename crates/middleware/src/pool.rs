@@ -2,11 +2,10 @@
 //!
 //! Two recyclers back the zero-allocation contract:
 //!
-//! * [`BufPool`] — a sharded stack of [`BytesMut`] frames. Encode paths
+//! * [`BufPool`] — one locked stack of [`BytesMut`] frames. Encode paths
 //!   `take` a cleared frame (keeping a previous call's capacity), and
 //!   decode/reply paths hand frames back with `give` or reclaim frozen
-//!   [`Bytes`] whose refcount has dropped to one with `recycle`. Shards are
-//!   picked by thread id, so concurrent clients rarely contend on one lock.
+//!   [`Bytes`] whose refcount has dropped to one with `recycle`.
 //!
 //! * [`ReplySlot`] — the fabric's one park/unpark reply rendezvous, for
 //!   every replied request that has to queue: a call, a construct, a
@@ -17,8 +16,10 @@
 //!   if the serving side drops it without answering (request dropped on the
 //!   floor), the waiter is woken with a `WeaveError::Remote` instead of
 //!   blocking forever.
+//!
+//! Each pool is one free list under one lock, capped at 256 entries.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,62 +28,33 @@ use parking_lot::{Condvar, Mutex};
 
 use weavepar_weave::{WeaveError, WeaveResult};
 
-const SHARDS: usize = 8;
-/// Per-shard cap: beyond this, returned frames are simply dropped so a burst
-/// doesn't pin its high-water allocation forever.
-const PER_SHARD: usize = 32;
+/// Most entries a pool keeps: beyond this, returned frames and slots are
+/// simply dropped so a burst doesn't pin its high-water allocation forever.
+const CAP: usize = 256;
 
-/// Per-thread shard affinity: the thread's ordinal picks the shard, so the
-/// hot path is a plain TLS read — no thread-id hashing per call. Shared by
-/// every sharded pool in this module: a thread always hits the same shard.
-fn shard_index() -> usize {
-    weavepar_weave::trace::thread_tag() as usize % SHARDS
-}
-
-/// Sharded pool of reusable [`BytesMut`] frames.
+/// Pool of reusable [`BytesMut`] frames.
+#[derive(Default)]
 pub struct BufPool {
-    shards: [Mutex<Vec<BytesMut>>; SHARDS],
-    counter: AtomicUsize,
-}
-
-impl Default for BufPool {
-    fn default() -> Self {
-        Self::new()
-    }
+    free: Mutex<Vec<BytesMut>>,
 }
 
 impl BufPool {
     /// An empty pool.
     pub fn new() -> Self {
-        BufPool {
-            shards: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            counter: AtomicUsize::new(0),
-        }
-    }
-
-    fn shard(&self) -> &Mutex<Vec<BytesMut>> {
-        &self.shards[shard_index()]
+        Self::default()
     }
 
     /// A cleared frame, reusing a pooled allocation when one is available.
     pub fn take(&self) -> BytesMut {
-        if let Some(buf) = self.shard().lock().pop() {
-            return buf;
-        }
-        // Steal from a rotating shard before allocating fresh.
-        let i = self.counter.fetch_add(1, Ordering::Relaxed);
-        if let Some(buf) = self.shards[i % SHARDS].lock().pop() {
-            return buf;
-        }
-        BytesMut::new()
+        self.free.lock().pop().unwrap_or_default()
     }
 
-    /// Return a frame to the pool (cleared; dropped when the shard is full).
+    /// Return a frame to the pool (cleared; dropped when the pool is full).
     pub fn give(&self, mut buf: BytesMut) {
         buf.clear();
-        let mut shard = self.shard().lock();
-        if shard.len() < PER_SHARD {
-            shard.push(buf);
+        let mut free = self.free.lock();
+        if free.len() < CAP {
+            free.push(buf);
         }
     }
 
@@ -96,7 +68,7 @@ impl BufPool {
 
     /// Frames currently parked in the pool (for tests).
     pub fn pooled(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.free.lock().len()
     }
 }
 
@@ -215,37 +187,27 @@ impl SlotTicket {
     }
 }
 
-/// Pool of reply slots, sharded like [`BufPool`] so concurrent client
-/// threads check slots in and out without fighting over one free-list lock.
-/// `checkout` hands out a (ticket, reply) pair backed by a recycled slot
-/// when one is free.
+/// Pool of reply slots: `checkout` hands out a (ticket, reply) pair backed
+/// by a recycled slot when one is free.
+#[derive(Default)]
 pub struct ReplyPool {
-    free: [Mutex<Vec<Arc<ReplySlot>>>; SHARDS],
-    /// Live total of parked slots, maintained on checkout/finish so a
-    /// metrics registry can bind pool occupancy as a gauge without summing
-    /// the shard locks.
-    parked: Arc<AtomicUsize>,
-}
-
-impl Default for ReplyPool {
-    fn default() -> Self {
-        Self::new()
-    }
+    free: Mutex<Vec<Arc<ReplySlot>>>,
+    /// Live count of parked slots, maintained on checkout/finish so a
+    /// metrics registry can bind pool occupancy as a gauge without taking
+    /// the free-list lock.
+    parked: Arc<AtomicU64>,
 }
 
 impl ReplyPool {
     /// An empty pool.
     pub fn new() -> Self {
-        ReplyPool {
-            free: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            parked: Arc::new(AtomicUsize::new(0)),
-        }
+        Self::default()
     }
 
     /// Check out a slot: the caller keeps the [`SlotTicket`], the request
     /// carries the [`SlotReply`].
     pub fn checkout(&self) -> (SlotTicket, SlotReply) {
-        let slot = match self.free[shard_index()].lock().pop() {
+        let slot = match self.free.lock().pop() {
             Some(slot) => {
                 self.parked.fetch_sub(1, Ordering::Relaxed);
                 slot
@@ -263,11 +225,11 @@ impl ReplyPool {
     /// may still be live (caller gave up early) must NOT be finished — just
     /// drop the ticket and the slot is garbage-collected with it. A ticket
     /// that never consumed a reply is dropped here for the same reason, so
-    /// `finish` costs one sharded lock and zero mailbox locks.
+    /// `finish` costs one free-list lock and zero mailbox locks.
     pub fn finish(&self, ticket: SlotTicket) {
         if ticket.consumed.get() {
-            let mut free = self.free[shard_index()].lock();
-            if free.len() < PER_SHARD {
+            let mut free = self.free.lock();
+            if free.len() < CAP {
                 free.push(ticket.slot);
                 self.parked.fetch_add(1, Ordering::Relaxed);
             }
@@ -276,11 +238,11 @@ impl ReplyPool {
 
     /// Slots currently parked in the pool (for tests).
     pub fn pooled(&self) -> usize {
-        self.free.iter().map(|s| s.lock().len()).sum()
+        self.free.lock().len()
     }
 
     /// The live parked-slot count cell, for binding as an occupancy gauge.
-    pub fn pooled_cell(&self) -> Arc<AtomicUsize> {
+    pub fn pooled_cell(&self) -> Arc<AtomicU64> {
         self.parked.clone()
     }
 }
@@ -303,6 +265,19 @@ mod tests {
         assert!(again.is_empty(), "pooled frames come back cleared");
         assert_eq!(again.capacity(), cap, "capacity survives the round trip");
         assert_eq!(pool.pooled(), 0);
+    }
+
+    #[test]
+    fn a_burst_parks_at_most_the_cap() {
+        let pool = BufPool::new();
+        let burst: Vec<BytesMut> = (0..CAP + 44).map(|_| BytesMut::with_capacity(64)).collect();
+        for buf in burst {
+            pool.give(buf);
+        }
+        assert_eq!(pool.pooled(), CAP, "one thread's burst fills the whole pool, no more");
+        let taken: Vec<BytesMut> = (0..CAP + 1).map(|_| pool.take()).collect();
+        assert_eq!(pool.pooled(), 0);
+        assert_eq!(taken.iter().filter(|b| b.capacity() >= 64).count(), CAP, "then a fresh one");
     }
 
     #[test]

@@ -568,7 +568,7 @@ mod tests {
     use super::fixture::*;
     use super::*;
     use proptest::prelude::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
     #[test]
     fn an_application_error_in_a_pack_is_returned_as_itself() {
@@ -616,7 +616,7 @@ mod tests {
             PartitionConfig::<R>::new(protocol).metrics(registry).aspect("Partition")
         }
         for routing in ROUTINGS {
-            let (cell, registry) = (Arc::new(AtomicU32::new(5)), MetricsRegistry::new());
+            let (cell, registry) = (Arc::new(AtomicU64::new(5)), MetricsRegistry::new());
             let mut protocol = protocol(routing, 2, 1);
             let grain = cell.clone();
             protocol.split = chunked(move || grain.load(Ordering::Relaxed) as usize);

@@ -11,16 +11,15 @@
 //!
 //! # Hot-path discipline
 //!
-//! * **Counters** are 8-way sharded relaxed atomics (the same layout as the
-//!   tuning accumulators): each thread increments the shard its ordinal
-//!   ([`thread_tag`](crate::trace::thread_tag)) picks, so hot-path
-//!   increments never contend on a shared cache line.
-//! * **Histograms** use fixed log₂(ns) buckets — recording a sample is a
-//!   handful of relaxed `fetch_add`s on this thread's shard, no allocation,
-//!   no locks, no floating point.
-//! * **Gauges** can *bind* an already-existing atomic cell (an executor's
-//!   in-flight counter, a tunable's value cell), so layers keep their cheap
-//!   always-on atomics and installing metrics merely names them.
+//! * **Counters** and **gauges** are one relaxed `AtomicU64` each, behind
+//!   an `Arc`: an increment is one `fetch_add`, no lock, no allocation.
+//! * **Histograms** use fixed log₂(ns) buckets — recording a sample is three
+//!   relaxed `fetch_add`s (count, sum, bucket), no allocation, no locks, no
+//!   floating point.
+//! * A layer that already keeps an `Arc<AtomicU64>` (an executor's
+//!   in-flight count, a fabric's call counter, a tunable's value cell) can
+//!   *bind* it: the bound metric is that cell, so installing metrics merely
+//!   names it and the layer keeps its always-on atomic.
 //! * The registry itself is only locked when a metric is first resolved;
 //!   aspect and tap code resolves its handles once, outside the hot path.
 //!
@@ -28,7 +27,7 @@
 //! deterministic (sorted) ordering, so tests can diff two snapshots.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,77 +37,35 @@ use crate::aspect::Aspect;
 use crate::invocation::Invocation;
 use crate::pointcut::Pointcut;
 
-/// Shards per counter/histogram. Matches the tuning accumulators: enough to
-/// spread a machine's worth of worker threads, small enough to sum cheaply.
-const SHARDS: usize = 8;
-
 /// Number of log₂(ns) latency buckets: bucket `k` holds samples in
 /// `[2^k, 2^(k+1))` ns, so 40 buckets cover 1 ns to ≈ 18 minutes.
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
-/// This thread's shard.
-fn shard_index() -> usize {
-    crate::trace::thread_tag() as usize % SHARDS
-}
-
-/// One cache line per shard so neighbouring shards never false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
 // ---- counter ----------------------------------------------------------------
 
-enum CounterRepr {
-    /// Own 8-way sharded storage (hot-path increments never contend).
-    Sharded(Box<[PaddedU64]>),
-    /// A pre-existing cell owned by another layer (executor, fabric, tuner):
-    /// installing metrics names the cell, it does not move the bookkeeping.
-    Bound(Arc<AtomicU64>),
-}
-
-/// A monotonically increasing counter. Cloning shares the storage.
-#[derive(Clone)]
+/// A monotonically increasing counter: one relaxed atomic, owned by the
+/// registry or bound from the layer that keeps it. Cloning shares the cell.
+#[derive(Clone, Default)]
 pub struct Counter {
-    repr: Arc<CounterRepr>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
-    fn sharded() -> Self {
-        let shards = (0..SHARDS).map(|_| PaddedU64::default()).collect();
-        Counter { repr: Arc::new(CounterRepr::Sharded(shards)) }
-    }
-
-    fn bound(cell: Arc<AtomicU64>) -> Self {
-        Counter { repr: Arc::new(CounterRepr::Bound(cell)) }
-    }
-
-    /// Add 1. Relaxed, allocation-free, shard-local.
+    /// Add 1. Relaxed, allocation-free.
     #[inline]
     pub fn inc(&self) {
         self.add(1);
     }
 
-    /// Add `n`. Relaxed, allocation-free, shard-local.
+    /// Add `n`. Relaxed, allocation-free.
     #[inline]
     pub fn add(&self, n: u64) {
-        match &*self.repr {
-            CounterRepr::Sharded(shards) => {
-                shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
-            }
-            CounterRepr::Bound(cell) => {
-                cell.fetch_add(n, Ordering::Relaxed);
-            }
-        }
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current total (sums the shards).
+    /// Current total.
     pub fn value(&self) -> u64 {
-        match &*self.repr {
-            CounterRepr::Sharded(shards) => {
-                shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-            }
-            CounterRepr::Bound(cell) => cell.load(Ordering::Relaxed),
-        }
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -120,67 +77,36 @@ impl std::fmt::Debug for Counter {
 
 // ---- gauge ------------------------------------------------------------------
 
-enum GaugeRepr {
-    Owned(AtomicU64),
-    BoundU64(Arc<AtomicU64>),
-    BoundU32(Arc<AtomicU32>),
-    BoundUsize(Arc<AtomicUsize>),
-}
-
 /// A point-in-time value (queue depth, pool occupancy, a tunable's current
-/// setting). Cloning shares the storage.
-#[derive(Clone)]
+/// setting): one relaxed atomic. Cloning shares the cell.
+#[derive(Clone, Default)]
 pub struct Gauge {
-    repr: Arc<GaugeRepr>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Gauge {
-    fn owned() -> Self {
-        Gauge { repr: Arc::new(GaugeRepr::Owned(AtomicU64::new(0))) }
-    }
-
     /// Set the gauge. Bound cells are written through, so use owned gauges
     /// for values the metrics layer itself maintains.
     pub fn set(&self, v: u64) {
-        match &*self.repr {
-            GaugeRepr::Owned(cell) => cell.store(v, Ordering::Relaxed),
-            GaugeRepr::BoundU64(cell) => cell.store(v, Ordering::Relaxed),
-            GaugeRepr::BoundU32(cell) => cell.store(v as u32, Ordering::Relaxed),
-            GaugeRepr::BoundUsize(cell) => cell.store(v as usize, Ordering::Relaxed),
-        }
+        self.cell.store(v, Ordering::Relaxed);
     }
 
     /// Increment (occupancy-style gauges).
     #[inline]
     pub fn inc(&self) {
-        match &*self.repr {
-            GaugeRepr::Owned(cell) => cell.fetch_add(1, Ordering::Relaxed),
-            GaugeRepr::BoundU64(cell) => cell.fetch_add(1, Ordering::Relaxed),
-            GaugeRepr::BoundU32(cell) => cell.fetch_add(1, Ordering::Relaxed) as u64,
-            GaugeRepr::BoundUsize(cell) => cell.fetch_add(1, Ordering::Relaxed) as u64,
-        };
+        self.cell.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Decrement (saturating at zero for owned storage misuse is not
-    /// defended — occupancy updates must be balanced).
+    /// Decrement (underflow is not defended — occupancy updates must be
+    /// balanced).
     #[inline]
     pub fn dec(&self) {
-        match &*self.repr {
-            GaugeRepr::Owned(cell) => cell.fetch_sub(1, Ordering::Relaxed),
-            GaugeRepr::BoundU64(cell) => cell.fetch_sub(1, Ordering::Relaxed),
-            GaugeRepr::BoundU32(cell) => cell.fetch_sub(1, Ordering::Relaxed) as u64,
-            GaugeRepr::BoundUsize(cell) => cell.fetch_sub(1, Ordering::Relaxed) as u64,
-        };
+        self.cell.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Current value.
     pub fn value(&self) -> u64 {
-        match &*self.repr {
-            GaugeRepr::Owned(cell) => cell.load(Ordering::Relaxed),
-            GaugeRepr::BoundU64(cell) => cell.load(Ordering::Relaxed),
-            GaugeRepr::BoundU32(cell) => cell.load(Ordering::Relaxed) as u64,
-            GaugeRepr::BoundUsize(cell) => cell.load(Ordering::Relaxed) as u64,
-        }
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -192,20 +118,10 @@ impl std::fmt::Debug for Gauge {
 
 // ---- histogram --------------------------------------------------------------
 
-struct HistogramShard {
+struct Cells {
     count: AtomicU64,
     sum_ns: AtomicU64,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for HistogramShard {
-    fn default() -> Self {
-        HistogramShard {
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
 }
 
 /// Bucket for a sample: floor(log₂(ns)), clamped to the table.
@@ -214,11 +130,11 @@ fn bucket_of(ns: u64) -> usize {
     ((63 - (ns | 1).leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
 }
 
-/// A fixed-bucket log₂(ns) latency histogram, 8-way sharded. Recording is a
-/// few relaxed adds on this thread's shard: no locks, no allocation.
+/// A fixed-bucket log₂(ns) latency histogram. Recording is three relaxed
+/// adds: no locks, no allocation.
 #[derive(Clone)]
 pub struct Histogram {
-    shards: Arc<[HistogramShard]>,
+    cells: Arc<Cells>,
 }
 
 impl Histogram {
@@ -226,16 +142,21 @@ impl Histogram {
     /// in other instruments (e.g. `weavepar_core`'s `CallLog`). Named,
     /// snapshot-visible histograms come from [`MetricsRegistry::histogram`].
     pub fn new() -> Self {
-        Histogram { shards: (0..SHARDS).map(|_| HistogramShard::default()).collect() }
+        Histogram {
+            cells: Arc::new(Cells {
+                count: AtomicU64::new(0),
+                sum_ns: AtomicU64::new(0),
+                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            }),
+        }
     }
 
     /// Record one sample in nanoseconds.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        let shard = &self.shards[shard_index()];
-        shard.count.fetch_add(1, Ordering::Relaxed);
-        shard.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        shard.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self.cells.count.fetch_add(1, Ordering::Relaxed);
+        self.cells.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.cells.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one duration.
@@ -246,38 +167,30 @@ impl Histogram {
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.shards.iter().map(|s| s.count.load(Ordering::Relaxed)).sum()
+        self.cells.count.load(Ordering::Relaxed)
     }
 
     /// Sum of all recorded samples, nanoseconds.
     pub fn sum_ns(&self) -> u64 {
-        self.shards.iter().map(|s| s.sum_ns.load(Ordering::Relaxed)).sum()
+        self.cells.sum_ns.load(Ordering::Relaxed)
     }
 
-    /// Zero every shard (administrative; racing recorders may survive).
+    /// Zero every cell (administrative; racing recorders may survive).
     pub fn reset(&self) {
-        for shard in self.shards.iter() {
-            shard.count.store(0, Ordering::Relaxed);
-            shard.sum_ns.store(0, Ordering::Relaxed);
-            for bucket in &shard.buckets {
-                bucket.store(0, Ordering::Relaxed);
-            }
+        self.cells.count.store(0, Ordering::Relaxed);
+        self.cells.sum_ns.store(0, Ordering::Relaxed);
+        for bucket in &self.cells.buckets {
+            bucket.store(0, Ordering::Relaxed);
         }
     }
 
     /// A consistent-enough point-in-time copy of the buckets.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        let mut count = 0u64;
-        let mut sum_ns = 0u64;
-        for shard in self.shards.iter() {
-            count += shard.count.load(Ordering::Relaxed);
-            sum_ns += shard.sum_ns.load(Ordering::Relaxed);
-            for (acc, bucket) in buckets.iter_mut().zip(&shard.buckets) {
-                *acc += bucket.load(Ordering::Relaxed);
-            }
+        HistogramSnapshot {
+            count: self.count(),
+            sum_ns: self.sum_ns(),
+            buckets: std::array::from_fn(|k| self.cells.buckets[k].load(Ordering::Relaxed)),
         }
-        HistogramSnapshot { count, sum_ns, buckets }
     }
 }
 
@@ -353,50 +266,35 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Get or create the sharded counter `name`.
+    /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
         if let Some(c) = self.inner.counters.read().get(name) {
             return c.clone();
         }
-        self.inner.counters.write().entry(name.to_string()).or_insert_with(Counter::sharded).clone()
+        self.inner.counters.write().entry(name.to_string()).or_default().clone()
     }
 
     /// Register `cell` as the counter `name` (replacing any previous metric
     /// of that name). The layer that owns the cell keeps incrementing it
     /// directly; the registry only reads it at snapshot time.
     pub fn bind_counter(&self, name: &str, cell: Arc<AtomicU64>) -> Counter {
-        let c = Counter::bound(cell);
+        let c = Counter { cell };
         self.inner.counters.write().insert(name.to_string(), c.clone());
         c
     }
 
-    /// Get or create the owned gauge `name`.
+    /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         if let Some(g) = self.inner.gauges.read().get(name) {
             return g.clone();
         }
-        self.inner.gauges.write().entry(name.to_string()).or_insert_with(Gauge::owned).clone()
+        self.inner.gauges.write().entry(name.to_string()).or_default().clone()
     }
 
-    /// Register a `u64` cell as the gauge `name`.
+    /// Register `cell` as the gauge `name` (replacing any previous metric
+    /// of that name): the registry reads the owner's cell at snapshot time.
     pub fn bind_gauge(&self, name: &str, cell: Arc<AtomicU64>) -> Gauge {
-        let g = Gauge { repr: Arc::new(GaugeRepr::BoundU64(cell)) };
-        self.inner.gauges.write().insert(name.to_string(), g.clone());
-        g
-    }
-
-    /// Register a `u32` cell (e.g. a tunable's value cell) as the gauge
-    /// `name`.
-    pub fn bind_gauge_u32(&self, name: &str, cell: Arc<AtomicU32>) -> Gauge {
-        let g = Gauge { repr: Arc::new(GaugeRepr::BoundU32(cell)) };
-        self.inner.gauges.write().insert(name.to_string(), g.clone());
-        g
-    }
-
-    /// Register a `usize` cell (e.g. a completion tracker's in-flight count)
-    /// as the gauge `name`.
-    pub fn bind_gauge_usize(&self, name: &str, cell: Arc<AtomicUsize>) -> Gauge {
-        let g = Gauge { repr: Arc::new(GaugeRepr::BoundUsize(cell)) };
+        let g = Gauge { cell };
         self.inner.gauges.write().insert(name.to_string(), g.clone());
         g
     }
@@ -623,21 +521,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_shard_and_sum() {
+    fn cells_sum_exactly_across_threads() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("hits");
+        let (c, g, h) = (reg.counter("hits"), reg.gauge("busy"), reg.histogram("lat"));
         c.inc();
         c.add(4);
         assert_eq!(c.value(), 5);
         // Resolving again returns the same storage.
         assert_eq!(reg.counter("hits").value(), 5);
-        // Across threads the shards sum correctly.
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let c = c.clone();
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let (c, g, h) = (c.clone(), g.clone(), h.clone());
                 std::thread::spawn(move || {
-                    for _ in 0..1000 {
+                    for i in 0..1000 {
                         c.inc();
+                        g.inc();
+                        h.record_ns(t * 1000 + i);
+                        g.dec();
                     }
                 })
             })
@@ -646,6 +546,13 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(c.value(), 4005);
+        assert_eq!(g.value(), 0, "every raise was lowered");
+        let snap = reg.snapshot();
+        let lat = snap.histogram("lat").unwrap();
+        assert_eq!(lat.count, 4000);
+        assert_eq!(lat.sum_ns, (0..4000).sum::<u64>());
+        assert_eq!(lat.buckets.iter().sum::<u64>(), 4000);
+        assert_eq!(lat.buckets[11], 4000 - 2048, "samples 2048..4000");
     }
 
     #[test]
@@ -669,16 +576,15 @@ mod tests {
         g.set(9);
         assert_eq!(g.value(), 9);
 
-        let cell32 = Arc::new(AtomicU32::new(16));
-        let tuned = reg.bind_gauge_u32("tune.packs", cell32.clone());
+        let cell = Arc::new(AtomicU64::new(16));
+        let tuned = reg.bind_gauge("tune.packs", cell.clone());
         assert_eq!(tuned.value(), 16);
-        cell32.store(32, Ordering::Relaxed);
+        cell.store(32, Ordering::Relaxed);
         assert_eq!(reg.snapshot().gauge("tune.packs"), Some(32));
-
-        let cellu = Arc::new(AtomicUsize::new(3));
-        let depth = reg.bind_gauge_usize("pool.in_flight", cellu.clone());
-        cellu.store(5, Ordering::Relaxed);
+        // Binding a name again replaces the metric.
+        let depth = reg.bind_gauge("tune.packs", Arc::new(AtomicU64::new(5)));
         assert_eq!(depth.value(), 5);
+        assert_eq!(reg.snapshot().gauge("tune.packs"), Some(5));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! In the paper, the partition aspect replaces one core object with a *set* of
 //! aspect-managed objects whose lifetime the aspect controls (Figure 4). Here
-//! those objects live in an [`ObjectSpace`]: a map from [`ObjId`] to a boxed
+//! those objects live in an [`ObjectSpace`]: one map from [`ObjId`] to a boxed
 //! instance behind a **re-entrant per-object monitor**.
 //!
 //! The monitor plays the role of Java's `synchronized(target)` in the paper's
@@ -98,11 +98,7 @@ struct Entry {
     instance: Instance,
 }
 
-/// Number of independent map shards. A power of two so the shard index is a
-/// mask of the (sequentially assigned) object id.
-const SHARDS: usize = 16;
-
-/// Fibonacci-multiplicative hasher for the shard maps. Object ids are
+/// Fibonacci-multiplicative hasher for the id map. Object ids are
 /// sequentially assigned `u64`s generated by the runtime itself, so SipHash's
 /// hash-flooding resistance buys nothing here and its per-lookup cost sits on
 /// every dispatch; a single multiply spreads consecutive ids across buckets.
@@ -129,14 +125,13 @@ impl std::hash::Hasher for IdHasher {
 
 type IdBuildHasher = std::hash::BuildHasherDefault<IdHasher>;
 
-/// Shared store of aspect-managed objects, sharded by object id.
+/// Shared store of aspect-managed objects.
 ///
-/// All access goes through per-object monitors; the id→instance maps are
-/// split into [`SHARDS`] read-write-locked shards so concurrent dispatch —
-/// even insert/remove traffic — to *different* objects rarely touches the
-/// same lock.
+/// All access to an object goes through its monitor; the id→instance map is
+/// one read-write lock, held only for the look-up, insert or remove itself,
+/// so dispatch to different objects shares nothing but a read lock.
 pub struct ObjectSpace {
-    shards: [RwLock<HashMap<u64, Entry, IdBuildHasher>>; SHARDS],
+    objects: RwLock<HashMap<u64, Entry, IdBuildHasher>>,
     next_id: AtomicU64,
     /// Objects removed so far: the stamp under which a bound weaver view
     /// ([`Weaver::bind`]) trusts the instances it resolved ahead of time.
@@ -147,14 +142,10 @@ impl ObjectSpace {
     /// An empty space.
     pub fn new() -> Self {
         ObjectSpace {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::default())),
+            objects: RwLock::new(HashMap::default()),
             next_id: AtomicU64::new(1),
             removals: AtomicU64::new(0),
         }
-    }
-
-    fn shard(&self, raw: u64) -> &RwLock<HashMap<u64, Entry, IdBuildHasher>> {
-        &self.shards[(raw as usize) & (SHARDS - 1)]
     }
 
     /// Insert a typed instance, returning its id.
@@ -166,13 +157,13 @@ impl ObjectSpace {
     pub fn insert_erased(&self, info: ClassInfo, value: Box<dyn Any + Send>) -> ObjId {
         let id = ObjId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let entry = Entry { info, instance: Arc::new(ReentrantMutex::new(RefCell::new(value))) };
-        self.shard(id.raw()).write().insert(id.raw(), entry);
+        self.objects.write().insert(id.raw(), entry);
         id
     }
 
-    /// Resolve an object to its class record and instance in one shard read.
+    /// Resolve an object to its class record and instance in one map read.
     pub(crate) fn lookup(&self, id: ObjId) -> WeaveResult<(ClassInfo, Instance)> {
-        self.shard(id.raw())
+        self.objects
             .read()
             .get(&id.raw())
             .map(|e| (e.info, e.instance.clone()))
@@ -234,7 +225,7 @@ impl ObjectSpace {
 
     /// Remove an object; returns true when it was present.
     pub fn remove(&self, id: ObjId) -> bool {
-        let removed = self.shard(id.raw()).write().remove(&id.raw()).is_some();
+        let removed = self.objects.write().remove(&id.raw()).is_some();
         if removed {
             // After the map, so that whoever reads the new epoch finds the
             // object gone; `Release` pairs with `removal_epoch`'s `Acquire`.
@@ -252,33 +243,28 @@ impl ObjectSpace {
 
     /// True when the object is live.
     pub fn contains(&self, id: ObjId) -> bool {
-        self.shard(id.raw()).read().contains_key(&id.raw())
+        self.objects.read().contains_key(&id.raw())
     }
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.objects.read().len()
     }
 
     /// True when no object is live.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.objects.read().is_empty()
     }
 
     /// Ids of all live objects of a class, in id order (used by aspects that
     /// iterate their managed set).
     pub fn ids_of_class(&self, class: &str) -> Vec<ObjId> {
         let mut ids: Vec<ObjId> = self
-            .shards
+            .objects
+            .read()
             .iter()
-            .flat_map(|shard| {
-                shard
-                    .read()
-                    .iter()
-                    .filter(|(_, e)| e.info.class == class)
-                    .map(|(id, _)| ObjId(*id))
-                    .collect::<Vec<_>>()
-            })
+            .filter(|(_, e)| e.info.class == class)
+            .map(|(id, _)| ObjId(*id))
             .collect();
         ids.sort();
         ids

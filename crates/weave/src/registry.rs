@@ -444,7 +444,7 @@ impl Weaver {
         async_boundary: bool,
         issuer: u64,
     ) -> WeaveResult<AnyValue> {
-        // One shard read resolves both the class record and the instance; the
+        // One map read resolves both the class record and the instance; the
         // monitor is then taken without revisiting the map. A bound view has
         // done that read already.
         let resolved;

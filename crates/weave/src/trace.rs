@@ -5,7 +5,7 @@
 //! **task**: its causal parent (the task whose code issued the call), whether
 //! it was reached through an asynchronous boundary
 //! ([`Detached`](crate::invocation::Detached)), the approximate wire size of
-//! its arguments, and its CPU cost (measured, or supplied by a [`CostModel`]).
+//! its arguments, and its cost (wall time measured, or supplied by a [`CostModel`]).
 //!
 //! The resulting [`TraceGraph`] is a task DAG that `weavepar-cluster` replays
 //! on a virtual cluster: synchronous edges keep the caller blocked,
@@ -31,9 +31,8 @@ use crate::value::Args;
 pub struct TaskId(u64);
 
 /// Dense per-process ordinal of the current thread, assigned on first use and
-/// stable within a run: traces tell the client's main thread from worker
-/// threads by it, and every sharded accumulator (metric cells, buffer pools,
-/// tuner shards) picks this thread's shard as `thread_tag() % SHARDS`.
+/// stable within a run: a task's issuer tag ([`TaskRecord::issuer`]), by
+/// which traces tell the client's main thread from worker threads.
 #[inline]
 pub fn thread_tag() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
@@ -106,9 +105,9 @@ pub struct TaskRecord {
 /// Analytic CPU-cost model: given the join point and its arguments, return the
 /// cost to record instead of a wall-clock measurement.
 ///
-/// Used by the benchmark harness for determinism: the prime-sieve apps provide
-/// a model calibrated against the paper's Xeon 3.2 GHz timings, so the
-/// regenerated figures do not depend on the build machine.
+/// Used where costs must not depend on the build machine: `weavepar-demo
+/// figures` models a sieve `filter` as 1 µs per candidate and a construction
+/// as 1 ms, so its degradation table compares shapes, not this host's load.
 pub type CostModel = Arc<dyn Fn(&Signature, &Args) -> Option<Duration> + Send + Sync>;
 
 /// The completed trace: a task DAG in creation order.
@@ -183,7 +182,8 @@ fn next_recorder_id() -> u64 {
 }
 
 impl Recorder {
-    /// A recorder that measures real CPU cost with `Instant`.
+    /// A recorder that records each task's wall time from begin to end,
+    /// measured with `Instant` (waits and preemption included).
     pub fn measuring() -> Self {
         Recorder {
             inner: Arc::new(RecorderInner {

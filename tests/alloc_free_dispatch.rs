@@ -129,7 +129,7 @@ fn metered_dispatch_stays_allocation_free() {
     // The observability tentpole's bound: plugging the metrics aspect keeps
     // steady-state dispatch allocation-free. The aspect resolves its
     // counters and histogram once at build time, so the hot path is pure
-    // relaxed-atomic bumps into pre-bound shards.
+    // relaxed-atomic bumps into pre-resolved cells.
     let weaver = Weaver::new();
     let registry = MetricsRegistry::new();
     weaver.plug(metrics_aspect("Metrics", Pointcut::call("Alu.*"), &registry));
