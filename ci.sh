@@ -43,7 +43,11 @@ cargo fmt --check
 # re-exported a name of `partition`. Nor the shards no workload contended
 # (PR 40): a metric is one `Arc` of plain atomics and binds only an
 # `Arc<AtomicU64>`, a pool is one free list, the object space one map; nor the
-# call log's capacity knob (the ring holds `CALL_LOG_CAPACITY`).
+# call log's capacity knob (the ring holds `CALL_LOG_CAPACITY`). Nor the
+# second heartbeat app (`heat2d`), the second concurrency module (active
+# objects: Figure 12's `future_concurrency_aspect` is the one), the advice
+# hop's fire counter and its readers, and the `pub fn`s only tests reached
+# (the census below keeps any other such item from growing back).
 echo "==> no retired fork under crates tests examples"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
@@ -65,6 +69,11 @@ retired="$retired|object_cache_aspect_bounded|insert_bounded|CacheStore|with_nod
 retired="$retired|(crate|skeletons)::(farm|pipeline|dynamic_farm)::|mod (farm|pipeline|dynamic_farm);"
 retired="$retired|CounterRepr|GaugeRepr|HistogramShard|PaddedU64|bind_gauge_u32|bind_gauge_usize"
 retired="$retired|PER_SHARD|fn shard_index|CallLog::with_capacity"
+retired="$retired|heat2d|solve2d|SlabProxy|active_object_aspect|ActiveRuntime|mod active;"
+retired="$retired|fired: AtomicU64|\\.fired\\.fetch_add|pub fn (advice_fire_counts|active_advice_count|advice_count|fired)\\("
+retired="$retired|pub fn (speedup|peak_parallelism|total_bytes|unbind|with_field_mut|remove_field|remove_object)[<(]"
+retired="$retired|pub fn (for_method|provenance_split|total_elapsed|summary|method_count|knows|is_async_boundary)[<(]"
+retired="$retired|pub fn (from_handle|is_plugged|pooled|is_inline)[<(]"
 if grep -rnE "$retired" crates tests examples; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1
@@ -128,6 +137,67 @@ done)
 if [ "$(echo "$census" | awk '{ n += $1 } END { print n + 0 }')" -gt 6 ]; then
     echo "$census"
     echo "more than 6 production thread_local! blocks (DESIGN.md §2 lists the six and why)"
+    exit 1
+fi
+
+# A public item is there for a caller. The census lists every `pub` fn,
+# struct, enum, trait, type, const and static in the production part of
+# crates/*/src (the lines before a file's first column-0 `#[cfg(test)]`,
+# comment lines skipped) whose name appears as a word in no other production
+# line, in examples/ or in perfbench/src. The list must equal `keep`, where
+# each name carries its reason: an item only tests reach fails here (give it
+# a caller or delete it), and so does a kept name that gained a caller or
+# went (take it off the list).
+echo "==> census: public items without a non-test caller"
+keep='
+around_if            AspectJ if(): advice guarded on live arguments
+within_aspects       AspectJ within(): only the calls advice makes
+within_self          AspectJ within(): only the calls an object makes on itself
+install_faults       the fault-injection seam the chaos matrix drives
+clear_faults         the fault-injection seam the chaos matrix drives
+seeded               the fault-injection seam: a schedule that is a pure function of its seed
+object_cache_aspect  section 4.4: the object cache, an optimisation concern
+unary                section 4.4: the object cache keyed on a one-argument call
+random               section 4.3: random placement of remote objects
+from_box             the boxed reference representation beside the inline fast path
+from_values          a supervisor re-forwards a returned value as arguments (the crate-root example)
+to_text              ROADMAP 4(e): the snapshot rendering the event stream is to print
+to_json              ROADMAP 4(e): the snapshot rendering the event stream is to print
+force_tick           ROADMAP 7: the tuner earns a workload or leaves, its test seams with it
+reset_all            ROADMAP 7: the tuner earns a workload or leaves, its test seams with it
+with_deadline        a remote call deadline: the CallPolicy the RmiConfig docs show
+worst_case           the longest a policy may take: the chaos matrix bound against a hang
+utilization          the replay bound busy <= makespan x cores, checked on random traces
+ids_of_class         the one view of the workers a skeleton created, for its tests
+is_shared            a pack copy-on-write state, which the sort write-back tests assert
+pending_calls        the packer buffer, which the unplug race asserts empty
+'
+found=$({
+    find crates/*/src -name '*.rs' | sort
+    find examples perfbench/src -name '*.rs' | sort
+} | xargs awk '
+    FNR == 1 { production = 1 }
+    /^#\[cfg\(test\)\]/ { production = 0 }
+    !production || /^[[:space:]]*\/\// { next }
+    {
+        line = $0
+        if (FILENAME ~ /^crates\// && match(line, /^[[:space:]]*pub (const |async |unsafe )*(fn|struct|enum|trait|type|const|static) +[A-Za-z_][A-Za-z0-9_]*/)) {
+            name = substr(line, RSTART, RLENGTH)
+            sub(/.* /, "", name)
+            defined[name]++
+        }
+        gsub(/[^A-Za-z0-9_]+/, " ", line)
+        n = split(line, words, " ")
+        for (i = 1; i <= n; i++) seen[words[i]]++
+    }
+    END { for (name in defined) if (seen[name] == defined[name]) print name }
+' | sort)
+echo "$found"
+expected=$(echo "$keep" | awk 'NF { print $1 }' | sort)
+if [ "$found" != "$expected" ]; then
+    echo "$found" | grep -vxF "$expected" | sed 's/^/new, only tests reach it: /' || true
+    echo "$expected" | grep -vxF "$found" | sed 's/^/kept, but it has a caller or is gone: /' || true
+    echo "the census differs from its keep list"
     exit 1
 fi
 

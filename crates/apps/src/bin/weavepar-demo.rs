@@ -4,7 +4,6 @@
 //! weavepar-demo sieve  [--variant farm-rmi] [--max 1000000] [--filters 4] [--packs 50] [--nodes 7]
 //! weavepar-demo mandel [--width 64] [--height 32] [--iters 500] [--workers 4] [--dynamic]
 //! weavepar-demo heat   [--len 60] [--iters 2000] [--workers 4]
-//! weavepar-demo heat2d [--width 16] [--height 16] [--iters 200] [--workers 4]
 //! weavepar-demo sort   [--n 200000] [--threshold 10000] [--concurrent]
 //! weavepar-demo figures [--max 2000000] [--packs 50]
 //! ```
@@ -17,7 +16,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use weavepar_apps::heat::{solve_heartbeat, solve_sequential};
-use weavepar_apps::heat2d::{solve2d_heartbeat, solve2d_sequential};
 use weavepar_apps::mandel::{render_dynamic, render_farmed, render_sequential};
 use weavepar_apps::sieve::{build_sieve, run_sieve, sequential_sieve, SieveConfig};
 use weavepar_apps::sort::{dc_pool_size, sort_divide_conquer};
@@ -34,7 +32,6 @@ enum Command {
     Sieve,
     Mandel,
     Heat,
-    Heat2d,
     Sort,
     Figures,
 }
@@ -45,7 +42,6 @@ impl Command {
             "sieve" => Command::Sieve,
             "mandel" => Command::Mandel,
             "heat" => Command::Heat,
-            "heat2d" => Command::Heat2d,
             "sort" => Command::Sort,
             "figures" => Command::Figures,
             _ => return None,
@@ -58,7 +54,6 @@ impl Command {
             Command::Sieve => (&["variant", "max", "filters", "packs", "nodes"], &[]),
             Command::Mandel => (&["width", "height", "iters", "workers", "packs"], &["dynamic"]),
             Command::Heat => (&["len", "iters", "workers"], &[]),
-            Command::Heat2d => (&["width", "height", "iters", "workers"], &[]),
             Command::Sort => (&["n", "threshold"], &["concurrent"]),
             Command::Figures => (&["max", "packs"], &[]),
         }
@@ -120,13 +115,12 @@ impl Options {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: weavepar-demo <sieve|mandel|heat|heat2d|sort|figures> [options]\n\
+        "usage: weavepar-demo <sieve|mandel|heat|sort|figures> [options]\n\
          \n\
          sieve  --variant <seq-pipe|farm-threads|pipe-rmi|farm-rmi|farm-drmi|farm-mpp>\n\
                 --max N --filters N --packs N --nodes N\n\
          mandel --width N --height N --iters N --workers N --packs N [--dynamic]\n\
          heat   --len N --iters N --workers N\n\
-         heat2d --width N --height N --iters N --workers N\n\
          sort   --n N --threshold N [--concurrent]\n\
          figures --max N --packs N"
     );
@@ -247,30 +241,6 @@ fn main() -> ExitCode {
                 }
             }
         }
-        Command::Heat2d => {
-            let width: u64 = opts.get("width", 16);
-            let height: u64 = opts.get("height", 16);
-            let iters: u64 = opts.get("iters", 200);
-            let workers: usize = opts.get("workers", 4);
-            match solve2d_heartbeat(width, height, 0.0, 10.0, 0.0, iters, workers) {
-                Ok(grid) => {
-                    let reference = solve2d_sequential(width, height, 0.0, 10.0, 0.0, iters);
-                    let max_err = grid
-                        .iter()
-                        .zip(&reference)
-                        .map(|(a, b)| (a - b).abs())
-                        .fold(0.0f64, f64::max);
-                    println!(
-                        "heat2d {width}x{height} iters={iters} workers={workers}: max deviation {max_err:.2e}"
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("heat2d failed: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
         Command::Sort => {
             let n: usize = opts.get("n", 200_000);
             let threshold: usize = opts.get("threshold", 10_000);
@@ -354,8 +324,6 @@ mod tests {
             parse("mandel", "--width 8 --height 4 --iters 9 --workers 2 --packs 4 --dynamic");
         assert!(mandel.unwrap().has("dynamic"));
         assert_eq!(parse("heat", "--len 60 --iters 5 --workers 2").unwrap().get("len", 0u64), 60);
-        let heat2d = parse("heat2d", "--width 8 --height 8 --iters 5 --workers 2");
-        assert_eq!(heat2d.unwrap().get("height", 0u64), 8);
         let sort = parse("sort", "--n 100 --threshold 10 --concurrent").unwrap();
         assert!(sort.has("concurrent") && sort.get("threshold", 0usize) == 10);
         assert!(!parse("sort", "").unwrap().has("concurrent"));

@@ -42,8 +42,8 @@ weaveable! {
             }
         }
 
-        /// A NaN keeps that side as it is (the outermost halos are the fixed
-        /// boundary temperatures), like an empty row in `heat2d`.
+        /// A NaN keeps that side as it is: the outermost halos are the fixed
+        /// boundary temperatures, and a one-block rod has no neighbour.
         fn set_halos(&mut self, left: f64, right: f64) {
             if !left.is_nan() {
                 self.left_halo = left;
@@ -189,7 +189,9 @@ fn solve(
     iterations: u64,
     workers: usize,
 ) -> WeaveResult<Vec<f64>> {
-    // Never create empty blocks (see the 2-D variant for the rationale).
+    // Never create empty blocks: an empty block has no cell of its own, so
+    // its `edges` are its halos, and the exchange would hand its neighbours
+    // last iteration's values instead of relaying each other's edges.
     let workers = workers.clamp(1, len.max(1) as usize);
     let stack = ConcernStack::new();
     stack.plug(Concern::Partition, heat_heartbeat_config(workers).aspect("Partition.heartbeat"));
@@ -271,5 +273,33 @@ mod tests {
         assert_eq!((rod.left_halo, rod.right_halo), (2.0, 6.0));
         rod.set_halos(8.0, f64::NAN);
         assert_eq!((rod.left_halo, rod.right_halo), (8.0, 6.0));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Both heartbeat solves are exact for any rod and worker count,
+        /// more workers than cells included (the clamp).
+        #[test]
+        fn decomposition_is_exact(len in 1u64..10, workers in 1usize..12,
+                                  iterations in 0u64..12,
+                                  left in -2.0f64..2.0, right in -2.0f64..2.0) {
+            let reference = solve_sequential(len, 0.0, left, right, iterations);
+            let serial = solve_heartbeat(len, 0.0, left, right, iterations, workers).unwrap();
+            let pooled =
+                solve_heartbeat_concurrent(len, 0.0, left, right, iterations, workers).unwrap();
+            for got in [serial, pooled] {
+                prop_assert_eq!(reference.len(), got.len());
+                for (a, b) in reference.iter().zip(&got) {
+                    prop_assert!((a - b).abs() < 1e-9);
+                }
+            }
+        }
     }
 }

@@ -26,7 +26,6 @@ use std::sync::OnceLock;
 use weavepar::concurrency::Executor;
 
 pub mod heat;
-pub mod heat2d;
 pub mod mandel;
 pub mod sieve;
 pub mod sort;

@@ -35,14 +35,6 @@ impl SimReport {
         self.busy.iter().sum::<f64>() / (self.makespan * total_cores as f64)
     }
 
-    /// Speedup relative to a given sequential execution time.
-    pub fn speedup(&self, sequential: f64) -> f64 {
-        if self.makespan <= 0.0 {
-            return 0.0;
-        }
-        sequential / self.makespan
-    }
-
     /// Export the report's integer totals into `registry` under `prefix`
     /// (`{prefix}.messages`, `.bytes`, `.tasks`, `.redispatched`), so a
     /// simulated run and a live run land in the same [`Snapshot`] and can be
@@ -95,12 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn speedup_math() {
-        let r = report();
-        assert!((r.speedup(6.0) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn display_is_compact() {
         let s = report().to_string();
         assert!(s.contains("makespan 2.000s"));
@@ -123,6 +109,5 @@ mod tests {
         let mut r = report();
         r.makespan = 0.0;
         assert_eq!(r.utilization(3), 0.0);
-        assert_eq!(r.speedup(6.0), 0.0);
     }
 }

@@ -199,8 +199,8 @@ impl FutureAny {
     /// Run a detached chain into this future — the one way an asynchronous
     /// invocation completes. A chain that panics fails its own future with
     /// an application error (the joiner is not left waiting for a value
-    /// nobody will write) and the unwind stops here, so the thread that ran
-    /// it — an executor's worker, an active object's server — lives on.
+    /// nobody will write) and the unwind stops here, so a pool worker that
+    /// ran it lives on.
     pub(crate) fn run(&self, detached: Detached) {
         let outcome = catch_unwind(AssertUnwindSafe(|| detached.run()));
         self.fulfill(

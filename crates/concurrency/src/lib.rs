@@ -26,7 +26,6 @@
 //!   `proceed`), and [`aspects::future_concurrency_aspect`] — the paper's
 //!   Figure 12 module, the two together.
 
-pub mod active;
 pub mod aspects;
 pub mod batch;
 pub mod executor;
@@ -34,7 +33,6 @@ pub mod future;
 pub mod pool;
 pub mod tracker;
 
-pub use active::{active_object_aspect, ActiveRuntime};
 pub use aspects::{future_aspect, future_concurrency_aspect, synchronized_aspect};
 pub use batch::{continue_here, on_scope_flush, scope_active, BatchScope};
 pub use executor::Executor;

@@ -105,8 +105,7 @@ pub mod prelude {
     pub use crate::stack::{Concern, ConcernStack};
     pub use crate::tuning::{autotune_aspect, Autotuner, Step, Tunable, TuneConfig};
     pub use weavepar_concurrency::{
-        active_object_aspect, future_concurrency_aspect, future_ret, resolve_any, Executor,
-        FutureOrNow,
+        future_concurrency_aspect, future_ret, resolve_any, Executor, FutureOrNow,
     };
     pub use weavepar_middleware::{
         message_packing_aspect, CallPolicy, InProcFabric, MarshalRegistry, MppConfig, NameServer,

@@ -53,10 +53,9 @@ pub struct CallRecord {
 ///
 /// The detailed records live in a ring of [`CALL_LOG_CAPACITY`]: once full, each
 /// new record evicts the oldest and bumps [`dropped`](CallLog::dropped).
-/// Aggregates ([`total_elapsed`], [`latency`]) are fed by every record ever
-/// logged, dropped or not, via an embedded latency [`Histogram`].
+/// The [`latency`] histogram is fed by every record ever logged, dropped or
+/// not.
 ///
-/// [`total_elapsed`]: CallLog::total_elapsed
 /// [`latency`]: CallLog::latency
 #[derive(Clone)]
 pub struct CallLog {
@@ -113,25 +112,6 @@ impl CallLog {
         self.ring.lock().iter().cloned().collect()
     }
 
-    /// Retained records for one method name.
-    pub fn for_method(&self, method: &str) -> Vec<CallRecord> {
-        self.ring.lock().iter().filter(|r| r.signature.method == method).cloned().collect()
-    }
-
-    /// How many retained calls were issued from core vs from aspect advice —
-    /// the split/forward structure of a partition becomes directly visible.
-    pub fn provenance_split(&self) -> (usize, usize) {
-        let ring = self.ring.lock();
-        let core = ring.iter().filter(|r| r.caller == Provenance::Core).count();
-        (core, ring.len() - core)
-    }
-
-    /// Total logged wall time — over **every** record ever pushed, including
-    /// ones the ring has since evicted (read from the latency histogram).
-    pub fn total_elapsed(&self) -> Duration {
-        Duration::from_nanos(self.latency.sum_ns())
-    }
-
     /// The latency histogram fed by every pushed record; survives ring
     /// eviction, so long runs keep full timing distributions.
     pub fn latency(&self) -> &Histogram {
@@ -143,24 +123,6 @@ impl CallLog {
         self.ring.lock().clear();
         self.dropped.store(0, Ordering::Relaxed);
         self.latency.reset();
-    }
-
-    /// A compact per-signature summary over the retained records:
-    /// `(signature, calls, total time)`.
-    pub fn summary(&self) -> Vec<(String, usize, Duration)> {
-        let ring = self.ring.lock();
-        let mut rows: Vec<(String, usize, Duration)> = Vec::new();
-        for r in ring.iter() {
-            let key = r.signature.to_string();
-            match rows.iter_mut().find(|(k, _, _)| *k == key) {
-                Some((_, n, d)) => {
-                    *n += 1;
-                    *d += r.elapsed;
-                }
-                None => rows.push((key, 1, r.elapsed)),
-            }
-        }
-        rows
     }
 }
 
@@ -222,7 +184,6 @@ mod tests {
         assert_eq!(records[0].signature.to_string(), "Point.move_x");
         assert_eq!(records[1].signature.to_string(), "Point.move_y");
         assert!(records.iter().all(|r| r.ok && r.caller == Provenance::Core));
-        assert_eq!(log.for_method("move_x").len(), 1);
     }
 
     #[test]
@@ -248,25 +209,10 @@ mod tests {
         );
         let p = PointProxy::construct(&weaver).unwrap();
         p.move_x(99).unwrap();
-        let (core, aspect) = log.provenance_split();
-        assert_eq!((core, aspect), (1, 3));
+        let records = log.records();
+        let core = records.iter().filter(|r| r.caller == Provenance::Core).count();
+        assert_eq!((core, records.len() - core), (1, 3));
         assert_eq!(p.get().unwrap(), 3, "the original 99 was replaced by 3×1");
-    }
-
-    #[test]
-    fn summary_aggregates_per_signature() {
-        let weaver = Weaver::new();
-        let log = CallLog::new();
-        weaver.plug(logging_aspect("Logging", Pointcut::call("Point.*"), log.clone()));
-        let p = PointProxy::construct(&weaver).unwrap();
-        p.move_x(1).unwrap();
-        p.move_x(2).unwrap();
-        p.get().unwrap();
-        let summary = log.summary();
-        assert_eq!(summary.len(), 2);
-        let move_row = summary.iter().find(|(k, _, _)| k == "Point.move_x").unwrap();
-        assert_eq!(move_row.1, 2);
-        assert!(log.total_elapsed() >= move_row.2);
     }
 
     #[test]
@@ -299,7 +245,7 @@ mod tests {
         assert_eq!(log.len(), CALL_LOG_CAPACITY);
         assert_eq!(log.dropped(), 3);
         assert_eq!(log.latency().count(), calls as u64);
-        assert!(log.total_elapsed() > Duration::ZERO);
+        assert!(log.latency().sum_ns() > 0);
         log.clear();
         assert!(log.is_empty());
         assert_eq!(log.dropped(), 0);

@@ -123,11 +123,6 @@ impl ConcernStack {
             .unwrap_or_default()
     }
 
-    /// Is anything plugged under the concern?
-    pub fn is_plugged(&self, concern: Concern) -> bool {
-        self.plugged.lock().get(&concern).is_some_and(|v| !v.is_empty())
-    }
-
     /// Human-readable configuration summary, e.g. `"partition=[Farm] concurrency=[] ..."`.
     pub fn describe(&self) -> String {
         Concern::ALL
@@ -180,8 +175,8 @@ mod tests {
         let stack = ConcernStack::new();
         let hits = Arc::new(AtomicU64::new(0));
         stack.plug(Concern::Partition, counting_aspect("Pipeline", hits.clone()));
-        assert!(stack.is_plugged(Concern::Partition));
-        assert!(!stack.is_plugged(Concern::Concurrency));
+        assert!(!stack.plugged_names(Concern::Partition).is_empty());
+        assert!(stack.plugged_names(Concern::Concurrency).is_empty());
 
         let p = ProbeProxy::construct(stack.weaver()).unwrap();
         p.ping().unwrap();
@@ -247,6 +242,6 @@ mod tests {
         p.ping().unwrap();
         assert_eq!(h.load(Ordering::Relaxed), 2);
         stack.unplug(Concern::Concurrency);
-        assert!(!stack.is_plugged(Concern::Concurrency));
+        assert!(stack.plugged_names(Concern::Concurrency).is_empty());
     }
 }

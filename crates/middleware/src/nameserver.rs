@@ -59,11 +59,6 @@ impl NameServer {
         Err(WeaveError::remote(format!("name server: `{name}` not bound")))
     }
 
-    /// Remove a binding. Returns true when it existed.
-    pub fn unbind(&self, name: &str) -> bool {
-        self.inner.entries.write().remove(name).is_some()
-    }
-
     /// Sweep every binding hosted on `node` (the node died), leaving
     /// tombstones so lookups fail fast with [`WeaveError::NodeDown`] rather
     /// than pretending the name was never bound. Returns the number of
@@ -121,15 +116,12 @@ mod tests {
     }
 
     #[test]
-    fn bind_lookup_unbind() {
+    fn bind_then_lookup() {
         let ns = NameServer::new();
         assert!(ns.is_empty());
         ns.rebind("PS1", rref(2, 40));
         assert_eq!(ns.lookup("PS1").unwrap(), rref(2, 40));
         assert!(matches!(ns.lookup("PS2"), Err(WeaveError::Remote(_))));
-        assert!(ns.unbind("PS1"));
-        assert!(!ns.unbind("PS1"));
-        assert!(ns.lookup("PS1").is_err());
     }
 
     #[test]

@@ -66,8 +66,9 @@ impl BufPool {
         }
     }
 
-    /// Frames currently parked in the pool (for tests).
-    pub fn pooled(&self) -> usize {
+    /// Frames currently parked in the pool.
+    #[cfg(test)]
+    pub(crate) fn pooled(&self) -> usize {
         self.free.lock().len()
     }
 }
@@ -236,8 +237,9 @@ impl ReplyPool {
         }
     }
 
-    /// Slots currently parked in the pool (for tests).
-    pub fn pooled(&self) -> usize {
+    /// Slots currently parked in the pool.
+    #[cfg(test)]
+    pub(crate) fn pooled(&self) -> usize {
         self.free.lock().len()
     }
 

@@ -523,16 +523,6 @@ impl MarshalRegistry {
         })
     }
 
-    /// Is marshalling known for `class.method`?
-    pub fn knows(&self, class: &str, method: &str) -> bool {
-        self.try_method_id(class, method).is_some()
-    }
-
-    /// Number of registered methods.
-    pub fn method_count(&self) -> usize {
-        self.inner.methods.len() as usize
-    }
-
     // ---- by-id fast path (no lock, no hashing, no allocation) ----
 
     /// Encode an argument pack into `buf` by method id.
@@ -957,8 +947,8 @@ mod tests {
         let reg = MarshalRegistry::new();
         reg.register::<(u64, u64), ()>("PrimeFilter", "new");
         reg.register::<(Vec<u64>,), Vec<u64>>("PrimeFilter", "filter");
-        assert!(reg.knows("PrimeFilter", "filter"));
-        assert!(!reg.knows("PrimeFilter", "other"));
+        assert!(reg.try_method_id("PrimeFilter", "filter").is_some());
+        assert!(reg.try_method_id("PrimeFilter", "other").is_none());
 
         let args = args![vec![9u64, 15, 21]];
         let mut bytes = reg.encode_args("PrimeFilter", "filter", &args).unwrap();
@@ -984,7 +974,7 @@ mod tests {
         assert_eq!(reg.register::<(u64,), ()>("C", "a"), a);
         assert_eq!(reg.method_id("C", "a").unwrap(), a);
         assert_eq!(reg.method_id("D", "a").unwrap(), c);
-        assert_eq!(reg.method_count(), 3);
+        assert_eq!([a, b, c].map(|id| id.raw()), [0, 1, 2]);
         // Class ids are interned once.
         assert_eq!(reg.intern_class("C"), reg.class_id("C").unwrap());
         assert_eq!(&*reg.class_name(reg.class_id("D").unwrap()).unwrap(), "D");

@@ -5,7 +5,6 @@
 //! asynchronise events). `before`/`after` sugar is provided by
 //! [`AspectBuilder`](crate::aspect::AspectBuilder).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::aspect::AspectId;
@@ -42,15 +41,6 @@ pub struct AdviceEntry {
     pub precedence: i32,
     /// Declaration order within the aspect (stable tie-break).
     pub index: usize,
-    /// Times this advice body has executed (weaving introspection).
-    pub fired: AtomicU64,
-}
-
-impl AdviceEntry {
-    /// Times this advice body has executed.
-    pub fn fired(&self) -> u64 {
-        self.fired.load(Ordering::Relaxed)
-    }
 }
 
 impl std::fmt::Debug for AdviceEntry {
@@ -84,9 +74,7 @@ mod tests {
             aspect: AspectId::from_raw(3),
             precedence: -1,
             index: 2,
-            fired: AtomicU64::new(0),
         };
-        assert_eq!(entry.fired(), 0);
         let s = format!("{entry:?}");
         assert!(s.contains("precedence: -1"));
         assert!(s.contains("index: 2"));

@@ -93,11 +93,6 @@ impl Aspect {
     pub fn precedence(&self) -> i32 {
         self.precedence
     }
-
-    /// Number of advice declarations.
-    pub fn advice_count(&self) -> usize {
-        self.advice.len()
-    }
 }
 
 impl std::fmt::Debug for Aspect {
@@ -205,18 +200,38 @@ impl PluggedAspect {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::tests::Acc;
+    use crate::registry::Weaver;
+    use parking_lot::Mutex;
 
     #[test]
     fn builder_accumulates_advice() {
+        // All three kinds land in the chain, in declaration order: around
+        // outermost, then before, then after (which runs once the base has).
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (l1, l2, l3) = (log.clone(), log.clone(), log.clone());
         let a = Aspect::named("Partition")
             .precedence(precedence::PARTITION)
-            .around(Pointcut::call("A.m"), |inv: &mut Invocation| inv.proceed())
-            .before(Pointcut::call("A.n"), |_inv| Ok(()))
-            .after(Pointcut::call("A.o"), |_inv, _ret| Ok(()))
+            .around(Pointcut::call("Acc.add"), move |inv: &mut Invocation| {
+                l1.lock().push("around");
+                inv.proceed()
+            })
+            .before(Pointcut::call("Acc.add"), move |_inv| {
+                l2.lock().push("before");
+                Ok(())
+            })
+            .after(Pointcut::call("Acc.add"), move |_inv, _ret| {
+                l3.lock().push("after");
+                Ok(())
+            })
             .build();
         assert_eq!(a.name(), "Partition");
         assert_eq!(a.precedence(), precedence::PARTITION);
-        assert_eq!(a.advice_count(), 3);
+        let weaver = Weaver::new();
+        weaver.plug(a);
+        let h = weaver.construct::<Acc>(crate::args![0i64]).unwrap();
+        h.call("add", crate::args![1i64]).unwrap();
+        assert_eq!(*log.lock(), ["around", "before", "after"]);
     }
 
     #[test]

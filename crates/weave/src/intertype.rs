@@ -170,45 +170,9 @@ impl IntertypeStore {
         v.downcast_ref::<T>().cloned()
     }
 
-    /// Run a closure with mutable access to a field.
-    pub fn with_field_mut<T: Send + 'static, R>(
-        &self,
-        obj: ObjId,
-        key: &str,
-        f: impl FnOnce(&mut T) -> R,
-    ) -> WeaveResult<R> {
-        let mut fields = self.fields.lock();
-        let (_, v) = fields
-            .get_mut(&obj)
-            .and_then(|of_obj| of_obj.iter_mut().find(|(k, _)| *k == key))
-            .ok_or_else(|| WeaveError::app(format!("no inter-type field `{key}` on {obj}")))?;
-        let typed = v.downcast_mut::<T>().ok_or_else(|| WeaveError::TypeMismatch {
-            expected: std::any::type_name::<T>(),
-            context: format!("inter-type field `{key}` on {obj}"),
-        })?;
-        Ok(f(typed))
-    }
-
     /// Does the object carry the field?
     pub fn has_field(&self, obj: ObjId, key: &str) -> bool {
         self.fields.lock().get(&obj).is_some_and(|of_obj| of_obj.iter().any(|(k, _)| *k == key))
-    }
-
-    /// Remove a field. Returns true when present.
-    pub fn remove_field(&self, obj: ObjId, key: &str) -> bool {
-        let mut fields = self.fields.lock();
-        let Some(of_obj) = fields.get_mut(&obj) else { return false };
-        let Some(at) = of_obj.iter().position(|(k, _)| *k == key) else { return false };
-        of_obj.swap_remove(at);
-        if of_obj.is_empty() {
-            fields.remove(&obj);
-        }
-        true
-    }
-
-    /// Drop all fields attached to an object (object garbage collection).
-    pub fn remove_object(&self, obj: ObjId) {
-        self.fields.lock().remove(&obj);
     }
 }
 
@@ -278,44 +242,21 @@ mod tests {
         store.set_field(obj(1), "next", Some(obj(2)));
         assert_eq!(store.get_field::<Option<ObjId>>(obj(1), "next"), Some(Some(obj(2))));
         assert_eq!(store.get_field::<Option<ObjId>>(obj(9), "next"), None);
-        store.with_field_mut::<Option<ObjId>, _>(obj(1), "next", |n| *n = None).unwrap();
+        store.set_field(obj(1), "next", None::<ObjId>);
         assert_eq!(store.get_field::<Option<ObjId>>(obj(1), "next"), Some(None));
         // Setting again overwrites in place: one entry, whatever its type.
         store.set_field(obj(1), "next", 7u8);
         assert_eq!(store.get_field::<u8>(obj(1), "next"), Some(7));
-        assert!(store.remove_field(obj(1), "next"));
-        assert!(!store.has_field(obj(1), "next"));
+        assert!(store.has_field(obj(1), "next"));
+        assert!(!store.has_field(obj(2), "next"));
     }
 
     #[test]
     fn field_type_mismatch_is_reported() {
         let store = IntertypeStore::new();
         store.set_field(obj(1), "count", 3u32);
-        let err = store.with_field_mut::<String, _>(obj(1), "count", |_| ()).unwrap_err();
-        assert!(matches!(err, WeaveError::TypeMismatch { .. }));
         // get_field with the wrong type yields None rather than panicking.
         assert_eq!(store.get_field::<String>(obj(1), "count"), None);
-    }
-
-    #[test]
-    fn missing_field_is_an_app_error() {
-        let store = IntertypeStore::new();
-        let err = store.with_field_mut::<u32, _>(obj(1), "nope", |_| ()).unwrap_err();
-        assert!(matches!(err, WeaveError::App(_)));
-    }
-
-    #[test]
-    fn remove_field_and_object_gc() {
-        let store = IntertypeStore::new();
-        store.set_field(obj(1), "a", 1u8);
-        store.set_field(obj(1), "b", 2u8);
-        store.set_field(obj(2), "a", 3u8);
-        assert!(store.remove_field(obj(1), "a"));
-        assert!(!store.remove_field(obj(1), "a"));
-        assert!(store.has_field(obj(1), "b"));
-        store.remove_object(obj(1));
-        assert!(!store.has_field(obj(1), "b"));
-        assert!(store.has_field(obj(2), "a"));
     }
 
     #[test]

@@ -120,12 +120,6 @@ impl<'a> Invocation<'a> {
         self.weaver
     }
 
-    /// True when this invocation crossed an asynchronous boundary (it is the
-    /// re-animated remainder of a detached chain).
-    pub fn is_async_boundary(&self) -> bool {
-        self.async_boundary
-    }
-
     /// Will advice at `precedence` run inside this advice's `proceed`? Asked
     /// of the chain this join point matched, so an aspect that is unplugged,
     /// disabled or whose pointcut skips this call is not ahead.
@@ -189,7 +183,6 @@ impl<'a> Invocation<'a> {
         let chain: &'a Chain = self.chain;
         let entry = &chain[self.index];
         self.index += 1;
-        entry.fired.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let result = {
             let _prov = context::push(Provenance::Aspect(entry.aspect));
             entry.advice.around(self)
@@ -471,7 +464,7 @@ mod tests {
         let inner = Aspect::named("Inner")
             .precedence(3)
             .around(Pointcut::call("Acc.add"), move |inv: &mut Invocation| {
-                runs.lock().push((std::thread::current().id(), inv.is_async_boundary()));
+                runs.lock().push((std::thread::current().id(), inv.async_boundary));
                 inv.proceed()
             })
             .build();

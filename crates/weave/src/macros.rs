@@ -161,11 +161,6 @@ macro_rules! weaveable {
                 Ok(Self { handle })
             }
 
-            /// Wrap an existing handle (e.g. one produced by aspect code).
-            pub fn from_handle(handle: $crate::object::Handle<$Class>) -> Self {
-                Self { handle }
-            }
-
             /// Wrap an object id.
             pub fn from_id(
                 weaver: &$crate::registry::Weaver,
@@ -285,12 +280,12 @@ mod tests {
     }
 
     #[test]
-    fn from_id_and_from_handle() {
+    fn from_id_names_the_same_object() {
         let weaver = Weaver::new();
         let p = CounterProxy::construct(&weaver, 1, 1).unwrap();
         let q = CounterProxy::from_id(&weaver, p.id());
+        assert_eq!(q.handle().id(), p.id());
         q.bump().unwrap();
-        let r = CounterProxy::from_handle(p.handle().clone());
-        assert_eq!(r.value().unwrap(), 2);
+        assert_eq!(p.value().unwrap(), 2);
     }
 }

@@ -186,7 +186,6 @@ impl Weaver {
                     aspect: id,
                     precedence: aspect.precedence,
                     index,
-                    fired: std::sync::atomic::AtomicU64::new(0),
                 })
             })
             .collect();
@@ -223,32 +222,9 @@ impl Weaver {
         true
     }
 
-    /// Is the aspect currently plugged (regardless of enablement)?
-    pub fn is_plugged(&self, plugged: &PluggedAspect) -> bool {
-        self.inner.aspects.read().iter().any(|s| s.id == plugged.id)
-    }
-
     /// Names of all plugged aspects, in plug order.
     pub fn aspect_names(&self) -> Vec<String> {
         self.inner.aspects.read().iter().map(|s| s.name.clone()).collect()
-    }
-
-    /// How many times each plugged aspect's advice has fired, by name —
-    /// the paper's "understand the overall parallelism structure" debugging
-    /// story, quantified: after a run, `FarmThreads` shows e.g.
-    /// `Partition.farm: 2, Concurrency.async: 50, ...`.
-    pub fn advice_fire_counts(&self) -> Vec<(String, u64)> {
-        self.inner
-            .aspects
-            .read()
-            .iter()
-            .map(|s| (s.name.clone(), s.advice.iter().map(|a| a.fired()).sum()))
-            .collect()
-    }
-
-    /// Total advice declarations across enabled aspects.
-    pub fn active_advice_count(&self) -> usize {
-        self.inner.aspects.read().iter().filter(|s| s.enabled).map(|s| s.advice.len()).sum()
     }
 
     // ---- recorder ------------------------------------------------------------
@@ -810,9 +786,7 @@ pub(crate) mod tests {
         assert!(weaver.set_enabled(&plugged, true));
         h.call("add", args![1i64]).unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 2);
-        assert!(weaver.is_plugged(&plugged));
         assert_eq!(weaver.aspect_names(), vec!["Counting".to_string()]);
-        assert_eq!(weaver.active_advice_count(), 1);
     }
 
     #[test]
@@ -823,7 +797,7 @@ pub(crate) mod tests {
         assert!(weaver.unplug(&plugged));
         assert!(!weaver.unplug(&plugged));
         assert!(!weaver.set_enabled(&plugged, true));
-        assert!(!weaver.is_plugged(&plugged));
+        assert!(weaver.aspect_names().is_empty());
     }
 
     #[test]
@@ -1048,24 +1022,6 @@ pub(crate) mod tests {
         let g = rec.finish();
         let add = g.tasks.iter().find(|t| t.signature.method == "add").unwrap();
         assert!(add.async_spawn, "detached execution must be recorded as async");
-    }
-
-    #[test]
-    fn advice_fire_counts_expose_weaving_structure() {
-        let weaver = Weaver::new();
-        let logging =
-            Aspect::named("Logging").before(Pointcut::call("Acc.add"), |_| Ok(())).build();
-        let silent = Aspect::named("NeverMatches")
-            .before(Pointcut::call("Acc.nonexistent"), |_| Ok(()))
-            .build();
-        weaver.plug(logging);
-        weaver.plug(silent);
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-        for _ in 0..5 {
-            h.call("add", args![1i64]).unwrap();
-        }
-        let counts = weaver.advice_fire_counts();
-        assert_eq!(counts, vec![("Logging".to_string(), 5), ("NeverMatches".to_string(), 0)]);
     }
 
     #[test]

@@ -319,7 +319,6 @@ mod tests {
             aspect: AspectId::from_raw(aspect),
             precedence: 0,
             index: 0,
-            fired: AtomicU64::new(0),
         })
     }
 

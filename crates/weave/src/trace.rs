@@ -148,11 +148,6 @@ impl TraceGraph {
         self.tasks.get(id.raw() as usize)
     }
 
-    /// Total bytes that would cross the wire if every call were remote.
-    pub fn total_bytes(&self) -> usize {
-        self.tasks.iter().map(|t| t.args_bytes + t.ret_bytes).sum()
-    }
-
     /// Thread tag of the client (`main`) — taken from the first recorded
     /// task, which benchmark drivers always issue from their main thread.
     pub fn main_thread(&self) -> Option<u64> {
@@ -336,7 +331,7 @@ mod tests {
         assert_eq!(g.tasks[0].seq, 0);
         assert_eq!(g.tasks[1].seq, 1);
         assert_eq!(g.total_cost(), Duration::from_millis(12));
-        assert_eq!(g.total_bytes(), 10 + 20 + 1 + 2);
+        assert_eq!((g.tasks[0].args_bytes, g.tasks[1].ret_bytes), (10, 2));
     }
 
     #[test]

@@ -373,7 +373,8 @@ impl Value {
 
     /// True when the payload is stored inline (no heap involvement besides
     /// whatever the payload itself shares, e.g. a [`Pack`]'s `Arc`).
-    pub fn is_inline(&self) -> bool {
+    #[cfg(test)]
+    fn is_inline(&self) -> bool {
         !matches!(self.0, Repr::Boxed(_))
     }
 

@@ -15,6 +15,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use weavepar::prelude::*;
 use weavepar::weaveable;
@@ -164,9 +166,14 @@ fn an_idle_metrics_aspect_costs_an_unwatched_call_nothing() {
     let weaver = Weaver::new();
     let registry = MetricsRegistry::new();
     let metrics = weaver.plug(metrics_aspect("Metrics", Pointcut::call("Alu.poke"), &registry));
+    let fired = Arc::new(AtomicU64::new(0));
+    let p0 = fired.clone();
     weaver.plug(
         Aspect::named("P0")
-            .around(Pointcut::call("Alu.fma"), |inv: &mut Invocation| inv.proceed())
+            .around(Pointcut::call("Alu.fma"), move |inv: &mut Invocation| {
+                p0.fetch_add(1, Ordering::Relaxed);
+                inv.proceed()
+            })
             .build(),
     );
     let proxy = AluProxy::construct(&weaver).unwrap();
@@ -180,11 +187,8 @@ fn an_idle_metrics_aspect_costs_an_unwatched_call_nothing() {
     burst();
     let (allocs, idle) = count_allocs(burst);
     assert_eq!(allocs, 0, "an unwatched call must not allocate under an idle metrics aspect");
-    let fired = |name: &str| {
-        weaver.advice_fire_counts().into_iter().find(|(n, _)| n == name).map(|(_, fired)| fired)
-    };
-    assert_eq!(fired("P0"), Some(2_000), "the burst really went through the weaver");
-    assert_eq!(fired("Metrics"), Some(0), "the idle aspect's advice must never fire");
+    assert_eq!(fired.load(Ordering::Relaxed), 2_000, "the burst really went through the weaver");
+    // The idle aspect's advice never fired: it counts every call it sees.
     assert_eq!(registry.snapshot().counter("Metrics.calls"), Some(0));
     assert!(weaver.unplug(&metrics));
     assert_eq!(burst(), idle, "installing the aspect must not change an unwatched call");

@@ -144,37 +144,3 @@ fn mandel_dynamic_farm_balances_uneven_rows() {
     let dynamic = render_dynamic(48, 24, 200, 3, 12).unwrap();
     assert_eq!(dynamic, reference);
 }
-
-#[test]
-fn active_objects_can_replace_the_concurrency_module() {
-    // The ABCL-style active-object aspect is an alternative concurrency
-    // module: per-filter mailboxes serialise packs in issue order, futures
-    // carry the results, the farm's combine is unchanged.
-    use weavepar::concurrency::active_object_aspect;
-    use weavepar_apps::sieve::PartitionStrategy;
-
-    let config = SieveConfig {
-        partition: PartitionStrategy::Farm,
-        concurrency: false, // we plug active objects instead
-        middleware: weavepar_apps::sieve::Middleware::None,
-        filters: 3,
-        packs: 6,
-        nodes: 1,
-    };
-    let run = build_sieve(config);
-    // Scope the mailboxes to the aspect-issued pack calls only: if the core
-    // call itself were posted, the farm's split advice would run inside
-    // worker 0's mailbox and then block on a pack posted to that same
-    // mailbox — the classic actor re-entrancy deadlock.
-    let (aspect, runtime) = active_object_aspect(
-        "ActiveObjects",
-        Pointcut::call("PrimeFilter.filter").and(Pointcut::within_aspects()),
-    );
-    run.stack.plug(Concern::Concurrency, aspect);
-
-    let got = run_sieve(&run, 3_000).unwrap();
-    assert_eq!(got, sequential_sieve(3_000));
-    runtime.wait_idle();
-    assert!(runtime.active_objects() >= 3, "each farmed filter got a mailbox");
-    runtime.shutdown();
-}

@@ -101,7 +101,7 @@ fn aspect_inventory_matches_configuration() {
         run.stack.plugged_names(Concern::Distribution),
         vec!["Distribution.mpp".to_string()]
     );
-    assert!(!run.stack.is_plugged(Concern::Optimisation));
+    assert!(run.stack.plugged_names(Concern::Optimisation).is_empty());
     let d = run.stack.describe();
     assert!(d.contains("partition="), "{d}");
 }

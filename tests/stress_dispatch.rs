@@ -23,7 +23,7 @@
 //! after `ObjectSpace::remove` returned is served from what the view
 //! resolved earlier.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use weavepar::prelude::*;
@@ -64,68 +64,95 @@ fn woven_aspect_on(pattern: &str, fired: &Arc<AtomicU64>) -> Aspect {
 fn concurrent_plug_unplug_never_tears_a_dispatch() {
     const WORKERS: usize = 4;
     const CHAOS_CYCLES: usize = 200;
+    const RACING_CALLS: u64 = 100;
     const QUIESCED_CALLS: u64 = 200;
 
     let weaver = Weaver::new();
     let fired = Arc::new(AtomicU64::new(0));
     let stop = AtomicBool::new(false);
     let dispatched = AtomicU64::new(0);
+    // The race is gated on counts, not on time. The chaos starts once every
+    // worker has made its first call (`started`); the workers race only once
+    // the chaos has started (`racing`); and the chaos stops only after its
+    // cycles *and* once every worker has made `RACING_CALLS` calls while it
+    // ran (`raced`). So every call `dispatched` counts raced the chaos.
+    let started = AtomicUsize::new(0);
+    let racing = AtomicBool::new(false);
+    let raced = AtomicUsize::new(0);
 
     let proxies: Vec<CounterProxy> =
         (0..WORKERS).map(|_| CounterProxy::construct(&weaver).unwrap()).collect();
 
     std::thread::scope(|s| {
         // Workers: hammer the join point, asserting woven-or-unwoven on every
-        // single result. Once the chaos thread signals quiescence (its final
-        // unplug happens-before the Release store of `stop`), the *same*
-        // thread — with its warm thread-local chain cache — must see only
-        // unwoven calls.
-        for proxy in &proxies {
-            let stop = &stop;
-            let dispatched = &dispatched;
-            s.spawn(move || {
-                let mut x = 1u64;
-                while !stop.load(Ordering::Acquire) {
-                    let got = proxy.bump(x).unwrap();
-                    assert!(
-                        got == x || got == x + WOVEN_OFFSET,
-                        "torn dispatch: bump({x}) returned {got}"
-                    );
-                    dispatched.fetch_add(1, Ordering::Relaxed);
-                    x += 1;
-                }
-                for q in 0..QUIESCED_CALLS {
-                    assert_eq!(
-                        proxy.bump(q).unwrap(),
-                        q,
-                        "warm thread-local cache served a stale chain after unplug"
-                    );
-                }
-            });
-        }
+        // single result. Once the chaos signals quiescence (its final unplug
+        // happens-before the Release store of `stop`), the *same* thread —
+        // with its warm thread-local chain cache — must see only unwoven
+        // calls.
+        let workers: Vec<_> = proxies
+            .iter()
+            .map(|proxy| {
+                let (stop, dispatched) = (&stop, &dispatched);
+                let (started, racing, raced) = (&started, &racing, &raced);
+                s.spawn(move || {
+                    // Counted before it is checked, so the chaos never waits
+                    // on a worker whose first call failed.
+                    let first = proxy.bump(0);
+                    started.fetch_add(1, Ordering::Release);
+                    assert_eq!(first.unwrap(), 0, "nothing is plugged until every worker started");
+                    while !racing.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    let mut x = 1u64;
+                    while !stop.load(Ordering::Acquire) {
+                        let got = proxy.bump(x).unwrap();
+                        assert!(
+                            got == x || got == x + WOVEN_OFFSET,
+                            "torn dispatch: bump({x}) returned {got}"
+                        );
+                        dispatched.fetch_add(1, Ordering::Relaxed);
+                        if x == RACING_CALLS {
+                            raced.fetch_add(1, Ordering::Release);
+                        }
+                        x += 1;
+                    }
+                    for q in 0..QUIESCED_CALLS {
+                        assert_eq!(
+                            proxy.bump(q).unwrap(),
+                            q,
+                            "warm thread-local cache served a stale chain after unplug"
+                        );
+                    }
+                })
+            })
+            .collect();
 
-        // Chaos: plug/unplug the aspect as fast as possible, with occasional
-        // enable/disable flips and recorder swaps thrown in — every operation
-        // that republishes a snapshot.
-        let weaver = &weaver;
-        let fired = &fired;
-        let stop = &stop;
-        s.spawn(move || {
-            for cycle in 0..CHAOS_CYCLES {
-                let plugged = weaver.plug(woven_aspect(fired));
-                if cycle % 7 == 0 {
-                    weaver.set_enabled(&plugged, false);
-                    weaver.set_enabled(&plugged, true);
-                }
-                if cycle % 11 == 0 {
-                    weaver.set_recorder(Some(Recorder::measuring()));
-                    weaver.set_recorder(None);
-                }
-                assert!(weaver.unplug(&plugged), "unplug of a live aspect must succeed");
-                std::thread::yield_now();
+        // Chaos, on this thread: plug/unplug the aspect as fast as possible,
+        // with occasional enable/disable flips and recorder swaps thrown in —
+        // every operation that republishes a snapshot. A worker that ended
+        // before `stop` panicked, so the chaos stops waiting for it.
+        while started.load(Ordering::Acquire) < WORKERS {
+            std::thread::yield_now();
+        }
+        let _stop = SetOnDrop(&stop);
+        racing.store(true, Ordering::Release);
+        let mut cycle = 0;
+        while cycle < CHAOS_CYCLES
+            || (raced.load(Ordering::Acquire) < WORKERS && !workers.iter().any(|w| w.is_finished()))
+        {
+            let plugged = weaver.plug(woven_aspect(&fired));
+            if cycle % 7 == 0 {
+                weaver.set_enabled(&plugged, false);
+                weaver.set_enabled(&plugged, true);
             }
-            stop.store(true, Ordering::Release);
-        });
+            if cycle % 11 == 0 {
+                weaver.set_recorder(Some(Recorder::measuring()));
+                weaver.set_recorder(None);
+            }
+            assert!(weaver.unplug(&plugged), "unplug of a live aspect must succeed");
+            std::thread::yield_now();
+            cycle += 1;
+        }
     });
 
     assert!(
