@@ -47,7 +47,13 @@ cargo fmt --check
 # second heartbeat app (`heat2d`), the second concurrency module (active
 # objects: Figure 12's `future_concurrency_aspect` is the one), the advice
 # hop's fire counter and its readers, and the `pub fn`s only tests reached
-# (the census below keeps any other such item from growing back).
+# (the census below keeps any other such item from growing back). Nor the
+# second duplication path, which built a construction's siblings unwoven
+# (`construct_sibling`: workers are woven `construct_dyn` calls, so a plugged
+# distribution aspect places them), the typed view of a maybe-future result
+# (`resolve_any` is the one way to read a woven result) with the `is_ready`
+# pair only it read, the by-value sort merge and the transient error nothing
+# raised, all only ever reached by tests.
 echo "==> no retired fork under crates tests examples"
 retired='#\[deprecated|allow\(deprecated\)|set_force_boxed|set_match_cache|SingleQueue|ReplyBackend|call_id|CallBatcher'
 retired="$retired|DispatchStats|MetricsCell|METRICS_TLS|struct Flight|max_calls_cell|max_age_ms_cell"
@@ -74,6 +80,7 @@ retired="$retired|fired: AtomicU64|\\.fired\\.fetch_add|pub fn (advice_fire_coun
 retired="$retired|pub fn (speedup|peak_parallelism|total_bytes|unbind|with_field_mut|remove_field|remove_object)[<(]"
 retired="$retired|pub fn (for_method|provenance_split|total_elapsed|summary|method_count|knows|is_async_boundary)[<(]"
 retired="$retired|pub fn (from_handle|is_plugged|pooled|is_inline)[<(]"
+retired="$retired|pub fn (construct_sibling|future_ret|merge|retryable|is_ready)[<(]|pub enum FutureOrNow|Retryable\\(String\\)"
 if grep -rnE "$retired" crates tests examples; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1
@@ -143,8 +150,9 @@ fi
 # A public item is there for a caller. The census lists every `pub` fn,
 # struct, enum, trait, type, const and static in the production part of
 # crates/*/src (the lines before a file's first column-0 `#[cfg(test)]`,
-# comment lines skipped) whose name appears as a word in no other production
-# line, in examples/ or in perfbench/src. The list must equal `keep`, where
+# comment lines and `use` items skipped, string literals blanked) whose name
+# appears as a word in no other production line, in examples/ or in
+# perfbench/src: a re-export or a name in an error message is not a caller. The list must equal `keep`, where
 # each name carries its reason: an item only tests reach fails here (give it
 # a caller or delete it), and so does a kept name that gained a caller or
 # went (take it off the list).
@@ -159,7 +167,6 @@ seeded               the fault-injection seam: a schedule that is a pure functio
 object_cache_aspect  section 4.4: the object cache, an optimisation concern
 unary                section 4.4: the object cache keyed on a one-argument call
 random               section 4.3: random placement of remote objects
-from_box             the boxed reference representation beside the inline fast path
 from_values          a supervisor re-forwards a returned value as arguments (the crate-root example)
 to_text              ROADMAP 4(e): the snapshot rendering the event stream is to print
 to_json              ROADMAP 4(e): the snapshot rendering the event stream is to print
@@ -171,16 +178,25 @@ utilization          the replay bound busy <= makespan x cores, checked on rando
 ids_of_class         the one view of the workers a skeleton created, for its tests
 is_shared            a pack copy-on-write state, which the sort write-back tests assert
 pending_calls        the packer buffer, which the unplug race asserts empty
+or                   AspectJ ||: pointcut disjunction, beside and / not
+lower_bound          the replay bound max(critical path, work / cores) simulations are checked against
+simulate_schedule    the per-task virtual schedule, which the metrics round trip checks
+moves_accepted       ROADMAP 7: the tuner earns a workload or leaves, its test seams with it
+records              the call log read back: what logging_aspect is for (ROADMAP 7 decides it)
+remove_migration     section 4.3: the introduced migrate method unplugged again
+supervisor_aspect    the one recovery path for a pack lost with its node (DESIGN section 5)
 '
 found=$({
     find crates/*/src -name '*.rs' | sort
     find examples perfbench/src -name '*.rs' | sort
 } | xargs awk '
-    FNR == 1 { production = 1 }
+    FNR == 1 { production = 1; importing = 0 }
     /^#\[cfg\(test\)\]/ { production = 0 }
     !production || /^[[:space:]]*\/\// { next }
+    importing || /^[[:space:]]*(pub(\([a-z]+\))? )?use / { importing = ($0 !~ /;/); next }
     {
         line = $0
+        gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
         if (FILENAME ~ /^crates\// && match(line, /^[[:space:]]*pub (const |async |unsafe )*(fn|struct|enum|trait|type|const|static) +[A-Za-z_][A-Za-z0-9_]*/)) {
             name = substr(line, RSTART, RLENGTH)
             sub(/.* /, "", name)

@@ -15,11 +15,6 @@ use weavepar::weave::value::downcast_ret;
 use weavepar::weave::Pack;
 use weavepar::{args, ret, weaveable};
 
-/// Merge two sorted vectors.
-pub fn merge(a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
-    merge_slices(&a, &b)
-}
-
 /// Merge two sorted slices into a new vector ([`merge_into`] with the output
 /// allocated here).
 pub fn merge_slices(a: &[u64], b: &[u64]) -> Vec<u64> {
@@ -180,10 +175,10 @@ mod tests {
 
     #[test]
     fn merge_is_correct() {
-        assert_eq!(merge(vec![1, 3, 5], vec![2, 4, 6]), vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(merge(vec![], vec![1]), vec![1]);
-        assert_eq!(merge(vec![1], vec![]), vec![1]);
-        assert_eq!(merge(vec![1, 1], vec![1]), vec![1, 1, 1]);
+        assert_eq!(merge_slices(&[1, 3, 5], &[2, 4, 6]), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(merge_slices(&[], &[1]), [1]);
+        assert_eq!(merge_slices(&[1], &[]), [1]);
+        assert_eq!(merge_slices(&[1, 1], &[1]), [1, 1, 1]);
     }
 
     #[test]
@@ -304,7 +299,7 @@ mod proptests {
                                     mut b in proptest::collection::vec(any::<u64>(), 0..50)) {
             a.sort_unstable();
             b.sort_unstable();
-            let merged = merge(a.clone(), b.clone());
+            let merged = merge_slices(&a, &b);
             let mut expect = [a, b].concat();
             expect.sort_unstable();
             prop_assert_eq!(merged, expect);

@@ -29,7 +29,7 @@ use crate::future::FutureAny;
 
 /// Asynchronous invocation with a future result: the matched calls
 /// immediately return a [`FutureAny`] carrying the eventual result. Clients
-/// consume it through [`future_ret`](crate::future::future_ret), which also
+/// consume it through [`resolve_any`](crate::future::resolve_any), which also
 /// transparently accepts the synchronous value when this aspect is unplugged.
 ///
 /// The spawn is [`BatchScope`](crate::BatchScope)-aware — under an active
@@ -105,8 +105,9 @@ mod tests {
     use parking_lot::Mutex;
 
     use super::*;
-    use crate::future::{future_ret, FutureOrNow};
+    use crate::future::resolve_any;
     use crate::pool::tests::{wait_until, watchdog, Gate};
+    use weavepar_weave::value::downcast_ret;
     use weavepar_weave::{args, Weaver};
 
     struct Slowpoke {
@@ -140,8 +141,8 @@ mod tests {
     }
 
     /// A matched `void` call: its future, which the oneway caller leaves untaken.
-    fn spawned(p: &SlowpokeProxy, method: &'static str, args: Args) -> FutureOrNow<()> {
-        future_ret::<()>(p.handle().call(method, args).unwrap()).unwrap()
+    fn spawned(p: &SlowpokeProxy, method: &'static str, args: Args) -> AnyValue {
+        p.handle().call(method, args).unwrap()
     }
 
     #[test]
@@ -182,7 +183,7 @@ mod tests {
             wait_until("two bodies to be inside at once", || gate.inside() >= 2);
             gate.open();
             for f in futures {
-                f.take().unwrap();
+                resolve_any(f).unwrap();
             }
         });
     }
@@ -195,7 +196,7 @@ mod tests {
         let p = SlowpokeProxy::construct(&weaver).unwrap();
         let futures: Vec<_> = (0..6u64).map(|i| spawned(&p, "work", args![i])).collect();
         for f in futures {
-            f.take().unwrap();
+            resolve_any(f).unwrap();
         }
         // All six writes landed despite racing threads.
         assert_eq!(p.log_len().unwrap(), 6);
@@ -326,18 +327,16 @@ mod tests {
         // The typed proxy method would downcast to u64 and fail; the future
         // protocol goes through the raw handle.
         let ret = p.handle().call("compute", args![21u64]).unwrap();
-        let f = future_ret::<u64>(ret).unwrap();
-        assert_eq!(f.take().unwrap(), 42);
+        assert!(ret.downcast_ref::<FutureAny>().is_some());
+        assert_eq!(downcast_ret::<u64>(resolve_any(ret).unwrap()).unwrap(), 42);
     }
 
     #[test]
-    fn future_ret_handles_unplugged_case() {
+    fn resolve_any_passes_an_unplugged_result_through() {
         let weaver = Weaver::new();
         let p = SlowpokeProxy::construct(&weaver).unwrap();
         let ret = p.handle().call("compute", args![5u64]).unwrap();
-        let f = future_ret::<u64>(ret).unwrap();
-        assert!(f.is_ready());
-        assert_eq!(f.take().unwrap(), 10);
+        assert_eq!(downcast_ret::<u64>(resolve_any(ret).unwrap()).unwrap(), 10);
     }
 
     #[test]
@@ -350,9 +349,9 @@ mod tests {
         // Wrong argument type: dispatch fails inside the detached chain.
         let failing = spawned(&p, "work", args!["wrong".to_string()]);
         let fine = spawned(&p, "work", args![1u64]);
-        let err = failing.take().unwrap_err();
+        let err = resolve_any(failing).unwrap_err();
         assert!(matches!(err, WeaveError::TypeMismatch { .. }), "{err:?}");
-        fine.take().unwrap();
+        resolve_any(fine).unwrap();
         assert_eq!(p.log_len().unwrap(), 1);
     }
 
@@ -362,7 +361,7 @@ mod tests {
         let executor = Executor::thread_per_call();
         let plugged = concurrent(&weaver, "work", &executor);
         let p = SlowpokeProxy::construct(&weaver).unwrap();
-        spawned(&p, "work", args![1u64]).take().unwrap();
+        resolve_any(spawned(&p, "work", args![1u64])).unwrap();
         for p in &plugged {
             weaver.unplug(p);
         }

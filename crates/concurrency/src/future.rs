@@ -12,8 +12,8 @@
 //! * [`FutureValue<T>`] — a typed one-shot future for direct application use;
 //! * [`FutureAny`] — the type-erased future the
 //!   [`future_aspect`](crate::aspects::future_aspect) threads through join
-//!   points; [`future_ret`] recovers a typed view on the client side whether
-//!   or not the concurrency aspect is currently plugged.
+//!   points; [`resolve_any`] takes a woven call's result on the client side
+//!   whether or not the concurrency aspect is currently plugged.
 //!
 //! Both have one join, `take`: on a worker of a work-stealing pool it helps
 //! (see [`pool`](crate::pool), "Joins"), everywhere else it blocks. A remote
@@ -96,11 +96,6 @@ impl<T> FutureValue<T> {
             pool.wake_all();
         }
         true
-    }
-
-    /// True when a value is available (and not yet taken).
-    pub fn is_ready(&self) -> bool {
-        matches!(*self.shared.state.lock(), State::Ready(_))
     }
 
     /// Wait until the value is available, then move it out. A second take
@@ -208,47 +203,10 @@ impl FutureAny {
         );
     }
 
-    /// True when fulfilled (and not yet taken).
-    pub fn is_ready(&self) -> bool {
-        self.inner.is_ready()
-    }
-
     /// Wait until fulfilled, then move the result out. On a pool worker the
     /// wait helps instead of blocking — see [`FutureValue::take`].
     pub fn take(&self) -> WeaveResult<AnyValue> {
         self.inner.take()?
-    }
-}
-
-/// The client-side view of a possibly-asynchronous call result.
-///
-/// When the concurrency aspect is unplugged the call was synchronous and the
-/// value is already here; when plugged, it is a future. Client code written
-/// against `FutureOrNow` works identically in both configurations — the
-/// transparency property §4.2 asks the partition code to be designed for.
-#[derive(Debug)]
-pub enum FutureOrNow<T> {
-    /// The call executed synchronously.
-    Now(T),
-    /// The call is in flight; taking blocks.
-    Later(FutureAny),
-}
-
-impl<T: Send + 'static> FutureOrNow<T> {
-    /// Block (if needed) and return the value.
-    pub fn take(self) -> WeaveResult<T> {
-        match self {
-            FutureOrNow::Now(v) => Ok(v),
-            FutureOrNow::Later(f) => weavepar_weave::value::downcast_ret::<T>(f.take()?),
-        }
-    }
-
-    /// True when no blocking would occur.
-    pub fn is_ready(&self) -> bool {
-        match self {
-            FutureOrNow::Now(_) => true,
-            FutureOrNow::Later(f) => f.is_ready(),
-        }
     }
 }
 
@@ -268,23 +226,6 @@ pub fn resolve_any(mut ret: AnyValue) -> WeaveResult<AnyValue> {
     }
 }
 
-/// Interpret a join-point return value as a possibly-asynchronous `T`.
-///
-/// Accepts either a plain `T` (no future aspect plugged) or a [`FutureAny`]
-/// (future aspect plugged).
-pub fn future_ret<T: Send + 'static>(ret: AnyValue) -> WeaveResult<FutureOrNow<T>> {
-    match ret.downcast::<T>() {
-        Ok(v) => Ok(FutureOrNow::Now(*v)),
-        Err(other) => match other.downcast::<FutureAny>() {
-            Ok(f) => Ok(FutureOrNow::Later(*f)),
-            Err(_) => Err(WeaveError::TypeMismatch {
-                expected: std::any::type_name::<T>(),
-                context: "future_ret: neither the value nor a future".into(),
-            }),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,9 +235,7 @@ mod tests {
     #[test]
     fn fulfil_then_take() {
         let f = FutureValue::new();
-        assert!(!f.is_ready());
         assert!(f.fulfill(42));
-        assert!(f.is_ready());
         assert_eq!(f.take().unwrap(), 42);
         assert!(f.take().is_err());
     }
@@ -342,24 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn future_ret_now_path() {
-        let ret: AnyValue = AnyValue::new(7u32);
-        let v = future_ret::<u32>(ret).unwrap();
-        assert!(v.is_ready());
-        assert_eq!(v.take().unwrap(), 7);
-    }
-
-    #[test]
-    fn future_ret_later_path() {
-        let fut = FutureAny::new();
-        let ret: AnyValue = AnyValue::new(fut.clone());
-        let v = future_ret::<u32>(ret).unwrap();
-        assert!(!v.is_ready());
-        fut.fulfill(Ok(AnyValue::new(11u32)));
-        assert_eq!(v.take().unwrap(), 11);
-    }
-
-    #[test]
     fn resolve_any_unwraps_chains() {
         // value -> future(value) -> future(future(value))
         let plain: AnyValue = AnyValue::new(5u32);
@@ -379,12 +300,6 @@ mod tests {
         f.fulfill(Err(WeaveError::app("downstream failed")));
         let ret: AnyValue = AnyValue::new(f);
         assert!(matches!(resolve_any(ret), Err(WeaveError::App(_))));
-    }
-
-    #[test]
-    fn future_ret_type_mismatch() {
-        let ret: AnyValue = AnyValue::new("string".to_string());
-        assert!(future_ret::<u32>(ret).is_err());
     }
 
     #[test]

@@ -36,6 +36,6 @@ pub mod tracker;
 pub use aspects::{future_aspect, future_concurrency_aspect, synchronized_aspect};
 pub use batch::{continue_here, on_scope_flush, scope_active, BatchScope};
 pub use executor::Executor;
-pub use future::{future_ret, resolve_any, FutureAny, FutureOrNow, FutureValue};
+pub use future::{resolve_any, FutureAny, FutureValue};
 pub use pool::ThreadPool;
 pub use tracker::CompletionTracker;

@@ -104,9 +104,7 @@ pub mod prelude {
     pub use crate::logging::{logging_aspect, CallLog, CallRecord};
     pub use crate::stack::{Concern, ConcernStack};
     pub use crate::tuning::{autotune_aspect, Autotuner, Step, Tunable, TuneConfig};
-    pub use weavepar_concurrency::{
-        future_concurrency_aspect, future_ret, resolve_any, Executor, FutureOrNow,
-    };
+    pub use weavepar_concurrency::{future_concurrency_aspect, resolve_any, Executor};
     pub use weavepar_middleware::{
         message_packing_aspect, CallPolicy, InProcFabric, MarshalRegistry, MppConfig, NameServer,
         Policy, RmiConfig,

@@ -394,8 +394,8 @@ impl InProcFabric {
     /// Invoke an interned method on a remote object and return its
     /// marshalled return value (RMI semantics). [`CallPolicy::unbounded`]
     /// waits forever and never retries; a deadline bounds each attempt's
-    /// reply wait, and *retryable* failures (timeouts, declared transients —
-    /// never [`WeaveError::NodeDown`]) are retried with exponential backoff
+    /// reply wait, and *retryable* failures (timeouts — never
+    /// [`WeaveError::NodeDown`]) are retried with exponential backoff
     /// and seeded jitter. Three rules keep the common call cheap:
     ///
     /// * a dedup key is minted only while a fault plan is installed or the

@@ -8,9 +8,9 @@
 //! seeded jitter so chaos tests replay bit-for-bit).
 //!
 //! Policies only retry errors that [`WeaveError::is_retryable`] admits
-//! (timeouts and explicit transients). A [`WeaveError::NodeDown`] is *not*
-//! retryable — the node stays dead; recovery means a different placement,
-//! which is the supervision aspect's job, not the call layer's.
+//! (timeouts). A [`WeaveError::NodeDown`] is *not* retryable — the node
+//! stays dead; recovery means a different placement, which is the
+//! supervision aspect's job, not the call layer's.
 
 use std::time::Duration;
 

@@ -60,9 +60,6 @@ pub enum WeaveError {
         /// How long the caller waited, milliseconds.
         waited_ms: u64,
     },
-    /// A transient middleware failure (injected drop, transport hiccup) that
-    /// is safe to retry under a [`CallPolicy`]-style backoff.
-    Retryable(String),
     /// Error surfaced from aspect or application code.
     App(String),
 }
@@ -78,16 +75,11 @@ impl WeaveError {
         WeaveError::Remote(msg.into())
     }
 
-    /// Convenience constructor for transient, retry-safe failures.
-    pub fn retryable(msg: impl Into<String>) -> Self {
-        WeaveError::Retryable(msg.into())
-    }
-
     /// Would submitting the same request again plausibly succeed?
-    /// `Timeout` and `Retryable` qualify; `NodeDown` does not — the node
-    /// stays dead, so recovery needs a different placement.
+    /// A `Timeout` does; `NodeDown` does not — the node stays dead, so
+    /// recovery needs a different placement.
     pub fn is_retryable(&self) -> bool {
-        matches!(self, WeaveError::Timeout { .. } | WeaveError::Retryable(_))
+        matches!(self, WeaveError::Timeout { .. })
     }
 
     /// Did a node die under this call? Supervisors key their recovery
@@ -120,7 +112,6 @@ impl fmt::Display for WeaveError {
             WeaveError::Timeout { waited_ms } => {
                 write!(f, "call timed out after {waited_ms} ms")
             }
-            WeaveError::Retryable(msg) => write!(f, "transient failure (retryable): {msg}"),
             WeaveError::App(msg) => write!(f, "application error: {msg}"),
         }
     }
@@ -145,7 +136,6 @@ mod tests {
             WeaveError::Remote("link down".into()),
             WeaveError::NodeDown { node: 3 },
             WeaveError::Timeout { waited_ms: 250 },
-            WeaveError::Retryable("dropped".into()),
             WeaveError::App("oops".into()),
         ];
         for e in cases {
@@ -156,7 +146,6 @@ mod tests {
     #[test]
     fn retryability_partition() {
         assert!(WeaveError::Timeout { waited_ms: 1 }.is_retryable());
-        assert!(WeaveError::retryable("x").is_retryable());
         assert!(!WeaveError::NodeDown { node: 0 }.is_retryable());
         assert!(!WeaveError::remote("x").is_retryable());
         assert!(!WeaveError::app("x").is_retryable());

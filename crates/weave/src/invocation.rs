@@ -9,9 +9,10 @@
 //! * [`Invocation::detach`] the remainder of the chain and run it on another
 //!   thread — the primitive the concurrency aspect uses to turn a method call
 //!   into an asynchronous invocation;
-//! * on construction join points, create extra *aspect-managed* sibling
-//!   objects ([`Invocation::construct_sibling`]) exactly like the paper's
-//!   Partition aspect creates the pipeline of `PrimeFilter`s.
+//! * make further join points through [`Invocation::weaver`]: the paper's
+//!   Partition aspect builds its pipeline of `PrimeFilter`s from a
+//!   construction advice with woven `construct_dyn` calls, so that a plugged
+//!   distribution aspect places each of them.
 
 use std::time::{Duration, Instant};
 
@@ -211,21 +212,6 @@ impl<'a> Invocation<'a> {
         })
     }
 
-    /// On a construction join point: create one more instance of the class
-    /// being constructed, *without* re-triggering construction advice. This
-    /// is the paper's aspect-managed object duplication (Figure 4): the
-    /// Partition aspect's loop that builds the pipeline.
-    pub fn construct_sibling(&self, args: Args) -> WeaveResult<ObjId> {
-        match self.base {
-            BaseAction::Construct(info) => {
-                self.weaver.base_construct(info, args, false, crate::trace::thread_tag())
-            }
-            BaseAction::Call => {
-                Err(WeaveError::app("construct_sibling is only valid on construction join points"))
-            }
-        }
-    }
-
     fn execute_base(&mut self, args: Args) -> WeaveResult<AnyValue> {
         match self.base {
             BaseAction::Call => {
@@ -322,10 +308,8 @@ impl std::fmt::Debug for Detached {
     }
 }
 
-// The end-to-end invocation tests live in `registry.rs` and in the
-// crate-level integration tests; `Detached` is additionally exercised by
-// `weavepar-concurrency`. The tests here pin the `proceed` contract and what a
-// join point may touch.
+// What a chain of advice computes is `registry::model`'s property; the tests
+// here pin the `proceed` contract and what a join point may touch.
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -334,7 +318,7 @@ mod tests {
     use super::*;
     use crate::aspect::Aspect;
     use crate::pointcut::Pointcut;
-    use crate::registry::tests::Acc;
+    use crate::registry::tests::{total, Acc};
     use crate::value::downcast_ret;
     use crate::{args, ret};
 
@@ -345,10 +329,6 @@ mod tests {
             .precedence(precedence)
             .around(Pointcut::call("Acc.add"), |inv: &mut Invocation| inv.proceed())
             .build()
-    }
-
-    fn total(weaver: &Weaver, id: ObjId) -> i64 {
-        downcast_ret(weaver.invoke_call(id, "Acc", "total", args![]).unwrap()).unwrap()
     }
 
     #[test]

@@ -40,6 +40,11 @@ use crate::snapshot::{AspectCell, Chain, RecorderCell};
 use crate::trace::{self, Recorder, TaskId};
 use crate::value::{AnyValue, Args};
 
+/// Aspect ids are minted process-wide, so that a [`PluggedAspect`] names one
+/// aspect of one weaver: handed to another weaver it matches nothing there.
+/// They rise in plug order, which is the chain's tie-break.
+static NEXT_ASPECT: AtomicU64 = AtomicU64::new(1);
+
 struct Slot {
     id: AspectId,
     name: String,
@@ -54,7 +59,6 @@ struct WeaverInner {
     /// never touches this lock: it reads the published snapshot instead.
     aspects: RwLock<Vec<Slot>>,
     snapshot: AspectCell,
-    next_aspect: AtomicU64,
     recorder: RecorderCell,
     classes: RwLock<HashMap<&'static str, ClassInfo>>,
 }
@@ -96,7 +100,6 @@ impl Weaver {
                 intertype: IntertypeStore::new(),
                 aspects: RwLock::new(Vec::new()),
                 snapshot: AspectCell::new(),
-                next_aspect: AtomicU64::new(1),
                 recorder: RecorderCell::new(),
                 classes: RwLock::new(HashMap::new()),
             }),
@@ -174,7 +177,7 @@ impl Weaver {
 
     /// Plug an aspect. Its advice participates in matching immediately.
     pub fn plug(&self, aspect: Aspect) -> PluggedAspect {
-        let id = AspectId::from_raw(self.inner.next_aspect.fetch_add(1, Ordering::Relaxed));
+        let id = AspectId::from_raw(NEXT_ASPECT.fetch_add(1, Ordering::Relaxed));
         let advice = aspect
             .advice
             .into_iter()
@@ -527,12 +530,6 @@ impl Weaver {
         self.inner.snapshot.publish(advice);
     }
 
-    /// The published aspect snapshot (tests and diagnostics).
-    #[cfg(test)]
-    pub(crate) fn debug_snapshot(&self) -> Arc<crate::snapshot::AspectsSnapshot> {
-        self.inner.snapshot.snapshot()
-    }
-
     /// This thread's cached chain for a core-made call (tests).
     #[cfg(test)]
     pub(crate) fn debug_chain(&self, signature: Signature) -> Option<crate::snapshot::Chain> {
@@ -644,8 +641,8 @@ pub(crate) mod tests {
         }
     }
 
-    fn total(weaver: &Weaver, h: &Handle<Acc>) -> i64 {
-        downcast_ret::<i64>(weaver.invoke_call(h.id(), "Acc", "total", args![]).unwrap()).unwrap()
+    pub(crate) fn total(weaver: &Weaver, id: ObjId) -> i64 {
+        downcast_ret::<i64>(weaver.invoke_call(id, "Acc", "total", args![]).unwrap()).unwrap()
     }
 
     #[test]
@@ -653,90 +650,7 @@ pub(crate) mod tests {
         let weaver = Weaver::new();
         let h = weaver.construct::<Acc>(args![10i64]).unwrap();
         h.call("add", args![5i64]).unwrap();
-        assert_eq!(total(&weaver, &h), 15);
-    }
-
-    #[test]
-    fn around_advice_wraps_calls() {
-        let weaver = Weaver::new();
-        // Doubling aspect: rewrite the argument before proceeding.
-        let doubling = Aspect::named("Doubling")
-            .around(Pointcut::call("Acc.add"), |inv: &mut Invocation| {
-                let v = *inv.arg::<i64>(0)?;
-                inv.args_mut()?.set(0, v * 2)?;
-                inv.proceed()
-            })
-            .build();
-        let plugged = weaver.plug(doubling);
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-        h.call("add", args![3i64]).unwrap();
-        assert_eq!(total(&weaver, &h), 6);
-        weaver.unplug(&plugged);
-        h.call("add", args![3i64]).unwrap();
-        assert_eq!(total(&weaver, &h), 9);
-    }
-
-    #[test]
-    fn advice_can_replace_the_event() {
-        let weaver = Weaver::new();
-        let suppress = Aspect::named("Suppress")
-            .around(Pointcut::call("Acc.add"), |_inv: &mut Invocation| Ok(ret!()))
-            .build();
-        weaver.plug(suppress);
-        let h = weaver.construct::<Acc>(args![7i64]).unwrap();
-        h.call("add", args![100i64]).unwrap();
-        assert_eq!(total(&weaver, &h), 7);
-    }
-
-    #[test]
-    fn construction_advice_object_duplication() {
-        // The paper's Figure 8 block 1: one `new` becomes a pipeline of
-        // objects; the client receives the first element.
-        let weaver = Weaver::new();
-        let duplication = Aspect::named("Duplication")
-            .around(Pointcut::construct("Acc"), |inv: &mut Invocation| {
-                let mut first = None;
-                for i in 0..3i64 {
-                    let id = inv.construct_sibling(args![i * 100])?;
-                    if first.is_none() {
-                        first = Some(id);
-                    }
-                }
-                Ok(ret!(first.unwrap()))
-            })
-            .build();
-        weaver.plug(duplication);
-        let h = weaver.construct::<Acc>(args![999i64]).unwrap();
-        // Three aspect-managed objects exist; the original args were never used.
-        assert_eq!(weaver.space().ids_of_class("Acc").len(), 3);
-        assert_eq!(total(&weaver, &h), 0);
-    }
-
-    #[test]
-    fn precedence_orders_the_chain() {
-        let weaver = Weaver::new();
-        let log: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
-        let (l1, l2) = (log.clone(), log.clone());
-        let outer = Aspect::named("Outer")
-            .precedence(10)
-            .around(Pointcut::call("Acc.add"), move |inv: &mut Invocation| {
-                l1.lock().push("outer");
-                inv.proceed()
-            })
-            .build();
-        let inner = Aspect::named("Inner")
-            .precedence(20)
-            .around(Pointcut::call("Acc.add"), move |inv: &mut Invocation| {
-                l2.lock().push("inner");
-                inv.proceed()
-            })
-            .build();
-        // Plug in reverse order to prove precedence (not plug order) wins.
-        weaver.plug(inner);
-        weaver.plug(outer);
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-        h.call("add", args![1i64]).unwrap();
-        assert_eq!(*log.lock(), vec!["outer", "inner"]);
+        assert_eq!(total(&weaver, h.id()), 15);
     }
 
     #[test]
@@ -764,40 +678,7 @@ pub(crate) mod tests {
         let h = weaver.construct::<Acc>(args![0i64]).unwrap();
         h.call("add", args![5i64]).unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 1);
-        assert_eq!(total(&weaver, &h), 10); // both calls executed
-    }
-
-    #[test]
-    fn disable_and_reenable() {
-        let weaver = Weaver::new();
-        let count = Arc::new(AtomicU64::new(0));
-        let count2 = count.clone();
-        let counting = Aspect::named("Counting")
-            .before(Pointcut::call("Acc.add"), move |_| {
-                count2.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            })
-            .build();
-        let plugged = weaver.plug(counting);
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-        h.call("add", args![1i64]).unwrap();
-        assert!(weaver.set_enabled(&plugged, false));
-        h.call("add", args![1i64]).unwrap();
-        assert!(weaver.set_enabled(&plugged, true));
-        h.call("add", args![1i64]).unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), 2);
-        assert_eq!(weaver.aspect_names(), vec!["Counting".to_string()]);
-    }
-
-    #[test]
-    fn unplug_unknown_aspect_is_false() {
-        let weaver = Weaver::new();
-        let a = Aspect::named("A").build();
-        let plugged = weaver.plug(a);
-        assert!(weaver.unplug(&plugged));
-        assert!(!weaver.unplug(&plugged));
-        assert!(!weaver.set_enabled(&plugged, true));
-        assert!(weaver.aspect_names().is_empty());
+        assert_eq!(total(&weaver, h.id()), 10); // both calls executed
     }
 
     #[test]
@@ -871,65 +752,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn plugging_invalidates_cached_matches() {
-        let weaver = Weaver::new();
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-        // Prime the cache with an empty chain.
-        h.call("add", args![1i64]).unwrap();
-        let count = Arc::new(AtomicU64::new(0));
-        let count2 = count.clone();
-        let a = Aspect::named("A")
-            .before(Pointcut::call("Acc.add"), move |_| {
-                count2.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            })
-            .build();
-        let plugged = weaver.plug(a);
-        h.call("add", args![1i64]).unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), 1, "cache not invalidated on plug");
-        weaver.unplug(&plugged);
-        h.call("add", args![1i64]).unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), 1, "cache not invalidated on unplug");
-    }
-
-    #[test]
-    fn late_insert_from_unplugged_aspect_set_is_invisible() {
-        // Regression for the stale-chain race: a dispatch matches its advice
-        // against the pre-unplug aspect set, the unplug lands (old code:
-        // cache cleared), then the dispatch inserts its stale chain into the
-        // shared cache — which would serve the unplugged advice forever.
-        // Per-thread caches that live and die with the thread's snapshot make
-        // that interleaving structurally inert.
-        let weaver = Weaver::new();
-        let count = Arc::new(AtomicU64::new(0));
-        let count2 = count.clone();
-        let a = Aspect::named("A")
-            .before(Pointcut::call("Acc.add"), move |_| {
-                count2.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            })
-            .build();
-        let plugged = weaver.plug(a);
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-
-        // An in-flight dispatch pins the pre-unplug snapshot...
-        let old_snapshot = weaver.debug_snapshot();
-
-        weaver.unplug(&plugged);
-
-        // ...and completes its lookup+insert only now, after the unplug.
-        let sig = Signature::new("Acc", "add");
-        let stale = old_snapshot.matched(sig, JoinPointKind::Call, Provenance::Core);
-        assert_eq!(stale.map_or(0, |c| c.len()), 1, "the old view legitimately sees the aspect");
-
-        // Fresh calls must dispatch unwoven: a chain matched against the
-        // retired snapshot is memoised nowhere a new lookup consults.
-        h.call("add", args![1i64]).unwrap();
-        h.call("add", args![1i64]).unwrap();
-        assert_eq!(count.load(Ordering::Relaxed), 0, "unplugged advice fired from stale cache");
-    }
-
-    #[test]
     fn a_plug_is_honoured_on_the_very_next_call_on_every_thread() {
         // Eight threads with warm chain caches; between two barrier steps the
         // aspect set changes, and the call right after must see the change.
@@ -972,7 +794,7 @@ pub(crate) mod tests {
                 assert_eq!(fired, expected, "round {round}");
             }
         });
-        assert_eq!(total(&weaver, &h), (THREADS * rounds) as i64);
+        assert_eq!(total(&weaver, h.id()), (THREADS * rounds) as i64);
     }
 
     #[test]
@@ -1004,6 +826,20 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_token_of_another_weaver_changes_nothing() {
+        // Two fresh weavers, one aspect each: with ids counted per weaver the
+        // two tokens carried the same id, and either weaver obeyed the other's.
+        let (a, b) = (Weaver::new(), Weaver::new());
+        let on_a = a.plug(Aspect::named("OnA").build());
+        let on_b = b.plug(Aspect::named("OnB").build());
+        assert!(!b.set_enabled(&on_a, false));
+        assert!(!b.unplug(&on_a));
+        assert!(!a.unplug(&on_b));
+        assert_eq!(a.aspect_names(), ["OnA"]);
+        assert_eq!(b.aspect_names(), ["OnB"]);
+    }
+
+    #[test]
     fn detached_chain_runs_elsewhere() {
         let weaver = Weaver::new();
         let asynchronise = Aspect::named("Async")
@@ -1018,28 +854,10 @@ pub(crate) mod tests {
         weaver.set_recorder(Some(rec.clone()));
         let h = weaver.construct::<Acc>(args![0i64]).unwrap();
         h.call("add", args![5i64]).unwrap();
-        assert_eq!(total(&weaver, &h), 5);
+        assert_eq!(total(&weaver, h.id()), 5);
         let g = rec.finish();
         let add = g.tasks.iter().find(|t| t.signature.method == "add").unwrap();
         assert!(add.async_spawn, "detached execution must be recorded as async");
-    }
-
-    #[test]
-    fn guarded_advice_applies_conditionally() {
-        // AspectJ's `if()` residue: the guard inspects live arguments.
-        let weaver = Weaver::new();
-        let guarded = Aspect::named("BigOnly")
-            .around_if(
-                Pointcut::call("Acc.add"),
-                |inv: &Invocation| Ok(*inv.arg::<i64>(0)? >= 10),
-                |_inv: &mut Invocation| Ok(ret!()), // suppress big additions
-            )
-            .build();
-        weaver.plug(guarded);
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-        h.call("add", args![5i64]).unwrap(); // small: passes through
-        h.call("add", args![50i64]).unwrap(); // big: suppressed
-        assert_eq!(total(&weaver, &h), 5);
     }
 
     #[test]
@@ -1072,40 +890,7 @@ pub(crate) mod tests {
         weaver.plug(double_proceed);
         let h = weaver.construct::<Acc>(args![0i64]).unwrap();
         h.call("add", args![1i64]).unwrap();
-        assert_eq!(total(&weaver, &h), 1);
-    }
-
-    #[test]
-    fn proceed_with_replays_the_chain() {
-        let weaver = Weaver::new();
-        let twice = Aspect::named("Twice")
-            .around(Pointcut::call("Acc.add"), |inv: &mut Invocation| {
-                let v = *inv.arg::<i64>(0)?;
-                inv.proceed_with(args![v])?;
-                inv.proceed_with(args![v])
-            })
-            .build();
-        weaver.plug(twice);
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-        h.call("add", args![3i64]).unwrap();
-        assert_eq!(total(&weaver, &h), 6);
-    }
-
-    #[test]
-    fn construct_sibling_rejected_on_calls() {
-        let weaver = Weaver::new();
-        let bad = Aspect::named("Bad")
-            .around(Pointcut::call("Acc.add"), |inv: &mut Invocation| {
-                match inv.construct_sibling(args![]) {
-                    Err(WeaveError::App(_)) => inv.proceed(),
-                    other => panic!("expected App error, got {other:?}"),
-                }
-            })
-            .build();
-        weaver.plug(bad);
-        let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-        h.call("add", args![1i64]).unwrap();
-        assert_eq!(total(&weaver, &h), 1);
+        assert_eq!(total(&weaver, h.id()), 1);
     }
 
     // ---- bound views ---------------------------------------------------------
@@ -1158,7 +943,7 @@ pub(crate) mod tests {
         weaver.unplug(&plugged);
         advised.invoke_call(h.id(), "Acc", "add", args![1i64]).unwrap();
         assert_eq!(fired(), 3, "unplugged advice served from a bound chain");
-        assert_eq!(total(&weaver, &h), 6);
+        assert_eq!(total(&weaver, h.id()), 6);
         // The instance is still the bound one: no removal since.
         assert!(advised.bound_object(h.id()).is_some());
     }
@@ -1219,7 +1004,7 @@ pub(crate) mod tests {
                 .build();
             weaver.plug(driver);
             let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-            (total(&weaver, &h), count.load(Ordering::Relaxed))
+            (total(&weaver, h.id()), count.load(Ordering::Relaxed))
         };
         assert_eq!(run(false), (11, 1), "only the relayed add is core-made");
         assert_eq!(run(true), run(false));
@@ -1242,7 +1027,7 @@ pub(crate) mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 2, "one entry, the advised one, both times");
         // Not a method of the class table: the ordinary path's business.
         assert!(!served_bound(&view, h.id(), Signature::new("Acc", "migrate"), 0));
-        assert_eq!(total(&weaver, &h), 2);
+        assert_eq!(total(&weaver, h.id()), 2);
     }
 
     #[test]
@@ -1274,7 +1059,7 @@ pub(crate) mod tests {
         let (thread, resolved) = seen.lock().expect("the inner advice ran");
         assert_ne!(thread, std::thread::current().id());
         assert!(resolved, "the detached chain's base call finds the bound instance");
-        assert_eq!(total(&weaver, &h), 5);
+        assert_eq!(total(&weaver, h.id()), 5);
     }
 
     #[test]
@@ -1308,7 +1093,7 @@ pub(crate) mod tests {
         let ghost = ObjId::from_raw(999);
         for view in [weaver.bind(&[]), weaver.bind(&[ghost])] {
             assert!(view.bound.is_none());
-            assert_eq!(total(&view, &h), 4);
+            assert_eq!(total(&view, h.id()), 4);
             let err = view.invoke_call(ghost, "Acc", "total", args![]).unwrap_err();
             assert!(matches!(err, WeaveError::NoSuchObject(_)));
         }
@@ -1318,113 +1103,443 @@ pub(crate) mod tests {
         assert!(view.bound_object(h.id()).is_some());
         assert!(view.bound_object(ghost).is_none());
         let late = weaver.construct::<Acc>(args![7i64]).unwrap();
-        assert_eq!(total(&view, &late), 7);
+        assert_eq!(total(&view, late.id()), 7);
         // Re-binding a view replaces what it carried.
         assert!(view.bind(&[]).bound.is_none());
     }
 }
 
+/// The weaver's meaning, written once: Kojarski & Lorenz's reify → match →
+/// order → mix (cs/0606003) over plain data. `the_weaver_is_the_model` runs a
+/// real [`Weaver`] and this model on the same generated histories and asks
+/// for the same advice fires, the same result of every operation and the same
+/// objects; a rewrite of the registry, the snapshot or the chain walker is
+/// checked against it.
 #[cfg(test)]
-mod proptests {
+mod model {
+    use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+
+    use parking_lot::Mutex;
+    use proptest::prelude::*;
+
     use super::tests::Acc;
     use super::*;
     use crate::pointcut::Pointcut;
-    use crate::value::downcast_ret;
     use crate::{args, ret};
-    use proptest::prelude::*;
 
-    /// The kinds of semantically-neutral advice a random stack may contain.
+    /// What an advice selects: calls of `add`, of `total`, of either, or
+    /// constructions. An advice's `true` beside it adds `within_core()`.
     #[derive(Debug, Clone, Copy)]
-    enum Neutral {
-        Proceed,
-        ReadArgThenProceed,
-        ProceedWithSameArgs,
-        GuardAlwaysFalse,
+    enum Pc {
+        Add,
+        Total,
+        AnyCall,
+        New,
     }
 
-    fn neutral_aspect(kind: Neutral, index: usize) -> Aspect {
-        let name = format!("N{index}");
-        match kind {
-            Neutral::Proceed => Aspect::named(name)
-                .around(Pointcut::call("Acc.*"), |inv: &mut Invocation| inv.proceed())
-                .build(),
-            Neutral::ReadArgThenProceed => Aspect::named(name)
-                .around(Pointcut::call("Acc.add"), |inv: &mut Invocation| {
-                    let _peek = *inv.arg::<i64>(0)?;
-                    inv.proceed()
-                })
-                .build(),
-            Neutral::ProceedWithSameArgs => Aspect::named(name)
-                .around(Pointcut::call("Acc.add"), |inv: &mut Invocation| {
-                    let v = *inv.arg::<i64>(0)?;
-                    inv.proceed_with(args![v])
-                })
-                .build(),
-            Neutral::GuardAlwaysFalse => Aspect::named(name)
-                .around_if(
-                    Pointcut::call("Acc.*"),
-                    |_inv: &Invocation| Ok(false),
-                    |_inv: &mut Invocation| Ok(ret!()),
-                )
-                .build(),
+    /// What an advice does once it fires: pass through (`Before`, `After`,
+    /// `Around`), return (`Replace`), `proceed_with` the argument plus one
+    /// (`Rewrite`) or twice (`Twice`), return when the argument is at least 10
+    /// (`Guarded`), detach the rest of the chain onto a thread (`Async`), or
+    /// build `WORKERS` objects with woven constructions, as a partition does,
+    /// and return the first (`Duplicate`).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        Before,
+        After,
+        Around,
+        Replace,
+        Rewrite,
+        Twice,
+        Guarded,
+        Async,
+        Duplicate,
+    }
+
+    const WORKERS: i64 = 2;
+
+    /// A join point: a call on an object id, or a construction.
+    #[derive(Debug, Clone, Copy)]
+    enum Jp {
+        Add(u64),
+        Total(u64),
+        New,
+    }
+
+    impl Pc {
+        fn selects(self, jp: Jp) -> bool {
+            matches!(
+                (self, jp),
+                (Pc::Add | Pc::AnyCall, Jp::Add(_))
+                    | (Pc::Total | Pc::AnyCall, Jp::Total(_))
+                    | (Pc::New, Jp::New)
+            )
         }
     }
 
-    fn arb_neutral() -> impl Strategy<Value = Neutral> {
+    #[derive(Debug, Clone)]
+    struct Spec {
+        precedence: i32,
+        advice: Vec<(Pc, bool, Kind)>,
+    }
+
+    /// An operation. A token names the n-th plug of the history so far
+    /// (modulo; `None`: an aspect of another weaver), a `usize` the n-th
+    /// object it constructed (modulo), a `bool` a call from a second thread
+    /// that lives as long as the history.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Plug(Spec),
+        Unplug(Option<usize>),
+        SetEnabled(Option<usize>, bool),
+        New(i64),
+        Add(usize, i64, bool),
+        Total(usize, bool),
+        Remove(usize),
+    }
+
+    /// The plug serial a token names, if it names one of this history.
+    fn serial(token: Option<usize>, plugs: usize) -> Option<usize> {
+        token.filter(|_| plugs > 0).map(|n| n % plugs)
+    }
+
+    /// The object id `n` names; with none constructed yet, id 0, which is
+    /// never handed out.
+    fn target(n: usize, made: &[u64]) -> u64 {
+        made.get(n % made.len().max(1)).copied().unwrap_or(0)
+    }
+
+    /// One advice fire: the plug serial of its aspect, and what it is.
+    type Fire = (usize, Kind);
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Val {
+        Unit,
+        Bool(bool),
+        Int(i64),
+        Obj(u64),
+    }
+
+    type Outcome = Result<Val, &'static str>;
+    /// What an operation observes: its result, the advice fires it caused in
+    /// order, and the plugged aspects' names after it.
+    type Step = (Outcome, Vec<Fire>, Vec<String>);
+    /// The live objects with their totals, and the other weaver's aspects.
+    type State = (Vec<(u64, i64)>, Vec<String>);
+
+    /// The model: the plugged aspects in plug order and the live objects;
+    /// what the history plugged and constructed so far, which its tokens
+    /// and object numbers name.
+    #[derive(Default)]
+    struct Model {
+        aspects: Vec<(usize, Spec, bool)>,
+        objects: BTreeMap<u64, i64>,
+        constructed: u64,
+        log: Vec<Fire>,
+        plugs: usize,
+        made: Vec<u64>,
+    }
+
+    /// One matched advice: precedence, plug serial, kind.
+    type Entry = (i32, usize, Kind);
+
+    impl Model {
+        /// Match, then order: lower precedence outermost; a stable sort keeps
+        /// plug order, then declaration order, among equals.
+        fn chain(&self, jp: Jp, from_core: bool) -> Vec<Entry> {
+            let mut chain = Vec::new();
+            for (serial, spec, _) in self.aspects.iter().filter(|(.., enabled)| *enabled) {
+                for &(pc, core, kind) in &spec.advice {
+                    if pc.selects(jp) && (from_core || !core) {
+                        chain.push((spec.precedence, *serial, kind));
+                    }
+                }
+            }
+            chain.sort_by_key(|&(precedence, ..)| precedence);
+            chain
+        }
+
+        /// Mix: run `chain` around the base event, with argument `arg`.
+        fn walk(&mut self, chain: &[Entry], jp: Jp, arg: Option<i64>) -> Outcome {
+            let Some((&(_, serial, kind), rest)) = chain.split_first() else {
+                return self.base(jp, arg);
+            };
+            let guarded = kind == Kind::Guarded && arg.is_none_or(|v| v < 10);
+            if kind != Kind::After && !guarded {
+                self.log.push((serial, kind));
+            }
+            let v = arg.ok_or("MissingArg");
+            match kind {
+                Kind::Replace | Kind::Guarded if !guarded => Ok(Val::Unit),
+                Kind::Rewrite => self.walk(rest, jp, Some(v? + 1)),
+                Kind::Twice => {
+                    self.walk(rest, jp, Some(v?))?;
+                    self.walk(rest, jp, Some(v?))
+                }
+                Kind::Duplicate => {
+                    let workers: Vec<u64> = (0..WORKERS)
+                        .map(|rank| self.construct(false, v? + rank))
+                        .collect::<Result<_, _>>()?;
+                    Ok(Val::Obj(workers[0]))
+                }
+                Kind::After => {
+                    let result = self.walk(rest, jp, arg)?;
+                    self.log.push((serial, kind));
+                    Ok(result)
+                }
+                _ => self.walk(rest, jp, arg),
+            }
+        }
+
+        fn base(&mut self, jp: Jp, arg: Option<i64>) -> Outcome {
+            let (Jp::Add(id) | Jp::Total(id)) = jp else {
+                let v = arg.ok_or("MissingArg")?;
+                self.constructed += 1;
+                self.objects.insert(self.constructed, v);
+                return Ok(Val::Obj(self.constructed));
+            };
+            let total = self.objects.get_mut(&id).ok_or("NoSuchObject")?;
+            if let Jp::Add(_) = jp {
+                *total += arg.ok_or("MissingArg")?;
+                return Ok(Val::Unit);
+            }
+            Ok(Val::Int(*total))
+        }
+
+        /// A join point issued by the core, or by an advice.
+        fn call(&mut self, jp: Jp, arg: Option<i64>, from_core: bool) -> Outcome {
+            let chain = self.chain(jp, from_core);
+            self.walk(&chain, jp, arg)
+        }
+
+        fn construct(&mut self, from_core: bool, v: i64) -> Result<u64, &'static str> {
+            match self.call(Jp::New, Some(v), from_core)? {
+                Val::Obj(id) => Ok(id),
+                _ => Err("TypeMismatch"),
+            }
+        }
+
+        fn act(&mut self, op: &Op) -> Step {
+            let at = |t| self.aspects.iter().position(|a| Some(a.0) == serial(t, self.plugs));
+            let object = |n| target(n, &self.made);
+            let outcome = match *op {
+                Op::Plug(ref spec) => {
+                    self.aspects.push((self.plugs, spec.clone(), true));
+                    self.plugs += 1;
+                    Ok(Val::Unit)
+                }
+                Op::Unplug(t) => Ok(Val::Bool(at(t).map(|i| self.aspects.remove(i)).is_some())),
+                Op::SetEnabled(t, on) => {
+                    Ok(Val::Bool(at(t).map(|i| self.aspects[i].2 = on).is_some()))
+                }
+                Op::New(v) => self.construct(true, v).map(Val::Obj),
+                Op::Add(n, v, _) => self.call(Jp::Add(object(n)), Some(v), true),
+                Op::Total(n, _) => self.call(Jp::Total(object(n)), None, true),
+                Op::Remove(n) => Ok(Val::Bool(self.objects.remove(&object(n)).is_some())),
+            };
+            if let (Op::New(_), Ok(Val::Obj(id))) = (op, outcome) {
+                self.made.push(id);
+            }
+            let names = self.aspects.iter().map(|(s, ..)| format!("A{s}")).collect();
+            (outcome, std::mem::take(&mut self.log), names)
+        }
+
+        fn state(&self) -> State {
+            (self.objects.iter().map(|(&id, &total)| (id, total)).collect(), vec!["Foreign".into()])
+        }
+    }
+
+    // ---- the real weaver, under the same operations ----------------------------
+
+    type Log = Arc<Mutex<Vec<Fire>>>;
+
+    impl Spec {
+        /// The aspect the model's `Spec` stands for: each advice logs its fire.
+        fn aspect(&self, serial: usize, log: &Log) -> Aspect {
+            let mut builder = Aspect::named(format!("A{serial}")).precedence(self.precedence);
+            for &(pc, core, kind) in &self.advice {
+                let pc = match pc {
+                    Pc::Add => Pointcut::call("Acc.add"),
+                    Pc::Total => Pointcut::call("Acc.total"),
+                    Pc::AnyCall => Pointcut::call("Acc.*"),
+                    Pc::New => Pointcut::construct("Acc"),
+                };
+                let pc = if core { pc.and(Pointcut::within_core()) } else { pc };
+                let log = log.clone();
+                let fire = move || -> WeaveResult<()> {
+                    log.lock().push((serial, kind));
+                    Ok(())
+                };
+                builder = match kind {
+                    Kind::Before => builder.before(pc, move |_| fire()),
+                    Kind::After => builder.after(pc, move |_, _| fire()),
+                    Kind::Guarded => builder.around_if(
+                        pc,
+                        |inv: &Invocation| Ok(inv.arg::<i64>(0).is_ok_and(|v| *v >= 10)),
+                        move |_: &mut Invocation| fire().map(|()| ret!()),
+                    ),
+                    _ => builder.around(pc, move |inv: &mut Invocation| {
+                        fire()?;
+                        around(kind, inv)
+                    }),
+                };
+            }
+            builder.build()
+        }
+    }
+
+    fn around(kind: Kind, inv: &mut Invocation) -> WeaveResult<AnyValue> {
+        match kind {
+            Kind::Replace => Ok(ret!()),
+            Kind::Rewrite => {
+                let v = *inv.arg::<i64>(0)?;
+                inv.proceed_with(args![v + 1])
+            }
+            Kind::Twice => {
+                let v = *inv.arg::<i64>(0)?;
+                inv.proceed_with(args![v])?;
+                inv.proceed_with(args![v])
+            }
+            Kind::Async => {
+                let rest = inv.detach()?;
+                std::thread::spawn(move || rest.run()).join().expect("remainder panicked")
+            }
+            Kind::Duplicate => {
+                let v = *inv.arg::<i64>(0)?;
+                let workers = (0..WORKERS)
+                    .map(|rank| inv.weaver().construct_dyn("Acc", args![v + rank]))
+                    .collect::<WeaveResult<Vec<ObjId>>>()?;
+                Ok(ret!(workers[0]))
+            }
+            _ => inv.proceed(),
+        }
+    }
+
+    fn observed(result: WeaveResult<AnyValue>) -> Outcome {
+        let value = result.map_err(|e| match e {
+            WeaveError::NoSuchObject(_) => "NoSuchObject",
+            WeaveError::MissingArg { .. } => "MissingArg",
+            WeaveError::TypeMismatch { .. } => "TypeMismatch",
+            _ => "another error",
+        })?;
+        let int = value.downcast_ref::<i64>().map(|v| Val::Int(*v));
+        let id = value.downcast_ref::<ObjId>().map(|id| Val::Obj(id.raw()));
+        int.or(id).or(value.is::<()>().then_some(Val::Unit)).ok_or("another value")
+    }
+
+    type Request = (ObjId, &'static str, Args);
+
+    struct Real<'a> {
+        weaver: &'a Weaver,
+        other: &'a Weaver,
+        foreign: PluggedAspect,
+        tokens: Vec<PluggedAspect>,
+        made: Vec<u64>,
+        log: Log,
+        elsewhere: (Sender<Request>, Receiver<Outcome>),
+    }
+
+    impl Real<'_> {
+        fn call(&self, (id, method, args): Request, elsewhere: bool) -> Outcome {
+            if !elsewhere {
+                return observed(self.weaver.invoke_call(id, "Acc", method, args));
+            }
+            self.elsewhere.0.send((id, method, args)).unwrap();
+            self.elsewhere.1.recv().unwrap()
+        }
+
+        fn act(&mut self, op: &Op) -> Step {
+            let w = self.weaver;
+            let token = |t| serial(t, self.tokens.len()).map_or(&self.foreign, |s| &self.tokens[s]);
+            let object = |n| ObjId::from_raw(target(n, &self.made));
+            let outcome = match *op {
+                Op::Plug(ref spec) => {
+                    let aspect = spec.aspect(self.tokens.len(), &self.log);
+                    self.tokens.push(w.plug(aspect));
+                    Ok(Val::Unit)
+                }
+                Op::Unplug(t) => Ok(Val::Bool(w.unplug(token(t)))),
+                Op::SetEnabled(t, on) => Ok(Val::Bool(w.set_enabled(token(t), on))),
+                Op::New(v) => observed(w.construct::<Acc>(args![v]).map(|h| ret!(h.id()))),
+                Op::Add(n, v, elsewhere) => self.call((object(n), "add", args![v]), elsewhere),
+                Op::Total(n, elsewhere) => self.call((object(n), "total", args![]), elsewhere),
+                Op::Remove(n) => Ok(Val::Bool(w.space().remove(object(n)))),
+            };
+            if let (Op::New(_), Ok(Val::Obj(id))) = (op, outcome) {
+                self.made.push(id);
+            }
+            (outcome, std::mem::take(&mut *self.log.lock()), w.aspect_names())
+        }
+
+        fn state(&self) -> State {
+            let total = |id| self.weaver.invoke_unwoven(id, "total", args![]).unwrap();
+            let objects = self.weaver.space().ids_of_class("Acc").into_iter();
+            let totals = objects.map(|id| (id.raw(), *total(id).downcast::<i64>().unwrap()));
+            (totals.collect(), self.other.aspect_names())
+        }
+    }
+
+    // ---- histories ---------------------------------------------------------------
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        use Kind::*;
+        const KINDS: [Kind; 9] =
+            [Before, After, Around, Replace, Rewrite, Twice, Guarded, Async, Duplicate];
+        const PCS: [Pc; 4] = [Pc::Add, Pc::Total, Pc::AnyCall, Pc::New];
+        let advice = (0..PCS.len(), any::<bool>(), 0..KINDS.len());
+        let advice = advice.prop_map(|(pc, core, kind)| match KINDS[kind] {
+            Duplicate => (Pc::New, true, Duplicate),
+            kind => (PCS[pc], core, kind),
+        });
+        let spec = (0..3i32, proptest::collection::vec(advice, 1..3));
+        let plug = spec.prop_map(|(precedence, advice)| Op::Plug(Spec { precedence, advice }));
+        let token = proptest::option::of(0..8usize);
+        let add = (0..8usize, -5..20i64, any::<bool>()).prop_map(|(n, v, e)| Op::Add(n, v, e));
         prop_oneof![
-            Just(Neutral::Proceed),
-            Just(Neutral::ReadArgThenProceed),
-            Just(Neutral::ProceedWithSameArgs),
-            Just(Neutral::GuardAlwaysFalse),
+            plug.clone(),
+            plug,
+            token.clone().prop_map(Op::Unplug),
+            (token, any::<bool>()).prop_map(|(t, on)| Op::SetEnabled(t, on)),
+            (0..20i64).prop_map(Op::New),
+            add.clone(),
+            add,
+            (0..8usize, any::<bool>()).prop_map(|(n, e)| Op::Total(n, e)),
+            (0..8usize).prop_map(Op::Remove),
         ]
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Any stack of semantically-neutral aspects, at any precedences, is
-        /// invisible: the woven program computes exactly what the unwoven
-        /// one does.
+        /// On one thread, across a `detach` (`Async`), and from a second
+        /// thread whose chain cache was warm before a plug, unplug or
+        /// enable, the weaver does what the model does. The shim does not
+        /// shrink: a failure prints its case and the whole history.
         #[test]
-        fn neutral_stacks_are_invisible(
-            kinds in proptest::collection::vec(arb_neutral(), 0..6),
-            precedences in proptest::collection::vec(-100i32..400, 0..6),
-            adds in proptest::collection::vec(-1000i64..1000, 0..20),
-        ) {
-            let weaver = Weaver::new();
-            for (i, kind) in kinds.iter().enumerate() {
-                let mut aspect = neutral_aspect(*kind, i);
-                if let Some(p) = precedences.get(i) {
-                    aspect.precedence = *p;
+        fn the_weaver_is_the_model(history in proptest::collection::vec(arb_op(), 1..32)) {
+            static CASE: AtomicUsize = AtomicUsize::new(0);
+            let case = CASE.fetch_add(1, Ordering::Relaxed);
+            let (weaver, other) = (Weaver::new(), Weaver::new());
+            let foreign = other.plug(Aspect::named("Foreign").build());
+            let mut model = Model::default();
+            std::thread::scope(|s| {
+                let ((requests, inbox), (replies, outbox)) = (channel(), channel());
+                let weaver = &weaver;
+                s.spawn(move || {
+                    for (id, method, args) in inbox {
+                        let outcome = observed(weaver.invoke_call(id, "Acc", method, args));
+                        replies.send(outcome).unwrap();
+                    }
+                });
+                let (other, tokens, made, log) = (&other, Vec::new(), Vec::new(), Log::default());
+                let elsewhere = (requests, outbox);
+                let mut real = Real { weaver, other, foreign, tokens, made, log, elsewhere };
+                for (i, op) in history.iter().enumerate() {
+                    let (got, expected) = (real.act(op), model.act(op));
+                    prop_assert_eq!(got, expected, "case {case}, operation {i}\n{history:#?}");
                 }
-                weaver.plug(aspect);
-            }
-            let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-            for v in &adds {
-                h.call("add", args![*v]).unwrap();
-            }
-            let got = downcast_ret::<i64>(h.call("total", args![]).unwrap()).unwrap();
-            prop_assert_eq!(got, adds.iter().sum::<i64>());
-        }
-
-        /// Plugging then unplugging any neutral stack leaves no residue.
-        #[test]
-        fn unplug_leaves_no_residue(kinds in proptest::collection::vec(arb_neutral(), 1..5)) {
-            let weaver = Weaver::new();
-            let tokens: Vec<_> = kinds
-                .iter()
-                .enumerate()
-                .map(|(i, k)| weaver.plug(neutral_aspect(*k, i)))
-                .collect();
-            let h = weaver.construct::<Acc>(args![0i64]).unwrap();
-            h.call("add", args![7i64]).unwrap();
-            for t in &tokens {
-                prop_assert!(weaver.unplug(t));
-            }
-            prop_assert_eq!(weaver.aspect_names().len(), 0);
-            h.call("add", args![5i64]).unwrap();
-            let got = downcast_ret::<i64>(h.call("total", args![]).unwrap()).unwrap();
-            prop_assert_eq!(got, 12);
+                prop_assert_eq!(real.state(), model.state(), "case {case}, the end\n{history:#?}");
+            });
         }
     }
 }

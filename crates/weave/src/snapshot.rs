@@ -215,8 +215,8 @@ impl AspectCell {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// The currently published snapshot (tests and diagnostics).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// The currently published snapshot (tests).
+    #[cfg(test)]
     pub(crate) fn snapshot(&self) -> Arc<AspectsSnapshot> {
         self.current.read().clone()
     }

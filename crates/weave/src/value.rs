@@ -365,9 +365,10 @@ impl Value {
         Value(Repr::Unit(()))
     }
 
-    /// Wrap an already-boxed value without re-examining it. The ablation
-    /// and compatibility entry point; [`Value::new`] is the fast path.
-    pub fn from_box(b: Box<dyn Any + Send>) -> Value {
+    /// Wrap an already-boxed value without re-examining it: the boxed
+    /// reference representation the tests hold the inline fast path to.
+    #[cfg(test)]
+    fn from_box(b: Box<dyn Any + Send>) -> Value {
         Value(Repr::Boxed(b))
     }
 

@@ -166,6 +166,7 @@ mod served_inline {
     use weavepar::weave::context;
     use weavepar::weave::object::monitors_held;
     use weavepar::weave::trace::{current_task, push_task};
+    use weavepar::weave::value::downcast_ret;
     use weavepar::weave::TaskId;
     use weavepar::{args, weaveable};
 
@@ -326,7 +327,7 @@ mod served_inline {
 
     /// Issue `method` on the stub and wait for its future.
     fn through(stub: &LedgerProxy, method: &'static str, args: Args) -> u64 {
-        future_ret::<u64>(stub.handle().call(method, args).unwrap()).unwrap().take().unwrap()
+        downcast_ret(resolve_any(stub.handle().call(method, args).unwrap()).unwrap()).unwrap()
     }
 
     #[test]
@@ -345,17 +346,17 @@ mod served_inline {
             let (entered_tx, entered) = sync_channel(1);
             let (release, release_rx) = sync_channel(1);
             let key = register(Outside::Latch(entered_tx, release_rx));
-            let a = future_ret::<u64>(stub.handle().call("hold", args![key]).unwrap()).unwrap();
+            let a = stub.handle().call("hold", args![key]).unwrap();
             entered.recv().unwrap();
             // B: nothing on the stub holds it back; it reaches the fabric,
             // where the node is busy with A, so it queues there.
-            let b = future_ret::<u64>(stub.handle().call("add", args![5u64]).unwrap()).unwrap();
+            let b = stub.handle().call("add", args![5u64]).unwrap();
             while calls() - calls_before < 2 {
                 std::thread::yield_now();
             }
             release.send(()).unwrap();
-            assert_eq!(a.take().unwrap(), key);
-            assert_eq!(b.take().unwrap(), 5);
+            assert_eq!(downcast_ret::<u64>(resolve_any(a).unwrap()).unwrap(), key);
+            assert_eq!(downcast_ret::<u64>(resolve_any(b).unwrap()).unwrap(), 5);
             executor.wait_idle();
             let calls = calls() - calls_before;
             assert_eq!(calls, 2);
