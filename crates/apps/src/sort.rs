@@ -212,13 +212,18 @@ mod tests {
 
     #[test]
     fn the_result_is_written_back_into_the_callers_vector() {
+        // Two 40 000-item inputs back to back: the upper merges build packs
+        // of recycled sizes, so the second merges into buffers the first
+        // one's results left, and must not read their old items.
         for concurrent in [false, true] {
-            let xs = pseudo_random(3_000, 5);
-            let expect = reference(xs.clone());
-            let items = xs.as_ptr();
-            let got = sort_divide_conquer(xs, 128, concurrent).unwrap();
-            assert_eq!(got.as_ptr(), items, "concurrent = {concurrent}: a new allocation");
-            assert_eq!(got, expect, "concurrent = {concurrent}");
+            for (n, seed) in [(3_000, 5), (40_000, 11), (40_000, 12)] {
+                let xs = pseudo_random(n, seed);
+                let expect = reference(xs.clone());
+                let items = xs.as_ptr();
+                let got = sort_divide_conquer(xs, 128, concurrent).unwrap();
+                assert_eq!(got.as_ptr(), items, "concurrent = {concurrent}, seed {seed}: moved");
+                assert_eq!(got, expect, "concurrent = {concurrent}, seed {seed}");
+            }
         }
     }
 

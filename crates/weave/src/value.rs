@@ -17,6 +17,8 @@
 use std::any::Any;
 use std::sync::Arc;
 
+use parking_lot::Mutex;
+
 use crate::error::{WeaveError, WeaveResult};
 use crate::object::ObjId;
 
@@ -133,13 +135,23 @@ impl Pack {
 
     /// Allocate a pack of `len` items once and let `fill` write them in
     /// place (they start as zeros): a result is built in the allocation it
-    /// is returned in, not in a `Vec` that is then copied into one.
+    /// is returned in, not in a `Vec` that is then copied into one. A pack
+    /// of 2^14 items or more views the front of a power-of-two buffer: a
+    /// spare of that size when a dropped pack left one, a fresh one if not.
     pub fn build(len: usize, fill: impl FnOnce(&mut [u64])) -> Self {
         // Checked before the allocation, not after it as in `from_arc`.
         let len = u32::try_from(len).expect("pack longer than u32::MAX items");
-        // An iterator of trusted length is collected straight into the `Arc`.
-        let mut data: Arc<[u64]> = std::iter::repeat_n(0, len as usize).collect();
-        fill(Arc::get_mut(&mut data).expect("a fresh allocation has one owner"));
+        let n = len as usize;
+        let class = if n >= SPARE_FLOOR { n.next_power_of_two() } else { n };
+        let mut data = match take_spare(class) {
+            Some(mut spare) => {
+                Arc::get_mut(&mut spare).expect("a spare has one owner")[..n].fill(0);
+                spare
+            }
+            // An iterator of trusted length is collected straight into the `Arc`.
+            None => std::iter::repeat_n(0, class).collect(),
+        };
+        fill(&mut Arc::get_mut(&mut data).expect("a fresh allocation has one owner")[..n]);
         Pack { data, start: 0, len }
     }
 
@@ -253,6 +265,53 @@ impl FromIterator<u64> for Pack {
         // is trusted (a range, a slice, a `map` over one); a `Vec` first and
         // a copy of it otherwise.
         Pack::from_arc(iter.into_iter().collect())
+    }
+}
+
+/// The smallest buffer [`Pack::build`] recycles: 2^14 items (128 KiB),
+/// glibc's default mmap threshold. A larger buffer goes back to the kernel
+/// when it is freed, and the next one of its size faults every page in
+/// again (each merge level of a sort builds one).
+const SPARE_FLOOR: usize = 1 << 14;
+
+/// Most items of spare buffers held at once (32 MiB).
+const SPARE_BOUND: usize = 4 << 20;
+
+/// Spare buffers of [`Pack::build`], each a power-of-two number of items
+/// at or above [`SPARE_FLOOR`], and the items they hold in all.
+static SPARES: Mutex<(Vec<Arc<[u64]>>, usize)> = Mutex::new((Vec::new(), 0));
+
+fn is_spare_class(len: usize) -> bool {
+    len >= SPARE_FLOOR && len.is_power_of_two()
+}
+
+/// A spare buffer of exactly `class` items, if one is held.
+fn take_spare(class: usize) -> Option<Arc<[u64]>> {
+    if !is_spare_class(class) {
+        return None;
+    }
+    let (spares, items) = &mut *SPARES.lock();
+    let at = spares.iter().position(|spare| spare.len() == class)?;
+    *items -= class;
+    Some(spares.swap_remove(at))
+}
+
+impl Drop for Pack {
+    /// The last view of a buffer of a recycled size gives it to the
+    /// spares while they stay under `SPARE_BOUND`; any other buffer is
+    /// freed (a refused one after the lock is released: it was taken
+    /// first, so it is dropped last).
+    fn drop(&mut self) {
+        if !is_spare_class(self.data.len()) || Arc::get_mut(&mut self.data).is_none() {
+            return;
+        }
+        // The empty `Arc<[u64]>` is a static: the swap allocates nothing.
+        let buffer = std::mem::take(&mut self.data);
+        let (spares, items) = &mut *SPARES.lock();
+        if *items + buffer.len() <= SPARE_BOUND {
+            *items += buffer.len();
+            spares.push(buffer);
+        }
     }
 }
 
@@ -912,6 +971,79 @@ mod tests {
         let d = format!("{a:?}");
         assert!(d.contains("2 slots"));
         assert!(d.contains("1 taken"));
+    }
+
+    mod recycler {
+        //! The spares are process-wide and these tests are the only code in
+        //! this crate that builds a pack of a recycled size: they run one at
+        //! a time, so each reads exactly the spares it left.
+        use super::*;
+
+        static SERIAL: Mutex<()> = Mutex::new(());
+
+        #[test]
+        fn a_dropped_build_buffer_is_the_next_builds_and_reads_as_zeros() {
+            let _serial = SERIAL.lock();
+            let first = Pack::build(20_000, |items| items.fill(7));
+            assert_eq!(first.data.len(), 1 << 15, "the pack views the front of its class");
+            let at = first.as_slice().as_ptr();
+            drop(first);
+            let second = Pack::build(30_000, |items| {
+                assert!(items.iter().all(|&v| v == 0), "a reused buffer starts as zeros");
+                items.fill(1);
+            });
+            assert_eq!(second.as_slice().as_ptr(), at, "the same allocation");
+            assert_eq!(second.len(), 30_000);
+        }
+
+        #[test]
+        fn nothing_is_recycled_while_a_view_holds_the_buffer() {
+            let _serial = SERIAL.lock();
+            let pack = Pack::build(40_000, |_| {});
+            let at = pack.as_slice().as_ptr();
+            let (left, right) = pack.split_at(10_000);
+            let views =
+                [Value::new(left), Value::new(right), Value::new(pack.clone()), Value::new(pack)];
+            let mut fresh = Vec::new();
+            for view in views {
+                let other = Pack::build(40_000, |_| {});
+                assert_ne!(other.as_slice().as_ptr(), at, "recycled while {view:?} holds it");
+                fresh.push(other);
+                drop(view);
+            }
+            let reused = Pack::build(40_000, |_| {});
+            assert_eq!(reused.as_slice().as_ptr(), at, "the last view gave it back");
+        }
+
+        #[test]
+        fn packs_not_built_or_below_the_floor_are_never_retained() {
+            let _serial = SERIAL.lock();
+            let before = SPARES.lock().1;
+            // A buffer is recycled by its size: these allocate exactly their
+            // items, at or above the floor but between two classes.
+            let len = 3 << 14;
+            let made = [
+                Pack::from_vec(vec![1; len]),
+                (0..len as u64).collect(),
+                Pack::from_slice(&vec![2; len]),
+                Pack::build(SPARE_FLOOR - 1, |_| {}),
+            ];
+            drop(made);
+            assert_eq!(SPARES.lock().1, before);
+        }
+
+        #[test]
+        fn the_spares_never_exceed_their_bound() {
+            let _serial = SERIAL.lock();
+            let class = 1 << 19;
+            let packs: Vec<Pack> =
+                (0..SPARE_BOUND / class + 1).map(|_| Pack::build(class, |_| {})).collect();
+            drop(packs);
+            let (spares, items) = &*SPARES.lock();
+            assert_eq!(*items, spares.iter().map(|spare| spare.len()).sum::<usize>());
+            assert!(*items <= SPARE_BOUND, "{items} items held");
+            assert!(*items + class > SPARE_BOUND, "held up to the bound: {items} items");
+        }
     }
 
     mod representation_equivalence {

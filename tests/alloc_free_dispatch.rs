@@ -329,11 +329,21 @@ fn the_sort_kernel_allocates_per_call_not_per_item() {
 
     // The result's allocation and the `Vec<Pack>` of the sub-results.
     let combine = sort_dc_config(1024).combine;
-    let halves = vec![weavepar::ret!(sorted.clone()), weavepar::ret!(sorted)];
+    let halves = vec![weavepar::ret!(sorted.clone()), weavepar::ret!(sorted.clone())];
     let (allocs, merged) = count_allocs(|| combine(halves));
     let merged: Pack = downcast_ret(merged.unwrap()).unwrap();
     assert!(merged.len() == 20_000 && merged.as_slice().windows(2).all(|w| w[0] <= w[1]));
     assert!(allocs <= 3, "combining two 10 000-item packs made {allocs} allocations");
+
+    // Its buffer, once dropped, is the next result's of its size: a second
+    // combine allocates its `Vec<Pack>` and nothing else. (No other test in
+    // this binary builds a pack of 2^14 items or more.)
+    drop(merged);
+    let halves = vec![weavepar::ret!(sorted.clone()), weavepar::ret!(sorted)];
+    let (allocs, merged) = count_allocs(|| combine(halves));
+    let merged: Pack = downcast_ret(merged.unwrap()).unwrap();
+    assert!(merged.len() == 20_000 && merged.as_slice().windows(2).all(|w| w[0] <= w[1]));
+    assert_eq!(allocs, 1, "a second combine of two 10 000-item packs made {allocs} allocations");
 }
 
 #[test]

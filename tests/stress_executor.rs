@@ -300,11 +300,13 @@ mod fork_join {
     fn concurrent_callers_share_the_sort_pool() {
         // Four callers at once on the one process-wide pool: a join that
         // helps may run another caller's sub-problem, and each caller's
-        // result is still its own.
+        // result is still its own. At 40 000 items the upper merges build
+        // packs of recycled sizes, so the callers also hand each other
+        // buffers that another caller's merge filled.
         let inputs: Vec<Vec<u64>> = (0..4u64)
             .map(|caller| {
                 let mut seed = 31 + caller;
-                (0..5_000)
+                (0..40_000)
                     .map(|_| {
                         seed = seed
                             .wrapping_mul(6364136223846793005)
