@@ -16,11 +16,15 @@
 //!   whether or not the concurrency aspect is currently plugged.
 //!
 //! Both have one join, `take`: on a worker of a work-stealing pool it helps
-//! (see [`pool`](crate::pool), "Joins"), everywhere else it blocks. A remote
-//! call's deadline lives in its `CallPolicy` and the reply slot, not here.
+//! (see [`pool`](crate::pool), "Joins"), everywhere else it blocks.
+//! [`FutureValue`] is also the middleware's reply cell: a queued remote call
+//! waits with [`FutureValue::take_until`], which blocks up to its
+//! `CallPolicy` deadline and never helps, and the reply pool re-arms a taken
+//! cell with [`FutureValue::reset`].
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -105,14 +109,28 @@ impl<T> FutureValue<T> {
     /// wait *helps*: the worker runs queued tasks until the value is there
     /// (see [`pool`](crate::pool), "Joins"). Everywhere else it blocks.
     pub fn take(&self) -> WeaveResult<T> {
+        self.take_within(None, true).map(|value| value.expect("a take without a deadline"))
+    }
+
+    /// Like [`take`](Self::take), but it blocks even on a pool worker, and
+    /// only until `deadline` (`None`: for as long as it takes). `Ok(None)`
+    /// once the deadline passes with the future still pending. It stays
+    /// pending, open to a late value, so [`reset`](Self::reset) refuses it.
+    pub fn take_until(&self, deadline: Option<Instant>) -> WeaveResult<Option<T>> {
+        self.take_within(deadline, false)
+    }
+
+    /// The one blocking loop of both takes. `help` lets a pool worker run
+    /// queued tasks instead of blocking (a deadline is only ever blocked on).
+    fn take_within(&self, deadline: Option<Instant>, help: bool) -> WeaveResult<Option<T>> {
         let mut state = self.shared.state.lock();
         loop {
             match std::mem::replace(&mut *state, State::Taken) {
-                State::Ready(v) => return Ok(v),
+                State::Ready(v) => return Ok(Some(v)),
                 State::Taken => return Err(WeaveError::app("future already taken")),
                 pending @ State::Pending { .. } => *state = pending,
             }
-            match Joiner::current() {
+            match help.then(Joiner::current).flatten() {
                 Some(joiner) if Self::enlist(&mut state, &joiner) => {
                     drop(state);
                     joiner.help_until(|| !self.is_pending());
@@ -122,10 +140,31 @@ impl<T> FutureValue<T> {
                     if let State::Pending { blocked, .. } = &mut *state {
                         *blocked = true;
                     }
-                    self.shared.cv.wait(&mut state);
+                    match deadline {
+                        None => self.shared.cv.wait(&mut state),
+                        Some(at) => {
+                            let expired = self.shared.cv.wait_until(&mut state, at).timed_out();
+                            if expired && matches!(*state, State::Pending { .. }) {
+                                return Ok(None);
+                            }
+                        }
+                    }
                 }
             }
         }
+    }
+
+    /// Re-arm a taken future as pending, for another round (the reply pool
+    /// recycles its cells this way). `false`, and nothing changes, when the
+    /// future is pending or ready: its value may still arrive or still be
+    /// unread, and re-arming it would hand that value to the next round.
+    pub fn reset(&self) -> bool {
+        let mut state = self.shared.state.lock();
+        if !matches!(*state, State::Taken) {
+            return false;
+        }
+        *state = State::Pending { helper: None, blocked: false };
+        true
     }
 
     /// Name the joiner's pool as the one to wake at fulfilment. `false` when
@@ -249,16 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn take_blocks_until_fulfilled() {
-        let f = FutureValue::new();
-        let f2 = f.clone();
-        let t = thread::spawn(move || f2.take().unwrap());
-        thread::sleep(Duration::from_millis(30));
-        f.fulfill("done".to_string());
-        assert_eq!(t.join().unwrap(), "done");
-    }
-
-    #[test]
     fn a_taker_that_blocked_before_the_fulfilment_is_woken() {
         let f = FutureValue::new();
         let f2 = f.clone();
@@ -310,10 +339,49 @@ mod tests {
             let f = f.clone();
             joins.push(thread::spawn(move || f.take().is_ok()));
         }
-        thread::sleep(Duration::from_millis(20));
+        while !f.has_blocked_taker() {
+            thread::yield_now();
+        }
         f.fulfill(5);
         let winners = joins.into_iter().map(|j| j.join().unwrap()).filter(|ok| *ok).count();
         assert_eq!(winners, 1, "exactly one taker must win");
+    }
+
+    #[test]
+    fn reset_rearms_only_a_taken_future() {
+        let f = FutureValue::new();
+        assert!(!f.reset(), "a pending future may still be fulfilled");
+        assert!(f.fulfill(1u8));
+        assert!(!f.reset(), "a ready value is still unread");
+        assert_eq!(f.take().unwrap(), 1);
+        assert!(f.reset());
+        assert_eq!(format!("{f:?}"), "FutureValue(pending)");
+        assert!(f.fulfill(2));
+        assert_eq!(f.take().unwrap(), 2, "the re-armed future is one-shot again");
+    }
+
+    #[test]
+    fn take_until_returns_a_value_fulfilled_before_its_deadline() {
+        let f = FutureValue::new();
+        let f2 = f.clone();
+        let t =
+            thread::spawn(move || f2.take_until(Some(Instant::now() + Duration::from_secs(60))));
+        while !f.has_blocked_taker() {
+            thread::yield_now();
+        }
+        assert!(f.fulfill(7u32));
+        assert_eq!(t.join().unwrap().unwrap(), Some(7));
+        assert!(f.take_until(None).is_err(), "and it was taken");
+    }
+
+    #[test]
+    fn take_until_gives_up_at_its_deadline() {
+        let f = FutureValue::<u32>::new();
+        assert_eq!(f.take_until(Some(Instant::now())).unwrap(), None);
+        assert_eq!(f.take_until(Some(Instant::now() + Duration::from_millis(5))).unwrap(), None);
+        assert!(!f.reset(), "an expired take leaves the future pending");
+        assert!(f.fulfill(3), "and still open to a late value");
+        assert_eq!(f.take_until(Some(Instant::now())).unwrap(), Some(3));
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! an idle node is served on the caller's own thread
 //! ([`NodeRuntime::call_inline`]; the rules are in [`node`](crate::node)).
 //! Every other replied request — a call that has to queue, a construct, a
-//! snapshot, a restore — goes through one rendezvous on a pooled park/unpark
-//! slot, so a middleware hand-off is a mailbox push or a slot fill and
-//! nothing else.
+//! snapshot, a restore — goes through one rendezvous on a pooled reply cell
+//! (the concurrency module's one-shot future), so a middleware hand-off is a
+//! mailbox push or a cell fulfilment and nothing else.
 //! Oneway calls to one node travel packed as one [`Request::CallPack`]
 //! frame — one submit, one wakeup: [`InProcFabric::new_pack`], then
 //! [`PackFrame::push`] per call, then [`InProcFabric::submit_pack`] (what
@@ -33,7 +33,7 @@ use crate::faults::{FaultAction, FaultPlan, RequestClass};
 use crate::nameserver::NameServer;
 use crate::node::{NodeRuntime, Request};
 use crate::policy::CallPolicy;
-use crate::pool::{BufPool, ReplyPool, SlotReply, SlotTicket};
+use crate::pool::{BufPool, ReplyCell, ReplyPool, SlotReply};
 use crate::wire::{ClassId, MarshalRegistry, MethodId, PackFrame, Wire};
 
 /// A reference to an object living on a fabric node. Carries the interned
@@ -127,7 +127,8 @@ impl InProcFabric {
     /// `{prefix}.calls` / `.served_inline` / `.oneway` / `.packs` /
     /// `.packed_calls` / `.retries` / `.timeouts` counters, an
     /// `{prefix}.in_flight` gauge for replied calls not yet answered, and an
-    /// `{prefix}.reply_slots_pooled` gauge for reply-slot pool occupancy.
+    /// `{prefix}.reply_slots_pooled` gauge for the reply cells parked in
+    /// the pool.
     /// The registry reads the same cells the call paths were already
     /// bumping, so installing metrics adds nothing to the per-call cost.
     pub fn install_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
@@ -262,7 +263,7 @@ impl InProcFabric {
             }
             FaultAction::Duplicate => {
                 // Only oneway calls are duplicated (a replied call owns its
-                // single reply slot). The duplicate carries the same dedup
+                // single reply cell). The duplicate carries the same dedup
                 // key, so a seq-carrying call still executes at most once.
                 if let Request::Call { obj, method, ref args, reply: None, seq } = request {
                     let dup = Request::Call { obj, method, args: args.clone(), reply: None, seq };
@@ -278,19 +279,19 @@ impl InProcFabric {
         }
     }
 
-    /// Lose a request and recycle its frames. A call's reply slot is
+    /// Lose a request and recycle its frames. A call's reply half is
     /// *discarded*, so the caller times out against its own deadline, like a
     /// lost datagram, rather than seeing a prompt disconnect the real
     /// network would never deliver. Construct / snapshot / restore have no
-    /// deadline to time out against: their slot is dropped, and its
-    /// drop-guard fails the caller at once.
+    /// deadline to time out against: their reply half is dropped, and its
+    /// drop guard fails the caller at once.
     fn discard(&self, request: Request) {
         match request {
             Request::Construct { args, .. } => self.buffers.recycle(args),
             Request::Call { args, reply, .. } => {
                 self.buffers.recycle(args);
-                if let Some(slot) = reply {
-                    slot.discard();
+                if let Some(reply) = reply {
+                    reply.discard();
                 }
             }
             Request::CallPack { frame } => self.buffers.recycle(frame),
@@ -354,8 +355,8 @@ impl InProcFabric {
         class: RequestClass,
         request: impl FnOnce(SlotReply) -> Request,
     ) -> WeaveResult<Bytes> {
-        let (ticket, reply) = self.replies.checkout();
-        self.rendezvous(node, self.decide(class, node), request(reply), ticket, None)
+        let (cell, reply) = self.replies.checkout();
+        self.rendezvous(node, self.decide(class, node), request(reply), cell, None)
     }
 
     /// The object id a construct or restore answered with.
@@ -452,7 +453,7 @@ impl InProcFabric {
 
     /// One delivery attempt of a replied call. The fault plan decides
     /// first, once. An unfaulted call without a deadline is served on this
-    /// thread if the node is idle; everything else checks out a reply slot,
+    /// thread if the node is idle; everything else checks out a reply cell,
     /// queues the request and parks, up to `deadline`.
     fn replied_attempt(
         &self,
@@ -474,41 +475,38 @@ impl InProcFabric {
                 Err(back) => args = back,
             }
         }
-        let (ticket, reply) = self.replies.checkout();
+        let (cell, reply) = self.replies.checkout();
         let request = Request::Call { obj, method, args, reply: Some(reply), seq };
-        self.rendezvous(node, fault, request, ticket, deadline)
+        self.rendezvous(node, fault, request, cell, deadline)
     }
 
     /// The one reply rendezvous: deliver `request`, which carries the
-    /// serving half of `ticket`'s slot, under the fault decision taken for
-    /// it, and park until the slot is filled or `deadline` passes. Kept out
-    /// of line and non-generic: the inline-served half of a call never gets
-    /// here.
+    /// serving half of `cell`, under the fault decision taken for it, and
+    /// take the reply once it is there or until `deadline` passes. The take
+    /// blocks, even on a pool worker. Kept out of line and non-generic: the
+    /// inline-served half of a call never gets here.
     #[inline(never)]
     fn rendezvous(
         &self,
         node: usize,
         fault: Option<FaultAction>,
         request: Request,
-        ticket: SlotTicket,
+        cell: ReplyCell,
         deadline: Option<Duration>,
     ) -> WeaveResult<Bytes> {
         // A request refused at the door died with its reply half, whose
-        // drop-guard filled the slot: the route's typed error is the answer.
+        // drop guard fulfilled the cell: the route's typed error is the answer.
         let result = self.deliver(node, fault, request).and_then(|()| {
-            let until = deadline.map(|after| Instant::now() + after);
-            ticket.wait_deadline(until, deadline.map_or(0, |after| after.as_millis() as u64))
+            let waited_ms = deadline.map_or(0, |after| after.as_millis() as u64);
+            cell.take_until(deadline.map(|after| Instant::now() + after))?
+                .unwrap_or(Err(WeaveError::Timeout { waited_ms }))
         });
         if matches!(result, Err(WeaveError::Timeout { .. })) {
             self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-            // A late reply may still land in the slot: drop the ticket
-            // (abandoning the slot to garbage collection) instead of
-            // finishing it back into the pool where the stale reply would
-            // poison the next caller.
-            drop(ticket);
-        } else {
-            self.replies.finish(ticket);
         }
+        // Recycled only if its reply was taken: a late reply may still land
+        // in a cell that timed out.
+        self.replies.finish(cell);
         result
     }
 
@@ -739,7 +737,7 @@ mod tests {
         held.entered.recv().unwrap();
 
         // Queue replied calls behind it from worker threads; they block on
-        // their reply slots.
+        // their reply cells.
         let waiters: Vec<_> = (0..4)
             .map(|_| {
                 let f = f.clone();
@@ -833,15 +831,15 @@ mod tests {
                         Panics => assert!(said("node 1: served call panicked"), "{err}"),
                     }
                     if matches!(mishap, Dropped | Panics) {
-                        assert_eq!(f.replies.pooled(), pooled, "an answered slot comes back");
+                        assert_eq!(f.replies.pooled(), pooled, "an answered cell comes back");
                     }
                     if mishap != Dropped {
                         assert!(f.node(1).unwrap().is_down());
                         let next = f.snapshot(echo, false);
                         assert!(matches!(next, Err(WeaveError::NodeDown { node: 1 })), "{next:?}");
                     }
-                    // No slot went back with an unread answer in it (`checkout`
-                    // asserts that), and the other nodes still serve.
+                    // No cell went back with an unread answer in it (`finish`
+                    // recycles only a taken one), and the other nodes still serve.
                     f.clear_faults();
                     f.construct_on(0, "Echo", echo_ctor("z")).unwrap();
                 });
@@ -968,7 +966,7 @@ mod tests {
         assert!(snap.counter("fabric.retries").unwrap() >= 1);
         assert!(snap.counter("fabric.timeouts").unwrap() >= 1);
         assert_eq!(snap.gauge("fabric.in_flight"), Some(0), "nothing parked when idle");
-        // The finished replied calls returned their slots to the pool.
+        // The finished replied calls returned their cells to the pool.
         assert_eq!(snap.gauge("fabric.reply_slots_pooled"), Some(f.replies.pooled() as u64));
     }
 

@@ -34,7 +34,7 @@ pub enum FaultAction {
     /// Deliver the message late by this much.
     Delay(Duration),
     /// Deliver the message twice (same dedup key). Only meaningful for
-    /// oneway calls — duplicated replied calls would race one reply slot.
+    /// oneway calls — duplicated replied calls would race one reply cell.
     Duplicate,
     /// Kill the target node on delivery: the request and everything after
     /// it fails with [`WeaveError::NodeDown`](weavepar_weave::WeaveError).

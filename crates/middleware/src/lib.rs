@@ -12,7 +12,7 @@
 //!   per-call fast path is an array index, and [`wire::PackFrame`] frames
 //!   many oneway calls into one `CallPack` message;
 //! * [`pool`] — the [`BufPool`] frame recycler and the [`pool::ReplyPool`]
-//!   park/unpark reply slab behind the zero-allocation call path;
+//!   of reply cells (one-shot futures) behind the zero-allocation call path;
 //! * [`nameserver`] — the RMI registry analogue (`PS1`, `PS2`, ... names);
 //! * [`node`] — a [`NodeRuntime`]: one simulated cluster node = a mailbox,
 //!   a serve token and one thread, with its own

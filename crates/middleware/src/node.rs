@@ -58,7 +58,7 @@ use crate::server::{DedupWindow, Server};
 use crate::wire::{ClassId, MarshalRegistry, MethodId};
 
 /// A request arriving at a node. A reply travels as bytes through a pooled
-/// slot; an object id is its 8 [`Wire`](crate::wire::Wire) bytes.
+/// reply cell; an object id is its 8 [`Wire`](crate::wire::Wire) bytes.
 pub enum Request {
     /// Create an instance from marshalled constructor arguments. `ctor` is
     /// the interned id of the class's `"new"` method — it names both the
@@ -68,7 +68,7 @@ pub enum Request {
         ctor: MethodId,
         /// Marshalled constructor arguments.
         args: Bytes,
-        /// Reply slot for the new object's id.
+        /// Serving half of the reply cell for the new object's id.
         reply: SlotReply,
     },
     /// Snapshot (and optionally remove) an object's state for migration.
@@ -77,7 +77,7 @@ pub enum Request {
         obj: ObjId,
         /// Remove the object after snapshotting (move semantics).
         remove: bool,
-        /// Reply slot for the marshalled state.
+        /// Serving half of the reply cell for the marshalled state.
         reply: SlotReply,
     },
     /// Rebuild an instance of `class` from snapshotted state.
@@ -86,7 +86,7 @@ pub enum Request {
         class: ClassId,
         /// Marshalled state.
         state: Bytes,
-        /// Reply slot for the new object's id.
+        /// Serving half of the reply cell for the new object's id.
         reply: SlotReply,
     },
     /// Invoke `method` on object `obj` with marshalled arguments.
@@ -97,7 +97,8 @@ pub enum Request {
         method: MethodId,
         /// Marshalled arguments.
         args: Bytes,
-        /// Reply slot for the marshalled return value; `None` makes the
+        /// Serving half of the reply cell for the marshalled return value;
+        /// `None` makes the
         /// call oneway (MPP-style send).
         reply: Option<SlotReply>,
         /// At-most-once dedup key: a retried or duplicated delivery carrying
@@ -385,7 +386,7 @@ impl std::fmt::Debug for NodeRuntime {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::pool::{ReplyPool, SlotTicket};
+    use crate::pool::{ReplyCell, ReplyPool};
     use crate::wire::Wire;
     use std::sync::atomic::AtomicU64;
     use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -501,36 +502,36 @@ pub(crate) mod tests {
         let args = m.encode_args(class, method, &args)?;
         let (ret, inline) = match node.call_inline(obj, id, args, seq) {
             Ok(result) => (result?, true),
-            Err(args) => (queued(node, obj, id, args, seq)?.wait()?, false),
+            Err(args) => (queued(node, obj, id, args, seq)?.take()??, false),
         };
         Ok((*m.decode_ret(class, method, &ret)?.downcast::<u64>().unwrap(), inline))
     }
 
     /// Queue a replied call the way the fabric does: the request carries the
-    /// serving half of a reply slot, the caller waits on the ticket.
+    /// serving half of a reply cell, the caller takes the cell.
     fn queued(
         node: &NodeRuntime,
         obj: ObjId,
         method: MethodId,
         args: Bytes,
         seq: Option<u64>,
-    ) -> WR<SlotTicket> {
-        let (ticket, reply) = ReplyPool::new().checkout();
+    ) -> WR<ReplyCell> {
+        let (cell, reply) = ReplyPool::new().checkout();
         node.submit(Request::Call { obj, method, args, reply: Some(reply), seq })?;
-        Ok(ticket)
+        Ok(cell)
     }
 
     /// A queued `Adder.add(x)`, decoded.
     fn queued_add(node: &NodeRuntime, m: &MarshalRegistry, obj: ObjId, x: u64) -> WR<u64> {
         let add = m.method_id("Adder", "add")?;
-        let ret = queued(node, obj, add, add_args(m, x), None)?.wait()?;
+        let ret = queued(node, obj, add, add_args(m, x), None)?.take()??;
         Ok(*m.decode_ret("Adder", "add", &ret)?.downcast::<u64>().unwrap())
     }
 
     fn construct(node: &NodeRuntime, m: &MarshalRegistry, class: &str, args: Bytes) -> WR<ObjId> {
-        let (ticket, reply) = ReplyPool::new().checkout();
+        let (cell, reply) = ReplyPool::new().checkout();
         node.submit(Request::Construct { ctor: m.method_id(class, "new")?, args, reply })?;
-        ObjId::decode(&mut ticket.wait()?)
+        ObjId::decode(&mut cell.take()??)
     }
 
     fn construct_adder(node: &NodeRuntime, m: &MarshalRegistry, start: u64) -> WR<ObjId> {
@@ -644,7 +645,7 @@ pub(crate) mod tests {
         node.kill();
         held.release.send(()).unwrap();
         // The queued caller must be failed, not executed or stranded.
-        let err = pending.wait().unwrap_err();
+        let err = pending.take().unwrap().unwrap_err();
         assert!(matches!(err, weavepar_weave::WeaveError::NodeDown { node: 0 }));
     }
 
@@ -655,16 +656,16 @@ pub(crate) mod tests {
             let node = NodeRuntime::spawn(0, m.clone());
             node.kill();
             let pool = ReplyPool::new();
-            let (ticket, reply) = pool.checkout();
+            let (cell, reply) = pool.checkout();
             let ctor = m.method_id("Adder", "new").unwrap();
             let args = m.encode_args("Adder", "new", &weavepar_weave::args![1u64]).unwrap();
             // A delayed delivery holds the mailbox, not the runtime, and finds
             // it closed: the request comes back, and dropping it answers.
             let refused = node.mailbox().push(Request::Construct { ctor, args, reply });
             drop(refused.expect_err("a closed mailbox hands the request back"));
-            assert!(matches!(ticket.wait(), Err(WeaveError::Remote(_))));
-            pool.finish(ticket);
-            assert_eq!(pool.pooled(), 1, "an answered ticket goes back to the pool");
+            assert!(matches!(cell.take().unwrap(), Err(WeaveError::Remote(_))));
+            pool.finish(cell);
+            assert_eq!(pool.pooled(), 1, "an answered cell goes back to the pool");
         });
     }
 
@@ -690,8 +691,8 @@ pub(crate) mod tests {
                 submitters.push(std::thread::spawn(move || {
                     let mut accepted = Vec::new();
                     while !stop.load(Ordering::SeqCst) {
-                        if let Ok(ticket) = queued(&node, obj, add, add_args(&m, 1), None) {
-                            accepted.push(ticket);
+                        if let Ok(cell) = queued(&node, obj, add, add_args(&m, 1), None) {
+                            accepted.push(cell);
                         }
                     }
                     accepted
@@ -701,15 +702,12 @@ pub(crate) mod tests {
             node.kill();
             stop.store(true, Ordering::SeqCst);
             for handle in submitters {
-                for ticket in handle.join().unwrap() {
+                for cell in handle.join().unwrap() {
                     // Every accepted call gets a reply (value before the kill,
                     // NodeDown after) within a bounded wait — no stranding.
                     let within = std::time::Instant::now() + std::time::Duration::from_secs(5);
-                    let answer = ticket.wait_deadline(Some(within), 5000);
-                    assert!(
-                        !matches!(answer, Err(WeaveError::Timeout { .. })),
-                        "accepted call must be answered"
-                    );
+                    let answer = cell.take_until(Some(within)).unwrap();
+                    assert!(answer.is_some(), "accepted call must be answered");
                 }
             }
             // And the node still shuts down cleanly.
@@ -771,8 +769,8 @@ pub(crate) mod tests {
         // delivery answered from the cached reply.
         let replies: Vec<_> =
             (0..2).map(|_| queued(&node, obj, add, add_args(&m, 1), Some(8)).unwrap()).collect();
-        for ticket in replies {
-            let ret = ticket.wait().unwrap();
+        for cell in replies {
+            let ret = cell.take().unwrap().unwrap();
             let v = m.decode_ret("Adder", "add", &ret).unwrap();
             // 0 + 5 (executed once) + 1 (executed once) — both deliveries of
             // the replied call see the same total.
@@ -835,7 +833,7 @@ pub(crate) mod tests {
             )
             .unwrap();
             held.release.send(()).unwrap();
-            let ret = pending.wait().unwrap();
+            let ret = pending.take().unwrap().unwrap();
             let on_node = m.decode_ret("Probe", "on_node_thread", &ret).unwrap();
             assert_eq!(*on_node.downcast::<u64>().unwrap(), 1);
             // Per-sender FIFO: the replied call, inline or not, sees all 100.
@@ -871,7 +869,7 @@ pub(crate) mod tests {
                 let (node, adder, probe) = probed_node(&m);
                 let result = if on_queue {
                     // The node thread survives and answers.
-                    queued(&node, probe, explode, no_args(), None).unwrap().wait()
+                    queued(&node, probe, explode, no_args(), None).unwrap().take().unwrap()
                 } else {
                     let mut args = no_args();
                     loop {

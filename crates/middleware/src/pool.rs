@@ -1,4 +1,4 @@
-//! Buffer and reply-slot pooling for the remote-call fast path.
+//! Buffer and reply-cell pooling for the remote-call fast path.
 //!
 //! Two recyclers back the zero-allocation contract:
 //!
@@ -7,25 +7,27 @@
 //!   decode/reply paths hand frames back with `give` or reclaim frozen
 //!   [`Bytes`] whose refcount has dropped to one with `recycle`.
 //!
-//! * [`ReplySlot`] — the fabric's one park/unpark reply rendezvous, for
+//! * [`ReplyPool`] — the cells of the fabric's one reply rendezvous, for
 //!   every replied request that has to queue: a call, a construct, a
 //!   snapshot, a restore (a call served on the caller's thread needs none).
-//!   A caller checks a slot out of the pool, submits the request carrying
-//!   the [`SlotReply`] half, blocks on the condvar, and returns the slot for
-//!   reuse. `SlotReply` is a drop-guard, filled under the slot's own lock:
-//!   if the serving side drops it without answering (request dropped on the
-//!   floor), the waiter is woken with a `WeaveError::Remote` instead of
-//!   blocking forever.
+//!   A [`ReplyCell`] is the concurrency module's one-shot future: a caller
+//!   checks one out, submits the request carrying the [`SlotReply`] half,
+//!   takes the reply with `take_until` (blocking, never helping, up to its
+//!   deadline) and returns the cell with [`ReplyPool::finish`], which
+//!   recycles it only if it re-arms. `SlotReply` is a drop guard: if the
+//!   serving side drops it without answering (request dropped on the
+//!   floor), the cell is fulfilled with a `WeaveError::Remote` instead of
+//!   leaving its caller blocked forever.
 //!
 //! Each pool is one free list under one lock, capped at 256 entries.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
+use weavepar_concurrency::FutureValue;
 use weavepar_weave::{WeaveError, WeaveResult};
 
 /// Most entries a pool keeps: beyond this, returned frames and slots are
@@ -73,58 +75,14 @@ impl BufPool {
     }
 }
 
-/// One reusable reply rendezvous: a mutex-guarded mailbox plus a condvar.
-pub struct ReplySlot {
-    mailbox: Mutex<Option<WeaveResult<Bytes>>>,
-    ready: Condvar,
-}
+/// A queued request's reply: a one-shot future the caller takes at once.
+pub type ReplyCell = FutureValue<WeaveResult<Bytes>>;
 
-impl ReplySlot {
-    fn new() -> Arc<Self> {
-        Arc::new(ReplySlot { mailbox: Mutex::new(None), ready: Condvar::new() })
-    }
-
-    fn fill(&self, result: WeaveResult<Bytes>) {
-        {
-            let mut mailbox = self.mailbox.lock();
-            *mailbox = Some(result);
-        }
-        // Notify with the mailbox lock *released*: waking the parked caller
-        // while still holding the lock sends it straight into a futex
-        // contention on the mutex it needs next (glibc condvars no longer
-        // wait-morph).
-        self.ready.notify_one();
-    }
-
-    /// Block until the serving side fills the slot, and take the result.
-    fn wait(&self) -> WeaveResult<Bytes> {
-        let mut mailbox = self.mailbox.lock();
-        while mailbox.is_none() {
-            self.ready.wait(&mut mailbox);
-        }
-        mailbox.take().expect("slot filled")
-    }
-
-    /// Like `wait`, but give up at `deadline` with a typed
-    /// [`WeaveError::Timeout`]. A timed-out slot may still be filled later
-    /// by the serving side — the caller must abandon the ticket (not
-    /// `finish` it) so the late reply is garbage-collected with the slot.
-    fn wait_until(&self, deadline: Instant, waited_ms: u64) -> WeaveResult<Bytes> {
-        let mut mailbox = self.mailbox.lock();
-        while mailbox.is_none() {
-            if self.ready.wait_until(&mut mailbox, deadline).timed_out() && mailbox.is_none() {
-                return Err(WeaveError::Timeout { waited_ms });
-            }
-        }
-        mailbox.take().expect("slot filled")
-    }
-}
-
-/// The serving side's half of a checked-out [`ReplySlot`]. Consuming `send`
-/// delivers the answer; dropping unsent wakes the waiter with an error so a
-/// lost request can never strand its caller.
+/// The serving side's half of a checked-out [`ReplyCell`]. Consuming `send`
+/// delivers the answer; dropping unsent fails the cell so a lost request can
+/// never strand its caller.
 pub struct SlotReply {
-    slot: Arc<ReplySlot>,
+    cell: ReplyCell,
     sent: bool,
 }
 
@@ -132,14 +90,13 @@ impl SlotReply {
     /// Deliver the reply and wake the waiting caller.
     pub fn send(mut self, result: WeaveResult<Bytes>) {
         self.sent = true;
-        self.slot.fill(result);
+        self.cell.fulfill(result);
     }
 
-    /// Fault injection: make the reply vanish *silently* — the drop-guard is
-    /// defused, the mailbox is never filled, and the waiter only learns of
+    /// Fault injection: make the reply vanish *silently* — the drop guard is
+    /// defused, the cell is never fulfilled, and the caller only learns of
     /// the loss when its deadline expires (a dropped datagram, not an
-    /// error). The slot's Arc is released normally; the abandoned ticket is
-    /// garbage-collected with it.
+    /// error). The pool never recycles the cell: it is not taken.
     pub(crate) fn discard(mut self) {
         self.sent = true;
     }
@@ -148,52 +105,17 @@ impl SlotReply {
 impl Drop for SlotReply {
     fn drop(&mut self) {
         if !self.sent {
-            self.slot.fill(Err(WeaveError::remote("reply dropped before an answer was sent")));
+            self.cell.fulfill(Err(WeaveError::remote("reply dropped before an answer was sent")));
         }
     }
 }
 
-/// The calling side's half: wait for the answer, then return the slot to the
-/// pool via [`ReplyPool::finish`].
-pub struct SlotTicket {
-    slot: Arc<ReplySlot>,
-    /// Set when a wait actually emptied the mailbox. `finish` consults this
-    /// instead of re-locking the mailbox to check that the slot is clean.
-    consumed: std::cell::Cell<bool>,
-}
-
-impl SlotTicket {
-    /// Block until the reply arrives.
-    pub fn wait(&self) -> WeaveResult<Bytes> {
-        let result = self.slot.wait();
-        self.consumed.set(true);
-        result
-    }
-
-    /// Block until the reply arrives or `deadline` passes. On
-    /// [`WeaveError::Timeout`] the ticket must be dropped, NOT
-    /// [`ReplyPool::finish`]ed: the serving side may still fill the slot
-    /// later, and recycling it would leak a stale reply into the next call.
-    pub fn wait_deadline(&self, deadline: Option<Instant>, waited_ms: u64) -> WeaveResult<Bytes> {
-        let result = match deadline {
-            Some(d) => self.slot.wait_until(d, waited_ms),
-            None => self.slot.wait(),
-        };
-        // A timeout leaves the mailbox unconsumed; every other outcome —
-        // payload or drop-guard error — took the message out of it.
-        if !matches!(result, Err(WeaveError::Timeout { .. })) {
-            self.consumed.set(true);
-        }
-        result
-    }
-}
-
-/// Pool of reply slots: `checkout` hands out a (ticket, reply) pair backed
-/// by a recycled slot when one is free.
+/// Pool of reply cells: `checkout` hands out a (cell, reply) pair backed by
+/// a recycled cell when one is free.
 #[derive(Default)]
 pub struct ReplyPool {
-    free: Mutex<Vec<Arc<ReplySlot>>>,
-    /// Live count of parked slots, maintained on checkout/finish so a
+    free: Mutex<Vec<ReplyCell>>,
+    /// Live count of parked cells, maintained on checkout/finish so a
     /// metrics registry can bind pool occupancy as a gauge without taking
     /// the free-list lock.
     parked: Arc<AtomicU64>,
@@ -205,45 +127,42 @@ impl ReplyPool {
         Self::default()
     }
 
-    /// Check out a slot: the caller keeps the [`SlotTicket`], the request
-    /// carries the [`SlotReply`].
-    pub fn checkout(&self) -> (SlotTicket, SlotReply) {
-        let slot = match self.free.lock().pop() {
-            Some(slot) => {
+    /// Check out a pending cell: the caller keeps the [`ReplyCell`], the
+    /// request carries the [`SlotReply`].
+    pub fn checkout(&self) -> (ReplyCell, SlotReply) {
+        let cell = match self.free.lock().pop() {
+            Some(cell) => {
                 self.parked.fetch_sub(1, Ordering::Relaxed);
-                slot
+                cell
             }
-            None => ReplySlot::new(),
+            None => ReplyCell::new(),
         };
-        debug_assert!(slot.mailbox.lock().is_none(), "recycled slot must be empty");
-        (
-            SlotTicket { slot: slot.clone(), consumed: std::cell::Cell::new(false) },
-            SlotReply { slot, sent: false },
-        )
+        (cell.clone(), SlotReply { cell, sent: false })
     }
 
-    /// Return a slot after its reply has been taken. Slots whose serving half
-    /// may still be live (caller gave up early) must NOT be finished — just
-    /// drop the ticket and the slot is garbage-collected with it. A ticket
-    /// that never consumed a reply is dropped here for the same reason, so
-    /// `finish` costs one free-list lock and zero mailbox locks.
-    pub fn finish(&self, ticket: SlotTicket) {
-        if ticket.consumed.get() {
+    /// Return a cell once its caller is done with it, however the wait
+    /// ended. It is recycled exactly when it re-arms
+    /// ([`FutureValue::reset`]), that is when its reply was taken. A cell
+    /// whose deadline passed may still be fulfilled late, and one answered
+    /// but not taken holds a stale reply: either is dropped with its last
+    /// handle, never handed to the next call.
+    pub fn finish(&self, cell: ReplyCell) {
+        if cell.reset() {
             let mut free = self.free.lock();
             if free.len() < CAP {
-                free.push(ticket.slot);
+                free.push(cell);
                 self.parked.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// Slots currently parked in the pool.
+    /// Cells currently parked in the pool.
     #[cfg(test)]
     pub(crate) fn pooled(&self) -> usize {
         self.free.lock().len()
     }
 
-    /// The live parked-slot count cell, for binding as an occupancy gauge.
+    /// The live parked-cell count, for binding as an occupancy gauge.
     pub fn pooled_cell(&self) -> Arc<AtomicU64> {
         self.parked.clone()
     }
@@ -253,6 +172,7 @@ impl ReplyPool {
 mod tests {
     use super::*;
     use bytes::BufMut;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn buf_pool_recycles_capacity() {
@@ -299,62 +219,70 @@ mod tests {
     #[test]
     fn reply_slot_roundtrip_and_reuse() {
         let pool = ReplyPool::new();
-        let (ticket, reply) = pool.checkout();
+        let (cell, reply) = pool.checkout();
         let payload = Bytes::copy_from_slice(b"ok");
         let handle = std::thread::spawn(move || reply.send(Ok(payload)));
-        assert_eq!(&*ticket.wait().unwrap(), b"ok");
+        assert_eq!(&*cell.take_until(None).unwrap().unwrap().unwrap(), b"ok");
         handle.join().unwrap();
-        pool.finish(ticket);
+        pool.finish(cell);
         assert_eq!(pool.pooled(), 1);
-        let (t2, r2) = pool.checkout();
+        let (again, r2) = pool.checkout();
         assert_eq!(pool.pooled(), 0);
+        assert_eq!(format!("{again:?}"), "FutureValue(pending)", "a recycled cell is re-armed");
         r2.send(Err(WeaveError::remote("boom")));
-        assert!(t2.wait().is_err());
-        pool.finish(t2);
+        assert!(again.take_until(None).unwrap().unwrap().is_err());
+        pool.finish(again);
+        assert_eq!(pool.pooled(), 1);
     }
 
     #[test]
     fn dropped_reply_wakes_waiter_with_error() {
         let pool = ReplyPool::new();
-        let (ticket, reply) = pool.checkout();
+        let (cell, reply) = pool.checkout();
         drop(reply);
-        let err = ticket.wait().unwrap_err();
+        let err = cell.take_until(None).unwrap().unwrap().unwrap_err();
         assert!(matches!(err, WeaveError::Remote(_)));
     }
 
     #[test]
-    fn deadline_wait_times_out_typed() {
+    fn a_late_reply_after_a_timeout_is_not_recycled() {
         let pool = ReplyPool::new();
-        let (ticket, reply) = pool.checkout();
-        let deadline = Instant::now() + std::time::Duration::from_millis(20);
-        let err = ticket.wait_deadline(Some(deadline), 20).unwrap_err();
-        assert!(matches!(err, WeaveError::Timeout { waited_ms: 20 }));
-        // The slot is abandoned, not finished: a late reply lands in the
-        // orphaned mailbox and the pool never recycles a poisoned slot.
+        let (cell, reply) = pool.checkout();
+        let deadline = Instant::now() + Duration::from_millis(20);
+        assert!(cell.take_until(Some(deadline)).unwrap().is_none());
+        // The reply lands after the caller gave up, before or after it
+        // finishes the cell: either way the stale reply never reaches the
+        // next caller.
         reply.send(Ok(Bytes::copy_from_slice(b"late")));
-        drop(ticket);
+        pool.finish(cell);
+        assert_eq!(pool.pooled(), 0);
+        let (cell, reply) = pool.checkout();
+        assert!(cell.take_until(Some(Instant::now())).unwrap().is_none());
+        pool.finish(cell);
+        reply.send(Ok(Bytes::copy_from_slice(b"later")));
         assert_eq!(pool.pooled(), 0);
     }
 
     #[test]
     fn deadline_wait_returns_early_reply() {
         let pool = ReplyPool::new();
-        let (ticket, reply) = pool.checkout();
+        let (cell, reply) = pool.checkout();
         reply.send(Ok(Bytes::copy_from_slice(b"fast")));
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        assert_eq!(&*ticket.wait_deadline(Some(deadline), 5000).unwrap(), b"fast");
-        pool.finish(ticket);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        assert_eq!(&*cell.take_until(Some(deadline)).unwrap().unwrap().unwrap(), b"fast");
+        pool.finish(cell);
         assert_eq!(pool.pooled(), 1);
     }
 
     #[test]
     fn discarded_reply_stays_silent_until_deadline() {
         let pool = ReplyPool::new();
-        let (ticket, reply) = pool.checkout();
+        let (cell, reply) = pool.checkout();
         reply.discard();
-        // No drop-guard error: the waiter only learns via its deadline.
-        let deadline = Instant::now() + std::time::Duration::from_millis(15);
-        let err = ticket.wait_deadline(Some(deadline), 15).unwrap_err();
-        assert!(matches!(err, WeaveError::Timeout { .. }));
+        // No drop-guard error: the caller only learns via its deadline.
+        let deadline = Instant::now() + Duration::from_millis(15);
+        assert!(cell.take_until(Some(deadline)).unwrap().is_none());
+        pool.finish(cell);
+        assert_eq!(pool.pooled(), 0, "an untaken cell is not recycled");
     }
 }
