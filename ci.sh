@@ -84,6 +84,7 @@ retired="$retired|pub fn (for_method|provenance_split|total_elapsed|summary|meth
 retired="$retired|pub fn (from_handle|is_plugged|pooled|is_inline)[<(]"
 retired="$retired|pub fn (construct_sibling|future_ret|merge|retryable|is_ready)[<(]|pub enum FutureOrNow|Retryable\\(String\\)"
 retired="$retired|ReplySlot|SlotTicket|wait_deadline"
+retired="$retired|SigCache|struct Serving|fn obj_reply|decode_args_id|Request::(Call|Construct|Snapshot|Restore) \\{"
 if grep -rnE "$retired" crates tests examples; then
     echo "a retired two-way path is back (see EXPERIMENTS.md, \"Retired baselines\")"
     exit 1

@@ -20,9 +20,11 @@
 //! keeps the object id (and monitor) that the rest of the aspect stack
 //! works with, while calls are served by the remote instance.
 //!
-//! The call advice is allocation-free in the steady state: method ids are
-//! resolved once per `(class, method)` signature and cached, argument packs
-//! are encoded into pooled frames, and replies are recycled after decoding.
+//! The call advice is allocation-free and takes no lock in the steady state:
+//! a stub's remote reference and the called method's id are found together
+//! in a lock-free cache (`StubCache`), argument packs are encoded into
+//! pooled frames, and the reply, which comes back in the argument frame, is
+//! recycled after decoding.
 //!
 //! [`message_packing_aspect`] is the paper's *communication packing*
 //! optimisation as an unpluggable module: it runs at `OPTIMISATION`
@@ -35,16 +37,16 @@
 //! thread flushes, or on an explicit [`MessagePacker::flush`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use weavepar_weave::aspect::precedence;
 use weavepar_weave::intertype::REMOTE_TAG;
 use weavepar_weave::prelude::*;
-use weavepar_weave::{CallMeter, MetricsRegistry, Signature};
+use weavepar_weave::{CallMeter, ClassId, MetricsRegistry};
 
 use crate::fabric::{InProcFabric, RemoteRef};
 use crate::policy::{lcg_next, CallPolicy};
@@ -95,25 +97,118 @@ impl Policy {
 
 pub use weavepar_weave::intertype::REMOTE_FIELD;
 
-/// Per-aspect `Signature → MethodId` cache. Signatures are `Copy` pairs of
-/// `&'static str`, and an aspect only ever sees the handful its pointcut
-/// matches, so a read-mostly linear scan beats re-hashing two strings per
-/// call.
-#[derive(Default)]
-struct SigCache {
-    resolved: RwLock<Vec<(Signature, MethodId)>>,
+/// What a redirected call looks up before it marshals: the stub's remote
+/// reference (the [`REMOTE_FIELD`] the construct advice set) and the called
+/// method's interned id. Kept per aspect, without a lock: one direct-mapped
+/// seqlock [`Slot`] per `(stub, method name)`, stamped with the intertype
+/// store's [`field_epoch`](weavepar_weave::intertype::IntertypeStore::field_epoch)
+/// it was filled under. A field write since — a migration, a supervisor's
+/// rebuilt worker — moves the epoch, and the slot misses. A miss reads the
+/// field and the registry the locked way and refills the slot; a target
+/// that is not a stub is never cached.
+struct StubCache {
+    slots: Box<[Slot]>,
 }
 
-impl SigCache {
-    fn resolve(&self, marshal: &MarshalRegistry, sig: Signature) -> WeaveResult<MethodId> {
-        for (seen, id) in self.resolved.read().iter() {
-            if *seen == sig {
-                return Ok(*id);
-            }
+/// One cached look-up. `seq` is odd while a writer fills the slot; a reader
+/// trusts what it read only if `seq` read the same, even value before and
+/// after. The method is keyed by where its `&'static str` name lives.
+#[derive(Default)]
+struct Slot {
+    seq: AtomicU64,
+    epoch: AtomicU64,
+    stub: AtomicU64,
+    name: AtomicU64,
+    len: AtomicU64,
+    node: AtomicU64,
+    obj: AtomicU64,
+    /// Class id in the high half, method id in the low half.
+    ids: AtomicU64,
+}
+
+impl StubCache {
+    const SLOTS: usize = 64;
+
+    fn new() -> Self {
+        StubCache { slots: (0..Self::SLOTS).map(|_| Slot::default()).collect() }
+    }
+
+    /// The remote reference and method id of the call in `inv`, or `None`
+    /// when its target is not a stub.
+    fn resolve(
+        &self,
+        inv: &Invocation,
+        marshal: &MarshalRegistry,
+    ) -> WeaveResult<Option<(RemoteRef, MethodId)>> {
+        let stub = inv.target_required()?;
+        let signature = inv.signature();
+        let fields = inv.weaver().intertype();
+        // Read before the field: a write after this read moves the epoch.
+        let epoch = fields.field_epoch();
+        let key = (stub.raw(), signature.method.as_ptr() as u64, signature.method.len() as u64);
+        let mixed = (key.0 ^ key.1.rotate_left(17)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let slot = &self.slots[(mixed >> (64 - Self::SLOTS.trailing_zeros())) as usize];
+        if let Some(hit) = slot.read(epoch, key) {
+            return Ok(Some(hit));
         }
-        let id = marshal.method_id(sig.class, sig.method)?;
-        self.resolved.write().push((sig, id));
-        Ok(id)
+        let Some(remote) = fields.get_field::<RemoteRef>(stub, REMOTE_FIELD) else {
+            return Ok(None);
+        };
+        let method = marshal.method_id(signature.class, signature.method)?;
+        slot.write(epoch, key, remote, method);
+        Ok(Some((remote, method)))
+    }
+}
+
+impl Slot {
+    fn read(&self, epoch: u64, key: (u64, u64, u64)) -> Option<(RemoteRef, MethodId)> {
+        let seq = self.seq.load(Ordering::Acquire);
+        let matches = seq.is_multiple_of(2)
+            && self.epoch.load(Ordering::Relaxed) == epoch
+            && self.stub.load(Ordering::Relaxed) == key.0
+            && self.name.load(Ordering::Relaxed) == key.1
+            && self.len.load(Ordering::Relaxed) == key.2;
+        if !matches {
+            return None;
+        }
+        let (node, obj, ids) = (
+            self.node.load(Ordering::Relaxed),
+            self.obj.load(Ordering::Relaxed),
+            self.ids.load(Ordering::Relaxed),
+        );
+        fence(Ordering::Acquire);
+        (self.seq.load(Ordering::Relaxed) == seq).then(|| {
+            let remote = RemoteRef {
+                node: node as usize,
+                obj: ObjId::from_raw(obj),
+                class: ClassId::from_raw((ids >> 32) as u32),
+            };
+            (remote, MethodId::from_raw(ids as u32))
+        })
+    }
+
+    /// Fill the slot, unless another writer is at it (then this call just
+    /// stays uncached).
+    fn write(&self, epoch: u64, key: (u64, u64, u64), remote: RemoteRef, method: MethodId) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        if !seq.is_multiple_of(2)
+            || self
+                .seq
+                .compare_exchange(seq, seq + 1, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
+        fence(Ordering::Release);
+        self.epoch.store(epoch, Ordering::Relaxed);
+        self.stub.store(key.0, Ordering::Relaxed);
+        self.name.store(key.1, Ordering::Relaxed);
+        self.len.store(key.2, Ordering::Relaxed);
+        self.node.store(remote.node as u64, Ordering::Relaxed);
+        self.obj.store(remote.obj.raw(), Ordering::Relaxed);
+        let ids = (remote.class.raw() as u64) << 32 | method.raw() as u64;
+        self.ids.store(ids, Ordering::Relaxed);
+        self.seq.store(seq + 2, Ordering::Release);
     }
 }
 
@@ -224,7 +319,7 @@ fn distribution_aspect<const NAME_SERVER: bool>(
     } = config;
     let meter = metrics.map(|registry| CallMeter::new(&registry, &name));
     let construct_fabric = fabric.clone();
-    let sig_cache = Arc::new(SigCache::default());
+    let stubs = StubCache::new();
     Aspect::named(name)
         .precedence(precedence::DISTRIBUTION)
         // Server + client side of object creation (modifications 1–3).
@@ -233,14 +328,14 @@ fn distribution_aspect<const NAME_SERVER: bool>(
             // Resolve the constructor id once per registry; encode into a
             // pooled frame before `proceed` consumes the arguments.
             let ctor = fabric.marshal().method_id(class, "new")?;
-            let mut buf = fabric.buffers().take();
-            fabric.marshal().encode_args_id(ctor, inv.args()?, &mut buf)?;
+            let encode = |buf: &mut _| fabric.marshal().encode_args_id(ctor, inv.args()?, buf);
+            let args = fabric.buffers().encode(encode)?;
             let local = inv.proceed()?;
             let local_id = *local
                 .downcast_ref::<ObjId>()
                 .ok_or_else(|| WeaveError::remote("construction did not return an ObjId"))?;
             let node = placement.pick(fabric.node_count());
-            let remote = fabric.construct_on_id(node, ctor, buf.freeze())?;
+            let remote = fabric.construct_on_id(node, ctor, args)?;
             let resolved = if NAME_SERVER {
                 // Figure 14: register under PS<n>, then look it up — the
                 // client only ever holds what the name server handed out.
@@ -258,22 +353,20 @@ fn distribution_aspect<const NAME_SERVER: bool>(
         })
         // Client-side call redirection (modification 4).
         .around(call_pointcut, move |inv: &mut Invocation| {
-            let target = inv.target_required()?;
-            let remote = inv.weaver().intertype().get_field::<RemoteRef>(target, REMOTE_FIELD);
-            let Some(remote) = remote else {
+            let Some((remote, method)) = stubs.resolve(inv, fabric.marshal())? else {
                 // Not a distributed object (plugged after creation, or a
                 // purely local instance): run locally.
                 return inv.proceed();
             };
             let redirected = || {
-                let method = sig_cache.resolve(fabric.marshal(), inv.signature())?;
-                let mut buf = fabric.buffers().take();
-                fabric.marshal().encode_args_id(method, inv.args()?, &mut buf)?;
+                let encode =
+                    |buf: &mut _| fabric.marshal().encode_args_id(method, inv.args()?, buf);
+                let args = fabric.buffers().encode(encode)?;
                 if oneway {
-                    fabric.send(remote, method, buf.freeze())?;
+                    fabric.send(remote, method, args)?;
                     Ok(weavepar_weave::ret!())
                 } else {
-                    let mut reply = fabric.call(remote, method, buf.freeze(), &call_policy)?;
+                    let mut reply = fabric.call(remote, method, args, &call_policy)?;
                     // Decoded in place: recycling does not care how far the
                     // view has advanced, and a second handle costs an `Arc`.
                     let ret = fabric.marshal().decode_ret_id(method, &mut reply);
@@ -437,17 +530,14 @@ pub fn message_packing_aspect(
 ) -> (Aspect, MessagePacker) {
     let packer = MessagePacker::new(fabric.clone(), max_calls, max_age);
     let advice_packer = packer.clone();
-    let sig_cache = Arc::new(SigCache::default());
+    let stubs = StubCache::new();
     let aspect = Aspect::named(name)
         .precedence(precedence::OPTIMISATION)
         .around(call_pointcut, move |inv: &mut Invocation| {
-            let target = inv.target_required()?;
-            let remote = inv.weaver().intertype().get_field::<RemoteRef>(target, REMOTE_FIELD);
-            let Some(remote) = remote else {
+            let Some((remote, method)) = stubs.resolve(inv, advice_packer.fabric.marshal())? else {
                 // Local object: nothing to pack.
                 return inv.proceed();
             };
-            let method = sig_cache.resolve(advice_packer.fabric.marshal(), inv.signature())?;
             advice_packer.buffer(remote.node, remote.obj, method, inv.args()?)?;
             Ok(weavepar_weave::ret!())
         })
@@ -520,6 +610,33 @@ mod tests {
         // And the remote object lives on node 1.
         assert_eq!(f.node(1).unwrap().weaver().space().len(), 1);
         assert_eq!(f.node(0).unwrap().weaver().space().len(), 0);
+    }
+
+    #[test]
+    fn a_cached_stub_look_up_follows_a_rewritten_reference() {
+        let weaver = Weaver::new();
+        let f = fabric(2);
+        let early = DoublerProxy::construct(&weaver, 100).unwrap();
+        weaver.plug(
+            RmiConfig::new("Doubler", Pointcut::call("Doubler.*"), f.clone())
+                .placement(Policy::fixed(0))
+                .aspect("Distribution"),
+        );
+        let d = DoublerProxy::construct(&weaver, 1).unwrap();
+        for x in 0..3 {
+            assert_eq!(d.apply(x).unwrap(), 2 * x + 1, "node 0's instance, then cached");
+        }
+        // An instance on node 1, and the stub's field pointed at it, as a
+        // migration or a supervisor's recovery does.
+        let ctor = f.marshal().encode_args("Doubler", "new", &weavepar_weave::args![10u64]);
+        let moved = f.construct_on(1, "Doubler", ctor.unwrap()).unwrap();
+        weaver.intertype().set_field(d.id(), REMOTE_FIELD, moved);
+        assert_eq!(d.apply(1).unwrap(), 12, "served where the field points now");
+        assert_eq!(d.calls().unwrap(), 1, "the instance on node 1 took one apply");
+        // An object without the field is never taken for a stub.
+        assert_eq!(early.apply(1).unwrap(), 102);
+        let local = weaver.space().with_object::<Doubler, _>(early.id(), |o| o.calls).unwrap();
+        assert_eq!(local, 1);
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //! The per-call fast path is allocation-free in the steady state:
 //! [`InProcFabric::call`] and [`InProcFabric::send`] take an interned
 //! [`MethodId`] (an array index into the registry, not a string lookup), and
-//! encode/decode frames cycle through a shared [`BufPool`]. A replied call to
-//! an idle node is served on the caller's own thread
-//! ([`NodeRuntime::call_inline`]; the rules are in [`node`](crate::node)).
-//! Every other replied request — a call that has to queue, a construct, a
-//! snapshot, a restore — goes through one rendezvous on a pooled reply cell
-//! (the concurrency module's one-shot future), so a middleware hand-off is a
-//! mailbox push or a cell fulfilment and nothing else.
+//! encode/decode frames cycle through a shared [`BufPool`]; a replied call
+//! moves one frame, which carries its arguments there and its reply back. A
+//! replied request — a call, a construct, a snapshot, a restore — to an idle
+//! node is served on the caller's own thread ([`NodeRuntime::call_inline`];
+//! the rules are in [`node`](crate::node)). Every other one goes through one
+//! rendezvous on a pooled reply cell (the concurrency module's one-shot
+//! future), so a middleware hand-off is a mailbox push or a cell fulfilment
+//! and nothing else.
 //! Oneway calls to one node travel packed as one [`Request::CallPack`]
 //! frame — one submit, one wakeup: [`InProcFabric::new_pack`], then
 //! [`PackFrame::push`] per call, then [`InProcFabric::submit_pack`] (what
@@ -31,9 +32,9 @@ use weavepar_weave::{MetricsRegistry, ObjId, WeaveError, WeaveResult, Weaveable}
 
 use crate::faults::{FaultAction, FaultPlan, RequestClass};
 use crate::nameserver::NameServer;
-use crate::node::{NodeRuntime, Request};
+use crate::node::{NodeRuntime, Op, Request};
 use crate::policy::CallPolicy;
-use crate::pool::{BufPool, ReplyCell, ReplyPool, SlotReply};
+use crate::pool::{BufPool, ReplyPool};
 use crate::wire::{ClassId, MarshalRegistry, MethodId, PackFrame, Wire};
 
 /// A reference to an object living on a fabric node. Carries the interned
@@ -69,12 +70,14 @@ struct FabricStats {
     retries: Arc<AtomicU64>,
     /// Reply waits that expired against a policy deadline.
     timeouts: Arc<AtomicU64>,
-    /// Replied calls issued and not yet answered (live gauge).
+    /// Replied requests parked on a reply cell, not yet answered (live
+    /// gauge). Only a queued request can be parked: one served on the
+    /// caller's thread is answered before it could be read.
     in_flight: Arc<AtomicU64>,
 }
 
-/// Decrements the in-flight gauge on drop, so every exit path of a replied
-/// call — reply, route error, timeout, panic — restores the count.
+/// Decrements the in-flight gauge on drop, so every exit path of a parked
+/// request — reply, route error, timeout, panic — restores the count.
 struct InFlightGuard<'a>(&'a AtomicU64);
 
 impl Drop for InFlightGuard<'_> {
@@ -125,8 +128,10 @@ impl InProcFabric {
 
     /// Bind the fabric's live event cells into `registry` under `prefix`:
     /// `{prefix}.calls` / `.served_inline` / `.oneway` / `.packs` /
-    /// `.packed_calls` / `.retries` / `.timeouts` counters, an
-    /// `{prefix}.in_flight` gauge for replied calls not yet answered, and an
+    /// `.packed_calls` / `.retries` / `.timeouts` counters (`calls` and
+    /// `served_inline` count replied calls, not constructs, snapshots or
+    /// restores), an `{prefix}.in_flight` gauge for replied requests parked
+    /// on a reply cell, and an
     /// `{prefix}.reply_slots_pooled` gauge for the reply cells parked in
     /// the pool.
     /// The registry reads the same cells the call paths were already
@@ -141,12 +146,6 @@ impl InProcFabric {
         registry.bind_counter(&format!("{prefix}.timeouts"), self.stats.timeouts.clone());
         registry.bind_gauge(&format!("{prefix}.in_flight"), self.stats.in_flight.clone());
         registry.bind_gauge(&format!("{prefix}.reply_slots_pooled"), self.replies.pooled_cell());
-    }
-
-    /// Register one replied call as in flight; the guard's drop ends it.
-    fn flight(&self) -> InFlightGuard<'_> {
-        self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        InFlightGuard(&self.stats.in_flight)
     }
 
     /// Number of nodes.
@@ -265,9 +264,8 @@ impl InProcFabric {
                 // Only oneway calls are duplicated (a replied call owns its
                 // single reply cell). The duplicate carries the same dedup
                 // key, so a seq-carrying call still executes at most once.
-                if let Request::Call { obj, method, ref args, reply: None, seq } = request {
-                    let dup = Request::Call { obj, method, args: args.clone(), reply: None, seq };
-                    target.submit(dup)?;
+                if let Request::Oneway { obj, method, ref args, seq } = request {
+                    target.submit(Request::Oneway { obj, method, args: args.clone(), seq })?;
                 }
                 target.submit(request)
             }
@@ -287,15 +285,14 @@ impl InProcFabric {
     /// drop guard fails the caller at once.
     fn discard(&self, request: Request) {
         match request {
-            Request::Construct { args, .. } => self.buffers.recycle(args),
-            Request::Call { args, reply, .. } => {
+            Request::Replied { op: Op::Call { args, .. }, reply } => {
                 self.buffers.recycle(args);
-                if let Some(reply) = reply {
-                    reply.discard();
-                }
+                reply.discard();
             }
+            Request::Replied { op: Op::Construct { args, .. }, .. } => self.buffers.recycle(args),
+            Request::Replied { .. } => {}
+            Request::Oneway { args, .. } => self.buffers.recycle(args),
             Request::CallPack { frame } => self.buffers.recycle(frame),
-            Request::Snapshot { .. } | Request::Restore { .. } => {}
         }
     }
 
@@ -322,41 +319,23 @@ impl InProcFabric {
         args: Bytes,
     ) -> WeaveResult<RemoteRef> {
         let class = self.marshal.method_entry(ctor)?.class;
-        let made = self.admin(node, RequestClass::Construct, |reply| Request::Construct {
-            ctor,
-            args,
-            reply,
-        })?;
+        let op = Op::Construct { ctor, args };
+        let made = self.admin(node, RequestClass::Construct, op)?;
         Ok(RemoteRef { node, obj: self.replied_obj(made)?, class })
     }
 
     /// Snapshot a remote object's state (removing it when `remove`).
     pub fn snapshot(&self, reference: RemoteRef, remove: bool) -> WeaveResult<Bytes> {
         let RemoteRef { node, obj, .. } = reference;
-        self.admin(node, RequestClass::Snapshot, |reply| Request::Snapshot { obj, remove, reply })
+        self.admin(node, RequestClass::Snapshot, Op::Snapshot { obj, remove })
     }
 
     /// Rebuild an instance of `class` on `node` from snapshotted state.
     pub fn restore(&self, node: usize, class: &str, state: Bytes) -> WeaveResult<RemoteRef> {
         let class = self.marshal.intern_class(class);
-        let rebuilt = self.admin(node, RequestClass::Restore, |reply| Request::Restore {
-            class,
-            state,
-            reply,
-        })?;
+        let op = Op::Restore { class, state };
+        let rebuilt = self.admin(node, RequestClass::Restore, op)?;
         Ok(RemoteRef { node, obj: self.replied_obj(rebuilt)?, class })
-    }
-
-    /// A construct / snapshot / restore: a replied request with no deadline
-    /// and no retry, never served inline.
-    fn admin(
-        &self,
-        node: usize,
-        class: RequestClass,
-        request: impl FnOnce(SlotReply) -> Request,
-    ) -> WeaveResult<Bytes> {
-        let (cell, reply) = self.replies.checkout();
-        self.rendezvous(node, self.decide(class, node), request(reply), cell, None)
     }
 
     /// The object id a construct or restore answered with.
@@ -404,7 +383,8 @@ impl InProcFabric {
     ///   whose original delivery actually executed is answered from the
     ///   node's at-most-once window;
     /// * an unfaulted attempt with no deadline is first tried on this thread
-    ///   (node idle), one with a deadline always queues;
+    ///   (node idle), one with a deadline always queues, and only a queued
+    ///   one moves the in-flight gauge;
     /// * the last attempt the policy allows gives `args` away instead of
     ///   cloning it, so the serving side can reclaim the frame.
     pub fn call(
@@ -415,7 +395,6 @@ impl InProcFabric {
         policy: &CallPolicy,
     ) -> WeaveResult<Bytes> {
         self.stats.calls.fetch_add(1, Ordering::Relaxed);
-        let _flight = self.flight();
         let seq = self.dedup_key(policy.retries > 0);
         // Jitter stream: policy seed mixed with the call's dedup key, so
         // concurrent calls de-synchronise but a given (seed, call) replays.
@@ -447,56 +426,73 @@ impl InProcFabric {
         self.route(
             reference.node,
             RequestClass::Oneway,
-            Request::Call { obj: reference.obj, method, args, reply: None, seq },
+            Request::Oneway { obj: reference.obj, method, args, seq },
         )
     }
 
-    /// One delivery attempt of a replied call. The fault plan decides
-    /// first, once. An unfaulted call without a deadline is served on this
-    /// thread if the node is idle; everything else checks out a reply cell,
-    /// queues the request and parks, up to `deadline`.
+    /// One delivery attempt of a replied call.
     fn replied_attempt(
         &self,
         reference: RemoteRef,
         method: MethodId,
-        mut args: Bytes,
+        args: Bytes,
         seq: Option<u64>,
         deadline: Option<Duration>,
     ) -> WeaveResult<Bytes> {
         let RemoteRef { node, obj, .. } = reference;
-        let target = self.node(node)?;
         let fault = self.decide(RequestClass::Call, node);
-        if fault.is_none() && deadline.is_none() {
-            match target.call_inline(obj, method, args, seq) {
-                Ok(result) => {
-                    self.stats.served_inline.fetch_add(1, Ordering::Relaxed);
-                    return result;
-                }
-                Err(back) => args = back,
+        match self.inline(node, fault, Op::Call { obj, method, args, seq }, deadline) {
+            Ok(result) => {
+                self.stats.served_inline.fetch_add(1, Ordering::Relaxed);
+                result
             }
+            Err(op) => self.rendezvous(node, fault, op, deadline),
         }
-        let (cell, reply) = self.replies.checkout();
-        let request = Request::Call { obj, method, args, reply: Some(reply), seq };
-        self.rendezvous(node, fault, request, cell, deadline)
     }
 
-    /// The one reply rendezvous: deliver `request`, which carries the
-    /// serving half of `cell`, under the fault decision taken for it, and
-    /// take the reply once it is there or until `deadline` passes. The take
-    /// blocks, even on a pool worker. Kept out of line and non-generic: the
-    /// inline-served half of a call never gets here.
+    /// A construct / snapshot / restore: a replied request with no deadline
+    /// and no retry, served like a call.
+    fn admin(&self, node: usize, class: RequestClass, op: Op) -> WeaveResult<Bytes> {
+        let fault = self.decide(class, node);
+        self.inline(node, fault, op, None)
+            .unwrap_or_else(|op| self.rendezvous(node, fault, op, None))
+    }
+
+    /// Serve `op` on this thread if it may be — no fault decision taken for
+    /// it, no deadline — and its node is idle; else hand it back for the
+    /// rendezvous.
+    fn inline(
+        &self,
+        node: usize,
+        fault: Option<FaultAction>,
+        op: Op,
+        deadline: Option<Duration>,
+    ) -> Result<WeaveResult<Bytes>, Op> {
+        match (fault, deadline, self.nodes.get(node)) {
+            (None, None, Some(target)) => target.call_inline(op),
+            _ => Err(op),
+        }
+    }
+
+    /// The one reply rendezvous: check out a reply cell, deliver `op` with
+    /// its serving half under the fault decision taken for it, and take the
+    /// reply once it is there or until `deadline` passes. The take blocks,
+    /// even on a pool worker. Kept out of line and non-generic: the
+    /// inline-served half of a request never gets here.
     #[inline(never)]
     fn rendezvous(
         &self,
         node: usize,
         fault: Option<FaultAction>,
-        request: Request,
-        cell: ReplyCell,
+        op: Op,
         deadline: Option<Duration>,
     ) -> WeaveResult<Bytes> {
+        self.stats.in_flight.fetch_add(1, Ordering::Relaxed);
+        let _parked = InFlightGuard(&self.stats.in_flight);
+        let (cell, reply) = self.replies.checkout();
         // A request refused at the door died with its reply half, whose
         // drop guard fulfilled the cell: the route's typed error is the answer.
-        let result = self.deliver(node, fault, request).and_then(|()| {
+        let result = self.deliver(node, fault, Request::Replied { op, reply }).and_then(|()| {
             let waited_ms = deadline.map_or(0, |after| after.as_millis() as u64);
             cell.take_until(deadline.map(|after| Instant::now() + after))?
                 .unwrap_or(Err(WeaveError::Timeout { waited_ms }))
@@ -560,6 +556,22 @@ mod tests {
         }
     }
 
+    /// Remembers whether it was built on a node thread.
+    struct Where {
+        on_node: bool,
+    }
+
+    weavepar_weave::weaveable! {
+        class Where as WhereProxy {
+            fn new() -> Self { Where { on_node: crate::fabric::tests::on_node_thread() } }
+            fn built_on_node(&mut self) -> u64 { self.on_node as u64 }
+        }
+    }
+
+    fn on_node_thread() -> bool {
+        std::thread::current().name().is_some_and(|n| n.starts_with("node-"))
+    }
+
     /// A class whose constructor panics on the serving node.
     struct Fragile;
 
@@ -578,6 +590,9 @@ mod tests {
         m.register::<(), ()>("Fragile", "new");
         m.register::<(), ()>("Probe", "new");
         m.register::<(u64,), u64>("Probe", "hold");
+        m.register::<(), u64>("Probe", "explode");
+        m.register::<(), ()>("Where", "new");
+        m.register::<(), u64>("Where", "built_on_node");
         // An `Echo`'s state is its tag; the codec chokes on two of them.
         m.register_state::<Echo, String, _, _>(
             |echo| {
@@ -593,6 +608,7 @@ mod tests {
         f.register_class::<Echo>();
         f.register_class::<Fragile>();
         f.register_class::<Probe>();
+        f.register_class::<Where>();
         f
     }
 
@@ -830,8 +846,12 @@ mod tests {
                         }
                         Panics => assert!(said("node 1: served call panicked"), "{err}"),
                     }
-                    if matches!(mishap, Dropped | Panics) {
-                        assert_eq!(f.replies.pooled(), pooled, "an answered cell comes back");
+                    match mishap {
+                        // Queued: its cell, answered, comes back to the pool.
+                        Dropped => assert_eq!(f.replies.pooled(), pooled.max(1), "cell lost"),
+                        // Unfaulted, node idle: served inline, with no cell.
+                        Panics => assert_eq!(f.replies.pooled(), pooled, "a cell was used"),
+                        Crashed | Killed => {}
                     }
                     if mishap != Dropped {
                         assert!(f.node(1).unwrap().is_down());
@@ -845,6 +865,115 @@ mod tests {
                 });
             }
         }
+    }
+
+    #[test]
+    fn a_construct_is_served_inline_on_an_idle_node_and_queued_behind_a_held_token() {
+        watchdog("inline construct", || {
+            let f = fabric();
+            let registry = MetricsRegistry::new();
+            f.install_metrics(&registry, "fabric");
+            let built_on_node = |r: RemoteRef| {
+                let id = f.marshal().method_id("Where", "built_on_node").unwrap();
+                let args = f.marshal().encode_args("Where", "built_on_node", &args![]).unwrap();
+                let reply = f.call(r, id, args, &CallPolicy::unbounded()).unwrap();
+                *f.marshal()
+                    .decode_ret("Where", "built_on_node", &reply)
+                    .unwrap()
+                    .downcast::<u64>()
+                    .unwrap()
+            };
+            let no_args = || f.marshal().encode_args("Where", "new", &args![]).unwrap();
+            // Nothing has reached node 1 yet: the token is in its mailbox.
+            let here = f.construct_on(1, "Where", no_args()).unwrap();
+            assert_eq!(f.replies.pooled(), 0, "no reply cell was checked out");
+            assert_eq!(built_on_node(here), 0, "built on the caller's thread");
+            assert_eq!(counters(&registry), (1, 1), "served_inline counts calls, not constructs");
+
+            // The node thread holds the token inside `hold`: a construct queues.
+            let ctor = f.marshal().encode_args("Probe", "new", &args![]).unwrap();
+            let probe = f.construct_on(1, "Probe", ctor).unwrap();
+            let held = latch();
+            let args = f.marshal().encode_args("Probe", "hold", &args![held.key]).unwrap();
+            f.send(probe, f.marshal().method_id("Probe", "hold").unwrap(), args).unwrap();
+            held.entered.recv().unwrap();
+            let queued = std::thread::scope(|s| {
+                let waiting = s.spawn(|| f.construct_on(1, "Where", no_args()).unwrap());
+                while f.node(1).unwrap().queued() == 0 {
+                    std::thread::yield_now();
+                }
+                held.release.send(()).unwrap();
+                waiting.join().unwrap()
+            });
+            assert_eq!(built_on_node(queued), 1, "built on the node thread");
+        });
+    }
+
+    #[test]
+    fn a_storm_of_calls_pools_each_frame_once() {
+        use crate::pool::CAP;
+
+        watchdog("frame accounting", || {
+            let f = fabric();
+            let echoes: Vec<RemoteRef> = (0..2)
+                .map(|node| {
+                    let ctor = f.marshal().encode_args("Echo", "new", &args!["s".to_string()]);
+                    f.construct_on(node, "Echo", ctor.unwrap()).unwrap()
+                })
+                .collect();
+            let shout = f.marshal().method_id("Echo", "shout").unwrap();
+            let patient = CallPolicy::with_deadline(Duration::from_secs(60));
+            let ghost = |r: RemoteRef| RemoteRef { obj: ObjId::from_raw(404), ..r };
+            // Four callers, each mixing calls served inline, queued calls and
+            // calls whose method errs, both ways; replies are recycled as
+            // the RMI advice recycles them.
+            std::thread::scope(|s| {
+                for t in 0..4 {
+                    let (f, echoes, patient) = (&f, &echoes, &patient);
+                    s.spawn(move || {
+                        for i in 0..200 {
+                            let r = echoes[(t + i) % 2];
+                            let policy =
+                                if i % 3 == 0 { patient } else { &CallPolicy::unbounded() };
+                            let target = if i % 7 == 0 { ghost(r) } else { r };
+                            match f.call(target, shout, shout_args(f, "x"), policy) {
+                                Ok(reply) => f.buffers().recycle(reply),
+                                Err(err) => assert!(i % 7 == 0, "{err}"),
+                            }
+                        }
+                    });
+                }
+            });
+            // A deadline call answered after its caller gave up.
+            let ctor = f.marshal().encode_args("Probe", "new", &args![]).unwrap();
+            let probe = f.construct_on(0, "Probe", ctor).unwrap();
+            let held = latch();
+            let args = f.marshal().encode_args("Probe", "hold", &args![held.key]).unwrap();
+            let hold = f.marshal().method_id("Probe", "hold").unwrap();
+            let hasty = CallPolicy::with_deadline(Duration::from_millis(20));
+            let late = std::thread::scope(|s| {
+                let caller = s.spawn(|| f.call(probe, hold, args, &hasty));
+                held.entered.recv().unwrap();
+                let late = caller.join().unwrap();
+                held.release.send(()).unwrap();
+                late
+            });
+            assert!(matches!(late, Err(WeaveError::Timeout { .. })), "{late:?}");
+            // A body that panics: contained, node 2 marked down.
+            let ctor = f.marshal().encode_args("Probe", "new", &args![]).unwrap();
+            let doomed = f.construct_on(2, "Probe", ctor).unwrap();
+            let explode = f.marshal().method_id("Probe", "explode").unwrap();
+            let args = f.marshal().encode_args("Probe", "explode", &args![]).unwrap();
+            assert!(f.call(doomed, explode, args, &CallPolicy::unbounded()).is_err());
+            assert!(f.node(2).unwrap().is_down());
+            // Node 0 has answered the late reply once this queued call returns.
+            f.call(echoes[0], shout, shout_args(&f, "y"), &patient).unwrap();
+
+            let pooled = f.buffers().pooled();
+            assert!(pooled > 0, "frames came back to the pool");
+            assert!(f.buffers().all_unshared(), "two pooled frames share an allocation");
+            assert!(pooled <= CAP);
+        });
     }
 
     #[test]

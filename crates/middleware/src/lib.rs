@@ -18,7 +18,7 @@
 //!   a serve token and one thread, with its own
 //!   [`Weaver`](weavepar_weave::Weaver) and object space, serving
 //!   construct/call requests (the MPP receive loop of Figure 15); a replied
-//!   call to an idle node is served on the caller's thread;
+//!   request to an idle node is served on the caller's thread;
 //! * [`fabric`] — an [`InProcFabric`] wiring N nodes together in-process;
 //! * [`aspects`] — the pluggable distribution aspects, built through
 //!   [`RmiConfig`](aspects::RmiConfig) (name-server lookup + synchronous

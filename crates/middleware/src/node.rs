@@ -5,25 +5,29 @@
 //! local object — generalised to serve constructions and arbitrary method
 //! calls for any registered class.
 //!
-//! The mailbox is one mutex over the request queue and the node's
-//! `Server` (`server.rs`: weaver, codecs, dedup window, everything serving
-//! needs), plus a condvar. The `Server` is the **serve token**: whoever takes it out of
-//! the mailbox serves until it puts it back. The `node-N` thread takes it
-//! with the request it pops and drains the queue; a caller of a replied call
-//! that finds the node idle takes it instead ([`NodeRuntime::call_inline`])
-//! and runs `Server::replied_call`, the function the node thread runs, on
-//! its own thread: no hand-off, no reply rendezvous (Bershad et al.,
-//! "Lightweight Remote Procedure Call"). The rules:
+//! The mailbox is a mutex over the request queue, plus a condvar, and the
+//! node's `Server` (`server.rs`: weaver, codecs, dedup window, everything
+//! serving needs) under a mutex of its own. That second mutex is the **serve
+//! token**: whoever holds it serves. The `node-N` thread takes it once
+//! requests are queued, waiting for it if need be, and drains the queue; a
+//! caller of a replied request that finds the node idle takes it instead
+//! with one `try_lock` ([`NodeRuntime::call_inline`]) and runs
+//! `Server::replied_call`, the function the node thread runs, on its own
+//! thread: no hand-off, no reply rendezvous (Bershad et al., "Lightweight
+//! Remote Procedure Call"). Giving it back is the unlock, which wakes the
+//! node thread if it waits for the token. The rules:
 //!
 //! * **Per-sender FIFO.** The token is only taken inline while the queue is
-//!   empty, and the node thread pops only while it holds the token, so a
-//!   caller's earlier oneway calls and packs run before its replied call.
+//!   empty (a flag mirrors it outside the queue's lock), and the node thread
+//!   pops only while it holds the token, so a caller's earlier oneway calls
+//!   and packs run before its replied request.
 //! * **Faults first.** The fabric takes a fault plan's decision once per
 //!   attempt, before delivery; only an unfaulted delivery is served inline,
 //!   and its dedup key travels with it (both paths share one window).
 //! * **Deadlines queue.** A thread cannot time out of its own stack, so a
-//!   call with a deadline is never served inline. Neither are oneway calls,
-//!   packs and construct / snapshot / restore.
+//!   call with a deadline is never served inline. Neither are oneway calls
+//!   and packs. A construct, snapshot or restore has no deadline and is
+//!   served inline like a call.
 //! * **Clean context.** An inline call runs with the caller's weaving
 //!   context and batch scopes set aside. Object monitors belong to threads
 //!   and stay, and the token counts as one more (`object::monitors_held`):
@@ -38,10 +42,11 @@
 //! Requests carry interned [`MethodId`]/[`ClassId`] handles, not strings:
 //! resolving the codec on the serving side is an array index, and the method
 //! *name* needed for dispatch comes from the registry's `Arc<str>` boundary
-//! copy. Replies are encoded into frames drawn from a shared [`BufPool`],
-//! and a [`Request::CallPack`] frame executes many oneway calls from one
-//! queue wakeup with no intermediate allocation (the pack's argument views
-//! are zero-copy slices of the frame).
+//! copy. A reply is encoded into its request's argument frame, or into one
+//! drawn from a shared [`BufPool`] when the request has none, and a
+//! [`Request::CallPack`] frame executes many oneway calls from one queue
+//! wakeup with no intermediate allocation (the pack's argument views are
+//! zero-copy slices of the frame).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -60,52 +65,24 @@ use crate::wire::{ClassId, MarshalRegistry, MethodId};
 /// A request arriving at a node. A reply travels as bytes through a pooled
 /// reply cell; an object id is its 8 [`Wire`](crate::wire::Wire) bytes.
 pub enum Request {
-    /// Create an instance from marshalled constructor arguments. `ctor` is
-    /// the interned id of the class's `"new"` method — it names both the
-    /// class and the argument codec.
-    Construct {
-        /// Interned id of `Class.new`.
-        ctor: MethodId,
-        /// Marshalled constructor arguments.
-        args: Bytes,
-        /// Serving half of the reply cell for the new object's id.
+    /// An operation whose answer goes back through a reply cell.
+    Replied {
+        /// What to serve.
+        op: Op,
+        /// Serving half of the reply cell for the marshalled answer.
         reply: SlotReply,
     },
-    /// Snapshot (and optionally remove) an object's state for migration.
-    Snapshot {
-        /// Object to snapshot.
-        obj: ObjId,
-        /// Remove the object after snapshotting (move semantics).
-        remove: bool,
-        /// Serving half of the reply cell for the marshalled state.
-        reply: SlotReply,
-    },
-    /// Rebuild an instance of `class` from snapshotted state.
-    Restore {
-        /// Interned class id (must have a registered state codec).
-        class: ClassId,
-        /// Marshalled state.
-        state: Bytes,
-        /// Serving half of the reply cell for the new object's id.
-        reply: SlotReply,
-    },
-    /// Invoke `method` on object `obj` with marshalled arguments.
-    Call {
+    /// Invoke `method` on object `obj` with marshalled arguments, with no
+    /// reply (MPP-style send).
+    Oneway {
         /// Target object on this node.
         obj: ObjId,
         /// Interned method id.
         method: MethodId,
         /// Marshalled arguments.
         args: Bytes,
-        /// Serving half of the reply cell for the marshalled return value;
-        /// `None` makes the
-        /// call oneway (MPP-style send).
-        reply: Option<SlotReply>,
-        /// At-most-once dedup key: a retried or duplicated delivery carrying
-        /// a `seq` already in the node's dedup window is never executed
-        /// again — replied duplicates get the cached reply, oneway
-        /// duplicates are dropped. `None` (the default fast path) skips the
-        /// window entirely.
+        /// At-most-once dedup key, as for [`Op::Call`]: a duplicate
+        /// delivery is dropped.
         seq: Option<u64>,
     },
     /// A framed pack of oneway calls (see
@@ -117,16 +94,57 @@ pub enum Request {
     },
 }
 
+/// What a replied request asks of a node. One function serves each, queued
+/// or on an idle node's caller (`Server::replied_call`).
+pub enum Op {
+    /// Invoke `method` on object `obj`; the reply is the marshalled return
+    /// value, written into the argument frame.
+    Call {
+        /// Target object on this node.
+        obj: ObjId,
+        /// Interned method id.
+        method: MethodId,
+        /// Marshalled arguments.
+        args: Bytes,
+        /// At-most-once dedup key: a retried or duplicated delivery carrying
+        /// a `seq` already in the node's dedup window is never executed
+        /// again — it gets the cached reply. `None` (the default fast path)
+        /// skips the window entirely.
+        seq: Option<u64>,
+    },
+    /// Create an instance from marshalled constructor arguments; the reply
+    /// is the new object's id. `ctor` is the interned id of the class's
+    /// `"new"` method — it names both the class and the argument codec.
+    Construct {
+        /// Interned id of `Class.new`.
+        ctor: MethodId,
+        /// Marshalled constructor arguments.
+        args: Bytes,
+    },
+    /// Snapshot (and optionally remove) an object's state for migration;
+    /// the reply is the marshalled state.
+    Snapshot {
+        /// Object to snapshot.
+        obj: ObjId,
+        /// Remove the object after snapshotting (move semantics).
+        remove: bool,
+    },
+    /// Rebuild an instance of `class` from snapshotted state; the reply is
+    /// the new object's id.
+    Restore {
+        /// Interned class id (must have a registered state codec).
+        class: ClassId,
+        /// Marshalled state.
+        state: Bytes,
+    },
+}
+
 impl Request {
     /// Fail the request's reply path with `err`; oneway requests are
     /// silently dropped (they have nowhere to report to).
     pub(crate) fn fail(self, err: WeaveError) {
-        match self {
-            Request::Construct { reply, .. }
-            | Request::Snapshot { reply, .. }
-            | Request::Restore { reply, .. }
-            | Request::Call { reply: Some(reply), .. } => reply.send(Err(err)),
-            Request::Call { reply: None, .. } | Request::CallPack { .. } => {}
+        if let Request::Replied { reply, .. } = self {
+            reply.send(Err(err));
         }
     }
 }
@@ -134,8 +152,6 @@ impl Request {
 /// What the mailbox's mutex guards.
 struct State {
     queue: VecDeque<Request>,
-    /// The serve token; `None` while someone is serving.
-    server: Option<Box<Server>>,
     /// Killed or dropped: nothing more is accepted, and the node thread
     /// exits once the queue is drained.
     closed: bool,
@@ -148,21 +164,24 @@ struct State {
 pub(crate) struct Mailbox {
     state: Mutex<State>,
     ready: Condvar,
+    /// `state.queue` is not empty: what an inline caller checks instead of
+    /// taking the queue's lock. Written under that lock.
+    backlog: AtomicBool,
+    /// The serve token.
+    server: Mutex<Server>,
 }
 
 impl Mailbox {
-    /// Enqueue `request`, or hand it back when the mailbox is closed. While
-    /// an inline caller holds the token the node thread could not act on
-    /// it; that caller's [`Serving`] does the waking.
+    /// Enqueue `request`, or hand it back when the mailbox is closed. If an
+    /// inline caller holds the token, the woken node thread waits for it.
     pub(crate) fn push(&self, request: Request) -> Result<(), Request> {
         let mut state = self.state.lock();
         if state.closed {
             return Err(request);
         }
         state.queue.push_back(request);
-        if state.server.is_some() {
-            self.wake(state);
-        }
+        self.backlog.store(true, Ordering::Release);
+        self.wake(state);
         Ok(())
     }
 
@@ -182,45 +201,31 @@ impl Mailbox {
         }
     }
 
-    /// The `node-N` thread: whenever the token is in the mailbox and
-    /// requests are queued, take both and serve until the queue is empty.
+    /// The `node-N` thread: whenever requests are queued, take the token
+    /// and serve until the queue is empty.
     fn serve(&self) {
         let mut state = self.state.lock();
         loop {
-            if state.server.is_some() && !state.queue.is_empty() {
-                let mut server = state.server.take().expect("checked above");
+            if !state.queue.is_empty() {
+                // Token before queue, as an inline caller that queues a
+                // nested request takes them; only this thread pops.
+                drop(state);
+                let mut server = self.server.lock();
+                state = self.state.lock();
                 // Popping only with the token in hand keeps per-sender FIFO
                 // against callers that serve themselves.
                 while let Some(request) = state.queue.pop_front() {
+                    self.backlog.store(!state.queue.is_empty(), Ordering::Release);
                     drop(state);
                     server.handle(request);
                     state = self.state.lock();
                 }
-                state.server = Some(server);
-            } else if state.closed && state.queue.is_empty() {
+            } else if state.closed {
                 return;
             } else {
                 state.parked = true;
                 self.ready.wait(&mut state);
             }
-        }
-    }
-}
-
-/// The serve token in an inline caller's hands. Dropping it, on return or
-/// on unwind, puts it back and wakes the node thread for whatever queued up
-/// behind the call.
-struct Serving<'a> {
-    mailbox: &'a Mailbox,
-    server: Option<Box<Server>>,
-}
-
-impl Drop for Serving<'_> {
-    fn drop(&mut self) {
-        let mut state = self.mailbox.state.lock();
-        state.server = self.server.take();
-        if !state.queue.is_empty() || state.closed {
-            self.mailbox.wake(state);
         }
     }
 }
@@ -247,7 +252,7 @@ impl NodeRuntime {
         let weaver = Weaver::new();
         let woven = Arc::new(AtomicBool::new(false));
         let down = Arc::new(AtomicBool::new(false));
-        let server = Box::new(Server {
+        let server = Server {
             id,
             weaver: weaver.clone(),
             marshal,
@@ -255,15 +260,12 @@ impl NodeRuntime {
             down: down.clone(),
             pool,
             dedup: DedupWindow::new(4096),
-        });
+        };
         let mailbox = Arc::new(Mailbox {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                server: Some(server),
-                closed: false,
-                parked: false,
-            }),
+            state: Mutex::new(State { queue: VecDeque::new(), closed: false, parked: false }),
             ready: Condvar::new(),
+            backlog: AtomicBool::new(false),
+            server: Mutex::new(server),
         });
         let served = mailbox.clone();
         let handle = std::thread::Builder::new()
@@ -327,27 +329,21 @@ impl NodeRuntime {
         self.mailbox.push(request).map_err(|_| WeaveError::NodeDown { node: self.id })
     }
 
-    /// Serve one replied call on the calling thread if the node is idle
-    /// (up, nothing queued, token in the mailbox); `Err` hands the arguments
-    /// back for [`NodeRuntime::submit`]. The call sees none of the caller's
+    /// Serve one replied request on the calling thread if the node is idle
+    /// (up, nothing queued, token in the mailbox); `Err` hands the operation
+    /// back for [`NodeRuntime::submit`]. It sees none of the caller's
     /// weaving context or batch scopes, exactly as on the node thread.
-    pub fn call_inline(
-        &self,
-        obj: ObjId,
-        method: MethodId,
-        args: Bytes,
-        seq: Option<u64>,
-    ) -> Result<WeaveResult<Bytes>, Bytes> {
-        let mut state = self.mailbox.state.lock();
-        if self.is_down() || state.closed || !state.queue.is_empty() || state.server.is_none() {
-            return Err(args);
+    ///
+    /// Down is checked, not closed: a mailbox is closed only by a kill,
+    /// which marks the node down first, or by the runtime's drop.
+    pub fn call_inline(&self, op: Op) -> Result<WeaveResult<Bytes>, Op> {
+        if self.is_down() || self.mailbox.backlog.load(Ordering::Acquire) {
+            return Err(op);
         }
-        let mut serving = Serving { mailbox: &self.mailbox, server: state.server.take() };
-        drop(state);
+        let Some(mut server) = self.mailbox.server.try_lock() else { return Err(op) };
         let _fresh = weavepar_concurrency::batch::set_aside();
         let _token = weavepar_weave::object::Held::new();
-        let server = serving.server.as_mut().expect("held until drop");
-        Ok(server.replied_call(obj, method, args, seq))
+        Ok(server.replied_call(op))
     }
 
     /// Requests queued and not yet popped: what a test waits on, not a sleep.
@@ -500,9 +496,10 @@ pub(crate) mod tests {
     ) -> WR<(u64, bool)> {
         let id = m.method_id(class, method)?;
         let args = m.encode_args(class, method, &args)?;
-        let (ret, inline) = match node.call_inline(obj, id, args, seq) {
+        let (ret, inline) = match node.call_inline(Op::Call { obj, method: id, args, seq }) {
             Ok(result) => (result?, true),
-            Err(args) => (queued(node, obj, id, args, seq)?.take()??, false),
+            Err(Op::Call { args, .. }) => (queued(node, obj, id, args, seq)?.take()??, false),
+            Err(_) => unreachable!("the call comes back"),
         };
         Ok((*m.decode_ret(class, method, &ret)?.downcast::<u64>().unwrap(), inline))
     }
@@ -517,7 +514,7 @@ pub(crate) mod tests {
         seq: Option<u64>,
     ) -> WR<ReplyCell> {
         let (cell, reply) = ReplyPool::new().checkout();
-        node.submit(Request::Call { obj, method, args, reply: Some(reply), seq })?;
+        node.submit(Request::Replied { op: Op::Call { obj, method, args, seq }, reply })?;
         Ok(cell)
     }
 
@@ -530,7 +527,8 @@ pub(crate) mod tests {
 
     fn construct(node: &NodeRuntime, m: &MarshalRegistry, class: &str, args: Bytes) -> WR<ObjId> {
         let (cell, reply) = ReplyPool::new().checkout();
-        node.submit(Request::Construct { ctor: m.method_id(class, "new")?, args, reply })?;
+        let ctor = m.method_id(class, "new")?;
+        node.submit(Request::Replied { op: Op::Construct { ctor, args }, reply })?;
         ObjId::decode(&mut cell.take()??)
     }
 
@@ -560,14 +558,8 @@ pub(crate) mod tests {
         let obj = construct_adder(&node, &m, 0).unwrap();
         let add = m.method_id("Adder", "add").unwrap();
         for _ in 0..3 {
-            node.submit(Request::Call {
-                obj,
-                method: add,
-                args: add_args(&m, 1),
-                reply: None,
-                seq: None,
-            })
-            .unwrap();
+            node.submit(Request::Oneway { obj, method: add, args: add_args(&m, 1), seq: None })
+                .unwrap();
         }
         // Synchronise via a replied call.
         assert_eq!(queued_add(&node, &m, obj, 0).unwrap(), 3);
@@ -620,7 +612,8 @@ pub(crate) mod tests {
         assert!(matches!(err, weavepar_weave::WeaveError::NodeDown { node: 0 }));
         // Nor is anything served inline after the kill.
         let add = m.method_id("Adder", "add").unwrap();
-        assert!(node.call_inline(obj, add, add_args(&m, 1), None).is_err());
+        let args = add_args(&m, 1);
+        assert!(node.call_inline(Op::Call { obj, method: add, args, seq: None }).is_err());
     }
 
     #[test]
@@ -629,11 +622,10 @@ pub(crate) mod tests {
         let (node, adder, probe) = probed_node(&m);
         // Occupy the serve loop with a blocking oneway call...
         let held = latch();
-        node.submit(Request::Call {
+        node.submit(Request::Oneway {
             obj: probe,
             method: m.method_id("Probe", "hold").unwrap(),
             args: m.encode_args("Probe", "hold", &weavepar_weave::args![held.key]).unwrap(),
-            reply: None,
             seq: None,
         })
         .unwrap();
@@ -661,7 +653,8 @@ pub(crate) mod tests {
             let args = m.encode_args("Adder", "new", &weavepar_weave::args![1u64]).unwrap();
             // A delayed delivery holds the mailbox, not the runtime, and finds
             // it closed: the request comes back, and dropping it answers.
-            let refused = node.mailbox().push(Request::Construct { ctor, args, reply });
+            let refused =
+                node.mailbox().push(Request::Replied { op: Op::Construct { ctor, args }, reply });
             drop(refused.expect_err("a closed mailbox hands the request back"));
             assert!(matches!(cell.take().unwrap(), Err(WeaveError::Remote(_))));
             pool.finish(cell);
@@ -756,14 +749,8 @@ pub(crate) mod tests {
         let add = m.method_id("Adder", "add").unwrap();
         // Same seq delivered twice as a oneway: the add executes once.
         for _ in 0..2 {
-            node.submit(Request::Call {
-                obj,
-                method: add,
-                args: add_args(&m, 5),
-                reply: None,
-                seq: Some(7),
-            })
-            .unwrap();
+            node.submit(Request::Oneway { obj, method: add, args: add_args(&m, 5), seq: Some(7) })
+                .unwrap();
         }
         // A replied call duplicated under one seq: executed once, the second
         // delivery answered from the cached reply.
@@ -808,21 +795,16 @@ pub(crate) mod tests {
             let held = latch();
             let hold = m.method_id("Probe", "hold").unwrap();
             let args = m.encode_args("Probe", "hold", &weavepar_weave::args![held.key]).unwrap();
-            node.submit(Request::Call { obj: probe, method: hold, args, reply: None, seq: None })
-                .unwrap();
+            node.submit(Request::Oneway { obj: probe, method: hold, args, seq: None }).unwrap();
             held.entered.recv().unwrap();
             let add = m.method_id("Adder", "add").unwrap();
-            assert!(node.call_inline(adder, add, add_args(&m, 1), None).is_err());
+            let args = add_args(&m, 1);
+            assert!(node
+                .call_inline(Op::Call { obj: adder, method: add, args, seq: None })
+                .is_err());
             for _ in 0..100 {
                 let args = add_args(&m, 1);
-                node.submit(Request::Call {
-                    obj: adder,
-                    method: add,
-                    args,
-                    reply: None,
-                    seq: None,
-                })
-                .unwrap();
+                node.submit(Request::Oneway { obj: adder, method: add, args, seq: None }).unwrap();
             }
             let pending = queued(
                 &node,
@@ -871,11 +853,12 @@ pub(crate) mod tests {
                     // The node thread survives and answers.
                     queued(&node, probe, explode, no_args(), None).unwrap().take().unwrap()
                 } else {
-                    let mut args = no_args();
+                    let mut op =
+                        Op::Call { obj: probe, method: explode, args: no_args(), seq: None };
                     loop {
-                        match node.call_inline(probe, explode, args, None) {
+                        match node.call_inline(op) {
                             Ok(result) => break result,
-                            Err(back) => args = back,
+                            Err(back) => op = back,
                         }
                     }
                 };

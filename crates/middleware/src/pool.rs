@@ -2,14 +2,19 @@
 //!
 //! Two recyclers back the zero-allocation contract:
 //!
-//! * [`BufPool`] — one locked stack of [`BytesMut`] frames. Encode paths
-//!   `take` a cleared frame (keeping a previous call's capacity), and
-//!   decode/reply paths hand frames back with `give` or reclaim frozen
-//!   [`Bytes`] whose refcount has dropped to one with `recycle`.
+//! * [`BufPool`] — one locked stack of frozen frames, each the only handle
+//!   on its storage. An encode path takes a cleared frame (keeping a
+//!   previous call's capacity) or has one written in place
+//!   ([`BufPool::encode`]), and decode paths hand frames back with
+//!   `recycle`, which keeps only unshared ones. A replied call moves one
+//!   frame: the caller encodes into it, the serving side writes its reply
+//!   over it once it has decoded it ([`Bytes::rewrite`]), and the caller
+//!   recycles it. That is one uniqueness check on each side, where turning a
+//!   frame into a builder and back costs two.
 //!
 //! * [`ReplyPool`] — the cells of the fabric's one reply rendezvous, for
 //!   every replied request that has to queue: a call, a construct, a
-//!   snapshot, a restore (a call served on the caller's thread needs none).
+//!   snapshot, a restore (one served on the caller's thread needs none).
 //!   A [`ReplyCell`] is the concurrency module's one-shot future: a caller
 //!   checks one out, submits the request carrying the [`SlotReply`] half,
 //!   takes the reply with `take_until` (blocking, never helping, up to its
@@ -32,12 +37,12 @@ use weavepar_weave::{WeaveError, WeaveResult};
 
 /// Most entries a pool keeps: beyond this, returned frames and slots are
 /// simply dropped so a burst doesn't pin its high-water allocation forever.
-const CAP: usize = 256;
+pub(crate) const CAP: usize = 256;
 
-/// Pool of reusable [`BytesMut`] frames.
+/// Pool of reusable frames.
 #[derive(Default)]
 pub struct BufPool {
-    free: Mutex<Vec<BytesMut>>,
+    free: Mutex<Vec<Bytes>>,
 }
 
 impl BufPool {
@@ -48,23 +53,44 @@ impl BufPool {
 
     /// A cleared frame, reusing a pooled allocation when one is available.
     pub fn take(&self) -> BytesMut {
-        self.free.lock().pop().unwrap_or_default()
+        self.free.lock().pop().and_then(|frame| frame.try_into_mut().ok()).unwrap_or_default()
     }
 
-    /// Return a frame to the pool (cleared; dropped when the pool is full).
-    pub fn give(&self, mut buf: BytesMut) {
-        buf.clear();
-        let mut free = self.free.lock();
-        if free.len() < CAP {
-            free.push(buf);
+    /// A frame holding what `write` writes: a pooled one written over in
+    /// place, or a new one. On an error the frame goes back.
+    pub fn encode(
+        &self,
+        write: impl FnOnce(&mut BytesMut) -> WeaveResult<()>,
+    ) -> WeaveResult<Bytes> {
+        let frame = self.free.lock().pop().unwrap_or_default();
+        self.rewrite(frame, write)
+    }
+
+    /// `frame` holding what `write` writes over it — in place once it is
+    /// read and nothing else holds it, as a served call's reply goes back in
+    /// its argument frame. On an error the frame goes back to the pool.
+    pub(crate) fn rewrite(
+        &self,
+        mut frame: Bytes,
+        write: impl FnOnce(&mut BytesMut) -> WeaveResult<()>,
+    ) -> WeaveResult<Bytes> {
+        match frame.rewrite(write) {
+            Ok(()) => Ok(frame),
+            Err(err) => {
+                self.recycle(frame);
+                Err(err)
+            }
         }
     }
 
-    /// Reclaim a frozen frame whose storage is no longer shared; frames with
-    /// live aliases are silently dropped.
-    pub fn recycle(&self, bytes: Bytes) {
-        if let Ok(buf) = bytes.try_into_mut() {
-            self.give(buf);
+    /// Take a frame back when nothing else holds its storage (dropped when
+    /// the pool is full); a frame with live aliases is silently dropped.
+    pub fn recycle(&self, frame: Bytes) {
+        if frame.is_unique() {
+            let mut free = self.free.lock();
+            if free.len() < CAP {
+                free.push(frame);
+            }
         }
     }
 
@@ -72,6 +98,13 @@ impl BufPool {
     #[cfg(test)]
     pub(crate) fn pooled(&self) -> usize {
         self.free.lock().len()
+    }
+
+    /// True when every parked frame is the only handle on its storage: no
+    /// two parked frames share an allocation.
+    #[cfg(test)]
+    pub(crate) fn all_unshared(&self) -> bool {
+        self.free.lock().iter().all(Bytes::is_unique)
     }
 }
 
@@ -181,7 +214,7 @@ mod tests {
         buf.reserve(1024);
         buf.put_u64_le(7);
         let cap = buf.capacity();
-        pool.give(buf);
+        pool.recycle(buf.freeze());
         assert_eq!(pool.pooled(), 1);
         let again = pool.take();
         assert!(again.is_empty(), "pooled frames come back cleared");
@@ -194,12 +227,32 @@ mod tests {
         let pool = BufPool::new();
         let burst: Vec<BytesMut> = (0..CAP + 44).map(|_| BytesMut::with_capacity(64)).collect();
         for buf in burst {
-            pool.give(buf);
+            pool.recycle(buf.freeze());
         }
         assert_eq!(pool.pooled(), CAP, "one thread's burst fills the whole pool, no more");
         let taken: Vec<BytesMut> = (0..CAP + 1).map(|_| pool.take()).collect();
         assert_eq!(pool.pooled(), 0);
         assert_eq!(taken.iter().filter(|b| b.capacity() >= 64).count(), CAP, "then a fresh one");
+    }
+
+    #[test]
+    fn encode_writes_over_a_pooled_frame_and_gives_it_back_on_an_error() {
+        let pool = BufPool::new();
+        let mut buf = BytesMut::with_capacity(256);
+        buf.put_u64_le(1);
+        pool.recycle(buf.freeze());
+        let frame = pool
+            .encode(|buf| {
+                assert!(buf.is_empty() && buf.capacity() >= 256, "the pooled storage, cleared");
+                buf.put_u32_le(5);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!((&*frame, pool.pooled()), (&5u32.to_le_bytes()[..], 0));
+        pool.recycle(frame);
+        let err = pool.encode(|_| Err(WeaveError::remote("no codec"))).unwrap_err();
+        assert!(matches!(err, WeaveError::Remote(_)), "{err}");
+        assert_eq!(pool.pooled(), 1, "the frame went back");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! A [`Server`] owns everything serving needs; [`node`](crate::node) keeps
 //! it in the node's mailbox and decides who serves. One function serves a
-//! replied call, [`Server::replied_call`], whether the `node-N` thread or the
-//! caller itself runs it.
+//! replied request — a call, a construct, a snapshot, a restore —
+//! [`Server::replied_call`], whether the `node-N` thread or the caller itself
+//! runs it. A call's reply is written into the frame its arguments came in.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -15,9 +16,9 @@ use bytes::Bytes;
 
 use weavepar_weave::{AnyValue, ObjId, WeaveError, WeaveResult, Weaver};
 
-use crate::node::Request;
+use crate::node::{Op, Request};
 use crate::pool::BufPool;
-use crate::wire::{MarshalRegistry, MethodId, PackReader, Wire};
+use crate::wire::{MarshalRegistry, MethodEntry, MethodId, PackReader, Wire};
 
 /// Per-node at-most-once window: remembers recently seen call `seq` keys and
 /// the reply outcome they produced, so a retried (or fault-injected
@@ -58,7 +59,7 @@ impl DedupWindow {
 
 /// Everything serving a request needs — the serve token. Decodes, dispatches
 /// unwoven unless the node is set woven (the weaving happened on the
-/// client), encodes replies into pooled frames.
+/// client), encodes replies into the request's frame or a pooled one.
 pub(crate) struct Server {
     pub(crate) id: usize,
     pub(crate) weaver: Weaver,
@@ -100,22 +101,68 @@ impl Server {
     }
 
     /// Decode and dispatch one call by the registry's boundary name, woven
-    /// or unwoven. Decoding consumes `args` in place (recycling a frame does
-    /// not look at how far its view has advanced), so a served call takes no
-    /// second handle on the frame.
-    fn execute(&self, obj: ObjId, method: MethodId, args: &mut Bytes) -> WeaveResult<AnyValue> {
+    /// or unwoven, with the method's registry entry for its reply. Decoding
+    /// consumes `args` in place (rewriting a frame does not look at how far
+    /// its view has advanced), so a served call takes no second handle on
+    /// the frame.
+    fn execute(
+        &self,
+        obj: ObjId,
+        method: MethodId,
+        args: &mut Bytes,
+    ) -> WeaveResult<(&MethodEntry, AnyValue)> {
         let entry = self.marshal.method_entry(method)?;
-        let decoded = self.marshal.decode_args_id(method, args)?;
-        if self.woven.load(Ordering::SeqCst) {
+        let decoded = entry.read_args(args)?;
+        let ret = if self.woven.load(Ordering::SeqCst) {
             self.weaver.invoke_call_dyn(obj, &entry.method_name, decoded)
         } else {
             self.weaver.invoke_unwoven(obj, &entry.method_name, decoded)
+        };
+        Ok((entry, ret?))
+    }
+
+    /// A replied request, start to finish. The node thread and an inline
+    /// caller both serve through here.
+    pub(crate) fn replied_call(&mut self, op: Op) -> WeaveResult<Bytes> {
+        match op {
+            Op::Call { obj, method, args, seq } => self.call(obj, method, args, seq),
+            Op::Construct { ctor, mut args } => self.contained(|server| {
+                let entry = server.marshal.method_entry(ctor)?;
+                let built = entry.read_args(&mut args).and_then(|decoded| {
+                    server.weaver.construct_dyn_unwoven(&entry.class_name, decoded)
+                });
+                match built {
+                    Ok(obj) => server.pool.rewrite(args, |buf| {
+                        obj.encode(buf);
+                        Ok(())
+                    }),
+                    Err(err) => {
+                        server.pool.recycle(args);
+                        Err(err)
+                    }
+                }
+            }),
+            Op::Snapshot { obj, remove } => self.contained(|server| {
+                let class = server.weaver.space().class_of(obj)?;
+                let state = server.marshal.snapshot_state(&server.weaver, class, obj)?;
+                if remove {
+                    server.weaver.space().remove(obj);
+                }
+                Ok(state)
+            }),
+            Op::Restore { class, state } => self.contained(|server| {
+                let name = server.marshal.class_name(class)?;
+                let obj = server.marshal.restore_state(&server.weaver, &name, &state)?;
+                server.pool.encode(|buf| {
+                    obj.encode(buf);
+                    Ok(())
+                })
+            }),
         }
     }
 
-    /// A replied call, start to finish: dedup window, execute, encode the
-    /// reply. The node thread and an inline caller both serve through here.
-    pub(crate) fn replied_call(
+    /// A call: dedup window, execute, and the reply in the argument frame.
+    fn call(
         &mut self,
         obj: ObjId,
         method: MethodId,
@@ -132,13 +179,12 @@ impl Server {
             return cached
                 .unwrap_or_else(|| Err(WeaveError::remote("duplicate delivery of a oneway call")));
         }
-        let encoded = self.contained(|server| {
-            let ret = server.execute(obj, method, &mut args);
-            server.pool.recycle(args);
-            let ret = ret?;
-            let mut buf = server.pool.take();
-            server.marshal.encode_ret_id(method, &ret, &mut buf)?;
-            Ok(buf.freeze())
+        let encoded = self.contained(|server| match server.execute(obj, method, &mut args) {
+            Ok((entry, ret)) => server.pool.rewrite(args, |buf| entry.write_ret(&ret, buf)),
+            Err(err) => {
+                server.pool.recycle(args);
+                Err(err)
+            }
         });
         if let Some(seq) = seq {
             self.dedup.record(seq, Some(encoded.clone()));
@@ -146,51 +192,13 @@ impl Server {
         encoded
     }
 
-    /// An object id as a reply: its 8 wire bytes in a pooled frame.
-    fn obj_reply(&self, obj: ObjId) -> Bytes {
-        let mut buf = self.pool.take();
-        obj.encode(&mut buf);
-        buf.freeze()
-    }
-
     fn dispatch(&mut self, request: Request) {
-        let (reply, result) = match request {
-            Request::Call { obj, method, args, reply: Some(reply), seq } => {
-                (reply, self.replied_call(obj, method, args, seq))
-            }
-            Request::Construct { ctor, mut args, reply } => (
-                reply,
-                self.contained(|server| {
-                    let class = server.marshal.method_entry(ctor)?.class_name.clone();
-                    let decoded = server.marshal.decode_args_id(ctor, &mut args);
-                    server.pool.recycle(args);
-                    let obj = server.weaver.construct_dyn_unwoven(&class, decoded?)?;
-                    Ok(server.obj_reply(obj))
-                }),
-            ),
-            Request::Snapshot { obj, remove, reply } => (
-                reply,
-                self.contained(|server| {
-                    let class = server.weaver.space().class_of(obj)?;
-                    let state = server.marshal.snapshot_state(&server.weaver, class, obj)?;
-                    if remove {
-                        server.weaver.space().remove(obj);
-                    }
-                    Ok(state)
-                }),
-            ),
-            Request::Restore { class, state, reply } => (
-                reply,
-                self.contained(|server| {
-                    let name = server.marshal.class_name(class)?;
-                    let obj = server.marshal.restore_state(&server.weaver, &name, &state)?;
-                    Ok(server.obj_reply(obj))
-                }),
-            ),
+        match request {
+            Request::Replied { op, reply } => reply.send(self.replied_call(op)),
             // Oneway: failures have nowhere to go; drop them like a lost
             // datagram (the paper's MPP send has the same property). So is
             // a duplicate delivery.
-            Request::Call { obj, method, mut args, seq, reply: None } => {
+            Request::Oneway { obj, method, mut args, seq } => {
                 if seq.is_none_or(|seq| self.dedup.check(seq).is_none()) {
                     let _ = self.execute(obj, method, &mut args);
                     if let Some(seq) = seq {
@@ -198,7 +206,6 @@ impl Server {
                     }
                 }
                 self.pool.recycle(args);
-                return;
             }
             Request::CallPack { frame } => {
                 // Entries are oneway: malformed frames (a truncated header
@@ -211,9 +218,7 @@ impl Server {
                     }
                 }
                 self.pool.recycle(frame);
-                return;
             }
-        };
-        reply.send(result);
+        }
     }
 }

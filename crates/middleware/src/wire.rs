@@ -375,6 +375,18 @@ pub(crate) struct MethodEntry {
     marshal: MethodMarshal,
 }
 
+impl MethodEntry {
+    /// Decode an argument pack from the front of `bytes`.
+    pub(crate) fn read_args(&self, bytes: &mut Bytes) -> WeaveResult<Args> {
+        (self.marshal.decode_args)(bytes)
+    }
+
+    /// Encode a return value into `buf`.
+    pub(crate) fn write_ret(&self, ret: &AnyValue, buf: &mut BytesMut) -> WeaveResult<()> {
+        (self.marshal.encode_ret)(ret, buf)
+    }
+}
+
 struct ClassEntry {
     name: Arc<str>,
     /// Method name → id, for the string-keyed slow path.
@@ -535,11 +547,6 @@ impl MarshalRegistry {
         (self.method_entry(method)?.marshal.encode_args)(args, buf)
     }
 
-    /// Decode an argument pack from the front of `bytes` by method id.
-    pub fn decode_args_id(&self, method: MethodId, bytes: &mut Bytes) -> WeaveResult<Args> {
-        (self.method_entry(method)?.marshal.decode_args)(bytes)
-    }
-
     /// Encode a return value into `buf` by method id.
     pub fn encode_ret_id(
         &self,
@@ -547,7 +554,7 @@ impl MarshalRegistry {
         ret: &AnyValue,
         buf: &mut BytesMut,
     ) -> WeaveResult<()> {
-        (self.method_entry(method)?.marshal.encode_ret)(ret, buf)
+        self.method_entry(method)?.write_ret(ret, buf)
     }
 
     /// Decode a return value from the front of `bytes` by method id.
@@ -953,7 +960,7 @@ mod tests {
         let args = args![vec![9u64, 15, 21]];
         let mut bytes = reg.encode_args("PrimeFilter", "filter", &args).unwrap();
         let filter = reg.method_id("PrimeFilter", "filter").unwrap();
-        let back = reg.decode_args_id(filter, &mut bytes).unwrap();
+        let back = reg.method_entry(filter).and_then(|e| e.read_args(&mut bytes)).unwrap();
         assert_eq!(*back.get::<Vec<u64>>(0).unwrap(), vec![9, 15, 21]);
 
         let ret: AnyValue = AnyValue::new(vec![9u64]);
@@ -990,7 +997,7 @@ mod tests {
         reg.encode_args_id(id, &args, &mut buf).unwrap();
         assert_eq!(buf.freeze(), via_string);
         let mut view = via_string.clone();
-        let back = reg.decode_args_id(id, &mut view).unwrap();
+        let back = reg.method_entry(id).and_then(|e| e.read_args(&mut view)).unwrap();
         assert_eq!(*back.get::<u64>(0).unwrap(), 7);
     }
 
@@ -1000,7 +1007,7 @@ mod tests {
         let err = reg.encode_args("X", "y", &args![]).unwrap_err();
         assert!(matches!(err, WeaveError::Remote(_)));
         assert!(reg.method_id("X", "y").is_err());
-        assert!(reg.decode_args_id(MethodId::from_raw(999), &mut Bytes::new()).is_err());
+        assert!(reg.method_entry(MethodId::from_raw(999)).is_err());
         assert!(reg.class_name(ClassId::from_raw(999)).is_err());
     }
 
@@ -1047,7 +1054,7 @@ mod tests {
             let (obj, method, mut argview) = entry.unwrap();
             assert_eq!(obj, ObjId::from_raw(i as u64 + 1));
             assert_eq!(method, add);
-            let args = reg.decode_args_id(method, &mut argview).unwrap();
+            let args = reg.method_entry(method).and_then(|e| e.read_args(&mut argview)).unwrap();
             assert_eq!(*args.get::<u64>(0).unwrap(), i as u64);
         }
     }
@@ -1200,7 +1207,7 @@ mod proptests {
             let mut seen = Vec::new();
             for entry in reader {
                 let (_, method, mut argview) = entry.unwrap();
-                let args = reg.decode_args_id(method, &mut argview).unwrap();
+                let args = reg.method_entry(method).and_then(|e| e.read_args(&mut argview)).unwrap();
                 seen.push(*args.get::<u64>(0).unwrap());
             }
             prop_assert_eq!(seen, vals);

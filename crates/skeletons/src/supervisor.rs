@@ -148,9 +148,8 @@ pub fn supervisor_aspect(
             let Ok(ctor) = sup.fabric.marshal().method_id(class, "new") else {
                 return inv.proceed();
             };
-            let mut buf = sup.fabric.buffers().take();
-            sup.fabric.marshal().encode_args_id(ctor, inv.args()?, &mut buf)?;
-            let saved = buf.freeze();
+            let encode = |buf: &mut _| sup.fabric.marshal().encode_args_id(ctor, inv.args()?, buf);
+            let saved = sup.fabric.buffers().encode(encode)?;
             let ret = inv.proceed()?;
             if let Some(local) = ret.downcast_ref::<ObjId>().copied() {
                 sup.ctor_args.lock().insert(local, saved);
@@ -182,9 +181,9 @@ pub fn supervisor_aspect(
             };
             // Per-task checkpoint: the input chunk leaves in marshalled form
             // before the call does, so it survives the worker's node.
-            let mut buf = sup.fabric.buffers().take();
-            sup.fabric.marshal().encode_args_id(method, inv.args()?, &mut buf)?;
-            let saved = buf.freeze();
+            let encode =
+                |buf: &mut _| sup.fabric.marshal().encode_args_id(method, inv.args()?, buf);
+            let saved = sup.fabric.buffers().encode(encode)?;
             match inv.proceed() {
                 Ok(ret) => Ok(ret),
                 Err(err) if err.is_node_loss() => {

@@ -14,6 +14,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -64,6 +65,10 @@ impl Hasher for ObjIdHasher {
 /// One object's mixin fields: a handful, scanned by name.
 type ObjectFields = Vec<(&'static str, AnyValue)>;
 
+/// Field writes so far, across every store: each write stamps its store with
+/// the next number, so no two stores ever carry the same non-zero stamp.
+static FIELD_WRITES: AtomicU64 = AtomicU64::new(0);
+
 /// Store of inter-type declarations, shared by all aspects on a weaver.
 #[derive(Default)]
 pub struct IntertypeStore {
@@ -72,6 +77,8 @@ pub struct IntertypeStore {
     // Keyed by object: one probe, then that object's few entries. `Mutex`,
     // not `RwLock`: the boxed values are `Send` but not `Sync`.
     fields: Mutex<HashMap<ObjId, ObjectFields, BuildHasherDefault<ObjIdHasher>>>,
+    /// The stamp of this store's last field write; see [`Self::field_epoch`].
+    field_epoch: AtomicU64,
 }
 
 impl IntertypeStore {
@@ -161,6 +168,18 @@ impl IntertypeStore {
             Some((_, slot)) => *slot = value,
             None => of_obj.push((key, value)),
         }
+        // Under the lock, after the write: whoever reads this stamp then
+        // reads the field finds the write (or a later one).
+        self.field_epoch.store(FIELD_WRITES.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Release);
+    }
+
+    /// A stamp that moves with every field write on this store and is never
+    /// shared with another store (0: nothing written yet). A field read
+    /// *after* the stamp reads `e` is current for as long as it still reads
+    /// `e`, so a hot path may keep a copy keyed by the stamp and skip the
+    /// lock (the distribution aspects' stub look-up does).
+    pub fn field_epoch(&self) -> u64 {
+        self.field_epoch.load(Ordering::Acquire)
     }
 
     /// Read a copy of a field.
@@ -249,6 +268,21 @@ mod tests {
         assert_eq!(store.get_field::<u8>(obj(1), "next"), Some(7));
         assert!(store.has_field(obj(1), "next"));
         assert!(!store.has_field(obj(2), "next"));
+    }
+
+    #[test]
+    fn every_field_write_moves_the_epoch_to_a_stamp_no_other_store_has() {
+        let (a, b) = (IntertypeStore::new(), IntertypeStore::new());
+        assert_eq!((a.field_epoch(), b.field_epoch()), (0, 0), "nothing written");
+        a.set_field(obj(1), "next", 1u8);
+        let first = a.field_epoch();
+        assert_ne!(first, 0);
+        assert_eq!(a.get_field::<u8>(obj(1), "next"), Some(1));
+        assert_eq!(a.field_epoch(), first, "a read leaves it");
+        a.set_field(obj(1), "next", 1u8);
+        assert_ne!(a.field_epoch(), first, "an overwrite, even with the same value, moves it");
+        b.set_field(obj(1), "next", 1u8);
+        assert_ne!(b.field_epoch(), a.field_epoch(), "two stores never share a stamp");
     }
 
     #[test]
