@@ -234,6 +234,11 @@ fi
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Every crate's documentation builds: a broken or private intra-doc link is
+# an error, not a warning.
+echo "==> cargo doc --no-deps --workspace (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -4,7 +4,7 @@
 //! unstable sort, in place in the pack it is given). The divide-and-conquer
 //! aspect splits large inputs at the *call* join point, creating sub-sorter
 //! objects on the fly (§4.1's divide-and-conquer remark) and merging their
-//! outputs, each pair straight into the pack it returns with [`merge_into`]:
+//! outputs, each pair straight into the pack it returns with `merge_into`:
 //! a merge sort at the skeleton level, whose leaves are the sorter's.
 
 use std::sync::Arc;
@@ -15,7 +15,7 @@ use weavepar::weave::value::downcast_ret;
 use weavepar::weave::Pack;
 use weavepar::{args, ret, weaveable};
 
-/// Merge two sorted slices into a new vector ([`merge_into`] with the output
+/// Merge two sorted slices into a new vector (`merge_into` with the output
 /// allocated here).
 pub fn merge_slices(a: &[u64], b: &[u64]) -> Vec<u64> {
     let mut out = vec![0; a.len() + b.len()];
@@ -179,6 +179,30 @@ mod tests {
         assert_eq!(merge_slices(&[], &[1]), [1]);
         assert_eq!(merge_slices(&[1], &[]), [1]);
         assert_eq!(merge_slices(&[1, 1], &[1]), [1, 1, 1]);
+    }
+
+    #[test]
+    fn a_merge_writes_every_item_over_a_buffer_full_of_sentinels() {
+        // `Pack::build` hands the merge a recycled buffer as the last pack
+        // left it: an item the merge skipped would keep a stale value.
+        const SENTINEL: u64 = u64::MAX;
+        let (x, y) = (reference(pseudo_random(700, 1)), reference(pseudo_random(300, 2)));
+        let evens: Vec<u64> = (0..64).map(|i| 2 * i).collect();
+        let odds: Vec<u64> = (0..64).map(|i| 2 * i + 1).collect();
+        let cases: [(&[u64], &[u64]); 7] = [
+            (&[], &[]),
+            (&[], &y),
+            (&x, &[]),
+            (&evens, &odds),
+            (&odds, &evens),
+            (&y[..150], &y[150..]),
+            (&x, &y),
+        ];
+        for (a, b) in cases {
+            let mut out = vec![SENTINEL; a.len() + b.len()];
+            merge_into(a, b, &mut out);
+            assert_eq!(out, reference([a, b].concat()), "{} + {} items", a.len(), b.len());
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * A [`MiddlewareProfile`] adds per-call middleware costs (marshal CPU,
 //!   protocol latency) — presets for Java-RMI-like and MPP-like stacks.
 //! * A [`Placement`] maps objects to nodes.
-//! * [`simulate`](sim::simulate) replays a [`TraceGraph`]: each recorded task
+//! * [`simulate`] replays a [`TraceGraph`](weavepar_weave::TraceGraph): each recorded task
 //!   occupies one core on its object's node for its recorded (or modelled)
 //!   cost, tasks on the same object serialise (per-object monitors), `after`
 //!   edges carry messages (paying network costs when they cross nodes), and a

@@ -501,7 +501,7 @@ pub fn simulate_schedule(trace: &TraceGraph, params: &SimParams) -> (SimReport, 
 /// that cannot finish on its node before the node's crash is re-dispatched
 /// to the next surviving node, paying the timeline's detection/recovery
 /// overhead plus a fresh argument shipment (see
-/// [`FaultTimeline`](crate::config::FaultTimeline)). The report's
+/// [`FaultTimeline`]). The report's
 /// `redispatched` counts those recoveries.
 ///
 /// Fails if the timeline eventually kills every node — with nobody left to

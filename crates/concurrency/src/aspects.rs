@@ -26,6 +26,7 @@ use weavepar_weave::prelude::*;
 
 use crate::executor::Executor;
 use crate::future::FutureAny;
+use crate::pool::Joiner;
 
 /// Asynchronous invocation with a future result: the matched calls
 /// immediately return a [`FutureAny`] carrying the eventual result. Clients
@@ -62,6 +63,10 @@ pub fn future_aspect(name: impl Into<String>, pointcut: Pointcut, executor: Exec
 /// instance's monitor. Every other call keeps the monitor: a call on a local
 /// object, on an object built before distribution was plugged, or on a stub
 /// while distribution is unplugged or disabled.
+///
+/// A pool worker that finds the monitor held runs queued tasks until it is
+/// free (see [`pool`](crate::pool), "Joins"), so a call it helps may take a
+/// monitor ahead of the call that waits on it: mutual exclusion, not FIFO.
 pub fn synchronized_aspect(name: impl Into<String>, pointcut: Pointcut) -> Aspect {
     Aspect::named(name)
         .precedence(precedence::SYNCHRONISATION)
@@ -72,7 +77,7 @@ pub fn synchronized_aspect(name: impl Into<String>, pointcut: Pointcut) -> Aspec
             {
                 return inv.proceed();
             }
-            let _monitor = inv.weaver().space().monitor(target)?;
+            let _monitor = Joiner::monitor(inv.weaver().space(), target)?;
             inv.proceed()
         })
         .build()
@@ -80,7 +85,7 @@ pub fn synchronized_aspect(name: impl Into<String>, pointcut: Pointcut) -> Aspec
 
 /// The paper's complete Concurrency module (Figure 12): asynchronous
 /// invocation with a future result plus per-target synchronisation — the
-/// ref-[3] pattern of §4.2 that result-carrying partition protocols
+/// ref-\[3\] pattern of §4.2 that result-carrying partition protocols
 /// (pipeline/farm `combine`) require. Returned as two aspects so that a
 /// partition aspect can weave *between* them (spawn outside the forwarding,
 /// monitor inside the spawned thread — the structure Figure 11 depicts);

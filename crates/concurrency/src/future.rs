@@ -5,7 +5,7 @@
 //! variable before its value becomes available it will be automatically
 //! blocked, until the value is computed." — paper §2, describing ABCL; §4.2
 //! notes the concurrency module can introduce future-type calls
-//! transparently (ref [3]).
+//! transparently (ref \[3\]).
 //!
 //! Two flavours:
 //!

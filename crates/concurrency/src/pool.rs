@@ -33,20 +33,29 @@
 //! join), then the injector, then a steal — and sleeps only when nothing is
 //! runnable, on the same condition variable as an idle worker, woken by the
 //! future's fulfilment or by new work. That is what lets a nested fork/join
-//! deeper than the pool is wide complete on it. Two rules:
+//! deeper than the pool is wide complete on it.
+//!
+//! The synchronisation advice's wait for a monitor another thread holds is
+//! the same loop (`Joiner::monitor`): the worker runs queued tasks until the
+//! monitor is free, and when nothing is runnable it blocks on the monitor
+//! (a short spin, then a park) instead of sleeping. Three rules:
 //!
 //! * a helped task starts from a clean thread-local weaving context, as on a
 //!   fresh worker; the waiting frame's context is set aside and put back;
 //! * a thread that holds an object monitor does not help (monitors are
 //!   re-entrant: the helped task could enter the critical section) — it
-//!   blocks.
+//!   blocks;
+//! * a worker nests at most `MAX_HELPING_WAITS` (8) helping monitor waits on
+//!   its stack; a deeper one blocks. Joins are not counted: a fork/join
+//!   needs all its levels to help.
 //!
-//! Helping is deadlock-free for joins on a task's own descendants (fork/join)
-//! and on independent work; a task that joins a future owed by a frame
-//! *beneath it on the same stack* would wait forever, as in every help-first
-//! scheduler.
+//! A helped call may take a monitor ahead of the call that waits on it:
+//! mutual exclusion never promised an order. Helping is deadlock-free for
+//! joins on a task's own descendants (fork/join) and on independent work; a
+//! task that joins a future owed by a frame *beneath it on the same stack*
+//! would wait forever, as in every help-first scheduler.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -56,6 +65,8 @@ use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use parking_lot::{Condvar, Mutex};
 
 use weavepar_weave::metrics::MetricsRegistry;
+use weavepar_weave::object::MonitorGuard;
+use weavepar_weave::{ObjId, ObjectSpace, WeaveResult};
 
 use crate::tracker::{CompletionTracker, TaskToken};
 
@@ -80,12 +91,41 @@ impl Task {
     }
 }
 
-thread_local! {
-    /// The pool whose worker runs on this thread, and its index. Not in the
-    /// weaving context: a task run while that is set aside still runs on this
-    /// worker.
-    static WORKER: RefCell<Option<(Arc<StealCore>, usize)>> = const { RefCell::new(None) };
+/// What a thread knows of the pool it works for. Not in the weaving context:
+/// a task run while that is set aside still runs on this worker.
+struct WorkerSlot {
+    /// The pool whose worker runs on this thread, and its index.
+    pool: RefCell<Option<(Arc<StealCore>, usize)>>,
+    /// Monitor waits on this thread's stack that run queued tasks.
+    helping_waits: Cell<usize>,
 }
+
+thread_local! {
+    static WORKER: WorkerSlot =
+        const { WorkerSlot { pool: RefCell::new(None), helping_waits: Cell::new(0) } };
+}
+
+/// The stack of a pool worker: std's default for a spawned thread, set
+/// explicitly so that [`MAX_HELPING_WAITS`] holds whatever `RUST_MIN_STACK`
+/// says.
+const WORKER_STACK: usize = 2 << 20;
+
+/// The stack one nested helping monitor wait costs: the wait, the helped
+/// task and the woven call chain down to the next wait. Measured, as the
+/// distance between a local's address at two nested waits, in mandel farms
+/// over one and two objects: 1 904 B in `--release` and 7 936 B
+/// unoptimised, rounded up to the latter.
+const WAIT_LEVEL_STACK: usize = 8 << 10;
+
+/// Most monitor waits that run queued tasks, nested on one worker's stack;
+/// a deeper wait blocks. Unbounded, a farm whose packs all meet at one
+/// object nests a wait inside every pack a worker helps (8 192 deep for
+/// 8 192 packs), and overflows the stack. The waits get a 32nd of it: 8
+/// levels, 64 KiB of 2 MiB. The rest is for what the helped tasks run
+/// between two waits (a kernel, the joins they help in). At 8, a two-object
+/// mandel render keeps ≈ 70 of its ≈ 1 600 contended acquisitions
+/// (EXPERIMENTS.md).
+const MAX_HELPING_WAITS: usize = WORKER_STACK / WAIT_LEVEL_STACK / 32;
 
 /// Always-on scheduler event counters, cheap relaxed atomics held in `Arc`s
 /// so a metrics registry can bind them by name ([`ThreadPool::install_metrics`])
@@ -178,7 +218,7 @@ impl StealCore {
 
     /// The index of the current thread among this pool's workers.
     fn worker_index(self: &Arc<Self>) -> Option<usize> {
-        WORKER.with(|w| match &*w.borrow() {
+        WORKER.with(|w| match &*w.pool.borrow() {
             Some((core, idx)) if Arc::ptr_eq(core, self) => Some(*idx),
             _ => None,
         })
@@ -205,7 +245,7 @@ impl StealCore {
     }
 
     fn worker_loop(self: &Arc<Self>, idx: usize) {
-        WORKER.with(|w| *w.borrow_mut() = Some((self.clone(), idx)));
+        WORKER.with(|w| *w.pool.borrow_mut() = Some((self.clone(), idx)));
         let shutdown = || self.shutdown.load(Ordering::SeqCst);
         loop {
             if let Some(task) = self.find_task(idx) {
@@ -219,8 +259,8 @@ impl StealCore {
     }
 }
 
-/// A pool worker about to wait on a join: it helps instead of blocking (see
-/// the module docs).
+/// A pool worker about to wait, on a join or on a held monitor: it helps
+/// instead of blocking (see the module docs).
 pub(crate) struct Joiner {
     core: Arc<StealCore>,
     idx: usize,
@@ -233,7 +273,24 @@ impl Joiner {
         if weavepar_weave::object::monitors_held() > 0 {
             return None;
         }
-        WORKER.with(|w| w.borrow().clone()).map(|(core, idx)| Joiner { core, idx })
+        WORKER.with(|w| w.pool.borrow().clone()).map(|(core, idx)| Joiner { core, idx })
+    }
+
+    /// Take `target`'s monitor for the synchronisation advice. While another
+    /// thread holds it, a pool worker that may help (one that [`current`](
+    /// Self::current) returns) and is fewer than [`MAX_HELPING_WAITS`] such
+    /// waits deep runs queued tasks, and blocks on the monitor only when
+    /// nothing is runnable; everyone else blocks at once.
+    pub(crate) fn monitor(space: &ObjectSpace, target: ObjId) -> WeaveResult<MonitorGuard> {
+        if let Some(guard) = space.try_monitor(target)? {
+            return Ok(guard);
+        }
+        let helping = Joiner::current().and_then(|j| Some((j, HelpingWait::enter()?)));
+        match helping {
+            Some((joiner, _wait)) => joiner
+                .help(|| space.try_monitor(target).transpose(), || Some(space.monitor(target))),
+            None => space.monitor(target),
+        }
     }
 
     /// The pool to wake (`wake_all`) when the awaited state changes.
@@ -245,7 +302,23 @@ impl Joiner {
     /// while nothing is runnable. Whoever makes `ready()` true must call
     /// [`StealCore::wake_all`] on [`Joiner::pool`] afterwards.
     pub(crate) fn help_until(&self, ready: impl Fn() -> bool) {
-        while !ready() {
+        self.help(
+            || ready().then_some(()),
+            || {
+                self.core.park_unless(&ready, &self.core.stats.join_parks);
+                None
+            },
+        )
+    }
+
+    /// The one helping loop: until `poll` yields, run queued tasks in
+    /// `find_task`'s order, and call `idle` whenever nothing is runnable —
+    /// it ends the wait with its value, or lets it poll again.
+    fn help<R>(&self, poll: impl Fn() -> Option<R>, idle: impl Fn() -> Option<R>) -> R {
+        loop {
+            if let Some(done) = poll() {
+                return done;
+            }
             match self.core.find_task(self.idx) {
                 Some(task) => {
                     self.core.stats.helped.fetch_add(1, Ordering::Relaxed);
@@ -254,9 +327,36 @@ impl Joiner {
                     let _fresh = crate::batch::set_aside();
                     task.run();
                 }
-                None => self.core.park_unless(&ready, &self.core.stats.join_parks),
+                None => {
+                    if let Some(done) = idle() {
+                        return done;
+                    }
+                }
             }
         }
+    }
+}
+
+/// One helping monitor wait on this thread's stack, counted for as long as
+/// it lives.
+struct HelpingWait;
+
+impl HelpingWait {
+    /// `None` when [`MAX_HELPING_WAITS`] are already on the stack.
+    fn enter() -> Option<HelpingWait> {
+        WORKER.with(|w| {
+            let depth = w.helping_waits.get();
+            (depth < MAX_HELPING_WAITS).then(|| {
+                w.helping_waits.set(depth + 1);
+                HelpingWait
+            })
+        })
+    }
+}
+
+impl Drop for HelpingWait {
+    fn drop(&mut self) {
+        WORKER.with(|w| w.helping_waits.set(w.helping_waits.get() - 1));
     }
 }
 
@@ -289,6 +389,7 @@ impl ThreadPool {
             let core = core.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("{name}-{i}"))
+                .stack_size(WORKER_STACK)
                 .spawn(move || core.worker_loop(i))
                 .expect("spawning pool worker");
             workers.push(handle);
@@ -333,11 +434,7 @@ impl ThreadPool {
         let tasks = tokens.into_iter().zip(jobs).map(|(token, job)| Task { token, job });
         let core = &self.core;
         match core.worker_index() {
-            Some(idx) => {
-                for task in tasks {
-                    core.locals[idx].push(task);
-                }
-            }
+            Some(idx) => core.locals[idx].push_batch(tasks),
             None => core.injector.push_batch(tasks),
         }
         core.wake_all();
@@ -422,6 +519,7 @@ pub(crate) mod tests {
     use crate::FutureValue;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
+    use weavepar_weave::object::monitors_held;
 
     /// A rendezvous for ordering proofs: a method body [`enter`](Gate::enter)s
     /// and stays inside until the test [`open`](Gate::open)s the gate, so "the
@@ -742,6 +840,76 @@ pub(crate) mod tests {
             tx.send((free, held, Joiner::current().is_some())).unwrap();
         });
         assert_eq!(rx.recv().unwrap(), (true, false, true));
+    }
+
+    #[test]
+    fn a_monitor_wait_on_a_worker_runs_queued_tasks_while_the_monitor_is_held() {
+        let helped = watchdog("a helping monitor wait", || {
+            let (pool, reg) = metered(1);
+            let space = Arc::new(ObjectSpace::new());
+            let id = space.insert(Guarded);
+            let held = space.monitor(id).unwrap();
+            let (second, entered) = (FutureValue::new(), Arc::new(AtomicBool::new(false)));
+            let (setter, got_it, p2) = (second.clone(), entered.clone(), pool.clone());
+            pool.spawn(move || {
+                // Queued on this worker's deque before the wait: only the
+                // wait itself can run it.
+                p2.spawn(move || {
+                    setter.fulfill(7u64);
+                });
+                let _monitor = Joiner::monitor(&space, id).unwrap();
+                got_it.store(true, Ordering::SeqCst);
+            });
+            assert_eq!(second.take().unwrap(), 7, "the queued task ran during the wait");
+            assert!(!entered.load(Ordering::SeqCst), "while the monitor was still held here");
+            drop(held);
+            pool.wait_idle();
+            assert!(entered.load(Ordering::SeqCst));
+            reg.snapshot().counter("pool.helped")
+        });
+        assert_eq!(helped, Some(1));
+    }
+
+    #[test]
+    fn a_worker_holding_a_monitor_blocks_in_a_monitor_wait() {
+        let (waiter, ran_on, held_there, helped) =
+            watchdog("a monitor wait under a monitor", || {
+                let (pool, reg) = metered(2);
+                let space = Arc::new(ObjectSpace::new());
+                let (mine, contended) = (space.insert(Guarded), space.insert(Guarded));
+                let held = space.monitor(contended).unwrap();
+                // The peer stays in the gate until the waiter is about to
+                // wait, so it cannot steal the queued task first.
+                let peer = Gate::default();
+                let peer_in = peer.clone();
+                pool.spawn(move || peer_in.enter());
+                wait_until("the peer to enter the gate", || peer.inside() == 1);
+                let (ran_tx, ran_rx) = std::sync::mpsc::channel();
+                let (queued_tx, queued_rx) = std::sync::mpsc::channel();
+                let (done, p2) = (FutureValue::new(), pool.clone());
+                let waited = done.clone();
+                pool.spawn(move || {
+                    let _mine = space.monitor(mine).unwrap();
+                    // On this worker's deque: the waiting worker must leave it to
+                    // its peer, which steals it once out of the gate.
+                    p2.spawn(move || {
+                        let here = (std::thread::current().id(), monitors_held());
+                        ran_tx.send(here).unwrap();
+                    });
+                    queued_tx.send(()).unwrap();
+                    let _contended = Joiner::monitor(&space, contended).unwrap();
+                    waited.fulfill(std::thread::current().id());
+                });
+                queued_rx.recv().unwrap();
+                peer.open();
+                let (ran_on, held_there) = ran_rx.recv().unwrap();
+                drop(held);
+                let waiter = done.take().unwrap();
+                pool.wait_idle();
+                (waiter, ran_on, held_there, reg.snapshot().counter("pool.helped"))
+            });
+        assert_ne!(ran_on, waiter, "the waiting worker ran a task under its monitor");
+        assert_eq!((held_there, helped), (0, Some(0)));
     }
 
     #[test]

@@ -486,7 +486,7 @@ impl MessagePacker {
     /// other threads — is delivered exactly once; calls issued after go
     /// through the distribution aspect directly. The packer is closed for
     /// good: a still-running advice that buffers after this drain ships its
-    /// call immediately instead (see [`MessagePacker::buffer`]).
+    /// call immediately instead (see `MessagePacker::buffer`).
     pub fn unplug(&self, weaver: &Weaver, plugged: &PluggedAspect) -> WeaveResult<usize> {
         weaver.unplug(plugged);
         let drained: Vec<(usize, Pending)> = {
@@ -512,7 +512,7 @@ impl MessagePacker {
 
 /// The paper's §4.4 *communication packing* optimisation as a pluggable
 /// aspect. Matched calls on remote stubs are appended to a per-node
-/// [`PackFrame`] and shipped as one [`Request::CallPack`] — one submit, one
+/// [`PackFrame`] and shipped as one [`Request::CallPack`](crate::Request::CallPack) — one submit, one
 /// wakeup for up to `max_calls` calls. Returns the aspect plus its
 /// [`MessagePacker`] handle for explicit flushing.
 ///

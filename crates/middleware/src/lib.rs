@@ -21,10 +21,10 @@
 //!   request to an idle node is served on the caller's thread;
 //! * [`fabric`] — an [`InProcFabric`] wiring N nodes together in-process;
 //! * [`aspects`] — the pluggable distribution aspects, built through
-//!   [`RmiConfig`](aspects::RmiConfig) (name-server lookup + synchronous
-//!   call with reply, Figure 14) and [`MppConfig`](aspects::MppConfig)
+//!   [`RmiConfig`] (name-server lookup + synchronous
+//!   call with reply, Figure 14) and [`MppConfig`]
 //!   (direct node addressing, Figure 15) — both chain an optional placement
-//!   [`Policy`](aspects::Policy) (round-robin, random, fixed — §4.3 "several
+//!   [`Policy`] (round-robin, random, fixed — §4.3 "several
 //!   policies can be implemented in this aspect"), a [`CallPolicy`]
 //!   (default: wait forever, never retry) and an optional metrics registry — plus the §4.4
 //!   communication-packing optimisation

@@ -5,7 +5,7 @@
 //! bulk write, one pass to read, with the bytes of a `Vec<u64>`.
 //! [`WireArgs`] lifts it to whole argument packs, and a
 //! [`MarshalRegistry`] records, per `(class, method)`, how to convert between
-//! [`Args`](weavepar_weave::Args) and bytes — the knowledge the distribution
+//! [`Args`] and bytes — the knowledge the distribution
 //! aspect needs to put a call on the wire and a node runtime needs to take it
 //! off again.
 //!

@@ -10,7 +10,7 @@ pub type WeaveResult<T> = Result<T, WeaveError>;
 /// Errors raised by the weaving runtime, advice code or woven applications.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WeaveError {
-    /// An [`ObjId`](crate::object::ObjId) did not resolve to a live object.
+    /// An [`ObjId`] did not resolve to a live object.
     NoSuchObject(ObjId),
     /// A method name was not found in a class's dispatch table (nor among the
     /// inter-type extension methods).

@@ -17,8 +17,7 @@
 //! [`ByteSize`](crate::value::ByteSize) (so traces can model message sizes)
 //! and be `Send + 'static` (so calls can cross threads and simulated nodes).
 
-/// Declare a weaveable class. See the [module docs](self) and the crate-level
-/// example for the grammar:
+/// Declare a weaveable class. See the crate-level example for the grammar:
 ///
 /// ```ignore
 /// weaveable! {

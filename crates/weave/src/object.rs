@@ -204,6 +204,14 @@ impl ObjectSpace {
         Ok(MonitorGuard { _guard: ReentrantMutex::lock_arc(&instance), _held: Held::new() })
     }
 
+    /// [`monitor`](Self::monitor) without waiting: `Ok(None)` while another
+    /// thread holds it.
+    pub fn try_monitor(&self, id: ObjId) -> WeaveResult<Option<MonitorGuard>> {
+        let (_, instance) = self.lookup(id)?;
+        Ok(ReentrantMutex::try_lock_arc(&instance)
+            .map(|guard| MonitorGuard { _guard: guard, _held: Held::new() }))
+    }
+
     /// Run a closure with typed mutable access to the object.
     pub fn with_object<T: Weaveable, R>(
         &self,
@@ -479,6 +487,23 @@ mod tests {
         }
         assert_eq!(space.with_object::<Cell, _>(id, |_| monitors_held()).unwrap(), 1);
         assert_eq!(monitors_held(), 0);
+    }
+
+    #[test]
+    fn try_monitor_fails_only_while_another_thread_holds_it() {
+        let space = Arc::new(ObjectSpace::new());
+        let id = space.insert(Cell { v: 0 });
+        let ghost = ObjId::from_raw(999);
+        assert!(matches!(space.try_monitor(ghost), Err(WeaveError::NoSuchObject(_))));
+        let held = space.try_monitor(id).unwrap().expect("free");
+        let reentered = space.try_monitor(id).unwrap().expect("re-entrant for its holder");
+        assert_eq!(monitors_held(), 2, "a taken try counts as a held monitor");
+        let space2 = space.clone();
+        let elsewhere = move || space2.try_monitor(id).unwrap().is_some();
+        assert!(!std::thread::spawn(elsewhere.clone()).join().unwrap(), "held here");
+        drop((held, reentered));
+        assert_eq!(monitors_held(), 0);
+        assert!(std::thread::spawn(elsewhere).join().unwrap(), "free again");
     }
 
     #[test]

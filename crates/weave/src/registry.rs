@@ -3,13 +3,13 @@
 //!
 //! A weaver owns the object space, the inter-type store, the plugged aspects
 //! and (optionally) a trace recorder. All join points — constructions and
-//! calls made through [`Handle`](crate::object::Handle)s or the dynamic
+//! calls made through [`Handle`]s or the dynamic
 //! `invoke_*` entry points — flow through [`Weaver::invoke_call`] /
 //! [`Weaver::construct`], which match the plugged advice and walk the chain.
 //!
 //! Matching results are cached per `(signature, kind, provenance)` by each
 //! dispatching thread, next to its copy of the published
-//! [`snapshot`](crate::snapshot) of the aspect set; every mutation of that set
+//! snapshot of the aspect set; every mutation of that set
 //! (plug, unplug, enable, disable) publishes a new generation-stamped
 //! snapshot, which retires those caches, so plugging and unplugging at run
 //! time is always honoured without any clear-the-world invalidation.

@@ -2,7 +2,7 @@
 //!
 //! Join points carry heterogeneous arguments. The runtime moves them as
 //! [`Value`]s: small `Copy` payloads (unit, bool, the primitive integers and
-//! floats, [`ObjId`](crate::object::ObjId), [`ClassId`]/[`MethodId`], a few
+//! floats, [`ObjId`], [`ClassId`]/[`MethodId`], a few
 //! small tuples, and the copy-on-write [`Pack`]) are stored *inline* — a tag
 //! plus at most three words, no heap allocation — while everything else
 //! falls back to the classic `Box<dyn Any + Send>` representation. Typed
@@ -134,23 +134,18 @@ impl Pack {
     }
 
     /// Allocate a pack of `len` items once and let `fill` write them in
-    /// place (they start as zeros): a result is built in the allocation it
-    /// is returned in, not in a `Vec` that is then copied into one. A pack
-    /// of 2^14 items or more views the front of a power-of-two buffer: a
-    /// spare of that size when a dropped pack left one, a fresh one if not.
+    /// place: a result is built in the allocation it is returned in, not in
+    /// a `Vec` that is then copied into one. `fill` must write every item: a
+    /// pack of 2^14 items or more views the front of a power-of-two buffer,
+    /// a spare of that size when a dropped pack left one (not cleared: it
+    /// holds that pack's items), a fresh one of zeros if not.
     pub fn build(len: usize, fill: impl FnOnce(&mut [u64])) -> Self {
         // Checked before the allocation, not after it as in `from_arc`.
         let len = u32::try_from(len).expect("pack longer than u32::MAX items");
         let n = len as usize;
         let class = if n >= SPARE_FLOOR { n.next_power_of_two() } else { n };
-        let mut data = match take_spare(class) {
-            Some(mut spare) => {
-                Arc::get_mut(&mut spare).expect("a spare has one owner")[..n].fill(0);
-                spare
-            }
-            // An iterator of trusted length is collected straight into the `Arc`.
-            None => std::iter::repeat_n(0, class).collect(),
-        };
+        // An iterator of trusted length is collected straight into the `Arc`.
+        let mut data = take_spare(class).unwrap_or_else(|| std::iter::repeat_n(0, class).collect());
         fill(&mut Arc::get_mut(&mut data).expect("a fresh allocation has one owner")[..n]);
         Pack { data, start: 0, len }
     }
@@ -981,19 +976,41 @@ mod tests {
 
         static SERIAL: Mutex<()> = Mutex::new(());
 
+        /// A value no test item holds. A recycled buffer keeps the items of
+        /// the pack that left it, so a fill that misses an item shows it.
+        const SENTINEL: u64 = 0x5EED_DEAD_BEEF_5EED;
+
         #[test]
-        fn a_dropped_build_buffer_is_the_next_builds_and_reads_as_zeros() {
+        fn a_dropped_build_buffer_is_the_next_builds_and_is_not_cleared() {
             let _serial = SERIAL.lock();
-            let first = Pack::build(20_000, |items| items.fill(7));
+            let first = Pack::build(20_000, |items| items.fill(SENTINEL));
             assert_eq!(first.data.len(), 1 << 15, "the pack views the front of its class");
             let at = first.as_slice().as_ptr();
             drop(first);
             let second = Pack::build(30_000, |items| {
-                assert!(items.iter().all(|&v| v == 0), "a reused buffer starts as zeros");
+                assert_eq!(items[..20_000], [SENTINEL; 20_000], "the last pack's items");
                 items.fill(1);
             });
             assert_eq!(second.as_slice().as_ptr(), at, "the same allocation");
             assert_eq!(second.len(), 30_000);
+        }
+
+        #[test]
+        fn a_concat_over_a_spare_full_of_sentinels_writes_every_item() {
+            let _serial = SERIAL.lock();
+            let len = 40_000;
+            let spare = Pack::build(len, |items| items.fill(SENTINEL));
+            let at = spare.as_slice().as_ptr();
+            drop(spare);
+            // Sub-range views, an empty pack and uneven lengths, as a farm's
+            // combine gathers them.
+            let (head, tail) = (0..len as u64 / 2).collect::<Pack>().split_at(7);
+            let rest = (len as u64 / 2..len as u64).collect::<Pack>();
+            let parts = [tail, Pack::from_vec(vec![]), rest, head];
+            let whole = Pack::concat(&parts);
+            assert_eq!(whole.as_slice().as_ptr(), at, "built in the spare");
+            assert!(!whole.as_slice().contains(&SENTINEL), "an item the concat did not write");
+            assert_eq!(whole.len(), len);
         }
 
         #[test]

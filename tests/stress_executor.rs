@@ -14,9 +14,11 @@
 //!    sequential result, repeatedly, while the pool is shared.
 //! 4. **Fork/join** (the `fork_join` module): a woven divide-and-conquer far
 //!    deeper than the pool is wide completes, because a join on a pool
-//!    worker helps instead of blocking — under the three rules of
+//!    worker helps instead of blocking — under the rules of
 //!    `concurrency::pool`'s "Joins" section (clean context for the helped
 //!    task, no helping under a monitor, panics stay in their own future).
+//!    A wait for a held monitor helps by the same rules, and a farm whose
+//!    packs all meet at one object stays within the pool's nesting bound.
 //!    The Table 1 sieves, the sort, the dynamic-farm render and the
 //!    concurrent heartbeat share one process-wide pool, and run on it at
 //!    once. None of these tests sleeps; each runs under a watchdog
@@ -183,12 +185,15 @@ mod fork_join {
     };
     use weavepar::prelude::*;
     use weavepar::weave::aspect::precedence;
+    use weavepar::weave::object::MonitorGuard;
     use weavepar::weave::trace::{current_task, push_task};
     use weavepar::weave::value::downcast_ret;
     use weavepar::weave::{Recorder, TaskId};
     use weavepar::{args, ret};
     use weavepar_apps::heat::{solve_heartbeat_concurrent, solve_sequential};
-    use weavepar_apps::mandel::{render_dynamic, render_sequential};
+    use weavepar_apps::mandel::{
+        mandel_protocol, render_dynamic, render_sequential, MandelbrotProxy,
+    };
     use weavepar_apps::sieve::{build_sieve, run_sieve, sequential_sieve, SieveConfig};
     use weavepar_apps::sort::sort_divide_conquer;
 
@@ -573,6 +578,173 @@ mod fork_join {
             assert_eq!(downcast_ret::<u64>(resolve_any(again).unwrap()).unwrap(), 2);
             quiesce(&executor);
         });
+    }
+
+    /// `gated`'s twin for a monitor wait: Figure 12's module on `Probe.*`
+    /// over a 1-worker pool, and the test holding the monitor of the probe
+    /// that `Probe.outer` is called on. An advice ahead of the
+    /// synchronisation advice (with a trace task and a batch scope of its
+    /// own) holds the worker until the test has queued the calls it wants
+    /// helped: a monitor wait that finds nothing runnable blocks on the
+    /// monitor and looks no further.
+    struct MonitorGated {
+        executor: Executor,
+        registry: MetricsRegistry,
+        weaver: Weaver,
+        /// A second probe, whose calls take a monitor nobody holds.
+        other: ProbeProxy,
+        monitor: MonitorGuard,
+        go: Sender<()>,
+        /// What the waiting frame saw once it had the monitor.
+        after_wait: std::sync::mpsc::Receiver<Seen>,
+        outer: AnyValue,
+    }
+
+    fn monitor_gated() -> MonitorGated {
+        let (executor, registry) = metered_pool(1);
+        let weaver = Weaver::new();
+        let (entered_tx, entered_rx) = channel();
+        let (go, go_rx) = channel::<()>();
+        let (after_tx, after_wait) = channel();
+        let (entered_tx, go_rx, after_tx) = (
+            parking_lot::Mutex::new(entered_tx),
+            parking_lot::Mutex::new(go_rx),
+            parking_lot::Mutex::new(after_tx),
+        );
+        weaver.plug(
+            Aspect::named("Hold")
+                .precedence(precedence::PARTITION)
+                .around(Pointcut::call("Probe.outer"), move |inv: &mut Invocation| {
+                    let _task = push_task(Some(TaskId::from_raw(WAITING_TASK)));
+                    let scope = BatchScope::enter();
+                    entered_tx.lock().send(()).expect("test is listening");
+                    go_rx.lock().recv().expect("the test lets the worker on");
+                    // The synchronisation advice waits for the test's monitor.
+                    let ret = inv.proceed();
+                    after_tx.lock().send(look()).expect("test is listening");
+                    scope.flush();
+                    ret
+                })
+                .build(),
+        );
+        let module =
+            future_concurrency_aspect("Concurrency", Pointcut::call("Probe.*"), executor.clone());
+        for aspect in module {
+            weaver.plug(aspect);
+        }
+        let held = ProbeProxy::construct(&weaver).unwrap();
+        let other = ProbeProxy::construct(&weaver).unwrap();
+        let monitor = weaver.space().monitor(held.handle().id()).unwrap();
+        let outer = held.handle().call("outer", args![]).unwrap();
+        entered_rx.recv().expect("the worker reached the advice");
+        MonitorGated { executor, registry, weaver, other, monitor, go, after_wait, outer }
+    }
+
+    impl MonitorGated {
+        /// Let the worker on into the monitor wait, with the queued calls.
+        fn wait(&self) {
+            self.go.send(()).expect("the worker is held in the advice");
+        }
+
+        /// Drop the monitor and check the waiting frame found its context back.
+        fn release(self) -> (Executor, MetricsRegistry) {
+            drop(self.monitor);
+            let expect = Seen { task: Some(TaskId::from_raw(WAITING_TASK)), in_scope: true };
+            assert_eq!(self.after_wait.recv().unwrap(), expect, "waiting frame's own context");
+            assert_eq!(downcast_ret::<u64>(resolve_any(self.outer).unwrap()).unwrap(), 1);
+            quiesce(&self.executor);
+            (self.executor, self.registry)
+        }
+    }
+
+    #[test]
+    fn a_task_helped_in_a_monitor_wait_sees_its_own_context_and_batch_scope() {
+        watchdog("context isolation in a monitor wait", || {
+            let g = monitor_gated();
+            let leaked = Arc::new(AtomicBool::new(false));
+            let leaked2 = leaked.clone();
+            g.weaver.plug(
+                Aspect::named("Spy")
+                    .precedence(precedence::PARTITION)
+                    .around(Pointcut::call("Probe.ping"), move |inv: &mut Invocation| {
+                        if current_task().is_some() || scope_active() {
+                            leaked2.store(true, Ordering::SeqCst);
+                        }
+                        inv.proceed()
+                    })
+                    .build(),
+            );
+            let ping = g.other.handle().call("ping", args![]).unwrap();
+            let (seen_tx, seen_rx) = channel::<(Seen, u64)>();
+            let nested = g.executor.clone();
+            g.executor.spawn(move || {
+                let seen = look();
+                // Its own spawn goes out at once (not into the waiting
+                // frame's scope), or this join would never return.
+                let child = FutureValue::new();
+                let setter = child.clone();
+                nested.spawn(move || {
+                    setter.fulfill(3u64);
+                });
+                seen_tx.send((seen, child.take().unwrap())).expect("test is listening");
+            });
+            g.wait();
+            // Both complete while the test still holds the monitor.
+            assert_eq!(downcast_ret::<u64>(resolve_any(ping).unwrap()).unwrap(), 2);
+            let clean = Seen { task: None, in_scope: false };
+            assert_eq!(seen_rx.recv().unwrap(), (clean, 3), "helped task starts clean");
+            let (_executor, registry) = g.release();
+            assert!(!leaked.load(Ordering::SeqCst), "helped ping saw the waiting frame's context");
+            assert_eq!(registry.snapshot().counter("pool.helped"), Some(3));
+        });
+    }
+
+    #[test]
+    fn a_panicking_call_helped_in_a_monitor_wait_fails_only_its_own_future() {
+        watchdog("panicking call in a monitor wait", || {
+            let g = monitor_gated();
+            let boom = g.other.handle().call("explode", args![]).unwrap();
+            let ping = g.other.handle().call("ping", args![]).unwrap();
+            g.wait();
+            let err = resolve_any(boom).unwrap_err();
+            assert!(matches!(err, WeaveError::App(_)), "typed failure, not a hang: {err:?}");
+            assert_eq!(downcast_ret::<u64>(resolve_any(ping).unwrap()).unwrap(), 2);
+            let probe = ProbeProxy::construct(&g.weaver).unwrap();
+            let (executor, registry) = g.release();
+            assert_eq!(registry.snapshot().counter("pool.helped"), Some(2));
+            // The worker outlived the panic it helped into.
+            let again = probe.handle().call("ping", args![]).unwrap();
+            assert_eq!(downcast_ret::<u64>(resolve_any(again).unwrap()).unwrap(), 2);
+            quiesce(&executor);
+        });
+    }
+
+    /// A farm with one worker object: every pack meets at its monitor. A
+    /// worker that finds it held helps, and would nest a wait inside every
+    /// pack it helps (8 192 deep) if the pool did not bound the nesting.
+    #[test]
+    fn a_farm_whose_packs_all_meet_at_one_object_completes_on_the_pool() {
+        let (width, height, max_iter) = (64, 8192, 32);
+        let reference = render_sequential(width, height, max_iter);
+        for size in [1, 2, 4] {
+            let image = watchdog("a one-object farm", move || {
+                let executor = Executor::pool(size, "one-object");
+                let weaver = Weaver::new();
+                let protocol = mandel_protocol(1, height as usize);
+                weaver.plug(FarmConfig::new(protocol).aspect("Partition.farm"));
+                let pointcut = Pointcut::call("Mandelbrot.render_rows");
+                for aspect in future_concurrency_aspect("Concurrency", pointcut, executor.clone()) {
+                    weaver.plug(aspect);
+                }
+                let m = MandelbrotProxy::construct(&weaver, width, height, max_iter).unwrap();
+                let rows = (0..height).collect::<Pack>();
+                let raw = m.handle().call("render_rows", args![rows]).unwrap();
+                let image = downcast_ret::<Pack>(resolve_any(raw).unwrap()).unwrap();
+                quiesce(&executor);
+                image.to_vec()
+            });
+            assert_eq!(image, reference, "{size} workers");
+        }
     }
 
     struct Vault {
